@@ -23,8 +23,6 @@ from .perm import (
     count_inversions,
     kendall_tau,
     move_block,
-    ordered_pairs_diff,
-    reverse_block,
 )
 from .trace import (
     ComponentPartition,
@@ -36,12 +34,11 @@ from .trace import (
     replay_components,
     validate_trace,
 )
-from .feasibility import arrangement_cost, is_minla, minla_optimum
+from .feasibility import arrangement_cost, is_minla
 from .algorithms import (
     AlgoState,
     CoinWeights,
     RearrangeCoin,
-    RunResult,
     StepReport,
     closest_feasible,
     det_step,
@@ -65,7 +62,6 @@ from .oracle import (
 from .adversaries import (
     MiddleLineAdversary,
     TreeAdversaryConfig,
-    middle_line_adversary,
     random_trace,
     tree_adversary,
 )
@@ -93,9 +89,7 @@ __all__ = [
     "Permutation",
     "BlockRange",
     "kendall_tau",
-    "ordered_pairs_diff",
     "move_block",
-    "reverse_block",
     "count_inversions",
     "Model",
     "RevealEvent",
@@ -106,13 +100,11 @@ __all__ = [
     "parse_trace",
     "emit_trace",
     "arrangement_cost",
-    "minla_optimum",
     "is_minla",
     "AlgoState",
     "StepReport",
     "CoinWeights",
     "RearrangeCoin",
-    "RunResult",
     "closest_feasible",
     "det_step",
     "rand_clique_step",
@@ -132,7 +124,6 @@ __all__ = [
     "TreeAdversaryConfig",
     "tree_adversary",
     "MiddleLineAdversary",
-    "middle_line_adversary",
     "random_trace",
     "ExperimentConfig",
     "TrialStats",

@@ -4,7 +4,7 @@
   logarithmic factor on any online strategy: leaves of a balanced binary
   tree hold a random target path, and each tree level requests the joining
   edge between adjacent subtree border leaves, bottom-up.
-* ``middle_line_adversary`` is the adaptive sequence that makes any
+* ``MiddleLineAdversary`` is the adaptive sequence that makes any
   closest-to-initial deterministic strategy shuttle the middle node across
   an ever-growing path.
 * ``random_trace`` draws valid traces for property sweeps.
@@ -23,7 +23,6 @@ __all__ = [
     "TreeAdversaryConfig",
     "tree_adversary",
     "MiddleLineAdversary",
-    "middle_line_adversary",
     "random_trace",
 ]
 
@@ -133,10 +132,6 @@ class MiddleLineAdversary:
         if px > hi:
             return "R"
         raise ProtocolError("middle node sits inside the grown component")
-
-
-def middle_line_adversary(n: int) -> MiddleLineAdversary:
-    return MiddleLineAdversary(n)
 
 
 def random_trace(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Sequence
 
-from .errors import MinlaError
+from .errors import CapacityError, MinlaError
 from .feasibility import is_minla
 from .ordering import cross_weight, solve_block_order
 from .perm import BlockRange, Permutation, count_inversions, kendall_tau, move_block
@@ -30,7 +30,6 @@ __all__ = [
     "RearrangeCoin",
     "StepReport",
     "AlgoState",
-    "RunResult",
     "closest_feasible",
     "det_step",
     "rand_clique_step",
@@ -108,9 +107,9 @@ class AlgoState:
     pi0: Permutation
     current: Permutation
     parts: ComponentPartition
-    cumulative_cost: int = 0
-    move_cost_total: int = 0
-    rearrange_cost_total: int = 0
+    total_cost: int = 0
+    move_cost: int = 0
+    rearrange_cost: int = 0
     step_log: list[StepReport] = field(default_factory=list)
     collect_log: bool = True
     item_cap: int = DEFAULT_ITEM_CAP
@@ -127,9 +126,9 @@ class AlgoState:
         )
 
     def _record(self, report: StepReport) -> None:
-        self.cumulative_cost += report.move_cost + report.rearrange_cost
-        self.move_cost_total += report.move_cost
-        self.rearrange_cost_total += report.rearrange_cost
+        self.total_cost += report.move_cost + report.rearrange_cost
+        self.move_cost += report.move_cost
+        self.rearrange_cost += report.rearrange_cost
         if self.collect_log:
             self.step_log.append(report)
         self._next_event += 1
@@ -145,6 +144,31 @@ def _oriented_path(path: Sequence[int], pos0: Sequence[int]) -> list[int]:
     if fwd < rev or (fwd == rev and tuple(path) < tuple(path[::-1])):
         return list(path)
     return list(path[::-1])
+
+
+def _order_blocks(
+    seqs: Sequence[Sequence[int]], sorted_pos: Sequence[Sequence[int]], cap: int
+) -> tuple[int, list[int]]:
+    """Lay the blocks ``seqs`` out in the order with the fewest node pairs
+    inverted against the reference positions; returns that count and the
+    concatenated node sequence.
+
+    ``sorted_pos[i]`` lists block i's reference positions in ascending order.
+    Ties resolve to the lexicographically smallest node sequence.  The cap
+    is checked before the O(m^2) weight matrix is built.
+    """
+    m = len(seqs)
+    if m > cap:
+        raise CapacityError(f"{m} components exceed the exact-search cap of {cap}")
+    w = [
+        [0 if i == j else cross_weight(sorted_pos[i], sorted_pos[j]) for j in range(m)]
+        for i in range(m)
+    ]
+    cross, order = solve_block_order(w, [seq[0] for seq in seqs], cap=cap)
+    node_at: list[int] = []
+    for idx in order:
+        node_at.extend(seqs[idx])
+    return cross, node_at
 
 
 def closest_feasible(
@@ -170,17 +194,7 @@ def closest_feasible(
             seq = _oriented_path(parts.path_of(root), pos0)
         seqs.append(seq)
         sorted_pos.append(sorted(pos0[v] for v in seq))
-    m = len(seqs)
-    w = [
-        [0 if i == j else cross_weight(sorted_pos[i], sorted_pos[j]) for j in range(m)]
-        for i in range(m)
-    ]
-    tie_keys = [seq[0] for seq in seqs]
-    _, order = solve_block_order(w, tie_keys, cap=cap)
-    node_at: list[int] = []
-    for idx in order:
-        node_at.extend(seqs[idx])
-    return Permutation(node_at)
+    return Permutation(_order_blocks(seqs, sorted_pos, cap)[1])
 
 
 def det_step(state: AlgoState, event: RevealEvent) -> AlgoState:
@@ -324,15 +338,6 @@ def rand_line_step(
     return state
 
 
-@dataclass(frozen=True)
-class RunResult:
-    final: AlgoState
-    total_cost: int
-    move_cost: int
-    rearrange_cost: int
-    step_log: tuple[StepReport, ...]
-
-
 def run(
     algo: str,
     trace: RevealTrace,
@@ -340,8 +345,9 @@ def run(
     collect_log: bool = True,
     validate: bool = True,
     item_cap: int = DEFAULT_ITEM_CAP,
-) -> RunResult:
-    """Replay every event of ``trace`` with the chosen algorithm.
+) -> AlgoState:
+    """Replay every event of ``trace`` with the chosen algorithm and return
+    the final state.
 
     Deterministic for a given (algo, trace, seed).  The maintained
     permutation is checked to stay feasible after every step.
@@ -366,10 +372,4 @@ def run(
                 f"algorithm left an infeasible permutation after event "
                 f"{state._next_event - 1}"
             )
-    return RunResult(
-        final=state,
-        total_cost=state.cumulative_cost,
-        move_cost=state.move_cost_total,
-        rearrange_cost=state.rearrange_cost_total,
-        step_log=tuple(state.step_log),
-    )
+    return state

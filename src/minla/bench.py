@@ -20,19 +20,14 @@ from .algorithms import CoinWeights, RearrangeCoin, rand_clique_step, rand_line_
 from .feasibility import arrangement_cost, is_minla
 from .harness import (
     ExperimentConfig,
+    _harmonic_rows,
+    _identity_rows,
     derive_trial_seed,
     duel,
     run_experiment,
     verify_lemma,
 )
-from .oracle import (
-    bound_for_trace,
-    check_harmonic_bounds,
-    check_identity_lemmas,
-    dp_opt,
-    exhaustive_opt,
-    harmonic_number,
-)
+from .oracle import bound_for_trace, dp_opt, exhaustive_opt, harmonic_number
 from .perm import Permutation
 from .trace import ComponentPartition, Model, RevealEvent, RevealTrace
 
@@ -312,21 +307,15 @@ def criterion_tree_sandwich() -> CriterionResult:
 def criterion_algebraic_bounds() -> CriterionResult:
     """Harmonic prefix bounds and choice-vector identities on random sweeps."""
     rng = random.Random(110)
-    for _ in range(10_000):
-        series = [rng.randint(1, 20) for _ in range(rng.randint(1, 50))]
-        if not check_harmonic_bounds(series).all_ok():
-            return CriterionResult(
-                10, "algebraic-bounds", False, f"harmonic bound failed on {series}"
-            )
-    for _ in range(10_000):
-        n = rng.randint(1, 10)
-        a = [rng.uniform(0.0, 10.0) for _ in range(n)]
-        b = [rng.uniform(0.0, 1.0) for _ in range(n)]
-        eq_ok, le_ok = check_identity_lemmas(a, b)
-        if not (eq_ok and le_ok):
-            return CriterionResult(
-                10, "algebraic-bounds", False, f"identity failed on a={a} b={b}"
-            )
+    rows = _harmonic_rows(10_000, rng) + _identity_rows(10_000, rng)
+    failed = [row for row in rows if not row.ok]
+    if failed:
+        return CriterionResult(
+            10,
+            "algebraic-bounds",
+            False,
+            "; ".join(f"{row.label}: {row.deviations:.0f} failures" for row in failed),
+        )
     return CriterionResult(
         10,
         "algebraic-bounds",
@@ -362,7 +351,7 @@ def criterion_coin_vectors() -> CriterionResult:
         (0, "move_x", (1, 2, 0, 3, 4), 2, Fraction(2, 3)),
         (2, "move_z", (0, 3, 4, 1, 2), 4, Fraction(1, 3)),
     ):
-        state = run("rand", clique_prefix, seed=0).final
+        state = run("rand", clique_prefix, seed=0)
         rand_clique_step(state, RevealEvent(0, 3), _ForcedCoin([forced]))
         step = state.step_log[-1]
         checks.append(step.move_coin == CoinWeights(2, 1, 3))
@@ -383,7 +372,7 @@ def criterion_coin_vectors() -> CriterionResult:
         ([0, 0], (1, 0, 2, 3, 4), 1, Fraction(9, 10)),
         ([0, 9], (4, 3, 2, 0, 1), 9, Fraction(1, 10)),
     ):
-        state = run("rand", line_prefix, seed=0).final
+        state = run("rand", line_prefix, seed=0)
         rand_line_step(state, RevealEvent(0, 2), _ForcedCoin(forced))
         step = state.step_log[-1]
         checks.append(step.rearrange_coin == RearrangeCoin(9, 1, 10))

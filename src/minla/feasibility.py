@@ -12,7 +12,7 @@ from __future__ import annotations
 from .perm import Permutation
 from .trace import ComponentPartition, Model
 
-__all__ = ["arrangement_cost", "minla_optimum", "is_minla"]
+__all__ = ["arrangement_cost", "is_minla"]
 
 
 def arrangement_cost(p: Permutation, parts: ComponentPartition, model: Model) -> int:
@@ -33,22 +33,6 @@ def arrangement_cost(p: Permutation, parts: ComponentPartition, model: Model) ->
             total += sum(
                 abs(pos[a] - pos[b]) for a, b in zip(path, path[1:])
             )
-    return total
-
-
-def minla_optimum(parts: ComponentPartition, model: Model) -> int:
-    """Closed-form minimum arrangement cost for the partition.
-
-    A clique of size s costs (s^3 - s) / 6 when contiguous; a path of size s
-    costs s - 1.
-    """
-    total = 0
-    for root in parts.components():
-        s = parts.size_of(root)
-        if model is Model.CLIQUES:
-            total += (s * s * s - s) // 6
-        else:
-            total += s - 1
     return total
 
 

@@ -9,12 +9,13 @@ byte-identical.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import __version__
-from .adversaries import middle_line_adversary
+from .adversaries import MiddleLineAdversary
 from .algorithms import AlgoState, det_step, run
 from .errors import ConfigError
 from .oracle import (
@@ -104,25 +105,6 @@ class TrialStats:
     mean_rearrange: float
 
 
-class _Welford:
-    """Online mean/variance, stable at millions of samples."""
-
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def push(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (x - self.mean)
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / (self.count - 1) if self.count > 1 else 0.0
-
-
 def run_experiment(
     cfg: ExperimentConfig, opt: OptResult | None = None
 ) -> tuple[TrialStats, list[dict]]:
@@ -134,7 +116,8 @@ def run_experiment(
     """
     if opt is None:
         opt = dp_opt(cfg.trace)
-    agg = _Welford()
+    total_sum = 0
+    square_sum = 0
     move_sum = 0
     rearrange_sum = 0
     lo = hi = None
@@ -144,11 +127,13 @@ def run_experiment(
         result = run(
             cfg.algo, cfg.trace, seed=seed, collect_log=False, validate=(trial == 0)
         )
-        agg.push(result.total_cost)
+        total = result.total_cost
+        total_sum += total
+        square_sum += total * total
         move_sum += result.move_cost
         rearrange_sum += result.rearrange_cost
-        lo = result.total_cost if lo is None else min(lo, result.total_cost)
-        hi = result.total_cost if hi is None else max(hi, result.total_cost)
+        lo = total if lo is None else min(lo, total)
+        hi = total if hi is None else max(hi, total)
         records.append(
             {
                 "trace_id": cfg.trace_id,
@@ -157,21 +142,27 @@ def run_experiment(
                 "trial": trial,
                 "cost_move": result.move_cost,
                 "cost_rearrange": result.rearrange_cost,
-                "cost_total": result.total_cost,
+                "cost_total": total,
                 "opt_cost": opt.cost,
-                "ratio": format_ratio(result.total_cost, opt.cost),
+                "ratio": format_ratio(total, opt.cost),
                 "seed": seed,
             }
         )
+    # Exact integer moments, rounded to float once: with t trials the sample
+    # variance is (t S2 - S1^2) / (t (t - 1)).
+    t = cfg.trials
+    variance = 0.0
+    if t > 1:
+        variance = (t * square_sum - total_sum * total_sum) / (t * (t - 1))
     stats = TrialStats(
-        trials=cfg.trials,
-        mean=agg.mean,
-        variance=agg.variance,
-        std_error=math.sqrt(agg.variance / cfg.trials),
+        trials=t,
+        mean=total_sum / t,
+        variance=variance,
+        std_error=math.sqrt(variance / t),
         min=lo,
         max=hi,
-        mean_move=move_sum / cfg.trials,
-        mean_rearrange=rearrange_sum / cfg.trials,
+        mean_move=move_sum / t,
+        mean_rearrange=rearrange_sum / t,
     )
     return stats, records
 
@@ -309,7 +300,7 @@ def _frequency_rows(
             collect_log=False,
             validate=(trial == 0),
         )
-        pos = result.final.current.pos_of
+        pos = result.current.pos_of
         if kind == "left-right":
             starts = {
                 r: min(pos[v] for v in final_parts.nodes_of(r)) for r in roots
@@ -318,7 +309,7 @@ def _frequency_rows(
                 if starts[ra] < starts[rb]:
                     counts[(ra, rb)] += 1
         else:
-            node_at = result.final.current.node_at
+            node_at = result.current.node_at
             for r in tracked:
                 path = paths[r]
                 start = min(pos[v] for v in path)
@@ -374,9 +365,9 @@ def verify_lemma(
             raise ConfigError(f"verify {kind} expects a {want.value} trace")
         rows = _frequency_rows(trace, trials, seed, kind)
     elif kind == "harmonic":
-        rows = _harmonic_rows(trials, seed)
+        rows = _harmonic_rows(trials, random.Random(seed))
     elif kind == "identities":
-        rows = _identity_rows(trials, seed)
+        rows = _identity_rows(trials, random.Random(seed))
     else:
         raise ConfigError(f"unknown verification kind {kind!r}")
     return VerifyReport(
@@ -388,10 +379,7 @@ def verify_lemma(
     )
 
 
-def _harmonic_rows(trials: int, seed: int) -> list[VerifyRow]:
-    import random
-
-    rng = random.Random(seed)
+def _harmonic_rows(trials: int, rng: random.Random) -> list[VerifyRow]:
     failures = [0, 0, 0]
     for _ in range(trials):
         series = [rng.randint(1, 20) for _ in range(rng.randint(1, 50))]
@@ -414,10 +402,7 @@ def _harmonic_rows(trials: int, seed: int) -> list[VerifyRow]:
     ]
 
 
-def _identity_rows(trials: int, seed: int) -> list[VerifyRow]:
-    import random
-
-    rng = random.Random(seed)
+def _identity_rows(trials: int, rng: random.Random) -> list[VerifyRow]:
     failures = [0, 0]
     for _ in range(trials):
         n = rng.randint(1, 10)
@@ -468,7 +453,7 @@ def duel(n: int, algo: str = "det", adversary: str = "middle-line") -> DuelRepor
         raise ConfigError(f"duels are defined against 'det', got {algo!r}")
     if adversary != "middle-line":
         raise ConfigError(f"unknown adversary {adversary!r}")
-    adv = middle_line_adversary(n)
+    adv = MiddleLineAdversary(n)
     pi0 = Permutation.identity(n)
     state = AlgoState.initial(Model.LINES, pi0)
     events = []
@@ -482,9 +467,9 @@ def duel(n: int, algo: str = "det", adversary: str = "middle-line") -> DuelRepor
     )
     return DuelReport(
         n=n,
-        algo_cost=state.cumulative_cost,
+        algo_cost=state.total_cost,
         opt_cost=opt.cost,
-        ratio=Fraction(state.cumulative_cost, opt.cost),
+        ratio=Fraction(state.total_cost, opt.cost),
         alternations=alternations,
         induced_trace=induced,
         sides=tuple(adv.sides),

@@ -22,10 +22,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algorithms import DEFAULT_ITEM_CAP, closest_feasible
+from .algorithms import DEFAULT_ITEM_CAP, _order_blocks, closest_feasible
 from .errors import CapacityError
-from .ordering import cross_weight, solve_block_order
-from .perm import Permutation, count_inversions, kendall_tau, ordered_pairs_diff
+from .ordering import cross_weight
+from .perm import Permutation, count_inversions, kendall_tau
 from .trace import Model, RevealTrace, replay_components
 
 __all__ = [
@@ -48,21 +48,6 @@ class OptResult:
 
     cost: int
     witness: Permutation
-
-
-def _merge_sorted(a: list[int], b: list[int]) -> list[int]:
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] <= b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return out
 
 
 def _clique_opt(t: RevealTrace, cap: int) -> OptResult:
@@ -89,25 +74,13 @@ def _clique_opt(t: RevealTrace, cap: int) -> OptResult:
         else:
             seq, extra = seq_b + seq_a, w_ba
         root = parts.merge(ev.u, ev.v)
-        comp[root] = (_merge_sorted(pos_a, pos_b), seq, cost_a + cost_b + extra)
+        comp[root] = (sorted(pos_a + pos_b), seq, cost_a + cost_b + extra)
 
     roots = sorted(comp)
-    if len(roots) > cap:
-        raise CapacityError(
-            f"{len(roots)} root components exceed the exact-search cap of {cap}"
-        )
-    seqs = [comp[r][1] for r in roots]
-    sorted_pos = [comp[r][0] for r in roots]
     internal = sum(comp[r][2] for r in roots)
-    m = len(roots)
-    w = [
-        [0 if i == j else cross_weight(sorted_pos[i], sorted_pos[j]) for j in range(m)]
-        for i in range(m)
-    ]
-    cross, order = solve_block_order(w, [seq[0] for seq in seqs], cap=cap)
-    node_at: list[int] = []
-    for idx in order:
-        node_at.extend(seqs[idx])
+    cross, node_at = _order_blocks(
+        [comp[r][1] for r in roots], [comp[r][0] for r in roots], cap
+    )
     return OptResult(cost=internal + cross, witness=Permutation(node_at))
 
 
@@ -123,11 +96,6 @@ def dp_opt(t: RevealTrace, cap: int = DEFAULT_ITEM_CAP) -> OptResult:
     if t.model is Model.CLIQUES:
         return _clique_opt(t, cap)
     parts = replay_components(t, t.k)
-    if parts.num_components > cap:
-        raise CapacityError(
-            f"{parts.num_components} root components exceed the exact-search "
-            f"cap of {cap}"
-        )
     witness = closest_feasible(t.pi0, parts, Model.LINES, cap=cap)
     return OptResult(cost=kendall_tau(t.pi0, witness), witness=witness)
 
@@ -368,9 +336,9 @@ def check_identity_lemmas(
 
 
 def bound_for_trace(t: RevealTrace, opt: OptResult) -> float:
-    """The harmonic cost bound for the trace: the ordered-pair difference
-    between the initial permutation and the optimal witness, scaled by
-    4 H_n for cliques and 8 H_n for lines."""
-    diff = ordered_pairs_diff(t.pi0, opt.witness)
+    """The harmonic cost bound for the trace: the number of node pairs
+    ordered differently by the initial permutation and the optimal witness,
+    scaled by 4 H_n for cliques and 8 H_n for lines."""
+    diff = kendall_tau(t.pi0, opt.witness)
     factor = 4 if t.model is Model.CLIQUES else 8
     return float(factor * harmonic_number(t.n) * diff)

@@ -17,9 +17,7 @@ __all__ = [
     "Permutation",
     "BlockRange",
     "kendall_tau",
-    "ordered_pairs_diff",
     "move_block",
-    "reverse_block",
     "count_inversions",
 ]
 
@@ -67,9 +65,6 @@ class Permutation:
     def to_text(self) -> str:
         """Space-separated node ids in position order."""
         return " ".join(str(v) for v in self.node_at)
-
-    def reversed(self) -> "Permutation":
-        return Permutation(self.node_at[::-1])
 
     def __len__(self) -> int:
         return len(self.node_at)
@@ -150,26 +145,6 @@ def kendall_tau(p: Permutation, q: Permutation) -> int:
     return count_inversions([q.pos_of[v] for v in p.node_at])
 
 
-def ordered_pairs_diff(p: Permutation, q: Permutation) -> int:
-    """Number of ordered pairs (x, y) with x left of y in ``p`` but not in ``q``.
-
-    Computed literally from the pair sets, in O(n^2).  Agrees with
-    :func:`kendall_tau` on every input; the two are kept as distinct routes
-    so the identity itself stays testable.
-    """
-    _check_same_n(p, q)
-    qpos = q.pos_of
-    order = p.node_at
-    n = len(order)
-    diff = 0
-    for i in range(n):
-        qi = qpos[order[i]]
-        for j in range(i + 1, n):
-            if qpos[order[j]] < qi:
-                diff += 1
-    return diff
-
-
 def move_block(
     p: Permutation, block: BlockRange, dest_start: int
 ) -> tuple[Permutation, int]:
@@ -189,13 +164,4 @@ def move_block(
     del nodes[block.start : block.stop]
     nodes[dest_start:dest_start] = seg
     cost = block.length * abs(dest_start - block.start)
-    return Permutation._from_node_at(tuple(nodes)), cost
-
-
-def reverse_block(p: Permutation, block: BlockRange) -> tuple[Permutation, int]:
-    """Reverse the nodes inside a block; cost is C(length, 2)."""
-    block.check_within(len(p))
-    nodes = list(p.node_at)
-    nodes[block.start : block.stop] = nodes[block.start : block.stop][::-1]
-    cost = block.length * (block.length - 1) // 2
     return Permutation._from_node_at(tuple(nodes)), cost

@@ -101,17 +101,6 @@ class ComponentPartition:
             raise ValueError("groups do not cover all nodes")
         return parts
 
-    def copy(self) -> "ComponentPartition":
-        dup = ComponentPartition.__new__(ComponentPartition)
-        dup.n = self.n
-        dup.model = self.model
-        dup._parent = list(self._parent)
-        dup._members = {r: list(m) for r, m in self._members.items()}
-        dup._paths = None
-        if self._paths is not None:
-            dup._paths = dict(self._paths)
-        return dup
-
     def find(self, v: int) -> int:
         parent = self._parent
         root = v
@@ -144,10 +133,6 @@ class ComponentPartition:
         if self._paths is None:
             raise ValueError("path order is only tracked for the lines model")
         return self._paths[root]
-
-    def is_path_endpoint(self, v: int) -> bool:
-        path = self.path_of(self.find(v))
-        return path[0] == v or path[-1] == v
 
     def merge(self, u: int, v: int) -> int:
         """Merge the components containing ``u`` and ``v``; returns the new root.
@@ -230,7 +215,7 @@ def parse_trace(text: str) -> RevealTrace:
         if stripped:
             lines.append((no, stripped))
 
-    def take(expect_key: str | None = None) -> tuple[int, str]:
+    def take() -> tuple[int, str]:
         if not lines:
             raise TraceFormatError("unexpected end of input", line=text.count("\n") + 1)
         return lines.pop(0)

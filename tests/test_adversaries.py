@@ -4,6 +4,7 @@ import pytest
 
 from minla import (
     ConfigError,
+    MiddleLineAdversary,
     Model,
     Permutation,
     ProtocolError,
@@ -11,7 +12,6 @@ from minla import (
     dp_opt,
     duel,
     kendall_tau,
-    middle_line_adversary,
     random_trace,
     replay_components,
     run,
@@ -73,7 +73,7 @@ class TestTreeAdversary:
             as_path = Permutation(leaves)
             expected = min(
                 kendall_tau(trace.pi0, as_path),
-                kendall_tau(trace.pi0, as_path.reversed()),
+                kendall_tau(trace.pi0, Permutation(leaves[::-1])),
             )
             opt = dp_opt(trace)
             assert opt.cost == expected
@@ -89,17 +89,17 @@ class TestTreeAdversary:
 
 class TestMiddleLineAdversary:
     def test_first_event_joins_middle_neighbors(self):
-        adv = middle_line_adversary(5)
+        adv = MiddleLineAdversary(5)
         ev = adv.next_event(Permutation.identity(5))
         assert (ev.u, ev.v) == (1, 3)
 
     def test_requires_odd_n(self):
         for bad in (4, 3, 0):
             with pytest.raises(ConfigError):
-                middle_line_adversary(bad)
+                MiddleLineAdversary(bad)
 
     def test_protocol_error_on_infeasible_permutation(self):
-        adv = middle_line_adversary(5)
+        adv = MiddleLineAdversary(5)
         adv.next_event(Permutation.identity(5))
         # grown component {1, 3} is not contiguous in the identity
         with pytest.raises(ProtocolError):

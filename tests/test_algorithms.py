@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import minla.algorithms
 from conftest import feasible_permutations
 from minla import (
     AlgoState,
@@ -45,23 +46,23 @@ class TestDetStep:
     def test_already_feasible_costs_nothing(self):
         trace = make_trace(Model.CLIQUES, 4, [(0, 1)])
         result = run("det", trace)
-        assert result.final.current == Permutation([0, 1, 2, 3])
+        assert result.current == Permutation([0, 1, 2, 3])
         assert result.total_cost == 0
 
     def test_tie_breaks_lexicographically(self):
         trace = make_trace(Model.CLIQUES, 3, [(0, 2)])
         result = run("det", trace)
         # both [0,2,1] and [1,0,2] sit at distance 1; lexicographic rule wins
-        assert result.final.current == Permutation([0, 2, 1])
+        assert result.current == Permutation([0, 2, 1])
         assert result.total_cost == 1
 
     def test_lines_can_return_home(self):
         trace = make_trace(Model.LINES, 4, [(1, 2), (0, 1)])
         result = run("det", trace)
         # after (0,1) the initial permutation is feasible again
-        assert result.final.current == Permutation([0, 1, 2, 3])
+        assert result.current == Permutation([0, 1, 2, 3])
         step_costs = [rep.move_cost for rep in result.step_log]
-        mid = run("det", make_trace(Model.LINES, 4, [(1, 2)])).final.current
+        mid = run("det", make_trace(Model.LINES, 4, [(1, 2)])).current
         assert step_costs[1] == kendall_tau(mid, Permutation([0, 1, 2, 3]))
 
     def test_closest_member_and_lex_order_vs_enumeration(self):
@@ -88,6 +89,16 @@ class TestDetStep:
         with pytest.raises(CapacityError):
             run("det", trace, item_cap=20)
 
+    def test_capacity_checked_before_weights(self, monkeypatch):
+        # The O(m^2) weight matrix must not be built for an over-cap input.
+        def no_weights(*args):
+            raise AssertionError("cross_weight called on an over-cap input")
+
+        monkeypatch.setattr(minla.algorithms, "cross_weight", no_weights)
+        trace = make_trace(Model.CLIQUES, 1000, [(0, 1)])
+        with pytest.raises(CapacityError):
+            run("det", trace)
+
     def test_triangle_bound_per_run(self):
         rng = random.Random(12)
         for model in (Model.CLIQUES, Model.LINES):
@@ -98,13 +109,13 @@ class TestDetStep:
                 for ev in trace.events:
                     det_step(state, ev)
                     farthest = max(farthest, kendall_tau(trace.pi0, state.current))
-                assert state.cumulative_cost <= trace.k * 2 * farthest
+                assert state.total_cost <= trace.k * 2 * farthest
 
 
 class TestRandCliqueStep:
     def _paired_state(self):
         prefix = make_trace(Model.CLIQUES, 5, [(3, 4)])
-        return run("rand", prefix, seed=0).final
+        return run("rand", prefix, seed=0)
 
     def test_singleton_moves_to_pair(self):
         state = self._paired_state()
@@ -171,7 +182,7 @@ class TestRandCliqueStep:
 class TestRandLineStep:
     def _figure_state(self):
         prefix = make_trace(Model.LINES, 5, [(0, 1), (2, 3), (3, 4)])
-        state = run("rand", prefix, seed=0).final
+        state = run("rand", prefix, seed=0)
         assert state.current == Permutation([0, 1, 2, 3, 4])
         return state
 
@@ -232,14 +243,14 @@ class TestRun:
         trace = make_trace(Model.LINES, 4, [])
         result = run("rand", trace, seed=9)
         assert result.total_cost == 0
-        assert result.final.current == trace.pi0
+        assert result.current == trace.pi0
 
     def test_seeded_determinism(self):
         trace = random_trace(Model.LINES, 10, seed=3)
         a = run("rand", trace, seed=42)
         b = run("rand", trace, seed=42)
         assert a.step_log == b.step_log
-        assert a.final.current == b.final.current
+        assert a.current == b.current
 
     def test_feasible_after_every_step(self):
         rng = random.Random(16)
@@ -247,7 +258,7 @@ class TestRun:
             for algo in ("det", "rand"):
                 trace = random_trace(model, rng.randint(2, 12), seed=rng.random())
                 result = run(algo, trace, seed=1)
-                assert is_minla(result.final.current, result.final.parts, model)
+                assert is_minla(result.current, result.parts, model)
 
     def test_probabilities_are_valid_rationals(self):
         rng = random.Random(17)
@@ -280,5 +291,5 @@ class TestRun:
     def test_log_collection_toggle(self):
         trace = random_trace(Model.CLIQUES, 6, seed=8)
         result = run("rand", trace, seed=2, collect_log=False)
-        assert result.step_log == ()
+        assert result.step_log == []
         assert result.total_cost >= 0

@@ -1,13 +1,12 @@
 import random
 
-from conftest import all_permutations
+from conftest import all_permutations, minla_optimum
 from minla import (
     ComponentPartition,
     Model,
     Permutation,
     arrangement_cost,
     is_minla,
-    minla_optimum,
     random_trace,
     replay_components,
 )
@@ -50,17 +49,28 @@ class TestArrangementCost:
 
 
 class TestMinlaOptimum:
+    """The cost of a contiguous layout against the closed-form optimum."""
+
     def test_clique_of_three(self):
         parts = partition(3, Model.CLIQUES, [[0, 1, 2]])
-        assert minla_optimum(parts, Model.CLIQUES) == 4
+        p = Permutation([2, 0, 1])
+        assert arrangement_cost(p, parts, Model.CLIQUES) == minla_optimum(
+            parts, Model.CLIQUES
+        ) == 4
 
     def test_path_of_five(self):
         parts = partition(5, Model.LINES, [[0, 1, 2, 3, 4]])
-        assert minla_optimum(parts, Model.LINES) == 4
+        p = Permutation([4, 3, 2, 1, 0])
+        assert arrangement_cost(p, parts, Model.LINES) == minla_optimum(
+            parts, Model.LINES
+        ) == 4
 
     def test_all_singletons(self):
         parts = partition(4, Model.CLIQUES, [[v] for v in range(4)])
-        assert minla_optimum(parts, Model.CLIQUES) == 0
+        p = Permutation([3, 1, 0, 2])
+        assert arrangement_cost(p, parts, Model.CLIQUES) == minla_optimum(
+            parts, Model.CLIQUES
+        ) == 0
 
     def test_matches_exhaustive_minimum(self):
         rng = random.Random(2)

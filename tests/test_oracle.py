@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import minla.algorithms
+from conftest import ordered_pairs_diff
 from minla import (
     CapacityError,
     Model,
@@ -19,7 +21,6 @@ from minla import (
     is_minla,
     kendall_tau,
     left_right_probability,
-    ordered_pairs_diff,
     orientation_probability,
     random_trace,
     replay_components,
@@ -83,6 +84,15 @@ class TestDpOpt:
         trace = make_trace(Model.CLIQUES, 30, [(0, 1)])
         with pytest.raises(CapacityError):
             dp_opt(trace, cap=10)
+
+    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
+    def test_capacity_checked_before_weights(self, model, monkeypatch):
+        def no_weights(*args):
+            raise AssertionError("cross_weight called on an over-cap input")
+
+        monkeypatch.setattr(minla.algorithms, "cross_weight", no_weights)
+        with pytest.raises(CapacityError):
+            dp_opt(make_trace(model, 1000, [(0, 1)]))
 
 
 class TestExhaustiveOpt:

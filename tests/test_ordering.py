@@ -85,6 +85,18 @@ class TestSolveBlockOrder:
             w = random_weights(rng, m, hi=20)
             assert list(_subset_costs_py(w, m)) == list(_subset_costs_np(w, m))
 
+    def test_large_row_sums_do_not_overflow(self):
+        # Row sums reach 11 * 3e8 > 2^31: the vector table must widen to int64.
+        m = 12
+        w = [
+            [0 if i == j else 3 * 10**8 if i > j else 1 for j in range(m)]
+            for i in range(m)
+        ]
+        assert list(_subset_costs_np(w, m)) == _subset_costs_py(w, m)
+        cost, order = solve_block_order(w, list(range(m)), cap=22)
+        assert order == list(range(m))
+        assert cost == m * (m - 1) // 2
+
     def test_capacity_error(self):
         m = 23
         w = [[0] * m for _ in range(m)]

@@ -129,12 +129,6 @@ class TestPartition:
         with pytest.raises(ValueError):
             ComponentPartition.from_components(3, Model.CLIQUES, [[0, 1]])
 
-    def test_copy_is_independent(self):
-        parts = ComponentPartition(4, Model.LINES)
-        dup = parts.copy()
-        parts.merge(0, 1)
-        assert dup.num_components == 4
-
 
 CANONICAL = """minla-trace v1
 model: lines
