@@ -12,18 +12,13 @@ from .errors import (
     CapacityError,
     ConfigError,
     InstanceMismatchError,
+    InvariantError,
     MinlaError,
     ProtocolError,
     TraceFormatError,
     TraceValidationError,
 )
-from .perm import (
-    BlockRange,
-    Permutation,
-    count_inversions,
-    kendall_tau,
-    move_block,
-)
+from .perm import Permutation, count_inversions, kendall_tau
 from .trace import (
     ComponentPartition,
     Model,
@@ -84,12 +79,11 @@ __all__ = [
     "TraceFormatError",
     "TraceValidationError",
     "CapacityError",
+    "InvariantError",
     "ProtocolError",
     "ConfigError",
     "Permutation",
-    "BlockRange",
     "kendall_tau",
-    "move_block",
     "count_inversions",
     "Model",
     "RevealEvent",

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Sequence
 
-from .errors import CapacityError, MinlaError
+from .errors import CapacityError, InvariantError
 from .feasibility import is_minla
 from .ordering import cross_weight, solve_block_order
-from .perm import BlockRange, Permutation, count_inversions, kendall_tau, move_block
+from .perm import Permutation, count_inversions, kendall_tau
 from .trace import ComponentPartition, Model, RevealEvent, RevealTrace, validate_trace
 
 __all__ = [
@@ -101,11 +101,15 @@ def steplog_to_jsonl(steps: Sequence[StepReport]) -> str:
 
 @dataclass
 class AlgoState:
-    """Mutable per-trial state: current permutation, components, cost, log."""
+    """Mutable per-trial state: permutation, components, cost, log.
+
+    ``node_at`` and ``pos`` hold the permutation, edited in place by the
+    ``rand`` steps; ``current`` returns an immutable snapshot of it."""
 
     model: Model
     pi0: Permutation
-    current: Permutation
+    node_at: list[int]
+    pos: list[int]
     parts: ComponentPartition
     total_cost: int = 0
     move_cost: int = 0
@@ -120,10 +124,20 @@ class AlgoState:
         return cls(
             model=model,
             pi0=pi0,
-            current=pi0,
+            node_at=list(pi0.node_at),
+            pos=list(pi0.pos_of),
             parts=ComponentPartition(len(pi0), model),
             **kwargs,
         )
+
+    @property
+    def current(self) -> Permutation:
+        return Permutation._trusted(tuple(self.node_at), tuple(self.pos))
+
+    @current.setter
+    def current(self, p: Permutation) -> None:
+        self.node_at = list(p.node_at)
+        self.pos = list(p.pos_of)
 
     def _record(self, report: StepReport) -> None:
         self.total_cost += report.move_cost + report.rearrange_cost
@@ -222,31 +236,56 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _move_together(
-    current: Permutation,
-    x_nodes: Sequence[int],
-    z_nodes: Sequence[int],
-    rng: random.Random,
-) -> tuple[Permutation, int, CoinWeights, bool]:
-    """Flip the moving coin and slide the chosen block next to the other.
-
-    Returns the new permutation, the swap cost, the coin weights, and
-    whether the x-side block was the one that moved.  The coin is flipped
-    even when the blocks are already adjacent.
-    """
-    pos = current.pos_of
-    xs = min(pos[v] for v in x_nodes)
-    zs = min(pos[v] for v in z_nodes)
-    xl, zl = len(x_nodes), len(z_nodes)
+def _flip_move_coin(xl: int, zl: int, rng: random.Random) -> tuple[CoinWeights, bool]:
+    """The size-biased moving coin: the x-side block moves with probability
+    ``zl / (xl + zl)``, even when the blocks are already adjacent."""
     coin = CoinWeights(move_x_num=zl, move_z_num=xl, denom=xl + zl)
-    x_moves = rng.randrange(coin.denom) < coin.move_x_num
-    if x_moves:
-        dest = zs - xl if xs < zs else zs + zl
-        new_p, cost = move_block(current, BlockRange(xs, xl), dest)
+    return coin, rng.randrange(coin.denom) < coin.move_x_num
+
+
+def _write_window(state: AlgoState, lo: int, window: list[int]) -> None:
+    """Lay ``window`` out from position ``lo`` and refresh those positions."""
+    state.node_at[lo : lo + len(window)] = window
+    pos = state.pos
+    for i, v in enumerate(window, lo):
+        pos[v] = i
+
+
+def _check(state: AlgoState, lo: int, hi: int, event_index: int) -> None:
+    root = state.parts.misplaced_root(state.node_at, lo, hi)
+    if root is not None:
+        raise InvariantError(event_index, root, state.parts.size_of(root))
+
+
+def _check_full(state: AlgoState) -> None:
+    """:func:`is_minla` on the whole permutation, naming the first bad component."""
+    if not is_minla(state.current, state.parts, state.model):
+        _check(state, 0, len(state.node_at), state._next_event - 1)
+
+
+def _collocate(
+    state: AlgoState, event: RevealEvent, xs: int, xl: int, zs: int, zl: int,
+    x_moved: bool, pair: list[int],
+) -> int:
+    """Slide the moving block next to the other and return the swap cost.
+
+    Only the window from the left block's start to the right block's end is
+    rewritten: ``pair``, the merged blocks' new content, after or before the
+    nodes between them.  The components then merge; the window is checked."""
+    if xs < zs:
+        lo, left_end, right_start, hi = xs, xs + xl, zs, zs + zl
     else:
-        dest = xs + xl if xs < zs else xs - zl
-        new_p, cost = move_block(current, BlockRange(zs, zl), dest)
-    return new_p, cost, coin, x_moves
+        lo, left_end, right_start, hi = zs, zs + zl, xs, xs + xl
+    between = state.node_at[left_end:right_start]
+    if x_moved == (xs < zs):  # the left block moves right
+        cost = (left_end - lo) * len(between)
+        _write_window(state, lo, between + pair)
+    else:
+        cost = (hi - right_start) * len(between)
+        _write_window(state, lo, pair + between)
+    state.parts.merge(event.u, event.v)
+    _check(state, lo, hi, state._next_event)
+    return cost
 
 
 def rand_clique_step(
@@ -254,11 +293,18 @@ def rand_clique_step(
 ) -> AlgoState:
     """Randomized clique merge: one size-biased coin decides which block
     moves next to the other; block contents and bystanders keep their order."""
-    x_nodes = list(state.parts.nodes_of(state.parts.find(event.u)))
-    z_nodes = list(state.parts.nodes_of(state.parts.find(event.v)))
-    new_p, cost, coin, x_moved = _move_together(state.current, x_nodes, z_nodes, rng)
-    state.parts.merge(event.u, event.v)
-    state.current = new_p
+    parts = state.parts
+    pos = state.pos
+    x_nodes = parts.nodes_of(parts.find(event.u))
+    z_nodes = parts.nodes_of(parts.find(event.v))
+    xl, zl = len(x_nodes), len(z_nodes)
+    xs = min(map(pos.__getitem__, x_nodes))
+    zs = min(map(pos.__getitem__, z_nodes))
+    coin, x_moved = _flip_move_coin(xl, zl, rng)
+    x_block, z_block = state.node_at[xs : xs + xl], state.node_at[zs : zs + zl]
+    pair = x_block + z_block if xs < zs else z_block + x_block
+    cost = _collocate(state, event, xs, xl, zs, zl, x_moved, pair)
+
     num = coin.move_x_num if x_moved else coin.move_z_num
     prob_num, prob_den = _reduced(num, coin.denom)
     state._record(
@@ -281,43 +327,37 @@ def rand_line_step(
     """Randomized line merge in two parts: collocate the blocks (same coin
     as for cliques), then fill the joint span with the merged path or its
     reverse, each chosen with probability proportional to the swap cost of
-    the opposite filling."""
+    the opposite filling.
+
+    Both costs come in O(1) from the block positions: each block reads in
+    path order or reversed, and the merged path puts x's block first.
+    """
     parts = state.parts
-    ru, rv = parts.find(event.u), parts.find(event.v)
-    x_nodes = parts.nodes_of(ru)
-    z_nodes = parts.nodes_of(rv)
+    pos = state.pos
+    u, v = event.u, event.v
+    x_path = parts.path_of(parts.find(u))
+    z_path = parts.path_of(parts.find(v))
+    xl, zl = len(x_path), len(z_path)
+    xs = min(pos[x_path[0]], pos[x_path[-1]])
+    zs = min(pos[z_path[0]], pos[z_path[-1]])
+    coin, x_moved = _flip_move_coin(xl, zl, rng)
 
-    x_path = list(parts.path_of(ru))
-    if x_path[-1] != event.u:
-        x_path.reverse()
-    z_path = list(parts.path_of(rv))
-    if z_path[0] != event.v:
-        z_path.reverse()
-    merged_seq = x_path + z_path
-
-    new_p, move_cost, coin, x_moved = _move_together(
-        state.current, x_nodes, z_nodes, rng
+    # The merged path runs through x's path (u last) into z's path (v first).
+    merged_seq = (x_path if x_path[-1] == u else x_path[::-1]) + (
+        z_path if z_path[0] == v else z_path[::-1]
     )
-
-    span_len = len(merged_seq)
-    pos = new_p.pos_of
-    span_start = min(pos[v] for v in merged_seq)
-    span = new_p.node_at[span_start : span_start + span_len]
-    rank = {v: i for i, v in enumerate(merged_seq)}
-    cost_forward = count_inversions([rank[v] for v in span])
-    total_pairs = span_len * (span_len - 1) // 2
+    inv_x = 0 if pos[u] == xs + xl - 1 else xl * (xl - 1) // 2
+    inv_z = 0 if pos[v] == zs else zl * (zl - 1) // 2
+    cost_forward = inv_x + inv_z + (0 if xs < zs else xl * zl)
+    total_pairs = (xl + zl) * (xl + zl - 1) // 2
     cost_reversed = total_pairs - cost_forward
     rcoin = RearrangeCoin(
         forward_num=cost_reversed, reversed_num=cost_forward, denom=total_pairs
     )
-
     forward = rng.randrange(total_pairs) < rcoin.forward_num
-    target = merged_seq if forward else merged_seq[::-1]
     rearrange_cost = cost_forward if forward else cost_reversed
-    nodes = list(new_p.node_at)
-    nodes[span_start : span_start + span_len] = target
-    state.current = Permutation._from_node_at(tuple(nodes))
-    parts.merge(event.u, event.v)
+    target = list(merged_seq if forward else merged_seq[::-1])
+    move_cost = _collocate(state, event, xs, xl, zs, zl, x_moved, target)
 
     move_num = coin.move_x_num if x_moved else coin.move_z_num
     orient_num = rcoin.forward_num if forward else rcoin.reversed_num
@@ -349,8 +389,10 @@ def run(
     """Replay every event of ``trace`` with the chosen algorithm and return
     the final state.
 
-    Deterministic for a given (algo, trace, seed).  The maintained
-    permutation is checked to stay feasible after every step.
+    Deterministic for a given (algo, trace, seed).  Each ``rand`` step
+    checks exactly the window it rewrote, which keeps the permutation
+    feasible, and :func:`is_minla` checks the final one; each ``det`` step is
+    checked by :func:`is_minla`.  A failure raises :class:`InvariantError`.
     """
     if algo not in ("det", "rand"):
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -363,13 +405,11 @@ def run(
     for event in trace.events:
         if algo == "det":
             det_step(state, event)
+            _check_full(state)
         elif trace.model is Model.CLIQUES:
             rand_clique_step(state, event, rng)
         else:
             rand_line_step(state, event, rng)
-        if not is_minla(state.current, state.parts, trace.model):
-            raise MinlaError(
-                f"algorithm left an infeasible permutation after event "
-                f"{state._next_event - 1}"
-            )
+    if algo == "rand":
+        _check_full(state)
     return state

@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 ok, 2 invalid trace or configuration, 3 exact-search capacity
-exceeded, 4 verification failure.
+exceeded, 4 verification failure, 5 internal invariant failure (an algorithm
+left an infeasible permutation: a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .bench import run_paper_suite
 from .errors import (
     CapacityError,
     ConfigError,
+    InvariantError,
     MinlaError,
     TraceFormatError,
     TraceValidationError,
@@ -35,6 +37,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_CAPACITY = 3
 EXIT_VERIFY = 4
+EXIT_INTERNAL = 5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -181,6 +184,9 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (TraceFormatError, TraceValidationError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

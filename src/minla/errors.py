@@ -34,6 +34,21 @@ class TraceValidationError(MinlaError):
         self.event_index = event_index
 
 
+class InvariantError(MinlaError):
+    """An algorithm left an infeasible permutation: a bug, not bad input.
+    Names the event and the first bad component (root node and size)."""
+
+    def __init__(self, event_index: int, root: int, size: int):
+        super().__init__(
+            f"algorithm left an infeasible permutation after event "
+            f"{event_index}: component {root} (size {size}) does not fill "
+            f"its span"
+        )
+        self.event_index = event_index
+        self.root = root
+        self.size = size
+
+
 class CapacityError(MinlaError):
     """An exact search was asked to handle more items than its hard cap."""
 

@@ -41,27 +41,7 @@ def is_minla(p: Permutation, parts: ComponentPartition, model: Model) -> bool:
 
     Checked via contiguity: every component must fill a contiguous span, and
     for lines the span must read as the component's path order or its
-    reverse.  Size-1 components are vacuously contiguous.
+    reverse.  Size-1 components are vacuously contiguous.  ``model`` is the
+    partition's own.
     """
-    pos = p.pos_of
-    node_at = p.node_at
-    for root in parts.iter_roots():
-        nodes = parts.nodes_of(root)
-        s = len(nodes)
-        if s == 1:
-            continue
-        lo = hi = pos[nodes[0]]
-        for v in nodes[1:]:
-            q = pos[v]
-            if q < lo:
-                lo = q
-            elif q > hi:
-                hi = q
-        if hi - lo + 1 != s:
-            return False
-        if model is Model.LINES:
-            path = parts.path_of(root)
-            span = node_at[lo : hi + 1]
-            if span != path and span[::-1] != path:
-                return False
-    return True
+    return parts.misplaced_root(p.node_at) is None

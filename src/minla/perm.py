@@ -1,23 +1,18 @@
-"""Permutations over a dense node range, Kendall-tau distance, block edits.
+"""Permutations over a dense node range and the Kendall-tau distance.
 
 A permutation maps positions to node ids and back.  Both directions are kept
-so that position and node lookups are O(1); the block edits rebuild both in
-one pass.  All values are immutable: every operation returns a new
-:class:`Permutation` together with its exact adjacent-swap cost.
+so that position and node lookups are O(1).  Values are immutable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InstanceMismatchError
 
 __all__ = [
     "Permutation",
-    "BlockRange",
     "kendall_tau",
-    "move_block",
     "count_inversions",
 ]
 
@@ -47,14 +42,11 @@ class Permutation:
         return cls(range(n))
 
     @classmethod
-    def _from_node_at(cls, node_at: tuple[int, ...]) -> "Permutation":
-        # trusted fast path for internal edits; skips validation
+    def _trusted(cls, node_at: tuple[int, ...], pos_of: tuple[int, ...]) -> "Permutation":
+        # trusted fast path for snapshots of mutable state; skips validation
         p = cls.__new__(cls)
-        pos = [0] * len(node_at)
-        for i, v in enumerate(node_at):
-            pos[v] = i
         p.node_at = node_at
-        p.pos_of = tuple(pos)
+        p.pos_of = pos_of
         return p
 
     @classmethod
@@ -77,22 +69,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.node_at)!r})"
-
-
-@dataclass(frozen=True)
-class BlockRange:
-    """A contiguous run of positions: ``start`` inclusive, ``length`` positions."""
-
-    start: int
-    length: int
-
-    def check_within(self, n: int) -> None:
-        if self.length <= 0 or self.start < 0 or self.start + self.length > n:
-            raise ValueError(f"block {self} out of range for n={n}")
-
-    @property
-    def stop(self) -> int:
-        return self.start + self.length
 
 
 def count_inversions(seq: Sequence[int]) -> int:
@@ -144,24 +120,3 @@ def kendall_tau(p: Permutation, q: Permutation) -> int:
     _check_same_n(p, q)
     return count_inversions([q.pos_of[v] for v in p.node_at])
 
-
-def move_block(
-    p: Permutation, block: BlockRange, dest_start: int
-) -> tuple[Permutation, int]:
-    """Slide a block of positions to ``dest_start``, shifting the nodes it
-    jumps over to fill the gap.
-
-    Nodes outside the block keep their relative order.  The swap cost is
-    ``block.length * |dest_start - block.start|``, which equals the
-    Kendall-tau distance between input and output.
-    """
-    n = len(p)
-    block.check_within(n)
-    if not 0 <= dest_start <= n - block.length:
-        raise ValueError(f"destination {dest_start} out of range for {block}, n={n}")
-    nodes = list(p.node_at)
-    seg = nodes[block.start : block.stop]
-    del nodes[block.start : block.stop]
-    nodes[dest_start:dest_start] = seg
-    cost = block.length * abs(dest_start - block.start)
-    return Permutation._from_node_at(tuple(nodes)), cost

@@ -114,11 +114,6 @@ class ComponentPartition:
         """Component roots, sorted for deterministic iteration."""
         return sorted(self._members)
 
-    def iter_roots(self):
-        """Component roots in insertion order; cheaper than :meth:`components`
-        when the caller does not care about ordering."""
-        return self._members.keys()
-
     @property
     def num_components(self) -> int:
         return len(self._members)
@@ -133,6 +128,42 @@ class ComponentPartition:
         if self._paths is None:
             raise ValueError("path order is only tracked for the lines model")
         return self._paths[root]
+
+    def misplaced_root(
+        self, node_at: Sequence[int], lo: int = 0, hi: int | None = None
+    ) -> int | None:
+        """Root of the first component, walking positions ``lo..hi-1`` of
+        ``node_at``, that does not fill exactly as many consecutive positions
+        as it has nodes (in path order or its reverse, for lines); ``None``
+        when every one does.
+
+        Over all positions this is the contiguity characterization of an
+        optimal arrangement.  Over a window that held whole components before
+        a step that only permuted the window, with the rest already
+        feasible, it decides feasibility of the whole permutation: nothing
+        outside the window moved or merged.
+        """
+        hi = len(node_at) if hi is None else hi
+        parent, members, paths = self._parent, self._members, self._paths
+        i = lo
+        while i < hi:
+            v = node_at[i]
+            root = parent[v]
+            if parent[root] != root:
+                root = self.find(v)
+            nodes = members[root]
+            end = i + len(nodes)
+            if end > hi:
+                return root
+            if end - i > 1:
+                span = tuple(node_at[i:end])
+                if paths is None:
+                    if set(span) != set(nodes):
+                        return root
+                elif span != paths[root] and span[::-1] != paths[root]:
+                    return root
+            i = end
+        return None
 
     def merge(self, u: int, v: int) -> int:
         """Merge the components containing ``u`` and ``v``; returns the new root.

@@ -2,10 +2,14 @@
 
 These stay deliberately naive and independent of the library's fast paths:
 quadratic pair counting, full permutation enumeration, literal cost sums,
-closed forms.
+closed forms, and a literal replay of the randomized strategy.
 """
 
+import bisect
 import itertools
+import json
+import random
+from fractions import Fraction
 
 from minla import Model, Permutation, is_minla
 
@@ -59,3 +63,114 @@ def minla_optimum(parts, model) -> int:
         s = parts.size_of(root)
         total += (s * s * s - s) // 6 if model is Model.CLIQUES else s - 1
     return total
+
+
+def slide_block(p: Permutation, start: int, length: int, dest: int):
+    """``p`` with positions start..start+length-1 slid to ``dest``, the nodes
+    jumped over shifting to fill the gap; returns it with the swap cost
+    ``length * |dest - start|``."""
+    nodes = list(p.node_at)
+    seg = nodes[start : start + length]
+    del nodes[start : start + length]
+    nodes[dest:dest] = seg
+    return Permutation(nodes), length * abs(dest - start)
+
+
+def insertion_inversions(seq) -> int:
+    """Out-of-order pairs in ``seq``, counted by binary insertion."""
+    seen: list = []
+    count = 0
+    for i, x in enumerate(seq):
+        k = bisect.bisect_right(seen, x)
+        count += i - k
+        seen.insert(k, x)
+    return count
+
+
+def literal_minla(p: Permutation, groups, model) -> bool:
+    """Arrangement cost equals the closed-form optimum: every pair of a
+    clique, or every path edge of a line, summed as a position distance."""
+    pos = p.pos_of
+    for group in groups:
+        s = len(group)
+        if model is Model.CLIQUES:
+            qs = sorted(pos[v] for v in group)
+            cost = sum(q * (2 * i - s + 1) for i, q in enumerate(qs))
+            if cost != (s * s * s - s) // 6:
+                return False
+        elif sum(abs(pos[a] - pos[b]) for a, b in zip(group, group[1:])) != s - 1:
+            return False
+    return True
+
+
+def reference_rand(trace, seed: int):
+    """The randomized strategy replayed literally, independent of the
+    library's step code: slide the coin-chosen block next to the other,
+    count the orientation costs as inversions of the merged span, rewrite
+    the span, and check optimality of the whole permutation after every
+    step.  Same coins in the same order as ``run("rand", trace, seed)``.
+
+    Returns the step records as JSON lines, the (move, rearrange) coin
+    triples, the (total, move, rearrange) costs and the final permutation.
+    """
+    model = trace.model
+    rng = random.Random(seed)
+    p = trace.pi0
+    groups = {v: [v] for v in range(trace.n)}  # root -> nodes (path order)
+    owner = list(range(trace.n))
+    lines, coins = [], []
+    move_total = rearrange_total = 0
+    for idx, ev in enumerate(trace.events):
+        rx, rz = owner[ev.u], owner[ev.v]
+        x, z = groups[rx], groups[rz]
+        xl, zl = len(x), len(z)
+        xs = min(p.pos_of[w] for w in x)
+        zs = min(p.pos_of[w] for w in z)
+        x_moves = rng.randrange(xl + zl) < zl
+        if x_moves:
+            p, move_cost = slide_block(p, xs, xl, zs - xl if xs < zs else zs + zl)
+        else:
+            p, move_cost = slide_block(p, zs, zl, xs + xl if xs < zs else xs - zl)
+        choice = "move_x" if x_moves else "move_z"
+        prob = Fraction(zl if x_moves else xl, xl + zl)
+        rearrange_cost, rcoin = 0, None
+        if model is Model.LINES:
+            merged = (x if x[-1] == ev.u else x[::-1]) + (z if z[0] == ev.v else z[::-1])
+            size = len(merged)
+            start = min(p.pos_of[w] for w in merged)
+            rank = {w: i for i, w in enumerate(merged)}
+            fwd = insertion_inversions(rank[w] for w in p.node_at[start : start + size])
+            pairs = size * (size - 1) // 2
+            rcoin = (pairs - fwd, fwd, pairs)
+            forward = rng.randrange(pairs) < pairs - fwd
+            nodes = list(p.node_at)
+            nodes[start : start + size] = merged if forward else merged[::-1]
+            p = Permutation(nodes)
+            rearrange_cost = fwd if forward else pairs - fwd
+            choice += "+forward" if forward else "+reversed"
+            prob *= Fraction(pairs - fwd if forward else fwd, pairs)
+        else:
+            merged = x + z
+        for w in merged:
+            owner[w] = rx
+        groups[rx] = merged
+        del groups[rz]
+        assert literal_minla(p, groups.values(), model), f"event {idx}"
+        move_total += move_cost
+        rearrange_total += rearrange_cost
+        coins.append(((zl, xl, xl + zl), rcoin))
+        lines.append(
+            json.dumps(
+                {
+                    "event_index": idx,
+                    "move_cost": move_cost,
+                    "rearrange_cost": rearrange_cost,
+                    "choice": choice,
+                    "prob_num": prob.numerator,
+                    "prob_den": prob.denominator,
+                },
+                separators=(",", ":"),
+            )
+        )
+    totals = (move_total + rearrange_total, move_total, rearrange_total)
+    return lines, coins, totals, p

@@ -4,10 +4,11 @@ import random
 import pytest
 
 import minla.algorithms
-from conftest import feasible_permutations
+from conftest import feasible_permutations, literal_minla, reference_rand
 from minla import (
     AlgoState,
     CapacityError,
+    InvariantError,
     Model,
     Permutation,
     RevealEvent,
@@ -20,6 +21,8 @@ from minla import (
     random_trace,
     run,
     steplog_to_jsonl,
+    tree_adversary,
+    TreeAdversaryConfig,
 )
 
 
@@ -293,3 +296,112 @@ class TestRun:
         result = run("rand", trace, seed=2, collect_log=False)
         assert result.step_log == []
         assert result.total_cost >= 0
+
+
+def _kernel_traces():
+    """Cliques and lines at n = 2..64, full and partial random traces, and
+    tree-adversary traces at q = 4 and 6."""
+    rng = random.Random(18)
+    traces = []
+    for model in (Model.CLIQUES, Model.LINES):
+        for n in (2, 3, 4, 5, 6, 8, 11, 16, 23, 32, 47, 64):
+            for _ in range(3):
+                traces.append(random_trace(model, n, seed=rng.random()))
+                events = rng.randint(0, n - 1)
+                traces.append(random_trace(model, n, seed=rng.random(), events=events))
+    for q in (4, 6):
+        for seed in range(4):
+            traces.append(tree_adversary(TreeAdversaryConfig(q=q, seed=seed)))
+    return traces
+
+
+def _step(state, event, rng):
+    step = rand_clique_step if state.model is Model.CLIQUES else rand_line_step
+    return step(state, event, rng)
+
+
+class TestWindowedKernel:
+    def test_matches_literal_reference(self):
+        for i, trace in enumerate(_kernel_traces()):
+            seed = 1000 + i
+            lines, coins, totals, final = reference_rand(trace, seed)
+            state = run("rand", trace, seed=seed)
+            assert [rep.to_json_line() for rep in state.step_log] == lines
+            for rep, (move_coin, rcoin) in zip(state.step_log, coins):
+                mc = rep.move_coin
+                assert (mc.move_x_num, mc.move_z_num, mc.denom) == move_coin
+                rc = rep.rearrange_coin
+                if rcoin is None:
+                    assert rc is None
+                else:
+                    assert (rc.forward_num, rc.reversed_num, rc.denom) == rcoin
+            assert (state.total_cost, state.move_cost, state.rearrange_cost) == totals
+            assert state.current == final
+
+    def test_feasible_after_every_step(self):
+        for i, trace in enumerate(_kernel_traces()[::3]):
+            state = AlgoState.initial(trace.model, trace.pi0)
+            rng = random.Random(i)
+            for ev in trace.events:
+                _step(state, ev, rng)
+                assert is_minla(state.current, state.parts, trace.model)
+
+    def test_snapshot_is_not_changed_by_later_steps(self):
+        for model in (Model.CLIQUES, Model.LINES):
+            trace = random_trace(model, 20, seed=19)
+            state = AlgoState.initial(model, trace.pi0)
+            rng = random.Random(19)
+            for ev in trace.events:
+                before = state.current
+                node_at, pos_of = tuple(before.node_at), tuple(before.pos_of)
+                _step(state, ev, rng)
+                assert before.node_at == node_at
+                assert before.pos_of == pos_of
+
+    def test_window_fault_caught_exactly_when_infeasible(self, monkeypatch):
+        # Swap two positions inside the rewritten window at one step; the
+        # step must raise exactly when the literal is_minla rejects it.
+        write = minla.algorithms._write_window
+        rng = random.Random(20)
+        armed = []
+
+        def faulty_write(state, lo, window):
+            write(state, lo, window)
+            if armed:
+                i, j = rng.sample(range(lo, lo + len(window)), 2)
+                node_at, pos = state.node_at, state.pos
+                node_at[i], node_at[j] = node_at[j], node_at[i]
+                pos[node_at[i]], pos[node_at[j]] = i, j
+
+        monkeypatch.setattr(minla.algorithms, "_write_window", faulty_write)
+        caught = passed = 0
+        for _ in range(300):
+            model = rng.choice((Model.CLIQUES, Model.LINES))
+            trace = random_trace(model, rng.randint(2, 24), seed=rng.random())
+            state = AlgoState.initial(model, trace.pi0)
+            step_rng = random.Random(rng.random())
+            at = rng.randrange(trace.k)
+            for ev in trace.events[:at]:
+                _step(state, ev, step_rng)
+            armed.append(True)
+            try:
+                _step(state, trace.events[at], step_rng)
+                raised = None
+            except InvariantError as exc:
+                raised = exc
+            finally:
+                armed.clear()
+            feasible = is_minla(state.current, state.parts, model)
+            parts = state.parts
+            groups = [
+                parts.nodes_of(r) if model is Model.CLIQUES else parts.path_of(r)
+                for r in parts.components()
+            ]
+            assert feasible == literal_minla(state.current, groups, model)
+            assert (raised is None) == feasible
+            if raised is None:
+                passed += 1
+            else:
+                assert raised.event_index == at
+                caught += 1
+        assert caught > 0 and passed > 0

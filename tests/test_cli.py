@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import minla.algorithms
 from minla.cli import main
 
 
@@ -116,6 +117,29 @@ class TestSimulate:
         )
         assert code == 3
         assert "cap" in err
+
+    def test_invariant_failure_exits_5(self, capsys, tmp_path, monkeypatch):
+        # A kernel that swaps the ends of the window it rewrites leaves the
+        # merged pair apart: an internal failure, not an invalid trace.
+        def swap_ends(state, lo, window):
+            window = list(window)
+            window[0], window[-1] = window[-1], window[0]
+            state.node_at[lo : lo + len(window)] = window
+            for i, v in enumerate(window, lo):
+                state.pos[v] = i
+
+        monkeypatch.setattr(minla.algorithms, "_write_window", swap_ends)
+        path = tmp_path / "t.txt"
+        path.write_text(
+            "minla-trace v1\nmodel: cliques\nn: 4\npi0: 0 1 2 3\nevent: 0 3\n"
+        )
+        code, _, err = run_cli(
+            capsys, "simulate", "--algo", "rand", "--trace", str(path),
+            "--seed", "1", "--trials", "1",
+        )
+        assert code == 5
+        assert err.startswith("internal error:")
+        assert "after event 0: component 0 (size 2)" in err
 
 
 class TestOpt:
