@@ -40,6 +40,7 @@ from .algorithms import (
     rand_clique_step,
     rand_line_step,
     run,
+    run_trials,
     steplog_to_jsonl,
 )
 from .oracle import (
@@ -104,6 +105,7 @@ __all__ = [
     "rand_clique_step",
     "rand_line_step",
     "run",
+    "run_trials",
     "steplog_to_jsonl",
     "OptResult",
     "dp_opt",

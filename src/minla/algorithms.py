@@ -16,8 +16,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, InvariantError
 from .feasibility import is_minla
@@ -35,6 +36,7 @@ __all__ = [
     "rand_clique_step",
     "rand_line_step",
     "run",
+    "run_trials",
 ]
 
 DEFAULT_ITEM_CAP = 22
@@ -99,36 +101,48 @@ def steplog_to_jsonl(steps: Sequence[StepReport]) -> str:
     return "".join(step.to_json_line() + "\n" for step in steps)
 
 
-@dataclass
+@dataclass(slots=True)
 class AlgoState:
-    """Mutable per-trial state: permutation, components, cost, log.
+    """Mutable per-trial state: permutation, components, costs, log.
 
     ``node_at`` and ``pos`` hold the permutation, edited in place by the
-    ``rand`` steps; ``current`` returns an immutable snapshot of it."""
+    ``rand`` engine; ``current`` returns an immutable snapshot of it.  The
+    trials of one ``rand`` chunk share one ``parts``, which the engine
+    merges once per event for all of them."""
 
     model: Model
     pi0: Permutation
     node_at: list[int]
     pos: list[int]
     parts: ComponentPartition
-    total_cost: int = 0
     move_cost: int = 0
     rearrange_cost: int = 0
     step_log: list[StepReport] = field(default_factory=list)
     collect_log: bool = True
     item_cap: int = DEFAULT_ITEM_CAP
-    _next_event: int = 0
 
     @classmethod
-    def initial(cls, model: Model, pi0: Permutation, **kwargs) -> "AlgoState":
+    def initial(
+        cls, model: Model, pi0: Permutation, parts: ComponentPartition | None = None,
+        **kwargs,
+    ) -> "AlgoState":
         return cls(
             model=model,
             pi0=pi0,
             node_at=list(pi0.node_at),
             pos=list(pi0.pos_of),
-            parts=ComponentPartition(len(pi0), model),
+            parts=ComponentPartition(len(pi0), model) if parts is None else parts,
             **kwargs,
         )
+
+    @property
+    def total_cost(self) -> int:
+        return self.move_cost + self.rearrange_cost
+
+    @property
+    def events_done(self) -> int:
+        """Events applied so far: each one merged two components."""
+        return self.parts.n - self.parts.num_components
 
     @property
     def current(self) -> Permutation:
@@ -138,14 +152,6 @@ class AlgoState:
     def current(self, p: Permutation) -> None:
         self.node_at = list(p.node_at)
         self.pos = list(p.pos_of)
-
-    def _record(self, report: StepReport) -> None:
-        self.total_cost += report.move_cost + report.rearrange_cost
-        self.move_cost += report.move_cost
-        self.rearrange_cost += report.rearrange_cost
-        if self.collect_log:
-            self.step_log.append(report)
-        self._next_event += 1
 
 
 def _oriented_path(path: Sequence[int], pos0: Sequence[int]) -> list[int]:
@@ -218,29 +224,10 @@ def det_step(state: AlgoState, event: RevealEvent) -> AlgoState:
     target = closest_feasible(state.pi0, state.parts, state.model, cap=state.item_cap)
     cost = kendall_tau(state.current, target)
     state.current = target
-    state._record(
-        StepReport(
-            event_index=state._next_event,
-            move_cost=cost,
-            rearrange_cost=0,
-            choice="closest",
-            prob_num=1,
-            prob_den=1,
-        )
-    )
+    state.move_cost += cost
+    if state.collect_log:
+        state.step_log.append(StepReport(state.events_done - 1, cost, 0, "closest", 1, 1))
     return state
-
-
-def _reduced(num: int, den: int) -> tuple[int, int]:
-    g = gcd(num, den)
-    return num // g, den // g
-
-
-def _flip_move_coin(xl: int, zl: int, rng: random.Random) -> tuple[CoinWeights, bool]:
-    """The size-biased moving coin: the x-side block moves with probability
-    ``zl / (xl + zl)``, even when the blocks are already adjacent."""
-    coin = CoinWeights(move_x_num=zl, move_z_num=xl, denom=xl + zl)
-    return coin, rng.randrange(coin.denom) < coin.move_x_num
 
 
 def _write_window(state: AlgoState, lo: int, window: list[int]) -> None:
@@ -251,131 +238,147 @@ def _write_window(state: AlgoState, lo: int, window: list[int]) -> None:
         pos[v] = i
 
 
-def _check(state: AlgoState, lo: int, hi: int, event_index: int) -> None:
-    root = state.parts.misplaced_root(state.node_at, lo, hi)
-    if root is not None:
-        raise InvariantError(event_index, root, state.parts.size_of(root))
-
-
 def _check_full(state: AlgoState) -> None:
     """:func:`is_minla` on the whole permutation, naming the first bad component."""
     if not is_minla(state.current, state.parts, state.model):
-        _check(state, 0, len(state.node_at), state._next_event - 1)
+        root = state.parts.misplaced_root(state.node_at)
+        raise InvariantError(state.events_done - 1, root, state.parts.size_of(root))
 
 
-def _collocate(
-    state: AlgoState, event: RevealEvent, xs: int, xl: int, zs: int, zl: int,
-    x_moved: bool, pair: list[int],
-) -> int:
-    """Slide the moving block next to the other and return the swap cost.
+def _rand_event(
+    parts: ComponentPartition, states: Sequence[AlgoState],
+    rngs: Sequence[random.Random], event: RevealEvent,
+) -> None:
+    """Apply one ``rand`` event to every trial of a chunk sharing ``parts``.
 
-    Only the window from the left block's start to the right block's end is
-    rewritten: ``pair``, the merged blocks' new content, after or before the
-    nodes between them.  The components then merge; the window is checked."""
-    if xs < zs:
-        lo, left_end, right_start, hi = xs, xs + xl, zs, zs + zl
-    else:
-        lo, left_end, right_start, hi = zs, zs + zl, xs, xs + xl
-    between = state.node_at[left_end:right_start]
-    if x_moved == (xs < zs):  # the left block moves right
-        cost = (left_end - lo) * len(between)
-        _write_window(state, lo, between + pair)
-    else:
-        cost = (hi - right_start) * len(between)
-        _write_window(state, lo, pair + between)
-    state.parts.merge(event.u, event.v)
-    _check(state, lo, hi, state._next_event)
-    return cost
-
-
-def rand_clique_step(
-    state: AlgoState, event: RevealEvent, rng: random.Random
-) -> AlgoState:
-    """Randomized clique merge: one size-biased coin decides which block
-    moves next to the other; block contents and bystanders keep their order."""
-    parts = state.parts
-    pos = state.pos
-    x_nodes = parts.nodes_of(parts.find(event.u))
-    z_nodes = parts.nodes_of(parts.find(event.v))
-    xl, zl = len(x_nodes), len(z_nodes)
-    xs = min(map(pos.__getitem__, x_nodes))
-    zs = min(map(pos.__getitem__, z_nodes))
-    coin, x_moved = _flip_move_coin(xl, zl, rng)
-    x_block, z_block = state.node_at[xs : xs + xl], state.node_at[zs : zs + zl]
-    pair = x_block + z_block if xs < zs else z_block + x_block
-    cost = _collocate(state, event, xs, xl, zs, zl, x_moved, pair)
-
-    num = coin.move_x_num if x_moved else coin.move_z_num
-    prob_num, prob_den = _reduced(num, coin.denom)
-    state._record(
-        StepReport(
-            event_index=state._next_event,
-            move_cost=cost,
-            rearrange_cost=0,
-            choice="move_x" if x_moved else "move_z",
-            prob_num=prob_num,
-            prob_den=prob_den,
-            move_coin=coin,
-        )
-    )
-    return state
-
-
-def rand_line_step(
-    state: AlgoState, event: RevealEvent, rng: random.Random
-) -> AlgoState:
-    """Randomized line merge in two parts: collocate the blocks (same coin
-    as for cliques), then fill the joint span with the merged path or its
-    reverse, each chosen with probability proportional to the swap cost of
-    the opposite filling.
-
-    Both costs come in O(1) from the block positions: each block reads in
-    path order or reversed, and the merged path puts x's block first.
+    What the trace fixes is read once: the merging components, their sizes
+    and (for lines) paths, the merged path and the coin denominators; then
+    ``parts`` merges once.  Each trial draws its coins: the x-side block
+    moves with probability ``zl / (xl + zl)``, even when the blocks are
+    already adjacent, and for lines the merged path is laid forward or
+    reversed with probability proportional to the swap cost of the other
+    filling.  Only the window from the left block's start to the right
+    block's end is rewritten (``between + pair`` when the left block moves
+    right, ``pair + between`` otherwise) and exactly that window is checked.
+    Both orientation costs come in O(1) from the block positions: each
+    block reads in path order or reversed, and the merged path puts x first.
     """
-    parts = state.parts
-    pos = state.pos
     u, v = event.u, event.v
-    x_path = parts.path_of(parts.find(u))
-    z_path = parts.path_of(parts.find(v))
-    xl, zl = len(x_path), len(z_path)
-    xs = min(pos[x_path[0]], pos[x_path[-1]])
-    zs = min(pos[z_path[0]], pos[z_path[-1]])
-    coin, x_moved = _flip_move_coin(xl, zl, rng)
-
-    # The merged path runs through x's path (u last) into z's path (v first).
-    merged_seq = (x_path if x_path[-1] == u else x_path[::-1]) + (
-        z_path if z_path[0] == v else z_path[::-1]
-    )
-    inv_x = 0 if pos[u] == xs + xl - 1 else xl * (xl - 1) // 2
-    inv_z = 0 if pos[v] == zs else zl * (zl - 1) // 2
-    cost_forward = inv_x + inv_z + (0 if xs < zs else xl * zl)
-    total_pairs = (xl + zl) * (xl + zl - 1) // 2
-    cost_reversed = total_pairs - cost_forward
-    rcoin = RearrangeCoin(
-        forward_num=cost_reversed, reversed_num=cost_forward, denom=total_pairs
-    )
-    forward = rng.randrange(total_pairs) < rcoin.forward_num
-    rearrange_cost = cost_forward if forward else cost_reversed
-    target = list(merged_seq if forward else merged_seq[::-1])
-    move_cost = _collocate(state, event, xs, xl, zs, zl, x_moved, target)
-
-    move_num = coin.move_x_num if x_moved else coin.move_z_num
-    orient_num = rcoin.forward_num if forward else rcoin.reversed_num
-    prob_num, prob_den = _reduced(move_num * orient_num, coin.denom * rcoin.denom)
-    state._record(
-        StepReport(
-            event_index=state._next_event,
-            move_cost=move_cost,
-            rearrange_cost=rearrange_cost,
-            choice=("move_x" if x_moved else "move_z")
-            + ("+forward" if forward else "+reversed"),
-            prob_num=prob_num,
-            prob_den=prob_den,
-            move_coin=coin,
-            rearrange_coin=rcoin,
+    index = states[0].events_done
+    ru, rv = parts.find(u), parts.find(v)
+    lines = parts.model is Model.LINES
+    # x_keys/z_keys: nodes whose least position is where the block starts
+    # (a path's two ends, a clique's members).
+    if lines:
+        x_path, z_path = parts.path_of(ru), parts.path_of(rv)
+        xl, zl = len(x_path), len(z_path)
+        # The merged path runs through x's path (u last) into z's (v first).
+        merged = list(x_path if x_path[-1] == u else x_path[::-1]) + list(
+            z_path if z_path[0] == v else z_path[::-1]
         )
-    )
+        merged_rev = merged[::-1]
+        x_keys, z_keys = (x_path[0], x_path[-1]), (z_path[0], z_path[-1])
+        inv_x_max, inv_z_max = xl * (xl - 1) // 2, zl * (zl - 1) // 2
+        total_pairs = (xl + zl) * (xl + zl - 1) // 2
+    else:
+        x_keys, z_keys = tuple(parts.nodes_of(ru)), tuple(parts.nodes_of(rv))
+        xl, zl = len(x_keys), len(z_keys)
+    denom = xl + zl
+    parts.merge(u, v)
+    misplaced_root = parts.misplaced_root
+    for state, rng in zip(states, rngs):
+        pos, node_at = state.pos, state.node_at
+        xs = min(map(pos.__getitem__, x_keys))
+        zs = min(map(pos.__getitem__, z_keys))
+        x_moved = rng.randrange(denom) < zl
+        if xs < zs:
+            lo, left_end, right_start, hi = xs, xs + xl, zs, zs + zl
+        else:
+            lo, left_end, right_start, hi = zs, zs + zl, xs, xs + xl
+        if lines:
+            cost_forward = (
+                (0 if pos[u] == xs + xl - 1 else inv_x_max)
+                + (0 if pos[v] == zs else inv_z_max)
+                + (0 if xs < zs else xl * zl)
+            )
+            cost_reversed = total_pairs - cost_forward
+            forward = rng.randrange(total_pairs) < cost_reversed
+            pair = merged if forward else merged_rev
+            rearrange = cost_forward if forward else cost_reversed
+        else:
+            pair = node_at[lo:left_end] + node_at[right_start:hi]
+            rearrange = 0
+        between = node_at[left_end:right_start]
+        if x_moved == (xs < zs):  # the left block moves right
+            move = (left_end - lo) * len(between)
+            _write_window(state, lo, between + pair)
+        else:
+            move = (hi - right_start) * len(between)
+            _write_window(state, lo, pair + between)
+        root = misplaced_root(node_at, lo, hi)
+        if root is not None:
+            raise InvariantError(index, root, parts.size_of(root))
+        state.move_cost += move
+        state.rearrange_cost += rearrange
+        if state.collect_log:
+            choice = "move_x" if x_moved else "move_z"
+            num = zl if x_moved else xl
+            den, rcoin = denom, None
+            if lines:
+                rcoin = RearrangeCoin(cost_reversed, cost_forward, total_pairs)
+                choice += "+forward" if forward else "+reversed"
+                num *= cost_reversed if forward else cost_forward
+                den *= total_pairs
+            g = gcd(num, den)
+            state.step_log.append(
+                StepReport(index, move, rearrange, choice, num // g, den // g,
+                           CoinWeights(zl, xl, denom), rcoin)
+            )
+
+
+def rand_step(state: AlgoState, event: RevealEvent, rng: random.Random) -> AlgoState:
+    """Apply one ``rand`` event to one trial: the lockstep engine with a
+    chunk of one.  ``rand_clique_step`` and ``rand_line_step`` name it for
+    the two models."""
+    _rand_event(state.parts, [state], [rng], event)
     return state
+
+
+rand_clique_step = rand_line_step = rand_step
+
+# Trials stepped in lockstep over one partition.  Bounds what a chunk holds
+# at once: a ``random.Random`` alone is about 2.5 KB.
+TRIAL_CHUNK = 256
+
+
+def run_trials(
+    trace: RevealTrace, seeds: Iterable[int], collect_log: bool = False,
+    validate: bool = True,
+) -> Iterator[AlgoState]:
+    """Replay ``trace`` with ``rand`` once per seed and yield each trial's
+    final state, in seed order.
+
+    The trace is validated once.  Trials run in chunks of
+    :data:`TRIAL_CHUNK` that share one :class:`ComponentPartition`, so each
+    event merges components once per chunk.  Each step checks exactly the
+    window it rewrote and :func:`is_minla` checks every final permutation
+    before its state is yielded; a failure raises :class:`InvariantError`.
+    """
+    if validate:
+        validate_trace(trace)
+    seeds = iter(seeds)
+    while chunk := list(islice(seeds, TRIAL_CHUNK)):
+        parts = ComponentPartition(trace.n, trace.model)
+        states = [
+            AlgoState.initial(trace.model, trace.pi0, parts, collect_log=collect_log)
+            for _ in chunk
+        ]
+        rngs = list(map(random.Random, chunk))
+        for event in trace.events:
+            _rand_event(parts, states, rngs, event)
+        for state in states:
+            _check_full(state)
+            yield state
 
 
 def run(
@@ -389,27 +392,20 @@ def run(
     """Replay every event of ``trace`` with the chosen algorithm and return
     the final state.
 
-    Deterministic for a given (algo, trace, seed).  Each ``rand`` step
-    checks exactly the window it rewrote, which keeps the permutation
-    feasible, and :func:`is_minla` checks the final one; each ``det`` step is
-    checked by :func:`is_minla`.  A failure raises :class:`InvariantError`.
+    Deterministic for a given (algo, trace, seed).  ``rand`` is
+    :func:`run_trials` with one seed; each ``det`` step is checked by
+    :func:`is_minla`.  A failure raises :class:`InvariantError`.
     """
-    if algo not in ("det", "rand"):
+    if algo == "rand":
+        return next(run_trials(trace, (seed,), collect_log, validate))
+    if algo != "det":
         raise ValueError(f"unknown algorithm {algo!r}")
     if validate:
         validate_trace(trace)
     state = AlgoState.initial(
         trace.model, trace.pi0, collect_log=collect_log, item_cap=item_cap
     )
-    rng = random.Random(seed)
     for event in trace.events:
-        if algo == "det":
-            det_step(state, event)
-            _check_full(state)
-        elif trace.model is Model.CLIQUES:
-            rand_clique_step(state, event, rng)
-        else:
-            rand_line_step(state, event, rng)
-    if algo == "rand":
+        det_step(state, event)
         _check_full(state)
     return state

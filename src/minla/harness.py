@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import __version__
 from .adversaries import MiddleLineAdversary
-from .algorithms import AlgoState, det_step, run
+from .algorithms import AlgoState, det_step, run, run_trials
 from .errors import ConfigError
 from .oracle import (
     OptResult,
@@ -73,8 +73,9 @@ def format_ratio(cost_total: int, opt_cost: int) -> str:
     """cost/opt as an exact decimal with six digits, or NA when opt is 0."""
     if opt_cost == 0:
         return "NA"
-    scaled = Fraction(cost_total * 10**6, opt_cost)
-    units = round(scaled)  # round-half-even on the exact rational
+    units, rest = divmod(cost_total * 10**6, opt_cost)
+    if 2 * rest > opt_cost or (2 * rest == opt_cost and units & 1):
+        units += 1  # round half to even, on exact integers
     return f"{units // 10**6}.{units % 10**6:06d}"
 
 
@@ -122,11 +123,15 @@ def run_experiment(
     rearrange_sum = 0
     lo = hi = None
     records = []
-    for trial in range(cfg.trials):
-        seed = derive_trial_seed(cfg.master_seed, trial)
-        result = run(
-            cfg.algo, cfg.trace, seed=seed, collect_log=False, validate=(trial == 0)
+    seeds = [derive_trial_seed(cfg.master_seed, trial) for trial in range(cfg.trials)]
+    if cfg.algo == "rand":
+        results = run_trials(cfg.trace, seeds)
+    else:
+        results = (
+            run("det", cfg.trace, seed=seed, collect_log=False, validate=(trial == 0))
+            for trial, seed in enumerate(seeds)
         )
+    for trial, (seed, result) in enumerate(zip(seeds, results)):
         total = result.total_cost
         total_sum += total
         square_sum += total * total
@@ -289,18 +294,12 @@ def _frequency_rows(
             r: f"path ({','.join(map(str, final_parts.path_of(r)))}) kept forward"
             for r in tracked
         }
-        paths = {r: tuple(final_parts.path_of(r)) for r in tracked}
+        paths = {r: list(final_parts.path_of(r)) for r in tracked}
 
     counts = {key: 0 for key in tracked}
-    for trial in range(trials):
-        result = run(
-            "rand",
-            trace,
-            seed=derive_trial_seed(seed, trial),
-            collect_log=False,
-            validate=(trial == 0),
-        )
-        pos = result.current.pos_of
+    seeds = (derive_trial_seed(seed, trial) for trial in range(trials))
+    for result in run_trials(trace, seeds):
+        pos = result.pos
         if kind == "left-right":
             starts = {
                 r: min(pos[v] for v in final_parts.nodes_of(r)) for r in roots
@@ -309,7 +308,7 @@ def _frequency_rows(
                 if starts[ra] < starts[rb]:
                     counts[(ra, rb)] += 1
         else:
-            node_at = result.current.node_at
+            node_at = result.node_at
             for r in tracked:
                 path = paths[r]
                 start = min(pos[v] for v in path)

@@ -57,7 +57,8 @@ class ComponentPartition:
 
     Union-find with per-component member lists; for lines every component
     additionally stores the node sequence from one path endpoint to the
-    other.  Mutable per-trial state: never share an instance across trials.
+    other.  Mutable replay state: only trials that apply the same events in
+    lockstep (one ``rand`` chunk) may share an instance.
     """
 
     def __init__(self, n: int, model: Model):

@@ -65,6 +65,14 @@ def minla_optimum(parts, model) -> int:
     return total
 
 
+def fraction_ratio(cost_total: int, opt_cost: int) -> str:
+    """cost/opt to six digits by rounding the exact rational half to even."""
+    if opt_cost == 0:
+        return "NA"
+    units = round(Fraction(cost_total * 10**6, opt_cost))
+    return f"{units // 10**6}.{units % 10**6:06d}"
+
+
 def slide_block(p: Permutation, start: int, length: int, dest: int):
     """``p`` with positions start..start+length-1 slid to ``dest``, the nodes
     jumped over shifting to fill the gap; returns it with the swap cost

@@ -8,6 +8,7 @@ from conftest import feasible_permutations, literal_minla, reference_rand
 from minla import (
     AlgoState,
     CapacityError,
+    ComponentPartition,
     InvariantError,
     Model,
     Permutation,
@@ -345,6 +346,24 @@ class TestWindowedKernel:
             for ev in trace.events:
                 _step(state, ev, rng)
                 assert is_minla(state.current, state.parts, trace.model)
+
+    def test_shared_chunk_feasible_after_every_event(self):
+        # Trials stepped in lockstep over one partition: every trial stays
+        # feasible after every event and replays its literal reference.
+        for i, trace in enumerate(_kernel_traces()[1::4]):
+            parts = ComponentPartition(trace.n, trace.model)
+            seeds = [i * 100 + j for j in range(12)]
+            states = [AlgoState.initial(trace.model, trace.pi0, parts) for _ in seeds]
+            rngs = [random.Random(seed) for seed in seeds]
+            for ev in trace.events:
+                minla.algorithms._rand_event(parts, states, rngs, ev)
+                for state in states:
+                    assert is_minla(state.current, parts, trace.model)
+            for seed, state in zip(seeds, states):
+                lines, _, totals, final = reference_rand(trace, seed)
+                assert [rep.to_json_line() for rep in state.step_log] == lines
+                assert (state.total_cost, state.move_cost, state.rearrange_cost) == totals
+                assert state.current == final
 
     def test_snapshot_is_not_changed_by_later_steps(self):
         for model in (Model.CLIQUES, Model.LINES):

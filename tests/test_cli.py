@@ -142,6 +142,39 @@ class TestSimulate:
         assert "after event 0: component 0 (size 2)" in err
 
 
+    def test_invariant_failure_in_a_later_chunk_exits_5(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # Each trial rewrites one window per event, in trial order, so the
+        # k-th write at an event belongs to trial k: break trial 300's second
+        # step, in the second chunk of trials.
+        write = minla.algorithms._write_window
+        writes = {}
+
+        def faulty_write(state, lo, window):
+            event = state.events_done - 1
+            trial = writes[event] = writes.get(event, -1) + 1
+            if (event, trial) == (1, 300):
+                window = list(window)
+                window[0], window[-1] = window[-1], window[0]
+            write(state, lo, window)
+
+        monkeypatch.setattr(minla.algorithms, "_write_window", faulty_write)
+        path = tmp_path / "t.txt"
+        path.write_text(
+            "minla-trace v1\nmodel: cliques\nn: 6\npi0: 0 1 2 3 4 5\n"
+            "event: 0 5\nevent: 1 4\n"
+        )
+        code, _, err = run_cli(
+            capsys, "simulate", "--algo", "rand", "--trace", str(path),
+            "--seed", "1", "--trials", "600",
+        )
+        assert code == 5
+        assert err.startswith("internal error:")
+        assert "after event 1: component 1 (size 2)" in err
+        assert writes[1] == 300  # no later trial took that step
+
+
 class TestOpt:
     def test_dp_and_exhaustive_agree(self, capsys, trace_file):
         code, out_dp, _ = run_cli(capsys, "opt", "--trace", str(trace_file))

@@ -1,8 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+import minla.algorithms
+import minla.harness
+from conftest import fraction_ratio
 from minla import (
     ConfigError,
     ExperimentConfig,
@@ -12,6 +16,7 @@ from minla import (
     dp_opt,
     duel,
     random_trace,
+    run,
     run_experiment,
     splitmix64,
     verify_lemma,
@@ -49,6 +54,14 @@ class TestRatioFormatting:
     def test_round_half_even_on_exact_rational(self):
         assert format_ratio(1, 2_000_000) == "0.000000"
         assert format_ratio(3, 2_000_000) == "0.000002"
+
+    def test_matches_exact_fraction_rounding(self):
+        rng = random.Random(21)
+        pairs = [(rng.randrange(10**9), rng.randrange(1, 10**7)) for _ in range(5000)]
+        pairs += [(c, 2 * 10**6 * k) for k in (1, 3, 7) for c in range(0, 40 * k, k)]
+        pairs += [(0, 0), (5, 0), (10**30 + 7, 3), (1, 1)]
+        for cost, opt in pairs:
+            assert format_ratio(cost, opt) == fraction_ratio(cost, opt)
 
 
 class TestRunExperiment:
@@ -134,6 +147,62 @@ class TestRunExperiment:
             ExperimentConfig(
                 trace=trace, trace_id="x", algo="fast", trials=1, master_seed=1
             )
+
+
+def _one_trial_at_a_time(trace, seeds):
+    """The ``rand`` trials as a loop of single-trial runs."""
+    for seed in seeds:
+        yield run("rand", trace, seed=seed, collect_log=False)
+
+
+class TestLockstepChunks:
+    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
+    def test_experiments_match_single_trial_runs(self, model, monkeypatch):
+        trace = random_trace(model, 9, seed=22)
+        opt = dp_opt(trace)
+        results = {}
+        for engine in ("chunked", "single"):
+            if engine == "single":
+                monkeypatch.setattr(minla.harness, "run_trials", _one_trial_at_a_time)
+            for trials in (1, 255, 256, 257, 515):
+                cfg = ExperimentConfig(
+                    trace=trace, trace_id="t", algo="rand", trials=trials,
+                    master_seed=trials,
+                )
+                results[engine, trials] = run_experiment(cfg, opt=opt)
+        for trials in (1, 255, 256, 257, 515):
+            assert results["chunked", trials] == results["single", trials]
+
+    def test_verify_reports_match_single_trial_runs(self, monkeypatch):
+        cases = (
+            ("left-right", random_trace(Model.CLIQUES, 8, seed=23, events=4)),
+            ("orientation", random_trace(Model.LINES, 8, seed=24, events=5)),
+        )
+        texts = {}
+        for engine in ("chunked", "single"):
+            if engine == "single":
+                monkeypatch.setattr(minla.harness, "run_trials", _one_trial_at_a_time)
+            for kind, trace in cases:
+                report = verify_lemma(kind, trials=1027, seed=3, trace=trace)
+                texts[engine, kind] = report.to_text()
+        for kind, _ in cases:
+            assert texts["chunked", kind] == texts["single", kind]
+
+    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
+    def test_no_log_objects_without_a_log(self, model, monkeypatch):
+        trace = random_trace(model, 12, seed=25)
+        cfg = ExperimentConfig(
+            trace=trace, trace_id="t", algo="rand", trials=300, master_seed=4
+        )
+        opt = dp_opt(trace)
+        expected = run_experiment(cfg, opt=opt)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("log object built without a log")
+
+        for name in ("StepReport", "CoinWeights", "RearrangeCoin", "gcd"):
+            monkeypatch.setattr(minla.algorithms, name, forbidden)
+        assert run_experiment(cfg, opt=opt) == expected
 
 
 class TestVerifyLemma:
