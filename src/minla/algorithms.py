@@ -3,7 +3,8 @@
 Two strategies maintain an optimal arrangement of the revealed graph:
 
 * ``det`` moves to the feasible permutation closest to the initial one,
-  found exactly by a subset dynamic program over the components.
+  found exactly by a dynamic program over the multi-node components, the
+  singletons kept in their initial order.
 * ``rand`` collocates the two merging components by a size-biased coin and,
   for lines, fixes the merged path's orientation by a cost-biased coin.
 
@@ -15,14 +16,15 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapacityError, InvariantError
+from .errors import InvariantError
 from .feasibility import is_minla
-from .ordering import cross_weight, solve_block_order
+from .ordering import check_states, cross_weight, solve_block_order
 from .perm import Permutation, count_inversions, kendall_tau
 from .trace import ComponentPartition, Model, RevealEvent, RevealTrace, validate_trace
 
@@ -39,6 +41,7 @@ __all__ = [
     "run_trials",
 ]
 
+# An exact block-order search may use at most 2^DEFAULT_ITEM_CAP states.
 DEFAULT_ITEM_CAP = 22
 
 
@@ -174,20 +177,32 @@ def _order_blocks(
     concatenated node sequence.
 
     ``sorted_pos[i]`` lists block i's reference positions in ascending order.
-    Ties resolve to the lexicographically smallest node sequence.  The cap
-    is checked before the O(m^2) weight matrix is built.
+    Ties resolve to the lexicographically smallest node sequence.  Singletons
+    keep their reference order, so only the multi-node blocks are searched;
+    the state cap is checked before any weight is built.
     """
-    m = len(seqs)
-    if m > cap:
-        raise CapacityError(f"{m} components exceed the exact-search cap of {cap}")
+    multi = [i for i, seq in enumerate(seqs) if len(seq) > 1]
+    singles = sorted(
+        (sorted_pos[i][0], seq[0]) for i, seq in enumerate(seqs) if len(seq) == 1
+    )
+    check_states(len(multi), len(singles), cap)
     w = [
-        [0 if i == j else cross_weight(sorted_pos[i], sorted_pos[j]) for j in range(m)]
-        for i in range(m)
+        [0 if i == j else cross_weight(sorted_pos[i], sorted_pos[j]) for j in multi]
+        for i in multi
     ]
-    cross, order = solve_block_order(w, [seq[0] for seq in seqs], cap=cap)
+    # Block nodes left of each singleton, from the block's sorted positions:
+    # the cost of the singleton before the block; the rest is the reverse.
+    w_sb = [[bisect_left(sorted_pos[i], p) for i in multi] for p, _ in singles]
+    w_bs = [[len(seqs[i]) - row[c] for row in w_sb] for c, i in enumerate(multi)]
+    keys = [seqs[i][0] for i in multi] + [v for _, v in singles]
+    cross, order = solve_block_order(w, keys, cap, w_sb, w_bs)
+    m = len(multi)
     node_at: list[int] = []
     for idx in order:
-        node_at.extend(seqs[idx])
+        if idx < m:
+            node_at.extend(seqs[multi[idx]])
+        else:
+            node_at.append(singles[idx - m][1])
     return cross, node_at
 
 
@@ -201,7 +216,7 @@ def closest_feasible(
 
     Exact: component-internal layouts are fixed first (cliques take the
     pi0-induced node order, lines the cheaper orientation), then the block
-    order is optimized by the subset dynamic program.  Ties resolve to the
+    order is optimized by :func:`_order_blocks`.  Ties resolve to the
     lexicographically smallest node sequence.
     """
     pos0 = pi0.pos_of

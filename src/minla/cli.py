@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 ok, 2 invalid trace or configuration, 3 exact-search capacity
-exceeded, 4 verification failure, 5 internal invariant failure (an algorithm
-left an infeasible permutation: a bug, not bad input).
+exceeded (more than 2^22 exact-search states), 4 verification failure,
+5 internal invariant failure (an algorithm left an infeasible permutation: a
+bug, not bad input).
 """
 
 from __future__ import annotations

@@ -50,7 +50,9 @@ class InvariantError(MinlaError):
 
 
 class CapacityError(MinlaError):
-    """An exact search was asked to handle more items than its hard cap."""
+    """An exact search was asked to handle more than its hard cap: more
+    program states than the block-order cap allows, or too many nodes for
+    the exhaustive search."""
 
 
 class ProtocolError(MinlaError):

@@ -54,8 +54,8 @@ def _clique_opt(t: RevealTrace, cap: int) -> OptResult:
     """Cheapest permutation keeping every component of every step contiguous.
 
     Each merge orders its two child blocks independently (the cross cost
-    depends only on the node sets), then the forest roots are ordered by the
-    subset dynamic program.
+    depends only on the node sets), then the forest roots are ordered by
+    :func:`_order_blocks`.
     """
     pos0 = t.pi0.pos_of
     # Per component: sorted reference positions, node sequence, internal cost.

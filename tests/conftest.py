@@ -2,7 +2,8 @@
 
 These stay deliberately naive and independent of the library's fast paths:
 quadratic pair counting, full permutation enumeration, literal cost sums,
-closed forms, and a literal replay of the randomized strategy.
+closed forms, a literal replay of the randomized strategy, and the plain
+block-subset program that orders singletons like any other block.
 """
 
 import bisect
@@ -11,7 +12,10 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from minla import Model, Permutation, is_minla
+from minla.ordering import _popcount_layers, cross_weight
 
 
 def naive_kendall(p: Permutation, q: Permutation) -> int:
@@ -182,3 +186,86 @@ def reference_rand(trace, seed: int):
         )
     totals = (move_total + rearrange_total, move_total, rearrange_total)
     return lines, coins, totals, p
+
+
+_INF = 1 << 60
+
+
+def _subset_costs_py(w, m: int) -> list[int]:
+    """g[s]: least cost of ordering the block subset s, every block (singletons
+    included) free to go anywhere; 2^m entries."""
+    full = 1 << m
+    g = [0] * full
+    for s in range(1, full):
+        bits = [j for j in range(m) if s >> j & 1]
+        best = _INF
+        for j in bits:
+            row = w[j]
+            c = g[s ^ (1 << j)]
+            for i in bits:
+                c += row[i]
+            if c < best:
+                best = c
+        g[s] = best
+    return g
+
+
+def _subset_costs_np(w, m: int) -> np.ndarray:
+    """The same table as :func:`_subset_costs_py`, vectorized by popcount layer."""
+    full = 1 << m
+    dtype = np.int32 if max(sum(row) for row in w) < 1 << 31 else np.int64
+    warr = np.asarray(w, dtype=dtype)
+    swf = np.zeros((full, m), dtype=dtype)
+    for i in range(m):
+        lo = 1 << i
+        swf[lo : 2 * lo] = swf[:lo] + warr[:, i]
+    g = np.full(full, _INF, dtype=np.int64)
+    g[0] = 0
+    layers = _popcount_layers(m)
+    for c in range(1, m + 1):
+        rs = layers[c]
+        for j in range(m):
+            bit = 1 << j
+            sel = rs[(rs & bit) != 0]
+            if sel.size == 0:
+                continue
+            cand = g[sel ^ bit] + swf[sel, j]
+            g[sel] = np.minimum(g[sel], cand)
+    return g
+
+
+def reference_block_order(w, tie_keys):
+    """Least total cross cost and the order that greedily takes, among the
+    optimal first blocks, the one with the smallest tie key: the plain 2^m
+    subset program over every block."""
+    m = len(w)
+    if m == 0:
+        return 0, []
+    g = _subset_costs_py(w, m) if m < 8 else _subset_costs_np(w, m)
+    order = []
+    remaining = (1 << m) - 1
+    while remaining:
+        bits = [j for j in range(m) if remaining >> j & 1]
+        target = int(g[remaining])
+        best_j = -1
+        for j in bits:
+            head = sum(w[j][i] for i in bits)
+            if head + int(g[remaining ^ (1 << j)]) == target:
+                if best_j < 0 or tie_keys[j] < tie_keys[best_j]:
+                    best_j = j
+        order.append(best_j)
+        remaining ^= 1 << best_j
+    return int(g[(1 << m) - 1]), order
+
+
+def reference_layout(seqs, sorted_pos):
+    """``reference_block_order`` over every block of ``seqs``, singletons
+    included, keyed by leading node: the cross cost and node sequence the
+    library's ``_order_blocks`` must reproduce."""
+    m = len(seqs)
+    w = [
+        [0 if i == j else cross_weight(sorted_pos[i], sorted_pos[j]) for j in range(m)]
+        for i in range(m)
+    ]
+    cost, order = reference_block_order(w, [seq[0] for seq in seqs])
+    return cost, [v for idx in order for v in seqs[idx]]

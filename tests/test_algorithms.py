@@ -4,7 +4,7 @@ import random
 import pytest
 
 import minla.algorithms
-from conftest import feasible_permutations, literal_minla, reference_rand
+from conftest import feasible_permutations, literal_minla, reference_layout, reference_rand
 from minla import (
     AlgoState,
     CapacityError,
@@ -89,19 +89,46 @@ class TestDetStep:
                     assert state.current.node_at == lex_best
 
     def test_capacity_cap(self):
-        trace = make_trace(Model.CLIQUES, 24, [(0, 1)])
-        with pytest.raises(CapacityError):
-            run("det", trace, item_cap=20)
+        # 2 (cap + 1) nodes joined in pairs: more multi-node components than
+        # the cap; the budget of 2^10 states trips at 7 pairs and 8 singletons.
+        trace = make_trace(Model.CLIQUES, 22, [(i, i + 1) for i in range(0, 22, 2)])
+        with pytest.raises(CapacityError, match="7 multi-node components and 8 singletons"):
+            run("det", trace, item_cap=10)
 
     def test_capacity_checked_before_weights(self, monkeypatch):
-        # The O(m^2) weight matrix must not be built for an over-cap input.
+        # The weights must not be built for an over-cap input: 23 pairs and
+        # 954 singletons, the last pair merged by the step itself.
         def no_weights(*args):
             raise AssertionError("cross_weight called on an over-cap input")
 
+        state = AlgoState.initial(Model.CLIQUES, Permutation.identity(1000))
+        for i in range(0, 44, 2):
+            state.parts.merge(i, i + 1)
         monkeypatch.setattr(minla.algorithms, "cross_weight", no_weights)
-        trace = make_trace(Model.CLIQUES, 1000, [(0, 1)])
         with pytest.raises(CapacityError):
-            run("det", trace)
+            det_step(state, RevealEvent(44, 45))
+
+    @pytest.mark.parametrize("n", [32, 40])
+    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
+    def test_full_traces_past_the_old_cap(self, model, n, monkeypatch):
+        # Every step of a full trace, checked by is_minla inside run; each
+        # step's target equals the plain subset program wherever it has at
+        # most 16 components.
+        compared = []
+
+        def checked(seqs, sorted_pos, cap):
+            result = order_blocks(seqs, sorted_pos, cap)
+            if len(seqs) <= 16:
+                assert result == reference_layout(seqs, sorted_pos)
+                compared.append(len(seqs))
+            return result
+
+        order_blocks = minla.algorithms._order_blocks
+        monkeypatch.setattr(minla.algorithms, "_order_blocks", checked)
+        trace = random_trace(model, n, seed=n)
+        result = run("det", trace)
+        assert result.parts.num_components == 1
+        assert len(compared) == 16
 
     def test_triangle_bound_per_run(self):
         rng = random.Random(12)

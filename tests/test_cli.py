@@ -107,8 +107,10 @@ class TestSimulate:
         assert "line 2" in err
 
     def test_capacity_exits_3(self, capsys, tmp_path):
-        lines = ["minla-trace v1", "model: cliques", "n: 30",
-                 "pi0: " + " ".join(map(str, range(30))), "event: 0 1"]
+        # 46 nodes joined in pairs: 23 multi-node components, over 2^22 states.
+        lines = ["minla-trace v1", "model: cliques", "n: 46",
+                 "pi0: " + " ".join(map(str, range(46)))]
+        lines += [f"event: {i} {i + 1}" for i in range(0, 46, 2)]
         big = tmp_path / "big.txt"
         big.write_text("\n".join(lines) + "\n")
         code, _, err = run_cli(
@@ -117,6 +119,18 @@ class TestSimulate:
         )
         assert code == 3
         assert "cap" in err
+
+    def test_det_past_the_old_cap(self, capsys, tmp_path):
+        path = tmp_path / "t32.txt"
+        main(["gen", "--kind", "random", "--model", "lines", "--n", "32",
+              "--seed", "32", "--out", str(path)])
+        capsys.readouterr()
+        code, out, _ = run_cli(
+            capsys, "simulate", "--algo", "det", "--trace", str(path),
+            "--seed", "1", "--trials", "1", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["config"]["events"] == 31
 
     def test_invariant_failure_exits_5(self, capsys, tmp_path, monkeypatch):
         # A kernel that swaps the ends of the window it rewrites leaves the
@@ -260,6 +274,11 @@ class TestDuel:
         induced = parse_trace(dump.read_text())
         cost = int(out.split("algo_cost=")[1].split()[0])
         assert run("det", induced).total_cost == cost
+
+    def test_past_the_old_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "duel", "--n", "33")
+        assert code == 0
+        assert "duel n=33" in out
 
     def test_even_n_rejected(self, capsys):
         code, _, err = run_cli(capsys, "duel", "--n", "8")

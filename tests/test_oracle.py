@@ -81,8 +81,9 @@ class TestDpOpt:
                     assert is_minla(opt.witness, replay_components(trace, i), model)
 
     def test_capacity_cap(self):
-        trace = make_trace(Model.CLIQUES, 30, [(0, 1)])
-        with pytest.raises(CapacityError):
+        # 2 (cap + 1) nodes joined in pairs: 11 multi-node components.
+        trace = make_trace(Model.CLIQUES, 22, [(i, i + 1) for i in range(0, 22, 2)])
+        with pytest.raises(CapacityError, match="11 multi-node components"):
             dp_opt(trace, cap=10)
 
     @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
@@ -92,7 +93,24 @@ class TestDpOpt:
 
         monkeypatch.setattr(minla.algorithms, "cross_weight", no_weights)
         with pytest.raises(CapacityError):
-            dp_opt(make_trace(model, 1000, [(0, 1)]))
+            dp_opt(make_trace(model, 1000, [(i, i + 1) for i in range(0, 46, 2)]))
+
+    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
+    def test_capacity_counts_singletons(self, model):
+        # 5 pairs stay under a cap of 10 components, but with 50 singletons
+        # they need 51 * 2^5 > 2^10 states.
+        trace = make_trace(model, 60, [(i, i + 1) for i in range(0, 10, 2)])
+        with pytest.raises(CapacityError, match="5 multi-node components and 50 singletons"):
+            dp_opt(trace, cap=10)
+        assert dp_opt(trace, cap=11).cost == 0
+
+    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
+    def test_partial_trace_past_the_old_cap(self, model):
+        trace = random_trace(model, 60, seed=61, events=30)
+        opt = dp_opt(trace)
+        assert kendall_tau(trace.pi0, opt.witness) == opt.cost
+        for i in range(trace.k + 1):
+            assert is_minla(opt.witness, replay_components(trace, i), model)
 
 
 class TestExhaustiveOpt:

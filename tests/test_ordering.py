@@ -3,8 +3,15 @@ import random
 
 import pytest
 
-from minla import CapacityError
-from minla.ordering import _subset_costs_np, _subset_costs_py, cross_weight, solve_block_order
+from conftest import (
+    _subset_costs_np,
+    _subset_costs_py,
+    reference_block_order,
+    reference_layout,
+)
+from minla import CapacityError, Model, random_trace, replay_components
+from minla.algorithms import _order_blocks, _oriented_path
+from minla.ordering import _costs_np, _costs_py, cross_weight, solve_block_order
 
 
 def brute_force_order(w):
@@ -102,3 +109,134 @@ class TestSolveBlockOrder:
         w = [[0] * m for _ in range(m)]
         with pytest.raises(CapacityError):
             solve_block_order(w, list(range(m)))
+
+    def test_capacity_counts_singletons(self):
+        # 2 blocks and 7 singletons fill 2^5 states exactly; one more
+        # singleton trips the cap although the block count stays at 2.
+        w = [[0, 1], [1, 0]]
+        keys = list(range(10))
+        assert solve_block_order(w, keys[:9], 5, [[0, 0]] * 7, [[0] * 7] * 2)[0] == 1
+        with pytest.raises(CapacityError, match="2 multi-node components and 8 singletons"):
+            solve_block_order(w, keys, 5, [[0, 0]] * 8, [[0] * 8] * 2)
+
+
+def random_layout(rng, m, s, spare=4, mult=1):
+    """m blocks of 2..2+spare nodes and s singletons, shuffled, at random
+    reference positions; block nodes weigh ``mult`` each, singletons 1.
+
+    Returns the node sequences, their sorted positions, and the full pairwise
+    weight matrix counted literally: the weighted node pairs laid opposite to
+    their reference order when item i goes before item j.
+    """
+    sizes = [rng.randint(2, 2 + spare) for _ in range(m)] + [1] * s
+    rng.shuffle(sizes)
+    n = sum(sizes)
+    nodes = rng.sample(range(n), n)
+    pos = rng.sample(range(n), n)
+    seqs, at = [], 0
+    for size in sizes:
+        seqs.append(nodes[at : at + size])
+        at += size
+    sorted_pos = [sorted(pos[v] for v in seq) for seq in seqs]
+    weight = [mult if len(seq) > 1 else 1 for seq in seqs]
+    w = [
+        [
+            sum(weight[i] * weight[j] for a in pi for b in pj if a > b)
+            for j, pj in enumerate(sorted_pos)
+        ]
+        for i, pi in enumerate(sorted_pos)
+    ]
+    return seqs, sorted_pos, w
+
+
+def split_weights(seqs, sorted_pos, w):
+    """``solve_block_order`` arguments from the full matrix: blocks first,
+    singletons in reference order; also the full matrix and keys reordered
+    the same way, for ``reference_block_order``."""
+    multi = [i for i, seq in enumerate(seqs) if len(seq) > 1]
+    singles = sorted((i for i, seq in enumerate(seqs) if len(seq) == 1),
+                     key=lambda i: sorted_pos[i][0])
+    items = multi + singles
+    full = [[w[i][j] for j in items] for i in items]
+    keys = [seqs[i][0] for i in items]
+    m = len(multi)
+    return (
+        [row[:m] for row in full[:m]],
+        keys,
+        [row[:m] for row in full[m:]],
+        [row[m:] for row in full[:m]],
+        full,
+    )
+
+
+class TestSingletonAwareOrder:
+    def test_tables_agree(self):
+        rng = random.Random(3)
+        for m in range(0, 9):
+            for s in range(0, 7):
+                rows = [[0 if i == j else rng.randint(0, 20) for i in range(m)]
+                        for j in range(m)]
+                rows += [[rng.randint(0, 5) for _ in range(m)] for _ in range(s)]
+                tail = [[0] + sorted(rng.randint(0, 30) for _ in range(s))
+                        for _ in range(m)]
+                assert _costs_py(rows, tail, m, s) == list(_costs_np(rows, tail, m, s))
+
+    @pytest.mark.parametrize("m,s", [
+        (0, 1), (0, 9), (1, 0), (1, 1), (3, 0), (3, 1), (5, 3), (6, 2),
+        (2, 13), (5, 7), (4, 15), (6, 4), (8, 0), (8, 1), (9, 3), (10, 2),
+    ])
+    def test_matches_reference_on_layouts(self, m, s):
+        # Both sides of the numpy crossover at 2^m (s + 1) = 256 states, no
+        # singletons, one, and only singletons.
+        rng = random.Random(m * 100 + s)
+        for _ in range(6 if m + s < 12 else 2):
+            seqs, sorted_pos, _ = random_layout(rng, m, s)
+            assert _order_blocks(seqs, sorted_pos, 22) == reference_layout(seqs, sorted_pos)
+
+    def test_matches_reference_on_traces(self):
+        rng = random.Random(4)
+        for model in (Model.CLIQUES, Model.LINES):
+            for _ in range(80):
+                n = rng.randint(2, 14)
+                trace = random_trace(model, n, seed=rng.random())
+                parts = replay_components(trace, rng.randint(0, trace.k))
+                pos0 = trace.pi0.pos_of
+                seqs = [
+                    sorted(parts.nodes_of(r), key=pos0.__getitem__)
+                    if model is Model.CLIQUES
+                    else _oriented_path(parts.path_of(r), pos0)
+                    for r in parts.components()
+                ]
+                sorted_pos = [sorted(pos0[v] for v in seq) for seq in seqs]
+                expected = reference_layout(seqs, sorted_pos)
+                assert _order_blocks(seqs, sorted_pos, 22) == expected
+
+    @pytest.mark.parametrize("m,s", [(3, 2), (6, 3), (8, 1)])
+    def test_large_row_sums(self, m, s):
+        # Block nodes weigh 2^16, so block rows sum past 2^31 and the numpy
+        # tables (reached from (6, 3) on) must widen to int64; the weights
+        # stay those of a layout, so singletons still keep their order.
+        rng = random.Random(m + s)
+        seqs, sorted_pos, w = random_layout(rng, m, s, spare=2, mult=1 << 16)
+        w_bb, keys, w_sb, w_bs, full = split_weights(seqs, sorted_pos, w)
+        assert max(map(sum, w_bb + w_sb)) >= 1 << 31
+        expected = reference_block_order(full, keys)
+        assert solve_block_order(w_bb, keys, 22, w_sb, w_bs) == expected
+
+    def test_optimal_orders_keep_singletons_in_order(self):
+        # Brute force over every order of up to 7 items: each minimum-cost
+        # order lists the singletons by ascending reference position.
+        rng = random.Random(5)
+        for _ in range(150):
+            total = rng.randint(2, 7)
+            m = rng.randint(0, total)
+            seqs, sorted_pos, w = random_layout(rng, m, total - m, spare=2)
+            costs = {
+                order: sum(w[a][b] for x, a in enumerate(order) for b in order[x + 1 :])
+                for order in itertools.permutations(range(total))
+            }
+            least = min(costs.values())
+            for order, cost in costs.items():
+                if cost == least:
+                    singles = [sorted_pos[i][0] for i in order if len(seqs[i]) == 1]
+                    assert singles == sorted(singles)
