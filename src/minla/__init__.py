@@ -41,7 +41,6 @@ from .algorithms import (
     rand_line_step,
     run,
     run_trials,
-    steplog_to_jsonl,
 )
 from .oracle import (
     HarmonicBounds,
@@ -106,7 +105,6 @@ __all__ = [
     "rand_line_step",
     "run",
     "run_trials",
-    "steplog_to_jsonl",
     "OptResult",
     "dp_opt",
     "exhaustive_opt",

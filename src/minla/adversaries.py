@@ -81,7 +81,6 @@ class MiddleLineAdversary:
     x: int = field(init=False)
     sides: list[str] = field(init=False, default_factory=list)
     _emitted: int = field(init=False, default=0)
-    _grown: list[int] = field(init=False, default_factory=list)
     _left_end: int = field(init=False, default=0)
     _right_end: int = field(init=False, default=0)
 
@@ -97,7 +96,6 @@ class MiddleLineAdversary:
             return None
         if self._emitted == 0:
             ev = RevealEvent(self.x - 1, self.x + 1)
-            self._grown = [self.x - 1, self.x + 1]
             self._left_end = self.x - 1
             self._right_end = self.x + 1
         else:
@@ -115,13 +113,14 @@ class MiddleLineAdversary:
                     raise ProtocolError("right side exhausted before the duel ended")
                 ev = RevealEvent(nxt, self._right_end)
                 self._right_end = nxt
-            self._grown.append(nxt)
         self._emitted += 1
         return ev
 
     def _observe_side(self, current: Permutation) -> str:
+        # The grown component: every node from end to end but x.
         pos = current.pos_of
-        block = [pos[v] for v in self._grown]
+        grown = range(self._left_end, self._right_end + 1)
+        block = [pos[v] for v in grown if v != self.x]
         lo, hi = min(block), max(block)
         if hi - lo + 1 != len(block):
             raise ProtocolError("opposing permutation does not keep the grown "

@@ -100,24 +100,30 @@ class StepReport:
         )
 
 
-def steplog_to_jsonl(steps: Sequence[StepReport]) -> str:
-    return "".join(step.to_json_line() + "\n" for step in steps)
-
-
 @dataclass(slots=True)
 class AlgoState:
-    """Mutable per-trial state: permutation, components, costs, log.
+    """Mutable per-trial state: components, costs, log and the arrangement.
 
-    ``node_at`` and ``pos`` hold the permutation, edited in place by the
-    ``rand`` engine; ``current`` returns an immutable snapshot of it.  The
-    trials of one ``rand`` chunk share one ``parts``, which the engine
-    merges once per event for all of them."""
+    A ``rand`` trial keeps no permutation.  Each component root has a
+    representative ``rep[root]``: a singleton represents itself and a merge
+    keeps the staying block's.  The staying block keeps its slot, the mover
+    lands beside it and no other pair of blocks changes order, so the
+    blocks stand in the pi0 order of their representatives.  ``slot_sizes``
+    holds each component's size at its representative's pi0 position, 0
+    elsewhere; ``left_end[root]`` (lines) is the path end laid out first,
+    ``blocks[root]`` (cliques) the block's node sequence.  ``current`` lays
+    the arrangement out on request.  ``det`` keeps its arrangement in
+    ``fixed`` (``None`` while at pi0).  The trials of one ``rand`` chunk
+    share one ``parts``, which the engine merges once per event for all."""
 
     model: Model
     pi0: Permutation
-    node_at: list[int]
-    pos: list[int]
     parts: ComponentPartition
+    rep: list[int]
+    slot_sizes: list[int]
+    left_end: list[int] | None
+    blocks: list[tuple[int, ...] | None] | None
+    fixed: Permutation | None = None
     move_cost: int = 0
     rearrange_cost: int = 0
     step_log: list[StepReport] = field(default_factory=list)
@@ -129,12 +135,16 @@ class AlgoState:
         cls, model: Model, pi0: Permutation, parts: ComponentPartition | None = None,
         **kwargs,
     ) -> "AlgoState":
+        n = len(pi0)
+        lines = model is Model.LINES
         return cls(
             model=model,
             pi0=pi0,
-            node_at=list(pi0.node_at),
-            pos=list(pi0.pos_of),
-            parts=ComponentPartition(len(pi0), model) if parts is None else parts,
+            parts=ComponentPartition(n, model) if parts is None else parts,
+            rep=list(range(n)),
+            slot_sizes=[1] * n,
+            left_end=list(range(n)) if lines else None,
+            blocks=None if lines else [(v,) for v in range(n)],
             **kwargs,
         )
 
@@ -149,12 +159,24 @@ class AlgoState:
 
     @property
     def current(self) -> Permutation:
-        return Permutation._trusted(tuple(self.node_at), tuple(self.pos))
+        if self.fixed is not None:
+            return self.fixed
+        return Permutation._trusted(tuple(_layout(self)))
 
-    @current.setter
-    def current(self, p: Permutation) -> None:
-        self.node_at = list(p.node_at)
-        self.pos = list(p.pos_of)
+
+def _layout(state: AlgoState) -> list[int]:
+    """A ``rand`` trial's arrangement: the blocks in the pi0 order of their
+    representatives, each path from its left end, each clique as its
+    recorded sequence."""
+    parts, rep, pos0 = state.parts, state.rep, state.pi0.pos_of
+    roots = sorted(parts.components(), key=lambda r: pos0[rep[r]])
+    if state.left_end is None:
+        return [v for root in roots for v in state.blocks[root]]
+    node_at: list[int] = []
+    for root in roots:
+        path = parts.path_of(root)
+        node_at.extend(path if path[0] == state.left_end[root] else path[::-1])
+    return node_at
 
 
 def _oriented_path(path: Sequence[int], pos0: Sequence[int]) -> list[int]:
@@ -235,28 +257,22 @@ def closest_feasible(
 def det_step(state: AlgoState, event: RevealEvent) -> AlgoState:
     """Apply one event deterministically: move to the feasible permutation
     closest to the initial one, paying the distance from the current one."""
+    before = state.pi0 if state.fixed is None else state.fixed
     state.parts.merge(event.u, event.v)
     target = closest_feasible(state.pi0, state.parts, state.model, cap=state.item_cap)
-    cost = kendall_tau(state.current, target)
-    state.current = target
+    cost = kendall_tau(before, target)
+    state.fixed = target
     state.move_cost += cost
     if state.collect_log:
         state.step_log.append(StepReport(state.events_done - 1, cost, 0, "closest", 1, 1))
     return state
 
 
-def _write_window(state: AlgoState, lo: int, window: list[int]) -> None:
-    """Lay ``window`` out from position ``lo`` and refresh those positions."""
-    state.node_at[lo : lo + len(window)] = window
-    pos = state.pos
-    for i, v in enumerate(window, lo):
-        pos[v] = i
-
-
 def _check_full(state: AlgoState) -> None:
     """:func:`is_minla` on the whole permutation, naming the first bad component."""
-    if not is_minla(state.current, state.parts, state.model):
-        root = state.parts.misplaced_root(state.node_at)
+    current = state.current
+    if not is_minla(current, state.parts, state.model):
+        root = state.parts.misplaced_root(current.node_at)
         raise InvariantError(state.events_done - 1, root, state.parts.size_of(root))
 
 
@@ -266,73 +282,66 @@ def _rand_event(
 ) -> None:
     """Apply one ``rand`` event to every trial of a chunk sharing ``parts``.
 
-    What the trace fixes is read once: the merging components, their sizes
-    and (for lines) paths, the merged path and the coin denominators; then
-    ``parts`` merges once.  Each trial draws its coins: the x-side block
-    moves with probability ``zl / (xl + zl)``, even when the blocks are
-    already adjacent, and for lines the merged path is laid forward or
-    reversed with probability proportional to the swap cost of the other
-    filling.  Only the window from the left block's start to the right
-    block's end is rewritten (``between + pair`` when the left block moves
-    right, ``pair + between`` otherwise) and exactly that window is checked.
-    Both orientation costs come in O(1) from the block positions: each
-    block reads in path order or reversed, and the merged path puts x first.
+    What the trace fixes (the merging components, their sizes and path
+    ends, the coin denominators) is read once; then ``parts`` merges once.
+    Each trial checks in O(1) that both representatives' slots hold their
+    components' sizes and, for lines, that both left ends are path ends
+    (else :class:`InvariantError`).  It then draws its coins: x's block
+    moves with probability ``zl / (xl + zl)``, even when adjacent, and a
+    merged path is laid forward or reversed with probability proportional
+    to the swap cost of the other filling.  Per :class:`AlgoState`, x's
+    block is left of z's exactly when x's representative comes first in
+    pi0, and the mover jumps the components represented between the two.
     """
     u, v = event.u, event.v
     index = states[0].events_done
+    pos0 = states[0].pi0.pos_of
     ru, rv = parts.find(u), parts.find(v)
+    xl, zl = parts.size_of(ru), parts.size_of(rv)
+    denom = xl + zl
     lines = parts.model is Model.LINES
-    # x_keys/z_keys: nodes whose least position is where the block starts
-    # (a path's two ends, a clique's members).
     if lines:
         x_path, z_path = parts.path_of(ru), parts.path_of(rv)
-        xl, zl = len(x_path), len(z_path)
-        # The merged path runs through x's path (u last) into z's (v first).
-        merged = list(x_path if x_path[-1] == u else x_path[::-1]) + list(
-            z_path if z_path[0] == v else z_path[::-1]
-        )
-        merged_rev = merged[::-1]
-        x_keys, z_keys = (x_path[0], x_path[-1]), (z_path[0], z_path[-1])
+        x_ends, z_ends = (x_path[0], x_path[-1]), (z_path[0], z_path[-1])
         inv_x_max, inv_z_max = xl * (xl - 1) // 2, zl * (zl - 1) // 2
-        total_pairs = (xl + zl) * (xl + zl - 1) // 2
-    else:
-        x_keys, z_keys = tuple(parts.nodes_of(ru)), tuple(parts.nodes_of(rv))
-        xl, zl = len(x_keys), len(z_keys)
-    denom = xl + zl
+        total_pairs = denom * (denom - 1) // 2
     parts.merge(u, v)
-    misplaced_root = parts.misplaced_root
+    merged = parts.path_of(ru) if lines else ()
     for state, rng in zip(states, rngs):
-        pos, node_at = state.pos, state.node_at
-        xs = min(map(pos.__getitem__, x_keys))
-        zs = min(map(pos.__getitem__, z_keys))
+        rep, sizes = state.rep, state.slot_sizes
+        a, b = pos0[rep[ru]], pos0[rep[rv]]
+        if lines:
+            left_end = state.left_end
+            x_left, z_left = left_end[ru], left_end[rv]
+        if sizes[a] != xl or lines and x_left not in x_ends:
+            raise InvariantError(index, ru, xl)
+        if sizes[b] != zl or lines and z_left not in z_ends:
+            raise InvariantError(index, rv, zl)
         x_moved = rng.randrange(denom) < zl
-        if xs < zs:
-            lo, left_end, right_start, hi = xs, xs + xl, zs, zs + zl
+        between = sum(sizes[a + 1 : b]) if a < b else sum(sizes[b + 1 : a])
+        if x_moved:
+            move = xl * between
+            sizes[a], sizes[b] = 0, denom
+            rep[ru] = rep[rv]
         else:
-            lo, left_end, right_start, hi = zs, zs + zl, xs, xs + xl
+            move = zl * between
+            sizes[a], sizes[b] = denom, 0
         if lines:
             cost_forward = (
-                (0 if pos[u] == xs + xl - 1 else inv_x_max)
-                + (0 if pos[v] == zs else inv_z_max)
-                + (0 if xs < zs else xl * zl)
+                (inv_x_max if x_left == u else 0)
+                + (0 if z_left == v else inv_z_max)
+                + (0 if a < b else xl * zl)
             )
             cost_reversed = total_pairs - cost_forward
             forward = rng.randrange(total_pairs) < cost_reversed
-            pair = merged if forward else merged_rev
+            left_end[ru] = merged[0] if forward else merged[-1]
             rearrange = cost_forward if forward else cost_reversed
         else:
-            pair = node_at[lo:left_end] + node_at[right_start:hi]
+            blocks = state.blocks
+            x_block, z_block = blocks[ru], blocks[rv]
+            blocks[ru] = x_block + z_block if a < b else z_block + x_block
+            blocks[rv] = None
             rearrange = 0
-        between = node_at[left_end:right_start]
-        if x_moved == (xs < zs):  # the left block moves right
-            move = (left_end - lo) * len(between)
-            _write_window(state, lo, between + pair)
-        else:
-            move = (hi - right_start) * len(between)
-            _write_window(state, lo, pair + between)
-        root = misplaced_root(node_at, lo, hi)
-        if root is not None:
-            raise InvariantError(index, root, parts.size_of(root))
         state.move_cost += move
         state.rearrange_cost += rearrange
         if state.collect_log:
@@ -375,9 +384,10 @@ def run_trials(
 
     The trace is validated once.  Trials run in chunks of
     :data:`TRIAL_CHUNK` that share one :class:`ComponentPartition`, so each
-    event merges components once per chunk.  Each step checks exactly the
-    window it rewrote and :func:`is_minla` checks every final permutation
-    before its state is yielded; a failure raises :class:`InvariantError`.
+    event merges components once per chunk.  Each step checks its trial's
+    state in O(1); every final permutation is laid out and checked by
+    :func:`is_minla` before its state is yielded.  A failure raises
+    :class:`InvariantError`.
     """
     if validate:
         validate_trace(trace)

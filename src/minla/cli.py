@@ -2,7 +2,7 @@
 
 Exit codes: 0 ok, 2 invalid trace or configuration, 3 exact-search capacity
 exceeded (more than 2^22 exact-search states), 4 verification failure,
-5 internal invariant failure (an algorithm left an infeasible permutation: a
+5 internal invariant failure (an algorithm left an infeasible arrangement: a
 bug, not bad input).
 """
 

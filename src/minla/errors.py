@@ -35,12 +35,12 @@ class TraceValidationError(MinlaError):
 
 
 class InvariantError(MinlaError):
-    """An algorithm left an infeasible permutation: a bug, not bad input.
-    Names the event and the first bad component (root node and size)."""
+    """An algorithm's arrangement broke optimality: a bug, not bad input.
+    Names the event of the failed check and the bad component (root, size)."""
 
     def __init__(self, event_index: int, root: int, size: int):
         super().__init__(
-            f"algorithm left an infeasible permutation after event "
+            f"algorithm left an infeasible arrangement at event "
             f"{event_index}: component {root} (size {size}) does not fill "
             f"its span"
         )

@@ -294,12 +294,12 @@ def _frequency_rows(
             r: f"path ({','.join(map(str, final_parts.path_of(r)))}) kept forward"
             for r in tracked
         }
-        paths = {r: list(final_parts.path_of(r)) for r in tracked}
 
     counts = {key: 0 for key in tracked}
     seeds = (derive_trial_seed(seed, trial) for trial in range(trials))
     for result in run_trials(trace, seeds):
-        pos = result.pos
+        final = result.current
+        pos = final.pos_of
         if kind == "left-right":
             starts = {
                 r: min(pos[v] for v in final_parts.nodes_of(r)) for r in roots
@@ -308,9 +308,9 @@ def _frequency_rows(
                 if starts[ra] < starts[rb]:
                     counts[(ra, rb)] += 1
         else:
-            node_at = result.node_at
+            node_at = final.node_at
             for r in tracked:
-                path = paths[r]
+                path = final_parts.path_of(r)
                 start = min(pos[v] for v in path)
                 if node_at[start : start + len(path)] == path:
                     counts[r] += 1
@@ -386,19 +386,9 @@ def _harmonic_rows(trials: int, rng: random.Random) -> list[VerifyRow]:
         for slot, ok in enumerate(
             (result.ratio_sum_ok, result.square_sum_ok, result.adjacent_sum_ok)
         ):
-            if not ok:
-                failures[slot] += 1
+            failures[slot] += not ok
     names = ("ratio sum <= H_S", "square sum <= 2 H_S", "adjacent sum <= 2 H_S")
-    return [
-        VerifyRow(
-            label=f"{name} ({trials} series)",
-            expected=Fraction(0),
-            observed=fails / trials,
-            deviations=float(fails),
-            ok=fails == 0,
-        )
-        for name, fails in zip(names, failures)
-    ]
+    return _failure_rows(names, failures, f"{trials} series", trials)
 
 
 def _identity_rows(trials: int, rng: random.Random) -> list[VerifyRow]:
@@ -407,15 +397,19 @@ def _identity_rows(trials: int, rng: random.Random) -> list[VerifyRow]:
         n = rng.randint(1, 10)
         a = [rng.uniform(0.0, 10.0) for _ in range(n)]
         b = [rng.uniform(0.0, 1.0) for _ in range(n)]
-        eq_ok, le_ok = check_identity_lemmas(a, b)
-        if not eq_ok:
-            failures[0] += 1
-        if not le_ok:
-            failures[1] += 1
+        for slot, ok in enumerate(check_identity_lemmas(a, b)):
+            failures[slot] += not ok
     names = ("choice-weighted equality", "choice-weighted product bound")
+    return _failure_rows(names, failures, f"{trials} instances", trials)
+
+
+def _failure_rows(
+    names: Sequence[str], failures: Sequence[int], sweep: str, trials: int
+) -> list[VerifyRow]:
+    """One row per check of a sweep: it passes when it never failed."""
     return [
         VerifyRow(
-            label=f"{name} ({trials} instances)",
+            label=f"{name} ({sweep})",
             expected=Fraction(0),
             observed=fails / trials,
             deviations=float(fails),

@@ -42,11 +42,13 @@ class Permutation:
         return cls(range(n))
 
     @classmethod
-    def _trusted(cls, node_at: tuple[int, ...], pos_of: tuple[int, ...]) -> "Permutation":
-        # trusted fast path for snapshots of mutable state; skips validation
+    def _trusted(cls, node_at: tuple[int, ...]) -> "Permutation":
+        # trusted fast path for laid-out arrangements; skips validation
+        pos = [0] * len(node_at)
+        for i, v in enumerate(node_at):
+            pos[v] = i
         p = cls.__new__(cls)
-        p.node_at = node_at
-        p.pos_of = pos_of
+        p.node_at, p.pos_of = node_at, tuple(pos)
         return p
 
     @classmethod
@@ -104,19 +106,15 @@ def count_inversions(seq: Sequence[int]) -> int:
     return count
 
 
-def _check_same_n(p: Permutation, q: Permutation) -> None:
-    if len(p) != len(q):
-        raise InstanceMismatchError(
-            f"permutations over different node counts: {len(p)} vs {len(q)}"
-        )
-
-
 def kendall_tau(p: Permutation, q: Permutation) -> int:
     """Minimum number of adjacent swaps turning ``p`` into ``q``.
 
     Equals the number of unordered node pairs whose relative order differs
     between the two permutations.
     """
-    _check_same_n(p, q)
+    if len(p) != len(q):
+        raise InstanceMismatchError(
+            f"permutations over different node counts: {len(p)} vs {len(q)}"
+        )
     return count_inversions([q.pos_of[v] for v in p.node_at])
 

@@ -57,7 +57,8 @@ class ComponentPartition:
 
     Union-find with per-component member lists; for lines every component
     additionally stores the node sequence from one path endpoint to the
-    other.  Mutable replay state: only trials that apply the same events in
+    other.  No arrangement: each ``rand`` trial keeps its own per root.
+    Mutable replay state: only trials that apply the same events in
     lockstep (one ``rand`` chunk) may share an instance.
     """
 
@@ -130,23 +131,15 @@ class ComponentPartition:
             raise ValueError("path order is only tracked for the lines model")
         return self._paths[root]
 
-    def misplaced_root(
-        self, node_at: Sequence[int], lo: int = 0, hi: int | None = None
-    ) -> int | None:
-        """Root of the first component, walking positions ``lo..hi-1`` of
-        ``node_at``, that does not fill exactly as many consecutive positions
-        as it has nodes (in path order or its reverse, for lines); ``None``
-        when every one does.
-
-        Over all positions this is the contiguity characterization of an
-        optimal arrangement.  Over a window that held whole components before
-        a step that only permuted the window, with the rest already
-        feasible, it decides feasibility of the whole permutation: nothing
-        outside the window moved or merged.
+    def misplaced_root(self, node_at: Sequence[int]) -> int | None:
+        """Root of the first component, walking ``node_at`` left to right,
+        that does not fill exactly as many consecutive positions as it has
+        nodes (in path order or its reverse, for lines); ``None`` when every
+        one does: the contiguity characterization of an optimal arrangement.
         """
-        hi = len(node_at) if hi is None else hi
         parent, members, paths = self._parent, self._members, self._paths
-        i = lo
+        hi = len(node_at)
+        i = 0
         while i < hi:
             v = node_at[i]
             root = parent[v]
@@ -167,7 +160,8 @@ class ComponentPartition:
         return None
 
     def merge(self, u: int, v: int) -> int:
-        """Merge the components containing ``u`` and ``v``; returns the new root.
+        """Merge the components containing ``u`` and ``v``; returns the new
+        root, which is ``u``'s root.
 
         For lines, ``u`` and ``v`` must be endpoints of their paths; the
         merged path order runs through u's path (u last) into v's path

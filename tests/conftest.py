@@ -123,11 +123,13 @@ def reference_rand(trace, seed: int):
     step.  Same coins in the same order as ``run("rand", trace, seed)``.
 
     Returns the step records as JSON lines, the (move, rearrange) coin
-    triples, the (total, move, rearrange) costs and the final permutation.
+    triples, the (total, move, rearrange) costs and the permutations: pi0
+    and the one after every step, so the last is the final permutation.
     """
     model = trace.model
     rng = random.Random(seed)
     p = trace.pi0
+    perms = [p]
     groups = {v: [v] for v in range(trace.n)}  # root -> nodes (path order)
     owner = list(range(trace.n))
     lines, coins = [], []
@@ -168,6 +170,7 @@ def reference_rand(trace, seed: int):
         groups[rx] = merged
         del groups[rz]
         assert literal_minla(p, groups.values(), model), f"event {idx}"
+        perms.append(p)
         move_total += move_cost
         rearrange_total += rearrange_cost
         coins.append(((zl, xl, xl + zl), rcoin))
@@ -185,7 +188,7 @@ def reference_rand(trace, seed: int):
             )
         )
     totals = (move_total + rearrange_total, move_total, rearrange_total)
-    return lines, coins, totals, p
+    return lines, coins, totals, perms
 
 
 _INF = 1 << 60

@@ -20,8 +20,8 @@ from minla import (
     rand_clique_step,
     rand_line_step,
     random_trace,
+    replay_components,
     run,
-    steplog_to_jsonl,
     tree_adversary,
     TreeAdversaryConfig,
 )
@@ -306,7 +306,8 @@ class TestRun:
     def test_step_log_jsonl(self):
         trace = random_trace(Model.LINES, 6, seed=8)
         result = run("rand", trace, seed=2)
-        lines = steplog_to_jsonl(result.step_log).strip().split("\n")
+        jsonl = "".join(step.to_json_line() + "\n" for step in result.step_log)
+        lines = jsonl.strip().split("\n")
         assert len(lines) == trace.k
         parsed = json.loads(lines[0])
         assert set(parsed) == {
@@ -348,23 +349,37 @@ def _step(state, event, rng):
     return step(state, event, rng)
 
 
+def _assert_matches_reference(state, lines, coins, totals):
+    assert [rep.to_json_line() for rep in state.step_log] == lines
+    for rep, (move_coin, rcoin) in zip(state.step_log, coins):
+        mc = rep.move_coin
+        assert (mc.move_x_num, mc.move_z_num, mc.denom) == move_coin
+        rc = rep.rearrange_coin
+        if rcoin is None:
+            assert rc is None
+        else:
+            assert (rc.forward_num, rc.reversed_num, rc.denom) == rcoin
+    assert (state.total_cost, state.move_cost, state.rearrange_cost) == totals
+
+
 class TestWindowedKernel:
+    """The ``rand`` engine against its literal reference, step by step."""
+
     def test_matches_literal_reference(self):
+        # A chunk of one: the permutation after every event, then the costs,
+        # both coins and the step-log lines.
         for i, trace in enumerate(_kernel_traces()):
             seed = 1000 + i
-            lines, coins, totals, final = reference_rand(trace, seed)
-            state = run("rand", trace, seed=seed)
-            assert [rep.to_json_line() for rep in state.step_log] == lines
-            for rep, (move_coin, rcoin) in zip(state.step_log, coins):
-                mc = rep.move_coin
-                assert (mc.move_x_num, mc.move_z_num, mc.denom) == move_coin
-                rc = rep.rearrange_coin
-                if rcoin is None:
-                    assert rc is None
-                else:
-                    assert (rc.forward_num, rc.reversed_num, rc.denom) == rcoin
-            assert (state.total_cost, state.move_cost, state.rearrange_cost) == totals
-            assert state.current == final
+            lines, coins, totals, perms = reference_rand(trace, seed)
+            state = AlgoState.initial(trace.model, trace.pi0)
+            rng = random.Random(seed)
+            assert state.current == perms[0]
+            for ev, expected in zip(trace.events, perms[1:]):
+                _step(state, ev, rng)
+                assert state.current == expected
+            _assert_matches_reference(state, lines, coins, totals)
+            result = run("rand", trace, seed=seed)
+            assert (result.step_log, result.current) == (state.step_log, perms[-1])
 
     def test_feasible_after_every_step(self):
         for i, trace in enumerate(_kernel_traces()[::3]):
@@ -376,21 +391,31 @@ class TestWindowedKernel:
 
     def test_shared_chunk_feasible_after_every_event(self):
         # Trials stepped in lockstep over one partition: every trial stays
-        # feasible after every event and replays its literal reference.
-        for i, trace in enumerate(_kernel_traces()[1::4]):
+        # feasible after every event and replays its literal reference,
+        # permutation by permutation.
+        for i, trace in enumerate(_kernel_traces()):
             parts = ComponentPartition(trace.n, trace.model)
             seeds = [i * 100 + j for j in range(12)]
+            refs = [reference_rand(trace, seed) for seed in seeds]
             states = [AlgoState.initial(trace.model, trace.pi0, parts) for _ in seeds]
             rngs = [random.Random(seed) for seed in seeds]
-            for ev in trace.events:
+            for k, ev in enumerate(trace.events, 1):
                 minla.algorithms._rand_event(parts, states, rngs, ev)
-                for state in states:
+                for state, (_, _, _, perms) in zip(states, refs):
+                    assert state.current == perms[k]
                     assert is_minla(state.current, parts, trace.model)
-            for seed, state in zip(seeds, states):
-                lines, _, totals, final = reference_rand(trace, seed)
-                assert [rep.to_json_line() for rep in state.step_log] == lines
-                assert (state.total_cost, state.move_cost, state.rearrange_cost) == totals
-                assert state.current == final
+            for state, (lines, coins, totals, _) in zip(states, refs):
+                _assert_matches_reference(state, lines, coins, totals)
+
+    def test_large_final_states_match_reference(self):
+        traces = [tree_adversary(TreeAdversaryConfig(q=8, seed=s)) for s in (1, 2)]
+        traces += [random_trace(Model.LINES, 256, seed=s) for s in (3, 4)]
+        traces += [random_trace(Model.LINES, 256, seed=5, events=200)]
+        for i, trace in enumerate(traces):
+            lines, coins, totals, perms = reference_rand(trace, 70 + i)
+            state = run("rand", trace, seed=70 + i)
+            _assert_matches_reference(state, lines, coins, totals)
+            assert state.current == perms[-1]
 
     def test_snapshot_is_not_changed_by_later_steps(self):
         for model in (Model.CLIQUES, Model.LINES):
@@ -404,50 +429,78 @@ class TestWindowedKernel:
                 assert before.node_at == node_at
                 assert before.pos_of == pos_of
 
-    def test_window_fault_caught_exactly_when_infeasible(self, monkeypatch):
-        # Swap two positions inside the rewritten window at one step; the
-        # step must raise exactly when the literal is_minla rejects it.
-        write = minla.algorithms._write_window
+    def test_state_fault_caught_at_the_next_event(self):
+        # Break one invariant of a merging component right before an event:
+        # its representative (moved to a node whose slot is empty), its
+        # representative's slot size, or (lines) its left end (moved off
+        # the path's ends).  The event must name that component.
         rng = random.Random(20)
-        armed = []
-
-        def faulty_write(state, lo, window):
-            write(state, lo, window)
-            if armed:
-                i, j = rng.sample(range(lo, lo + len(window)), 2)
-                node_at, pos = state.node_at, state.pos
-                node_at[i], node_at[j] = node_at[j], node_at[i]
-                pos[node_at[i]], pos[node_at[j]] = i, j
-
-        monkeypatch.setattr(minla.algorithms, "_write_window", faulty_write)
-        caught = passed = 0
+        kinds = set()
         for _ in range(300):
             model = rng.choice((Model.CLIQUES, Model.LINES))
-            trace = random_trace(model, rng.randint(2, 24), seed=rng.random())
+            trace = random_trace(model, rng.randint(4, 24), seed=rng.random())
             state = AlgoState.initial(model, trace.pi0)
             step_rng = random.Random(rng.random())
             at = rng.randrange(trace.k)
             for ev in trace.events[:at]:
                 _step(state, ev, step_rng)
-            armed.append(True)
+            parts, pos0 = state.parts, trace.pi0.pos_of
+            ev = trace.events[at]
+            root = parts.find(rng.choice((ev.u, ev.v)))
+            size = parts.size_of(root)
+            empty = [w for w in range(trace.n) if state.slot_sizes[pos0[w]] == 0]
+            inner = parts.path_of(root)[1:-1] if model is Model.LINES else ()
+            choices = ["slot"] + ["rep"] * bool(empty) + ["left_end"] * bool(inner)
+            kind = rng.choice(choices)
+            kinds.add(kind)
+            if kind == "slot":
+                state.slot_sizes[pos0[state.rep[root]]] += rng.choice((-1, 1))
+            elif kind == "rep":
+                state.rep[root] = rng.choice(empty)
+            else:
+                state.left_end[root] = rng.choice(inner)
+            with pytest.raises(InvariantError) as caught:
+                _step(state, ev, step_rng)
+            assert (caught.value.event_index, caught.value.root) == (at, root)
+            assert caught.value.size == size
+        assert kinds == {"slot", "rep", "left_end"}
+
+    def test_layout_fault_caught_exactly_when_infeasible(self, monkeypatch):
+        # Swap two nodes of the laid-out final permutation: the final check
+        # must raise exactly when the literal cost check rejects it.
+        layout = minla.algorithms._layout
+        rng = random.Random(21)
+        swapped = []
+
+        def faulty_layout(state):
+            node_at = layout(state)
+            i, j = rng.sample(range(len(node_at)), 2)
+            node_at[i], node_at[j] = node_at[j], node_at[i]
+            swapped.append(Permutation(node_at))
+            return node_at
+
+        monkeypatch.setattr(minla.algorithms, "_layout", faulty_layout)
+        caught = passed = 0
+        for _ in range(300):
+            model = rng.choice((Model.CLIQUES, Model.LINES))
+            trace = random_trace(model, rng.randint(2, 24), seed=rng.random())
+            swapped.clear()
             try:
-                _step(state, trace.events[at], step_rng)
+                run("rand", trace, seed=rng.randrange(1000), collect_log=False)
                 raised = None
             except InvariantError as exc:
                 raised = exc
-            finally:
-                armed.clear()
-            feasible = is_minla(state.current, state.parts, model)
-            parts = state.parts
+            parts = replay_components(trace, trace.k)
             groups = [
                 parts.nodes_of(r) if model is Model.CLIQUES else parts.path_of(r)
                 for r in parts.components()
             ]
-            assert feasible == literal_minla(state.current, groups, model)
+            feasible = literal_minla(swapped[0], groups, model)
             assert (raised is None) == feasible
             if raised is None:
                 passed += 1
             else:
-                assert raised.event_index == at
+                assert raised.event_index == trace.k - 1
+                assert raised.size == parts.size_of(raised.root)
                 caught += 1
         assert caught > 0 and passed > 0

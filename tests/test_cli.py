@@ -1,8 +1,10 @@
 import json
+import re
 
 import pytest
 
 import minla.algorithms
+from minla.algorithms import TRIAL_CHUNK
 from minla.cli import main
 
 
@@ -133,19 +135,21 @@ class TestSimulate:
         assert json.loads(out)["config"]["events"] == 31
 
     def test_invariant_failure_exits_5(self, capsys, tmp_path, monkeypatch):
-        # A kernel that swaps the ends of the window it rewrites leaves the
-        # merged pair apart: an internal failure, not an invalid trace.
-        def swap_ends(state, lo, window):
-            window = list(window)
-            window[0], window[-1] = window[-1], window[0]
-            state.node_at[lo : lo + len(window)] = window
-            for i, v in enumerate(window, lo):
-                state.pos[v] = i
+        # The left end of path 0-1-2 moved to its middle node before event
+        # 2: an internal failure, not an invalid trace, named by event and
+        # component.
+        rand_event = minla.algorithms._rand_event
 
-        monkeypatch.setattr(minla.algorithms, "_write_window", swap_ends)
+        def corrupting_event(parts, states, rngs, event):
+            if states[0].events_done == 2:
+                states[0].left_end[parts.find(event.v)] = 1
+            rand_event(parts, states, rngs, event)
+
+        monkeypatch.setattr(minla.algorithms, "_rand_event", corrupting_event)
         path = tmp_path / "t.txt"
         path.write_text(
-            "minla-trace v1\nmodel: cliques\nn: 4\npi0: 0 1 2 3\nevent: 0 3\n"
+            "minla-trace v1\nmodel: lines\nn: 4\npi0: 0 1 2 3\n"
+            "event: 0 1\nevent: 1 2\nevent: 3 0\n"
         )
         code, _, err = run_cli(
             capsys, "simulate", "--algo", "rand", "--trace", str(path),
@@ -153,27 +157,26 @@ class TestSimulate:
         )
         assert code == 5
         assert err.startswith("internal error:")
-        assert "after event 0: component 0 (size 2)" in err
-
+        assert "at event 2: component 0 (size 3)" in err
 
     def test_invariant_failure_in_a_later_chunk_exits_5(
         self, capsys, tmp_path, monkeypatch
     ):
-        # Each trial rewrites one window per event, in trial order, so the
-        # k-th write at an event belongs to trial k: break trial 300's second
-        # step, in the second chunk of trials.
-        write = minla.algorithms._write_window
-        writes = {}
+        # Empty trial 300's slot of component 1 before event 1, in the second
+        # chunk of trials: that trial names it, and no later trial takes the
+        # step.
+        rand_event = minla.algorithms._rand_event
+        chunks = []
+        k = 300 - TRIAL_CHUNK  # trial 300's place in the second chunk
 
-        def faulty_write(state, lo, window):
-            event = state.events_done - 1
-            trial = writes[event] = writes.get(event, -1) + 1
-            if (event, trial) == (1, 300):
-                window = list(window)
-                window[0], window[-1] = window[-1], window[0]
-            write(state, lo, window)
+        def corrupting_event(parts, states, rngs, event):
+            if states[0].events_done == 0:
+                chunks.append(states)
+            elif len(chunks) == 2:
+                states[k].slot_sizes[1] = 0
+            rand_event(parts, states, rngs, event)
 
-        monkeypatch.setattr(minla.algorithms, "_write_window", faulty_write)
+        monkeypatch.setattr(minla.algorithms, "_rand_event", corrupting_event)
         path = tmp_path / "t.txt"
         path.write_text(
             "minla-trace v1\nmodel: cliques\nn: 6\npi0: 0 1 2 3 4 5\n"
@@ -185,8 +188,35 @@ class TestSimulate:
         )
         assert code == 5
         assert err.startswith("internal error:")
-        assert "after event 1: component 1 (size 2)" in err
-        assert writes[1] == 300  # no later trial took that step
+        assert "at event 1: component 1 (size 1)" in err
+        assert len(chunks) == 2
+        # A trial that took event 1 emptied one of the two slots.
+        unstepped = [state.slot_sizes[1] * state.slot_sizes[4] for state in chunks[1]]
+        assert unstepped[:k] == [0] * k
+        assert unstepped[k + 1 :] == [1] * (TRIAL_CHUNK - k - 1)
+
+    def test_layout_fault_exits_5(self, capsys, tmp_path, monkeypatch):
+        # A layout that swaps its first and last nodes splits the merged
+        # pair: the final is_minla check names the last event and the pair.
+        layout = minla.algorithms._layout
+
+        def swap_ends(state):
+            node_at = layout(state)
+            node_at[0], node_at[-1] = node_at[-1], node_at[0]
+            return node_at
+
+        monkeypatch.setattr(minla.algorithms, "_layout", swap_ends)
+        path = tmp_path / "t.txt"
+        path.write_text(
+            "minla-trace v1\nmodel: cliques\nn: 4\npi0: 0 1 2 3\nevent: 0 3\n"
+        )
+        code, _, err = run_cli(
+            capsys, "simulate", "--algo", "rand", "--trace", str(path),
+            "--seed", "1", "--trials", "1",
+        )
+        assert code == 5
+        assert err.startswith("internal error:")
+        assert "at event 0: component 0 (size 2)" in err
 
 
 class TestOpt:
@@ -245,6 +275,32 @@ class TestBench:
         summary = (out_dir / "summary.txt").read_text()
         assert summary.count("\n") == 2
         assert (out_dir / "criterion-01-alpha.txt").exists()
+
+    def test_timings_written_apart_from_the_summary(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from minla import bench
+
+        monkeypatch.setattr(
+            bench,
+            "ALL_CRITERIA",
+            (
+                lambda: bench.CriterionResult(1, "alpha", True, "fine"),
+                lambda: bench.CriterionResult(2, "beta", True, "also fine"),
+            ),
+        )
+        out_dir = tmp_path / "r"
+        code, _, _ = run_cli(capsys, "bench", "--suite", "paper", "--out", str(out_dir))
+        assert code == 0
+        timings = (out_dir / "timings.txt").read_text().splitlines()
+        assert len(timings) == 3
+        for line, label in zip(timings, ("criterion 1 (alpha)", "criterion 2 (beta)", "total")):
+            head, secs = line.split(": ")
+            assert head == label
+            assert re.fullmatch(r"\d+\.\d\d s", secs)
+        assert (out_dir / "summary.txt").read_text() == (
+            "PASS criterion 1 (alpha): fine\nPASS criterion 2 (beta): also fine\n"
+        )
 
     def test_all_green_exits_zero(self, capsys, tmp_path, monkeypatch):
         from minla import bench
