@@ -37,8 +37,7 @@ from .algorithms import (
     StepReport,
     closest_feasible,
     det_step,
-    rand_clique_step,
-    rand_line_step,
+    rand_step,
     run,
     run_trials,
 )
@@ -101,8 +100,7 @@ __all__ = [
     "RearrangeCoin",
     "closest_feasible",
     "det_step",
-    "rand_clique_step",
-    "rand_line_step",
+    "rand_step",
     "run",
     "run_trials",
     "OptResult",

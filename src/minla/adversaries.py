@@ -35,24 +35,18 @@ class TreeAdversaryConfig:
     seed: int
 
 
-def tree_adversary(
-    cfg: TreeAdversaryConfig, pi0: Permutation | None = None
-) -> RevealTrace:
+def tree_adversary(cfg: TreeAdversaryConfig) -> RevealTrace:
     """Lines trace whose final graph is a uniformly random path.
 
     A random permutation of the nodes fills the leaves of a balanced binary
     tree; for every internal node, level by level bottom-up, the request
     joins the rightmost leaf of its left subtree to the leftmost leaf of its
-    right subtree.  The initial permutation defaults to the identity: the
+    right subtree.  The initial permutation is the identity: the
     distribution randomizes the target path, not the start.
     """
     if cfg.q < 1:
         raise ConfigError(f"tree depth must be at least 1, got {cfg.q}")
     n = 1 << cfg.q
-    if pi0 is None:
-        pi0 = Permutation.identity(n)
-    if len(pi0) != n:
-        raise ConfigError(f"pi0 covers {len(pi0)} nodes, expected 2**{cfg.q} = {n}")
     rng = random.Random(cfg.seed)
     leaves = list(range(n))
     rng.shuffle(leaves)
@@ -63,7 +57,9 @@ def tree_adversary(
         for base in range(0, n, span):
             events.append(RevealEvent(leaves[base + half - 1], leaves[base + half]))
         span *= 2
-    return RevealTrace(model=Model.LINES, n=n, pi0=pi0, events=tuple(events))
+    return RevealTrace(
+        model=Model.LINES, n=n, pi0=Permutation.identity(n), events=tuple(events)
+    )
 
 
 @dataclass

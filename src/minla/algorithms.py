@@ -26,7 +26,7 @@ from .errors import InvariantError
 from .feasibility import is_minla
 from .ordering import check_states, cross_weight, solve_block_order
 from .perm import Permutation, count_inversions, kendall_tau
-from .trace import ComponentPartition, Model, RevealEvent, RevealTrace, validate_trace
+from .trace import ComponentPartition, Model, RevealEvent, RevealTrace
 
 __all__ = [
     "CoinWeights",
@@ -35,8 +35,7 @@ __all__ = [
     "AlgoState",
     "closest_feasible",
     "det_step",
-    "rand_clique_step",
-    "rand_line_step",
+    "rand_step",
     "run",
     "run_trials",
 ]
@@ -114,7 +113,8 @@ class AlgoState:
     ``blocks[root]`` (cliques) the block's node sequence.  ``current`` lays
     the arrangement out on request.  ``det`` keeps its arrangement in
     ``fixed`` (``None`` while at pi0).  The trials of one ``rand`` chunk
-    share one ``parts``, which the engine merges once per event for all."""
+    share one ``parts``, which the engine merges once per event for all.
+    Steps append to ``step_log`` only when ``collect_log`` is set."""
 
     model: Model
     pi0: Permutation
@@ -128,12 +128,11 @@ class AlgoState:
     rearrange_cost: int = 0
     step_log: list[StepReport] = field(default_factory=list)
     collect_log: bool = True
-    item_cap: int = DEFAULT_ITEM_CAP
 
     @classmethod
     def initial(
         cls, model: Model, pi0: Permutation, parts: ComponentPartition | None = None,
-        **kwargs,
+        collect_log: bool = True,
     ) -> "AlgoState":
         n = len(pi0)
         lines = model is Model.LINES
@@ -145,7 +144,7 @@ class AlgoState:
             slot_sizes=[1] * n,
             left_end=list(range(n)) if lines else None,
             blocks=None if lines else [(v,) for v in range(n)],
-            **kwargs,
+            collect_log=collect_log,
         )
 
     @property
@@ -259,7 +258,7 @@ def det_step(state: AlgoState, event: RevealEvent) -> AlgoState:
     closest to the initial one, paying the distance from the current one."""
     before = state.pi0 if state.fixed is None else state.fixed
     state.parts.merge(event.u, event.v)
-    target = closest_feasible(state.pi0, state.parts, state.model, cap=state.item_cap)
+    target = closest_feasible(state.pi0, state.parts, state.model)
     cost = kendall_tau(before, target)
     state.fixed = target
     state.move_cost += cost
@@ -361,14 +360,10 @@ def _rand_event(
 
 
 def rand_step(state: AlgoState, event: RevealEvent, rng: random.Random) -> AlgoState:
-    """Apply one ``rand`` event to one trial: the lockstep engine with a
-    chunk of one.  ``rand_clique_step`` and ``rand_line_step`` name it for
-    the two models."""
+    """Apply one ``rand`` event to one trial, of either model: the lockstep
+    engine with a chunk of one."""
     _rand_event(state.parts, [state], [rng], event)
     return state
-
-
-rand_clique_step = rand_line_step = rand_step
 
 # Trials stepped in lockstep over one partition.  Bounds what a chunk holds
 # at once: a ``random.Random`` alone is about 2.5 KB.
@@ -376,21 +371,18 @@ TRIAL_CHUNK = 256
 
 
 def run_trials(
-    trace: RevealTrace, seeds: Iterable[int], collect_log: bool = False,
-    validate: bool = True,
+    trace: RevealTrace, seeds: Iterable[int], collect_log: bool = False
 ) -> Iterator[AlgoState]:
     """Replay ``trace`` with ``rand`` once per seed and yield each trial's
     final state, in seed order.
 
-    The trace is validated once.  Trials run in chunks of
+    The trace was validated when it was built.  Trials run in chunks of
     :data:`TRIAL_CHUNK` that share one :class:`ComponentPartition`, so each
     event merges components once per chunk.  Each step checks its trial's
     state in O(1); every final permutation is laid out and checked by
     :func:`is_minla` before its state is yielded.  A failure raises
     :class:`InvariantError`.
     """
-    if validate:
-        validate_trace(trace)
     seeds = iter(seeds)
     while chunk := list(islice(seeds, TRIAL_CHUNK)):
         parts = ComponentPartition(trace.n, trace.model)
@@ -407,29 +399,20 @@ def run_trials(
 
 
 def run(
-    algo: str,
-    trace: RevealTrace,
-    seed: int = 0,
-    collect_log: bool = True,
-    validate: bool = True,
-    item_cap: int = DEFAULT_ITEM_CAP,
+    algo: str, trace: RevealTrace, seed: int = 0, collect_log: bool = True
 ) -> AlgoState:
     """Replay every event of ``trace`` with the chosen algorithm and return
     the final state.
 
-    Deterministic for a given (algo, trace, seed).  ``rand`` is
-    :func:`run_trials` with one seed; each ``det`` step is checked by
-    :func:`is_minla`.  A failure raises :class:`InvariantError`.
+    Deterministic for a given (algo, trace, seed); ``det`` ignores the seed.
+    ``rand`` is :func:`run_trials` with one seed; each ``det`` step is
+    checked by :func:`is_minla`.  A failure raises :class:`InvariantError`.
     """
     if algo == "rand":
-        return next(run_trials(trace, (seed,), collect_log, validate))
+        return next(run_trials(trace, (seed,), collect_log))
     if algo != "det":
         raise ValueError(f"unknown algorithm {algo!r}")
-    if validate:
-        validate_trace(trace)
-    state = AlgoState.initial(
-        trace.model, trace.pi0, collect_log=collect_log, item_cap=item_cap
-    )
+    state = AlgoState.initial(trace.model, trace.pi0, collect_log=collect_log)
     for event in trace.events:
         det_step(state, event)
         _check_full(state)

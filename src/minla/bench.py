@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .adversaries import TreeAdversaryConfig, random_trace, tree_adversary
-from .algorithms import CoinWeights, RearrangeCoin, rand_clique_step, rand_line_step, run
+from .algorithms import CoinWeights, RearrangeCoin, rand_step, run
 from .feasibility import arrangement_cost, is_minla
 from .harness import (
     ExperimentConfig,
@@ -59,7 +59,7 @@ def criterion_det_upper_bound() -> CriterionResult:
             opt = dp_opt(trace)
             if opt.cost == 0:
                 continue
-            result = run("det", trace, validate=False)
+            result = run("det", trace)
             checked += 1
             ratio = result.total_cost / (2 * (n - 1) * opt.cost)
             worst = max(worst, ratio)
@@ -277,10 +277,8 @@ def criterion_tree_sandwich() -> CriterionResult:
         opt_sum = 0
         for i in range(samples):
             trace = tree_adversary(TreeAdversaryConfig(q=q, seed=109_000 + q * 10_000 + i))
-            result = run(
-                "rand", trace, seed=derive_trial_seed(109, q * samples + i),
-                collect_log=False, validate=False,
-            )
+            seed = derive_trial_seed(109, q * samples + i)
+            result = run("rand", trace, seed=seed, collect_log=False)
             cost_sum += result.total_cost
             opt_sum += dp_opt(trace).cost
         ratio = cost_sum / opt_sum
@@ -353,7 +351,7 @@ def criterion_coin_vectors() -> CriterionResult:
         (2, "move_z", (0, 3, 4, 1, 2), 4, Fraction(1, 3)),
     ):
         state = run("rand", clique_prefix, seed=0)
-        rand_clique_step(state, RevealEvent(0, 3), _ForcedCoin([forced]))
+        rand_step(state, RevealEvent(0, 3), _ForcedCoin([forced]))
         step = state.step_log[-1]
         checks.append(step.move_coin == CoinWeights(2, 1, 3))
         checks.append(step.choice == choice)
@@ -374,7 +372,7 @@ def criterion_coin_vectors() -> CriterionResult:
         ([0, 9], (4, 3, 2, 0, 1), 9, Fraction(1, 10)),
     ):
         state = run("rand", line_prefix, seed=0)
-        rand_line_step(state, RevealEvent(0, 2), _ForcedCoin(forced))
+        rand_step(state, RevealEvent(0, 2), _ForcedCoin(forced))
         step = state.step_log[-1]
         checks.append(step.rearrange_coin == RearrangeCoin(9, 1, 10))
         checks.append(state.current.node_at == perm)

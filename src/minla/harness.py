@@ -8,10 +8,13 @@ byte-identical.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Sequence
 
 from . import __version__
@@ -111,9 +114,10 @@ def run_experiment(
 ) -> tuple[TrialStats, list[dict]]:
     """Run the configured trials and aggregate their total costs.
 
-    The offline optimum is computed once per trace.  Records are emitted in
-    trial order with per-trial seeds, so reruns are reproducible and
-    extending the trial count leaves earlier records unchanged.
+    The offline optimum is computed once per trace, and so is ``det``,
+    which ignores the seed.  Records are emitted in trial order with
+    per-trial seeds, so reruns are reproducible and extending the trial
+    count leaves earlier records unchanged.
     """
     if opt is None:
         opt = dp_opt(cfg.trace)
@@ -127,10 +131,7 @@ def run_experiment(
     if cfg.algo == "rand":
         results = run_trials(cfg.trace, seeds)
     else:
-        results = (
-            run("det", cfg.trace, seed=seed, collect_log=False, validate=(trial == 0))
-            for trial, seed in enumerate(seeds)
-        )
+        results = repeat(run("det", cfg.trace, collect_log=False))
     for trial, (seed, result) in enumerate(zip(seeds, results)):
         total = result.total_cost
         total_sum += total
@@ -176,11 +177,13 @@ _CSV_FIELDS = CSV_HEADER.split(",")
 
 
 def records_to_csv(records: Sequence[dict]) -> str:
-    lines = [CSV_HEADER]
-    lines.extend(
-        ",".join(str(rec[col]) for col in _CSV_FIELDS) for rec in records
-    )
-    return "\n".join(lines) + "\n"
+    """One header line, then one row per record; fields holding a comma,
+    quote or line break (only ``trace_id`` can) are quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(_CSV_FIELDS)
+    writer.writerows([rec[col] for col in _CSV_FIELDS] for rec in records)
+    return out.getvalue()
 
 
 def experiment_to_json(
@@ -294,25 +297,23 @@ def _frequency_rows(
             r: f"path ({','.join(map(str, final_parts.path_of(r)))}) kept forward"
             for r in tracked
         }
+        heads = {r: final_parts.path_of(r)[0] for r in tracked}
 
+    # Read each trial's state: blocks stand in the pi0 order of their
+    # representatives, and a path is forward when its first node leads.
     counts = {key: 0 for key in tracked}
+    pos0 = trace.pi0.pos_of
     seeds = (derive_trial_seed(seed, trial) for trial in range(trials))
     for result in run_trials(trace, seeds):
-        final = result.current
-        pos = final.pos_of
         if kind == "left-right":
-            starts = {
-                r: min(pos[v] for v in final_parts.nodes_of(r)) for r in roots
-            }
+            rep = result.rep
             for ra, rb in tracked:
-                if starts[ra] < starts[rb]:
+                if pos0[rep[ra]] < pos0[rep[rb]]:
                     counts[(ra, rb)] += 1
         else:
-            node_at = final.node_at
+            left_end = result.left_end
             for r in tracked:
-                path = final_parts.path_of(r)
-                start = min(pos[v] for v in path)
-                if node_at[start : start + len(path)] == path:
+                if left_end[r] == heads[r]:
                     counts[r] += 1
 
     rows = []

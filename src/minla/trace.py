@@ -42,10 +42,16 @@ class RevealEvent:
 
 @dataclass(frozen=True)
 class RevealTrace:
+    """A valid trace: construction runs :func:`validate_trace`, so every
+    instance replays without error and nothing downstream checks it again."""
+
     model: Model
     n: int
     pi0: Permutation
     events: tuple[RevealEvent, ...]
+
+    def __post_init__(self):
+        validate_trace(self)
 
     @property
     def k(self) -> int:
@@ -195,7 +201,8 @@ class ComponentPartition:
 
 def validate_trace(t: RevealTrace) -> None:
     """Replay the trace and raise :class:`TraceValidationError` on the first
-    event that violates the model invariants."""
+    event that violates the model invariants.  :class:`RevealTrace` runs it
+    on construction."""
     if t.n < 1:
         raise TraceValidationError(f"n must be positive, got {t.n}")
     if len(t.pi0) != t.n:
@@ -230,7 +237,7 @@ _HEADER = "minla-trace v1"
 
 
 def parse_trace(text: str) -> RevealTrace:
-    """Parse the line-based trace format; validates the result.
+    """Parse the line-based trace format; building the trace validates it.
 
     Raises :class:`TraceFormatError` with a 1-based line number on syntax
     problems and :class:`TraceValidationError` on model violations.
@@ -292,9 +299,7 @@ def parse_trace(text: str) -> RevealTrace:
             raise TraceFormatError(f"bad event ids: {toks}", line=no) from None
         events.append(RevealEvent(u, v))
 
-    trace = RevealTrace(model=model, n=n, pi0=pi0, events=tuple(events))
-    validate_trace(trace)
-    return trace
+    return RevealTrace(model=model, n=n, pi0=pi0, events=tuple(events))
 
 
 def emit_trace(t: RevealTrace) -> str:

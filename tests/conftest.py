@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from minla import Model, Permutation, is_minla
+from minla import Model, Permutation, is_minla, replay_components
 from minla.ordering import _popcount_layers, cross_weight
 
 
@@ -272,3 +272,32 @@ def reference_layout(seqs, sorted_pos):
     ]
     cost, order = reference_block_order(w, [seq[0] for seq in seqs])
     return cost, [v for idx in order for v in seqs[idx]]
+
+
+def frequency_counts(trace, finals, kind: str) -> list[int]:
+    """What ``verify left-right``/``orientation`` count, read off the final
+    permutations ``finals`` by position: a component pair (in sorted root
+    order) counts when the first block's leftmost node comes first, a
+    multi-node path when the span from its leftmost position reads the path
+    forward."""
+    parts = replay_components(trace, trace.k)
+    roots = parts.components()
+    counts = []
+    if kind == "left-right":
+        for i, ra in enumerate(roots):
+            for rb in roots[i + 1 :]:
+                counts.append(sum(
+                    min(p.pos_of[v] for v in parts.nodes_of(ra))
+                    < min(p.pos_of[v] for v in parts.nodes_of(rb))
+                    for p in finals
+                ))
+    else:
+        for r in roots:
+            path = parts.path_of(r)
+            if len(path) < 2:
+                continue
+            counts.append(sum(
+                p.node_at[min(p.pos_of[v] for v in path):][: len(path)] == path
+                for p in finals
+            ))
+    return counts

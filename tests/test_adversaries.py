@@ -83,8 +83,6 @@ class TestTreeAdversary:
     def test_bad_config(self):
         with pytest.raises(ConfigError):
             tree_adversary(TreeAdversaryConfig(q=0, seed=1))
-        with pytest.raises(ConfigError):
-            tree_adversary(TreeAdversaryConfig(q=2, seed=1), pi0=Permutation.identity(3))
 
 
 class TestMiddleLineAdversary:

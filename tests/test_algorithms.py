@@ -17,8 +17,7 @@ from minla import (
     det_step,
     is_minla,
     kendall_tau,
-    rand_clique_step,
-    rand_line_step,
+    rand_step,
     random_trace,
     replay_components,
     run,
@@ -89,11 +88,15 @@ class TestDetStep:
                     assert state.current.node_at == lex_best
 
     def test_capacity_cap(self):
-        # 2 (cap + 1) nodes joined in pairs: more multi-node components than
-        # the cap; the budget of 2^10 states trips at 7 pairs and 8 singletons.
-        trace = make_trace(Model.CLIQUES, 22, [(i, i + 1) for i in range(0, 22, 2)])
-        with pytest.raises(CapacityError, match="7 multi-node components and 8 singletons"):
-            run("det", trace, item_cap=10)
+        # At the default budget of 2^22 states, 12 pairs and 1024 singletons
+        # trip the cap; the 12th pair is merged by the step itself.
+        state = AlgoState.initial(Model.CLIQUES, Permutation.identity(1048))
+        for i in range(0, 22, 2):
+            state.parts.merge(i, i + 1)
+        with pytest.raises(
+            CapacityError, match="12 multi-node components and 1024 singletons"
+        ):
+            det_step(state, RevealEvent(22, 23))
 
     def test_capacity_checked_before_weights(self, monkeypatch):
         # The weights must not be built for an over-cap input: 23 pairs and
@@ -150,7 +153,7 @@ class TestRandCliqueStep:
 
     def test_singleton_moves_to_pair(self):
         state = self._paired_state()
-        rand_clique_step(state, RevealEvent(0, 3), ForcedCoin([0]))
+        rand_step(state, RevealEvent(0, 3), ForcedCoin([0]))
         assert state.current == Permutation([1, 2, 0, 3, 4])
         report = state.step_log[-1]
         assert report.move_cost == 2
@@ -159,7 +162,7 @@ class TestRandCliqueStep:
 
     def test_pair_moves_to_singleton(self):
         state = self._paired_state()
-        rand_clique_step(state, RevealEvent(0, 3), ForcedCoin([2]))
+        rand_step(state, RevealEvent(0, 3), ForcedCoin([2]))
         assert state.current == Permutation([0, 3, 4, 1, 2])
         report = state.step_log[-1]
         assert report.move_cost == 4
@@ -170,7 +173,7 @@ class TestRandCliqueStep:
         state = self._paired_state()
         for forced in (0, 2):
             fresh = self._paired_state()
-            rand_clique_step(fresh, RevealEvent(2, 3), ForcedCoin([forced]))
+            rand_step(fresh, RevealEvent(2, 3), ForcedCoin([forced]))
             assert fresh.current == state.current
             assert fresh.step_log[-1].move_cost == 0
 
@@ -182,7 +185,7 @@ class TestRandCliqueStep:
             step_rng = random.Random(rng.random())
             for ev in trace.events:
                 before = state.current
-                rand_clique_step(state, ev, step_rng)
+                rand_step(state, ev, step_rng)
                 assert state.step_log[-1].move_cost == kendall_tau(
                     before, state.current
                 )
@@ -202,7 +205,7 @@ class TestRandCliqueStep:
                     key=lambda r: min(state.current.pos_of[v] for v in parts.nodes_of(r)),
                 )
                 members = {r: list(parts.nodes_of(r)) for r in bystanders}
-                rand_clique_step(state, ev, step_rng)
+                rand_step(state, ev, step_rng)
                 after = sorted(
                     bystanders,
                     key=lambda r: min(state.current.pos_of[v] for v in members[r]),
@@ -219,7 +222,7 @@ class TestRandLineStep:
 
     def test_orientation_weights_reproduced(self):
         state = self._figure_state()
-        rand_line_step(state, RevealEvent(0, 2), ForcedCoin([0, 0]))
+        rand_step(state, RevealEvent(0, 2), ForcedCoin([0, 0]))
         report = state.step_log[-1]
         assert (
             report.rearrange_coin.forward_num,
@@ -231,7 +234,7 @@ class TestRandLineStep:
 
     def test_orientation_reversed_branch(self):
         state = self._figure_state()
-        rand_line_step(state, RevealEvent(0, 2), ForcedCoin([0, 9]))
+        rand_step(state, RevealEvent(0, 2), ForcedCoin([0, 9]))
         assert state.current == Permutation([4, 3, 2, 0, 1])
         assert state.step_log[-1].rearrange_cost == 9
 
@@ -252,7 +255,7 @@ class TestRandLineStep:
             step_rng = random.Random(rng.random())
             for ev in trace.events:
                 before = state.current
-                rand_line_step(state, ev, step_rng)
+                rand_step(state, ev, step_rng)
                 report = state.step_log[-1]
                 merged = state.parts.size_of(state.parts.find(ev.u))
                 coin = report.rearrange_coin
@@ -344,11 +347,6 @@ def _kernel_traces():
     return traces
 
 
-def _step(state, event, rng):
-    step = rand_clique_step if state.model is Model.CLIQUES else rand_line_step
-    return step(state, event, rng)
-
-
 def _assert_matches_reference(state, lines, coins, totals):
     assert [rep.to_json_line() for rep in state.step_log] == lines
     for rep, (move_coin, rcoin) in zip(state.step_log, coins):
@@ -375,7 +373,7 @@ class TestWindowedKernel:
             rng = random.Random(seed)
             assert state.current == perms[0]
             for ev, expected in zip(trace.events, perms[1:]):
-                _step(state, ev, rng)
+                rand_step(state, ev, rng)
                 assert state.current == expected
             _assert_matches_reference(state, lines, coins, totals)
             result = run("rand", trace, seed=seed)
@@ -386,7 +384,7 @@ class TestWindowedKernel:
             state = AlgoState.initial(trace.model, trace.pi0)
             rng = random.Random(i)
             for ev in trace.events:
-                _step(state, ev, rng)
+                rand_step(state, ev, rng)
                 assert is_minla(state.current, state.parts, trace.model)
 
     def test_shared_chunk_feasible_after_every_event(self):
@@ -425,7 +423,7 @@ class TestWindowedKernel:
             for ev in trace.events:
                 before = state.current
                 node_at, pos_of = tuple(before.node_at), tuple(before.pos_of)
-                _step(state, ev, rng)
+                rand_step(state, ev, rng)
                 assert before.node_at == node_at
                 assert before.pos_of == pos_of
 
@@ -443,7 +441,7 @@ class TestWindowedKernel:
             step_rng = random.Random(rng.random())
             at = rng.randrange(trace.k)
             for ev in trace.events[:at]:
-                _step(state, ev, step_rng)
+                rand_step(state, ev, step_rng)
             parts, pos0 = state.parts, trace.pi0.pos_of
             ev = trace.events[at]
             root = parts.find(rng.choice((ev.u, ev.v)))
@@ -460,7 +458,7 @@ class TestWindowedKernel:
             else:
                 state.left_end[root] = rng.choice(inner)
             with pytest.raises(InvariantError) as caught:
-                _step(state, ev, step_rng)
+                rand_step(state, ev, step_rng)
             assert (caught.value.event_index, caught.value.root) == (at, root)
             assert caught.value.size == size
         assert kinds == {"slot", "rep", "left_end"}

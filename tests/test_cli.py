@@ -1,9 +1,15 @@
+import csv
+import io
 import json
 import re
+import statistics
 
 import pytest
 
 import minla.algorithms
+import minla.harness
+import minla.trace
+from minla import Model, derive_trial_seed, emit_trace, parse_trace, random_trace, run
 from minla.algorithms import TRIAL_CHUNK
 from minla.cli import main
 
@@ -89,6 +95,55 @@ class TestSimulate:
         payload = json.loads(out)
         assert payload["config"]["algo"] == "det"
         assert len(payload["records"]) == 2
+
+    def test_det_trials_match_per_trial_runs(self, capsys, trace_file, monkeypatch):
+        trace = parse_trace(trace_file.read_text())
+        loop = [
+            run("det", trace, seed=derive_trial_seed(3, trial), collect_log=False)
+            for trial in range(5)
+        ]
+        calls = []
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(minla.harness, "run", counting_run)
+        argv = ("simulate", "--algo", "det", "--trace", str(trace_file),
+                "--seed", "3", "--trials", "5", "--format")
+        code_csv, out_csv, _ = run_cli(capsys, *argv, "csv")
+        code_json, out_json, _ = run_cli(capsys, *argv, "json")
+        assert code_csv == code_json == 0
+        assert len(calls) == 2  # one replay per op
+        payload = json.loads(out_json)
+        assert [row["cost_total"] for row in csv.DictReader(io.StringIO(out_csv))] == [
+            str(res.total_cost) for res in loop
+        ]
+        for trial, (rec, res) in enumerate(zip(payload["records"], loop)):
+            assert rec["trial"] == trial
+            assert rec["seed"] == derive_trial_seed(3, trial)
+            assert (rec["cost_move"], rec["cost_rearrange"], rec["cost_total"]) == (
+                res.move_cost, res.rearrange_cost, res.total_cost
+            )
+        totals = [res.total_cost for res in loop]
+        assert payload["stats"]["mean"] == statistics.mean(totals)
+        assert payload["stats"]["variance"] == statistics.variance(totals)
+        assert (payload["stats"]["min"], payload["stats"]["max"]) == (
+            min(totals), max(totals)
+        )
+
+    def test_trace_id_with_a_comma_is_quoted(self, capsys, tmp_path, trace_file):
+        path = tmp_path / "a,b.txt"
+        path.write_text(trace_file.read_text())
+        code, out, _ = run_cli(
+            capsys, "simulate", "--algo", "rand", "--trace", str(path),
+            "--seed", "3", "--trials", "3", "--format", "csv",
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == 4
+        assert all(len(row) == 10 for row in rows)
+        assert [row[0] for row in rows[1:]] == ["a,b"] * 3
 
     def test_missing_trace_file(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -254,6 +309,36 @@ class TestVerify:
         )
         assert code == 0
         assert "left of" in out
+
+
+class TestValidateOnce:
+    """A trace is checked when it is built, never again by the engine."""
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--algo", "rand", "--trials", "3"),
+        ("simulate", "--algo", "det", "--trials", "3"),
+        ("verify", "--lemma", "left-right", "--trials", "1000"),
+        ("verify", "--lemma", "orientation", "--trials", "1000"),
+    ])
+    def test_each_op_validates_its_trace_once(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        model = Model.LINES if "orientation" in argv else Model.CLIQUES
+        path = tmp_path / "t.txt"
+        path.write_text(emit_trace(random_trace(model, 8, seed=51, events=4)))
+        calls = []
+        real = minla.trace.validate_trace
+
+        def counting(trace):
+            calls.append(trace)
+            real(trace)
+
+        # Every name a trace check has been bound to.
+        monkeypatch.setattr(minla.trace, "validate_trace", counting)
+        monkeypatch.setattr(minla.algorithms, "validate_trace", counting, raising=False)
+        code, _, _ = run_cli(capsys, *argv, "--trace", str(path), "--seed", "1")
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestBench:

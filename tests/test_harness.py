@@ -6,7 +6,7 @@ import pytest
 
 import minla.algorithms
 import minla.harness
-from conftest import fraction_ratio
+from conftest import fraction_ratio, frequency_counts, reference_rand
 from minla import (
     ConfigError,
     ExperimentConfig,
@@ -74,6 +74,36 @@ class TestRunExperiment:
         assert stats.mean == 0
         assert records[0]["cost_total"] == 0
         assert records[0]["ratio"] == "NA"
+
+    def test_det_replays_once(self, monkeypatch):
+        # det ignores the seed: one replay stands for every trial, and the
+        # records equal those of one run per trial.
+        trace = random_trace(Model.LINES, 9, seed=31)
+        opt = dp_opt(trace)
+        seeds = [derive_trial_seed(7, trial) for trial in range(5)]
+        loop = [run("det", trace, seed=seed, collect_log=False) for seed in seeds]
+        calls = []
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(minla.harness, "run", counting_run)
+        cfg = ExperimentConfig(
+            trace=trace, trace_id="t", algo="det", trials=5, master_seed=7
+        )
+        stats, records = run_experiment(cfg, opt=opt)
+        assert len(calls) == 1
+        assert [
+            (rec["trial"], rec["seed"], rec["cost_move"], rec["cost_rearrange"],
+             rec["cost_total"])
+            for rec in records
+        ] == [
+            (trial, seed, res.move_cost, res.rearrange_cost, res.total_cost)
+            for trial, (seed, res) in enumerate(zip(seeds, loop))
+        ]
+        assert stats.min == stats.max == loop[0].total_cost
+        assert stats.variance == 0.0
 
     def test_csv_reproducible_and_well_formed(self):
         trace = random_trace(Model.CLIQUES, 8, seed=2)
@@ -206,6 +236,26 @@ class TestLockstepChunks:
 
 
 class TestVerifyLemma:
+    @pytest.mark.parametrize("kind", ["left-right", "orientation"])
+    def test_frequencies_match_reference_permutations(self, kind):
+        # 300 trials cross a chunk boundary; the counts read off the trial
+        # states equal those read off the literal final permutations.
+        model = Model.CLIQUES if kind == "left-right" else Model.LINES
+        trials = 300
+        traces = [
+            random_trace(model, 8, seed=41, events=4),
+            random_trace(model, 9, seed=42, events=6),
+            random_trace(model, 11, seed=43, events=3),
+        ]
+        if model is Model.LINES:
+            traces.append(random_trace(model, 7, seed=44))
+        for trace in traces:
+            seeds = [derive_trial_seed(5, trial) for trial in range(trials)]
+            finals = [reference_rand(trace, seed)[3][-1] for seed in seeds]
+            counts = frequency_counts(trace, finals, kind)
+            rows = minla.harness._frequency_rows(trace, trials, 5, kind)
+            assert [row.observed for row in rows] == [c / trials for c in counts]
+
     def test_rejects_insufficient_trials(self):
         with pytest.raises(ConfigError):
             verify_lemma("harmonic", trials=999, seed=1)

@@ -32,26 +32,23 @@ class TestValidateTrace:
         validate_trace(make_trace(Model.LINES, 3, [(0, 1), (1, 2)]))
 
     def test_same_component_rejected(self):
-        trace = make_trace(Model.LINES, 3, [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(TraceValidationError) as err:
-            validate_trace(trace)
+            make_trace(Model.LINES, 3, [(0, 1), (1, 2), (0, 2)])
         assert err.value.event_index == 2
 
     def test_non_endpoint_rejected(self):
-        trace = make_trace(Model.LINES, 4, [(0, 1), (1, 2), (1, 3)])
         with pytest.raises(TraceValidationError) as err:
-            validate_trace(trace)
+            make_trace(Model.LINES, 4, [(0, 1), (1, 2), (1, 3)])
         assert err.value.event_index == 2
         assert "endpoint" in str(err.value)
 
     def test_self_event_rejected(self):
         with pytest.raises(TraceValidationError):
-            validate_trace(make_trace(Model.CLIQUES, 3, [(1, 1)]))
+            make_trace(Model.CLIQUES, 3, [(1, 1)])
 
     def test_n_mismatch_rejected(self):
-        trace = RevealTrace(Model.LINES, 4, Permutation.identity(3), ())
         with pytest.raises(TraceValidationError):
-            validate_trace(trace)
+            RevealTrace(Model.LINES, 4, Permutation.identity(3), ())
 
     def test_clique_interior_attach_ok(self):
         # cliques have no endpoint restriction
