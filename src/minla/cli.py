@@ -9,6 +9,7 @@ bug, not bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -41,7 +42,9 @@ EXIT_VERIFY = 4
 EXIT_INTERNAL = 5
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing leaves no state on the parser.
     parser = argparse.ArgumentParser(
         prog="minla",
         description="Online minimum linear arrangement: simulate, verify, bound.",

@@ -6,13 +6,16 @@ move from the initial permutation to a permutation that stays feasible at
 every step.  For lines this is the true offline optimum (sub-paths of a
 contiguous path are contiguous); for cliques the always-feasible set is the
 laminar family of the merge forest, and ``exhaustive_opt`` certifies the
-equality on small instances by a literal shortest-path search over all
-schedules.
+equality on small instances by a shortest-path search over all schedules, a
+level-by-level numpy search over the cached permutation graph of n <= 7.
+
+The harmonic sums are integers over an lcm and the choice-vector weights are
+built by doubling; ``tests/conftest.py`` keeps the literal oracles (heap
+Dijkstra, ``Fraction`` sums, row products) that these are tested against.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -103,58 +106,17 @@ def dp_opt(t: RevealTrace, cap: int = DEFAULT_ITEM_CAP) -> OptResult:
 _EXHAUSTIVE_MAX_N = 7
 
 
-@lru_cache(maxsize=3)
-def _perm_graph(n: int):
-    """All permutations of range(n) with adjacent-transposition neighbors."""
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    neighbors = [
-        [index[p[:i] + (p[i + 1], p[i]) + p[i + 2 :]] for i in range(n - 1)]
-        for p in perms
-    ]
-    return perms, index, neighbors
-
-
-def _feasible_filter(parts, model: Model, n: int):
-    comp_of = [parts.find(v) for v in range(n)]
-    num = parts.num_components
-    if model is Model.CLIQUES:
-
-        def ok(p: tuple[int, ...]) -> bool:
-            runs = 0
-            last = -1
-            for v in p:
-                c = comp_of[v]
-                if c != last:
-                    runs += 1
-                    last = c
-            return runs == num
-
-        return ok
-
-    paths = {root: tuple(parts.path_of(root)) for root in parts.components()}
-
-    def ok_lines(p: tuple[int, ...]) -> bool:
-        start = 0
-        runs = 0
-        while start < n:
-            root = comp_of[p[start]]
-            stop = start + 1
-            while stop < n and comp_of[p[stop]] == root:
-                stop += 1
-            runs += 1
-            if runs > num:
-                return False
-            path = paths[root]
-            if stop - start != len(path):
-                return False
-            seg = p[start:stop]
-            if seg != path and seg != path[::-1]:
-                return False
-            start = stop
-        return runs == num
-
-    return ok_lines
+@lru_cache(maxsize=_EXHAUSTIVE_MAX_N + 1)
+def _perm_graph(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n! permutations of range(n) as rows in lexicographic order, each
+    row's adjacent-transposition neighbours by row index, and each row's node
+    positions."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    # Rows read as base-n numbers ascend, so a row's index is a binary search.
+    place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    keys = perms @ place
+    swapped = keys[:, None] + (perms[:, 1:] - perms[:, :-1]) * (place[:-1] - place[1:])
+    return perms, np.searchsorted(keys, swapped), np.argsort(perms, axis=1)
 
 
 def exhaustive_opt(t: RevealTrace) -> OptResult:
@@ -162,38 +124,46 @@ def exhaustive_opt(t: RevealTrace) -> OptResult:
 
     Shortest path in the layered graph whose layer-i vertices are the
     permutations feasible for step i, with adjacent-swap distances as edge
-    weights; distances are propagated by multi-source Dijkstra over the
-    adjacent-transposition graph, which realizes the swap metric exactly.
+    weights.  Every edge of the adjacent-transposition graph weighs 1, so per
+    event a multi-source search lowers the neighbours of the rows at
+    distance L to L + 1, one level at a time; that realizes the swap metric
+    exactly.  A row stays in the next layer when every clique spans no more
+    positions than it has nodes, or every path edge has stretch 1 (such a
+    path cannot turn back, so it lies in path order or its reverse).  Ties
+    go to the lexicographically smallest witness, the first row.
     """
     if t.n > _EXHAUSTIVE_MAX_N:
         raise CapacityError(
             f"exhaustive search supports n <= {_EXHAUSTIVE_MAX_N}, got {t.n}"
         )
-    perms, index, neighbors = _perm_graph(t.n)
-    frontier: dict[int, int] = {index[t.pi0.node_at]: 0}
-    parts = replay_components(t, 0)
+    perms, neighbors, pos = _perm_graph(t.n)
     inf = 1 << 60
+    dist = np.full(len(perms), inf, dtype=np.int64)
+    dist[(perms == t.pi0.node_at).all(axis=1)] = 0
+    parts = replay_components(t, 0)
+    feasible = np.ones(len(perms), dtype=bool)
+    contiguous: dict[int, np.ndarray] = {}  # cliques: per multi-node root
     for ev in t.events:
-        parts.merge(ev.u, ev.v)
-        dist = [inf] * len(perms)
-        heap: list[tuple[int, int]] = []
-        for idx, d in frontier.items():
-            dist[idx] = d
-            heap.append((d, idx))
-        heapq.heapify(heap)
-        while heap:
-            d, idx = heapq.heappop(heap)
-            if d > dist[idx]:
-                continue
-            nd = d + 1
-            for nxt in neighbors[idx]:
-                if nd < dist[nxt]:
-                    dist[nxt] = nd
-                    heapq.heappush(heap, (nd, nxt))
-        ok = _feasible_filter(parts, t.model, t.n)
-        frontier = {i: dist[i] for i, p in enumerate(perms) if ok(p)}
-    best_idx = min(frontier, key=lambda i: (frontier[i], perms[i]))
-    return OptResult(cost=frontier[best_idx], witness=Permutation(perms[best_idx]))
+        level = int(dist.min())
+        top = int(dist[dist < inf].max())
+        while level <= top:
+            reach = neighbors[dist == level].ravel()
+            reach = reach[dist[reach] > level + 1]
+            if reach.size:
+                dist[reach] = level + 1
+                top = max(top, level + 1)
+            level += 1
+        if t.model is Model.LINES:
+            feasible &= np.abs(pos[:, ev.u] - pos[:, ev.v]) == 1
+        else:
+            contiguous.pop(parts.find(ev.v), None)
+            root = parts.merge(ev.u, ev.v)
+            cols = pos[:, parts.nodes_of(root)]
+            contiguous[root] = cols.max(axis=1) - cols.min(axis=1) < cols.shape[1]
+            feasible = np.logical_and.reduce(list(contiguous.values()))
+        dist[~feasible] = inf
+    best = int(np.argmin(dist))
+    return OptResult(cost=int(dist[best]), witness=Permutation(perms[best].tolist()))
 
 
 def left_right_probability(
@@ -253,6 +223,29 @@ class HarmonicBounds:
         return self.ratio_sum_ok and self.square_sum_ok and self.adjacent_sum_ok
 
 
+def _harmonic_pair(s: int) -> tuple[int, int]:
+    """H_s exactly as (numerator, denominator); past the cached range the
+    terms are summed by binary splitting and left unreduced."""
+    if s <= _EXACT_HARMONIC_MAX:
+        h = harmonic_number(s)
+        return h.numerator, h.denominator
+
+    def split(lo: int, hi: int) -> tuple[int, int]:
+        if hi - lo == 1:
+            return 1, lo
+        (a, b), (c, d) = split(lo, (lo + hi) // 2), split((lo + hi) // 2, hi)
+        return a * d + c * b, b * d
+
+    return split(1, s + 1)
+
+
+def _at_most(nums: Sequence[int], dens: Sequence[int], bound: tuple[int, int]) -> bool:
+    """sum(nums[i] / dens[i]) <= bound[0] / bound[1], over the lcm of ``dens``."""
+    common = math.lcm(*dens)
+    total = sum(x * (common // d) for x, d in zip(nums, dens))
+    return total * bound[1] <= bound[0] * common
+
+
 def check_harmonic_bounds(series: Sequence[int]) -> HarmonicBounds:
     """Verify the harmonic prefix bounds for a series of positive integers.
 
@@ -265,31 +258,21 @@ def check_harmonic_bounds(series: Sequence[int]) -> HarmonicBounds:
 
     The excluded leading terms have no preceding mass and their pair-count
     denominators can vanish, so the sums start where they are well defined.
-    All arithmetic is exact.
+    All arithmetic is exact for every S: each sum is one integer numerator
+    over the lcm of its denominators, compared once with H_S (the last two
+    halved: x / C(P, 2) <= 2 H_S is x / (P (P - 1)) <= H_S).
     """
     if not series or any(s < 1 for s in series):
         raise ValueError("series must be nonempty positive integers")
-    total = sum(series)
-    h = harmonic_number(total)
-    ratio_sum = Fraction(0)
-    square_sum = Fraction(0)
-    adjacent_sum = Fraction(0)
-    prefix = 0
-    tail_prefix = 0
-    for i, s in enumerate(series):
-        prefix += s
-        ratio_sum += Fraction(s, prefix)
-        if i >= 1:
-            tail_prefix += s
-            square_sum += Fraction(s * s * 2, prefix * (prefix - 1))
-        if i >= 2:
-            adjacent_sum += Fraction(
-                series[i - 1] * s * 2, tail_prefix * (tail_prefix - 1)
-            )
+    prefix = list(itertools.accumulate(series))
+    tail = [p - series[0] for p in prefix]
+    squares = [s * s for s in series]
+    adjacent = [x * y for x, y in zip(series, series[1:])]
+    h = _harmonic_pair(prefix[-1])
     return HarmonicBounds(
-        ratio_sum_ok=ratio_sum <= h,
-        square_sum_ok=square_sum <= 2 * h,
-        adjacent_sum_ok=adjacent_sum <= 2 * h,
+        ratio_sum_ok=_at_most(series, prefix, h),
+        square_sum_ok=_at_most(squares[1:], [p * (p - 1) for p in prefix[1:]], h),
+        adjacent_sum_ok=_at_most(adjacent[1:], [p * (p - 1) for p in tail[2:]], h),
     )
 
 
@@ -299,7 +282,7 @@ _IDENTITY_MAX_N = 12
 @lru_cache(maxsize=_IDENTITY_MAX_N + 1)
 def _choice_matrix(n: int) -> np.ndarray:
     rows = np.arange(1 << n, dtype=np.int64)
-    return (rows[:, None] >> np.arange(n)) & 1
+    return ((rows[:, None] >> np.arange(n)) & 1).astype(np.float64)
 
 
 def check_identity_lemmas(
@@ -313,7 +296,9 @@ def check_identity_lemmas(
     * inequality: E[ (sum_i t_i a_i) (A - sum_i t_i a_i) ]
                   <= sum_i b_i a_i (A - a_i), for nonnegative a
 
-    Returns (equality holds within tol, inequality holds within tol).
+    Returns (equality holds within tol, inequality holds within tol).  The
+    weights are built by doubling over j = 0..N-1 (row bit j is t_j), which
+    multiplies the factors of each row in order.
     """
     n = len(a)
     if n != len(b):
@@ -322,17 +307,27 @@ def check_identity_lemmas(
         raise ValueError(f"N must be in 1..{_IDENTITY_MAX_N}")
     if any(not 0.0 <= x <= 1.0 for x in b):
         raise ValueError("b entries must lie in [0, 1]")
+    lhs_eq, rhs_eq, lhs_le, rhs_le = _identity_sides(a, b)
+    return abs(lhs_eq - rhs_eq) <= tol, lhs_le <= rhs_le + tol
+
+
+def _identity_sides(
+    a: Sequence[float], b: Sequence[float]
+) -> tuple[float, float, float, float]:
+    """Both sides of the equality, then both sides of the inequality."""
     av = np.asarray(a, dtype=np.float64)
     bv = np.asarray(b, dtype=np.float64)
-    t = _choice_matrix(n)
-    weights = np.prod(np.where(t == 1, bv, 1.0 - bv), axis=1)
-    chosen = t @ av
+    weights = np.ones(1)
+    for bj in bv:
+        weights = np.concatenate((weights * (1.0 - bj), weights * bj))
+    chosen = _choice_matrix(len(av)) @ av
     total = float(av.sum())
-    lhs_eq = float(weights @ chosen)
-    rhs_eq = float(av @ bv)
-    lhs_le = float(weights @ (chosen * (total - chosen)))
-    rhs_le = float(bv @ (av * (total - av)))
-    return abs(lhs_eq - rhs_eq) <= tol, lhs_le <= rhs_le + tol
+    return (
+        float(weights @ chosen),
+        float(av @ bv),
+        float(weights @ (chosen * (total - chosen))),
+        float(bv @ (av * (total - av))),
+    )
 
 
 def bound_for_trace(t: RevealTrace, opt: OptResult) -> float:

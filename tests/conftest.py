@@ -2,11 +2,15 @@
 
 These stay deliberately naive and independent of the library's fast paths:
 quadratic pair counting, full permutation enumeration, literal cost sums,
-closed forms, a literal replay of the randomized strategy, and the plain
-block-subset program that orders singletons like any other block.
+closed forms, a literal replay of the randomized strategy, the plain
+block-subset program that orders singletons like any other block, and the
+literal exact oracles: a heap Dijkstra over all schedules, harmonic sums of
+``Fraction`` terms and choice-vector weights as row products.
 """
 
 import bisect
+import functools
+import heapq
 import itertools
 import json
 import random
@@ -14,7 +18,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from minla import Model, Permutation, is_minla, replay_components
+from minla import (
+    HarmonicBounds,
+    Model,
+    OptResult,
+    Permutation,
+    harmonic_number,
+    is_minla,
+    replay_components,
+)
 from minla.ordering import _popcount_layers, cross_weight
 
 
@@ -301,3 +313,132 @@ def frequency_counts(trace, finals, kind: str) -> list[int]:
                 for p in finals
             ))
     return counts
+
+
+@functools.lru_cache(maxsize=3)
+def _reference_perm_graph(n: int):
+    """All permutations of range(n) with adjacent-transposition neighbors."""
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    neighbors = [
+        [index[p[:i] + (p[i + 1], p[i]) + p[i + 2 :]] for i in range(n - 1)]
+        for p in perms
+    ]
+    return perms, index, neighbors
+
+
+def _reference_feasible_filter(parts, model, n: int):
+    comp_of = [parts.find(v) for v in range(n)]
+    num = parts.num_components
+    if model is Model.CLIQUES:
+
+        def ok(p):
+            runs = 0
+            last = -1
+            for v in p:
+                c = comp_of[v]
+                if c != last:
+                    runs += 1
+                    last = c
+            return runs == num
+
+        return ok
+
+    paths = {root: tuple(parts.path_of(root)) for root in parts.components()}
+
+    def ok_lines(p):
+        start = 0
+        runs = 0
+        while start < n:
+            root = comp_of[p[start]]
+            stop = start + 1
+            while stop < n and comp_of[p[stop]] == root:
+                stop += 1
+            runs += 1
+            if runs > num:
+                return False
+            path = paths[root]
+            if stop - start != len(path):
+                return False
+            seg = p[start:stop]
+            if seg != path and seg != path[::-1]:
+                return False
+            start = stop
+        return runs == num
+
+    return ok_lines
+
+
+def reference_exhaustive_opt(t) -> OptResult:
+    """Offline optimum over all update schedules (n <= 7): per event, a heap
+    Dijkstra over the adjacent-transposition graph from the feasible
+    permutations of the previous step, then a literal contiguity filter;
+    ties go to the lexicographically smallest witness."""
+    perms, index, neighbors = _reference_perm_graph(t.n)
+    frontier = {index[t.pi0.node_at]: 0}
+    parts = replay_components(t, 0)
+    inf = 1 << 60
+    for ev in t.events:
+        parts.merge(ev.u, ev.v)
+        dist = [inf] * len(perms)
+        heap = []
+        for idx, d in frontier.items():
+            dist[idx] = d
+            heap.append((d, idx))
+        heapq.heapify(heap)
+        while heap:
+            d, idx = heapq.heappop(heap)
+            if d > dist[idx]:
+                continue
+            nd = d + 1
+            for nxt in neighbors[idx]:
+                if nd < dist[nxt]:
+                    dist[nxt] = nd
+                    heapq.heappush(heap, (nd, nxt))
+        ok = _reference_feasible_filter(parts, t.model, t.n)
+        frontier = {i: dist[i] for i, p in enumerate(perms) if ok(p)}
+    best_idx = min(frontier, key=lambda i: (frontier[i], perms[i]))
+    return OptResult(cost=frontier[best_idx], witness=Permutation(perms[best_idx]))
+
+
+def reference_harmonic_bounds(series) -> HarmonicBounds:
+    """The three harmonic prefix sums as running ``Fraction`` sums, compared
+    with ``harmonic_number`` (exact up to a total of 10^4)."""
+    h = harmonic_number(sum(series))
+    ratio_sum = square_sum = adjacent_sum = Fraction(0)
+    prefix = tail_prefix = 0
+    for i, s in enumerate(series):
+        prefix += s
+        ratio_sum += Fraction(s, prefix)
+        if i >= 1:
+            tail_prefix += s
+            square_sum += Fraction(s * s * 2, prefix * (prefix - 1))
+        if i >= 2:
+            adjacent_sum += Fraction(
+                series[i - 1] * s * 2, tail_prefix * (tail_prefix - 1)
+            )
+    return HarmonicBounds(
+        ratio_sum_ok=ratio_sum <= h,
+        square_sum_ok=square_sum <= 2 * h,
+        adjacent_sum_ok=adjacent_sum <= 2 * h,
+    )
+
+
+def reference_identity_floats(a, b):
+    """The four floats behind ``check_identity_lemmas``: E[chosen],
+    sum a_i b_i, E[chosen (A - chosen)] and sum b_i a_i (A - a_i), with each
+    choice vector's weight a row product over the integer choice matrix."""
+    n = len(a)
+    av = np.asarray(a, dtype=np.float64)
+    bv = np.asarray(b, dtype=np.float64)
+    rows = np.arange(1 << n, dtype=np.int64)
+    t = (rows[:, None] >> np.arange(n)) & 1
+    weights = np.prod(np.where(t == 1, bv, 1.0 - bv), axis=1)
+    chosen = t @ av
+    total = float(av.sum())
+    return (
+        float(weights @ chosen),
+        float(av @ bv),
+        float(weights @ (chosen * (total - chosen))),
+        float(bv @ (av * (total - av))),
+    )

@@ -7,6 +7,7 @@ import statistics
 import pytest
 
 import minla.algorithms
+import minla.cli
 import minla.harness
 import minla.trace
 from minla import Model, derive_trial_seed, emit_trace, parse_trace, random_trace, run
@@ -284,6 +285,33 @@ class TestOpt:
         cost_dp = int(out_dp.split("cost: ")[1].split("\n")[0])
         cost_ex = int(out_ex.split("cost: ")[1].split("\n")[0])
         assert cost_dp == cost_ex
+
+
+class TestParserBuiltOnce:
+    def test_outputs_match_a_fresh_parser(self, capsys, tmp_path, trace_file, monkeypatch):
+        out_file = tmp_path / "sim.csv"
+        sim = ("simulate", "--algo", "rand", "--trace", str(trace_file), "--seed", "3",
+               "--trials", "4")
+        sequence = [
+            sim + ("--format", "json", "--out", str(out_file)),
+            sim,
+            ("opt", "--trace", str(trace_file), "--exhaustive"),
+            ("opt", "--trace", str(trace_file)),
+            ("verify", "--lemma", "harmonic", "--trials", "100", "--seed", "2"),
+            ("duel", "--n", "9"),
+        ]
+        assert minla.cli._build_parser() is minla.cli._build_parser()
+        cached = []
+        for argv in sequence:
+            code, out, err = run_cli(capsys, *argv)
+            cached.append((code, out, err, out_file.read_text()))
+        # No --out and no --exhaustive carried over from the call before.
+        assert cached[1][1] and cached[3][1].startswith("method: dp\n")
+        monkeypatch.setattr(minla.cli, "_build_parser", minla.cli._build_parser.__wrapped__)
+        out_file.unlink()
+        for argv, want in zip(sequence, cached):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err, out_file.read_text()) == want, argv
 
 
 class TestVerify:

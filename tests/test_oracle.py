@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 
 import minla.algorithms
-from conftest import ordered_pairs_diff
+from conftest import (
+    ordered_pairs_diff,
+    reference_exhaustive_opt,
+    reference_harmonic_bounds,
+    reference_identity_floats,
+)
 from minla import (
     CapacityError,
     Model,
@@ -25,6 +30,7 @@ from minla import (
     random_trace,
     replay_components,
 )
+from minla.oracle import _identity_sides
 
 
 def make_trace(model, n, events, pi0=None):
@@ -141,6 +147,53 @@ class TestExhaustiveOpt:
     def test_rejects_large_n(self):
         with pytest.raises(CapacityError):
             exhaustive_opt(make_trace(Model.LINES, 8, []))
+
+
+class TestExhaustiveMatchesReference:
+    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
+    def test_cost_and_witness(self, model):
+        rng = random.Random(41 if model is Model.CLIQUES else 42)
+        for i in range(1050):
+            n = 1 + i % 7
+            events = n - 1 if i % 2 else rng.randint(0, n - 1)
+            trace = random_trace(model, n, seed=rng.random(), events=events)
+            got, want = exhaustive_opt(trace), reference_exhaustive_opt(trace)
+            assert (got.cost, got.witness) == (want.cost, want.witness), trace
+
+    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
+    def test_empty_trace_keeps_pi0(self, model):
+        trace = make_trace(model, 7, [], pi0=Permutation([3, 1, 6, 0, 5, 2, 4]))
+        assert exhaustive_opt(trace) == reference_exhaustive_opt(trace)
+        assert exhaustive_opt(trace).witness == trace.pi0
+
+
+class TestHarmonicBoundsMatchReference:
+    def test_random_series(self):
+        rng = random.Random(43)
+        for i in range(5000):
+            length = i % 3 + 1 if i < 600 else rng.randint(1, 60)
+            if i % 10 == 9:
+                series = [1] * length
+            else:
+                series = [rng.randint(1, 40) for _ in range(length)]
+            assert check_harmonic_bounds(series) == reference_harmonic_bounds(series), series
+
+    @pytest.mark.parametrize("total", [10_002, 10_005])
+    def test_all_ones_past_the_exact_harmonic_range(self, total):
+        # The ratio sum of all ones is H_S exactly.
+        assert check_harmonic_bounds([1] * total).all_ok()
+
+
+class TestIdentityFloatsMatchReference:
+    def test_bit_identical(self):
+        rng = random.Random(44)
+        for i in range(4000):
+            n = 1 + i % 12
+            a = [rng.uniform(0.0, 10.0) for _ in range(n)]
+            b = [rng.uniform(0.0, 1.0) for _ in range(n)]
+            if i % 50 == 0:
+                b[rng.randrange(n)] = float(rng.randint(0, 1))
+            assert _identity_sides(a, b) == reference_identity_floats(a, b), (a, b)
 
 
 class TestLeftRightProbability:
