@@ -40,9 +40,6 @@ __all__ = [
     "run_trials",
 ]
 
-# An exact block-order search may use at most 2^DEFAULT_ITEM_CAP states.
-DEFAULT_ITEM_CAP = 22
-
 
 @dataclass(frozen=True)
 class CoinWeights:
@@ -191,22 +188,25 @@ def _oriented_path(path: Sequence[int], pos0: Sequence[int]) -> list[int]:
 
 
 def _order_blocks(
-    seqs: Sequence[Sequence[int]], sorted_pos: Sequence[Sequence[int]], cap: int
+    seqs: Sequence[Sequence[int]], sorted_pos: Sequence[Sequence[int]]
 ) -> tuple[int, list[int]]:
     """Lay the blocks ``seqs`` out in the order with the fewest node pairs
     inverted against the reference positions; returns that count and the
     concatenated node sequence.
 
     ``sorted_pos[i]`` lists block i's reference positions in ascending order.
-    Ties resolve to the lexicographically smallest node sequence.  Singletons
-    keep their reference order, so only the multi-node blocks are searched;
-    the state cap is checked before any weight is built.
+    Ties resolve to the lexicographically smallest node sequence.  A single
+    block is returned as it is.  Singletons keep their reference order, so
+    only the multi-node blocks are searched; the state cap is checked before
+    any weight is built.
     """
+    if len(seqs) == 1:
+        return 0, list(seqs[0])
     multi = [i for i, seq in enumerate(seqs) if len(seq) > 1]
     singles = sorted(
         (sorted_pos[i][0], seq[0]) for i, seq in enumerate(seqs) if len(seq) == 1
     )
-    check_states(len(multi), len(singles), cap)
+    check_states(len(multi), len(singles))
     w = [
         [0 if i == j else cross_weight(sorted_pos[i], sorted_pos[j]) for j in multi]
         for i in multi
@@ -216,7 +216,7 @@ def _order_blocks(
     w_sb = [[bisect_left(sorted_pos[i], p) for i in multi] for p, _ in singles]
     w_bs = [[len(seqs[i]) - row[c] for row in w_sb] for c, i in enumerate(multi)]
     keys = [seqs[i][0] for i in multi] + [v for _, v in singles]
-    cross, order = solve_block_order(w, keys, cap, w_sb, w_bs)
+    cross, order = solve_block_order(w, keys, w_sb, w_bs)
     m = len(multi)
     node_at: list[int] = []
     for idx in order:
@@ -228,10 +228,7 @@ def _order_blocks(
 
 
 def closest_feasible(
-    pi0: Permutation,
-    parts: ComponentPartition,
-    model: Model,
-    cap: int = DEFAULT_ITEM_CAP,
+    pi0: Permutation, parts: ComponentPartition, model: Model
 ) -> Permutation:
     """The feasible permutation for ``parts`` closest to ``pi0``.
 
@@ -250,7 +247,7 @@ def closest_feasible(
             seq = _oriented_path(parts.path_of(root), pos0)
         seqs.append(seq)
         sorted_pos.append(sorted(pos0[v] for v in seq))
-    return Permutation(_order_blocks(seqs, sorted_pos, cap)[1])
+    return Permutation(_order_blocks(seqs, sorted_pos)[1])
 
 
 def det_step(state: AlgoState, event: RevealEvent) -> AlgoState:

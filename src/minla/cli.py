@@ -16,14 +16,7 @@ from pathlib import Path
 from . import __version__
 from .adversaries import TreeAdversaryConfig, random_trace, tree_adversary
 from .bench import run_paper_suite
-from .errors import (
-    CapacityError,
-    ConfigError,
-    InvariantError,
-    MinlaError,
-    TraceFormatError,
-    TraceValidationError,
-)
+from .errors import CapacityError, ConfigError, InvariantError, MinlaError
 from .harness import (
     ExperimentConfig,
     duel,
@@ -191,9 +184,6 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (TraceFormatError, TraceValidationError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except (MinlaError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

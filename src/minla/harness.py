@@ -351,7 +351,7 @@ def verify_lemma(
     and compare component-pair and orientation frequencies against the exact
     formulas, flagging any deviation above four binomial standard errors.
     ``harmonic`` and ``identities`` sweep ``trials`` random instances of the
-    algebraic checks.
+    algebraic checks and take no trace.
     """
     if trials < _MIN_VERIFY_TRIALS:
         raise ConfigError(
@@ -364,10 +364,11 @@ def verify_lemma(
         if trace.model is not want:
             raise ConfigError(f"verify {kind} expects a {want.value} trace")
         rows = _frequency_rows(trace, trials, seed, kind)
-    elif kind == "harmonic":
-        rows = _harmonic_rows(trials, random.Random(seed))
-    elif kind == "identities":
-        rows = _identity_rows(trials, random.Random(seed))
+    elif kind in ("harmonic", "identities"):
+        if trace is not None:
+            raise ConfigError(f"verify {kind} takes no trace")
+        sweep = _harmonic_rows if kind == "harmonic" else _identity_rows
+        rows = sweep(trials, random.Random(seed))
     else:
         raise ConfigError(f"unknown verification kind {kind!r}")
     return VerifyReport(

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algorithms import DEFAULT_ITEM_CAP, _order_blocks, closest_feasible
+from .algorithms import _order_blocks, closest_feasible
 from .errors import CapacityError
 from .ordering import cross_weight
 from .perm import Permutation, count_inversions, kendall_tau
@@ -53,7 +53,7 @@ class OptResult:
     witness: Permutation
 
 
-def _clique_opt(t: RevealTrace, cap: int) -> OptResult:
+def _clique_opt(t: RevealTrace) -> OptResult:
     """Cheapest permutation keeping every component of every step contiguous.
 
     Each merge orders its two child blocks independently (the cross cost
@@ -82,12 +82,12 @@ def _clique_opt(t: RevealTrace, cap: int) -> OptResult:
     roots = sorted(comp)
     internal = sum(comp[r][2] for r in roots)
     cross, node_at = _order_blocks(
-        [comp[r][1] for r in roots], [comp[r][0] for r in roots], cap
+        [comp[r][1] for r in roots], [comp[r][0] for r in roots]
     )
     return OptResult(cost=internal + cross, witness=Permutation(node_at))
 
 
-def dp_opt(t: RevealTrace, cap: int = DEFAULT_ITEM_CAP) -> OptResult:
+def dp_opt(t: RevealTrace) -> OptResult:
     """Minimum distance from the initial permutation to any permutation that
     is feasible for every revealed step, with a witness.
 
@@ -97,9 +97,9 @@ def dp_opt(t: RevealTrace, cap: int = DEFAULT_ITEM_CAP) -> OptResult:
     if t.k == 0:
         return OptResult(cost=0, witness=t.pi0)
     if t.model is Model.CLIQUES:
-        return _clique_opt(t, cap)
+        return _clique_opt(t)
     parts = replay_components(t, t.k)
-    witness = closest_feasible(t.pi0, parts, Model.LINES, cap=cap)
+    witness = closest_feasible(t.pi0, parts, Model.LINES)
     return OptResult(cost=kendall_tau(t.pi0, witness), witness=witness)
 
 

@@ -9,8 +9,9 @@ order, since swapping two inverted singletons strictly lowers the count and
 keeps every block contiguous.  The program therefore runs over (subset of the
 m multi-node blocks) x (number of trailing singletons): 2^m * (s + 1) states
 for s singletons, O(2^m * (m + 1) * (s + 1)) table work plus an
-O((m + s) * m^2) reconstruction.  A hard cap on the state count guards the
-exponential table.
+O((m + s) * m^2) reconstruction.  One numpy table serves every size: it is
+filled a popcount layer at a time, in slices of bounded size.  A hard cap on
+the state count guards the exponential table.
 """
 
 from __future__ import annotations
@@ -22,16 +23,14 @@ import numpy as np
 
 from .errors import CapacityError
 
-__all__ = ["check_states", "cross_weight", "solve_block_order"]
+__all__ = ["CAP_BITS", "check_states", "cross_weight", "solve_block_order"]
 
-_INF = 1 << 60
-# From this many states on, the vectorized table pays for itself.  One table
-# took 0.97 ms in Python against 0.92 ms in numpy at m=7 with no singletons,
-# 0.58 against 0.83 ms at m=6 with one and 0.29 against 0.39 ms at m=4 with
-# 7 (128 states each); at 256 states, 2.19 against 1.21 ms at m=8 with
-# none, 0.87 against 0.83 ms at m=6 with 3 and 0.55 against 0.39 ms at m=4
-# with 15 (2-core x86 VM, Python 3.11, numpy 2.4, warm popcount cache).
-_NUMPY_MIN_STATES = 256
+# An exact block-order search may use at most 2^CAP_BITS states.
+CAP_BITS = 22
+# A popcount layer is tabled in slices of at most this many candidate
+# entries (subset, first block, trailing singletons), or one subset's, which
+# keeps the temporaries of a slice under 1 MB each.
+_SLICE = 1 << 16
 
 
 def cross_weight(sorted_pos_a: Sequence[int], sorted_pos_b: Sequence[int]) -> int:
@@ -50,13 +49,13 @@ def cross_weight(sorted_pos_a: Sequence[int], sorted_pos_b: Sequence[int]) -> in
     return count
 
 
-def check_states(m: int, s: int, cap: int) -> None:
+def check_states(m: int, s: int) -> None:
     """Raise :class:`CapacityError` unless m multi-node blocks and s
-    singletons fit in at most 2^cap program states."""
-    if (s + 1) << m > 1 << cap:
+    singletons fit in at most 2^CAP_BITS program states."""
+    if (s + 1) << m > 1 << CAP_BITS:
         raise CapacityError(
             f"{m} multi-node components and {s} singletons exceed the "
-            f"exact-search cap of 2^{cap} states"
+            f"exact-search cap of 2^{CAP_BITS} states"
         )
 
 
@@ -77,69 +76,54 @@ def _popcount_layers(m: int) -> tuple[np.ndarray, ...]:
     return tuple(order[bounds[c] : bounds[c + 1]] for c in range(m + 1))
 
 
-def _costs_py(rows, tail, m: int, s: int) -> list[int]:
+def _costs(rows, tail, m: int, s: int) -> np.ndarray:
     """g[t * (s + 1) + k]: least cost of ordering the blocks in t and the
-    last k singletons, the singletons in order."""
-    width = s + 1
-    g = [0] * ((1 << m) * width)
-    for t in range(1, 1 << m):
-        bits = [j for j in range(m) if t >> j & 1]
-        moves = [
-            ((t ^ 1 << j) * width, sum(rows[j][i] for i in bits), tail[j])
-            for j in bits
-        ]
-        base = t * width
-        for k in range(width):
-            best = min(g[prev + k] + head + tj[k] for prev, head, tj in moves)
-            if k:
-                lead = g[base + k - 1] + sum(rows[m + s - k][i] for i in bits)
-                if lead < best:
-                    best = lead
-            g[base + k] = best
-    return g
-
-
-def _costs_np(rows, tail, m: int, s: int) -> np.ndarray:
-    """The table of :func:`_costs_py`, vectorized by popcount layer."""
+    last k singletons, the singletons in order.  Tabled by popcount layer:
+    each (subset, first block) pair of a layer is one candidate row."""
     full = 1 << m
-    # int32 keeps the table small near the cap; a row sum of 2^31 or more
-    # (reachable from about 93k nodes) needs int64.
-    dtype = np.int32 if max(map(sum, rows), default=0) < 1 << 31 else np.int64
-    rarr = np.asarray(rows, dtype=dtype)
-    # sums[t, r] = sum of rows[r][i] over the blocks i in t: the cost of
-    # placing block r (r < m) or singleton r - m first, before all of t.
-    sums = np.zeros((full, m + s), dtype=dtype)
+    rarr = np.array([*rows[:m], [0] * m, *rows[m:]], dtype=np.int64)
+    # Row m + k becomes the sum of the last k singletons' rows, so that
+    # sums[t, m + k] below is the cost of placing them before t.
+    rarr[m + 1 :] = np.cumsum(rarr[:m:-1], axis=0)
+    # int32 keeps the table small near the cap; a row sum (accumulated rows
+    # included) of 2^31 or more, reachable from about 93k nodes, needs int64.
+    if rarr.sum(axis=1).max() < 1 << 31:
+        rarr = rarr.astype(np.int32)
+    # sums[t, r] = sum of rarr[r][i] over the blocks i in t: the cost of
+    # placing block r (r < m), or the last r - m singletons, before t.
+    sums = np.zeros((full, m + s + 1), dtype=rarr.dtype)
     for i in range(m):
         lo = 1 << i
-        sums[lo : 2 * lo] = sums[:lo] + rarr[:, i]
+        np.add(sums[:lo], rarr[:, i], out=sums[lo : 2 * lo])
     tarr = np.asarray(tail, dtype=np.int64)
     g = np.zeros((full, s + 1), dtype=np.int64)
+    bits = 1 << np.arange(m)
     layers = _popcount_layers(m)
     for c in range(1, m + 1):
-        rs = layers[c]
-        best = np.full((rs.size, s + 1), _INF, dtype=np.int64)
-        for j in range(m):
-            bit = 1 << j
-            mask = (rs & bit) != 0
-            sel = rs[mask]
-            cand = g[sel ^ bit] + (sums[sel, j][:, None] + tarr[j])
-            best[mask] = np.minimum(best[mask], cand)
-        if s:
-            # g[t, k] = min(best[t, k], g[t, k - 1] + lead step k), solved as
-            # a running minimum against the prefix sums of the lead steps.
-            lead = np.zeros((rs.size, s + 1), dtype=np.int64)
-            np.cumsum(sums[rs, m:][:, ::-1], axis=1, out=lead[:, 1:])
-            best -= lead
-            np.minimum.accumulate(best, axis=1, out=best)
-            best += lead
-        g[rs] = best
+        step = max(1, _SLICE // (c * (s + 1)))
+        for at in range(0, layers[c].size, step):
+            rs = layers[c][at : at + step]
+            # The c members j of every subset t, row by row.
+            row, j = np.nonzero(rs[:, None] & bits)
+            t = rs[row]
+            cand = g.take(t ^ bits[j], axis=0)
+            cand += tarr.take(j, axis=0)
+            cand += sums[t, j][:, None]
+            best = cand.reshape(rs.size, c, s + 1).min(axis=1)
+            if s:
+                # g[t, k] = min(best[t, k], g[t, k - 1] + lead step k),
+                # solved as a running minimum against the lead costs.
+                lead = sums.take(rs, axis=0)[:, m:]
+                best -= lead
+                np.minimum.accumulate(best, axis=1, out=best)
+                best += lead
+            g[rs] = best
     return g.ravel()
 
 
 def solve_block_order(
     w: Sequence[Sequence[int]],
     tie_keys: Sequence[int],
-    cap: int = 22,
     w_sb: Sequence[Sequence[int]] = (),
     w_bs: Sequence[Sequence[int]] = (),
 ) -> tuple[int, list[int]]:
@@ -155,10 +139,10 @@ def solve_block_order(
     ascending ``tie_keys`` (blocks first, then singletons) as early as
     possible, which yields the lexicographically smallest concatenation when
     the keys are the items' leading node ids.  Raises :class:`CapacityError`
-    beyond 2^cap states.
+    beyond 2^CAP_BITS states.
     """
     m, s = len(w), len(w_sb)
-    check_states(m, s, cap)
+    check_states(m, s)
     width = s + 1
     # tail[i][k]: block i before the last k singletons.
     tail = [[0] * width for _ in range(m)]
@@ -166,10 +150,7 @@ def solve_block_order(
         for k in range(1, width):
             tail[i][k] = tail[i][k - 1] + w_bs[i][s - k]
     rows = [*w, *w_sb]
-    if width << m >= _NUMPY_MIN_STATES:
-        g = _costs_np(rows, tail, m, s)
-    else:
-        g = _costs_py(rows, tail, m, s)
+    g = _costs(rows, tail, m, s)
 
     # Rebuild front to back from (all blocks, all singletons); the candidates
     # are the remaining blocks and the first remaining singleton.

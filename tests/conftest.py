@@ -3,8 +3,9 @@
 These stay deliberately naive and independent of the library's fast paths:
 quadratic pair counting, full permutation enumeration, literal cost sums,
 closed forms, a literal replay of the randomized strategy, the plain
-block-subset program that orders singletons like any other block, and the
-literal exact oracles: a heap Dijkstra over all schedules, harmonic sums of
+block-subset program that orders singletons like any other block, the
+singleton-aware block-order table as plain loops, and the literal exact
+oracles: a heap Dijkstra over all schedules, harmonic sums of
 ``Fraction`` terms and choice-vector weights as row products.
 """
 
@@ -246,6 +247,29 @@ def _subset_costs_np(w, m: int) -> np.ndarray:
                 continue
             cand = g[sel ^ bit] + swf[sel, j]
             g[sel] = np.minimum(g[sel], cand)
+    return g
+
+
+def _costs_py(rows, tail, m: int, s: int) -> list[int]:
+    """The table of ``ordering._costs`` as plain loops: g[t * (s + 1) + k] is
+    the least cost of ordering the blocks in t and the last k singletons,
+    the singletons in order."""
+    width = s + 1
+    g = [0] * ((1 << m) * width)
+    for t in range(1, 1 << m):
+        bits = [j for j in range(m) if t >> j & 1]
+        moves = [
+            ((t ^ 1 << j) * width, sum(rows[j][i] for i in bits), tail[j])
+            for j in bits
+        ]
+        base = t * width
+        for k in range(width):
+            best = min(g[prev + k] + head + tj[k] for prev, head, tj in moves)
+            if k:
+                lead = g[base + k - 1] + sum(rows[m + s - k][i] for i in bits)
+                if lead < best:
+                    best = lead
+            g[base + k] = best
     return g
 
 

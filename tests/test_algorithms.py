@@ -119,8 +119,8 @@ class TestDetStep:
         # most 16 components.
         compared = []
 
-        def checked(seqs, sorted_pos, cap):
-            result = order_blocks(seqs, sorted_pos, cap)
+        def checked(seqs, sorted_pos):
+            result = order_blocks(seqs, sorted_pos)
             if len(seqs) <= 16:
                 assert result == reference_layout(seqs, sorted_pos)
                 compared.append(len(seqs))

@@ -330,6 +330,18 @@ class TestVerify:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("lemma", ["harmonic", "identities"])
+    def test_sweeps_reject_a_trace(self, capsys, tmp_path, lemma):
+        path = tmp_path / "t.txt"
+        path.write_text(emit_trace(random_trace(Model.LINES, 6, seed=13)))
+        code, out, err = run_cli(
+            capsys, "verify", "--lemma", lemma, "--trials", "1000",
+            "--seed", "1", "--trace", str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert f"verify {lemma} takes no trace" in err
+
     def test_left_right_default_trace(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--lemma", "left-right", "--trials", "2000",

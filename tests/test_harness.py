@@ -289,6 +289,12 @@ class TestVerifyLemma:
         with pytest.raises(ConfigError):
             verify_lemma("left-right", trials=2_000, seed=1, trace=trace)
 
+    @pytest.mark.parametrize("kind", ["harmonic", "identities"])
+    def test_sweeps_reject_a_trace(self, kind):
+        trace = random_trace(Model.LINES, 6, seed=13)
+        with pytest.raises(ConfigError, match=f"verify {kind} takes no trace"):
+            verify_lemma(kind, trials=1_000, seed=1, trace=trace)
+
     def test_harmonic_and_identities_pass(self):
         assert verify_lemma("harmonic", trials=1_000, seed=4).ok
         assert verify_lemma("identities", trials=1_000, seed=5).ok

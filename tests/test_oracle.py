@@ -86,11 +86,12 @@ class TestDpOpt:
                 for i in range(trace.k + 1):
                     assert is_minla(opt.witness, replay_components(trace, i), model)
 
-    def test_capacity_cap(self):
+    def test_capacity_cap(self, monkeypatch):
         # 2 (cap + 1) nodes joined in pairs: 11 multi-node components.
+        monkeypatch.setattr(minla.ordering, "CAP_BITS", 10)
         trace = make_trace(Model.CLIQUES, 22, [(i, i + 1) for i in range(0, 22, 2)])
         with pytest.raises(CapacityError, match="11 multi-node components"):
-            dp_opt(trace, cap=10)
+            dp_opt(trace)
 
     @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
     def test_capacity_checked_before_weights(self, model, monkeypatch):
@@ -102,13 +103,15 @@ class TestDpOpt:
             dp_opt(make_trace(model, 1000, [(i, i + 1) for i in range(0, 46, 2)]))
 
     @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
-    def test_capacity_counts_singletons(self, model):
+    def test_capacity_counts_singletons(self, model, monkeypatch):
         # 5 pairs stay under a cap of 10 components, but with 50 singletons
         # they need 51 * 2^5 > 2^10 states.
         trace = make_trace(model, 60, [(i, i + 1) for i in range(0, 10, 2)])
+        monkeypatch.setattr(minla.ordering, "CAP_BITS", 10)
         with pytest.raises(CapacityError, match="5 multi-node components and 50 singletons"):
-            dp_opt(trace, cap=10)
-        assert dp_opt(trace, cap=11).cost == 0
+            dp_opt(trace)
+        monkeypatch.setattr(minla.ordering, "CAP_BITS", 11)
+        assert dp_opt(trace).cost == 0
 
     @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
     def test_partial_trace_past_the_old_cap(self, model):

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+import minla.ordering
 from conftest import (
+    _costs_py,
     _subset_costs_np,
     _subset_costs_py,
     reference_block_order,
@@ -11,7 +13,7 @@ from conftest import (
 )
 from minla import CapacityError, Model, random_trace, replay_components
 from minla.algorithms import _order_blocks, _oriented_path
-from minla.ordering import _costs_np, _costs_py, cross_weight, solve_block_order
+from minla.ordering import _costs, cross_weight, solve_block_order
 
 
 def brute_force_order(w):
@@ -100,7 +102,7 @@ class TestSolveBlockOrder:
             for i in range(m)
         ]
         assert list(_subset_costs_np(w, m)) == _subset_costs_py(w, m)
-        cost, order = solve_block_order(w, list(range(m)), cap=22)
+        cost, order = solve_block_order(w, list(range(m)))
         assert order == list(range(m))
         assert cost == m * (m - 1) // 2
 
@@ -110,14 +112,15 @@ class TestSolveBlockOrder:
         with pytest.raises(CapacityError):
             solve_block_order(w, list(range(m)))
 
-    def test_capacity_counts_singletons(self):
+    def test_capacity_counts_singletons(self, monkeypatch):
         # 2 blocks and 7 singletons fill 2^5 states exactly; one more
         # singleton trips the cap although the block count stays at 2.
+        monkeypatch.setattr(minla.ordering, "CAP_BITS", 5)
         w = [[0, 1], [1, 0]]
         keys = list(range(10))
-        assert solve_block_order(w, keys[:9], 5, [[0, 0]] * 7, [[0] * 7] * 2)[0] == 1
+        assert solve_block_order(w, keys[:9], [[0, 0]] * 7, [[0] * 7] * 2)[0] == 1
         with pytest.raises(CapacityError, match="2 multi-node components and 8 singletons"):
-            solve_block_order(w, keys, 5, [[0, 0]] * 8, [[0] * 8] * 2)
+            solve_block_order(w, keys, [[0, 0]] * 8, [[0] * 8] * 2)
 
 
 def random_layout(rng, m, s, spare=4, mult=1):
@@ -169,29 +172,59 @@ def split_weights(seqs, sorted_pos, w):
     )
 
 
+def random_table_input(rng, m, s, hi=20):
+    """``_costs`` arguments: block rows up to ``hi``, singleton rows up to
+    ``hi // 4`` and nondecreasing tails."""
+    rows = [[0 if i == j else rng.randint(0, hi) for i in range(m)] for j in range(m)]
+    rows += [[rng.randint(0, hi // 4) for _ in range(m)] for _ in range(s)]
+    tail = [[0] + sorted(rng.randint(0, 30) for _ in range(s)) for _ in range(m)]
+    return rows, tail
+
+
 class TestSingletonAwareOrder:
     def test_tables_agree(self):
         rng = random.Random(3)
         for m in range(0, 9):
             for s in range(0, 7):
-                rows = [[0 if i == j else rng.randint(0, 20) for i in range(m)]
-                        for j in range(m)]
-                rows += [[rng.randint(0, 5) for _ in range(m)] for _ in range(s)]
-                tail = [[0] + sorted(rng.randint(0, 30) for _ in range(s))
-                        for _ in range(m)]
-                assert _costs_py(rows, tail, m, s) == list(_costs_np(rows, tail, m, s))
+                rows, tail = random_table_input(rng, m, s)
+                assert _costs_py(rows, tail, m, s) == list(_costs(rows, tail, m, s))
+
+    @pytest.mark.parametrize("hi", [20, 10**9])
+    def test_tables_agree_across_slices(self, hi, monkeypatch):
+        # A slice bound of 7 candidate entries splits the layers into many
+        # slices, and a subset with more entries than that is a slice of
+        # its own.  At hi = 10^9 row sums pass 2^31, so the table must also
+        # widen to int64.
+        monkeypatch.setattr(minla.ordering, "_SLICE", 7)
+        rng = random.Random(hi)
+        largest = 0
+        for m, s in [(1, 0), (3, 2), (5, 0), (6, 1), (7, 3), (8, 9), (9, 2)]:
+            rows, tail = random_table_input(rng, m, s, hi)
+            largest = max(largest, *map(sum, rows))
+            assert _costs_py(rows, tail, m, s) == list(_costs(rows, tail, m, s))
+        assert (largest >= 1 << 31) == (hi > 20)
+
+    def test_singleton_totals_widen(self):
+        # Every row sums below 2^31, but the rows of the last k singletons
+        # together pass it, and the table holds those totals.
+        rng = random.Random(6)
+        m, s = 3, 9
+        rows, tail = random_table_input(rng, m, s)
+        rows[m:] = [[1 << 28] * m for _ in range(s)]
+        assert max(map(sum, rows)) < 1 << 31 <= sum(map(sum, rows[m:]))
+        assert _costs_py(rows, tail, m, s) == list(_costs(rows, tail, m, s))
 
     @pytest.mark.parametrize("m,s", [
         (0, 1), (0, 9), (1, 0), (1, 1), (3, 0), (3, 1), (5, 3), (6, 2),
         (2, 13), (5, 7), (4, 15), (6, 4), (8, 0), (8, 1), (9, 3), (10, 2),
     ])
     def test_matches_reference_on_layouts(self, m, s):
-        # Both sides of the numpy crossover at 2^m (s + 1) = 256 states, no
-        # singletons, one, and only singletons.
+        # Tables of 2 to 3,072 states: no singletons, one, and only
+        # singletons.
         rng = random.Random(m * 100 + s)
         for _ in range(6 if m + s < 12 else 2):
             seqs, sorted_pos, _ = random_layout(rng, m, s)
-            assert _order_blocks(seqs, sorted_pos, 22) == reference_layout(seqs, sorted_pos)
+            assert _order_blocks(seqs, sorted_pos) == reference_layout(seqs, sorted_pos)
 
     def test_matches_reference_on_traces(self):
         rng = random.Random(4)
@@ -209,19 +242,19 @@ class TestSingletonAwareOrder:
                 ]
                 sorted_pos = [sorted(pos0[v] for v in seq) for seq in seqs]
                 expected = reference_layout(seqs, sorted_pos)
-                assert _order_blocks(seqs, sorted_pos, 22) == expected
+                assert _order_blocks(seqs, sorted_pos) == expected
 
     @pytest.mark.parametrize("m,s", [(3, 2), (6, 3), (8, 1)])
     def test_large_row_sums(self, m, s):
-        # Block nodes weigh 2^16, so block rows sum past 2^31 and the numpy
-        # tables (reached from (6, 3) on) must widen to int64; the weights
-        # stay those of a layout, so singletons still keep their order.
+        # Block nodes weigh 2^16, so block rows sum past 2^31 and the table
+        # must widen to int64; the weights stay those of a layout, so
+        # singletons still keep their order.
         rng = random.Random(m + s)
         seqs, sorted_pos, w = random_layout(rng, m, s, spare=2, mult=1 << 16)
         w_bb, keys, w_sb, w_bs, full = split_weights(seqs, sorted_pos, w)
         assert max(map(sum, w_bb + w_sb)) >= 1 << 31
         expected = reference_block_order(full, keys)
-        assert solve_block_order(w_bb, keys, 22, w_sb, w_bs) == expected
+        assert solve_block_order(w_bb, keys, w_sb, w_bs) == expected
 
     def test_optimal_orders_keep_singletons_in_order(self):
         # Brute force over every order of up to 7 items: each minimum-cost
