@@ -32,9 +32,6 @@ from .trace import (
 from .feasibility import arrangement_cost, is_minla
 from .algorithms import (
     AlgoState,
-    CoinWeights,
-    RearrangeCoin,
-    StepReport,
     closest_feasible,
     det_step,
     rand_step,
@@ -95,9 +92,6 @@ __all__ = [
     "arrangement_cost",
     "is_minla",
     "AlgoState",
-    "StepReport",
-    "CoinWeights",
-    "RearrangeCoin",
     "closest_feasible",
     "det_step",
     "rand_step",

@@ -14,12 +14,10 @@ below the denominator, so no floating point enters the randomness.
 
 from __future__ import annotations
 
-import json
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
-from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvariantError
@@ -29,9 +27,6 @@ from .perm import Permutation, count_inversions, kendall_tau
 from .trace import ComponentPartition, Model, RevealEvent, RevealTrace
 
 __all__ = [
-    "CoinWeights",
-    "RearrangeCoin",
-    "StepReport",
     "AlgoState",
     "closest_feasible",
     "det_step",
@@ -41,64 +36,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CoinWeights:
-    """Weights of the moving coin: which merging component travels.
-
-    The component holding the first endpoint moves with probability
-    ``move_x_num / denom``; the numerators are the opposite components'
-    sizes, so ``move_x_num + move_z_num == denom``.
-    """
-
-    move_x_num: int
-    move_z_num: int
-    denom: int
-
-
-@dataclass(frozen=True)
-class RearrangeCoin:
-    """Weights of the orientation coin for the merged line span.
-
-    Each target is chosen with probability proportional to the swap cost of
-    the opposite target; the two costs always sum to ``denom``, the number
-    of node pairs inside the span.
-    """
-
-    forward_num: int
-    reversed_num: int
-    denom: int
-
-
-@dataclass(frozen=True)
-class StepReport:
-    """Per-event record of what an algorithm did and at which exact odds."""
-
-    event_index: int
-    move_cost: int
-    rearrange_cost: int
-    choice: str
-    prob_num: int
-    prob_den: int
-    move_coin: CoinWeights | None = None
-    rearrange_coin: RearrangeCoin | None = None
-
-    def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "event_index": self.event_index,
-                "move_cost": self.move_cost,
-                "rearrange_cost": self.rearrange_cost,
-                "choice": self.choice,
-                "prob_num": self.prob_num,
-                "prob_den": self.prob_den,
-            },
-            separators=(",", ":"),
-        )
-
-
 @dataclass(slots=True)
 class AlgoState:
-    """Mutable per-trial state: components, costs, log and the arrangement.
+    """Mutable per-trial state: components, costs and the arrangement.
 
     A ``rand`` trial keeps no permutation.  Each component root has a
     representative ``rep[root]``: a singleton represents itself and a merge
@@ -110,8 +50,7 @@ class AlgoState:
     ``blocks[root]`` (cliques) the block's node sequence.  ``current`` lays
     the arrangement out on request.  ``det`` keeps its arrangement in
     ``fixed`` (``None`` while at pi0).  The trials of one ``rand`` chunk
-    share one ``parts``, which the engine merges once per event for all.
-    Steps append to ``step_log`` only when ``collect_log`` is set."""
+    share one ``parts``, which the engine merges once per event for all."""
 
     model: Model
     pi0: Permutation
@@ -123,13 +62,10 @@ class AlgoState:
     fixed: Permutation | None = None
     move_cost: int = 0
     rearrange_cost: int = 0
-    step_log: list[StepReport] = field(default_factory=list)
-    collect_log: bool = True
 
     @classmethod
     def initial(
-        cls, model: Model, pi0: Permutation, parts: ComponentPartition | None = None,
-        collect_log: bool = True,
+        cls, model: Model, pi0: Permutation, parts: ComponentPartition | None = None
     ) -> "AlgoState":
         n = len(pi0)
         lines = model is Model.LINES
@@ -141,7 +77,6 @@ class AlgoState:
             slot_sizes=[1] * n,
             left_end=list(range(n)) if lines else None,
             blocks=None if lines else [(v,) for v in range(n)],
-            collect_log=collect_log,
         )
 
     @property
@@ -250,26 +185,26 @@ def closest_feasible(
     return Permutation(_order_blocks(seqs, sorted_pos)[1])
 
 
-def det_step(state: AlgoState, event: RevealEvent) -> AlgoState:
-    """Apply one event deterministically: move to the feasible permutation
-    closest to the initial one, paying the distance from the current one."""
-    before = state.pi0 if state.fixed is None else state.fixed
-    state.parts.merge(event.u, event.v)
-    target = closest_feasible(state.pi0, state.parts, state.model)
-    cost = kendall_tau(before, target)
-    state.fixed = target
-    state.move_cost += cost
-    if state.collect_log:
-        state.step_log.append(StepReport(state.events_done - 1, cost, 0, "closest", 1, 1))
-    return state
-
-
 def _check_full(state: AlgoState) -> None:
     """:func:`is_minla` on the whole permutation, naming the first bad component."""
     current = state.current
-    if not is_minla(current, state.parts, state.model):
+    if not is_minla(current, state.parts):
         root = state.parts.misplaced_root(current.node_at)
         raise InvariantError(state.events_done - 1, root, state.parts.size_of(root))
+
+
+def det_step(state: AlgoState, event: RevealEvent) -> AlgoState:
+    """Apply one event deterministically: move to the feasible permutation
+    closest to the initial one, paying the distance from the current one.
+    The new arrangement is checked by :func:`is_minla` (else
+    :class:`InvariantError`)."""
+    before = state.pi0 if state.fixed is None else state.fixed
+    state.parts.merge(event.u, event.v)
+    target = closest_feasible(state.pi0, state.parts, state.model)
+    state.move_cost += kendall_tau(before, target)
+    state.fixed = target
+    _check_full(state)
+    return state
 
 
 def _rand_event(
@@ -340,20 +275,6 @@ def _rand_event(
             rearrange = 0
         state.move_cost += move
         state.rearrange_cost += rearrange
-        if state.collect_log:
-            choice = "move_x" if x_moved else "move_z"
-            num = zl if x_moved else xl
-            den, rcoin = denom, None
-            if lines:
-                rcoin = RearrangeCoin(cost_reversed, cost_forward, total_pairs)
-                choice += "+forward" if forward else "+reversed"
-                num *= cost_reversed if forward else cost_forward
-                den *= total_pairs
-            g = gcd(num, den)
-            state.step_log.append(
-                StepReport(index, move, rearrange, choice, num // g, den // g,
-                           CoinWeights(zl, xl, denom), rcoin)
-            )
 
 
 def rand_step(state: AlgoState, event: RevealEvent, rng: random.Random) -> AlgoState:
@@ -367,9 +288,7 @@ def rand_step(state: AlgoState, event: RevealEvent, rng: random.Random) -> AlgoS
 TRIAL_CHUNK = 256
 
 
-def run_trials(
-    trace: RevealTrace, seeds: Iterable[int], collect_log: bool = False
-) -> Iterator[AlgoState]:
+def run_trials(trace: RevealTrace, seeds: Iterable[int]) -> Iterator[AlgoState]:
     """Replay ``trace`` with ``rand`` once per seed and yield each trial's
     final state, in seed order.
 
@@ -383,10 +302,7 @@ def run_trials(
     seeds = iter(seeds)
     while chunk := list(islice(seeds, TRIAL_CHUNK)):
         parts = ComponentPartition(trace.n, trace.model)
-        states = [
-            AlgoState.initial(trace.model, trace.pi0, parts, collect_log=collect_log)
-            for _ in chunk
-        ]
+        states = [AlgoState.initial(trace.model, trace.pi0, parts) for _ in chunk]
         rngs = list(map(random.Random, chunk))
         for event in trace.events:
             _rand_event(parts, states, rngs, event)
@@ -395,22 +311,22 @@ def run_trials(
             yield state
 
 
-def run(
-    algo: str, trace: RevealTrace, seed: int = 0, collect_log: bool = True
-) -> AlgoState:
+def run(algo: str, trace: RevealTrace, seed: int = 0) -> AlgoState:
     """Replay every event of ``trace`` with the chosen algorithm and return
     the final state.
 
     Deterministic for a given (algo, trace, seed); ``det`` ignores the seed.
-    ``rand`` is :func:`run_trials` with one seed; each ``det`` step is
-    checked by :func:`is_minla`.  A failure raises :class:`InvariantError`.
+    ``rand`` is :func:`run_trials` with one seed and ``det`` one
+    :func:`det_step` per event; both check their arrangements by
+    :func:`is_minla`.  A failure raises :class:`InvariantError`.  The final
+    state carries the move and rearrangement costs; per-step costs are the
+    change in them around each step.
     """
     if algo == "rand":
-        return next(run_trials(trace, (seed,), collect_log))
+        return next(run_trials(trace, (seed,)))
     if algo != "det":
         raise ValueError(f"unknown algorithm {algo!r}")
-    state = AlgoState.initial(trace.model, trace.pi0, collect_log=collect_log)
+    state = AlgoState.initial(trace.model, trace.pi0)
     for event in trace.events:
         det_step(state, event)
-        _check_full(state)
     return state

@@ -11,13 +11,14 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
 from .adversaries import TreeAdversaryConfig, random_trace, tree_adversary
-from .algorithms import CoinWeights, RearrangeCoin, rand_step, run
+from .algorithms import rand_step, run
 from .feasibility import arrangement_cost, is_minla
 from .harness import (
     ExperimentConfig,
@@ -251,7 +252,7 @@ def criterion_feasibility_characterization() -> CriterionResult:
             best = min(costs)
             for p, cost in zip(perms, costs):
                 checked_perms += 1
-                if is_minla(p, parts, model) != (cost == best):
+                if is_minla(p, parts) != (cost == best):
                     return CriterionResult(
                         8,
                         "feasibility-characterization",
@@ -278,7 +279,7 @@ def criterion_tree_sandwich() -> CriterionResult:
         for i in range(samples):
             trace = tree_adversary(TreeAdversaryConfig(q=q, seed=109_000 + q * 10_000 + i))
             seed = derive_trial_seed(109, q * samples + i)
-            result = run("rand", trace, seed=seed, collect_log=False)
+            result = run("rand", trace, seed=seed)
             cost_sum += result.total_cost
             opt_sum += dp_opt(trace).cost
         ratio = cost_sum / opt_sum
@@ -324,19 +325,47 @@ def criterion_algebraic_bounds() -> CriterionResult:
 
 
 class _ForcedCoin:
-    """Stand-in rng yielding scripted draws, for pinned coin checks."""
+    """Stand-in rng yielding scripted draws and recording each bound it is
+    asked for."""
 
     def __init__(self, values: Sequence[int]):
         self._values = list(values)
+        self.bounds: list[int] = []
 
     def randrange(self, bound: int) -> int:
+        self.bounds.append(bound)
         value = self._values.pop(0)
         assert 0 <= value < bound
         return value
 
 
+def _coin_law(
+    prefix: RevealTrace, seed: int, event: RevealEvent, draws: Sequence[int], coin: int
+) -> tuple[list[int], dict[tuple[tuple[int, ...], int], Fraction]]:
+    """The exact law of one ``rand`` step over one of its coins.
+
+    The step applies ``event`` after ``prefix`` (replayed with ``seed``),
+    its draws scripted by ``draws`` except draw ``coin``, which takes every
+    value below its bound in turn.  Returns the bounds the step asked for
+    and the law of its outcome (the permutation and the step's cost): each
+    outcome's probability is its number of draws over the bound.
+    """
+    counts: Counter = Counter()
+    value, bound = 0, 1  # the first replay reads the true bound
+    while value < bound:
+        state = run("rand", prefix, seed=seed)
+        before = state.total_cost
+        scripted = _ForcedCoin([value if i == coin else d for i, d in enumerate(draws)])
+        rand_step(state, event, scripted)
+        counts[state.current.node_at, state.total_cost - before] += 1
+        bound = scripted.bounds[coin]
+        value += 1
+    return scripted.bounds, {out: Fraction(c, bound) for out, c in counts.items()}
+
+
 def criterion_coin_vectors() -> CriterionResult:
-    """The published example coin weights are reproduced exactly."""
+    """The published example coin weights are reproduced exactly, read off
+    the outcome of every draw of each coin."""
     # Clique merge of a singleton into a pair across a two-node gap:
     # moving coin must weigh 2/3 against 1/3.
     clique_prefix = RevealTrace(
@@ -345,20 +374,10 @@ def criterion_coin_vectors() -> CriterionResult:
         pi0=Permutation.identity(5),
         events=(RevealEvent(3, 4),),
     )
-    checks = []
-    for forced, choice, perm, cost, prob in (
-        (0, "move_x", (1, 2, 0, 3, 4), 2, Fraction(2, 3)),
-        (2, "move_z", (0, 3, 4, 1, 2), 4, Fraction(1, 3)),
-    ):
-        state = run("rand", clique_prefix, seed=0)
-        rand_step(state, RevealEvent(0, 3), _ForcedCoin([forced]))
-        step = state.step_log[-1]
-        checks.append(step.move_coin == CoinWeights(2, 1, 3))
-        checks.append(step.choice == choice)
-        checks.append(state.current.node_at == perm)
-        checks.append(step.move_cost == cost)
-        checks.append(Fraction(step.prob_num, step.prob_den) == prob)
-
+    clique_law = ([3], {
+        ((1, 2, 0, 3, 4), 2): Fraction(2, 3),
+        ((0, 3, 4, 1, 2), 4): Fraction(1, 3),
+    })
     # Line merge of a 2-path into a 3-path already adjacent: the orientation
     # coin must weigh 9/10 against 1/10.
     line_prefix = RevealTrace(
@@ -367,23 +386,14 @@ def criterion_coin_vectors() -> CriterionResult:
         pi0=Permutation.identity(5),
         events=(RevealEvent(0, 1), RevealEvent(2, 3), RevealEvent(3, 4)),
     )
-    for forced, perm, cost, prob in (
-        ([0, 0], (1, 0, 2, 3, 4), 1, Fraction(9, 10)),
-        ([0, 9], (4, 3, 2, 0, 1), 9, Fraction(1, 10)),
-    ):
-        state = run("rand", line_prefix, seed=0)
-        rand_step(state, RevealEvent(0, 2), _ForcedCoin(forced))
-        step = state.step_log[-1]
-        checks.append(step.rearrange_coin == RearrangeCoin(9, 1, 10))
-        checks.append(state.current.node_at == perm)
-        checks.append(step.rearrange_cost == cost)
-        orient_num = (
-            step.rearrange_coin.forward_num
-            if step.choice.endswith("forward")
-            else step.rearrange_coin.reversed_num
-        )
-        checks.append(Fraction(orient_num, step.rearrange_coin.denom) == prob)
-
+    line_law = ([5, 10], {
+        ((1, 0, 2, 3, 4), 1): Fraction(9, 10),
+        ((4, 3, 2, 0, 1), 9): Fraction(1, 10),
+    })
+    checks = [
+        _coin_law(clique_prefix, 0, RevealEvent(0, 3), [0], 0) == clique_law,
+        _coin_law(line_prefix, 0, RevealEvent(0, 2), [0, 0], 1) == line_law,
+    ]
     passed = all(checks)
     return CriterionResult(
         11,

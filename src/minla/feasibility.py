@@ -36,12 +36,12 @@ def arrangement_cost(p: Permutation, parts: ComponentPartition, model: Model) ->
     return total
 
 
-def is_minla(p: Permutation, parts: ComponentPartition, model: Model) -> bool:
+def is_minla(p: Permutation, parts: ComponentPartition) -> bool:
     """True iff ``p`` attains the minimum arrangement cost for the partition.
 
     Checked via contiguity: every component must fill a contiguous span, and
     for lines the span must read as the component's path order or its
-    reverse.  Size-1 components are vacuously contiguous.  ``model`` is the
-    partition's own.
+    reverse, per the partition's own model.  Size-1 components are vacuously
+    contiguous.
     """
     return parts.misplaced_root(p.node_at) is None

@@ -131,7 +131,7 @@ def run_experiment(
     if cfg.algo == "rand":
         results = run_trials(cfg.trace, seeds)
     else:
-        results = repeat(run("det", cfg.trace, collect_log=False))
+        results = repeat(run("det", cfg.trace))
     for trial, (seed, result) in enumerate(zip(seeds, results)):
         total = result.total_cost
         total_sum += total

@@ -13,7 +13,6 @@ import bisect
 import functools
 import heapq
 import itertools
-import json
 import random
 from fractions import Fraction
 
@@ -48,7 +47,7 @@ def all_permutations(n: int) -> list[Permutation]:
 
 def feasible_permutations(parts, model, n: int) -> list[Permutation]:
     """Every permutation the contiguity characterization accepts."""
-    return [p for p in all_permutations(n) if is_minla(p, parts, model)]
+    return [p for p in all_permutations(n) if is_minla(p, parts)]
 
 
 def ordered_pairs_diff(p: Permutation, q: Permutation) -> int:
@@ -128,25 +127,46 @@ def literal_minla(p: Permutation, groups, model) -> bool:
     return True
 
 
-def reference_rand(trace, seed: int):
+class ScriptedRandom(random.Random):
+    """``random.Random(seed)`` whose draws numbered by the keys of ``forced``
+    (counted from 0 over the whole replay) return the mapped values instead;
+    every draw still advances the seeded generator."""
+
+    def __init__(self, seed, forced):
+        super().__init__(seed)
+        self.forced = dict(forced)
+        self.draws = 0
+
+    def randrange(self, bound):
+        value = super().randrange(bound)
+        value = self.forced.get(self.draws, value)
+        assert 0 <= value < bound
+        self.draws += 1
+        return value
+
+
+def reference_rand(trace, seed):
     """The randomized strategy replayed literally, independent of the
     library's step code: slide the coin-chosen block next to the other,
     count the orientation costs as inversions of the merged span, rewrite
     the span, and check optimality of the whole permutation after every
-    step.  Same coins in the same order as ``run("rand", trace, seed)``.
+    step.  Same coins in the same order as ``run("rand", trace, seed)``;
+    ``seed`` may also be a ``random.Random`` to draw from.
 
-    Returns the step records as JSON lines, the (move, rearrange) coin
-    triples, the (total, move, rearrange) costs and the permutations: pi0
-    and the one after every step, so the last is the final permutation.
+    Returns the (move, rearrange) cost of every step, the (move, rearrange)
+    coin triples, the (total, move, rearrange) costs and the permutations:
+    pi0 and the one after every step, so the last is the final permutation.
+    A move triple is (x moves, z moves, denominator), an orientation triple
+    (forward, reversed, denominator); the draws below the first entry choose
+    the first outcome.
     """
     model = trace.model
-    rng = random.Random(seed)
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     p = trace.pi0
     perms = [p]
     groups = {v: [v] for v in range(trace.n)}  # root -> nodes (path order)
     owner = list(range(trace.n))
-    lines, coins = [], []
-    move_total = rearrange_total = 0
+    costs, coins = [], []
     for idx, ev in enumerate(trace.events):
         rx, rz = owner[ev.u], owner[ev.v]
         x, z = groups[rx], groups[rz]
@@ -158,8 +178,6 @@ def reference_rand(trace, seed: int):
             p, move_cost = slide_block(p, xs, xl, zs - xl if xs < zs else zs + zl)
         else:
             p, move_cost = slide_block(p, zs, zl, xs + xl if xs < zs else xs - zl)
-        choice = "move_x" if x_moves else "move_z"
-        prob = Fraction(zl if x_moves else xl, xl + zl)
         rearrange_cost, rcoin = 0, None
         if model is Model.LINES:
             merged = (x if x[-1] == ev.u else x[::-1]) + (z if z[0] == ev.v else z[::-1])
@@ -174,8 +192,6 @@ def reference_rand(trace, seed: int):
             nodes[start : start + size] = merged if forward else merged[::-1]
             p = Permutation(nodes)
             rearrange_cost = fwd if forward else pairs - fwd
-            choice += "+forward" if forward else "+reversed"
-            prob *= Fraction(pairs - fwd if forward else fwd, pairs)
         else:
             merged = x + z
         for w in merged:
@@ -184,24 +200,12 @@ def reference_rand(trace, seed: int):
         del groups[rz]
         assert literal_minla(p, groups.values(), model), f"event {idx}"
         perms.append(p)
-        move_total += move_cost
-        rearrange_total += rearrange_cost
+        costs.append((move_cost, rearrange_cost))
         coins.append(((zl, xl, xl + zl), rcoin))
-        lines.append(
-            json.dumps(
-                {
-                    "event_index": idx,
-                    "move_cost": move_cost,
-                    "rearrange_cost": rearrange_cost,
-                    "choice": choice,
-                    "prob_num": prob.numerator,
-                    "prob_den": prob.denominator,
-                },
-                separators=(",", ":"),
-            )
-        )
+    move_total = sum(move for move, _ in costs)
+    rearrange_total = sum(rearrange for _, rearrange in costs)
     totals = (move_total + rearrange_total, move_total, rearrange_total)
-    return lines, coins, totals, perms
+    return costs, coins, totals, perms
 
 
 _INF = 1 << 60

@@ -1,10 +1,18 @@
-import json
+import dataclasses
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 import minla.algorithms
-from conftest import feasible_permutations, literal_minla, reference_layout, reference_rand
+from conftest import (
+    ScriptedRandom,
+    feasible_permutations,
+    literal_minla,
+    reference_layout,
+    reference_rand,
+)
 from minla import (
     AlgoState,
     CapacityError,
@@ -24,16 +32,7 @@ from minla import (
     tree_adversary,
     TreeAdversaryConfig,
 )
-
-
-class ForcedCoin:
-    def __init__(self, values):
-        self.values = list(values)
-
-    def randrange(self, bound):
-        value = self.values.pop(0)
-        assert 0 <= value < bound
-        return value
+from minla.bench import _coin_law, _ForcedCoin as ForcedCoin
 
 
 def make_trace(model, n, events, pi0=None):
@@ -64,9 +63,9 @@ class TestDetStep:
         result = run("det", trace)
         # after (0,1) the initial permutation is feasible again
         assert result.current == Permutation([0, 1, 2, 3])
-        step_costs = [rep.move_cost for rep in result.step_log]
-        mid = run("det", make_trace(Model.LINES, 4, [(1, 2)])).current
-        assert step_costs[1] == kendall_tau(mid, Permutation([0, 1, 2, 3]))
+        mid = run("det", make_trace(Model.LINES, 4, [(1, 2)]))
+        second_step = result.move_cost - mid.move_cost
+        assert second_step == kendall_tau(mid.current, Permutation([0, 1, 2, 3]))
 
     def test_closest_member_and_lex_order_vs_enumeration(self):
         rng = random.Random(11)
@@ -146,36 +145,40 @@ class TestDetStep:
                 assert state.total_cost <= trace.k * 2 * farthest
 
 
+def _step_costs(state, event, rng):
+    """Apply one ``rand`` step; returns its (move, rearrange) costs."""
+    move, rearrange = state.move_cost, state.rearrange_cost
+    rand_step(state, event, rng)
+    return state.move_cost - move, state.rearrange_cost - rearrange
+
+
 class TestRandCliqueStep:
+    _PREFIX = make_trace(Model.CLIQUES, 5, [(3, 4)])
+
     def _paired_state(self):
-        prefix = make_trace(Model.CLIQUES, 5, [(3, 4)])
-        return run("rand", prefix, seed=0)
+        return run("rand", self._PREFIX, seed=0)
 
     def test_singleton_moves_to_pair(self):
         state = self._paired_state()
-        rand_step(state, RevealEvent(0, 3), ForcedCoin([0]))
+        assert _step_costs(state, RevealEvent(0, 3), ForcedCoin([0])) == (2, 0)
         assert state.current == Permutation([1, 2, 0, 3, 4])
-        report = state.step_log[-1]
-        assert report.move_cost == 2
-        assert report.choice == "move_x"
-        assert (report.prob_num, report.prob_den) == (2, 3)
+        bounds, law = _coin_law(self._PREFIX, 0, RevealEvent(0, 3), [0], 0)
+        assert bounds == [3]
+        assert law[(1, 2, 0, 3, 4), 2] == Fraction(2, 3)
 
     def test_pair_moves_to_singleton(self):
         state = self._paired_state()
-        rand_step(state, RevealEvent(0, 3), ForcedCoin([2]))
+        assert _step_costs(state, RevealEvent(0, 3), ForcedCoin([2])) == (4, 0)
         assert state.current == Permutation([0, 3, 4, 1, 2])
-        report = state.step_log[-1]
-        assert report.move_cost == 4
-        assert report.choice == "move_z"
-        assert (report.prob_num, report.prob_den) == (1, 3)
+        bounds, law = _coin_law(self._PREFIX, 0, RevealEvent(0, 3), [0], 0)
+        assert bounds == [3]
+        assert law[(0, 3, 4, 1, 2), 4] == Fraction(1, 3)
 
     def test_adjacent_blocks_cost_nothing(self):
-        state = self._paired_state()
-        for forced in (0, 2):
-            fresh = self._paired_state()
-            rand_step(fresh, RevealEvent(2, 3), ForcedCoin([forced]))
-            assert fresh.current == state.current
-            assert fresh.step_log[-1].move_cost == 0
+        # Either block may move; both draws land on pi0 at no cost.
+        bounds, law = _coin_law(self._PREFIX, 0, RevealEvent(2, 3), [0], 0)
+        assert bounds == [3]
+        assert law == {((0, 1, 2, 3, 4), 0): 1}
 
     def test_cost_equals_distance(self):
         rng = random.Random(13)
@@ -185,10 +188,8 @@ class TestRandCliqueStep:
             step_rng = random.Random(rng.random())
             for ev in trace.events:
                 before = state.current
-                rand_step(state, ev, step_rng)
-                assert state.step_log[-1].move_cost == kendall_tau(
-                    before, state.current
-                )
+                move, rearrange = _step_costs(state, ev, step_rng)
+                assert (move, rearrange) == (kendall_tau(before, state.current), 0)
 
     def test_untouched_components_keep_relative_order(self):
         rng = random.Random(14)
@@ -214,62 +215,61 @@ class TestRandCliqueStep:
 
 
 class TestRandLineStep:
+    _PREFIX = make_trace(Model.LINES, 5, [(0, 1), (2, 3), (3, 4)])
+
     def _figure_state(self):
-        prefix = make_trace(Model.LINES, 5, [(0, 1), (2, 3), (3, 4)])
-        state = run("rand", prefix, seed=0)
+        state = run("rand", self._PREFIX, seed=0)
         assert state.current == Permutation([0, 1, 2, 3, 4])
         return state
 
     def test_orientation_weights_reproduced(self):
         state = self._figure_state()
-        rand_step(state, RevealEvent(0, 2), ForcedCoin([0, 0]))
-        report = state.step_log[-1]
-        assert (
-            report.rearrange_coin.forward_num,
-            report.rearrange_coin.reversed_num,
-            report.rearrange_coin.denom,
-        ) == (9, 1, 10)
+        assert _step_costs(state, RevealEvent(0, 2), ForcedCoin([0, 0])) == (0, 1)
         assert state.current == Permutation([1, 0, 2, 3, 4])
-        assert report.rearrange_cost == 1
+        bounds, law = _coin_law(self._PREFIX, 0, RevealEvent(0, 2), [0, 0], 1)
+        assert bounds == [5, 10]
+        assert law == {
+            ((1, 0, 2, 3, 4), 1): Fraction(9, 10),
+            ((4, 3, 2, 0, 1), 9): Fraction(1, 10),
+        }
 
     def test_orientation_reversed_branch(self):
         state = self._figure_state()
-        rand_step(state, RevealEvent(0, 2), ForcedCoin([0, 9]))
+        assert _step_costs(state, RevealEvent(0, 2), ForcedCoin([0, 9])) == (0, 9)
         assert state.current == Permutation([4, 3, 2, 0, 1])
-        assert state.step_log[-1].rearrange_cost == 9
 
     def test_adjacent_singletons_keep_zero_cost_side(self):
         trace = make_trace(Model.LINES, 2, [(0, 1)])
         for seed in range(6):
             result = run("rand", trace, seed=seed)
             assert result.total_cost == 0
-            report = result.step_log[0]
-            assert report.choice.endswith("+forward")
-            assert (report.rearrange_coin.forward_num, report.rearrange_coin.denom) == (1, 1)
+            assert result.current == trace.pi0
+        empty = make_trace(Model.LINES, 2, [])
+        bounds, law = _coin_law(empty, 0, RevealEvent(0, 1), [0, 0], 1)
+        assert bounds == [2, 1]
+        assert law == {((0, 1), 0): 1}
 
     def test_candidate_costs_sum_to_span_pairs(self):
+        # With x moving (draw 0), the orientation coin weighs each filling
+        # by the other's cost: a filling that rearranges r of the span's
+        # node pairs has probability (pairs - r) / pairs.  The law sums to 1,
+        # so the two fillings' costs sum to the pairs.
         rng = random.Random(15)
         for _ in range(40):
             trace = random_trace(Model.LINES, 8, seed=rng.random())
-            state = AlgoState.initial(Model.LINES, trace.pi0)
-            step_rng = random.Random(rng.random())
-            for ev in trace.events:
+            seed = rng.randrange(1000)
+            for k, ev in enumerate(trace.events):
+                prefix = dataclasses.replace(trace, events=trace.events[:k])
+                state = run("rand", prefix, seed=seed)
                 before = state.current
-                rand_step(state, ev, step_rng)
-                report = state.step_log[-1]
+                move, _ = _step_costs(state, ev, ForcedCoin([0, 0]))
                 merged = state.parts.size_of(state.parts.find(ev.u))
-                coin = report.rearrange_coin
-                assert coin.forward_num + coin.reversed_num == coin.denom
-                assert coin.denom == merged * (merged - 1) // 2
-                expected_rearrange = (
-                    coin.reversed_num
-                    if report.choice.endswith("+forward")
-                    else coin.forward_num
-                )
-                assert report.rearrange_cost == expected_rearrange
-                assert report.move_cost + report.rearrange_cost == kendall_tau(
-                    before, state.current
-                )
+                pairs = merged * (merged - 1) // 2
+                bounds, law = _coin_law(prefix, seed, ev, [0, 0], 1)
+                assert bounds[1] == pairs
+                for (node_at, cost), prob in law.items():
+                    assert prob == Fraction(pairs - (cost - move), pairs)
+                    assert cost == kendall_tau(before, Permutation(node_at))
 
 
 class TestRun:
@@ -283,7 +283,7 @@ class TestRun:
         trace = random_trace(Model.LINES, 10, seed=3)
         a = run("rand", trace, seed=42)
         b = run("rand", trace, seed=42)
-        assert a.step_log == b.step_log
+        assert (a.move_cost, a.rearrange_cost) == (b.move_cost, b.rearrange_cost)
         assert a.current == b.current
 
     def test_feasible_after_every_step(self):
@@ -292,42 +292,11 @@ class TestRun:
             for algo in ("det", "rand"):
                 trace = random_trace(model, rng.randint(2, 12), seed=rng.random())
                 result = run(algo, trace, seed=1)
-                assert is_minla(result.current, result.parts, model)
-
-    def test_probabilities_are_valid_rationals(self):
-        rng = random.Random(17)
-        for model in (Model.CLIQUES, Model.LINES):
-            trace = random_trace(model, 9, seed=rng.random())
-            for rep in run("rand", trace, seed=5).step_log:
-                assert rep.prob_den > 0
-                assert 0 <= rep.prob_num <= rep.prob_den
+                assert is_minla(result.current, result.parts)
 
     def test_unknown_algo_rejected(self):
         with pytest.raises(ValueError):
             run("greedy", make_trace(Model.LINES, 2, []))
-
-    def test_step_log_jsonl(self):
-        trace = random_trace(Model.LINES, 6, seed=8)
-        result = run("rand", trace, seed=2)
-        jsonl = "".join(step.to_json_line() + "\n" for step in result.step_log)
-        lines = jsonl.strip().split("\n")
-        assert len(lines) == trace.k
-        parsed = json.loads(lines[0])
-        assert set(parsed) == {
-            "event_index",
-            "move_cost",
-            "rearrange_cost",
-            "choice",
-            "prob_num",
-            "prob_den",
-        }
-        assert parsed["event_index"] == 0
-
-    def test_log_collection_toggle(self):
-        trace = random_trace(Model.CLIQUES, 6, seed=8)
-        result = run("rand", trace, seed=2, collect_log=False)
-        assert result.step_log == []
-        assert result.total_cost >= 0
 
 
 def _kernel_traces():
@@ -347,37 +316,69 @@ def _kernel_traces():
     return traces
 
 
-def _assert_matches_reference(state, lines, coins, totals):
-    assert [rep.to_json_line() for rep in state.step_log] == lines
-    for rep, (move_coin, rcoin) in zip(state.step_log, coins):
-        mc = rep.move_coin
-        assert (mc.move_x_num, mc.move_z_num, mc.denom) == move_coin
-        rc = rep.rearrange_coin
-        if rcoin is None:
-            assert rc is None
-        else:
-            assert (rc.forward_num, rc.reversed_num, rc.denom) == rcoin
-    assert (state.total_cost, state.move_cost, state.rearrange_cost) == totals
+def _totals(state):
+    return state.total_cost, state.move_cost, state.rearrange_cost
+
+
+def _small_traces():
+    """Cliques and lines at n = 2..12, full and partial random traces, and
+    tree-adversary traces at q = 1..3."""
+    rng = random.Random(22)
+    traces = []
+    for model in (Model.CLIQUES, Model.LINES):
+        for n in (2, 3, 4, 6, 9, 12):
+            for _ in range(2):
+                traces.append(random_trace(model, n, seed=rng.random()))
+                traces.append(random_trace(model, n, seed=rng.random(), events=n // 2))
+    for q in (1, 2, 3):
+        traces.append(tree_adversary(TreeAdversaryConfig(q=q, seed=q)))
+    return traces
 
 
 class TestWindowedKernel:
     """The ``rand`` engine against its literal reference, step by step."""
 
     def test_matches_literal_reference(self):
-        # A chunk of one: the permutation after every event, then the costs,
-        # both coins and the step-log lines.
+        # A chunk of one: the permutation and the costs after every event.
         for i, trace in enumerate(_kernel_traces()):
             seed = 1000 + i
-            lines, coins, totals, perms = reference_rand(trace, seed)
+            costs, _, totals, perms = reference_rand(trace, seed)
             state = AlgoState.initial(trace.model, trace.pi0)
             rng = random.Random(seed)
             assert state.current == perms[0]
-            for ev, expected in zip(trace.events, perms[1:]):
-                rand_step(state, ev, rng)
+            for ev, expected, step in zip(trace.events, perms[1:], costs):
+                assert _step_costs(state, ev, rng) == step
                 assert state.current == expected
-            _assert_matches_reference(state, lines, coins, totals)
+            assert _totals(state) == totals
             result = run("rand", trace, seed=seed)
-            assert (result.step_log, result.current) == (state.step_log, perms[-1])
+            assert (_totals(result), result.current) == (totals, perms[-1])
+
+    def test_coin_laws_match_reference(self):
+        # Every coin of every step, the step's other coin drawing 0: the law
+        # read off the engine's outcome for each draw equals the reference's
+        # coin triple, weighing the reference's outcome of each choice.
+        for i, trace in enumerate(_small_traces()):
+            seed = 3000 + i
+            _, coins, _, _ = reference_rand(trace, seed)
+            draws = 2 if trace.model is Model.LINES else 1
+            for k, (ev, step_coins) in enumerate(zip(trace.events, coins)):
+                prefix = dataclasses.replace(trace, events=trace.events[:k])
+                triples = [t for t in step_coins if t is not None]
+                for coin, (first, second, bound) in enumerate(triples):
+                    scripted = [0] * draws
+                    expected = Counter()
+                    for value, weight in ((0, first), (bound - 1, second)):
+                        scripted[coin] = value
+                        forced = {k * draws + j: d for j, d in enumerate(scripted)}
+                        costs, _, _, perms = reference_rand(
+                            trace, ScriptedRandom(seed, forced)
+                        )
+                        expected[perms[k + 1].node_at, sum(costs[k])] += Fraction(
+                            weight, bound
+                        )
+                    bounds, law = _coin_law(prefix, seed, ev, [0] * draws, coin)
+                    assert bounds == [t[2] for t in triples]
+                    assert law == {out: p for out, p in expected.items() if p}
 
     def test_feasible_after_every_step(self):
         for i, trace in enumerate(_kernel_traces()[::3]):
@@ -385,7 +386,7 @@ class TestWindowedKernel:
             rng = random.Random(i)
             for ev in trace.events:
                 rand_step(state, ev, rng)
-                assert is_minla(state.current, state.parts, trace.model)
+                assert is_minla(state.current, state.parts)
 
     def test_shared_chunk_feasible_after_every_event(self):
         # Trials stepped in lockstep over one partition: every trial stays
@@ -397,23 +398,27 @@ class TestWindowedKernel:
             refs = [reference_rand(trace, seed) for seed in seeds]
             states = [AlgoState.initial(trace.model, trace.pi0, parts) for _ in seeds]
             rngs = [random.Random(seed) for seed in seeds]
-            for k, ev in enumerate(trace.events, 1):
+            for k, ev in enumerate(trace.events):
+                before = [(state.move_cost, state.rearrange_cost) for state in states]
                 minla.algorithms._rand_event(parts, states, rngs, ev)
-                for state, (_, _, _, perms) in zip(states, refs):
-                    assert state.current == perms[k]
-                    assert is_minla(state.current, parts, trace.model)
-            for state, (lines, coins, totals, _) in zip(states, refs):
-                _assert_matches_reference(state, lines, coins, totals)
+                for state, (move, rearrange), (costs, _, _, perms) in zip(
+                    states, before, refs
+                ):
+                    step = state.move_cost - move, state.rearrange_cost - rearrange
+                    assert step == costs[k]
+                    assert state.current == perms[k + 1]
+                    assert is_minla(state.current, parts)
+            for state, (_, _, totals, _) in zip(states, refs):
+                assert _totals(state) == totals
 
     def test_large_final_states_match_reference(self):
         traces = [tree_adversary(TreeAdversaryConfig(q=8, seed=s)) for s in (1, 2)]
         traces += [random_trace(Model.LINES, 256, seed=s) for s in (3, 4)]
         traces += [random_trace(Model.LINES, 256, seed=5, events=200)]
         for i, trace in enumerate(traces):
-            lines, coins, totals, perms = reference_rand(trace, 70 + i)
+            _, _, totals, perms = reference_rand(trace, 70 + i)
             state = run("rand", trace, seed=70 + i)
-            _assert_matches_reference(state, lines, coins, totals)
-            assert state.current == perms[-1]
+            assert (_totals(state), state.current) == (totals, perms[-1])
 
     def test_snapshot_is_not_changed_by_later_steps(self):
         for model in (Model.CLIQUES, Model.LINES):
@@ -484,7 +489,7 @@ class TestWindowedKernel:
             trace = random_trace(model, rng.randint(2, 24), seed=rng.random())
             swapped.clear()
             try:
-                run("rand", trace, seed=rng.randrange(1000), collect_log=False)
+                run("rand", trace, seed=rng.randrange(1000))
                 raised = None
             except InvariantError as exc:
                 raised = exc

@@ -10,7 +10,17 @@ import minla.algorithms
 import minla.cli
 import minla.harness
 import minla.trace
-from minla import Model, derive_trial_seed, emit_trace, parse_trace, random_trace, run
+from minla import (
+    InvariantError,
+    Model,
+    Permutation,
+    derive_trial_seed,
+    duel,
+    emit_trace,
+    parse_trace,
+    random_trace,
+    run,
+)
 from minla.algorithms import TRIAL_CHUNK
 from minla.cli import main
 
@@ -100,7 +110,7 @@ class TestSimulate:
     def test_det_trials_match_per_trial_runs(self, capsys, trace_file, monkeypatch):
         trace = parse_trace(trace_file.read_text())
         loop = [
-            run("det", trace, seed=derive_trial_seed(3, trial), collect_log=False)
+            run("det", trace, seed=derive_trial_seed(3, trial))
             for trial in range(5)
         ]
         calls = []
@@ -455,6 +465,28 @@ class TestDuel:
         induced = parse_trace(dump.read_text())
         cost = int(out.split("algo_cost=")[1].split()[0])
         assert run("det", induced).total_cost == cost
+
+    def test_misplaced_det_step_exits_5(self, capsys, monkeypatch):
+        # A det target that swaps the first two nodes of a 3-path splits the
+        # path: the duel's det steps are checked as run("det")'s are.
+        closest_feasible = minla.algorithms.closest_feasible
+
+        def swap_path_head(pi0, parts, model):
+            target = closest_feasible(pi0, parts, model)
+            node_at = list(target.node_at)
+            for root in parts.components():
+                if parts.size_of(root) == 3:
+                    i, j = (target.pos_of[v] for v in parts.path_of(root)[:2])
+                    node_at[i], node_at[j] = node_at[j], node_at[i]
+            return Permutation(node_at)
+
+        monkeypatch.setattr(minla.algorithms, "closest_feasible", swap_path_head)
+        with pytest.raises(InvariantError):
+            duel(9)
+        code, out, err = run_cli(capsys, "duel", "--n", "9")
+        assert (code, out) == (5, "")
+        assert err.startswith("internal error:")
+        assert "(size 3)" in err
 
     def test_past_the_old_cap(self, capsys):
         code, out, _ = run_cli(capsys, "duel", "--n", "33")

@@ -89,16 +89,16 @@ class TestMinlaOptimum:
 class TestIsMinla:
     def test_non_contiguous_clique(self):
         parts = partition(4, Model.CLIQUES, [[0, 1, 2], [3]])
-        assert not is_minla(Permutation([0, 3, 1, 2]), parts, Model.CLIQUES)
+        assert not is_minla(Permutation([0, 3, 1, 2]), parts)
 
     def test_reversed_path_block(self):
         parts = partition(3, Model.LINES, [[0, 1, 2]])
-        assert is_minla(Permutation([2, 1, 0]), parts, Model.LINES)
+        assert is_minla(Permutation([2, 1, 0]), parts)
 
     def test_scrambled_path_block(self):
         parts = partition(3, Model.LINES, [[0, 1, 2]])
         p = Permutation([1, 0, 2])
-        assert not is_minla(p, parts, Model.LINES)
+        assert not is_minla(p, parts)
         assert arrangement_cost(p, parts, Model.LINES) == 3
 
     def test_characterization_equivalence_smoke(self):
@@ -118,7 +118,7 @@ class TestIsMinla:
                 perms = all_permutations(n)
                 best = min(arrangement_cost(p, parts, model) for p in perms)
                 for p in perms:
-                    assert is_minla(p, parts, model) == (
+                    assert is_minla(p, parts) == (
                         arrangement_cost(p, parts, model) == best
                     )
 
@@ -136,6 +136,6 @@ class TestIsMinla:
                 for block in blocks:
                     layout.extend(block if rng.random() < 0.5 else block[::-1])
                 p = Permutation(layout)
-                assert is_minla(p, final, Model.LINES)
+                assert is_minla(p, final)
                 for i in range(trace.k + 1):
-                    assert is_minla(p, replay_components(trace, i), Model.LINES)
+                    assert is_minla(p, replay_components(trace, i))

@@ -4,7 +4,6 @@ import random
 import numpy as np
 import pytest
 
-import minla.algorithms
 import minla.harness
 from conftest import fraction_ratio, frequency_counts, reference_rand
 from minla import (
@@ -81,7 +80,7 @@ class TestRunExperiment:
         trace = random_trace(Model.LINES, 9, seed=31)
         opt = dp_opt(trace)
         seeds = [derive_trial_seed(7, trial) for trial in range(5)]
-        loop = [run("det", trace, seed=seed, collect_log=False) for seed in seeds]
+        loop = [run("det", trace, seed=seed) for seed in seeds]
         calls = []
 
         def counting_run(*args, **kwargs):
@@ -182,7 +181,7 @@ class TestRunExperiment:
 def _one_trial_at_a_time(trace, seeds):
     """The ``rand`` trials as a loop of single-trial runs."""
     for seed in seeds:
-        yield run("rand", trace, seed=seed, collect_log=False)
+        yield run("rand", trace, seed=seed)
 
 
 class TestLockstepChunks:
@@ -217,22 +216,6 @@ class TestLockstepChunks:
                 texts[engine, kind] = report.to_text()
         for kind, _ in cases:
             assert texts["chunked", kind] == texts["single", kind]
-
-    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
-    def test_no_log_objects_without_a_log(self, model, monkeypatch):
-        trace = random_trace(model, 12, seed=25)
-        cfg = ExperimentConfig(
-            trace=trace, trace_id="t", algo="rand", trials=300, master_seed=4
-        )
-        opt = dp_opt(trace)
-        expected = run_experiment(cfg, opt=opt)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("log object built without a log")
-
-        for name in ("StepReport", "CoinWeights", "RearrangeCoin", "gcd"):
-            monkeypatch.setattr(minla.algorithms, name, forbidden)
-        assert run_experiment(cfg, opt=opt) == expected
 
 
 class TestVerifyLemma:

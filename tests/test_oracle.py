@@ -84,7 +84,7 @@ class TestDpOpt:
                 )
                 opt = dp_opt(trace)
                 for i in range(trace.k + 1):
-                    assert is_minla(opt.witness, replay_components(trace, i), model)
+                    assert is_minla(opt.witness, replay_components(trace, i))
 
     def test_capacity_cap(self, monkeypatch):
         # 2 (cap + 1) nodes joined in pairs: 11 multi-node components.
@@ -119,7 +119,7 @@ class TestDpOpt:
         opt = dp_opt(trace)
         assert kendall_tau(trace.pi0, opt.witness) == opt.cost
         for i in range(trace.k + 1):
-            assert is_minla(opt.witness, replay_components(trace, i), model)
+            assert is_minla(opt.witness, replay_components(trace, i))
 
 
 class TestExhaustiveOpt:
