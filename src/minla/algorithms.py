@@ -15,14 +15,13 @@ below the denominator, so no floating point enters the randomness.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvariantError
 from .feasibility import is_minla
-from .ordering import check_states, cross_weight, solve_block_order
+from .ordering import solve_block_order
 from .perm import Permutation, count_inversions, kendall_tau
 from .trace import ComponentPartition, Model, RevealEvent, RevealTrace
 
@@ -52,7 +51,6 @@ class AlgoState:
     ``fixed`` (``None`` while at pi0).  The trials of one ``rand`` chunk
     share one ``parts``, which the engine merges once per event for all."""
 
-    model: Model
     pi0: Permutation
     parts: ComponentPartition
     rep: list[int]
@@ -70,7 +68,6 @@ class AlgoState:
         n = len(pi0)
         lines = model is Model.LINES
         return cls(
-            model=model,
             pi0=pi0,
             parts=ComponentPartition(n, model) if parts is None else parts,
             rep=list(range(n)),
@@ -122,67 +119,26 @@ def _oriented_path(path: Sequence[int], pos0: Sequence[int]) -> list[int]:
     return list(path[::-1])
 
 
-def _order_blocks(
-    seqs: Sequence[Sequence[int]], sorted_pos: Sequence[Sequence[int]]
-) -> tuple[int, list[int]]:
-    """Lay the blocks ``seqs`` out in the order with the fewest node pairs
-    inverted against the reference positions; returns that count and the
-    concatenated node sequence.
-
-    ``sorted_pos[i]`` lists block i's reference positions in ascending order.
-    Ties resolve to the lexicographically smallest node sequence.  A single
-    block is returned as it is.  Singletons keep their reference order, so
-    only the multi-node blocks are searched; the state cap is checked before
-    any weight is built.
-    """
-    if len(seqs) == 1:
-        return 0, list(seqs[0])
-    multi = [i for i, seq in enumerate(seqs) if len(seq) > 1]
-    singles = sorted(
-        (sorted_pos[i][0], seq[0]) for i, seq in enumerate(seqs) if len(seq) == 1
-    )
-    check_states(len(multi), len(singles))
-    w = [
-        [0 if i == j else cross_weight(sorted_pos[i], sorted_pos[j]) for j in multi]
-        for i in multi
-    ]
-    # Block nodes left of each singleton, from the block's sorted positions:
-    # the cost of the singleton before the block; the rest is the reverse.
-    w_sb = [[bisect_left(sorted_pos[i], p) for i in multi] for p, _ in singles]
-    w_bs = [[len(seqs[i]) - row[c] for row in w_sb] for c, i in enumerate(multi)]
-    keys = [seqs[i][0] for i in multi] + [v for _, v in singles]
-    cross, order = solve_block_order(w, keys, w_sb, w_bs)
-    m = len(multi)
-    node_at: list[int] = []
-    for idx in order:
-        if idx < m:
-            node_at.extend(seqs[multi[idx]])
-        else:
-            node_at.append(singles[idx - m][1])
-    return cross, node_at
-
-
-def closest_feasible(
-    pi0: Permutation, parts: ComponentPartition, model: Model
-) -> Permutation:
-    """The feasible permutation for ``parts`` closest to ``pi0``.
+def closest_feasible(pi0: Permutation, parts: ComponentPartition) -> Permutation:
+    """The feasible permutation for ``parts`` closest to ``pi0``, under the
+    partition's own model.
 
     Exact: component-internal layouts are fixed first (cliques take the
     pi0-induced node order, lines the cheaper orientation), then the block
-    order is optimized by :func:`_order_blocks`.  Ties resolve to the
+    order is optimized by :func:`solve_block_order`.  Ties resolve to the
     lexicographically smallest node sequence.
     """
     pos0 = pi0.pos_of
     seqs: list[list[int]] = []
     sorted_pos: list[list[int]] = []
     for root in parts.components():
-        if model is Model.CLIQUES:
+        if parts.model is Model.CLIQUES:
             seq = sorted(parts.nodes_of(root), key=pos0.__getitem__)
         else:
             seq = _oriented_path(parts.path_of(root), pos0)
         seqs.append(seq)
         sorted_pos.append(sorted(pos0[v] for v in seq))
-    return Permutation(_order_blocks(seqs, sorted_pos)[1])
+    return Permutation(solve_block_order(seqs, sorted_pos)[1])
 
 
 def _check_full(state: AlgoState) -> None:
@@ -200,7 +156,7 @@ def det_step(state: AlgoState, event: RevealEvent) -> AlgoState:
     :class:`InvariantError`)."""
     before = state.pi0 if state.fixed is None else state.fixed
     state.parts.merge(event.u, event.v)
-    target = closest_feasible(state.pi0, state.parts, state.model)
+    target = closest_feasible(state.pi0, state.parts)
     state.move_cost += kendall_tau(before, target)
     state.fixed = target
     _check_full(state)

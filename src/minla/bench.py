@@ -248,7 +248,7 @@ def criterion_feasibility_characterization() -> CriterionResult:
             n = rng.randint(2, 7)
             parts = _random_partition(rng, n, model)
             perms = _all_perms(n)
-            costs = [arrangement_cost(p, parts, model) for p in perms]
+            costs = [arrangement_cost(p, parts) for p in perms]
             best = min(costs)
             for p, cost in zip(perms, costs):
                 checked_perms += 1

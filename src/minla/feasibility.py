@@ -15,16 +15,16 @@ from .trace import ComponentPartition, Model
 __all__ = ["arrangement_cost", "is_minla"]
 
 
-def arrangement_cost(p: Permutation, parts: ComponentPartition, model: Model) -> int:
+def arrangement_cost(p: Permutation, parts: ComponentPartition) -> int:
     """Sum over edges of the position distance between the endpoints.
 
-    Cliques contribute all intra-component pairs, lines only consecutive
-    path neighbors.
+    Per the partition's own model, cliques contribute all intra-component
+    pairs, lines only consecutive path neighbors.
     """
     pos = p.pos_of
     total = 0
     for root in parts.components():
-        if model is Model.CLIQUES:
+        if parts.model is Model.CLIQUES:
             qs = sorted(pos[v] for v in parts.nodes_of(root))
             s = len(qs)
             total += sum(q * (2 * i - s + 1) for i, q in enumerate(qs))

@@ -25,9 +25,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algorithms import _order_blocks, closest_feasible
+from .algorithms import closest_feasible
 from .errors import CapacityError
-from .ordering import cross_weight
+from .ordering import cross_weight, solve_block_order
 from .perm import Permutation, count_inversions, kendall_tau
 from .trace import Model, RevealTrace, replay_components
 
@@ -58,7 +58,7 @@ def _clique_opt(t: RevealTrace) -> OptResult:
 
     Each merge orders its two child blocks independently (the cross cost
     depends only on the node sets), then the forest roots are ordered by
-    :func:`_order_blocks`.
+    :func:`solve_block_order`.
     """
     pos0 = t.pi0.pos_of
     # Per component: sorted reference positions, node sequence, internal cost.
@@ -81,7 +81,7 @@ def _clique_opt(t: RevealTrace) -> OptResult:
 
     roots = sorted(comp)
     internal = sum(comp[r][2] for r in roots)
-    cross, node_at = _order_blocks(
+    cross, node_at = solve_block_order(
         [comp[r][1] for r in roots], [comp[r][0] for r in roots]
     )
     return OptResult(cost=internal + cross, witness=Permutation(node_at))
@@ -99,7 +99,7 @@ def dp_opt(t: RevealTrace) -> OptResult:
     if t.model is Model.CLIQUES:
         return _clique_opt(t)
     parts = replay_components(t, t.k)
-    witness = closest_feasible(t.pi0, parts, Model.LINES)
+    witness = closest_feasible(t.pi0, parts)
     return OptResult(cost=kendall_tau(t.pi0, witness), witness=witness)
 
 

@@ -1,6 +1,6 @@
 """Exact minimum-inversion ordering of disjoint blocks.
 
-Given blocks of nodes and a reference permutation, find the order of the
+Given blocks of nodes and their reference positions, find the order of the
 blocks that minimizes the number of node pairs placed opposite to their
 reference order.  Pairwise preferences between multi-node blocks can be
 cyclic, so the minimum is found by dynamic programming.  Singletons (one-node
@@ -12,10 +12,15 @@ for s singletons, O(2^m * (m + 1) * (s + 1)) table work plus an
 O((m + s) * m^2) reconstruction.  One numpy table serves every size: it is
 filled a popcount layer at a time, in slices of bounded size.  A hard cap on
 the state count guards the exponential table.
+
+:func:`solve_block_order` is the one entry point, for ``det`` and the clique
+oracle alike: it checks the cap, then builds the weights and applies the
+singleton rule.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from typing import Sequence
 
@@ -23,7 +28,7 @@ import numpy as np
 
 from .errors import CapacityError
 
-__all__ = ["CAP_BITS", "check_states", "cross_weight", "solve_block_order"]
+__all__ = ["CAP_BITS", "cross_weight", "solve_block_order"]
 
 # An exact block-order search may use at most 2^CAP_BITS states.
 CAP_BITS = 22
@@ -47,16 +52,6 @@ def cross_weight(sorted_pos_a: Sequence[int], sorted_pos_b: Sequence[int]) -> in
             j += 1
         count += j
     return count
-
-
-def check_states(m: int, s: int) -> None:
-    """Raise :class:`CapacityError` unless m multi-node blocks and s
-    singletons fit in at most 2^CAP_BITS program states."""
-    if (s + 1) << m > 1 << CAP_BITS:
-        raise CapacityError(
-            f"{m} multi-node components and {s} singletons exceed the "
-            f"exact-search cap of 2^{CAP_BITS} states"
-        )
 
 
 @lru_cache(maxsize=None)
@@ -122,58 +117,72 @@ def _costs(rows, tail, m: int, s: int) -> np.ndarray:
 
 
 def solve_block_order(
-    w: Sequence[Sequence[int]],
-    tie_keys: Sequence[int],
-    w_sb: Sequence[Sequence[int]] = (),
-    w_bs: Sequence[Sequence[int]] = (),
+    seqs: Sequence[Sequence[int]], sorted_pos: Sequence[Sequence[int]]
 ) -> tuple[int, list[int]]:
-    """Minimum total cross cost and an optimal order of m blocks and s
-    singletons, the singletons kept in their index order.
+    """Lay the blocks ``seqs`` out in the order with the fewest node pairs
+    inverted against the reference positions; returns that count and the
+    concatenated node sequence.
 
-    ``w[i][j]`` is the cost of placing block i anywhere before block j,
-    ``w_sb[t][i]`` of singleton t before block i and ``w_bs[i][t]`` of block i
-    before singleton t; the singletons' weights among themselves must be 0
-    in index order.  The order returned minimizes the sum over all ordered
-    pairs and lists block i as i and singleton t as m + t.  Among
-    minimum-cost orders, ties resolve to the order whose items appear by
-    ascending ``tie_keys`` (blocks first, then singletons) as early as
-    possible, which yields the lexicographically smallest concatenation when
-    the keys are the items' leading node ids.  Raises :class:`CapacityError`
-    beyond 2^CAP_BITS states.
+    ``sorted_pos[i]`` lists block i's reference positions in ascending order.
+    Singletons keep their reference order, so only the multi-node blocks are
+    searched.  Ties resolve to the lexicographically smallest node sequence:
+    each place takes, among the items that begin an optimal rest, the one
+    with the smallest leading node.  A single block is returned as it is.
+    Raises :class:`CapacityError` beyond 2^CAP_BITS states, before any
+    weight is built.
     """
-    m, s = len(w), len(w_sb)
-    check_states(m, s)
+    if len(seqs) == 1:
+        return 0, list(seqs[0])
+    multi = [i for i, seq in enumerate(seqs) if len(seq) > 1]
+    singles = sorted(
+        (sorted_pos[i][0], seq[0]) for i, seq in enumerate(seqs) if len(seq) == 1
+    )
+    m, s = len(multi), len(singles)
+    if (s + 1) << m > 1 << CAP_BITS:
+        raise CapacityError(
+            f"{m} multi-node components and {s} singletons exceed the "
+            f"exact-search cap of 2^{CAP_BITS} states"
+        )
+    blocks = [sorted_pos[i] for i in multi]
+    # w[i][j]: block i anywhere before block j.
+    w = [
+        [0 if i == j else cross_weight(a, b) for j, b in enumerate(blocks)]
+        for i, a in enumerate(blocks)
+    ]
+    # Block nodes left of each singleton: the cost of the singleton before
+    # the block; the block's other nodes are the cost of the reverse.
+    w_sb = [[bisect_left(pos, p) for pos in blocks] for p, _ in singles]
     width = s + 1
     # tail[i][k]: block i before the last k singletons.
     tail = [[0] * width for _ in range(m)]
-    for i in range(m):
+    for i, pos in enumerate(blocks):
         for k in range(1, width):
-            tail[i][k] = tail[i][k - 1] + w_bs[i][s - k]
-    rows = [*w, *w_sb]
-    g = _costs(rows, tail, m, s)
+            tail[i][k] = tail[i][k - 1] + len(pos) - w_sb[s - k][i]
+    g = _costs([*w, *w_sb], tail, m, s)
 
     # Rebuild front to back from (all blocks, all singletons); the candidates
     # are the remaining blocks and the first remaining singleton.
-    order: list[int] = []
+    node_at: list[int] = []
     t, k = (1 << m) - 1, s
     while t or k:
         bits = [j for j in range(m) if t >> j & 1]
         target = int(g[t * width + k])
-        best_j, best_key = -1, None
+        best, best_key = -1, None
         for j in bits:
             head = tail[j][k] + sum(w[j][i] for i in bits)
             if head + int(g[(t ^ 1 << j) * width + k]) == target:
-                if best_j < 0 or tie_keys[j] < best_key:
-                    best_j, best_key = j, tie_keys[j]
+                key = seqs[multi[j]][0]
+                if best < 0 or key < best_key:
+                    best, best_key = j, key
         if k:
-            first = m + s - k
-            head = sum(rows[first][i] for i in bits)
+            head = sum(w_sb[s - k][i] for i in bits)
             if head + int(g[t * width + k - 1]) == target:
-                if best_j < 0 or tie_keys[first] < best_key:
-                    best_j = first
-        order.append(best_j)
-        if best_j < m:
-            t ^= 1 << best_j
+                if best < 0 or singles[s - k][1] < best_key:
+                    best = m
+        if best < m:
+            node_at.extend(seqs[multi[best]])
+            t ^= 1 << best
         else:
+            node_at.append(singles[s - k][1])
             k -= 1
-    return int(g[-1]), order
+    return int(g[-1]), node_at

@@ -61,21 +61,24 @@ class RevealTrace:
 class ComponentPartition:
     """Disjoint components of the revealed graph.
 
-    Union-find with per-component member lists; for lines every component
-    additionally stores the node sequence from one path endpoint to the
-    other.  No arrangement: each ``rand`` trial keeps its own per root.
-    Mutable replay state: only trials that apply the same events in
-    lockstep (one ``rand`` chunk) may share an instance.
+    Union-find with one node sequence per component root: for lines the
+    path from one endpoint to the other, for cliques the merge order.  No
+    arrangement: each ``rand`` trial keeps its own per root.  Mutable replay
+    state: only trials that apply the same events in lockstep (one ``rand``
+    chunk) may share an instance.
     """
 
     def __init__(self, n: int, model: Model):
         self.n = n
         self.model = model
+        # Read on every merge and path lookup, where an enum compare costs
+        # ten times a bool test.
+        self._lines = model is Model.LINES
         self._parent = list(range(n))
-        self._members: dict[int, list[int]] = {v: [v] for v in range(n)}
-        self._paths: dict[int, tuple[int, ...]] | None = None
-        if model is Model.LINES:
-            self._paths = {v: (v,) for v in range(n)}
+        # Paths are tuples, rebuilt per merge; clique lists grow in place.
+        self._nodes: dict[int, list[int] | tuple[int, ...]] = {
+            v: (v,) if self._lines else [v] for v in range(n)
+        }
 
     @classmethod
     def from_components(
@@ -99,12 +102,8 @@ class ComponentPartition:
             for v in group:
                 parts._parent[v] = root
                 if v != root:
-                    del parts._members[v]
-            parts._members[root] = group
-            if parts._paths is not None:
-                for v in group[1:]:
-                    del parts._paths[v]
-                parts._paths[root] = tuple(group)
+                    del parts._nodes[v]
+            parts._nodes[root] = tuple(group) if parts._lines else group
         if len(seen) != n:
             raise ValueError("groups do not cover all nodes")
         return parts
@@ -120,22 +119,22 @@ class ComponentPartition:
 
     def components(self) -> list[int]:
         """Component roots, sorted for deterministic iteration."""
-        return sorted(self._members)
+        return sorted(self._nodes)
 
     @property
     def num_components(self) -> int:
-        return len(self._members)
+        return len(self._nodes)
 
-    def nodes_of(self, root: int) -> list[int]:
-        return self._members[root]
+    def nodes_of(self, root: int) -> Sequence[int]:
+        return self._nodes[root]
 
     def size_of(self, root: int) -> int:
-        return len(self._members[root])
+        return len(self._nodes[root])
 
     def path_of(self, root: int) -> tuple[int, ...]:
-        if self._paths is None:
+        if not self._lines:
             raise ValueError("path order is only tracked for the lines model")
-        return self._paths[root]
+        return self._nodes[root]
 
     def misplaced_root(self, node_at: Sequence[int]) -> int | None:
         """Root of the first component, walking ``node_at`` left to right,
@@ -143,7 +142,7 @@ class ComponentPartition:
         nodes (in path order or its reverse, for lines); ``None`` when every
         one does: the contiguity characterization of an optimal arrangement.
         """
-        parent, members, paths = self._parent, self._members, self._paths
+        parent, members, lines = self._parent, self._nodes, self._lines
         hi = len(node_at)
         i = 0
         while i < hi:
@@ -157,10 +156,10 @@ class ComponentPartition:
                 return root
             if end - i > 1:
                 span = tuple(node_at[i:end])
-                if paths is None:
+                if not lines:
                     if set(span) != set(nodes):
                         return root
-                elif span != paths[root] and span[::-1] != paths[root]:
+                elif span != nodes and span[::-1] != nodes:
                     return root
             i = end
         return None
@@ -178,12 +177,12 @@ class ComponentPartition:
             raise TraceValidationError(
                 f"nodes {u} and {v} are already in the same component"
             )
-        if self._paths is None:
+        if not self._lines:
             self._parent[rv] = ru
-            self._members[ru].extend(self._members.pop(rv))
+            self._nodes[ru].extend(self._nodes.pop(rv))
             return ru
-        pu = self._paths[ru]
-        pv = self._paths[rv]
+        pu = self._nodes[ru]
+        pv = self._nodes[rv]
         if pu[-1] != u:
             if pu[0] != u:
                 raise TraceValidationError(f"node {u} is not an endpoint of its path")
@@ -193,9 +192,8 @@ class ComponentPartition:
                 raise TraceValidationError(f"node {v} is not an endpoint of its path")
             pv = pv[::-1]
         self._parent[rv] = ru
-        self._members[ru].extend(self._members.pop(rv))
-        self._paths[ru] = pu + pv
-        del self._paths[rv]
+        self._nodes[ru] = pu + pv
+        del self._nodes[rv]
         return ru
 
 

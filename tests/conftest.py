@@ -304,7 +304,7 @@ def reference_block_order(w, tie_keys):
 def reference_layout(seqs, sorted_pos):
     """``reference_block_order`` over every block of ``seqs``, singletons
     included, keyed by leading node: the cross cost and node sequence the
-    library's ``_order_blocks`` must reproduce."""
+    library's ``solve_block_order`` must reproduce."""
     m = len(seqs)
     w = [
         [0 if i == j else cross_weight(sorted_pos[i], sorted_pos[j]) for j in range(m)]

@@ -106,7 +106,7 @@ class TestDetStep:
         state = AlgoState.initial(Model.CLIQUES, Permutation.identity(1000))
         for i in range(0, 44, 2):
             state.parts.merge(i, i + 1)
-        monkeypatch.setattr(minla.algorithms, "cross_weight", no_weights)
+        monkeypatch.setattr(minla.ordering, "cross_weight", no_weights)
         with pytest.raises(CapacityError):
             det_step(state, RevealEvent(44, 45))
 
@@ -119,14 +119,14 @@ class TestDetStep:
         compared = []
 
         def checked(seqs, sorted_pos):
-            result = order_blocks(seqs, sorted_pos)
+            result = solve_block_order(seqs, sorted_pos)
             if len(seqs) <= 16:
                 assert result == reference_layout(seqs, sorted_pos)
                 compared.append(len(seqs))
             return result
 
-        order_blocks = minla.algorithms._order_blocks
-        monkeypatch.setattr(minla.algorithms, "_order_blocks", checked)
+        solve_block_order = minla.algorithms.solve_block_order
+        monkeypatch.setattr(minla.algorithms, "solve_block_order", checked)
         trace = random_trace(model, n, seed=n)
         result = run("det", trace)
         assert result.parts.num_components == 1

@@ -471,8 +471,8 @@ class TestDuel:
         # path: the duel's det steps are checked as run("det")'s are.
         closest_feasible = minla.algorithms.closest_feasible
 
-        def swap_path_head(pi0, parts, model):
-            target = closest_feasible(pi0, parts, model)
+        def swap_path_head(pi0, parts):
+            target = closest_feasible(pi0, parts)
             node_at = list(target.node_at)
             for root in parts.components():
                 if parts.size_of(root) == 3:

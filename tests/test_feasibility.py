@@ -19,15 +19,15 @@ def partition(n, model, groups):
 class TestArrangementCost:
     def test_single_edge_adjacent(self):
         parts = partition(2, Model.LINES, [[0, 1]])
-        assert arrangement_cost(Permutation([0, 1]), parts, Model.LINES) == 1
+        assert arrangement_cost(Permutation([0, 1]), parts) == 1
 
     def test_clique_triangle_contiguous(self):
         parts = partition(3, Model.CLIQUES, [[0, 1, 2]])
-        assert arrangement_cost(Permutation([0, 1, 2]), parts, Model.CLIQUES) == 4
+        assert arrangement_cost(Permutation([0, 1, 2]), parts) == 4
 
     def test_empty_graph(self):
         parts = partition(3, Model.CLIQUES, [[0], [1], [2]])
-        assert arrangement_cost(Permutation([2, 0, 1]), parts, Model.CLIQUES) == 0
+        assert arrangement_cost(Permutation([2, 0, 1]), parts) == 0
 
     def test_clique_cost_matches_pair_enumeration(self):
         rng = random.Random(1)
@@ -45,7 +45,7 @@ class TestArrangementCost:
                 for i, a in enumerate(nodes[:cut])
                 for b in nodes[i + 1 : cut]
             )
-            assert arrangement_cost(p, parts, Model.CLIQUES) == expected
+            assert arrangement_cost(p, parts) == expected
 
 
 class TestMinlaOptimum:
@@ -54,21 +54,21 @@ class TestMinlaOptimum:
     def test_clique_of_three(self):
         parts = partition(3, Model.CLIQUES, [[0, 1, 2]])
         p = Permutation([2, 0, 1])
-        assert arrangement_cost(p, parts, Model.CLIQUES) == minla_optimum(
+        assert arrangement_cost(p, parts) == minla_optimum(
             parts, Model.CLIQUES
         ) == 4
 
     def test_path_of_five(self):
         parts = partition(5, Model.LINES, [[0, 1, 2, 3, 4]])
         p = Permutation([4, 3, 2, 1, 0])
-        assert arrangement_cost(p, parts, Model.LINES) == minla_optimum(
+        assert arrangement_cost(p, parts) == minla_optimum(
             parts, Model.LINES
         ) == 4
 
     def test_all_singletons(self):
         parts = partition(4, Model.CLIQUES, [[v] for v in range(4)])
         p = Permutation([3, 1, 0, 2])
-        assert arrangement_cost(p, parts, Model.CLIQUES) == minla_optimum(
+        assert arrangement_cost(p, parts) == minla_optimum(
             parts, Model.CLIQUES
         ) == 0
 
@@ -81,7 +81,7 @@ class TestMinlaOptimum:
                 groups = [list(range(s))] + [[s + i] for i in range(extras)]
                 parts = partition(n, model, groups)
                 best = min(
-                    arrangement_cost(p, parts, model) for p in all_permutations(n)
+                    arrangement_cost(p, parts) for p in all_permutations(n)
                 )
                 assert minla_optimum(parts, model) == best
 
@@ -99,7 +99,7 @@ class TestIsMinla:
         parts = partition(3, Model.LINES, [[0, 1, 2]])
         p = Permutation([1, 0, 2])
         assert not is_minla(p, parts)
-        assert arrangement_cost(p, parts, Model.LINES) == 3
+        assert arrangement_cost(p, parts) == 3
 
     def test_characterization_equivalence_smoke(self):
         rng = random.Random(3)
@@ -116,10 +116,10 @@ class TestIsMinla:
                     i += size
                 parts = partition(n, model, groups)
                 perms = all_permutations(n)
-                best = min(arrangement_cost(p, parts, model) for p in perms)
+                best = min(arrangement_cost(p, parts) for p in perms)
                 for p in perms:
                     assert is_minla(p, parts) == (
-                        arrangement_cost(p, parts, model) == best
+                        arrangement_cost(p, parts) == best
                     )
 
     def test_nested_feasibility_for_lines(self):

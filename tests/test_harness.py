@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -248,6 +249,28 @@ class TestVerifyLemma:
         report = verify_lemma("left-right", trials=20_000, seed=1, trace=trace)
         assert report.ok, report.to_text()
         assert all(0 <= float(row.expected) <= 1 for row in report.rows)
+
+    @pytest.mark.parametrize("z,verdict", [(5, "FAIL"), (2, "pass")])
+    def test_sigma_limit(self, monkeypatch, z, verdict):
+        # The first row's expected frequency, moved z standard errors below
+        # what the seeded run observes: the 4-sigma limit flags 5, not 2.
+        trace = random_trace(Model.CLIQUES, 8, seed=11, events=4)
+        trials = 4_000
+        report = verify_lemma("left-right", trials=trials, seed=1, trace=trace)
+        x = report.rows[0].observed
+        target = Fraction(x - z * math.sqrt(x * (1 - x) / trials))
+        real = minla.harness.left_right_probability
+        calls = []
+
+        def shifted(group_a, group_b, pi0):
+            calls.append(None)
+            return target if len(calls) == 1 else real(group_a, group_b, pi0)
+
+        monkeypatch.setattr(minla.harness, "left_right_probability", shifted)
+        moved = verify_lemma("left-right", trials=trials, seed=1, trace=trace)
+        assert moved.rows[0].deviations == pytest.approx(z, abs=0.25)
+        assert moved.rows[1:] == report.rows[1:]
+        assert moved.to_text().endswith(f"result: {verdict}\n")
 
     def test_orientation_frequencies(self):
         trace = random_trace(Model.LINES, 8, seed=12, events=4)

@@ -98,7 +98,7 @@ class TestDpOpt:
         def no_weights(*args):
             raise AssertionError("cross_weight called on an over-cap input")
 
-        monkeypatch.setattr(minla.algorithms, "cross_weight", no_weights)
+        monkeypatch.setattr(minla.ordering, "cross_weight", no_weights)
         with pytest.raises(CapacityError):
             dp_opt(make_trace(model, 1000, [(i, i + 1) for i in range(0, 46, 2)]))
 

@@ -8,29 +8,36 @@ from conftest import (
     _costs_py,
     _subset_costs_np,
     _subset_costs_py,
-    reference_block_order,
     reference_layout,
 )
 from minla import CapacityError, Model, random_trace, replay_components
-from minla.algorithms import _order_blocks, _oriented_path
+from minla.algorithms import _oriented_path
 from minla.ordering import _costs, cross_weight, solve_block_order
 
 
-def brute_force_order(w):
-    m = len(w)
-    best = None
-    best_order = None
-    for order in itertools.permutations(range(m)):
-        cost = sum(
-            w[order[i]][order[j]] for i in range(m) for j in range(i + 1, m)
+def brute_force_layout(seqs, sorted_pos):
+    """Least cross cost over every order of the blocks, singletons included,
+    and the lexicographically smallest node sequence attaining it."""
+    return min(
+        (
+            sum(
+                cross_weight(sorted_pos[a], sorted_pos[b])
+                for x, a in enumerate(order)
+                for b in order[x + 1 :]
+            ),
+            [v for i in order for v in seqs[i]],
         )
-        if best is None or cost < best:
-            best, best_order = cost, order
-    return best, best_order
+        for order in itertools.permutations(range(len(seqs)))
+    )
 
 
 def random_weights(rng, m, hi=9):
     return [[0 if i == j else rng.randint(0, hi) for j in range(m)] for i in range(m)]
+
+
+def identity_layout(blocks):
+    """Blocks of nodes at the reference positions equal to their ids."""
+    return [list(b) for b in blocks], [sorted(b) for b in blocks]
 
 
 class TestCrossWeight:
@@ -49,44 +56,39 @@ class TestCrossWeight:
 class TestSolveBlockOrder:
     def test_trivial_sizes(self):
         assert solve_block_order([], []) == (0, [])
-        assert solve_block_order([[0]], [7]) == (0, [0])
+        assert solve_block_order([[7]], [[3]]) == (0, [7])
+        # A single block keeps its internal order.
+        assert solve_block_order([[4, 1, 2]], [[0, 1, 2]]) == (0, [4, 1, 2])
 
     def test_matches_brute_force(self):
+        # Every order of up to 7 blocks and singletons: the least cost, and
+        # the lexicographically smallest node sequence among its orders.
         rng = random.Random(1)
         for _ in range(120):
-            m = rng.randint(2, 7)
-            w = random_weights(rng, m)
-            cost, order = solve_block_order(w, list(range(m)))
-            expected, _ = brute_force_order(w)
-            assert cost == expected
-            realized = sum(
-                w[order[i]][order[j]]
-                for i in range(m)
-                for j in range(i + 1, m)
+            total = rng.randint(2, 7)
+            m = rng.randint(0, total)
+            seqs, sorted_pos = random_layout(rng, m, total - m, spare=2)
+            assert solve_block_order(seqs, sorted_pos) == brute_force_layout(
+                seqs, sorted_pos
             )
-            assert realized == cost
 
     def test_cyclic_preferences_still_exact(self):
         # pairwise majorities can cycle; the subset program must not rely on
         # a total sort. blocks {0,5,7}, {1,3,8}, {2,4,6} prefer a<b<c<a.
-        blocks = [[0, 5, 7], [1, 3, 8], [2, 4, 6]]
-        w = [
-            [
-                0 if i == j else cross_weight(sorted(a), sorted(b))
-                for j, b in enumerate(blocks)
-            ]
-            for i, a in enumerate(blocks)
-        ]
+        seqs, sorted_pos = identity_layout([[0, 5, 7], [1, 3, 8], [2, 4, 6]])
+        w = [[cross_weight(a, b) for b in sorted_pos] for a in sorted_pos]
         assert w[0][1] < w[1][0] and w[1][2] < w[2][1] and w[2][0] < w[0][2]
-        cost, _ = solve_block_order(w, [0, 1, 2])
-        expected, _ = brute_force_order(w)
-        assert cost == expected
+        assert solve_block_order(seqs, sorted_pos) == brute_force_layout(
+            seqs, sorted_pos
+        )
 
     def test_lexicographic_tie_break(self):
-        # all-zero weights: every order is optimal, keys decide
-        w = [[0] * 4 for _ in range(4)]
-        _, order = solve_block_order(w, [9, 2, 5, 0])
-        assert order == [3, 1, 2, 0]
+        # {0,3} and {1,2} cost 2 in either order: the leading nodes decide.
+        seqs, sorted_pos = identity_layout([[0, 3], [1, 2]])
+        assert cross_weight(*sorted_pos) == cross_weight(*sorted_pos[::-1]) == 2
+        assert solve_block_order(seqs, sorted_pos) == (2, [0, 3, 1, 2])
+        seqs, sorted_pos = identity_layout([[3, 0], [2, 1]])
+        assert solve_block_order(seqs, sorted_pos) == (2, [2, 1, 3, 0])
 
     def test_python_and_vector_paths_agree(self):
         rng = random.Random(2)
@@ -95,42 +97,41 @@ class TestSolveBlockOrder:
             assert list(_subset_costs_py(w, m)) == list(_subset_costs_np(w, m))
 
     def test_large_row_sums_do_not_overflow(self):
-        # Row sums reach 11 * 3e8 > 2^31: the vector table must widen to int64.
+        # Row sums reach 11 * 3e8 > 2^31: the reference's vector table must
+        # widen to int64.
         m = 12
         w = [
             [0 if i == j else 3 * 10**8 if i > j else 1 for j in range(m)]
             for i in range(m)
         ]
         assert list(_subset_costs_np(w, m)) == _subset_costs_py(w, m)
-        cost, order = solve_block_order(w, list(range(m)))
-        assert order == list(range(m))
-        assert cost == m * (m - 1) // 2
 
     def test_capacity_error(self):
-        m = 23
-        w = [[0] * m for _ in range(m)]
-        with pytest.raises(CapacityError):
-            solve_block_order(w, list(range(m)))
+        seqs, sorted_pos = identity_layout([[i, i + 1] for i in range(0, 46, 2)])
+        with pytest.raises(
+            CapacityError,
+            match=r"23 multi-node components and 0 singletons exceed the "
+            r"exact-search cap of 2\^22 states",
+        ):
+            solve_block_order(seqs, sorted_pos)
 
     def test_capacity_counts_singletons(self, monkeypatch):
         # 2 blocks and 7 singletons fill 2^5 states exactly; one more
         # singleton trips the cap although the block count stays at 2.
         monkeypatch.setattr(minla.ordering, "CAP_BITS", 5)
-        w = [[0, 1], [1, 0]]
-        keys = list(range(10))
-        assert solve_block_order(w, keys[:9], [[0, 0]] * 7, [[0] * 7] * 2)[0] == 1
+        blocks = [[0, 3], [1, 2]] + [[v] for v in range(4, 12)]
+        seqs, sorted_pos = identity_layout(blocks[:9])
+        assert solve_block_order(seqs, sorted_pos) == reference_layout(
+            seqs, sorted_pos
+        )
+        seqs, sorted_pos = identity_layout(blocks)
         with pytest.raises(CapacityError, match="2 multi-node components and 8 singletons"):
-            solve_block_order(w, keys, [[0, 0]] * 8, [[0] * 8] * 2)
+            solve_block_order(seqs, sorted_pos)
 
 
-def random_layout(rng, m, s, spare=4, mult=1):
+def random_layout(rng, m, s, spare=4):
     """m blocks of 2..2+spare nodes and s singletons, shuffled, at random
-    reference positions; block nodes weigh ``mult`` each, singletons 1.
-
-    Returns the node sequences, their sorted positions, and the full pairwise
-    weight matrix counted literally: the weighted node pairs laid opposite to
-    their reference order when item i goes before item j.
-    """
+    reference positions: the node sequences and their sorted positions."""
     sizes = [rng.randint(2, 2 + spare) for _ in range(m)] + [1] * s
     rng.shuffle(sizes)
     n = sum(sizes)
@@ -140,36 +141,7 @@ def random_layout(rng, m, s, spare=4, mult=1):
     for size in sizes:
         seqs.append(nodes[at : at + size])
         at += size
-    sorted_pos = [sorted(pos[v] for v in seq) for seq in seqs]
-    weight = [mult if len(seq) > 1 else 1 for seq in seqs]
-    w = [
-        [
-            sum(weight[i] * weight[j] for a in pi for b in pj if a > b)
-            for j, pj in enumerate(sorted_pos)
-        ]
-        for i, pi in enumerate(sorted_pos)
-    ]
-    return seqs, sorted_pos, w
-
-
-def split_weights(seqs, sorted_pos, w):
-    """``solve_block_order`` arguments from the full matrix: blocks first,
-    singletons in reference order; also the full matrix and keys reordered
-    the same way, for ``reference_block_order``."""
-    multi = [i for i, seq in enumerate(seqs) if len(seq) > 1]
-    singles = sorted((i for i, seq in enumerate(seqs) if len(seq) == 1),
-                     key=lambda i: sorted_pos[i][0])
-    items = multi + singles
-    full = [[w[i][j] for j in items] for i in items]
-    keys = [seqs[i][0] for i in items]
-    m = len(multi)
-    return (
-        [row[:m] for row in full[:m]],
-        keys,
-        [row[:m] for row in full[m:]],
-        [row[m:] for row in full[:m]],
-        full,
-    )
+    return seqs, [sorted(pos[v] for v in seq) for seq in seqs]
 
 
 def random_table_input(rng, m, s, hi=20):
@@ -223,8 +195,10 @@ class TestSingletonAwareOrder:
         # singletons.
         rng = random.Random(m * 100 + s)
         for _ in range(6 if m + s < 12 else 2):
-            seqs, sorted_pos, _ = random_layout(rng, m, s)
-            assert _order_blocks(seqs, sorted_pos) == reference_layout(seqs, sorted_pos)
+            seqs, sorted_pos = random_layout(rng, m, s)
+            assert solve_block_order(seqs, sorted_pos) == reference_layout(
+                seqs, sorted_pos
+            )
 
     def test_matches_reference_on_traces(self):
         rng = random.Random(4)
@@ -242,19 +216,7 @@ class TestSingletonAwareOrder:
                 ]
                 sorted_pos = [sorted(pos0[v] for v in seq) for seq in seqs]
                 expected = reference_layout(seqs, sorted_pos)
-                assert _order_blocks(seqs, sorted_pos) == expected
-
-    @pytest.mark.parametrize("m,s", [(3, 2), (6, 3), (8, 1)])
-    def test_large_row_sums(self, m, s):
-        # Block nodes weigh 2^16, so block rows sum past 2^31 and the table
-        # must widen to int64; the weights stay those of a layout, so
-        # singletons still keep their order.
-        rng = random.Random(m + s)
-        seqs, sorted_pos, w = random_layout(rng, m, s, spare=2, mult=1 << 16)
-        w_bb, keys, w_sb, w_bs, full = split_weights(seqs, sorted_pos, w)
-        assert max(map(sum, w_bb + w_sb)) >= 1 << 31
-        expected = reference_block_order(full, keys)
-        assert solve_block_order(w_bb, keys, w_sb, w_bs) == expected
+                assert solve_block_order(seqs, sorted_pos) == expected
 
     def test_optimal_orders_keep_singletons_in_order(self):
         # Brute force over every order of up to 7 items: each minimum-cost
@@ -263,9 +225,13 @@ class TestSingletonAwareOrder:
         for _ in range(150):
             total = rng.randint(2, 7)
             m = rng.randint(0, total)
-            seqs, sorted_pos, w = random_layout(rng, m, total - m, spare=2)
+            seqs, sorted_pos = random_layout(rng, m, total - m, spare=2)
             costs = {
-                order: sum(w[a][b] for x, a in enumerate(order) for b in order[x + 1 :])
+                order: sum(
+                    cross_weight(sorted_pos[a], sorted_pos[b])
+                    for x, a in enumerate(order)
+                    for b in order[x + 1 :]
+                )
                 for order in itertools.permutations(range(total))
             }
             least = min(costs.values())
