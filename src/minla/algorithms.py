@@ -62,14 +62,12 @@ class AlgoState:
     rearrange_cost: int = 0
 
     @classmethod
-    def initial(
-        cls, model: Model, pi0: Permutation, parts: ComponentPartition | None = None
-    ) -> "AlgoState":
+    def initial(cls, pi0: Permutation, parts: ComponentPartition) -> "AlgoState":
         n = len(pi0)
-        lines = model is Model.LINES
+        lines = parts.model is Model.LINES
         return cls(
             pi0=pi0,
-            parts=ComponentPartition(n, model) if parts is None else parts,
+            parts=parts,
             rep=list(range(n)),
             slot_sizes=[1] * n,
             left_end=list(range(n)) if lines else None,
@@ -179,6 +177,9 @@ def _rand_event(
     to the swap cost of the other filling.  Per :class:`AlgoState`, x's
     block is left of z's exactly when x's representative comes first in
     pi0, and the mover jumps the components represented between the two.
+    A coin with bound b draws ``getrandbits(b.bit_length())`` until the word
+    is below b, as ``random.Random.randrange(b)`` does; the width is
+    computed once per event for the chunk.
     """
     u, v = event.u, event.v
     index = states[0].events_done
@@ -186,12 +187,14 @@ def _rand_event(
     ru, rv = parts.find(u), parts.find(v)
     xl, zl = parts.size_of(ru), parts.size_of(rv)
     denom = xl + zl
+    k_move = denom.bit_length()
     lines = parts.model is Model.LINES
     if lines:
         x_path, z_path = parts.path_of(ru), parts.path_of(rv)
         x_ends, z_ends = (x_path[0], x_path[-1]), (z_path[0], z_path[-1])
         inv_x_max, inv_z_max = xl * (xl - 1) // 2, zl * (zl - 1) // 2
         total_pairs = denom * (denom - 1) // 2
+        k_orient = total_pairs.bit_length()
     parts.merge(u, v)
     merged = parts.path_of(ru) if lines else ()
     for state, rng in zip(states, rngs):
@@ -204,7 +207,11 @@ def _rand_event(
             raise InvariantError(index, ru, xl)
         if sizes[b] != zl or lines and z_left not in z_ends:
             raise InvariantError(index, rv, zl)
-        x_moved = rng.randrange(denom) < zl
+        bits = rng.getrandbits
+        r = bits(k_move)
+        while r >= denom:
+            r = bits(k_move)
+        x_moved = r < zl
         between = sum(sizes[a + 1 : b]) if a < b else sum(sizes[b + 1 : a])
         if x_moved:
             move = xl * between
@@ -220,7 +227,10 @@ def _rand_event(
                 + (0 if a < b else xl * zl)
             )
             cost_reversed = total_pairs - cost_forward
-            forward = rng.randrange(total_pairs) < cost_reversed
+            r = bits(k_orient)
+            while r >= total_pairs:
+                r = bits(k_orient)
+            forward = r < cost_reversed
             left_end[ru] = merged[0] if forward else merged[-1]
             rearrange = cost_forward if forward else cost_reversed
         else:
@@ -258,7 +268,7 @@ def run_trials(trace: RevealTrace, seeds: Iterable[int]) -> Iterator[AlgoState]:
     seeds = iter(seeds)
     while chunk := list(islice(seeds, TRIAL_CHUNK)):
         parts = ComponentPartition(trace.n, trace.model)
-        states = [AlgoState.initial(trace.model, trace.pi0, parts) for _ in chunk]
+        states = [AlgoState.initial(trace.pi0, parts) for _ in chunk]
         rngs = list(map(random.Random, chunk))
         for event in trace.events:
             _rand_event(parts, states, rngs, event)
@@ -282,7 +292,7 @@ def run(algo: str, trace: RevealTrace, seed: int = 0) -> AlgoState:
         return next(run_trials(trace, (seed,)))
     if algo != "det":
         raise ValueError(f"unknown algorithm {algo!r}")
-    state = AlgoState.initial(trace.model, trace.pi0)
+    state = AlgoState.initial(trace.pi0, ComponentPartition(trace.n, trace.model))
     for event in trace.events:
         det_step(state, event)
     return state

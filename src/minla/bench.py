@@ -324,19 +324,23 @@ def criterion_algebraic_bounds() -> CriterionResult:
     )
 
 
+class _ScriptEnd(Exception):
+    """A draw past the end of a :class:`_ForcedCoin`'s script."""
+
+
 class _ForcedCoin:
-    """Stand-in rng yielding scripted draws and recording each bound it is
-    asked for."""
+    """Stand-in word source: ``getrandbits(k)`` returns the next scripted
+    word and records ``k``; a draw past the script raises :class:`_ScriptEnd`."""
 
-    def __init__(self, values: Sequence[int]):
-        self._values = list(values)
-        self.bounds: list[int] = []
+    def __init__(self, words: Sequence[int]):
+        self._words = list(words)
+        self.widths: list[int] = []
 
-    def randrange(self, bound: int) -> int:
-        self.bounds.append(bound)
-        value = self._values.pop(0)
-        assert 0 <= value < bound
-        return value
+    def getrandbits(self, k: int) -> int:
+        if len(self.widths) == len(self._words):
+            raise _ScriptEnd
+        self.widths.append(k)
+        return self._words[len(self.widths) - 1]
 
 
 def _coin_law(
@@ -345,22 +349,32 @@ def _coin_law(
     """The exact law of one ``rand`` step over one of its coins.
 
     The step applies ``event`` after ``prefix`` (replayed with ``seed``),
-    its draws scripted by ``draws`` except draw ``coin``, which takes every
-    value below its bound in turn.  Returns the bounds the step asked for
-    and the law of its outcome (the permutation and the step's cost): each
-    outcome's probability is its number of draws over the bound.
+    reading the scripted words ``draws``.  Each draw in turn takes every
+    word of its width, the others keeping theirs; a word the step rejects
+    makes it read past the script.  A draw's bound is the number of words it
+    accepts.  Returns the bounds and the law of the outcome (permutation and
+    step cost) over draw ``coin``: its words per outcome over its bound.
     """
-    counts: Counter = Counter()
-    value, bound = 0, 1  # the first replay reads the true bound
-    while value < bound:
+
+    def step(words: Sequence[int]):
         state = run("rand", prefix, seed=seed)
         before = state.total_cost
-        scripted = _ForcedCoin([value if i == coin else d for i, d in enumerate(draws)])
-        rand_step(state, event, scripted)
-        counts[state.current.node_at, state.total_cost - before] += 1
-        bound = scripted.bounds[coin]
-        value += 1
-    return scripted.bounds, {out: Fraction(c, bound) for out, c in counts.items()}
+        source = _ForcedCoin(words)
+        rand_step(state, event, source)
+        return (state.current.node_at, state.total_cost - before), source.widths
+
+    bounds, law = [], {}
+    for i, width in enumerate(step(draws)[1]):
+        outcomes = []
+        for word in range(1 << width):
+            try:
+                outcomes.append(step([*draws[:i], word, *draws[i + 1 :]])[0])
+            except _ScriptEnd:  # the step rejected the word
+                pass
+        bounds.append(len(outcomes))
+        if i == coin:
+            law = {o: Fraction(c, len(outcomes)) for o, c in Counter(outcomes).items()}
+    return bounds, law
 
 
 def criterion_coin_vectors() -> CriterionResult:

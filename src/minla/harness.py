@@ -9,7 +9,9 @@ byte-identical.
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -30,7 +32,7 @@ from .oracle import (
     orientation_probability,
 )
 from .perm import Permutation
-from .trace import Model, RevealTrace, replay_components
+from .trace import ComponentPartition, Model, RevealTrace, replay_components
 
 __all__ = [
     "splitmix64",
@@ -173,17 +175,35 @@ def run_experiment(
     return stats, records
 
 
-_CSV_FIELDS = CSV_HEADER.split(",")
+# Each record field's %-slot: the two strings are filled in once per
+# experiment, the numbers and the ratio (which needs no escaping) per record.
+_SLOTS = {
+    f: "{%s}" % f if f in ("trace_id", "algo") else "%%(%s)s" % f
+    for f in CSV_HEADER.split(",")
+}
+_CSV_ROW = ",".join(_SLOTS.values()) + "\n"
+_JSON_RECORD = "    {{\n%s\n    }}" % ",\n".join(
+    f'      "{f}": {_SLOTS[f]}' for f in sorted(_SLOTS)
+).replace("%(ratio)s", '"%(ratio)s"')
+
+
+@functools.lru_cache(maxsize=64)
+def _record_templates(trace_id: str, algo: str) -> tuple[str, str]:
+    """The CSV and JSON record templates of one (trace_id, algo) pair."""
+    csv_fields, json_fields = {}, {}
+    for key, value in (("trace_id", trace_id), ("algo", algo)):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerow((value, ""))
+        csv_fields[key] = out.getvalue()[:-2].replace("%", "%%")
+        json_fields[key] = json.dumps(value).replace("%", "%%")
+    return _CSV_ROW.format(**csv_fields), _JSON_RECORD.format(**json_fields)
 
 
 def records_to_csv(records: Sequence[dict]) -> str:
-    """One header line, then one row per record; fields holding a comma,
-    quote or line break (only ``trace_id`` can) are quoted."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_CSV_FIELDS)
-    writer.writerows([rec[col] for col in _CSV_FIELDS] for rec in records)
-    return out.getvalue()
+    """One header line, then one row per record from its experiment's
+    template, byte for byte as ``csv.writer`` writes them."""
+    rows = [_record_templates(r["trace_id"], r["algo"])[0] % r for r in records]
+    return CSV_HEADER + "\n" + "".join(rows)
 
 
 def experiment_to_json(
@@ -192,8 +212,8 @@ def experiment_to_json(
     records: Sequence[dict],
     opt: OptResult | None = None,
 ) -> str:
-    import json
-
+    """The experiment byte for byte as ``json.dumps(payload, indent=2,
+    sort_keys=True)`` writes it, each record from its experiment's template."""
     payload = {
         "config": {
             "trace_id": cfg.trace_id,
@@ -218,9 +238,15 @@ def experiment_to_json(
             "mean_move": stats.mean_move,
             "mean_rearrange": stats.mean_rearrange,
         },
-        "records": list(records),
+        "records": [],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if records:
+        rows = (_record_templates(r["trace_id"], r["algo"])[1] % r for r in records)
+        # Strings hold no raw line break, so only the top-level key matches.
+        block = '\n  "records": [\n' + ",\n".join(rows) + "\n  ],\n"
+        text = text.replace('\n  "records": [],\n', block, 1)
+    return text + "\n"
 
 
 @dataclass(frozen=True)
@@ -450,7 +476,7 @@ def duel(n: int, algo: str = "det", adversary: str = "middle-line") -> DuelRepor
         raise ConfigError(f"unknown adversary {adversary!r}")
     adv = MiddleLineAdversary(n)
     pi0 = Permutation.identity(n)
-    state = AlgoState.initial(Model.LINES, pi0)
+    state = AlgoState.initial(pi0, ComponentPartition(n, Model.LINES))
     events = []
     while (ev := adv.next_event(state.current)) is not None:
         events.append(ev)

@@ -6,13 +6,17 @@ closed forms, a literal replay of the randomized strategy, the plain
 block-subset program that orders singletons like any other block, the
 singleton-aware block-order table as plain loops, and the literal exact
 oracles: a heap Dijkstra over all schedules, harmonic sums of
-``Fraction`` terms and choice-vector weights as row products.
+``Fraction`` terms and choice-vector weights as row products, and the CSV
+and JSON emitters as whole-payload ``csv.writer`` and ``json.dumps`` calls.
 """
 
 import bisect
+import csv
 import functools
 import heapq
+import io
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -21,12 +25,14 @@ import numpy as np
 from minla import (
     HarmonicBounds,
     Model,
+    __version__,
     OptResult,
     Permutation,
     harmonic_number,
     is_minla,
     replay_components,
 )
+from minla.harness import CSV_HEADER, PRNG_NOTE
 from minla.ordering import _popcount_layers, cross_weight
 
 
@@ -470,3 +476,44 @@ def reference_identity_floats(a, b):
         float(weights @ (chosen * (total - chosen))),
         float(bv @ (av * (total - av))),
     )
+
+
+def reference_records_csv(records) -> str:
+    """``records_to_csv`` as one ``csv.writer`` pass over every row."""
+    fields = CSV_HEADER.split(",")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(fields)
+    writer.writerows([rec[col] for col in fields] for rec in records)
+    return out.getvalue()
+
+
+def reference_experiment_json(cfg, stats, records, opt=None) -> str:
+    """``experiment_to_json`` as one ``json.dumps`` of the whole payload."""
+    payload = {
+        "config": {
+            "trace_id": cfg.trace_id,
+            "model": cfg.trace.model.value,
+            "n": cfg.trace.n,
+            "events": cfg.trace.k,
+            "algo": cfg.algo,
+            "trials": cfg.trials,
+            "master_seed": cfg.master_seed,
+        },
+        "version": __version__,
+        "prng": PRNG_NOTE,
+        "opt": None
+        if opt is None
+        else {"cost": opt.cost, "witness": opt.witness.to_text()},
+        "stats": {
+            "mean": stats.mean,
+            "variance": stats.variance,
+            "std_error": stats.std_error,
+            "min": stats.min,
+            "max": stats.max,
+            "mean_move": stats.mean_move,
+            "mean_rearrange": stats.mean_rearrange,
+        },
+        "records": list(records),
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -35,6 +35,10 @@ from minla import (
 from minla.bench import _coin_law, _ForcedCoin as ForcedCoin
 
 
+def initial_state(model, pi0):
+    return AlgoState.initial(pi0, ComponentPartition(len(pi0), model))
+
+
 def make_trace(model, n, events, pi0=None):
     return RevealTrace(
         model=model,
@@ -73,7 +77,7 @@ class TestDetStep:
             for _ in range(25):
                 n = rng.randint(2, 7)
                 trace = random_trace(model, n, seed=rng.random())
-                state = AlgoState.initial(model, trace.pi0)
+                state = initial_state(model, trace.pi0)
                 for ev in trace.events:
                     det_step(state, ev)
                     feasible = feasible_permutations(state.parts, model, n)
@@ -89,7 +93,7 @@ class TestDetStep:
     def test_capacity_cap(self):
         # At the default budget of 2^22 states, 12 pairs and 1024 singletons
         # trip the cap; the 12th pair is merged by the step itself.
-        state = AlgoState.initial(Model.CLIQUES, Permutation.identity(1048))
+        state = initial_state(Model.CLIQUES, Permutation.identity(1048))
         for i in range(0, 22, 2):
             state.parts.merge(i, i + 1)
         with pytest.raises(
@@ -103,7 +107,7 @@ class TestDetStep:
         def no_weights(*args):
             raise AssertionError("cross_weight called on an over-cap input")
 
-        state = AlgoState.initial(Model.CLIQUES, Permutation.identity(1000))
+        state = initial_state(Model.CLIQUES, Permutation.identity(1000))
         for i in range(0, 44, 2):
             state.parts.merge(i, i + 1)
         monkeypatch.setattr(minla.ordering, "cross_weight", no_weights)
@@ -137,7 +141,7 @@ class TestDetStep:
         for model in (Model.CLIQUES, Model.LINES):
             for _ in range(10):
                 trace = random_trace(model, rng.randint(2, 10), seed=rng.random())
-                state = AlgoState.initial(model, trace.pi0)
+                state = initial_state(model, trace.pi0)
                 farthest = 0
                 for ev in trace.events:
                     det_step(state, ev)
@@ -184,7 +188,7 @@ class TestRandCliqueStep:
         rng = random.Random(13)
         for _ in range(40):
             trace = random_trace(Model.CLIQUES, 6, seed=rng.random())
-            state = AlgoState.initial(Model.CLIQUES, trace.pi0)
+            state = initial_state(Model.CLIQUES, trace.pi0)
             step_rng = random.Random(rng.random())
             for ev in trace.events:
                 before = state.current
@@ -195,7 +199,7 @@ class TestRandCliqueStep:
         rng = random.Random(14)
         for _ in range(30):
             trace = random_trace(Model.CLIQUES, rng.randint(4, 10), seed=rng.random())
-            state = AlgoState.initial(Model.CLIQUES, trace.pi0)
+            state = initial_state(Model.CLIQUES, trace.pi0)
             step_rng = random.Random(rng.random())
             for ev in trace.events:
                 parts = state.parts
@@ -298,6 +302,19 @@ class TestRun:
         with pytest.raises(ValueError):
             run("greedy", make_trace(Model.LINES, 2, []))
 
+    def test_state_takes_its_model_from_the_partition(self):
+        # No model can be passed beside the partition, so none can contradict
+        # it: a state over a lines partition steps as lines.
+        pi0 = Permutation.identity(4)
+        lines = ComponentPartition(4, Model.LINES)
+        with pytest.raises(TypeError):
+            AlgoState.initial(Model.CLIQUES, pi0, lines)
+        state = AlgoState.initial(pi0, lines)
+        assert (state.blocks, state.left_end) == (None, [0, 1, 2, 3])
+        rand_step(state, RevealEvent(0, 1), random.Random(0))
+        assert state.parts.path_of(0) in ((0, 1), (1, 0))
+        assert is_minla(state.current, state.parts)
+
 
 def _kernel_traces():
     """Cliques and lines at n = 2..64, full and partial random traces, and
@@ -343,7 +360,7 @@ class TestWindowedKernel:
         for i, trace in enumerate(_kernel_traces()):
             seed = 1000 + i
             costs, _, totals, perms = reference_rand(trace, seed)
-            state = AlgoState.initial(trace.model, trace.pi0)
+            state = initial_state(trace.model, trace.pi0)
             rng = random.Random(seed)
             assert state.current == perms[0]
             for ev, expected, step in zip(trace.events, perms[1:], costs):
@@ -382,7 +399,7 @@ class TestWindowedKernel:
 
     def test_feasible_after_every_step(self):
         for i, trace in enumerate(_kernel_traces()[::3]):
-            state = AlgoState.initial(trace.model, trace.pi0)
+            state = initial_state(trace.model, trace.pi0)
             rng = random.Random(i)
             for ev in trace.events:
                 rand_step(state, ev, rng)
@@ -396,7 +413,7 @@ class TestWindowedKernel:
             parts = ComponentPartition(trace.n, trace.model)
             seeds = [i * 100 + j for j in range(12)]
             refs = [reference_rand(trace, seed) for seed in seeds]
-            states = [AlgoState.initial(trace.model, trace.pi0, parts) for _ in seeds]
+            states = [AlgoState.initial(trace.pi0, parts) for _ in seeds]
             rngs = [random.Random(seed) for seed in seeds]
             for k, ev in enumerate(trace.events):
                 before = [(state.move_cost, state.rearrange_cost) for state in states]
@@ -423,7 +440,7 @@ class TestWindowedKernel:
     def test_snapshot_is_not_changed_by_later_steps(self):
         for model in (Model.CLIQUES, Model.LINES):
             trace = random_trace(model, 20, seed=19)
-            state = AlgoState.initial(model, trace.pi0)
+            state = initial_state(model, trace.pi0)
             rng = random.Random(19)
             for ev in trace.events:
                 before = state.current
@@ -442,7 +459,7 @@ class TestWindowedKernel:
         for _ in range(300):
             model = rng.choice((Model.CLIQUES, Model.LINES))
             trace = random_trace(model, rng.randint(4, 24), seed=rng.random())
-            state = AlgoState.initial(model, trace.pi0)
+            state = initial_state(model, trace.pi0)
             step_rng = random.Random(rng.random())
             at = rng.randrange(trace.k)
             for ev in trace.events[:at]:

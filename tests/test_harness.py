@@ -6,11 +6,20 @@ import numpy as np
 import pytest
 
 import minla.harness
-from conftest import fraction_ratio, frequency_counts, reference_rand
+from conftest import (
+    fraction_ratio,
+    frequency_counts,
+    reference_experiment_json,
+    reference_rand,
+    reference_records_csv,
+)
 from minla import (
     ConfigError,
     ExperimentConfig,
     Model,
+    Permutation,
+    RevealEvent,
+    RevealTrace,
     bound_for_trace,
     derive_trial_seed,
     dp_opt,
@@ -177,6 +186,62 @@ class TestRunExperiment:
             ExperimentConfig(
                 trace=trace, trace_id="x", algo="fast", trials=1, master_seed=1
             )
+
+
+# Trace ids a format must escape or quote: a quote, a backslash, a comma, a
+# line break, a carriage return, a tab, a non-ASCII letter, a control
+# character, the template characters % and {}, and the empty id.
+_AWKWARD_IDS = (
+    'say "hi"', "back\\slash", "a,b", "two\nlines", "cr\rlf", "tab\there",
+    "caf\u00e9", "bell\x07", "100% {id}", "",
+)
+
+
+class TestEmitterBytes:
+    """Both emitters, byte for byte, against whole-payload stdlib calls."""
+
+    def _cases(self):
+        lines = random_trace(Model.LINES, 7, seed=31)
+        cliques = random_trace(Model.CLIQUES, 9, seed=32)
+        # Merging two pi0 neighbours keeps pi0 feasible: opt 0, ratio NA.
+        free = RevealTrace(
+            model=Model.LINES, n=3, pi0=Permutation.identity(3),
+            events=(RevealEvent(0, 1),),
+        )
+        for i, trace_id in enumerate(_AWKWARD_IDS):
+            trace = (lines, cliques)[i % 2]
+            yield ExperimentConfig(trace, trace_id, "rand", 3 + i, i)
+        for algo in ("rand", "det"):
+            yield ExperimentConfig(free, "free", algo, 4, 5)
+            yield ExperimentConfig(lines, "det-or-rand", algo, 6, 2**63 + 7)
+            yield ExperimentConfig(cliques, "one", algo, 1, 2**64 + 1)
+
+    def test_csv_and_json_match_the_stdlib(self):
+        big_seed = na = False
+        for cfg in self._cases():
+            opt = dp_opt(cfg.trace)
+            stats, records = run_experiment(cfg, opt=opt)
+            big_seed |= any(rec["seed"] >= 2**63 for rec in records)
+            na |= records[0]["ratio"] == "NA"
+            assert records_to_csv(records) == reference_records_csv(records)
+            for shown in (None, opt):
+                assert experiment_to_json(
+                    cfg, stats, records, opt=shown
+                ) == reference_experiment_json(cfg, stats, records, opt=shown)
+        assert big_seed and na
+
+    def test_mixed_experiments_keep_their_own_strings(self):
+        trace = random_trace(Model.CLIQUES, 5, seed=33)
+        records = []
+        for trace_id, algo in (("a,b", "rand"), ('"q"', "det"), ("a,b", "det")):
+            records += run_experiment(ExperimentConfig(trace, trace_id, algo, 2, 1))[1]
+        assert records_to_csv(records) == reference_records_csv(records)
+        assert records_to_csv([]) == reference_records_csv([]) == CSV_HEADER + "\n"
+        cfg = ExperimentConfig(trace, "none", "rand", 1, 1)
+        stats, _ = run_experiment(cfg)
+        assert experiment_to_json(cfg, stats, []) == reference_experiment_json(
+            cfg, stats, []
+        )
 
 
 def _one_trial_at_a_time(trace, seeds):
