@@ -268,7 +268,14 @@ def run_trials(trace: RevealTrace, seeds: Iterable[int]) -> Iterator[AlgoState]:
     seeds = iter(seeds)
     while chunk := list(islice(seeds, TRIAL_CHUNK)):
         parts = ComponentPartition(trace.n, trace.model)
-        states = [AlgoState.initial(trace.pi0, parts) for _ in chunk]
+        # One initial state per chunk, copied per trial (blocks are tuples).
+        start = AlgoState.initial(trace.pi0, parts)
+        left_end, blocks = start.left_end, start.blocks
+        states = [
+            AlgoState(start.pi0, parts, start.rep[:], start.slot_sizes[:],
+                      left_end and left_end[:], blocks and blocks[:])
+            for _ in chunk
+        ]
         rngs = list(map(random.Random, chunk))
         for event in trace.events:
             _rand_event(parts, states, rngs, event)

@@ -192,9 +192,10 @@ def _record_templates(trace_id: str, algo: str) -> tuple[str, str]:
     """The CSV and JSON record templates of one (trace_id, algo) pair."""
     csv_fields, json_fields = {}, {}
     for key, value in (("trace_id", trace_id), ("algo", algo)):
+        # A "\r\n" terminator makes every CPython quote "\r" in a field.
         out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerow((value, ""))
-        csv_fields[key] = out.getvalue()[:-2].replace("%", "%%")
+        csv.writer(out, lineterminator="\r\n").writerow((value, ""))
+        csv_fields[key] = out.getvalue()[:-3].replace("%", "%%")
         json_fields[key] = json.dumps(value).replace("%", "%%")
     return _CSV_ROW.format(**csv_fields), _JSON_RECORD.format(**json_fields)
 
@@ -408,8 +409,9 @@ def verify_lemma(
 
 def _harmonic_rows(trials: int, rng: random.Random) -> list[VerifyRow]:
     failures = [0, 0, 0]
+    bits = rng.getrandbits
     for _ in range(trials):
-        series = [rng.randint(1, 20) for _ in range(rng.randint(1, 50))]
+        series = [_below(bits, 20) + 1 for _ in range(_below(bits, 50) + 1)]
         result = check_harmonic_bounds(series)
         for slot, ok in enumerate(
             (result.ratio_sum_ok, result.square_sum_ok, result.adjacent_sum_ok)
@@ -419,16 +421,39 @@ def _harmonic_rows(trials: int, rng: random.Random) -> list[VerifyRow]:
     return _failure_rows(names, failures, f"{trials} series", trials)
 
 
+# Identity instances drawn before one batched check per N.  Bounds what is
+# held at once: an N = 10 instance takes several 2^10-float rows (8 KB each).
+_IDENTITY_CHUNK = 256
+
+
 def _identity_rows(trials: int, rng: random.Random) -> list[VerifyRow]:
+    """Instances are drawn in chunks of :data:`_IDENTITY_CHUNK`, and each
+    chunk's instances of one N are checked as one batch.  ``uniform(lo, hi)``
+    is ``lo + (hi - lo) * random()``, so the inline draws are its own."""
     failures = [0, 0]
-    for _ in range(trials):
-        n = rng.randint(1, 10)
-        a = [rng.uniform(0.0, 10.0) for _ in range(n)]
-        b = [rng.uniform(0.0, 1.0) for _ in range(n)]
-        for slot, ok in enumerate(check_identity_lemmas(a, b)):
-            failures[slot] += not ok
+    bits, unit = rng.getrandbits, rng.random
+    for start in range(0, trials, _IDENTITY_CHUNK):
+        groups: dict[int, tuple[list, list]] = {}
+        for _ in range(min(_IDENTITY_CHUNK, trials - start)):
+            n = _below(bits, 10) + 1
+            rows_a, rows_b = groups.setdefault(n, ([], []))
+            rows_a.append([10.0 * unit() for _ in range(n)])
+            rows_b.append([unit() for _ in range(n)])
+        for rows_a, rows_b in groups.values():
+            for slot, ok in enumerate(check_identity_lemmas(rows_a, rows_b)):
+                failures[slot] += len(ok) - int(ok.sum())
     names = ("choice-weighted equality", "choice-weighted product bound")
     return _failure_rows(names, failures, f"{trials} instances", trials)
+
+
+def _below(bits, bound: int) -> int:
+    """``random.Random.randrange(bound)`` from its word source ``bits``: words
+    of ``bound.bit_length()`` bits until one is below ``bound``."""
+    k = bound.bit_length()
+    r = bits(k)
+    while r >= bound:
+        r = bits(k)
+    return r
 
 
 def _failure_rows(

@@ -219,9 +219,6 @@ class HarmonicBounds:
     square_sum_ok: bool
     adjacent_sum_ok: bool
 
-    def all_ok(self) -> bool:
-        return self.ratio_sum_ok and self.square_sum_ok and self.adjacent_sum_ok
-
 
 def _harmonic_pair(s: int) -> tuple[int, int]:
     """H_s exactly as (numerator, denominator); past the cached range the
@@ -285,9 +282,7 @@ def _choice_matrix(n: int) -> np.ndarray:
     return ((rows[:, None] >> np.arange(n)) & 1).astype(np.float64)
 
 
-def check_identity_lemmas(
-    a: Sequence[float], b: Sequence[float], tol: float = 1e-9
-) -> tuple[bool, bool]:
+def check_identity_lemmas(a: Sequence, b: Sequence, tol: float = 1e-9) -> tuple:
     """Evaluate two closed forms over all binary choice vectors t in {0,1}^N.
 
     With weights prod_j b_j^{t_j} (1-b_j)^{1-t_j} and A = sum(a):
@@ -296,37 +291,49 @@ def check_identity_lemmas(
     * inequality: E[ (sum_i t_i a_i) (A - sum_i t_i a_i) ]
                   <= sum_i b_i a_i (A - a_i), for nonnegative a
 
-    Returns (equality holds within tol, inequality holds within tol).  The
-    weights are built by doubling over j = 0..N-1 (row bit j is t_j), which
-    multiplies the factors of each row in order.
+    ``a`` and ``b`` hold one instance of length N or a batch of shape
+    (m, N).  Returns (equality holds within tol, inequality holds within
+    tol): two bools for an instance, two bool arrays of length m for a
+    batch.  An instance runs as a batch of one row, and every row's floats
+    equal, bit for bit, those of the row-product reference in the tests.
     """
-    n = len(a)
-    if n != len(b):
+    single = np.ndim(a) == 1
+    av, bv = (np.atleast_2d(np.asarray(x, dtype=np.float64)) for x in (a, b))
+    if av.shape != bv.shape:
         raise ValueError("a and b must have equal length")
-    if not 1 <= n <= _IDENTITY_MAX_N:
+    if not 1 <= av.shape[1] <= _IDENTITY_MAX_N:
         raise ValueError(f"N must be in 1..{_IDENTITY_MAX_N}")
-    if any(not 0.0 <= x <= 1.0 for x in b):
+    if not ((bv >= 0.0) & (bv <= 1.0)).all():
         raise ValueError("b entries must lie in [0, 1]")
-    lhs_eq, rhs_eq, lhs_le, rhs_le = _identity_sides(a, b)
-    return abs(lhs_eq - rhs_eq) <= tol, lhs_le <= rhs_le + tol
+    lhs_eq, rhs_eq, lhs_le, rhs_le = _identity_sides(av, bv)
+    eq_ok = np.abs(lhs_eq - rhs_eq) <= tol
+    le_ok = lhs_le <= rhs_le + tol
+    if single:
+        return bool(eq_ok[0]), bool(le_ok[0])
+    return eq_ok, le_ok
 
 
-def _identity_sides(
-    a: Sequence[float], b: Sequence[float]
-) -> tuple[float, float, float, float]:
-    """Both sides of the equality, then both sides of the inequality."""
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    weights = np.ones(1)
-    for bj in bv:
-        weights = np.concatenate((weights * (1.0 - bj), weights * bj))
-    chosen = _choice_matrix(len(av)) @ av
-    total = float(av.sum())
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each row of ``x`` dotted with its row of ``y``: a 1-D ``@`` per row."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def _identity_sides(av: np.ndarray, bv: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Both sides of the equality, then both sides of the inequality, per row
+    of the (m, N) batch.  The weights double over columns j = 0..N-1 (row
+    bit j is t_j), multiplying each choice vector's factors in order; the
+    choice sums take one matrix-vector product per row.  ``av @ choice.T``
+    and ``einsum`` sum in another order and change the last bits."""
+    weights = np.ones((len(av), 1))
+    for bj in bv.T[:, :, None]:
+        weights = np.concatenate((weights * (1.0 - bj), weights * bj), axis=1)
+    chosen = np.matmul(_choice_matrix(av.shape[1]), av[:, :, None])[:, :, 0]
+    total = av.sum(axis=1, keepdims=True)
     return (
-        float(weights @ chosen),
-        float(av @ bv),
-        float(weights @ (chosen * (total - chosen))),
-        float(bv @ (av * (total - av))),
+        _row_dot(weights, chosen),
+        _row_dot(av, bv),
+        _row_dot(weights, chosen * (total - chosen)),
+        _row_dot(bv, av * (total - av)),
     )
 
 

@@ -6,8 +6,10 @@ closed forms, a literal replay of the randomized strategy, the plain
 block-subset program that orders singletons like any other block, the
 singleton-aware block-order table as plain loops, and the literal exact
 oracles: a heap Dijkstra over all schedules, harmonic sums of
-``Fraction`` terms and choice-vector weights as row products, and the CSV
-and JSON emitters as whole-payload ``csv.writer`` and ``json.dumps`` calls.
+``Fraction`` terms and choice-vector weights as row products, the two
+algebraic sweeps as literal ``randint``/``uniform`` loops over one instance
+at a time, and the CSV and JSON emitters as row-by-row ``csv.writer`` and
+whole-payload ``json.dumps`` calls.
 """
 
 import bisect
@@ -28,11 +30,12 @@ from minla import (
     __version__,
     OptResult,
     Permutation,
+    check_harmonic_bounds,
     harmonic_number,
     is_minla,
     replay_components,
 )
-from minla.harness import CSV_HEADER, PRNG_NOTE
+from minla.harness import CSV_HEADER, PRNG_NOTE, VerifyRow
 from minla.ordering import _popcount_layers, cross_weight
 
 
@@ -478,14 +481,66 @@ def reference_identity_floats(a, b):
     )
 
 
+def reference_harmonic_rows(trials, rng):
+    """The ``verify harmonic`` sweep as literal ``randint`` draws, one
+    ``check_harmonic_bounds`` per series.  Returns the report rows and the
+    drawn series."""
+    failures = [0, 0, 0]
+    drawn = []
+    for _ in range(trials):
+        series = [rng.randint(1, 20) for _ in range(rng.randint(1, 50))]
+        drawn.append(series)
+        result = check_harmonic_bounds(series)
+        failures[0] += not result.ratio_sum_ok
+        failures[1] += not result.square_sum_ok
+        failures[2] += not result.adjacent_sum_ok
+    names = ("ratio sum <= H_S", "square sum <= 2 H_S", "adjacent sum <= 2 H_S")
+    return _sweep_rows(names, failures, f"{trials} series", trials), drawn
+
+
+def reference_identity_rows(trials, rng):
+    """The ``verify identities`` sweep as literal ``randint`` and ``uniform``
+    draws, one :func:`reference_identity_floats` per instance, compared with
+    the library's default tolerance.  Returns the report rows and the drawn
+    (a, b) instances."""
+    failures = [0, 0]
+    drawn = []
+    for _ in range(trials):
+        n = rng.randint(1, 10)
+        a = [rng.uniform(0.0, 10.0) for _ in range(n)]
+        b = [rng.uniform(0.0, 1.0) for _ in range(n)]
+        drawn.append((a, b))
+        lhs_eq, rhs_eq, lhs_le, rhs_le = reference_identity_floats(a, b)
+        failures[0] += not abs(lhs_eq - rhs_eq) <= 1e-9
+        failures[1] += not lhs_le <= rhs_le + 1e-9
+    names = ("choice-weighted equality", "choice-weighted product bound")
+    return _sweep_rows(names, failures, f"{trials} instances", trials), drawn
+
+
+def _sweep_rows(names, failures, sweep, trials):
+    return [
+        VerifyRow(
+            label=f"{name} ({sweep})",
+            expected=Fraction(0),
+            observed=fails / trials,
+            deviations=float(fails),
+            ok=fails == 0,
+        )
+        for name, fails in zip(names, failures)
+    ]
+
+
 def reference_records_csv(records) -> str:
-    """``records_to_csv`` as one ``csv.writer`` pass over every row."""
+    """``records_to_csv`` as one ``csv.writer`` call per row.  The writer
+    ends rows with CR LF, so every CPython quotes a field holding a CR; each
+    row then ends with LF."""
     fields = CSV_HEADER.split(",")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(fields)
-    writer.writerows([rec[col] for col in fields] for rec in records)
-    return out.getvalue()
+    lines = []
+    for row in [fields] + [[rec[col] for col in fields] for rec in records]:
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow(row)
+        lines.append(out.getvalue()[:-2] + "\n")
+    return "".join(lines)
 
 
 def reference_experiment_json(cfg, stats, records, opt=None) -> str:

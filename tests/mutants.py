@@ -1,0 +1,172 @@
+"""Mutation gate: single-line defects that named tests must catch.
+
+Each mutant names a file, an exact text that occurs there once, the text
+that replaces it, and the tests that must fail once it is in place.
+``tests/test_mutants.py`` checks in the normal suite that every old text
+still occurs exactly once and every named test still exists, so the list
+cannot rot.  Running this file applies each mutant in turn to a temporary
+copy of the repository and runs only its named tests there:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py --list     # names only
+    python tests/mutants.py NAME ...   # the named mutants
+
+The named tests first run once on an unchanged copy and must pass.  A
+mutant is killed when its tests fail (pytest exit code 1).  The exit code
+is 0 when every mutant was killed, 1 otherwise.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+_ENGINE = "src/minla/algorithms.py"
+_RAND_TESTS = (
+    "tests/test_algorithms.py::TestWindowedKernel",
+    "tests/test_harness.py::TestVerifyLemma::test_frequencies_match_reference_permutations",
+)
+_SWEEP_TESTS = (
+    "tests/test_harness.py::TestAlgebraicSweeps",
+)
+
+MUTANTS: tuple[Mutant, ...] = (
+    # The rand engine's draw loops: each coin draws getrandbits(k) until the
+    # word is below its bound, as random.Random.randrange does.
+    Mutant(
+        "move-draw-accepts-bound", _ENGINE,
+        "while r >= denom:", "while r > denom:",
+        ("tests/test_algorithms.py::TestRandCliqueStep",) + _RAND_TESTS,
+    ),
+    Mutant(
+        "orient-draw-accepts-bound", _ENGINE,
+        "while r >= total_pairs:", "while r > total_pairs:",
+        ("tests/test_algorithms.py::TestRandLineStep",) + _RAND_TESTS,
+    ),
+    Mutant(
+        "move-draw-one-bit-short", _ENGINE,
+        "k_move = denom.bit_length()", "k_move = (denom - 1).bit_length()",
+        _RAND_TESTS,
+    ),
+    Mutant(
+        "orient-draw-one-bit-short", _ENGINE,
+        "k_orient = total_pairs.bit_length()",
+        "k_orient = (total_pairs - 1).bit_length()",
+        _RAND_TESTS,
+    ),
+    Mutant(
+        "move-coin-inverted", _ENGINE,
+        "x_moved = r < zl", "x_moved = r < xl",
+        (
+            "tests/test_algorithms.py::TestRandCliqueStep",
+            "tests/test_acceptance.py::test_criterion_11_coin_vectors",
+        ) + _RAND_TESTS,
+    ),
+    # Checks that once passed with their bound disabled.
+    Mutant(
+        "sigma-limit-40", "src/minla/harness.py",
+        "_SIGMA_LIMIT = 4.0", "_SIGMA_LIMIT = 40.0",
+        ("tests/test_harness.py::TestVerifyLemma::test_sigma_limit",),
+    ),
+    Mutant(
+        "tree-sandwich-no-lower-bound", "src/minla/bench.py",
+        "lo = math.log2(n) / 16", "lo = 0.0",
+        ("tests/test_acceptance.py::test_tree_sandwich_lower_bound_bites",),
+    ),
+    # The batched algebraic sweeps.
+    Mutant(
+        "identity-tolerance-strict", "src/minla/oracle.py",
+        "eq_ok = np.abs(lhs_eq - rhs_eq) <= tol",
+        "eq_ok = np.abs(lhs_eq - rhs_eq) < tol",
+        ("tests/test_oracle.py::TestIdentityChecks",),
+    ),
+    Mutant(
+        "sweep-draw-accepts-bound", "src/minla/harness.py",
+        "while r >= bound:", "while r > bound:",
+        _SWEEP_TESTS,
+    ),
+    Mutant(
+        "identity-chunks-drop-the-last", "src/minla/harness.py",
+        "for start in range(0, trials, _IDENTITY_CHUNK):",
+        "for start in range(0, trials - _IDENTITY_CHUNK + 1, _IDENTITY_CHUNK):",
+        _SWEEP_TESTS,
+    ),
+)
+
+
+def _copy_repo(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".perfbench_out")
+    for name in ("src", "tests", "perfbench", "pyproject.toml", "BENCHMARK.json"):
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, dest / name, ignore=ignore)
+        elif source.exists():
+            shutil.copy2(source, dest / name)
+
+
+def _pytest(copy: Path, tests) -> int:
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    done = subprocess.run(
+        command + list(tests), cwd=copy, env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    return done.returncode
+
+
+def _apply(copy: Path, mutant: Mutant) -> None:
+    path = copy / mutant.path
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        raise SystemExit(f"{mutant.name}: old text not found exactly once")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--list"]:
+        print("\n".join(m.name for m in MUTANTS))
+        return 0
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp) / "clean"
+        _copy_repo(clean)
+        tests = sorted({t for m in chosen for t in m.tests})
+        if _pytest(clean, tests) != 0:
+            print("the named tests fail without a mutant", file=sys.stderr)
+            return 1
+        survivors = 0
+        for mutant in chosen:
+            copy = Path(tmp) / mutant.name
+            _copy_repo(copy)
+            _apply(copy, mutant)
+            code = _pytest(copy, mutant.tests)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"error (exit {code})")
+            survivors += code != 1
+            print(f"{verdict:>16}  {mutant.name}", flush=True)
+            shutil.rmtree(copy)
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

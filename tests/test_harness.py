@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ from conftest import (
     fraction_ratio,
     frequency_counts,
     reference_experiment_json,
+    reference_harmonic_rows,
+    reference_identity_rows,
     reference_rand,
     reference_records_csv,
 )
+from minla import bench
 from minla import (
     ConfigError,
     ExperimentConfig,
@@ -30,7 +34,13 @@ from minla import (
     splitmix64,
     verify_lemma,
 )
-from minla.harness import CSV_HEADER, experiment_to_json, format_ratio, records_to_csv
+from minla.harness import (
+    CSV_HEADER,
+    VerifyReport,
+    experiment_to_json,
+    format_ratio,
+    records_to_csv,
+)
 
 
 class TestSeedDerivation:
@@ -374,6 +384,86 @@ class TestVerifyLemma:
         a = verify_lemma("identities", trials=1_000, seed=6).to_text()
         b = verify_lemma("identities", trials=1_000, seed=6).to_text()
         assert a == b
+
+
+def _record_sweeps(monkeypatch):
+    """Record, while the sweeps run, the generator each was given, the rows
+    each returned and every instance checked: harmonic series in call
+    order, identity instances as (a, b) pairs in the order of their
+    batches.  ``verify`` and criterion 10 both reach the recording sweeps."""
+    seen = SimpleNamespace(rngs=[], rows=[], harmonic=[], identities=[])
+    for name in ("_harmonic_rows", "_identity_rows"):
+        sweep = getattr(minla.harness, name)
+
+        def recording(trials, rng, sweep=sweep):
+            seen.rngs.append(rng)
+            rows = sweep(trials, rng)
+            seen.rows += rows
+            return rows
+
+        monkeypatch.setattr(minla.harness, name, recording)
+        monkeypatch.setattr(bench, name, recording)
+    check_h = minla.harness.check_harmonic_bounds
+    check_i = minla.harness.check_identity_lemmas
+
+    def harmonic(series):
+        seen.harmonic.append(list(series))
+        return check_h(series)
+
+    def identities(a, b):
+        seen.identities.extend((list(x), list(y)) for x, y in zip(a, b))
+        return check_i(a, b)
+
+    monkeypatch.setattr(minla.harness, "check_harmonic_bounds", harmonic)
+    monkeypatch.setattr(minla.harness, "check_identity_lemmas", identities)
+    return seen
+
+
+class TestAlgebraicSweeps:
+    """The batched, inline-drawn sweeps against their literal loops.  Every
+    row reads 0 failures, so equal reports alone would not show equal
+    draws: each test also compares every drawn instance and the generator's
+    final state."""
+
+    @pytest.mark.parametrize(
+        "seed,trials", [(1, 1_000), (2, 1_024), (3, 1_025), (4, 1_279), (5, 2_000)]
+    )
+    @pytest.mark.parametrize("kind", ["harmonic", "identities"])
+    def test_verify_matches_the_literal_loop(self, kind, seed, trials, monkeypatch):
+        seen = _record_sweeps(monkeypatch)
+        report = verify_lemma(kind, trials=trials, seed=seed)
+        reference = (
+            reference_harmonic_rows if kind == "harmonic" else reference_identity_rows
+        )
+        rng = random.Random(seed)
+        rows, drawn = reference(trials, rng)
+        expected = VerifyReport(kind, trials, seed, tuple(rows), True)
+        assert report.to_text() == expected.to_text()
+        assert report == expected
+        if kind == "harmonic":
+            assert seen.harmonic == drawn
+        else:
+            assert sorted(seen.identities) == sorted(drawn)
+        (used,) = seen.rngs
+        assert used.getstate() == rng.getstate()
+
+    def test_criterion_10_shares_one_generator(self, monkeypatch):
+        # Criterion 10 runs the harmonic sweep, then the identity sweep, on
+        # one generator: the second sweep's draws start where the first
+        # one's stopped.
+        seen = _record_sweeps(monkeypatch)
+        line = bench.criterion_algebraic_bounds().line()
+        rng = random.Random(110)
+        rows_h, drawn_h = reference_harmonic_rows(10_000, rng)
+        rows_i, drawn_i = reference_identity_rows(10_000, rng)
+        assert line.startswith("PASS criterion 10 ")
+        assert seen.rows == rows_h + rows_i
+        assert all(row.ok for row in seen.rows)
+        assert seen.harmonic == drawn_h
+        assert sorted(seen.identities) == sorted(drawn_i)
+        first, second = seen.rngs
+        assert first is second
+        assert first.getstate() == rng.getstate()
 
 
 class TestDuel:

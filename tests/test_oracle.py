@@ -2,17 +2,21 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import minla.algorithms
+import minla.oracle
 from conftest import (
     ordered_pairs_diff,
     reference_exhaustive_opt,
     reference_harmonic_bounds,
     reference_identity_floats,
+    reference_identity_rows,
 )
 from minla import (
     CapacityError,
+    HarmonicBounds,
     Model,
     Permutation,
     RevealEvent,
@@ -29,6 +33,7 @@ from minla import (
     orientation_probability,
     random_trace,
     replay_components,
+    verify_lemma,
 )
 from minla.oracle import _identity_sides
 
@@ -184,19 +189,61 @@ class TestHarmonicBoundsMatchReference:
     @pytest.mark.parametrize("total", [10_002, 10_005])
     def test_all_ones_past_the_exact_harmonic_range(self, total):
         # The ratio sum of all ones is H_S exactly.
-        assert check_harmonic_bounds([1] * total).all_ok()
+        assert check_harmonic_bounds([1] * total) == HarmonicBounds(True, True, True)
 
 
 class TestIdentityFloatsMatchReference:
+    """Every row of a batch, bit for bit against the row-product reference."""
+
     def test_bit_identical(self):
         rng = random.Random(44)
-        for i in range(4000):
-            n = 1 + i % 12
-            a = [rng.uniform(0.0, 10.0) for _ in range(n)]
-            b = [rng.uniform(0.0, 1.0) for _ in range(n)]
-            if i % 50 == 0:
-                b[rng.randrange(n)] = float(rng.randint(0, 1))
-            assert _identity_sides(a, b) == reference_identity_floats(a, b), (a, b)
+        rows = 0
+        for n in range(1, 13):
+            for m in (1, 2, 5, 31, 256):
+                a = [[rng.uniform(0.0, 10.0) for _ in range(n)] for _ in range(m)]
+                b = [[rng.uniform(0.0, 1.0) for _ in range(n)] for _ in range(m)]
+                # Rows with b entries exactly 0.0 and 1.0 beside free rows.
+                for row in b[::3]:
+                    row[rng.randrange(n)] = float(rng.randint(0, 1))
+                b[-1][0] = 0.0
+                b[-1][-1] = 1.0
+                sides = _identity_sides(np.asarray(a), np.asarray(b))
+                assert all(side.shape == (m,) for side in sides)
+                for i in range(m):
+                    got = tuple(float(side[i]) for side in sides)
+                    assert got == reference_identity_floats(a[i], b[i]), (a[i], b[i])
+                    rows += 1
+        assert rows == 12 * 295
+
+    def test_a_row_reads_the_same_alone_and_in_a_batch(self):
+        rng = random.Random(45)
+        for n in (1, 4, 10):
+            a = [[rng.uniform(0.0, 10.0) for _ in range(n)] for _ in range(40)]
+            b = [[rng.uniform(0.0, 1.0) for _ in range(n)] for _ in range(40)]
+            eq_ok, le_ok = check_identity_lemmas(a, b, tol=1e-12)
+            assert eq_ok.shape == le_ok.shape == (40,)
+            for i in range(40):
+                single = check_identity_lemmas(a[i], b[i], tol=1e-12)
+                assert single == (bool(eq_ok[i]), bool(le_ok[i]))
+                assert type(single[0]) is bool and type(single[1]) is bool
+
+    def test_sweep_maps_each_failure_to_its_check(self, monkeypatch):
+        # Only the N = 3 rows fail the equality: the sweep counts exactly the
+        # N = 3 instances the literal draws hold, and no inequality failure.
+        real = minla.oracle._identity_sides
+
+        def n3_fails(av, bv):
+            lhs_eq, rhs_eq, lhs_le, rhs_le = real(av, bv)
+            return lhs_eq + (av.shape[1] == 3), rhs_eq, lhs_le, rhs_le
+
+        monkeypatch.setattr(minla.oracle, "_identity_sides", n3_fails)
+        for seed in (1, 2):
+            report = verify_lemma("identities", trials=1_300, seed=seed)
+            _, drawn = reference_identity_rows(1_300, random.Random(seed))
+            n3 = sum(len(a) == 3 for a, _ in drawn)
+            assert n3 > 0
+            assert [row.deviations for row in report.rows] == [n3, 0]
+            assert not report.ok
 
 
 class TestLeftRightProbability:
@@ -281,17 +328,18 @@ class TestHarmonic:
 class TestHarmonicBounds:
     def test_tight_boundary(self):
         # 1/1 + 1/2 equals H_2 exactly
-        result = check_harmonic_bounds([1, 1])
-        assert result.all_ok()
+        assert check_harmonic_bounds([1, 1]) == HarmonicBounds(True, True, True)
 
     def test_small_series(self):
-        assert check_harmonic_bounds([2, 3]).all_ok()
+        assert check_harmonic_bounds([2, 3]) == HarmonicBounds(True, True, True)
 
     def test_random_sweep(self):
         rng = random.Random(27)
         for _ in range(400):
             series = [rng.randint(1, 20) for _ in range(rng.randint(1, 50))]
-            assert check_harmonic_bounds(series).all_ok(), series
+            assert check_harmonic_bounds(series) == HarmonicBounds(
+                True, True, True
+            ), series
 
     def test_rejects_bad_series(self):
         with pytest.raises(ValueError):
@@ -331,9 +379,18 @@ class TestIdentityChecks:
             b = [rng.uniform(0, 1) for _ in range(n)]
             assert check_identity_lemmas(a, b) == (True, True)
 
+    def test_exact_instances_hold_at_zero_tolerance(self):
+        # One term: both sides of each check are equal floats.
+        assert check_identity_lemmas([3.5], [0.25], tol=0.0) == (True, True)
+        assert check_identity_lemmas([2.0, 4.0], [0.5, 0.5], tol=0.0) == (True, True)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             check_identity_lemmas([1.0], [1.5])
+        with pytest.raises(ValueError):
+            check_identity_lemmas([[1.0], [2.0]], [[0.5], [-0.5]])
+        with pytest.raises(ValueError):
+            check_identity_lemmas([[1.0] * 13], [[0.5] * 13])
         with pytest.raises(ValueError):
             check_identity_lemmas([1.0, 2.0], [0.5])
         with pytest.raises(ValueError):
