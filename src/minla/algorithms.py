@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvariantError
@@ -48,8 +47,9 @@ class AlgoState:
     elsewhere; ``left_end[root]`` (lines) is the path end laid out first,
     ``blocks[root]`` (cliques) the block's node sequence.  ``current`` lays
     the arrangement out on request.  ``det`` keeps its arrangement in
-    ``fixed`` (``None`` while at pi0).  The trials of one ``rand`` chunk
-    share one ``parts``, which the engine merges once per event for all."""
+    ``fixed`` (``None`` while at pi0).  The final states of
+    :func:`run_trials` share the trace's replayed final ``parts`` and only
+    read it; :func:`rand_step` merges the state's own ``parts``."""
 
     pi0: Permutation
     parts: ComponentPartition
@@ -161,15 +161,14 @@ def det_step(state: AlgoState, event: RevealEvent) -> AlgoState:
     return state
 
 
-def _rand_event(
-    parts: ComponentPartition, states: Sequence[AlgoState],
-    rngs: Sequence[random.Random], event: RevealEvent,
+def _step_rows(
+    state: AlgoState, rows: Sequence[tuple], rng: random.Random, index: int
 ) -> None:
-    """Apply one ``rand`` event to every trial of a chunk sharing ``parts``.
+    """Apply :class:`~minla.trace.Replay` rows, the first being event
+    ``index``, to one ``rand`` trial.
 
-    What the trace fixes (the merging components, their sizes and path
-    ends, the coin denominators) is read once; then ``parts`` merges once.
-    Each trial checks in O(1) that both representatives' slots hold their
+    The rows fix the merging components, their sizes and path ends.  Each
+    step checks in O(1) that both representatives' slots hold their
     components' sizes and, for lines, that both left ends are path ends
     (else :class:`InvariantError`).  It then draws its coins: x's block
     moves with probability ``zl / (xl + zl)``, even when adjacent, and a
@@ -178,110 +177,94 @@ def _rand_event(
     block is left of z's exactly when x's representative comes first in
     pi0, and the mover jumps the components represented between the two.
     A coin with bound b draws ``getrandbits(b.bit_length())`` until the word
-    is below b, as ``random.Random.randrange(b)`` does; the width is
-    computed once per event for the chunk.
+    is below b, as ``random.Random.randrange(b)`` does.
     """
-    u, v = event.u, event.v
-    index = states[0].events_done
-    pos0 = states[0].pi0.pos_of
-    ru, rv = parts.find(u), parts.find(v)
-    xl, zl = parts.size_of(ru), parts.size_of(rv)
-    denom = xl + zl
-    k_move = denom.bit_length()
-    lines = parts.model is Model.LINES
-    if lines:
-        x_path, z_path = parts.path_of(ru), parts.path_of(rv)
-        x_ends, z_ends = (x_path[0], x_path[-1]), (z_path[0], z_path[-1])
-        inv_x_max, inv_z_max = xl * (xl - 1) // 2, zl * (zl - 1) // 2
-        total_pairs = denom * (denom - 1) // 2
-        k_orient = total_pairs.bit_length()
-    parts.merge(u, v)
-    merged = parts.path_of(ru) if lines else ()
-    for state, rng in zip(states, rngs):
-        rep, sizes = state.rep, state.slot_sizes
+    pos0, rep, sizes = state.pi0.pos_of, state.rep, state.slot_sizes
+    left_end, blocks = state.left_end, state.blocks
+    lines = left_end is not None
+    bits = rng.getrandbits
+    move_cost = rearrange_cost = 0
+    for index, (u, v, ru, rv, xl, zl, x_ends, z_ends, ends) in enumerate(rows, index):
         a, b = pos0[rep[ru]], pos0[rep[rv]]
         if lines:
-            left_end = state.left_end
             x_left, z_left = left_end[ru], left_end[rv]
         if sizes[a] != xl or lines and x_left not in x_ends:
             raise InvariantError(index, ru, xl)
         if sizes[b] != zl or lines and z_left not in z_ends:
             raise InvariantError(index, rv, zl)
-        bits = rng.getrandbits
+        denom = xl + zl
+        k_move = denom.bit_length()
         r = bits(k_move)
         while r >= denom:
             r = bits(k_move)
         x_moved = r < zl
         between = sum(sizes[a + 1 : b]) if a < b else sum(sizes[b + 1 : a])
         if x_moved:
-            move = xl * between
+            move_cost += xl * between
             sizes[a], sizes[b] = 0, denom
             rep[ru] = rep[rv]
         else:
-            move = zl * between
+            move_cost += zl * between
             sizes[a], sizes[b] = denom, 0
         if lines:
+            total_pairs = denom * (denom - 1) // 2
             cost_forward = (
-                (inv_x_max if x_left == u else 0)
-                + (0 if z_left == v else inv_z_max)
+                (xl * (xl - 1) // 2 if x_left == u else 0)
+                + (0 if z_left == v else zl * (zl - 1) // 2)
                 + (0 if a < b else xl * zl)
             )
             cost_reversed = total_pairs - cost_forward
+            k_orient = total_pairs.bit_length()
             r = bits(k_orient)
             while r >= total_pairs:
                 r = bits(k_orient)
-            forward = r < cost_reversed
-            left_end[ru] = merged[0] if forward else merged[-1]
-            rearrange = cost_forward if forward else cost_reversed
+            if r < cost_reversed:
+                left_end[ru] = ends[0]
+                rearrange_cost += cost_forward
+            else:
+                left_end[ru] = ends[1]
+                rearrange_cost += cost_reversed
         else:
-            blocks = state.blocks
             x_block, z_block = blocks[ru], blocks[rv]
             blocks[ru] = x_block + z_block if a < b else z_block + x_block
             blocks[rv] = None
-            rearrange = 0
-        state.move_cost += move
-        state.rearrange_cost += rearrange
+    state.move_cost += move_cost
+    state.rearrange_cost += rearrange_cost
 
 
 def rand_step(state: AlgoState, event: RevealEvent, rng: random.Random) -> AlgoState:
-    """Apply one ``rand`` event to one trial, of either model: the lockstep
-    engine with a chunk of one."""
-    _rand_event(state.parts, [state], [rng], event)
+    """Apply one ``rand`` event to one trial, of either model: merge the
+    trial's own partition and step the resulting one-row table with the
+    code :func:`run_trials` runs."""
+    index = state.events_done
+    _step_rows(state, (state.parts.merge_row(event.u, event.v),), rng, index)
     return state
-
-# Trials stepped in lockstep over one partition.  Bounds what a chunk holds
-# at once: a ``random.Random`` alone is about 2.5 KB.
-TRIAL_CHUNK = 256
 
 
 def run_trials(trace: RevealTrace, seeds: Iterable[int]) -> Iterator[AlgoState]:
     """Replay ``trace`` with ``rand`` once per seed and yield each trial's
     final state, in seed order.
 
-    The trace was validated when it was built.  Trials run in chunks of
-    :data:`TRIAL_CHUNK` that share one :class:`ComponentPartition`, so each
-    event merges components once per chunk.  Each step checks its trial's
-    state in O(1); every final permutation is laid out and checked by
-    :func:`is_minla` before its state is yielded.  A failure raises
-    :class:`InvariantError`.
+    Each trial steps alone over the trace's cached
+    :attr:`~minla.trace.RevealTrace.replay`, from one generator reseeded per
+    trial (``rng.seed(s)`` gives ``random.Random(s)``'s stream).  Each step
+    checks its trial's state in O(1); every final permutation is laid out
+    and checked by :func:`is_minla` before its state is yielded.  A failure
+    raises :class:`InvariantError`.  The yielded states share the replay's
+    final partition and only read it.
     """
-    seeds = iter(seeds)
-    while chunk := list(islice(seeds, TRIAL_CHUNK)):
-        parts = ComponentPartition(trace.n, trace.model)
-        # One initial state per chunk, copied per trial (blocks are tuples).
-        start = AlgoState.initial(trace.pi0, parts)
-        left_end, blocks = start.left_end, start.blocks
-        states = [
-            AlgoState(start.pi0, parts, start.rep[:], start.slot_sizes[:],
-                      left_end and left_end[:], blocks and blocks[:])
-            for _ in chunk
-        ]
-        rngs = list(map(random.Random, chunk))
-        for event in trace.events:
-            _rand_event(parts, states, rngs, event)
-        for state in states:
-            _check_full(state)
-            yield state
+    replay = trace.replay
+    start = AlgoState.initial(trace.pi0, replay.final)
+    left_end, blocks = start.left_end, start.blocks
+    rng = random.Random()
+    for seed in seeds:
+        rng.seed(seed)
+        # Blocks are tuples, so a shallow copy is the trial's own.
+        state = AlgoState(start.pi0, start.parts, start.rep[:], start.slot_sizes[:],
+                          left_end and left_end[:], blocks and blocks[:])
+        _step_rows(state, replay.rows, rng, 0)
+        _check_full(state)
+        yield state
 
 
 def run(algo: str, trace: RevealTrace, seed: int = 0) -> AlgoState:
@@ -296,7 +279,10 @@ def run(algo: str, trace: RevealTrace, seed: int = 0) -> AlgoState:
     change in them around each step.
     """
     if algo == "rand":
-        return next(run_trials(trace, (seed,)))
+        # The caller may step the state on, so it gets its own partition.
+        state = next(run_trials(trace, (seed,)))
+        state.parts = state.parts.copy()
+        return state
     if algo != "det":
         raise ValueError(f"unknown algorithm {algo!r}")
     state = AlgoState.initial(trace.pi0, ComponentPartition(trace.n, trace.model))

@@ -32,7 +32,7 @@ from .oracle import (
     orientation_probability,
 )
 from .perm import Permutation
-from .trace import ComponentPartition, Model, RevealTrace, replay_components
+from .trace import ComponentPartition, Model, RevealTrace
 
 __all__ = [
     "splitmix64",
@@ -290,46 +290,32 @@ _SIGMA_LIMIT = 4.0
 def _frequency_rows(
     trace: RevealTrace, trials: int, seed: int, kind: str
 ) -> list[VerifyRow]:
-    final_parts = replay_components(trace, trace.k)
-    roots = final_parts.components()
+    final, pi0 = trace.replay.final, trace.pi0
+    roots = final.components()
     if kind == "left-right":
-        tracked = [
-            (ra, rb)
-            for i, ra in enumerate(roots)
-            for rb in roots[i + 1 :]
-        ]
-        if not tracked:
+        group = {r: "{%s}" % ",".join(map(str, sorted(final.nodes_of(r)))) for r in roots}
+        expected, labels = {}, {}
+        for i, ra in enumerate(roots):
+            for rb in roots[i + 1 :]:
+                nodes_a, nodes_b = final.nodes_of(ra), final.nodes_of(rb)
+                expected[ra, rb] = left_right_probability(nodes_a, nodes_b, pi0)
+                labels[ra, rb] = f"{group[ra]} left of {group[rb]}"
+        if not expected:
             raise ConfigError("trace merges to one component; no pairs to track")
-        expected = {
-            (ra, rb): left_right_probability(
-                final_parts.nodes_of(ra), final_parts.nodes_of(rb), trace.pi0
-            )
-            for ra, rb in tracked
-        }
-        labels = {
-            (ra, rb): f"{{{','.join(map(str, sorted(final_parts.nodes_of(ra))))}}}"
-            f" left of "
-            f"{{{','.join(map(str, sorted(final_parts.nodes_of(rb))))}}}"
-            for ra, rb in tracked
-        }
     else:
-        tracked = [r for r in roots if final_parts.size_of(r) >= 2]
-        if not tracked:
+        paths = {r: final.path_of(r) for r in roots if final.size_of(r) >= 2}
+        if not paths:
             raise ConfigError("trace has no multi-node component to orient")
-        expected = {
-            r: orientation_probability(final_parts.path_of(r), trace.pi0)
-            for r in tracked
-        }
-        labels = {
-            r: f"path ({','.join(map(str, final_parts.path_of(r)))}) kept forward"
-            for r in tracked
-        }
-        heads = {r: final_parts.path_of(r)[0] for r in tracked}
+        expected = {r: orientation_probability(p, pi0) for r, p in paths.items()}
+        labels = {r: "path (%s) kept forward" % ",".join(map(str, p))
+                  for r, p in paths.items()}
+        heads = {r: p[0] for r, p in paths.items()}
+    tracked = list(expected)
 
     # Read each trial's state: blocks stand in the pi0 order of their
     # representatives, and a path is forward when its first node leads.
     counts = {key: 0 for key in tracked}
-    pos0 = trace.pi0.pos_of
+    pos0 = pi0.pos_of
     seeds = (derive_trial_seed(seed, trial) for trial in range(trials))
     for result in run_trials(trace, seeds):
         if kind == "left-right":

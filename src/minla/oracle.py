@@ -65,9 +65,8 @@ def _clique_opt(t: RevealTrace) -> OptResult:
     comp: dict[int, tuple[list[int], list[int], int]] = {
         v: ([pos0[v]], [v], 0) for v in range(t.n)
     }
-    parts = replay_components(t, 0)
-    for ev in t.events:
-        ru, rv = parts.find(ev.u), parts.find(ev.v)
+    for row in t.replay.rows:
+        ru, rv = row[2], row[3]  # a merge keeps u's root
         pos_a, seq_a, cost_a = comp.pop(ru)
         pos_b, seq_b, cost_b = comp.pop(rv)
         w_ab = cross_weight(pos_a, pos_b)
@@ -76,8 +75,7 @@ def _clique_opt(t: RevealTrace) -> OptResult:
             seq, extra = seq_a + seq_b, w_ab
         else:
             seq, extra = seq_b + seq_a, w_ba
-        root = parts.merge(ev.u, ev.v)
-        comp[root] = (sorted(pos_a + pos_b), seq, cost_a + cost_b + extra)
+        comp[ru] = (sorted(pos_a + pos_b), seq, cost_a + cost_b + extra)
 
     roots = sorted(comp)
     internal = sum(comp[r][2] for r in roots)
@@ -98,8 +96,7 @@ def dp_opt(t: RevealTrace) -> OptResult:
         return OptResult(cost=0, witness=t.pi0)
     if t.model is Model.CLIQUES:
         return _clique_opt(t)
-    parts = replay_components(t, t.k)
-    witness = closest_feasible(t.pi0, parts)
+    witness = closest_feasible(t.pi0, t.replay.final)
     return OptResult(cost=kendall_tau(t.pi0, witness), witness=witness)
 
 

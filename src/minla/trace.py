@@ -3,14 +3,16 @@
 A trace fixes the model (collection of cliques or collection of lines), the
 node count, the initial permutation, and the ordered merge events.  Replaying
 the events yields the connected components after each step; for lines each
-component also carries its node order along the path.
+component also carries its node order along the path.  Each trace replays
+its merges once, on first use, into :attr:`RevealTrace.replay`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import TraceFormatError, TraceValidationError
 from .perm import Permutation
@@ -20,6 +22,7 @@ __all__ = [
     "RevealEvent",
     "RevealTrace",
     "ComponentPartition",
+    "Replay",
     "validate_trace",
     "replay_components",
     "parse_trace",
@@ -57,15 +60,24 @@ class RevealTrace:
     def k(self) -> int:
         return len(self.events)
 
+    @cached_property
+    def replay(self) -> "Replay":
+        """The trace's merges, replayed once on first use (construction
+        only validates).  Readers share it and must not change it."""
+        parts = ComponentPartition(self.n, self.model)
+        rows = tuple(parts.merge_row(ev.u, ev.v) for ev in self.events)
+        for root, nodes in parts._nodes.items():
+            for v in nodes:  # every node points at its root: finds only read
+                parts._parent[v] = root
+        return Replay(rows, parts)
+
 
 class ComponentPartition:
     """Disjoint components of the revealed graph.
 
     Union-find with one node sequence per component root: for lines the
     path from one endpoint to the other, for cliques the merge order.  No
-    arrangement: each ``rand`` trial keeps its own per root.  Mutable replay
-    state: only trials that apply the same events in lockstep (one ``rand``
-    chunk) may share an instance.
+    arrangement: each ``rand`` trial keeps its own per root.
     """
 
     def __init__(self, n: int, model: Model):
@@ -107,6 +119,13 @@ class ComponentPartition:
         if len(seen) != n:
             raise ValueError("groups do not cover all nodes")
         return parts
+
+    def copy(self) -> "ComponentPartition":
+        """An independent partition with the same components and roots."""
+        twin = ComponentPartition(0, self.model)
+        twin.n, twin._parent = self.n, self._parent[:]
+        twin._nodes = {r: nodes[:] for r, nodes in self._nodes.items()}
+        return twin
 
     def find(self, v: int) -> int:
         parent = self._parent
@@ -172,7 +191,9 @@ class ComponentPartition:
         merged path order runs through u's path (u last) into v's path
         (v first).
         """
-        ru, rv = self.find(u), self.find(v)
+        return self._join(u, v, self.find(u), self.find(v))
+
+    def _join(self, u: int, v: int, ru: int, rv: int) -> int:
         if ru == rv:
             raise TraceValidationError(
                 f"nodes {u} and {v} are already in the same component"
@@ -195,6 +216,30 @@ class ComponentPartition:
         self._nodes[ru] = pu + pv
         del self._nodes[rv]
         return ru
+
+    def merge_row(self, u: int, v: int) -> tuple:
+        """:meth:`merge` ``u`` and ``v`` and return the event's
+        :class:`Replay` row."""
+        ru, rv = self.find(u), self.find(v)
+        x, z = self._nodes[ru], self._nodes[rv]
+        xl, zl = len(x), len(z)  # before the join: clique lists grow in place
+        self._join(u, v, ru, rv)
+        if not self._lines:
+            return u, v, ru, rv, xl, zl, None, None, None
+        merged = self._nodes[ru]
+        ends = merged[0], merged[-1]
+        return u, v, ru, rv, xl, zl, (x[0], x[-1]), (z[0], z[-1]), ends
+
+
+class Replay(NamedTuple):
+    """One replay of a trace's merges.  Row i is ``(u, v, ru, rv, xl, zl,
+    x_ends, z_ends, ends)``: event i's nodes, the roots and sizes of their
+    components before it and, for lines, the end pair of each path and of
+    the merged path (``None`` for cliques).  ``final`` is the last partition.
+    """
+
+    rows: tuple[tuple, ...]
+    final: "ComponentPartition"
 
 
 def validate_trace(t: RevealTrace) -> None:

@@ -79,6 +79,34 @@ MUTANTS: tuple[Mutant, ...] = (
             "tests/test_acceptance.py::test_criterion_11_coin_vectors",
         ) + _RAND_TESTS,
     ),
+    # The cached replay, the per-trial engine's checks and the inversion
+    # count.
+    Mutant(
+        "clique-sizes-after-merge", "src/minla/trace.py",
+        "xl, zl = len(x), len(z)  # before the join: clique lists grow in place\n"
+        "        self._join(u, v, ru, rv)",
+        "self._join(u, v, ru, rv)\n        xl, zl = len(x), len(z)",
+        (
+            "tests/test_trace.py::TestCachedReplay::test_clique_sizes_are_read_before_the_merge",
+        ),
+    ),
+    Mutant(
+        "merged-ends-swapped", "src/minla/trace.py",
+        "ends = merged[0], merged[-1]", "ends = merged[-1], merged[0]",
+        ("tests/test_trace.py::TestCachedReplay::test_rows_match_replay_components",)
+        + _RAND_TESTS,
+    ),
+    Mutant(
+        "z-slot-check-dropped", _ENGINE,
+        "if sizes[b] != zl or lines and z_left not in z_ends:",
+        "if lines and z_left not in z_ends:",
+        ("tests/test_algorithms.py::TestWindowedKernel::test_state_fault_caught_at_the_next_event",),
+    ),
+    Mutant(
+        "inversions-bisect-left", "src/minla/perm.py",
+        "j = bisect_right(seen, x)", "j = __import__('bisect').bisect_left(seen, x)",
+        ("tests/test_perm.py::test_count_inversions_matches_quadratic",),
+    ),
     # Checks that once passed with their bound disabled.
     Mutant(
         "sigma-limit-40", "src/minla/harness.py",

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import random
 from collections import Counter
@@ -25,10 +26,12 @@ from minla import (
     det_step,
     is_minla,
     kendall_tau,
+    derive_trial_seed,
     rand_step,
     random_trace,
     replay_components,
     run,
+    run_trials,
     tree_adversary,
     TreeAdversaryConfig,
 )
@@ -356,7 +359,8 @@ class TestWindowedKernel:
     """The ``rand`` engine against its literal reference, step by step."""
 
     def test_matches_literal_reference(self):
-        # A chunk of one: the permutation and the costs after every event.
+        # One trial stepped event by event: the permutation and the costs
+        # after every event.
         for i, trace in enumerate(_kernel_traces()):
             seed = 1000 + i
             costs, _, totals, perms = reference_rand(trace, seed)
@@ -405,28 +409,31 @@ class TestWindowedKernel:
                 rand_step(state, ev, rng)
                 assert is_minla(state.current, state.parts)
 
-    def test_shared_chunk_feasible_after_every_event(self):
-        # Trials stepped in lockstep over one partition: every trial stays
-        # feasible after every event and replays its literal reference,
-        # permutation by permutation.
+    def test_trials_over_one_replay_feasible_after_every_event(self):
+        # Trials stepped one at a time over the trace's one replay, drawing
+        # from one reseeded generator: every trial stays feasible after
+        # every event and replays its literal reference, permutation by
+        # permutation, and run_trials yields the same final costs.
+        step_rows = minla.algorithms._step_rows
+        rng = random.Random()
         for i, trace in enumerate(_kernel_traces()):
-            parts = ComponentPartition(trace.n, trace.model)
             seeds = [i * 100 + j for j in range(12)]
             refs = [reference_rand(trace, seed) for seed in seeds]
-            states = [AlgoState.initial(trace.pi0, parts) for _ in seeds]
-            rngs = [random.Random(seed) for seed in seeds]
-            for k, ev in enumerate(trace.events):
-                before = [(state.move_cost, state.rearrange_cost) for state in states]
-                minla.algorithms._rand_event(parts, states, rngs, ev)
-                for state, (move, rearrange), (costs, _, _, perms) in zip(
-                    states, before, refs
-                ):
+            for seed, (costs, _, totals, perms) in zip(seeds, refs):
+                rng.seed(seed)
+                parts = ComponentPartition(trace.n, trace.model)
+                state = AlgoState.initial(trace.pi0, parts)
+                for k, (ev, row) in enumerate(zip(trace.events, trace.replay.rows)):
+                    move, rearrange = state.move_cost, state.rearrange_cost
+                    parts.merge(ev.u, ev.v)
+                    step_rows(state, (row,), rng, k)
                     step = state.move_cost - move, state.rearrange_cost - rearrange
                     assert step == costs[k]
                     assert state.current == perms[k + 1]
                     assert is_minla(state.current, parts)
-            for state, (_, _, totals, _) in zip(states, refs):
                 assert _totals(state) == totals
+            finals = [_totals(state) for state in run_trials(trace, seeds)]
+            assert finals == [totals for _, _, totals, _ in refs]
 
     def test_large_final_states_match_reference(self):
         traces = [tree_adversary(TreeAdversaryConfig(q=8, seed=s)) for s in (1, 2)]
@@ -524,3 +531,32 @@ class TestWindowedKernel:
                 assert raised.size == parts.size_of(raised.root)
                 caught += 1
         assert caught > 0 and passed > 0
+
+
+class TestOneReplay:
+    """``run_trials`` steps each trial alone over the trace's cached replay."""
+
+    def test_reseeded_generator_matches_a_fresh_one(self):
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        seeds += [derive_trial_seed(7, i) for i in range(200)]
+        rng = random.Random()
+        for seed in seeds:
+            rng.seed(seed)
+            fresh = random.Random(seed)
+            words = [rng.getrandbits(32) for _ in range(64)]
+            assert words == [fresh.getrandbits(32) for _ in range(64)]
+
+    def test_trials_leave_the_replay_unchanged(self):
+        for model in (Model.CLIQUES, Model.LINES):
+            full = random_trace(model, 24, seed=41)
+            trace = dataclasses.replace(full, events=full.events[:15])
+            rows, final = trace.replay.rows, trace.replay.final
+            before = copy.deepcopy((rows, vars(final)))
+            seeds = range(40)
+            first = [_totals(state) for state in run_trials(trace, seeds)]
+            state = run("rand", trace, seed=5)
+            rand_step(state, full.events[15], random.Random(5))
+            assert state.parts is not final
+            assert trace.replay.rows is rows and trace.replay.final is final
+            assert (rows, vars(final)) == before
+            assert [_totals(state) for state in run_trials(trace, seeds)] == first

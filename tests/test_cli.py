@@ -21,7 +21,6 @@ from minla import (
     random_trace,
     run,
 )
-from minla.algorithms import TRIAL_CHUNK
 from minla.cli import main
 
 
@@ -204,14 +203,14 @@ class TestSimulate:
         # The left end of path 0-1-2 moved to its middle node before event
         # 2: an internal failure, not an invalid trace, named by event and
         # component.
-        rand_event = minla.algorithms._rand_event
+        step_rows = minla.algorithms._step_rows
 
-        def corrupting_event(parts, states, rngs, event):
-            if states[0].events_done == 2:
-                states[0].left_end[parts.find(event.v)] = 1
-            rand_event(parts, states, rngs, event)
+        def corrupting_rows(state, rows, rng, index):
+            step_rows(state, rows[:2], rng, index)
+            state.left_end[rows[2][3]] = 1  # the root of event 2's v
+            step_rows(state, rows[2:], rng, index + 2)
 
-        monkeypatch.setattr(minla.algorithms, "_rand_event", corrupting_event)
+        monkeypatch.setattr(minla.algorithms, "_step_rows", corrupting_rows)
         path = tmp_path / "t.txt"
         path.write_text(
             "minla-trace v1\nmodel: lines\nn: 4\npi0: 0 1 2 3\n"
@@ -225,24 +224,22 @@ class TestSimulate:
         assert err.startswith("internal error:")
         assert "at event 2: component 0 (size 3)" in err
 
-    def test_invariant_failure_in_a_later_chunk_exits_5(
+    def test_invariant_failure_in_a_later_trial_exits_5(
         self, capsys, tmp_path, monkeypatch
     ):
-        # Empty trial 300's slot of component 1 before event 1, in the second
-        # chunk of trials: that trial names it, and no later trial takes the
-        # step.
-        rand_event = minla.algorithms._rand_event
-        chunks = []
-        k = 300 - TRIAL_CHUNK  # trial 300's place in the second chunk
+        # Empty trial 300's slot of component 1 before event 1: that trial
+        # names it, and no later trial is stepped.
+        step_rows = minla.algorithms._step_rows
+        trials = []
 
-        def corrupting_event(parts, states, rngs, event):
-            if states[0].events_done == 0:
-                chunks.append(states)
-            elif len(chunks) == 2:
-                states[k].slot_sizes[1] = 0
-            rand_event(parts, states, rngs, event)
+        def corrupting_rows(state, rows, rng, index):
+            trials.append(state)
+            step_rows(state, rows[:1], rng, index)
+            if len(trials) == 301:
+                state.slot_sizes[1] = 0
+            step_rows(state, rows[1:], rng, index + 1)
 
-        monkeypatch.setattr(minla.algorithms, "_rand_event", corrupting_event)
+        monkeypatch.setattr(minla.algorithms, "_step_rows", corrupting_rows)
         path = tmp_path / "t.txt"
         path.write_text(
             "minla-trace v1\nmodel: cliques\nn: 6\npi0: 0 1 2 3 4 5\n"
@@ -255,11 +252,10 @@ class TestSimulate:
         assert code == 5
         assert err.startswith("internal error:")
         assert "at event 1: component 1 (size 1)" in err
-        assert len(chunks) == 2
+        assert len(trials) == 301
         # A trial that took event 1 emptied one of the two slots.
-        unstepped = [state.slot_sizes[1] * state.slot_sizes[4] for state in chunks[1]]
-        assert unstepped[:k] == [0] * k
-        assert unstepped[k + 1 :] == [1] * (TRIAL_CHUNK - k - 1)
+        unstepped = [state.slot_sizes[1] * state.slot_sizes[4] for state in trials]
+        assert unstepped[:300] == [0] * 300
 
     def test_layout_fault_exits_5(self, capsys, tmp_path, monkeypatch):
         # A layout that swaps its first and last nodes splits the merged

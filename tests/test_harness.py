@@ -261,12 +261,15 @@ def _one_trial_at_a_time(trace, seeds):
 
 
 class TestLockstepChunks:
+    """``run_trials`` against a loop of single-trial runs, at trial counts
+    around the 256-trial chunks that the engine once stepped in lockstep."""
+
     @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
     def test_experiments_match_single_trial_runs(self, model, monkeypatch):
         trace = random_trace(model, 9, seed=22)
         opt = dp_opt(trace)
         results = {}
-        for engine in ("chunked", "single"):
+        for engine in ("run_trials", "single"):
             if engine == "single":
                 monkeypatch.setattr(minla.harness, "run_trials", _one_trial_at_a_time)
             for trials in (1, 255, 256, 257, 515):
@@ -276,7 +279,7 @@ class TestLockstepChunks:
                 )
                 results[engine, trials] = run_experiment(cfg, opt=opt)
         for trials in (1, 255, 256, 257, 515):
-            assert results["chunked", trials] == results["single", trials]
+            assert results["run_trials", trials] == results["single", trials]
 
     def test_verify_reports_match_single_trial_runs(self, monkeypatch):
         cases = (
@@ -284,21 +287,21 @@ class TestLockstepChunks:
             ("orientation", random_trace(Model.LINES, 8, seed=24, events=5)),
         )
         texts = {}
-        for engine in ("chunked", "single"):
+        for engine in ("run_trials", "single"):
             if engine == "single":
                 monkeypatch.setattr(minla.harness, "run_trials", _one_trial_at_a_time)
             for kind, trace in cases:
                 report = verify_lemma(kind, trials=1027, seed=3, trace=trace)
                 texts[engine, kind] = report.to_text()
         for kind, _ in cases:
-            assert texts["chunked", kind] == texts["single", kind]
+            assert texts["run_trials", kind] == texts["single", kind]
 
 
 class TestVerifyLemma:
     @pytest.mark.parametrize("kind", ["left-right", "orientation"])
     def test_frequencies_match_reference_permutations(self, kind):
-        # 300 trials cross a chunk boundary; the counts read off the trial
-        # states equal those read off the literal final permutations.
+        # The counts read off 300 trial states, which share the trace's
+        # replay, equal those read off the literal final permutations.
         model = Model.CLIQUES if kind == "left-right" else Model.LINES
         trials = 300
         traces = [

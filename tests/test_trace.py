@@ -9,11 +9,13 @@ from minla import (
     RevealEvent,
     RevealTrace,
     TraceFormatError,
+    TreeAdversaryConfig,
     TraceValidationError,
     emit_trace,
     parse_trace,
     random_trace,
     replay_components,
+    tree_adversary,
     validate_trace,
 )
 
@@ -112,6 +114,60 @@ class TestReplay:
                     parent = before.path_of(root)
                     restricted = tuple(v for v in merged_path if v in set(parent))
                     assert restricted in (parent, parent[::-1])
+
+
+def _replay_traces():
+    """Cliques and lines at n = 2..64, full and partial random traces, and
+    tree-adversary traces at q = 1..6."""
+    rng = random.Random(31)
+    traces = []
+    for model in (Model.CLIQUES, Model.LINES):
+        for n in (2, 3, 4, 5, 7, 10, 16, 23, 32, 47, 64):
+            traces.append(random_trace(model, n, seed=rng.random()))
+            events = rng.randint(0, n - 1)
+            traces.append(random_trace(model, n, seed=rng.random(), events=events))
+    for q in range(1, 7):
+        traces.append(tree_adversary(TreeAdversaryConfig(q=q, seed=q)))
+    return traces
+
+
+class TestCachedReplay:
+    def test_rows_match_replay_components(self):
+        # Each row against the partitions before and after its event: the
+        # two roots and sizes, both paths' ends and the merged path's ends.
+        for trace in _replay_traces():
+            replay = trace.replay
+            assert len(replay.rows) == trace.k
+            for i, (ev, row) in enumerate(zip(trace.events, replay.rows)):
+                before, after = replay_components(trace, i), replay_components(trace, i + 1)
+                ru, rv = before.find(ev.u), before.find(ev.v)
+                x, z = before.nodes_of(ru), before.nodes_of(rv)
+                expected = (ev.u, ev.v, ru, rv, len(x), len(z))
+                if trace.model is Model.LINES:
+                    merged = after.path_of(after.find(ev.u))
+                    expected += ((x[0], x[-1]), (z[0], z[-1]), (merged[0], merged[-1]))
+                else:
+                    expected += (None, None, None)
+                assert row == expected
+            final = replay_components(trace, trace.k)
+            assert replay.final.components() == final.components()
+            for root in final.components():
+                assert replay.final.nodes_of(root) == final.nodes_of(root)
+                assert all(replay.final.find(v) == root for v in final.nodes_of(root))
+
+    def test_clique_sizes_are_read_before_the_merge(self):
+        # A clique's node list grows in place: read after its merge, event
+        # 0's sizes would be (2, 1) and event 1's (3, 1).
+        trace = make_trace(Model.CLIQUES, 4, [(0, 1), (1, 2), (3, 0)])
+        assert [row[4:6] for row in trace.replay.rows] == [(1, 1), (2, 1), (1, 3)]
+
+    def test_built_on_first_use_and_outside_equality(self):
+        trace = make_trace(Model.LINES, 3, [(0, 1), (2, 1)])
+        twin = make_trace(Model.LINES, 3, [(0, 1), (2, 1)])
+        assert "replay" not in vars(trace)
+        assert trace.replay is trace.replay
+        assert trace == twin and hash(trace) == hash(twin)
+        assert trace.replay.rows[1] == (2, 1, 2, 0, 1, 2, (2, 2), (0, 1), (2, 0))
 
 
 class TestPartition:
