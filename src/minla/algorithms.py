@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvariantError
-from .feasibility import is_minla
 from .ordering import solve_block_order
 from .perm import Permutation, count_inversions, kendall_tau
 from .trace import ComponentPartition, Model, RevealEvent, RevealTrace
@@ -95,7 +94,8 @@ def _layout(state: AlgoState) -> list[int]:
     representatives, each path from its left end, each clique as its
     recorded sequence."""
     parts, rep, pos0 = state.parts, state.rep, state.pi0.pos_of
-    roots = sorted(parts.components(), key=lambda r: pos0[rep[r]])
+    # Representatives are distinct nodes, so the key alone fixes the order.
+    roots = sorted(parts._nodes, key=lambda r: pos0[rep[r]])
     if state.left_end is None:
         return [v for root in roots for v in state.blocks[root]]
     node_at: list[int] = []
@@ -140,18 +140,20 @@ def closest_feasible(pi0: Permutation, parts: ComponentPartition) -> Permutation
 
 
 def _check_full(state: AlgoState) -> None:
-    """:func:`is_minla` on the whole permutation, naming the first bad component."""
-    current = state.current
-    if not is_minla(current, state.parts):
-        root = state.parts.misplaced_root(current.node_at)
+    """The contiguity check of :func:`~minla.feasibility.is_minla` on the
+    whole arrangement (a ``rand`` trial's laid out as a plain list), naming
+    the first bad component."""
+    node_at = _layout(state) if state.fixed is None else state.fixed.node_at
+    root = state.parts.misplaced_root(node_at)
+    if root is not None:
         raise InvariantError(state.events_done - 1, root, state.parts.size_of(root))
 
 
 def det_step(state: AlgoState, event: RevealEvent) -> AlgoState:
     """Apply one event deterministically: move to the feasible permutation
     closest to the initial one, paying the distance from the current one.
-    The new arrangement is checked by :func:`is_minla` (else
-    :class:`InvariantError`)."""
+    The new arrangement is checked as :func:`~minla.feasibility.is_minla`
+    does (else :class:`InvariantError`)."""
     before = state.pi0 if state.fixed is None else state.fixed
     state.parts.merge(event.u, event.v)
     target = closest_feasible(state.pi0, state.parts)
@@ -167,24 +169,25 @@ def _step_rows(
     """Apply :class:`~minla.trace.Replay` rows, the first being event
     ``index``, to one ``rand`` trial.
 
-    The rows fix the merging components, their sizes and path ends.  Each
-    step checks in O(1) that both representatives' slots hold their
-    components' sizes and, for lines, that both left ends are path ends
-    (else :class:`InvariantError`).  It then draws its coins: x's block
+    The rows fix the merging components, their sizes, path ends and coin
+    constants.  Each step checks in O(1) that both representatives' slots
+    hold their components' sizes and, for lines, that both left ends are
+    path ends (else :class:`InvariantError`).  It then draws its coins: x's block
     moves with probability ``zl / (xl + zl)``, even when adjacent, and a
     merged path is laid forward or reversed with probability proportional
     to the swap cost of the other filling.  Per :class:`AlgoState`, x's
     block is left of z's exactly when x's representative comes first in
     pi0, and the mover jumps the components represented between the two.
-    A coin with bound b draws ``getrandbits(b.bit_length())`` until the word
-    is below b, as ``random.Random.randrange(b)`` does.
+    A coin with bound b draws ``getrandbits(b.bit_length())`` (the row holds
+    both) until the word is below b, as ``random.Random.randrange(b)`` does.
     """
     pos0, rep, sizes = state.pi0.pos_of, state.rep, state.slot_sizes
     left_end, blocks = state.left_end, state.blocks
     lines = left_end is not None
     bits = rng.getrandbits
     move_cost = rearrange_cost = 0
-    for index, (u, v, ru, rv, xl, zl, x_ends, z_ends, ends) in enumerate(rows, index):
+    for index, (u, v, ru, rv, xl, zl, denom, k_move, x_ends, z_ends, ends, total_pairs,
+                k_orient, x_pairs, z_pairs, cross) in enumerate(rows, index):
         a, b = pos0[rep[ru]], pos0[rep[rv]]
         if lines:
             x_left, z_left = left_end[ru], left_end[rv]
@@ -192,8 +195,6 @@ def _step_rows(
             raise InvariantError(index, ru, xl)
         if sizes[b] != zl or lines and z_left not in z_ends:
             raise InvariantError(index, rv, zl)
-        denom = xl + zl
-        k_move = denom.bit_length()
         r = bits(k_move)
         while r >= denom:
             r = bits(k_move)
@@ -207,14 +208,12 @@ def _step_rows(
             move_cost += zl * between
             sizes[a], sizes[b] = denom, 0
         if lines:
-            total_pairs = denom * (denom - 1) // 2
             cost_forward = (
-                (xl * (xl - 1) // 2 if x_left == u else 0)
-                + (0 if z_left == v else zl * (zl - 1) // 2)
-                + (0 if a < b else xl * zl)
+                (x_pairs if x_left == u else 0)
+                + (0 if z_left == v else z_pairs)
+                + (0 if a < b else cross)
             )
             cost_reversed = total_pairs - cost_forward
-            k_orient = total_pairs.bit_length()
             r = bits(k_orient)
             while r >= total_pairs:
                 r = bits(k_orient)
@@ -245,20 +244,22 @@ def run_trials(trace: RevealTrace, seeds: Iterable[int]) -> Iterator[AlgoState]:
     """Replay ``trace`` with ``rand`` once per seed and yield each trial's
     final state, in seed order.
 
-    Each trial steps alone over the trace's cached
+    Each trial steps alone over the trace's
     :attr:`~minla.trace.RevealTrace.replay`, from one generator reseeded per
-    trial (``rng.seed(s)`` gives ``random.Random(s)``'s stream).  Each step
-    checks its trial's state in O(1); every final permutation is laid out
-    and checked by :func:`is_minla` before its state is yielded.  A failure
-    raises :class:`InvariantError`.  The yielded states share the replay's
-    final partition and only read it.
+    trial.  For an int seed ``s`` the base class's ``seed(s)`` gives
+    ``random.Random(s)``'s stream (``Random.seed`` adds only a reset of the
+    gauss cache, which no coin reads).  Each step checks its trial's state
+    in O(1); every final arrangement is laid out and checked for contiguity
+    before its state is yielded.  A failure raises :class:`InvariantError`.
+    The yielded states share the replay's final partition and only read it.
     """
     replay = trace.replay
     start = AlgoState.initial(trace.pi0, replay.final)
     left_end, blocks = start.left_end, start.blocks
     rng = random.Random()
+    reseed = super(random.Random, rng).seed
     for seed in seeds:
-        rng.seed(seed)
+        reseed(seed)
         # Blocks are tuples, so a shallow copy is the trial's own.
         state = AlgoState(start.pi0, start.parts, start.rep[:], start.slot_sizes[:],
                           left_end and left_end[:], blocks and blocks[:])
@@ -273,10 +274,11 @@ def run(algo: str, trace: RevealTrace, seed: int = 0) -> AlgoState:
 
     Deterministic for a given (algo, trace, seed); ``det`` ignores the seed.
     ``rand`` is :func:`run_trials` with one seed and ``det`` one
-    :func:`det_step` per event; both check their arrangements by
-    :func:`is_minla`.  A failure raises :class:`InvariantError`.  The final
-    state carries the move and rearrangement costs; per-step costs are the
-    change in them around each step.
+    :func:`det_step` per event; both check their arrangements as
+    :func:`~minla.feasibility.is_minla` does.  A failure raises
+    :class:`InvariantError`.  The final state carries the move and
+    rearrangement costs; per-step costs are the change in them around each
+    step.
     """
     if algo == "rand":
         # The caller may step the state on, so it gets its own partition.

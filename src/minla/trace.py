@@ -4,14 +4,13 @@ A trace fixes the model (collection of cliques or collection of lines), the
 node count, the initial permutation, and the ordered merge events.  Replaying
 the events yields the connected components after each step; for lines each
 component also carries its node order along the path.  Each trace replays
-its merges once, on first use, into :attr:`RevealTrace.replay`.
+its merges once, when it is validated, into :attr:`RevealTrace.replay`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import TraceFormatError, TraceValidationError
@@ -46,30 +45,22 @@ class RevealEvent:
 @dataclass(frozen=True)
 class RevealTrace:
     """A valid trace: construction runs :func:`validate_trace`, so every
-    instance replays without error and nothing downstream checks it again."""
+    instance replays without error and nothing downstream checks it again.
+    ``replay`` is the :class:`Replay` that validation built; readers share
+    it and must not change it.  It takes no part in equality or hashing."""
 
     model: Model
     n: int
     pi0: Permutation
     events: tuple[RevealEvent, ...]
+    replay: "Replay" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        validate_trace(self)
+        object.__setattr__(self, "replay", validate_trace(self))
 
     @property
     def k(self) -> int:
         return len(self.events)
-
-    @cached_property
-    def replay(self) -> "Replay":
-        """The trace's merges, replayed once on first use (construction
-        only validates).  Readers share it and must not change it."""
-        parts = ComponentPartition(self.n, self.model)
-        rows = tuple(parts.merge_row(ev.u, ev.v) for ev in self.events)
-        for root, nodes in parts._nodes.items():
-            for v in nodes:  # every node points at its root: finds only read
-                parts._parent[v] = root
-        return Replay(rows, parts)
 
 
 class ComponentPartition:
@@ -224,28 +215,37 @@ class ComponentPartition:
         x, z = self._nodes[ru], self._nodes[rv]
         xl, zl = len(x), len(z)  # before the join: clique lists grow in place
         self._join(u, v, ru, rv)
+        denom = xl + zl
+        row = u, v, ru, rv, xl, zl, denom, denom.bit_length()
         if not self._lines:
-            return u, v, ru, rv, xl, zl, None, None, None
+            return row + (None,) * 8
         merged = self._nodes[ru]
         ends = merged[0], merged[-1]
-        return u, v, ru, rv, xl, zl, (x[0], x[-1]), (z[0], z[-1]), ends
+        pairs = denom * (denom - 1) // 2
+        return row + ((x[0], x[-1]), (z[0], z[-1]), ends, pairs, pairs.bit_length(),
+                      xl * (xl - 1) // 2, zl * (zl - 1) // 2, xl * zl)
 
 
 class Replay(NamedTuple):
     """One replay of a trace's merges.  Row i is ``(u, v, ru, rv, xl, zl,
-    x_ends, z_ends, ends)``: event i's nodes, the roots and sizes of their
-    components before it and, for lines, the end pair of each path and of
-    the merged path (``None`` for cliques).  ``final`` is the last partition.
+    denom, k_move, x_ends, z_ends, ends, pairs, k_orient, x_pairs, z_pairs,
+    cross)``: event i's nodes, the roots and sizes of their components
+    before it, and the moving coin's bound ``xl + zl`` with its bit width.
+    For lines (``None`` for cliques) it goes on with the end pair of each
+    path and of the merged path, the orientation coin's bound C(xl + zl, 2)
+    with its bit width, and the cost terms C(xl, 2), C(zl, 2) and xl * zl.
+    ``final`` is the last partition, every node pointing at its root, so
+    finds on it only read.
     """
 
     rows: tuple[tuple, ...]
     final: "ComponentPartition"
 
 
-def validate_trace(t: RevealTrace) -> None:
+def validate_trace(t: RevealTrace) -> Replay:
     """Replay the trace and raise :class:`TraceValidationError` on the first
-    event that violates the model invariants.  :class:`RevealTrace` runs it
-    on construction."""
+    event that violates the model invariants; return the :class:`Replay`.
+    :class:`RevealTrace` runs it on construction and keeps the replay."""
     if t.n < 1:
         raise TraceValidationError(f"n must be positive, got {t.n}")
     if len(t.pi0) != t.n:
@@ -253,6 +253,7 @@ def validate_trace(t: RevealTrace) -> None:
             f"pi0 has {len(t.pi0)} entries, expected n={t.n}"
         )
     parts = ComponentPartition(t.n, t.model)
+    rows = []
     for idx, ev in enumerate(t.events):
         if not (0 <= ev.u < t.n and 0 <= ev.v < t.n):
             raise TraceValidationError(
@@ -261,9 +262,13 @@ def validate_trace(t: RevealTrace) -> None:
         if ev.u == ev.v:
             raise TraceValidationError(f"self-event on node {ev.u}", event_index=idx)
         try:
-            parts.merge(ev.u, ev.v)
+            rows.append(parts.merge_row(ev.u, ev.v))
         except TraceValidationError as exc:
             raise TraceValidationError(str(exc), event_index=idx) from None
+    for root, nodes in parts._nodes.items():
+        for v in nodes:
+            parts._parent[v] = root
+    return Replay(tuple(rows), parts)
 
 
 def replay_components(t: RevealTrace, i: int) -> ComponentPartition:

@@ -39,6 +39,7 @@ class Mutant:
 
 
 _ENGINE = "src/minla/algorithms.py"
+_REPLAY = "src/minla/trace.py"
 _RAND_TESTS = (
     "tests/test_algorithms.py::TestWindowedKernel",
     "tests/test_harness.py::TestVerifyLemma::test_frequencies_match_reference_permutations",
@@ -60,16 +61,25 @@ MUTANTS: tuple[Mutant, ...] = (
         "while r >= total_pairs:", "while r > total_pairs:",
         ("tests/test_algorithms.py::TestRandLineStep",) + _RAND_TESTS,
     ),
+    # The replay rows hold each coin's bound, its bit width and the
+    # orientation cost terms.
     Mutant(
-        "move-draw-one-bit-short", _ENGINE,
-        "k_move = denom.bit_length()", "k_move = (denom - 1).bit_length()",
+        "move-draw-one-bit-short", _REPLAY,
+        "denom, denom.bit_length()", "denom, (denom - 1).bit_length()",
         _RAND_TESTS,
     ),
     Mutant(
-        "orient-draw-one-bit-short", _ENGINE,
-        "k_orient = total_pairs.bit_length()",
-        "k_orient = (total_pairs - 1).bit_length()",
+        "orient-draw-one-bit-short", _REPLAY,
+        "pairs, pairs.bit_length()", "pairs, (pairs - 1).bit_length()",
         _RAND_TESTS,
+    ),
+    Mutant(
+        "cross-term-halved", _REPLAY,
+        "xl * zl)", "xl * zl // 2)",
+        (
+            "tests/test_trace.py::TestCachedReplay::test_rows_match_replay_components",
+            "tests/test_algorithms.py::TestRandLineStep",
+        ) + _RAND_TESTS,
     ),
     Mutant(
         "move-coin-inverted", _ENGINE,
@@ -79,10 +89,10 @@ MUTANTS: tuple[Mutant, ...] = (
             "tests/test_acceptance.py::test_criterion_11_coin_vectors",
         ) + _RAND_TESTS,
     ),
-    # The cached replay, the per-trial engine's checks and the inversion
-    # count.
+    # The replay, the per-trial engine's checks, the final layout and the
+    # inversion count.
     Mutant(
-        "clique-sizes-after-merge", "src/minla/trace.py",
+        "clique-sizes-after-merge", _REPLAY,
         "xl, zl = len(x), len(z)  # before the join: clique lists grow in place\n"
         "        self._join(u, v, ru, rv)",
         "self._join(u, v, ru, rv)\n        xl, zl = len(x), len(z)",
@@ -91,7 +101,7 @@ MUTANTS: tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
-        "merged-ends-swapped", "src/minla/trace.py",
+        "merged-ends-swapped", _REPLAY,
         "ends = merged[0], merged[-1]", "ends = merged[-1], merged[0]",
         ("tests/test_trace.py::TestCachedReplay::test_rows_match_replay_components",)
         + _RAND_TESTS,
@@ -101,6 +111,17 @@ MUTANTS: tuple[Mutant, ...] = (
         "if sizes[b] != zl or lines and z_left not in z_ends:",
         "if lines and z_left not in z_ends:",
         ("tests/test_algorithms.py::TestWindowedKernel::test_state_fault_caught_at_the_next_event",),
+    ),
+    Mutant(
+        "final-check-skips-root-0", _ENGINE,
+        "if root is not None:", "if root:",
+        ("tests/test_algorithms.py::TestWindowedKernel::test_layout_fault_caught_exactly_when_infeasible",),
+    ),
+    Mutant(
+        "layout-in-root-order", _ENGINE,
+        "roots = sorted(parts._nodes, key=lambda r: pos0[rep[r]])",
+        "roots = sorted(parts._nodes)",
+        ("tests/test_algorithms.py::TestWindowedKernel",),
     ),
     Mutant(
         "inversions-bisect-left", "src/minla/perm.py",

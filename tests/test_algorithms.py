@@ -534,17 +534,28 @@ class TestWindowedKernel:
 
 
 class TestOneReplay:
-    """``run_trials`` steps each trial alone over the trace's cached replay."""
+    """``run_trials`` steps each trial alone over the trace's one replay."""
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    SEEDS += [derive_trial_seed(7, i) for i in range(200)]
 
     def test_reseeded_generator_matches_a_fresh_one(self):
-        seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-        seeds += [derive_trial_seed(7, i) for i in range(200)]
+        # run_trials reseeds through the base class, skipping only
+        # Random.seed's reset of the gauss cache.
         rng = random.Random()
-        for seed in seeds:
-            rng.seed(seed)
+        reseed = super(random.Random, rng).seed
+        for seed in self.SEEDS:
+            reseed(seed)
             fresh = random.Random(seed)
             words = [rng.getrandbits(32) for _ in range(64)]
             assert words == [fresh.getrandbits(32) for _ in range(64)]
+
+    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
+    def test_run_trials_over_extreme_seeds_match_fresh_generators(self, model):
+        trace = random_trace(model, 12, seed=43)
+        finals = [_totals(state) for state in run_trials(trace, self.SEEDS)]
+        assert finals == [reference_rand(trace, seed)[2] for seed in self.SEEDS]
+        assert len(set(finals)) > 1
 
     def test_trials_leave_the_replay_unchanged(self):
         for model in (Model.CLIQUES, Model.LINES):

@@ -358,7 +358,8 @@ class TestVerify:
 
 
 class TestValidateOnce:
-    """A trace is checked when it is built, never again by the engine."""
+    """A trace is checked when it is built, never again by the engine, and
+    that check is its one pass over the merges."""
 
     @pytest.mark.parametrize("argv", [
         ("simulate", "--algo", "rand", "--trials", "3"),
@@ -377,7 +378,7 @@ class TestValidateOnce:
 
         def counting(trace):
             calls.append(trace)
-            real(trace)
+            return real(trace)
 
         # Every name a trace check has been bound to.
         monkeypatch.setattr(minla.trace, "validate_trace", counting)
@@ -385,6 +386,24 @@ class TestValidateOnce:
         code, _, _ = run_cli(capsys, *argv, "--trace", str(path), "--seed", "1")
         assert code == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
+    def test_rand_op_merges_each_event_once(self, capsys, tmp_path, monkeypatch, model):
+        trace = random_trace(model, 9, seed=52, events=6)
+        path = tmp_path / "t.txt"
+        path.write_text(emit_trace(trace))
+        joins = []
+        real = minla.trace.ComponentPartition._join
+
+        def counting(parts, *args):
+            joins.append(args)
+            return real(parts, *args)
+
+        monkeypatch.setattr(minla.trace.ComponentPartition, "_join", counting)
+        code, _, _ = run_cli(capsys, "simulate", "--algo", "rand", "--trials", "50",
+                             "--trace", str(path), "--seed", "1")
+        assert code == 0
+        assert [args[:2] for args in joins] == [(ev.u, ev.v) for ev in trace.events]
 
 
 class TestBench:

@@ -1,7 +1,9 @@
 """The mutant list stays applicable: every old text occurs exactly once in
-its file and every named test still exists.  The kill run itself is
+its file, every named test still exists, and a pull request that touches a
+mutated file triggers the kill run.  The kill run itself is
 ``python tests/mutants.py``."""
 
+import itertools
 import re
 
 import pytest
@@ -25,3 +27,12 @@ def test_old_text_occurs_once_and_tests_exist(mutant):
         source = (ROOT / path).read_text()
         for name in names:
             assert re.search(rf"^\s*(class|def) {re.escape(name)}\b", source, re.M), test
+
+
+def test_workflow_runs_on_every_mutated_file():
+    # The pull_request paths filter of the kill run, read as plain text.
+    workflow = (ROOT / ".github/workflows/mutants.yml").read_text()
+    lines = workflow.split("\n    paths:\n", 1)[1].splitlines()
+    items = itertools.takewhile(lambda line: line.startswith("      - "), lines)
+    paths = {line.removeprefix("      - ") for line in items}
+    assert {m.path for m in MUTANTS} | {"tests/mutants.py"} <= paths

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -131,10 +133,18 @@ def _replay_traces():
     return traces
 
 
+def _bit_width(bound):
+    """The fewest bits whose words reach ``bound``: 2^k > bound."""
+    return next(k for k in itertools.count() if bound < 1 << k)
+
+
 class TestCachedReplay:
     def test_rows_match_replay_components(self):
         # Each row against the partitions before and after its event: the
-        # two roots and sizes, both paths' ends and the merged path's ends.
+        # two roots and sizes, the moving coin's bound (the merged size) and
+        # bit width; for lines both paths' ends, the merged path's ends, the
+        # orientation coin's bound (the merged path's node pairs) and bit
+        # width, and the cost terms: pairs inside x, inside z and across.
         for trace in _replay_traces():
             replay = trace.replay
             assert len(replay.rows) == trace.k
@@ -142,12 +152,18 @@ class TestCachedReplay:
                 before, after = replay_components(trace, i), replay_components(trace, i + 1)
                 ru, rv = before.find(ev.u), before.find(ev.v)
                 x, z = before.nodes_of(ru), before.nodes_of(rv)
+                merged = after.nodes_of(after.find(ev.u))
                 expected = (ev.u, ev.v, ru, rv, len(x), len(z))
+                expected += (len(merged), _bit_width(len(merged)))
                 if trace.model is Model.LINES:
-                    merged = after.path_of(after.find(ev.u))
+                    pairs = len(list(itertools.combinations(merged, 2)))
                     expected += ((x[0], x[-1]), (z[0], z[-1]), (merged[0], merged[-1]))
+                    expected += (pairs, _bit_width(pairs))
+                    expected += (len(list(itertools.combinations(x, 2))),
+                                 len(list(itertools.combinations(z, 2))),
+                                 len(list(itertools.product(x, z))))
                 else:
-                    expected += (None, None, None)
+                    expected += (None,) * 8
                 assert row == expected
             final = replay_components(trace, trace.k)
             assert replay.final.components() == final.components()
@@ -161,13 +177,23 @@ class TestCachedReplay:
         trace = make_trace(Model.CLIQUES, 4, [(0, 1), (1, 2), (3, 0)])
         assert [row[4:6] for row in trace.replay.rows] == [(1, 1), (2, 1), (1, 3)]
 
-    def test_built_on_first_use_and_outside_equality(self):
+    def test_built_at_construction_and_outside_equality(self):
         trace = make_trace(Model.LINES, 3, [(0, 1), (2, 1)])
         twin = make_trace(Model.LINES, 3, [(0, 1), (2, 1)])
-        assert "replay" not in vars(trace)
-        assert trace.replay is trace.replay
+        replay = vars(trace)["replay"]
+        assert all(trace.replay is replay for _ in range(3))
         assert trace == twin and hash(trace) == hash(twin)
-        assert trace.replay.rows[1] == (2, 1, 2, 0, 1, 2, (2, 2), (0, 1), (2, 0))
+        assert replay is not twin.replay
+        assert "replay" not in repr(trace)
+        assert replay.rows[1] == (
+            2, 1, 2, 0, 1, 2, 3, 2, (2, 2), (0, 1), (2, 0), 3, 2, 0, 1, 2
+        )
+        # A copy validates itself and gets its own replay of its own events.
+        copy = dataclasses.replace(trace, events=trace.events[:1])
+        assert copy.replay is not replay
+        assert copy.replay.rows == replay.rows[:1]
+        assert copy.replay.final.num_components == 2
+        assert dataclasses.replace(trace).replay is not replay
 
 
 class TestPartition:
