@@ -86,7 +86,7 @@ class AlgoState:
     def current(self) -> Permutation:
         if self.fixed is not None:
             return self.fixed
-        return Permutation._trusted(tuple(_layout(self)))
+        return Permutation(_layout(self))
 
 
 def _layout(state: AlgoState) -> list[int]:

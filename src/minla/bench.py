@@ -1,8 +1,10 @@
 """The acceptance experiment suite (exposed as ``bench --suite paper``).
 
-Each criterion function is deterministic (all seeds pinned here), returns a
-:class:`CriterionResult`, and is shared by batch mode on the CLI and by the
-acceptance test module.
+Each criterion is a deterministic check (all seeds pinned here) that
+returns ``(passed, detail)``.  :func:`_criterion` registers it under its
+index and name, once: the registered function returns a
+:class:`CriterionResult` and joins :data:`ALL_CRITERIA`, which batch mode on
+the CLI and the acceptance test module share.
 """
 
 from __future__ import annotations
@@ -14,20 +16,14 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, wraps
 from typing import Callable, Sequence
 
 from .adversaries import TreeAdversaryConfig, random_trace, tree_adversary
-from .algorithms import rand_step, run
+from .algorithms import rand_step, run, run_trials
 from .feasibility import arrangement_cost, is_minla
 from .harness import (
-    ExperimentConfig,
-    _harmonic_rows,
-    _identity_rows,
-    derive_trial_seed,
-    duel,
-    run_experiment,
-    verify_lemma,
+    _harmonic_rows, _identity_rows, derive_trial_seed, duel, verify_lemma,
 )
 from .oracle import bound_for_trace, dp_opt, exhaustive_opt, harmonic_number
 from .perm import Permutation
@@ -48,7 +44,27 @@ class CriterionResult:
         return f"{status} criterion {self.index} ({self.name}): {self.detail}"
 
 
-def criterion_det_upper_bound() -> CriterionResult:
+Criterion = Callable[[], CriterionResult]
+ALL_CRITERIA: list[Criterion] = []
+
+
+def _criterion(index: int, name: str):
+    """Register a check returning ``(passed, detail)`` as criterion
+    ``index``; criteria are defined, and so listed, in index order."""
+
+    def register(check: Callable[[], tuple[bool, str]]) -> Criterion:
+        @wraps(check)
+        def criterion() -> CriterionResult:
+            return CriterionResult(index, name, *check())
+
+        ALL_CRITERIA.append(criterion)
+        return criterion
+
+    return register
+
+
+@_criterion(1, "det-upper-bound")
+def criterion_det_upper_bound() -> tuple[bool, str]:
     """Deterministic total cost stays within 2(n-1) times the offline optimum."""
     rng = random.Random(101)
     checked = 0
@@ -60,100 +76,75 @@ def criterion_det_upper_bound() -> CriterionResult:
             opt = dp_opt(trace)
             if opt.cost == 0:
                 continue
-            result = run("det", trace)
+            cost = run("det", trace).total_cost
             checked += 1
-            ratio = result.total_cost / (2 * (n - 1) * opt.cost)
-            worst = max(worst, ratio)
-            if result.total_cost > 2 * (n - 1) * opt.cost:
-                return CriterionResult(
-                    1,
-                    "det-upper-bound",
-                    False,
-                    f"violated on {model.value} n={n}: cost={result.total_cost} "
-                    f"opt={opt.cost}",
+            limit = 2 * (n - 1) * opt.cost
+            worst = max(worst, cost / limit)
+            if cost > limit:
+                return False, (
+                    f"violated on {model.value} n={n}: cost={cost} opt={opt.cost}"
                 )
-    return CriterionResult(
-        1,
-        "det-upper-bound",
-        True,
-        f"{checked} traces with positive optimum; worst cost/(2(n-1)opt)="
-        f"{worst:.3f}",
+    return True, (
+        f"{checked} traces with positive optimum; worst cost/(2(n-1)opt)={worst:.3f}"
     )
 
 
-def criterion_det_lower_bound() -> CriterionResult:
+@_criterion(2, "det-lower-bound")
+def criterion_det_lower_bound() -> tuple[bool, str]:
     """Middle-node duels drive the deterministic cost up quadratically."""
     reports = {n: duel(n) for n in (9, 13, 17)}
     cost_growth = reports[17].algo_cost / reports[9].algo_cost
     ratio_growth = reports[17].ratio / reports[9].ratio
     opt_ok = all(rep.opt_cost <= n for n, rep in reports.items())
-    passed = cost_growth >= 2.5 and ratio_growth >= 1.5 and opt_ok
-    detail = (
+    return cost_growth >= 2.5 and ratio_growth >= 1.5 and opt_ok, (
         f"costs {', '.join(f'n={n}:{rep.algo_cost}' for n, rep in reports.items())}; "
         f"cost(17)/cost(9)={cost_growth:.2f} (>=2.5), "
         f"ratio(17)/ratio(9)={float(ratio_growth):.2f} (>=1.5), "
         f"opt<=n {'holds' if opt_ok else 'fails'}"
     )
-    return CriterionResult(2, "det-lower-bound", passed, detail)
 
 
-def _mean_cost_criterion(
-    index: int, name: str, model: Model, master_seed: int
-) -> CriterionResult:
+def _mean_cost_check(model: Model, seed: int) -> tuple[bool, str]:
+    """``rand``'s mean total cost over 10,000 trials stays under
+    :func:`~minla.oracle.bound_for_trace` on random traces."""
     trials = 10_000
-    rng = random.Random(master_seed)
-    results = []
-    for n in (8, 16, 32, 64):
-        for rep in range(5):
-            trace = random_trace(model, n, seed=rng.randrange(1 << 48))
-            opt = dp_opt(trace)
-            cfg = ExperimentConfig(
-                trace=trace,
-                trace_id=f"{model.value}-n{n}-r{rep}",
-                algo="rand",
-                trials=trials,
-                master_seed=rng.randrange(1 << 48),
+    rng = random.Random(seed)
+    traces = [(n, rep) for n in (8, 16, 32, 64) for rep in range(5)]
+    slack = 0.0
+    for n, rep in traces:
+        trace = random_trace(model, n, seed=rng.randrange(1 << 48))
+        bound = bound_for_trace(trace, dp_opt(trace))
+        master = rng.randrange(1 << 48)
+        seeds = (derive_trial_seed(master, i) for i in range(trials))
+        # An exact integer total, divided once, as TrialStats.mean is.
+        mean = sum(state.total_cost for state in run_trials(trace, seeds)) / trials
+        if mean > bound:
+            return False, (
+                f"{model.value}-n{n}-r{rep}: mean={mean:.1f} exceeds bound={bound:.1f}"
             )
-            stats, _ = run_experiment(cfg, opt=opt)
-            bound = bound_for_trace(trace, opt)
-            results.append((cfg.trace_id, stats.mean, bound))
-            if stats.mean > bound:
-                return CriterionResult(
-                    index,
-                    name,
-                    False,
-                    f"{cfg.trace_id}: mean={stats.mean:.1f} exceeds bound="
-                    f"{bound:.1f}",
-                )
-    slack = max(mean / bound for _, mean, bound in results if bound > 0)
-    return CriterionResult(
-        index,
-        name,
-        True,
-        f"{len(results)} traces x {trials} trials; worst mean/bound={slack:.3f}",
-    )
+        if bound > 0:
+            slack = max(slack, mean / bound)
+    return True, f"{len(traces)} traces x {trials} trials; worst mean/bound={slack:.3f}"
 
 
-def criterion_rand_cliques_bound() -> CriterionResult:
+@_criterion(3, "rand-cliques-bound")
+def criterion_rand_cliques_bound() -> tuple[bool, str]:
     """Randomized clique cost stays under the 4 H_n harmonic bound."""
-    return _mean_cost_criterion(3, "rand-cliques-bound", Model.CLIQUES, 103)
+    return _mean_cost_check(Model.CLIQUES, 103)
 
 
-def criterion_rand_lines_bound() -> CriterionResult:
+@_criterion(4, "rand-lines-bound")
+def criterion_rand_lines_bound() -> tuple[bool, str]:
     """Randomized line cost (moving plus rearranging) stays under 8 H_n."""
-    return _mean_cost_criterion(4, "rand-lines-bound", Model.LINES, 104)
+    return _mean_cost_check(Model.LINES, 104)
 
 
-_FREQUENCY_TRACES = (
-    (6, 3),
-    (8, 4),
-    (9, 5),
-    (10, 6),
-    (12, 7),
-)
+_FREQUENCY_TRACES = ((6, 3), (8, 4), (9, 5), (10, 6), (12, 7))
 
 
-def _frequency_criterion(index: int, name: str, kind: str) -> CriterionResult:
+def _frequency_check(index: int, kind: str) -> tuple[bool, str]:
+    """``verify_lemma(kind)`` at 100,000 trials on each of
+    :data:`_FREQUENCY_TRACES`, seeded from the criterion's ``index``."""
     model = Model.CLIQUES if kind == "left-right" else Model.LINES
     trials = 100_000
     worst = 0.0
@@ -167,60 +158,51 @@ def _frequency_criterion(index: int, name: str, kind: str) -> CriterionResult:
         worst = max(worst, max(row.deviations for row in report.rows))
         if not report.ok:
             bad = next(row for row in report.rows if not row.ok)
-            return CriterionResult(
-                index,
-                name,
-                False,
-                f"trace n={n} k={k}: {bad.label} off by {bad.deviations:.2f} sigma",
+            return False, (
+                f"trace n={n} k={k}: {bad.label} off by {bad.deviations:.2f} sigma"
             )
-    return CriterionResult(
-        index,
-        name,
-        True,
-        f"{tracked} tracked frequencies over 5 traces x {trials} trials; "
-        f"worst deviation {worst:.2f} sigma (limit 4)",
+    return True, (
+        f"{tracked} tracked frequencies over {len(_FREQUENCY_TRACES)} traces x "
+        f"{trials} trials; worst deviation {worst:.2f} sigma (limit 4)"
     )
 
 
-def criterion_left_right_frequencies() -> CriterionResult:
+@_criterion(5, "left-right-frequencies")
+def criterion_left_right_frequencies() -> tuple[bool, str]:
     """Component pair order frequencies match the closed form."""
-    return _frequency_criterion(5, "left-right-frequencies", "left-right")
+    return _frequency_check(5, "left-right")
 
 
-def criterion_orientation_frequencies() -> CriterionResult:
+@_criterion(6, "orientation-frequencies")
+def criterion_orientation_frequencies() -> tuple[bool, str]:
     """Path orientation frequencies match the closed form."""
-    return _frequency_criterion(6, "orientation-frequencies", "orientation")
+    return _frequency_check(6, "orientation")
 
 
-def criterion_oracle_equivalence() -> CriterionResult:
+@_criterion(7, "oracle-equivalence")
+def criterion_oracle_equivalence() -> tuple[bool, str]:
     """Single-move optimum equals the all-schedules optimum on small traces."""
     rng = random.Random(107)
     checked = 0
     for model in (Model.CLIQUES, Model.LINES):
-        cases = [(rng.randint(2, 6), None) for _ in range(200)]
-        cases += [(7, None) for _ in range(20)]
-        for n, _ in cases:
+        sizes = [rng.randint(2, 6) for _ in range(200)] + [7] * 20
+        for n in sizes:
             k = rng.randint(0, n - 1)
             trace = random_trace(model, n, seed=rng.randrange(1 << 48), events=k)
             a = dp_opt(trace)
             b = exhaustive_opt(trace)
             checked += 1
             if a.cost != b.cost:
-                return CriterionResult(
-                    7,
-                    "oracle-equivalence",
-                    False,
+                return False, (
                     f"gap on {model.value} trace n={n} k={k}: dp={a.cost} "
                     f"exhaustive={b.cost}; witness trace events="
                     f"{[(e.u, e.v) for e in trace.events]} "
-                    f"pi0={trace.pi0.to_text()!r}",
+                    f"pi0={trace.pi0.to_text()!r}"
                 )
-    return CriterionResult(
-        7, "oracle-equivalence", True, f"{checked} traces, exact equality throughout"
-    )
+    return True, f"{checked} traces, exact equality throughout"
 
 
-@lru_cache(maxsize=2)
+@cache  # criterion 8 asks for n = 2..7: 5,912 permutations at most
 def _all_perms(n: int) -> tuple[Permutation, ...]:
     return tuple(Permutation(p) for p in itertools.permutations(range(n)))
 
@@ -239,10 +221,11 @@ def _random_partition(
     return ComponentPartition.from_components(n, model, groups)
 
 
-def criterion_feasibility_characterization() -> CriterionResult:
+@_criterion(8, "feasibility-characterization")
+def criterion_feasibility_characterization() -> tuple[bool, str]:
     """Contiguity feasibility is exactly cost minimality, exhaustively."""
     rng = random.Random(108)
-    checked_perms = 0
+    checked = 0
     for model in (Model.CLIQUES, Model.LINES):
         for _ in range(50):
             n = rng.randint(2, 7)
@@ -251,23 +234,14 @@ def criterion_feasibility_characterization() -> CriterionResult:
             costs = [arrangement_cost(p, parts) for p in perms]
             best = min(costs)
             for p, cost in zip(perms, costs):
-                checked_perms += 1
+                checked += 1
                 if is_minla(p, parts) != (cost == best):
-                    return CriterionResult(
-                        8,
-                        "feasibility-characterization",
-                        False,
-                        f"mismatch at {model.value} n={n} perm={p.node_at}",
-                    )
-    return CriterionResult(
-        8,
-        "feasibility-characterization",
-        True,
-        f"{checked_perms} permutations across 100 partitions, equivalence exact",
-    )
+                    return False, f"mismatch at {model.value} n={n} perm={p.node_at}"
+    return True, f"{checked} permutations across 100 partitions, equivalence exact"
 
 
-def criterion_tree_sandwich() -> CriterionResult:
+@_criterion(9, "tree-lower-bound-sandwich")
+def criterion_tree_sandwich() -> tuple[bool, str]:
     """Random-path traces keep the cost ratio between log n / 16 and 8 H_n."""
     samples = 1_000
     ratios = {}
@@ -288,39 +262,25 @@ def criterion_tree_sandwich() -> CriterionResult:
         ratios[n] = ratio
         detail_parts.append(f"n={n}: {ratio:.3f} in [{lo:.3f}, {hi:.3f}]")
         if not lo <= ratio <= hi:
-            return CriterionResult(
-                9,
-                "tree-lower-bound-sandwich",
-                False,
-                f"n={n}: ratio {ratio:.3f} outside [{lo:.3f}, {hi:.3f}]",
-            )
+            return False, f"n={n}: ratio {ratio:.3f} outside [{lo:.3f}, {hi:.3f}]"
     increasing = ratios[16] < ratios[64] < ratios[256]
-    return CriterionResult(
-        9,
-        "tree-lower-bound-sandwich",
-        increasing,
-        "; ".join(detail_parts)
-        + ("; strictly increasing" if increasing else "; NOT increasing"),
+    return increasing, "; ".join(detail_parts) + (
+        "; strictly increasing" if increasing else "; NOT increasing"
     )
 
 
-def criterion_algebraic_bounds() -> CriterionResult:
+@_criterion(10, "algebraic-bounds")
+def criterion_algebraic_bounds() -> tuple[bool, str]:
     """Harmonic prefix bounds and choice-vector identities on random sweeps."""
     rng = random.Random(110)
     rows = _harmonic_rows(10_000, rng) + _identity_rows(10_000, rng)
     failed = [row for row in rows if not row.ok]
     if failed:
-        return CriterionResult(
-            10,
-            "algebraic-bounds",
-            False,
-            "; ".join(f"{row.label}: {row.deviations:.0f} failures" for row in failed),
+        return False, "; ".join(
+            f"{row.label}: {row.deviations:.0f} failures" for row in failed
         )
-    return CriterionResult(
-        10,
-        "algebraic-bounds",
-        True,
-        "10000 harmonic series and 10000 identity instances, all inequalities hold",
+    return True, (
+        "10000 harmonic series and 10000 identity instances, all inequalities hold"
     )
 
 
@@ -377,7 +337,8 @@ def _coin_law(
     return bounds, law
 
 
-def criterion_coin_vectors() -> CriterionResult:
+@_criterion(11, "coin-test-vectors")
+def criterion_coin_vectors() -> tuple[bool, str]:
     """The published example coin weights are reproduced exactly, read off
     the outcome of every draw of each coin."""
     # Clique merge of a singleton into a pair across a two-node gap:
@@ -409,29 +370,11 @@ def criterion_coin_vectors() -> CriterionResult:
         _coin_law(line_prefix, 0, RevealEvent(0, 2), [0, 0], 1) == line_law,
     ]
     passed = all(checks)
-    return CriterionResult(
-        11,
-        "coin-test-vectors",
-        passed,
+    return passed, (
         "moving coin 2/3-1/3 and orientation coin 9/10-1/10 reproduced exactly"
         if passed
-        else f"{checks.count(False)} of {len(checks)} checks failed",
+        else f"{checks.count(False)} of {len(checks)} checks failed"
     )
-
-
-ALL_CRITERIA: tuple[Callable[[], CriterionResult], ...] = (
-    criterion_det_upper_bound,
-    criterion_det_lower_bound,
-    criterion_rand_cliques_bound,
-    criterion_rand_lines_bound,
-    criterion_left_right_frequencies,
-    criterion_orientation_frequencies,
-    criterion_oracle_equivalence,
-    criterion_feasibility_characterization,
-    criterion_tree_sandwich,
-    criterion_algebraic_bounds,
-    criterion_coin_vectors,
-)
 
 
 def run_paper_suite(out_dir: str | None = None) -> list[CriterionResult]:

@@ -43,16 +43,6 @@ class Permutation:
         return cls(range(n))
 
     @classmethod
-    def _trusted(cls, node_at: tuple[int, ...]) -> "Permutation":
-        # trusted fast path for laid-out arrangements; skips validation
-        pos = [0] * len(node_at)
-        for i, v in enumerate(node_at):
-            pos[v] = i
-        p = cls.__new__(cls)
-        p.node_at, p.pos_of = node_at, tuple(pos)
-        return p
-
-    @classmethod
     def from_text(cls, text: str) -> "Permutation":
         """Parse the space-separated node-id serialization."""
         return cls(int(tok) for tok in text.split())

@@ -139,6 +139,30 @@ MUTANTS: tuple[Mutant, ...] = (
         "lo = math.log2(n) / 16", "lo = 0.0",
         ("tests/test_acceptance.py::test_tree_sandwich_lower_bound_bites",),
     ),
+    # The acceptance criteria's own comparisons, and the bound criteria 3
+    # and 4 compare against.
+    Mutant(
+        "det-bound-n-not-n-minus-1", "src/minla/bench.py",
+        "limit = 2 * (n - 1) * opt.cost", "limit = 2 * n * opt.cost",
+        ("tests/test_acceptance.py::test_det_upper_bound_fails_one_past_the_bound",),
+    ),
+    Mutant(
+        "rand-bound-rejects-mean-at-bound", "src/minla/bench.py",
+        "if mean > bound:", "if mean >= bound:",
+        ("tests/test_acceptance.py::test_rand_cliques_mean_is_run_experiments_bit_for_bit",),
+    ),
+    Mutant(
+        "feasibility-check-inverted", "src/minla/bench.py",
+        "if is_minla(p, parts) != (cost == best):",
+        "if is_minla(p, parts) == (cost == best):",
+        ("tests/test_acceptance.py::test_feasibility_characterization_fails_on_a_mismatch",),
+    ),
+    Mutant(
+        "bound-factors-swapped", "src/minla/oracle.py",
+        "factor = 4 if t.model is Model.CLIQUES else 8",
+        "factor = 8 if t.model is Model.CLIQUES else 4",
+        ("tests/test_oracle.py::TestBoundForTrace",),
+    ),
     # The batched algebraic sweeps.
     Mutant(
         "identity-tolerance-strict", "src/minla/oracle.py",

@@ -6,9 +6,16 @@ numbers are part of the regression contract.  Seeds are pinned inside
 minla.bench, so the whole suite is reproducible bit for bit.
 """
 
+import inspect
+import math
+import random
+from fractions import Fraction
 from types import SimpleNamespace
 
-from minla import bench
+from minla import bench, harness
+from minla.adversaries import random_trace
+from minla.harness import ExperimentConfig, VerifyRow, run_experiment
+from minla.trace import Model
 
 
 def _check(result: bench.CriterionResult, expected: str):
@@ -119,4 +126,171 @@ def test_tree_sandwich_lower_bound_bites(monkeypatch):
     assert bench.criterion_tree_sandwich().line() == (
         "FAIL criterion 9 (tree-lower-bound-sandwich): n=16: ratio 0.100 "
         "outside [0.250, 27.046]"
+    )
+
+
+def test_registration_lists_each_criterion_once_in_index_order():
+    # Every criterion_* function of the module is registered exactly once,
+    # under the index its position gives, with the name its report file
+    # carries in bench --out.
+    defined = [fn for key, fn in vars(bench).items() if key.startswith("criterion_")]
+    assert len(bench.ALL_CRITERIA) == len(set(bench.ALL_CRITERIA)) == 11
+    assert set(bench.ALL_CRITERIA) == set(defined)
+    registered = [inspect.getclosurevars(fn).nonlocals for fn in bench.ALL_CRITERIA]
+    assert [reg["index"] for reg in registered] == list(range(1, 12))
+    files = [f"criterion-{reg['index']:02d}-{reg['name']}.txt" for reg in registered]
+    assert files == [
+        "criterion-01-det-upper-bound.txt",
+        "criterion-02-det-lower-bound.txt",
+        "criterion-03-rand-cliques-bound.txt",
+        "criterion-04-rand-lines-bound.txt",
+        "criterion-05-left-right-frequencies.txt",
+        "criterion-06-orientation-frequencies.txt",
+        "criterion-07-oracle-equivalence.txt",
+        "criterion-08-feasibility-characterization.txt",
+        "criterion-09-tree-lower-bound-sandwich.txt",
+        "criterion-10-algebraic-bounds.txt",
+        "criterion-11-coin-test-vectors.txt",
+    ]
+    for fn in bench.ALL_CRITERIA:
+        assert getattr(bench, fn.__name__) is fn
+
+
+# Each criterion's failure branch, forced through a name the criterion looks
+# up at call time, prints one exact FAIL line.
+
+
+def test_det_upper_bound_fails_one_past_the_bound(monkeypatch):
+    # det's cost one above 2(n-1) OPT on every trace.
+    monkeypatch.setattr(
+        bench,
+        "run",
+        lambda algo, trace: SimpleNamespace(
+            total_cost=2 * (trace.n - 1) * bench.dp_opt(trace).cost + 1
+        ),
+    )
+    assert bench.criterion_det_upper_bound().line() == (
+        "FAIL criterion 1 (det-upper-bound): violated on cliques n=13: "
+        "cost=169 opt=7"
+    )
+
+
+def test_det_lower_bound_fails_on_linear_costs(monkeypatch):
+    monkeypatch.setattr(
+        bench,
+        "duel",
+        lambda n: SimpleNamespace(algo_cost=n, opt_cost=n + 1, ratio=Fraction(n, n + 1)),
+    )
+    assert bench.criterion_det_lower_bound().line() == (
+        "FAIL criterion 2 (det-lower-bound): costs n=9:9, n=13:13, n=17:17; "
+        "cost(17)/cost(9)=1.89 (>=2.5), ratio(17)/ratio(9)=1.05 (>=1.5), "
+        "opt<=n fails"
+    )
+
+
+def test_rand_cliques_bound_fails_on_the_first_trace_over_its_bound(monkeypatch):
+    monkeypatch.setattr(bench, "bound_for_trace", lambda trace, opt: 0.0)
+    assert bench.criterion_rand_cliques_bound().line() == (
+        "FAIL criterion 3 (rand-cliques-bound): cliques-n8-r0: mean=12.7 "
+        "exceeds bound=0.0"
+    )
+
+
+def test_rand_lines_bound_fails_on_the_first_trace_over_its_bound(monkeypatch):
+    monkeypatch.setattr(bench, "bound_for_trace", lambda trace, opt: 0.0)
+    assert bench.criterion_rand_lines_bound().line() == (
+        "FAIL criterion 4 (rand-lines-bound): lines-n8-r0: mean=25.2 "
+        "exceeds bound=0.0"
+    )
+
+
+def test_rand_cliques_mean_is_run_experiments_bit_for_bit(monkeypatch):
+    # Criterion 3's first trace and master seed, drawn as the criterion
+    # draws them, and run_experiment's mean over the same trials.
+    rng = random.Random(103)
+    trace = random_trace(Model.CLIQUES, 8, seed=rng.randrange(1 << 48))
+    cfg = ExperimentConfig(
+        trace=trace,
+        trace_id="cliques-n8-r0",
+        algo="rand",
+        trials=10_000,
+        master_seed=rng.randrange(1 << 48),
+    )
+    mean = run_experiment(cfg)[0].mean
+    # A bound of exactly that mean lets the first trace pass, and the float
+    # just below it does not: the criterion's mean is the same float.
+    below = math.nextafter(mean, -math.inf)
+    for first, failing in ((mean, "cliques-n8-r1"), (below, "cliques-n8-r0")):
+        bounds = iter([first])
+        monkeypatch.setattr(bench, "bound_for_trace", lambda t, o: next(bounds, 0.0))
+        line = bench.criterion_rand_cliques_bound().line()
+        assert line.startswith(f"FAIL criterion 3 (rand-cliques-bound): {failing}: ")
+
+
+def _no_sigma_allowed(monkeypatch):
+    # Any deviation fails; 1,000 trials per trace keep the run short.
+    monkeypatch.setattr(harness, "_SIGMA_LIMIT", 0.0)
+    real = bench.verify_lemma
+    monkeypatch.setattr(
+        bench,
+        "verify_lemma",
+        lambda kind, trials, seed, trace: real(kind, trials=1_000, seed=seed, trace=trace),
+    )
+
+
+def test_left_right_frequencies_fail_past_the_sigma_limit(monkeypatch):
+    _no_sigma_allowed(monkeypatch)
+    assert bench.criterion_left_right_frequencies().line() == (
+        "FAIL criterion 5 (left-right-frequencies): trace n=6 k=3: "
+        "{2,3} left of {0,1,5} off by 0.36 sigma"
+    )
+
+
+def test_orientation_frequencies_fail_past_the_sigma_limit(monkeypatch):
+    _no_sigma_allowed(monkeypatch)
+    assert bench.criterion_orientation_frequencies().line() == (
+        "FAIL criterion 6 (orientation-frequencies): trace n=6 k=3: "
+        "path (1,0,4) kept forward off by 0.49 sigma"
+    )
+
+
+def test_oracle_equivalence_fails_on_a_gap(monkeypatch):
+    real = bench.exhaustive_opt
+    monkeypatch.setattr(
+        bench, "exhaustive_opt", lambda trace: SimpleNamespace(cost=real(trace).cost + 1)
+    )
+    assert bench.criterion_oracle_equivalence().line() == (
+        "FAIL criterion 7 (oracle-equivalence): gap on cliques trace n=3 k=1: "
+        "dp=0 exhaustive=1; witness trace events=[(2, 1)] pi0='0 2 1'"
+    )
+
+
+def test_feasibility_characterization_fails_on_a_mismatch(monkeypatch):
+    monkeypatch.setattr(bench, "is_minla", lambda perm, parts: True)
+    assert bench.criterion_feasibility_characterization().line() == (
+        "FAIL criterion 8 (feasibility-characterization): mismatch at cliques "
+        "n=5 perm=(0, 1, 2, 3, 4)"
+    )
+
+
+def test_algebraic_bounds_fail_on_failed_rows(monkeypatch):
+    def row(label, failures):
+        return VerifyRow(label, Fraction(0), 0.0, float(failures), failures == 0)
+
+    monkeypatch.setattr(
+        bench, "_harmonic_rows", lambda trials, rng: [row("ratio sum <= H_S", 3)]
+    )
+    monkeypatch.setattr(
+        bench, "_identity_rows", lambda trials, rng: [row("x", 0), row("y", 7)]
+    )
+    assert bench.criterion_algebraic_bounds().line() == (
+        "FAIL criterion 10 (algebraic-bounds): ratio sum <= H_S: 3 failures; "
+        "y: 7 failures"
+    )
+
+
+def test_coin_vectors_fail_on_a_wrong_law(monkeypatch):
+    monkeypatch.setattr(bench, "_coin_law", lambda *args: ([], {}))
+    assert bench.criterion_coin_vectors().line() == (
+        "FAIL criterion 11 (coin-test-vectors): 2 of 2 checks failed"
     )
