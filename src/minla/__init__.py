@@ -26,7 +26,6 @@ from .trace import (
     RevealTrace,
     emit_trace,
     parse_trace,
-    replay_components,
     validate_trace,
 )
 from .feasibility import arrangement_cost, is_minla
@@ -86,7 +85,6 @@ __all__ = [
     "RevealTrace",
     "ComponentPartition",
     "validate_trace",
-    "replay_components",
     "parse_trace",
     "emit_trace",
     "arrangement_cost",

@@ -236,7 +236,7 @@ def rand_step(state: AlgoState, event: RevealEvent, rng: random.Random) -> AlgoS
     trial's own partition and step the resulting one-row table with the
     code :func:`run_trials` runs."""
     index = state.events_done
-    _step_rows(state, (state.parts.merge_row(event.u, event.v),), rng, index)
+    _step_rows(state, (state.parts.merge(event.u, event.v),), rng, index)
     return state
 
 

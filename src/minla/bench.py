@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import cache, wraps
 from typing import Callable, Sequence
 
+from . import harness
 from .adversaries import TreeAdversaryConfig, random_trace, tree_adversary
 from .algorithms import rand_step, run, run_trials
 from .feasibility import arrangement_cost, is_minla
@@ -163,7 +164,8 @@ def _frequency_check(index: int, kind: str) -> tuple[bool, str]:
             )
     return True, (
         f"{tracked} tracked frequencies over {len(_FREQUENCY_TRACES)} traces x "
-        f"{trials} trials; worst deviation {worst:.2f} sigma (limit 4)"
+        f"{trials} trials; worst deviation {worst:.2f} sigma "
+        f"(limit {harness._SIGMA_LIMIT:g})"
     )
 
 
@@ -212,13 +214,15 @@ def _random_partition(
 ) -> ComponentPartition:
     nodes = list(range(n))
     rng.shuffle(nodes)
-    groups = []
+    parts = ComponentPartition(n, model)
     i = 0
     while i < n:
         size = rng.randint(1, n - i)
-        groups.append(nodes[i : i + size])
+        g = nodes[i : i + size]
+        for a, b in zip(g, g[1:]):
+            parts.merge(a, b)
         i += size
-    return ComponentPartition.from_components(n, model, groups)
+    return parts
 
 
 @_criterion(8, "feasibility-characterization")

@@ -29,7 +29,7 @@ from .algorithms import closest_feasible
 from .errors import CapacityError
 from .ordering import cross_weight, solve_block_order
 from .perm import Permutation, count_inversions, kendall_tau
-from .trace import Model, RevealTrace, replay_components
+from .trace import ComponentPartition, Model, RevealTrace
 
 __all__ = [
     "OptResult",
@@ -137,7 +137,7 @@ def exhaustive_opt(t: RevealTrace) -> OptResult:
     inf = 1 << 60
     dist = np.full(len(perms), inf, dtype=np.int64)
     dist[(perms == t.pi0.node_at).all(axis=1)] = 0
-    parts = replay_components(t, 0)
+    parts = ComponentPartition(t.n, t.model)
     feasible = np.ones(len(perms), dtype=bool)
     contiguous: dict[int, np.ndarray] = {}  # cliques: per multi-node root
     for ev in t.events:
@@ -153,8 +153,8 @@ def exhaustive_opt(t: RevealTrace) -> OptResult:
         if t.model is Model.LINES:
             feasible &= np.abs(pos[:, ev.u] - pos[:, ev.v]) == 1
         else:
-            contiguous.pop(parts.find(ev.v), None)
-            root = parts.merge(ev.u, ev.v)
+            root, absorbed = parts.merge(ev.u, ev.v)[2:4]
+            contiguous.pop(absorbed, None)
             cols = pos[:, parts.nodes_of(root)]
             contiguous[root] = cols.max(axis=1) - cols.min(axis=1) < cols.shape[1]
             feasible = np.logical_and.reduce(list(contiguous.values()))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import TraceFormatError, TraceValidationError
 from .perm import Permutation
@@ -23,7 +23,6 @@ __all__ = [
     "ComponentPartition",
     "Replay",
     "validate_trace",
-    "replay_components",
     "parse_trace",
     "emit_trace",
 ]
@@ -82,34 +81,6 @@ class ComponentPartition:
         self._nodes: dict[int, list[int] | tuple[int, ...]] = {
             v: (v,) if self._lines else [v] for v in range(n)
         }
-
-    @classmethod
-    def from_components(
-        cls, n: int, model: Model, groups: Iterable[Sequence[int]]
-    ) -> "ComponentPartition":
-        """Build a partition from explicit groups.
-
-        For lines each group is read as a path order.
-        """
-        parts = cls(n, model)
-        seen = set()
-        for group in groups:
-            group = list(group)
-            if not group:
-                raise ValueError("empty component")
-            for v in group:
-                if not 0 <= v < n or v in seen:
-                    raise ValueError(f"node {v} repeated or out of range")
-                seen.add(v)
-            root = group[0]
-            for v in group:
-                parts._parent[v] = root
-                if v != root:
-                    del parts._nodes[v]
-            parts._nodes[root] = tuple(group) if parts._lines else group
-        if len(seen) != n:
-            raise ValueError("groups do not cover all nodes")
-        return parts
 
     def copy(self) -> "ComponentPartition":
         """An independent partition with the same components and roots."""
@@ -174,27 +145,30 @@ class ComponentPartition:
             i = end
         return None
 
-    def merge(self, u: int, v: int) -> int:
-        """Merge the components containing ``u`` and ``v``; returns the new
-        root, which is ``u``'s root.
+    def merge(self, u: int, v: int) -> tuple:
+        """Merge the components containing ``u`` and ``v``, keeping ``u``'s
+        root, and return the event's :class:`Replay` row.
 
-        For lines, ``u`` and ``v`` must be endpoints of their paths; the
-        merged path order runs through u's path (u last) into v's path
-        (v first).
+        The only way a partition changes.  For lines, ``u`` and ``v`` must be
+        endpoints of their paths; the merged path order runs through u's
+        path (u last) into v's path (v first).  A rejected event raises
+        :class:`TraceValidationError` before anything is written.
         """
-        return self._join(u, v, self.find(u), self.find(v))
-
-    def _join(self, u: int, v: int, ru: int, rv: int) -> int:
+        ru, rv = self.find(u), self.find(v)
         if ru == rv:
             raise TraceValidationError(
                 f"nodes {u} and {v} are already in the same component"
             )
+        nodes = self._nodes
+        x, z = nodes[ru], nodes[rv]
+        xl, zl = len(x), len(z)  # before the merge: clique lists grow in place
+        denom = xl + zl
+        row = u, v, ru, rv, xl, zl, denom, denom.bit_length()
         if not self._lines:
             self._parent[rv] = ru
-            self._nodes[ru].extend(self._nodes.pop(rv))
-            return ru
-        pu = self._nodes[ru]
-        pv = self._nodes[rv]
+            x.extend(nodes.pop(rv))
+            return row + (None,) * 8
+        pu, pv = x, z
         if pu[-1] != u:
             if pu[0] != u:
                 raise TraceValidationError(f"node {u} is not an endpoint of its path")
@@ -204,22 +178,8 @@ class ComponentPartition:
                 raise TraceValidationError(f"node {v} is not an endpoint of its path")
             pv = pv[::-1]
         self._parent[rv] = ru
-        self._nodes[ru] = pu + pv
-        del self._nodes[rv]
-        return ru
-
-    def merge_row(self, u: int, v: int) -> tuple:
-        """:meth:`merge` ``u`` and ``v`` and return the event's
-        :class:`Replay` row."""
-        ru, rv = self.find(u), self.find(v)
-        x, z = self._nodes[ru], self._nodes[rv]
-        xl, zl = len(x), len(z)  # before the join: clique lists grow in place
-        self._join(u, v, ru, rv)
-        denom = xl + zl
-        row = u, v, ru, rv, xl, zl, denom, denom.bit_length()
-        if not self._lines:
-            return row + (None,) * 8
-        merged = self._nodes[ru]
+        merged = nodes[ru] = pu + pv
+        del nodes[rv]
         ends = merged[0], merged[-1]
         pairs = denom * (denom - 1) // 2
         return row + ((x[0], x[-1]), (z[0], z[-1]), ends, pairs, pairs.bit_length(),
@@ -262,23 +222,13 @@ def validate_trace(t: RevealTrace) -> Replay:
         if ev.u == ev.v:
             raise TraceValidationError(f"self-event on node {ev.u}", event_index=idx)
         try:
-            rows.append(parts.merge_row(ev.u, ev.v))
+            rows.append(parts.merge(ev.u, ev.v))
         except TraceValidationError as exc:
             raise TraceValidationError(str(exc), event_index=idx) from None
     for root, nodes in parts._nodes.items():
         for v in nodes:
             parts._parent[v] = root
     return Replay(tuple(rows), parts)
-
-
-def replay_components(t: RevealTrace, i: int) -> ComponentPartition:
-    """The component partition after the first ``i`` events."""
-    if not 0 <= i <= t.k:
-        raise IndexError(f"step index {i} out of range 0..{t.k}")
-    parts = ComponentPartition(t.n, t.model)
-    for ev in t.events[:i]:
-        parts.merge(ev.u, ev.v)
-    return parts
 
 
 _HEADER = "minla-trace v1"

@@ -1,15 +1,16 @@
 """Shared brute-force oracles for the test suite.
 
 These stay deliberately naive and independent of the library's fast paths:
-quadratic pair counting, full permutation enumeration, literal cost sums,
-closed forms, a literal replay of the randomized strategy, the plain
-block-subset program that orders singletons like any other block, the
-singleton-aware block-order table as plain loops, and the literal exact
-oracles: a heap Dijkstra over all schedules, harmonic sums of
-``Fraction`` terms and choice-vector weights as row products, the two
-algebraic sweeps as literal ``randint``/``uniform`` loops over one instance
-at a time, and the CSV and JSON emitters as row-by-row ``csv.writer`` and
-whole-payload ``json.dumps`` calls.
+the partition after a prefix of a trace's events, quadratic pair counting,
+full permutation enumeration, literal cost sums, closed forms, a literal
+replay of the randomized strategy, the plain block-subset program that
+orders singletons like any other block, the singleton-aware block-order
+table as plain loops, and the literal exact oracles: a heap Dijkstra over
+all schedules, harmonic sums of ``Fraction`` terms and choice-vector
+weights as row products, the two algebraic sweeps as literal
+``randint``/``uniform`` loops over one instance at a time, and the CSV and
+JSON emitters as row-by-row ``csv.writer`` and whole-payload
+``json.dumps`` calls.
 """
 
 import bisect
@@ -25,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from minla import (
+    ComponentPartition,
     HarmonicBounds,
     Model,
     __version__,
@@ -33,10 +35,19 @@ from minla import (
     check_harmonic_bounds,
     harmonic_number,
     is_minla,
-    replay_components,
 )
 from minla.harness import CSV_HEADER, PRNG_NOTE, VerifyRow
 from minla.ordering import _popcount_layers, cross_weight
+
+
+def replay_components(t, i: int) -> ComponentPartition:
+    """The component partition after the first ``i`` events."""
+    if not 0 <= i <= t.k:
+        raise IndexError(f"step index {i} out of range 0..{t.k}")
+    parts = ComponentPartition(t.n, t.model)
+    for ev in t.events[:i]:
+        parts.merge(ev.u, ev.v)
+    return parts
 
 
 def naive_kendall(p: Permutation, q: Permutation) -> int:

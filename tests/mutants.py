@@ -93,11 +93,21 @@ MUTANTS: tuple[Mutant, ...] = (
     # inversion count.
     Mutant(
         "clique-sizes-after-merge", _REPLAY,
-        "xl, zl = len(x), len(z)  # before the join: clique lists grow in place\n"
-        "        self._join(u, v, ru, rv)",
-        "self._join(u, v, ru, rv)\n        xl, zl = len(x), len(z)",
+        "x.extend(nodes.pop(rv))\n            return row + (None,) * 8",
+        "x.extend(nodes.pop(rv))\n"
+        "            return row[:4] + (len(x), len(z)) + row[6:] + (None,) * 8",
         (
             "tests/test_trace.py::TestCachedReplay::test_clique_sizes_are_read_before_the_merge",
+        ),
+    ),
+    # A rejected merge raises before it writes anything.
+    Mutant(
+        "rejected-merge-changes-the-partition", _REPLAY,
+        "        pu, pv = x, z\n",
+        "        self._parent[rv] = ru\n        pu, pv = x, z\n",
+        (
+            "tests/test_trace.py::TestPartition::"
+            "test_rejected_merge_leaves_the_partition_unchanged",
         ),
     ),
     Mutant(

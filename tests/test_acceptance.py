@@ -227,9 +227,9 @@ def test_rand_cliques_mean_is_run_experiments_bit_for_bit(monkeypatch):
         assert line.startswith(f"FAIL criterion 3 (rand-cliques-bound): {failing}: ")
 
 
-def _no_sigma_allowed(monkeypatch):
-    # Any deviation fails; 1,000 trials per trace keep the run short.
-    monkeypatch.setattr(harness, "_SIGMA_LIMIT", 0.0)
+def _sigma_limit(monkeypatch, limit):
+    # 1,000 trials per trace keep the run short.
+    monkeypatch.setattr(harness, "_SIGMA_LIMIT", limit)
     real = bench.verify_lemma
     monkeypatch.setattr(
         bench,
@@ -238,8 +238,20 @@ def _no_sigma_allowed(monkeypatch):
     )
 
 
+def test_frequency_lines_state_the_sigma_limit_in_force(monkeypatch):
+    _sigma_limit(monkeypatch, 40.0)
+    assert bench.criterion_left_right_frequencies().line() == (
+        "PASS criterion 5 (left-right-frequencies): 31 tracked frequencies "
+        "over 5 traces x 100000 trials; worst deviation 1.43 sigma (limit 40)"
+    )
+    assert bench.criterion_orientation_frequencies().line() == (
+        "PASS criterion 6 (orientation-frequencies): 13 tracked frequencies "
+        "over 5 traces x 100000 trials; worst deviation 1.26 sigma (limit 40)"
+    )
+
+
 def test_left_right_frequencies_fail_past_the_sigma_limit(monkeypatch):
-    _no_sigma_allowed(monkeypatch)
+    _sigma_limit(monkeypatch, 0.0)  # any deviation fails
     assert bench.criterion_left_right_frequencies().line() == (
         "FAIL criterion 5 (left-right-frequencies): trace n=6 k=3: "
         "{2,3} left of {0,1,5} off by 0.36 sigma"
@@ -247,7 +259,7 @@ def test_left_right_frequencies_fail_past_the_sigma_limit(monkeypatch):
 
 
 def test_orientation_frequencies_fail_past_the_sigma_limit(monkeypatch):
-    _no_sigma_allowed(monkeypatch)
+    _sigma_limit(monkeypatch, 0.0)
     assert bench.criterion_orientation_frequencies().line() == (
         "FAIL criterion 6 (orientation-frequencies): trace n=6 k=3: "
         "path (1,0,4) kept forward off by 0.49 sigma"

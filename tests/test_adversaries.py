@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import replay_components
 from minla import (
     ConfigError,
     MiddleLineAdversary,
@@ -13,7 +14,6 @@ from minla import (
     duel,
     kendall_tau,
     random_trace,
-    replay_components,
     run,
     tree_adversary,
     validate_trace,

@@ -13,6 +13,7 @@ from conftest import (
     literal_minla,
     reference_layout,
     reference_rand,
+    replay_components,
 )
 from minla import (
     AlgoState,
@@ -29,7 +30,6 @@ from minla import (
     derive_trial_seed,
     rand_step,
     random_trace,
-    replay_components,
     run,
     run_trials,
     tree_adversary,

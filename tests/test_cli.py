@@ -392,18 +392,18 @@ class TestValidateOnce:
         trace = random_trace(model, 9, seed=52, events=6)
         path = tmp_path / "t.txt"
         path.write_text(emit_trace(trace))
-        joins = []
-        real = minla.trace.ComponentPartition._join
+        merges = []
+        real = minla.trace.ComponentPartition.merge
 
         def counting(parts, *args):
-            joins.append(args)
+            merges.append(args)
             return real(parts, *args)
 
-        monkeypatch.setattr(minla.trace.ComponentPartition, "_join", counting)
+        monkeypatch.setattr(minla.trace.ComponentPartition, "merge", counting)
         code, _, _ = run_cli(capsys, "simulate", "--algo", "rand", "--trials", "50",
                              "--trace", str(path), "--seed", "1")
         assert code == 0
-        assert [args[:2] for args in joins] == [(ev.u, ev.v) for ev in trace.events]
+        assert merges == [(ev.u, ev.v) for ev in trace.events]
 
 
 class TestBench:

@@ -1,6 +1,6 @@
 import random
 
-from conftest import all_permutations, minla_optimum
+from conftest import all_permutations, minla_optimum, replay_components
 from minla import (
     ComponentPartition,
     Model,
@@ -8,12 +8,17 @@ from minla import (
     arrangement_cost,
     is_minla,
     random_trace,
-    replay_components,
 )
 
 
 def partition(n, model, groups):
-    return ComponentPartition.from_components(n, model, groups)
+    """The partition into ``groups`` (for lines, each read as a path order),
+    built by merging each group's nodes pair by pair."""
+    parts = ComponentPartition(n, model)
+    for g in groups:
+        for a, b in zip(g, g[1:]):
+            parts.merge(a, b)
+    return parts
 
 
 class TestArrangementCost:

@@ -390,22 +390,18 @@ class TestVerifyLemma:
 
 
 def _record_sweeps(monkeypatch):
-    """Record, while the sweeps run, the generator each was given, the rows
-    each returned and every instance checked: harmonic series in call
-    order, identity instances as (a, b) pairs in the order of their
-    batches.  ``verify`` and criterion 10 both reach the recording sweeps."""
-    seen = SimpleNamespace(rngs=[], rows=[], harmonic=[], identities=[])
+    """Record, while ``verify`` sweeps, the generator each sweep was given
+    and every instance checked: harmonic series in call order, identity
+    instances as (a, b) pairs in the order of their batches."""
+    seen = SimpleNamespace(rngs=[], harmonic=[], identities=[])
     for name in ("_harmonic_rows", "_identity_rows"):
         sweep = getattr(minla.harness, name)
 
         def recording(trials, rng, sweep=sweep):
             seen.rngs.append(rng)
-            rows = sweep(trials, rng)
-            seen.rows += rows
-            return rows
+            return sweep(trials, rng)
 
         monkeypatch.setattr(minla.harness, name, recording)
-        monkeypatch.setattr(bench, name, recording)
     check_h = minla.harness.check_harmonic_bounds
     check_i = minla.harness.check_identity_lemmas
 
@@ -452,21 +448,31 @@ class TestAlgebraicSweeps:
 
     def test_criterion_10_shares_one_generator(self, monkeypatch):
         # Criterion 10 runs the harmonic sweep, then the identity sweep, on
-        # one generator: the second sweep's draws start where the first
-        # one's stopped.
-        seen = _record_sweeps(monkeypatch)
-        line = bench.criterion_algebraic_bounds().line()
-        rng = random.Random(110)
-        rows_h, drawn_h = reference_harmonic_rows(10_000, rng)
-        rows_i, drawn_i = reference_identity_rows(10_000, rng)
-        assert line.startswith("PASS criterion 10 ")
-        assert seen.rows == rows_h + rows_i
-        assert all(row.ok for row in seen.rows)
-        assert seen.harmonic == drawn_h
-        assert sorted(seen.identities) == sorted(drawn_i)
-        first, second = seen.rngs
-        assert first is second
-        assert first.getstate() == rng.getstate()
+        # one generator seeded 110: the second sweep's draws start where the
+        # first one's stopped.  Stubs stand in for both sweeps: each records
+        # its call and its generator's state, then draws a few words.
+        calls = []
+
+        def stub(name):
+            def sweep(trials, rng):
+                calls.append((name, trials, rng, rng.getstate()))
+                for _ in range(3):
+                    rng.getrandbits(32)
+                return []
+
+            return sweep
+
+        monkeypatch.setattr(bench, "_harmonic_rows", stub("harmonic"))
+        monkeypatch.setattr(bench, "_identity_rows", stub("identity"))
+        assert bench.criterion_algebraic_bounds().line().startswith("PASS criterion 10 ")
+        (first, trials_h, rng_h, state_h), (second, trials_i, rng_i, state_i) = calls
+        assert (first, trials_h, second, trials_i) == ("harmonic", 10_000, "identity", 10_000)
+        assert rng_h is rng_i
+        expected = random.Random(110)
+        assert state_h == expected.getstate()
+        for _ in range(3):
+            expected.getrandbits(32)
+        assert state_i == expected.getstate()
 
 
 class TestDuel:

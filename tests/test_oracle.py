@@ -13,6 +13,7 @@ from conftest import (
     reference_harmonic_bounds,
     reference_identity_floats,
     reference_identity_rows,
+    replay_components,
 )
 from minla import (
     CapacityError,
@@ -32,7 +33,6 @@ from minla import (
     left_right_probability,
     orientation_probability,
     random_trace,
-    replay_components,
     verify_lemma,
 )
 from minla.oracle import _identity_sides

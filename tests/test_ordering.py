@@ -9,8 +9,9 @@ from conftest import (
     _subset_costs_np,
     _subset_costs_py,
     reference_layout,
+    replay_components,
 )
-from minla import CapacityError, Model, random_trace, replay_components
+from minla import CapacityError, Model, random_trace
 from minla.algorithms import _oriented_path
 from minla.ordering import _costs, cross_weight, solve_block_order
 

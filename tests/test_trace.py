@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import replay_components
 from minla import (
     ComponentPartition,
     Model,
@@ -16,7 +17,6 @@ from minla import (
     emit_trace,
     parse_trace,
     random_trace,
-    replay_components,
     tree_adversary,
     validate_trace,
 )
@@ -197,16 +197,28 @@ class TestCachedReplay:
 
 
 class TestPartition:
-    def test_from_components(self):
-        parts = ComponentPartition.from_components(
-            5, Model.LINES, [[3, 0, 4], [1], [2]]
-        )
-        assert parts.num_components == 3
-        assert parts.path_of(parts.find(0)) == (3, 0, 4)
+    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
+    def test_rejected_merge_leaves_the_partition_unchanged(self, model):
+        # Components {0, 1, 2} and {3, 4, 5}: for lines the paths 0-1-2 and
+        # 3-4-5, whose interior nodes are 1 and 4.
+        parts = ComponentPartition(6, model)
+        for u, v in [(0, 1), (1, 2), (3, 4), (4, 5)]:
+            parts.merge(u, v)
 
-    def test_from_components_must_cover(self):
-        with pytest.raises(ValueError):
-            ComponentPartition.from_components(3, Model.CLIQUES, [[0, 1]])
+        def snapshot():
+            roots = [parts.find(v) for v in range(6)]
+            nodes = {r: tuple(parts.nodes_of(r)) for r in parts.components()}
+            paths = {r: parts.path_of(r) for r in nodes} if model is Model.LINES else {}
+            return roots, nodes, paths
+
+        before = snapshot()
+        rejected = [(0, 2), (5, 3)]
+        if model is Model.LINES:
+            rejected += [(1, 3), (0, 4)]
+        for u, v in rejected:
+            with pytest.raises(TraceValidationError):
+                parts.merge(u, v)
+            assert snapshot() == before
 
 
 CANONICAL = """minla-trace v1
