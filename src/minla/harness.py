@@ -393,34 +393,37 @@ def verify_lemma(
     )
 
 
+# Instances drawn before one batched check per chunk.  Bounds what is held
+# at once: an N = 10 identity instance takes several 2^10-float rows (8 KB
+# each), a chunk of harmonic series a few (256, 50) float arrays.
+_SWEEP_CHUNK = 256
+
+
 def _harmonic_rows(trials: int, rng: random.Random) -> list[VerifyRow]:
+    """Series are drawn in chunks of :data:`_SWEEP_CHUNK`, and each chunk is
+    checked as one batch."""
     failures = [0, 0, 0]
     bits = rng.getrandbits
-    for _ in range(trials):
-        series = [_below(bits, 20) + 1 for _ in range(_below(bits, 50) + 1)]
-        result = check_harmonic_bounds(series)
-        for slot, ok in enumerate(
-            (result.ratio_sum_ok, result.square_sum_ok, result.adjacent_sum_ok)
-        ):
-            failures[slot] += not ok
+    for start in range(0, trials, _SWEEP_CHUNK):
+        batch = [
+            [_below(bits, 20) + 1 for _ in range(_below(bits, 50) + 1)]
+            for _ in range(min(_SWEEP_CHUNK, trials - start))
+        ]
+        for slot, ok in enumerate(check_harmonic_bounds(batch)):
+            failures[slot] += len(ok) - int(ok.sum())
     names = ("ratio sum <= H_S", "square sum <= 2 H_S", "adjacent sum <= 2 H_S")
     return _failure_rows(names, failures, f"{trials} series", trials)
 
 
-# Identity instances drawn before one batched check per N.  Bounds what is
-# held at once: an N = 10 instance takes several 2^10-float rows (8 KB each).
-_IDENTITY_CHUNK = 256
-
-
 def _identity_rows(trials: int, rng: random.Random) -> list[VerifyRow]:
-    """Instances are drawn in chunks of :data:`_IDENTITY_CHUNK`, and each
+    """Instances are drawn in chunks of :data:`_SWEEP_CHUNK`, and each
     chunk's instances of one N are checked as one batch.  ``uniform(lo, hi)``
     is ``lo + (hi - lo) * random()``, so the inline draws are its own."""
     failures = [0, 0]
     bits, unit = rng.getrandbits, rng.random
-    for start in range(0, trials, _IDENTITY_CHUNK):
+    for start in range(0, trials, _SWEEP_CHUNK):
         groups: dict[int, tuple[list, list]] = {}
-        for _ in range(min(_IDENTITY_CHUNK, trials - start)):
+        for _ in range(min(_SWEEP_CHUNK, trials - start)):
             n = _below(bits, 10) + 1
             rows_a, rows_b = groups.setdefault(n, ([], []))
             rows_a.append([10.0 * unit() for _ in range(n)])

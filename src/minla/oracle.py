@@ -9,8 +9,9 @@ laminar family of the merge forest, and ``exhaustive_opt`` certifies the
 equality on small instances by a shortest-path search over all schedules, a
 level-by-level numpy search over the cached permutation graph of n <= 7.
 
-The harmonic sums are integers over an lcm and the choice-vector weights are
-built by doubling; ``tests/conftest.py`` keeps the literal oracles (heap
+The harmonic sums are float row sums wherever a certified margin separates
+them from H_S and integers over an lcm inside it; the choice-vector weights
+are built by doubling; ``tests/conftest.py`` keeps the literal oracles (heap
 Dijkstra, ``Fraction`` sums, row products) that these are tested against.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -240,8 +242,25 @@ def _at_most(nums: Sequence[int], dens: Sequence[int], bound: tuple[int, int]) -
     return total * bound[1] <= bound[0] * common
 
 
-def check_harmonic_bounds(series: Sequence[int]) -> HarmonicBounds:
-    """Verify the harmonic prefix bounds for a series of positive integers.
+# A row whose total is below this has every prefix sum P and every product
+# s * s', P * (P - 1) below 2^52, so each is exact in float64.
+_FLOAT_EXACT_TOTAL = 1 << 26
+
+
+@lru_cache(maxsize=1 << 12)
+def _harmonic_float(s: int) -> float:
+    """H_s correctly rounded: Python's int division rounds the exact pair."""
+    num, den = _harmonic_pair(s)
+    return num / den
+
+
+def _pair_sums(num: np.ndarray, p: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Row sums of num / (p (p - 1)) over the valid entries."""
+    return np.divide(num, p * (p - 1), out=np.zeros_like(num), where=valid).sum(axis=1)
+
+
+def check_harmonic_bounds(series: Sequence) -> HarmonicBounds | tuple[np.ndarray, ...]:
+    """Verify the harmonic prefix bounds for series of positive integers.
 
     With prefix sums P_i over the whole series and P'_i over the tail that
     drops the first element:
@@ -252,22 +271,65 @@ def check_harmonic_bounds(series: Sequence[int]) -> HarmonicBounds:
 
     The excluded leading terms have no preceding mass and their pair-count
     denominators can vanish, so the sums start where they are well defined.
-    All arithmetic is exact for every S: each sum is one integer numerator
-    over the lcm of its denominators, compared once with H_S (the last two
-    halved: x / C(P, 2) <= 2 H_S is x / (P (P - 1)) <= H_S).
+    The last two are halved: x / C(P, 2) <= 2 H_S is x / (P (P - 1)) <= H_S.
+
+    ``series`` is one series or a batch (a list of series).  Returns the
+    three truths for one series, and three bool arrays of length m for a
+    batch of m; a series runs as a batch of one.  The batch is padded into
+    one float64 array, each sum is taken per row, and floats decide a sum
+    only far enough from H_S; every other sum is one integer numerator over
+    the lcm of its denominators, so every answer is exact for every S.
     """
-    if not series or any(s < 1 for s in series):
+    single = not series or np.ndim(series[0]) == 0
+    rows = [series] if single else series
+    lengths = np.array([len(row) for row in rows])
+    values = np.array([s for row in rows for s in row])
+    if values.dtype.kind != "i":
+        # Bools, integers past int64 or non-integers: only integers pass, and
+        # as Python ints, so no entry is ever summed as a float.
+        values = np.array([operator.index(s) for row in rows for s in row], dtype=object)
+    if not lengths.all() or values.min() < 1:
         raise ValueError("series must be nonempty positive integers")
-    prefix = list(itertools.accumulate(series))
-    tail = [p - series[0] for p in prefix]
-    squares = [s * s for s in series]
-    adjacent = [x * y for x, y in zip(series, series[1:])]
-    h = _harmonic_pair(prefix[-1])
-    return HarmonicBounds(
-        ratio_sum_ok=_at_most(series, prefix, h),
-        square_sum_ok=_at_most(squares[1:], [p * (p - 1) for p in prefix[1:]], h),
-        adjacent_sum_ok=_at_most(adjacent[1:], [p * (p - 1) for p in tail[2:]], h),
-    )
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    grid = np.zeros(valid.shape)
+    grid[valid] = np.minimum(values, _FLOAT_EXACT_TOTAL)
+    prefix = grid.cumsum(axis=1)
+    tail = prefix - grid[:, :1]
+    sums = np.stack((
+        (grid / prefix).sum(axis=1),
+        _pair_sums(grid[:, 1:] ** 2, prefix[:, 1:], valid[:, 1:]),
+        _pair_sums(grid[:, 1:-1] * grid[:, 2:], tail[:, 2:], valid[:, 2:]),
+    ))
+    totals = prefix[:, -1]
+    fits = totals < _FLOAT_EXACT_TOTAL
+    h = np.full(len(rows), np.nan)
+    h[fits] = [_harmonic_float(int(t)) for t in totals[fits]]
+    # In a fitting row every integer is exact, so each of the at most L terms
+    # is one correctly rounded division, and adding them in any order rounds
+    # at most L - 1 more times: with u = 2^-53 the float sum is within
+    # gamma_L = L u / (1 - L u) of the exact sum, relatively, and h = fl(H_S)
+    # is within u of H_S.  Ordering sum and h unlike the exact sum and H_S
+    # then needs |sum - h| <= ((1 + gamma_L) / (1 - u) - 1) h, about
+    # (L + 1) u h, and the margin (L + 2) 2^-52 h is twice that.  Sums inside
+    # the margin, and every sum of a row too large for floats (h is NaN),
+    # are decided exactly.
+    ok = sums <= h
+    exact = ~(np.abs(sums - h) > (lengths + 2) * 2.0**-52 * h)
+    for i in np.flatnonzero(exact.any(axis=0)).tolist():
+        row = list(map(int, rows[i]))
+        prefix = list(itertools.accumulate(row))
+        tail = [p - row[0] for p in prefix]
+        terms = (
+            (row, prefix),
+            ([s * s for s in row[1:]], [p * (p - 1) for p in prefix[1:]]),
+            ([x * y for x, y in zip(row[1:], row[2:])], [p * (p - 1) for p in tail[2:]]),
+        )
+        bound = _harmonic_pair(prefix[-1])
+        for k in np.flatnonzero(exact[:, i]).tolist():
+            ok[k, i] = _at_most(*terms[k], bound)
+    if single:
+        return HarmonicBounds(*map(bool, ok[:, 0]))
+    return tuple(ok)
 
 
 _IDENTITY_MAX_N = 12

@@ -449,10 +449,11 @@ def reference_exhaustive_opt(t) -> OptResult:
     return OptResult(cost=frontier[best_idx], witness=Permutation(perms[best_idx]))
 
 
-def reference_harmonic_bounds(series) -> HarmonicBounds:
+def reference_harmonic_bounds(series, h=None) -> HarmonicBounds:
     """The three harmonic prefix sums as running ``Fraction`` sums, compared
-    with ``harmonic_number`` (exact up to a total of 10^4)."""
-    h = harmonic_number(sum(series))
+    with ``h``: by default ``harmonic_number`` (exact up to a total of 10^4)."""
+    if h is None:
+        h = harmonic_number(sum(series))
     ratio_sum = square_sum = adjacent_sum = Fraction(0)
     prefix = tail_prefix = 0
     for i, s in enumerate(series):

@@ -187,9 +187,35 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "identity-chunks-drop-the-last", "src/minla/harness.py",
-        "for start in range(0, trials, _IDENTITY_CHUNK):",
-        "for start in range(0, trials - _IDENTITY_CHUNK + 1, _IDENTITY_CHUNK):",
+        "for start in range(0, trials, _SWEEP_CHUNK):\n        groups",
+        "for start in range(0, trials - _SWEEP_CHUNK + 1, _SWEEP_CHUNK):\n        groups",
         _SWEEP_TESTS,
+    ),
+    Mutant(
+        "harmonic-chunks-drop-the-last", "src/minla/harness.py",
+        "for start in range(0, trials, _SWEEP_CHUNK):\n        batch",
+        "for start in range(0, trials - _SWEEP_CHUNK + 1, _SWEEP_CHUNK):\n        batch",
+        _SWEEP_TESTS,
+    ),
+    # The harmonic check: floats decide only outside the certified margin,
+    # and the exact comparison keeps ties.
+    Mutant(
+        "harmonic-float-decides-ties", "src/minla/oracle.py",
+        "exact = ~(np.abs(sums - h) > (lengths + 2) * 2.0**-52 * h)",
+        "exact = np.zeros_like(ok)",
+        (
+            "tests/test_oracle.py::TestHarmonicBoundsMatchReference",
+            "tests/test_oracle.py::TestHarmonicBounds",
+        ),
+    ),
+    Mutant(
+        "at-most-strict", "src/minla/oracle.py",
+        "return total * bound[1] <= bound[0] * common",
+        "return total * bound[1] < bound[0] * common",
+        (
+            "tests/test_oracle.py::TestHarmonicBoundsMatchReference",
+            "tests/test_oracle.py::TestHarmonicBounds",
+        ),
     ),
 )
 

@@ -391,9 +391,10 @@ class TestVerifyLemma:
 
 def _record_sweeps(monkeypatch):
     """Record, while ``verify`` sweeps, the generator each sweep was given
-    and every instance checked: harmonic series in call order, identity
-    instances as (a, b) pairs in the order of their batches."""
-    seen = SimpleNamespace(rngs=[], harmonic=[], identities=[])
+    and every instance checked: harmonic series in draw order with the size
+    of each batch, identity instances as (a, b) pairs in the order of their
+    batches."""
+    seen = SimpleNamespace(rngs=[], harmonic=[], harmonic_batches=[], identities=[])
     for name in ("_harmonic_rows", "_identity_rows"):
         sweep = getattr(minla.harness, name)
 
@@ -405,9 +406,10 @@ def _record_sweeps(monkeypatch):
     check_h = minla.harness.check_harmonic_bounds
     check_i = minla.harness.check_identity_lemmas
 
-    def harmonic(series):
-        seen.harmonic.append(list(series))
-        return check_h(series)
+    def harmonic(batch):
+        seen.harmonic.extend(list(series) for series in batch)
+        seen.harmonic_batches.append(len(batch))
+        return check_h(batch)
 
     def identities(a, b):
         seen.identities.extend((list(x), list(y)) for x, y in zip(a, b))
@@ -441,6 +443,9 @@ class TestAlgebraicSweeps:
         assert report == expected
         if kind == "harmonic":
             assert seen.harmonic == drawn
+            # One batched check per chunk of 256 series.
+            full, rest = divmod(trials, 256)
+            assert seen.harmonic_batches == [256] * full + [rest] * (rest > 0)
         else:
             assert sorted(seen.identities) == sorted(drawn)
         (used,) = seen.rngs

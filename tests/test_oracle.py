@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -175,21 +176,126 @@ class TestExhaustiveMatchesReference:
         assert exhaustive_opt(trace).witness == trace.pi0
 
 
+def _batch_bounds(batch):
+    """``check_harmonic_bounds`` on a batch, as one ``HarmonicBounds`` per
+    series."""
+    ok = check_harmonic_bounds(batch)
+    assert len(ok) == 3
+    assert all(x.shape == (len(batch),) and x.dtype == bool for x in ok)
+    return [HarmonicBounds(*map(bool, row)) for row in zip(*ok)]
+
+
+@pytest.fixture
+def at_most_calls(monkeypatch):
+    """Every exact comparison ``check_harmonic_bounds`` makes, as (nums,
+    dens) pairs."""
+    calls = []
+    real = minla.oracle._at_most
+
+    def counting(nums, dens, bound):
+        calls.append((list(nums), list(dens)))
+        return real(nums, dens, bound)
+
+    monkeypatch.setattr(minla.oracle, "_at_most", counting)
+    return calls
+
+
 class TestHarmonicBoundsMatchReference:
+    """Batch rows, single-series calls and the ``Fraction`` reference agree."""
+
     def test_random_series(self):
         rng = random.Random(43)
+        drawn = []
         for i in range(5000):
             length = i % 3 + 1 if i < 600 else rng.randint(1, 60)
             if i % 10 == 9:
                 series = [1] * length
             else:
                 series = [rng.randint(1, 40) for _ in range(length)]
-            assert check_harmonic_bounds(series) == reference_harmonic_bounds(series), series
+            expected = reference_harmonic_bounds(series)
+            assert check_harmonic_bounds(series) == expected, series
+            drawn.append((series, expected))
+        # The same series in mixed-length batches of every size up to 1,000.
+        start = 0
+        for size in itertools.cycle((1, 2, 3, 17, 256, 1_000)):
+            chunk = drawn[start:start + size]
+            if not chunk:
+                break
+            assert _batch_bounds([s for s, _ in chunk]) == [e for _, e in chunk]
+            start += size
+
+    @pytest.mark.parametrize("length", [1, 2])
+    def test_empty_sums(self, length):
+        # Length 1 leaves the square and adjacent sums empty, length 2 the
+        # adjacent sum; [1] and [1, 1] tie their ratio sums with H_S.
+        rng = random.Random(length)
+        batch = [[rng.randint(1, 40) for _ in range(length)] for _ in range(200)]
+        batch.append([1] * length)
+        expected = [reference_harmonic_bounds(series) for series in batch]
+        assert _batch_bounds(batch) == expected
+        assert [check_harmonic_bounds(series) for series in batch] == expected
+
+    def test_all_ones_ties_reach_the_exact_comparison(self, at_most_calls):
+        # The ratio sum of L ones is H_L exactly.  Summed in floats it reads
+        # above fl(H_L) at some lengths, so a float comparison would fail
+        # them.  Every such tie, and no other sum, goes to _at_most.
+        lengths = range(1, 401)
+        above = [
+            n for n in lengths
+            if (np.ones(n) / np.arange(1.0, n + 1)).sum() > float(harmonic_number(n))
+        ]
+        assert above
+        batch = [[1] * n for n in lengths]
+        assert _batch_bounds(batch) == [HarmonicBounds(True, True, True)] * 400
+        assert [nums for nums, _ in at_most_calls] == batch
+        assert [dens for _, dens in at_most_calls] == [list(range(1, n + 1)) for n in lengths]
+        for series in batch:
+            assert check_harmonic_bounds(series) == reference_harmonic_bounds(series)
+
+    def test_floats_decide_sums_far_from_the_bound(self, at_most_calls):
+        rng = random.Random(46)
+        batch = [[rng.randint(2, 40) for _ in range(rng.randint(1, 60))] for _ in range(500)]
+        assert _batch_bounds(batch) == [reference_harmonic_bounds(s) for s in batch]
+        assert at_most_calls == []
+
+    def test_rows_too_large_for_floats_are_decided_exactly(self, monkeypatch, at_most_calls):
+        # Entries near 2^53 and past int64, and totals from 2^26 up: no float
+        # of these rows is trusted, and each of their sums is compared
+        # exactly.  H_S is out of reach at such totals, so a stub stands in
+        # for it: the row's exact ratio sum (a tie, which holds) or that sum
+        # less 2^-200 (which fails).
+        batch = [
+            [2**26],
+            [5, 2**26 - 2],
+            [2**25, 2**25, 1],
+            [2**53 - 1],
+            [2**53 - 1, 2**53 - 3, 7],
+            [1, 2**70, 5],
+        ]
+        stand_in = {}
+        for i, series in enumerate(batch):
+            ratio_sum = sum(map(Fraction, series, itertools.accumulate(series)))
+            stand_in[sum(series)] = ratio_sum - Fraction(i % 2, 2**200)
+        real = minla.oracle._harmonic_pair
+
+        def harmonic_pair(total):
+            if total not in stand_in:
+                return real(total)
+            return stand_in[total].numerator, stand_in[total].denominator
+
+        monkeypatch.setattr(minla.oracle, "_harmonic_pair", harmonic_pair)
+        expected = [reference_harmonic_bounds(s, stand_in[sum(s)]) for s in batch]
+        assert [e.ratio_sum_ok for e in expected] == [True, False] * 3
+        assert _batch_bounds(batch) == expected
+        assert len(at_most_calls) == 3 * len(batch)
+        assert [check_harmonic_bounds(series) for series in batch] == expected
 
     @pytest.mark.parametrize("total", [10_002, 10_005])
     def test_all_ones_past_the_exact_harmonic_range(self, total):
         # The ratio sum of all ones is H_S exactly.
         assert check_harmonic_bounds([1] * total) == HarmonicBounds(True, True, True)
+        batch = [[1] * total, [2] * (total // 2), [1, 2] * (total // 3)]
+        assert _batch_bounds(batch) == [HarmonicBounds(True, True, True)] * 3
 
 
 class TestIdentityFloatsMatchReference:
@@ -342,10 +448,22 @@ class TestHarmonicBounds:
             ), series
 
     def test_rejects_bad_series(self):
-        with pytest.raises(ValueError):
-            check_harmonic_bounds([])
-        with pytest.raises(ValueError):
-            check_harmonic_bounds([1, 0])
+        for series in ([], [1, 0], [-2], [[]], [[1, 2], []], [[1, 2], [3, -1]]):
+            with pytest.raises(ValueError):
+                check_harmonic_bounds(series)
+
+    @pytest.mark.parametrize(
+        "entry", [2.0, 1.5, np.float64(3.0), Fraction(3), "2"], ids=repr
+    )
+    def test_rejects_non_integer_entries(self, entry):
+        # No entry is ever summed as a float, not even an integral one.
+        for series in ([1, entry], [entry, 1], [[3], [1, entry]]):
+            with pytest.raises(TypeError):
+                check_harmonic_bounds(series)
+
+    def test_integer_like_entries_count_as_integers(self):
+        assert check_harmonic_bounds([np.int64(2), True, 3]) == check_harmonic_bounds([2, 1, 3])
+        assert _batch_bounds([[np.uint64(2), 1], [1, 1]]) == [HarmonicBounds(True, True, True)] * 2
 
 
 class TestIdentityChecks:
