@@ -38,7 +38,6 @@ from .algorithms import (
     run_trials,
 )
 from .oracle import (
-    HarmonicBounds,
     OptResult,
     bound_for_trace,
     check_harmonic_bounds,
@@ -101,7 +100,6 @@ __all__ = [
     "left_right_probability",
     "orientation_probability",
     "harmonic_number",
-    "HarmonicBounds",
     "check_harmonic_bounds",
     "check_identity_lemmas",
     "bound_for_trace",

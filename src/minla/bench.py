@@ -395,14 +395,15 @@ def run_paper_suite(out_dir: str | None = None) -> list[CriterionResult]:
 
         path = pathlib.Path(out_dir)
         path.mkdir(parents=True, exist_ok=True)
-        for res in results:
-            name = f"criterion-{res.index:02d}-{res.name}.txt"
-            (path / name).write_text(res.line() + "\n")
-        summary = "".join(res.line() + "\n" for res in results)
-        (path / "summary.txt").write_text(summary)
-        timings = "".join(
+        files = {
+            f"criterion-{res.index:02d}-{res.name}.txt": res.line() + "\n"
+            for res in results
+        }
+        files["summary.txt"] = "".join(files.values())
+        files["timings.txt"] = "".join(
             f"criterion {res.index} ({res.name}): {secs:.2f} s\n"
             for res, secs in zip(results, seconds)
-        )
-        (path / "timings.txt").write_text(timings + f"total: {sum(seconds):.2f} s\n")
+        ) + f"total: {sum(seconds):.2f} s\n"
+        for name, text in files.items():
+            (path / name).write_text(text, encoding="utf-8")
     return results

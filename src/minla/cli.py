@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -91,7 +92,7 @@ def _write_or_print(text: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        out.write_text(text)
+        out.write_text(text, encoding="utf-8")
 
 
 def _cmd_gen(args) -> int:
@@ -110,10 +111,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    trace = parse_trace(args.trace.read_text())
+    trace = parse_trace(args.trace.read_text(encoding="utf-8"))
     cfg = ExperimentConfig(
         trace=trace,
-        trace_id=args.trace.stem,
+        trace_id=os.fsencode(args.trace.stem).decode("utf-8"),  # UTF-8 under any locale
         algo=args.algo,
         trials=args.trials,
         master_seed=args.seed,
@@ -128,7 +129,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_opt(args) -> int:
-    trace = parse_trace(args.trace.read_text())
+    trace = parse_trace(args.trace.read_text(encoding="utf-8"))
     result = exhaustive_opt(trace) if args.exhaustive else dp_opt(trace)
     kind = "exhaustive" if args.exhaustive else "dp"
     sys.stdout.write(f"method: {kind}\ncost: {result.cost}\n")
@@ -139,7 +140,7 @@ def _cmd_opt(args) -> int:
 def _cmd_verify(args) -> int:
     trace = None
     if args.trace is not None:
-        trace = parse_trace(args.trace.read_text())
+        trace = parse_trace(args.trace.read_text(encoding="utf-8"))
     elif args.lemma == "left-right":
         trace = random_trace(Model.CLIQUES, 8, seed=11, events=4)
     elif args.lemma == "orientation":
@@ -153,7 +154,7 @@ def _cmd_duel(args) -> int:
     report = duel(args.n, algo=args.algo, adversary=args.adversary)
     sys.stdout.write(report.to_text())
     if args.dump_trace is not None:
-        args.dump_trace.write_text(emit_trace(report.induced_trace))
+        args.dump_trace.write_text(emit_trace(report.induced_trace), encoding="utf-8")
     return EXIT_OK
 
 

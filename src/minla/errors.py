@@ -50,9 +50,9 @@ class InvariantError(MinlaError):
 
 
 class CapacityError(MinlaError):
-    """An exact search was asked to handle more than its hard cap: more
-    program states than the block-order cap allows, or too many nodes for
-    the exhaustive search."""
+    """An exact search or oracle was asked to handle more than its hard cap:
+    more program states than the block-order cap allows, too many nodes for
+    the exhaustive search, or a harmonic total S past 10^4."""
 
 
 class ProtocolError(MinlaError):

@@ -9,10 +9,11 @@ laminar family of the merge forest, and ``exhaustive_opt`` certifies the
 equality on small instances by a shortest-path search over all schedules, a
 level-by-level numpy search over the cached permutation graph of n <= 7.
 
-The harmonic sums are float row sums wherever a certified margin separates
-them from H_S and integers over an lcm inside it; the choice-vector weights
-are built by doubling; ``tests/conftest.py`` keeps the literal oracles (heap
-Dijkstra, ``Fraction`` sums, row products) that these are tested against.
+The algebraic checks take batches only.  H_S is exact up to S = 10^4 and a
+``CapacityError`` past it; below, the harmonic sums are float row sums
+outside a certified margin of H_S and integers over an lcm inside it.  The
+choice-vector weights are built by doubling; ``tests/conftest.py`` keeps the
+literal oracles (heap Dijkstra, ``Fraction`` sums, row products).
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "left_right_probability",
     "orientation_probability",
     "harmonic_number",
-    "HarmonicBounds",
     "check_harmonic_bounds",
     "check_identity_lemmas",
     "bound_for_trace",
@@ -197,61 +197,28 @@ _EXACT_HARMONIC_MAX = 10_000
 _harmonic_cache: list[Fraction] = [Fraction(0)]
 
 
-def harmonic_number(s: int) -> Fraction | float:
-    """H_s = 1 + 1/2 + ... + 1/s, exact up to s = 10^4, double beyond."""
+def harmonic_number(s: int) -> Fraction:
+    """H_s = 1 + 1/2 + ... + 1/s exactly, for 1 <= s <= 10^4 (the cap)."""
     if s < 1:
         raise ValueError(f"s must be positive, got {s}")
     if s > _EXACT_HARMONIC_MAX:
-        return math.fsum(1.0 / i for i in range(1, s + 1))
+        raise CapacityError(f"H_s is exact up to s = {_EXACT_HARMONIC_MAX}, got {s}")
     while len(_harmonic_cache) <= s:
-        _harmonic_cache.append(
-            _harmonic_cache[-1] + Fraction(1, len(_harmonic_cache))
-        )
+        _harmonic_cache.append(_harmonic_cache[-1] + Fraction(1, len(_harmonic_cache)))
     return _harmonic_cache[s]
 
 
-@dataclass(frozen=True)
-class HarmonicBounds:
-    """Truth of the three prefix-ratio inequalities for one series."""
-
-    ratio_sum_ok: bool
-    square_sum_ok: bool
-    adjacent_sum_ok: bool
-
-
-def _harmonic_pair(s: int) -> tuple[int, int]:
-    """H_s exactly as (numerator, denominator); past the cached range the
-    terms are summed by binary splitting and left unreduced."""
-    if s <= _EXACT_HARMONIC_MAX:
-        h = harmonic_number(s)
-        return h.numerator, h.denominator
-
-    def split(lo: int, hi: int) -> tuple[int, int]:
-        if hi - lo == 1:
-            return 1, lo
-        (a, b), (c, d) = split(lo, (lo + hi) // 2), split((lo + hi) // 2, hi)
-        return a * d + c * b, b * d
-
-    return split(1, s + 1)
-
-
-def _at_most(nums: Sequence[int], dens: Sequence[int], bound: tuple[int, int]) -> bool:
-    """sum(nums[i] / dens[i]) <= bound[0] / bound[1], over the lcm of ``dens``."""
+def _at_most(nums: Sequence[int], dens: Sequence[int], bound: Fraction) -> bool:
+    """sum(nums[i] / dens[i]) <= bound, over the lcm of ``dens``."""
     common = math.lcm(*dens)
     total = sum(x * (common // d) for x, d in zip(nums, dens))
-    return total * bound[1] <= bound[0] * common
+    return total * bound.denominator <= bound.numerator * common
 
 
-# A row whose total is below this has every prefix sum P and every product
-# s * s', P * (P - 1) below 2^52, so each is exact in float64.
-_FLOAT_EXACT_TOTAL = 1 << 26
-
-
-@lru_cache(maxsize=1 << 12)
+@lru_cache(maxsize=_EXACT_HARMONIC_MAX + 1)
 def _harmonic_float(s: int) -> float:
     """H_s correctly rounded: Python's int division rounds the exact pair."""
-    num, den = _harmonic_pair(s)
-    return num / den
+    return float(harmonic_number(s))
 
 
 def _pair_sums(num: np.ndarray, p: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -259,8 +226,8 @@ def _pair_sums(num: np.ndarray, p: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return np.divide(num, p * (p - 1), out=np.zeros_like(num), where=valid).sum(axis=1)
 
 
-def check_harmonic_bounds(series: Sequence) -> HarmonicBounds | tuple[np.ndarray, ...]:
-    """Verify the harmonic prefix bounds for series of positive integers.
+def check_harmonic_bounds(batch: Sequence[Sequence[int]]) -> tuple[np.ndarray, ...]:
+    """Verify the harmonic prefix bounds for a batch of positive integer series.
 
     With prefix sums P_i over the whole series and P'_i over the tail that
     drops the first element:
@@ -273,26 +240,34 @@ def check_harmonic_bounds(series: Sequence) -> HarmonicBounds | tuple[np.ndarray
     denominators can vanish, so the sums start where they are well defined.
     The last two are halved: x / C(P, 2) <= 2 H_S is x / (P (P - 1)) <= H_S.
 
-    ``series`` is one series or a batch (a list of series).  Returns the
-    three truths for one series, and three bool arrays of length m for a
-    batch of m; a series runs as a batch of one.  The batch is padded into
-    one float64 array, each sum is taken per row, and floats decide a sum
-    only far enough from H_S; every other sum is one integer numerator over
-    the lcm of its denominators, so every answer is exact for every S.
+    ``batch`` is a list of m series; returns three bool arrays of length m.
+    A total S past 10^4 raises :class:`CapacityError` before any sum is
+    taken.  Floats decide a sum only far enough from H_S; every other sum is
+    one integer numerator over the lcm of its denominators, so every answer
+    is exact.
     """
-    single = not series or np.ndim(series[0]) == 0
-    rows = [series] if single else series
-    lengths = np.array([len(row) for row in rows])
-    values = np.array([s for row in rows for s in row])
+    if len(batch) == 0 or np.ndim(batch[0]) == 0:
+        raise ValueError("expected a nonempty batch: a list of series")
+    lengths = np.array([len(row) for row in batch])
+    values = np.array([s for row in batch for s in row])
+    if not lengths.all() or values.min() < 1:
+        raise ValueError("series must be nonempty positive integers")
     if values.dtype.kind != "i":
         # Bools, integers past int64 or non-integers: only integers pass, and
         # as Python ints, so no entry is ever summed as a float.
-        values = np.array([operator.index(s) for row in rows for s in row], dtype=object)
-    if not lengths.all() or values.min() < 1:
-        raise ValueError("series must be nonempty positive integers")
+        values = np.array([operator.index(s) for row in batch for s in row], dtype=object)
+    # Clipped entries sum past the cap exactly when the true ones do.
+    clipped = np.minimum(values, _EXACT_HARMONIC_MAX + 1)
+    totals = np.add.reduceat(clipped, lengths.cumsum() - lengths).tolist()
+    for i, total in enumerate(totals):
+        if total > _EXACT_HARMONIC_MAX:
+            raise CapacityError(
+                f"series {i} sums to {sum(map(int, batch[i]))}; the harmonic "
+                f"check is exact up to a total of {_EXACT_HARMONIC_MAX}"
+            )
     valid = np.arange(lengths.max()) < lengths[:, None]
     grid = np.zeros(valid.shape)
-    grid[valid] = np.minimum(values, _FLOAT_EXACT_TOTAL)
+    grid[valid] = values
     prefix = grid.cumsum(axis=1)
     tail = prefix - grid[:, :1]
     sums = np.stack((
@@ -300,23 +275,19 @@ def check_harmonic_bounds(series: Sequence) -> HarmonicBounds | tuple[np.ndarray
         _pair_sums(grid[:, 1:] ** 2, prefix[:, 1:], valid[:, 1:]),
         _pair_sums(grid[:, 1:-1] * grid[:, 2:], tail[:, 2:], valid[:, 2:]),
     ))
-    totals = prefix[:, -1]
-    fits = totals < _FLOAT_EXACT_TOTAL
-    h = np.full(len(rows), np.nan)
-    h[fits] = [_harmonic_float(int(t)) for t in totals[fits]]
-    # In a fitting row every integer is exact, so each of the at most L terms
-    # is one correctly rounded division, and adding them in any order rounds
-    # at most L - 1 more times: with u = 2^-53 the float sum is within
-    # gamma_L = L u / (1 - L u) of the exact sum, relatively, and h = fl(H_S)
-    # is within u of H_S.  Ordering sum and h unlike the exact sum and H_S
-    # then needs |sum - h| <= ((1 + gamma_L) / (1 - u) - 1) h, about
-    # (L + 1) u h, and the margin (L + 2) 2^-52 h is twice that.  Sums inside
-    # the margin, and every sum of a row too large for floats (h is NaN),
-    # are decided exactly.
+    h = np.array([_harmonic_float(total) for total in totals])
+    # Under the cap every entry, prefix sum and product is below 2^27, so each
+    # of the at most L terms is one correctly rounded division, and adding
+    # them rounds at most L - 1 more times: with u = 2^-53 the float sum is
+    # within gamma_L = L u / (1 - L u) of the exact sum, relatively, and
+    # h = fl(H_S) is within u of H_S.  Ordering sum and h unlike the exact sum
+    # and H_S then needs |sum - h| <= ((1 + gamma_L) / (1 - u) - 1) h, about
+    # (L + 1) u h; the margin (L + 2) 2^-52 h is twice that, and sums inside
+    # it are decided exactly.
     ok = sums <= h
-    exact = ~(np.abs(sums - h) > (lengths + 2) * 2.0**-52 * h)
+    exact = np.abs(sums - h) <= (lengths + 2) * 2.0**-52 * h
     for i in np.flatnonzero(exact.any(axis=0)).tolist():
-        row = list(map(int, rows[i]))
+        row = list(map(int, batch[i]))
         prefix = list(itertools.accumulate(row))
         tail = [p - row[0] for p in prefix]
         terms = (
@@ -324,15 +295,15 @@ def check_harmonic_bounds(series: Sequence) -> HarmonicBounds | tuple[np.ndarray
             ([s * s for s in row[1:]], [p * (p - 1) for p in prefix[1:]]),
             ([x * y for x, y in zip(row[1:], row[2:])], [p * (p - 1) for p in tail[2:]]),
         )
-        bound = _harmonic_pair(prefix[-1])
+        bound = harmonic_number(prefix[-1])
         for k in np.flatnonzero(exact[:, i]).tolist():
             ok[k, i] = _at_most(*terms[k], bound)
-    if single:
-        return HarmonicBounds(*map(bool, ok[:, 0]))
     return tuple(ok)
 
 
 _IDENTITY_MAX_N = 12
+# Both checks hold within this absolute tolerance; read at every call.
+_IDENTITY_TOL = 1e-9
 
 
 @lru_cache(maxsize=_IDENTITY_MAX_N + 1)
@@ -341,7 +312,7 @@ def _choice_matrix(n: int) -> np.ndarray:
     return ((rows[:, None] >> np.arange(n)) & 1).astype(np.float64)
 
 
-def check_identity_lemmas(a: Sequence, b: Sequence, tol: float = 1e-9) -> tuple:
+def check_identity_lemmas(a: Sequence, b: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate two closed forms over all binary choice vectors t in {0,1}^N.
 
     With weights prod_j b_j^{t_j} (1-b_j)^{1-t_j} and A = sum(a):
@@ -350,26 +321,19 @@ def check_identity_lemmas(a: Sequence, b: Sequence, tol: float = 1e-9) -> tuple:
     * inequality: E[ (sum_i t_i a_i) (A - sum_i t_i a_i) ]
                   <= sum_i b_i a_i (A - a_i), for nonnegative a
 
-    ``a`` and ``b`` hold one instance of length N or a batch of shape
-    (m, N).  Returns (equality holds within tol, inequality holds within
-    tol): two bools for an instance, two bool arrays of length m for a
-    batch.  An instance runs as a batch of one row, and every row's floats
-    equal, bit for bit, those of the row-product reference in the tests.
+    ``a`` and ``b`` are (m, N) batches.  Returns two bool arrays of length
+    m, each check within ``_IDENTITY_TOL``; every row's floats equal, bit
+    for bit, those of the row-product reference in the tests.
     """
-    single = np.ndim(a) == 1
-    av, bv = (np.atleast_2d(np.asarray(x, dtype=np.float64)) for x in (a, b))
-    if av.shape != bv.shape:
-        raise ValueError("a and b must have equal length")
+    av, bv = (np.asarray(x, dtype=np.float64) for x in (a, b))
+    if av.ndim != 2 or av.shape != bv.shape:
+        raise ValueError("a and b must be (m, N) batches of equal shape")
     if not 1 <= av.shape[1] <= _IDENTITY_MAX_N:
         raise ValueError(f"N must be in 1..{_IDENTITY_MAX_N}")
     if not ((bv >= 0.0) & (bv <= 1.0)).all():
         raise ValueError("b entries must lie in [0, 1]")
     lhs_eq, rhs_eq, lhs_le, rhs_le = _identity_sides(av, bv)
-    eq_ok = np.abs(lhs_eq - rhs_eq) <= tol
-    le_ok = lhs_le <= rhs_le + tol
-    if single:
-        return bool(eq_ok[0]), bool(le_ok[0])
-    return eq_ok, le_ok
+    return np.abs(lhs_eq - rhs_eq) <= _IDENTITY_TOL, lhs_le <= rhs_le + _IDENTITY_TOL
 
 
 def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:

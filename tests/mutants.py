@@ -176,9 +176,9 @@ MUTANTS: tuple[Mutant, ...] = (
     # The batched algebraic sweeps.
     Mutant(
         "identity-tolerance-strict", "src/minla/oracle.py",
-        "eq_ok = np.abs(lhs_eq - rhs_eq) <= tol",
-        "eq_ok = np.abs(lhs_eq - rhs_eq) < tol",
-        ("tests/test_oracle.py::TestIdentityChecks",),
+        "np.abs(lhs_eq - rhs_eq) <= _IDENTITY_TOL",
+        "np.abs(lhs_eq - rhs_eq) < _IDENTITY_TOL",
+        ("tests/test_oracle.py::TestIdentityChecks::test_exact_instances_hold_at_zero_tolerance",),
     ),
     Mutant(
         "sweep-draw-accepts-bound", "src/minla/harness.py",
@@ -198,24 +198,70 @@ MUTANTS: tuple[Mutant, ...] = (
         _SWEEP_TESTS,
     ),
     # The harmonic check: floats decide only outside the certified margin,
-    # and the exact comparison keeps ties.
+    # the exact comparison keeps ties, and H_S is exact up to a total of
+    # exactly 10^4.
     Mutant(
         "harmonic-float-decides-ties", "src/minla/oracle.py",
-        "exact = ~(np.abs(sums - h) > (lengths + 2) * 2.0**-52 * h)",
+        "exact = np.abs(sums - h) <= (lengths + 2) * 2.0**-52 * h",
         "exact = np.zeros_like(ok)",
         (
-            "tests/test_oracle.py::TestHarmonicBoundsMatchReference",
-            "tests/test_oracle.py::TestHarmonicBounds",
+            "tests/test_oracle.py::TestHarmonicBoundsMatchReference::"
+            "test_all_ones_ties_reach_the_exact_comparison",
         ),
     ),
     Mutant(
         "at-most-strict", "src/minla/oracle.py",
-        "return total * bound[1] <= bound[0] * common",
-        "return total * bound[1] < bound[0] * common",
+        "return total * bound.denominator <= bound.numerator * common",
+        "return total * bound.denominator < bound.numerator * common",
         (
-            "tests/test_oracle.py::TestHarmonicBoundsMatchReference",
-            "tests/test_oracle.py::TestHarmonicBounds",
+            "tests/test_oracle.py::TestHarmonicBoundsMatchReference::"
+            "test_all_ones_ties_reach_the_exact_comparison",
+            "tests/test_oracle.py::TestHarmonicBounds::test_tight_boundary",
         ),
+    ),
+    Mutant(
+        "harmonic-cap-off-by-one", "src/minla/oracle.py",
+        "if s > _EXACT_HARMONIC_MAX:", "if s >= _EXACT_HARMONIC_MAX:",
+        (
+            "tests/test_oracle.py::TestHarmonic::test_raises_past_the_cap",
+            "tests/test_oracle.py::TestHarmonicBoundsMatchReference::"
+            "test_totals_at_the_cap_are_decided_exactly",
+        ),
+    ),
+    # The exact optima: exhaustive_opt's feasibility masks (`== 1` -> `<= 1`
+    # would be equivalent, since u != v) and _clique_opt's child order.
+    Mutant(
+        "exhaustive-path-stretch-2", "src/minla/oracle.py",
+        "np.abs(pos[:, ev.u] - pos[:, ev.v]) == 1", "np.abs(pos[:, ev.u] - pos[:, ev.v]) <= 2",
+        (
+            "tests/test_oracle.py::TestDpOpt::test_two_line_segments",
+            "tests/test_oracle.py::TestExhaustiveOpt::test_matches_dp_smoke",
+        ),
+    ),
+    Mutant(
+        "exhaustive-clique-span-loose", "src/minla/oracle.py",
+        "cols.max(axis=1) - cols.min(axis=1) < cols.shape[1]",
+        "cols.max(axis=1) - cols.min(axis=1) <= cols.shape[1]",
+        (
+            "tests/test_oracle.py::TestExhaustiveOpt::test_matches_dp_smoke",
+            "tests/test_cli.py::TestOpt::test_dp_and_exhaustive_agree",
+        ),
+    ),
+    Mutant(
+        "clique-opt-child-tie", "src/minla/oracle.py",
+        "seq_a[0] < seq_b[0]", "seq_a[0] > seq_b[0]",
+        ("tests/test_oracle.py::TestDpOpt::test_clique_triangle_after_edge",),
+    ),
+    # Output digits and trial seeds.
+    Mutant(
+        "format-ratio-half-up", "src/minla/harness.py",
+        "(2 * rest == opt_cost and units & 1)", "(2 * rest == opt_cost)",
+        ("tests/test_harness.py::TestRatioFormatting::test_round_half_even_on_exact_rational",),
+    ),
+    Mutant(
+        "splitmix-constant", "src/minla/harness.py",
+        "0xBF58476D1CE4E5B9", "0xBF58476D1CE4E5B8",
+        ("tests/test_harness.py::TestSeedDerivation::test_reference_vector",),
     ),
 )
 

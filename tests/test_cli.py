@@ -1,8 +1,12 @@
 import csv
 import io
 import json
+import os
 import re
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -511,3 +515,85 @@ class TestDuel:
     def test_even_n_rejected(self, capsys):
         code, _, err = run_cli(capsys, "duel", "--n", "8")
         assert code == 2
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+# The C locale, with Python's locale coercion and UTF-8 mode off: the
+# locale and file system encodings are then ASCII.
+_C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def _subprocess_cli(cwd, *argv, stub="", **env):
+    """``minla`` in a fresh interpreter where, once the package is imported,
+    opening a file with the locale's encoding raises; ``stub`` runs just
+    before the command."""
+    code = (
+        "import sys, warnings\nfrom minla.cli import main\n"
+        f"{stub}\nwarnings.simplefilter('error', EncodingWarning)\n"
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-c", code, *argv],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=str(_SRC), **env), capture_output=True,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout
+
+
+class TestUtf8Files:
+    """Every file the CLI reads or writes is UTF-8 whatever the locale."""
+
+    def test_no_file_uses_the_locale_encoding(self, tmp_path):
+        _subprocess_cli(
+            tmp_path, "gen", "--kind", "random", "--model", "lines", "--n", "6",
+            "--seed", "4", "--out", "t.txt",
+        )
+        for fmt in ("csv", "json"):
+            _subprocess_cli(
+                tmp_path, "simulate", "--algo", "rand", "--trace", "t.txt",
+                "--seed", "1", "--trials", "3", "--format", fmt, "--out", f"out.{fmt}",
+            )
+        assert b"cost: " in _subprocess_cli(tmp_path, "opt", "--trace", "t.txt")
+        assert b"result: pass" in _subprocess_cli(
+            tmp_path, "verify", "--lemma", "orientation", "--trials", "1000", "--seed", "1",
+            "--trace", "t.txt",
+        )
+        _subprocess_cli(tmp_path, "duel", "--n", "5", "--dump-trace", "duel.txt")
+        assert parse_trace((tmp_path / "duel.txt").read_text(encoding="utf-8")).n == 5
+
+    def test_bench_reports_are_utf8_in_the_c_locale(self, tmp_path):
+        # One stub criterion whose detail is not ASCII.  Its line on stdout,
+        # the caller's ASCII stream here, goes to a UTF-8 null device.
+        stub = (
+            "import os\n"
+            "from minla import bench\n"
+            "bench.ALL_CRITERIA[:] = [lambda: bench.CriterionResult(1, 'a', True, 'na\\xefve')]\n"
+            "sys.stdout = open(os.devnull, 'w', encoding='utf-8')"
+        )
+        _subprocess_cli(
+            tmp_path, "bench", "--suite", "paper", "--out", "r", stub=stub, **_C_LOCALE
+        )
+        for name in ("criterion-01-a.txt", "summary.txt"):
+            text = (tmp_path / "r" / name).read_text(encoding="utf-8")
+            assert text == "PASS criterion 1 (a): na\xefve\n"
+        assert (tmp_path / "r" / "timings.txt").read_text(encoding="utf-8").startswith(
+            "criterion 1 (a): "
+        )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_non_ascii_trace_name_writes_the_same_bytes_in_the_c_locale(
+        self, tmp_path, fmt
+    ):
+        trace = random_trace(Model.CLIQUES, 6, seed=3)
+        (tmp_path / "café.txt").write_text(emit_trace(trace), encoding="utf-8")
+        out = {}
+        for name, env in (("c", _C_LOCALE), ("utf8", {"PYTHONUTF8": "1"})):
+            _subprocess_cli(
+                tmp_path, "simulate", "--algo", "rand", "--trace", "café.txt",
+                "--seed", "1", "--trials", "3", "--format", fmt, "--out", name, **env,
+            )
+            out[name] = (tmp_path / name).read_bytes()
+        assert out["c"] == out["utf8"]
+        text = out["utf8"].decode("utf-8")
+        rows = csv.DictReader(io.StringIO(text)) if fmt == "csv" else json.loads(text)["records"]
+        assert {row["trace_id"] for row in rows} == {"café"}

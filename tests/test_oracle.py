@@ -18,7 +18,6 @@ from conftest import (
 )
 from minla import (
     CapacityError,
-    HarmonicBounds,
     Model,
     Permutation,
     RevealEvent,
@@ -176,13 +175,22 @@ class TestExhaustiveMatchesReference:
         assert exhaustive_opt(trace).witness == trace.pi0
 
 
+HOLDS = (True, True, True)
+
+
 def _batch_bounds(batch):
-    """``check_harmonic_bounds`` on a batch, as one ``HarmonicBounds`` per
-    series."""
+    """``check_harmonic_bounds`` on a batch, as one (ratio, square,
+    adjacent) tuple of bools per series."""
     ok = check_harmonic_bounds(batch)
     assert len(ok) == 3
     assert all(x.shape == (len(batch),) and x.dtype == bool for x in ok)
-    return [HarmonicBounds(*map(bool, row)) for row in zip(*ok)]
+    return [tuple(map(bool, row)) for row in zip(*ok)]
+
+
+def _alone(series):
+    """``check_harmonic_bounds`` on a batch of one series."""
+    (row,) = _batch_bounds([series])
+    return row
 
 
 @pytest.fixture
@@ -201,7 +209,7 @@ def at_most_calls(monkeypatch):
 
 
 class TestHarmonicBoundsMatchReference:
-    """Batch rows, single-series calls and the ``Fraction`` reference agree."""
+    """Batch rows, batches of one and the ``Fraction`` reference agree."""
 
     def test_random_series(self):
         rng = random.Random(43)
@@ -213,7 +221,7 @@ class TestHarmonicBoundsMatchReference:
             else:
                 series = [rng.randint(1, 40) for _ in range(length)]
             expected = reference_harmonic_bounds(series)
-            assert check_harmonic_bounds(series) == expected, series
+            assert _alone(series) == expected, series
             drawn.append((series, expected))
         # The same series in mixed-length batches of every size up to 1,000.
         start = 0
@@ -233,7 +241,7 @@ class TestHarmonicBoundsMatchReference:
         batch.append([1] * length)
         expected = [reference_harmonic_bounds(series) for series in batch]
         assert _batch_bounds(batch) == expected
-        assert [check_harmonic_bounds(series) for series in batch] == expected
+        assert [_alone(series) for series in batch] == expected
 
     def test_all_ones_ties_reach_the_exact_comparison(self, at_most_calls):
         # The ratio sum of L ones is H_L exactly.  Summed in floats it reads
@@ -246,11 +254,11 @@ class TestHarmonicBoundsMatchReference:
         ]
         assert above
         batch = [[1] * n for n in lengths]
-        assert _batch_bounds(batch) == [HarmonicBounds(True, True, True)] * 400
+        assert _batch_bounds(batch) == [HOLDS] * 400
         assert [nums for nums, _ in at_most_calls] == batch
         assert [dens for _, dens in at_most_calls] == [list(range(1, n + 1)) for n in lengths]
         for series in batch:
-            assert check_harmonic_bounds(series) == reference_harmonic_bounds(series)
+            assert _alone(series) == reference_harmonic_bounds(series)
 
     def test_floats_decide_sums_far_from_the_bound(self, at_most_calls):
         rng = random.Random(46)
@@ -258,44 +266,52 @@ class TestHarmonicBoundsMatchReference:
         assert _batch_bounds(batch) == [reference_harmonic_bounds(s) for s in batch]
         assert at_most_calls == []
 
-    def test_rows_too_large_for_floats_are_decided_exactly(self, monkeypatch, at_most_calls):
-        # Entries near 2^53 and past int64, and totals from 2^26 up: no float
-        # of these rows is trusted, and each of their sums is compared
-        # exactly.  H_S is out of reach at such totals, so a stub stands in
-        # for it: the row's exact ratio sum (a tie, which holds) or that sum
-        # less 2^-200 (which fails).
-        batch = [
-            [2**26],
-            [5, 2**26 - 2],
-            [2**25, 2**25, 1],
-            [2**53 - 1],
-            [2**53 - 1, 2**53 - 3, 7],
-            [1, 2**70, 5],
-        ]
-        stand_in = {}
-        for i, series in enumerate(batch):
-            ratio_sum = sum(map(Fraction, series, itertools.accumulate(series)))
-            stand_in[sum(series)] = ratio_sum - Fraction(i % 2, 2**200)
-        real = minla.oracle._harmonic_pair
+    def test_a_row_reads_the_same_alone_and_in_a_batch(self):
+        rng = random.Random(47)
+        for _ in range(5):
+            batch = [
+                [1] * rng.randint(1, 60) if i % 8 == 0
+                else [rng.randint(1, 150) for _ in range(rng.randint(1, 60))]
+                for i in range(40)
+            ]
+            rows = _batch_bounds(batch)
+            assert rows == [_alone(series) for series in batch]
+            assert rows == [reference_harmonic_bounds(series) for series in batch]
 
-        def harmonic_pair(total):
-            if total not in stand_in:
-                return real(total)
-            return stand_in[total].numerator, stand_in[total].denominator
-
-        monkeypatch.setattr(minla.oracle, "_harmonic_pair", harmonic_pair)
-        expected = [reference_harmonic_bounds(s, stand_in[sum(s)]) for s in batch]
-        assert [e.ratio_sum_ok for e in expected] == [True, False] * 3
+    def test_totals_at_the_cap_are_decided_exactly(self, at_most_calls):
+        # A total of exactly 10^4 is in range.  All ones tie the ratio sum
+        # with H_S, which only the exact comparison decides.
+        batch = [[1] * 10_000, [10_000], [2] * 5_000]
+        expected = [reference_harmonic_bounds(series) for series in batch]
+        assert expected == [HOLDS] * 3
         assert _batch_bounds(batch) == expected
-        assert len(at_most_calls) == 3 * len(batch)
-        assert [check_harmonic_bounds(series) for series in batch] == expected
+        assert at_most_calls == [([1] * 10_000, list(range(1, 10_001)))]
+        assert [_alone(series) for series in batch] == expected
 
-    @pytest.mark.parametrize("total", [10_002, 10_005])
-    def test_all_ones_past_the_exact_harmonic_range(self, total):
-        # The ratio sum of all ones is H_S exactly.
-        assert check_harmonic_bounds([1] * total) == HarmonicBounds(True, True, True)
-        batch = [[1] * total, [2] * (total // 2), [1, 2] * (total // 3)]
-        assert _batch_bounds(batch) == [HarmonicBounds(True, True, True)] * 3
+    @pytest.mark.parametrize(
+        "batch,index,total",
+        [
+            ([[1] * 10_001], 0, 10_001),
+            ([[2**25]], 0, 2**25),
+            ([[1, 2**70]], 0, 2**70 + 1),
+            ([[1, 2], [3], [5_000, 5_001], [2**25]], 2, 10_001),
+        ],
+        ids=["ones", "2^25", "2^70", "third"],
+    )
+    def test_totals_past_the_cap_raise(
+        self, batch, index, total, monkeypatch, at_most_calls
+    ):
+        # Neither a row sum nor any H_S is built: stubs that fail on use
+        # stand in for both.
+        def unused(*args):
+            raise AssertionError("built past the cap")
+
+        for name in ("_pair_sums", "_harmonic_float", "harmonic_number"):
+            monkeypatch.setattr(minla.oracle, name, unused)
+        with pytest.raises(CapacityError, match=rf"^series {index} sums to {total};"):
+            check_harmonic_bounds(batch)
+        assert at_most_calls == []
+        assert len(minla.oracle._harmonic_cache) <= 10_001
 
 
 class TestIdentityFloatsMatchReference:
@@ -321,17 +337,18 @@ class TestIdentityFloatsMatchReference:
                     rows += 1
         assert rows == 12 * 295
 
-    def test_a_row_reads_the_same_alone_and_in_a_batch(self):
+    def test_a_row_reads_the_same_alone_and_in_a_batch(self, monkeypatch):
+        # At a tolerance of 1e-12 some rows fail, so both outcomes occur.
+        monkeypatch.setattr(minla.oracle, "_IDENTITY_TOL", 1e-12)
         rng = random.Random(45)
         for n in (1, 4, 10):
             a = [[rng.uniform(0.0, 10.0) for _ in range(n)] for _ in range(40)]
             b = [[rng.uniform(0.0, 1.0) for _ in range(n)] for _ in range(40)]
-            eq_ok, le_ok = check_identity_lemmas(a, b, tol=1e-12)
+            eq_ok, le_ok = check_identity_lemmas(a, b)
             assert eq_ok.shape == le_ok.shape == (40,)
+            assert eq_ok.dtype == le_ok.dtype == bool
             for i in range(40):
-                single = check_identity_lemmas(a[i], b[i], tol=1e-12)
-                assert single == (bool(eq_ok[i]), bool(le_ok[i]))
-                assert type(single[0]) is bool and type(single[1]) is bool
+                assert _identity(a[i], b[i]) == (eq_ok[i], le_ok[i])
 
     def test_sweep_maps_each_failure_to_its_check(self, monkeypatch):
         # Only the N = 3 rows fail the equality: the sweep counts exactly the
@@ -420,11 +437,13 @@ class TestHarmonic:
         assert harmonic_number(2) == Fraction(3, 2)
         assert harmonic_number(5) == Fraction(137, 60)
 
-    def test_exact_matches_float_beyond_cap(self):
-        exact = float(harmonic_number(10_000))
-        beyond = harmonic_number(10_001)
-        assert isinstance(beyond, float)
-        assert math.isclose(beyond, exact + 1 / 10_001, rel_tol=1e-12)
+    def test_raises_past_the_cap(self):
+        assert harmonic_number(10_000) == harmonic_number(9_999) + Fraction(1, 10_000)
+        assert math.isclose(harmonic_number(10_000), 9.787606036044382264, rel_tol=1e-15)
+        for s in (10_001, 2**40):
+            with pytest.raises(CapacityError, match=f"up to s = 10000, got {s}$"):
+                harmonic_number(s)
+        assert len(minla.oracle._harmonic_cache) == 10_001
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -434,45 +453,59 @@ class TestHarmonic:
 class TestHarmonicBounds:
     def test_tight_boundary(self):
         # 1/1 + 1/2 equals H_2 exactly
-        assert check_harmonic_bounds([1, 1]) == HarmonicBounds(True, True, True)
+        assert _alone([1, 1]) == HOLDS
 
     def test_small_series(self):
-        assert check_harmonic_bounds([2, 3]) == HarmonicBounds(True, True, True)
+        assert _alone([2, 3]) == HOLDS
 
     def test_random_sweep(self):
         rng = random.Random(27)
-        for _ in range(400):
-            series = [rng.randint(1, 20) for _ in range(rng.randint(1, 50))]
-            assert check_harmonic_bounds(series) == HarmonicBounds(
-                True, True, True
-            ), series
+        batch = [[rng.randint(1, 20) for _ in range(rng.randint(1, 50))] for _ in range(400)]
+        assert _batch_bounds(batch) == [HOLDS] * 400
+
+    def test_takes_batches_only(self):
+        # An empty batch, or one flat series passed as the batch.
+        for batch in ([], [1, 2], [np.int64(3)], np.array([1, 2]), (5,)):
+            with pytest.raises(ValueError, match="nonempty batch"):
+                check_harmonic_bounds(batch)
 
     def test_rejects_bad_series(self):
-        for series in ([], [1, 0], [-2], [[]], [[1, 2], []], [[1, 2], [3, -1]]):
-            with pytest.raises(ValueError):
-                check_harmonic_bounds(series)
+        for batch in ([[]], [[1, 0]], [[-2]], [[1, 2], []], [[1, 2], [3, -1]]):
+            with pytest.raises(ValueError, match="nonempty positive integers"):
+                check_harmonic_bounds(batch)
 
     @pytest.mark.parametrize(
         "entry", [2.0, 1.5, np.float64(3.0), Fraction(3), "2"], ids=repr
     )
     def test_rejects_non_integer_entries(self, entry):
         # No entry is ever summed as a float, not even an integral one.
-        for series in ([1, entry], [entry, 1], [[3], [1, entry]]):
+        for batch in ([[1, entry]], [[entry, 1]], [[3], [1, entry]]):
             with pytest.raises(TypeError):
-                check_harmonic_bounds(series)
+                check_harmonic_bounds(batch)
+
+    def test_value_errors_come_before_type_errors(self):
+        for batch in ([[], [1.5]], [[0, 1.5]], [[2], [1.5, -1]]):
+            with pytest.raises(ValueError):
+                check_harmonic_bounds(batch)
 
     def test_integer_like_entries_count_as_integers(self):
-        assert check_harmonic_bounds([np.int64(2), True, 3]) == check_harmonic_bounds([2, 1, 3])
-        assert _batch_bounds([[np.uint64(2), 1], [1, 1]]) == [HarmonicBounds(True, True, True)] * 2
+        assert _alone([np.int64(2), True, 3]) == _alone([2, 1, 3])
+        assert _batch_bounds([[np.uint64(2), 1], [1, 1]]) == [HOLDS] * 2
+
+
+def _identity(a, b):
+    """``check_identity_lemmas`` on a batch of one instance, as two bools."""
+    eq_ok, le_ok = check_identity_lemmas([a], [b])
+    assert eq_ok.shape == le_ok.shape == (1,)
+    return bool(eq_ok[0]), bool(le_ok[0])
 
 
 class TestIdentityChecks:
     def test_single_term(self):
-        assert check_identity_lemmas([3.5], [0.25]) == (True, True)
+        assert _identity([3.5], [0.25]) == (True, True)
 
     def test_worked_example(self):
-        eq_ok, le_ok = check_identity_lemmas([1, 6, 3], [0.5, 0.5, 0.5])
-        assert eq_ok and le_ok
+        assert _identity([1, 6, 3], [0.5, 0.5, 0.5]) == (True, True)
 
     def test_brute_force_equality(self):
         # recompute both sides with explicit loops for one instance
@@ -487,7 +520,7 @@ class TestIdentityChecks:
                 weight *= prob if tb else 1 - prob
             lhs += weight * sum(tb * av for tb, av in zip(bits, a))
         assert abs(lhs - sum(av * bv for av, bv in zip(a, b))) < 1e-9
-        assert check_identity_lemmas(a, b) == (True, True)
+        assert _identity(a, b) == (True, True)
 
     def test_random_sweep(self):
         rng = random.Random(29)
@@ -495,24 +528,37 @@ class TestIdentityChecks:
             n = rng.randint(1, 10)
             a = [rng.uniform(0, 10) for _ in range(n)]
             b = [rng.uniform(0, 1) for _ in range(n)]
-            assert check_identity_lemmas(a, b) == (True, True)
+            assert _identity(a, b) == (True, True)
 
-    def test_exact_instances_hold_at_zero_tolerance(self):
-        # One term: both sides of each check are equal floats.
-        assert check_identity_lemmas([3.5], [0.25], tol=0.0) == (True, True)
-        assert check_identity_lemmas([2.0, 4.0], [0.5, 0.5], tol=0.0) == (True, True)
+    def test_exact_instances_hold_at_zero_tolerance(self, monkeypatch):
+        # The tolerance is read at every call.  Rounded random rows hold at
+        # 1e-9 and some fail at 0; one term, or b = 1/2 on small integers,
+        # makes both sides of each check equal floats.
+        rng = random.Random(30)
+        a = [[rng.uniform(0.0, 10.0) for _ in range(6)] for _ in range(50)]
+        b = [[rng.uniform(0.0, 1.0) for _ in range(6)] for _ in range(50)]
+        assert all(ok.all() for ok in check_identity_lemmas(a, b))
+        monkeypatch.setattr(minla.oracle, "_IDENTITY_TOL", 0.0)
+        assert not all(ok.all() for ok in check_identity_lemmas(a, b))
+        assert _identity([3.5], [0.25]) == (True, True)
+        assert _identity([2.0, 4.0], [0.5, 0.5]) == (True, True)
+
+    def test_takes_batches_only(self):
+        for a, b in (([1.0, 2.0], [0.5, 0.5]), ([1.0] * 13, [0.5] * 13), (3.5, 0.25)):
+            with pytest.raises(ValueError, match=r"\(m, N\) batches"):
+                check_identity_lemmas(a, b)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            check_identity_lemmas([1.0], [1.5])
+            check_identity_lemmas([[1.0]], [[1.5]])
         with pytest.raises(ValueError):
             check_identity_lemmas([[1.0], [2.0]], [[0.5], [-0.5]])
         with pytest.raises(ValueError):
             check_identity_lemmas([[1.0] * 13], [[0.5] * 13])
         with pytest.raises(ValueError):
-            check_identity_lemmas([1.0, 2.0], [0.5])
+            check_identity_lemmas([[1.0, 2.0]], [[0.5]])
         with pytest.raises(ValueError):
-            check_identity_lemmas([1.0] * 13, [0.5] * 13)
+            check_identity_lemmas([[]], [[]])
 
 
 class TestBoundForTrace:
