@@ -16,7 +16,6 @@ from pathlib import Path
 
 from . import __version__
 from .adversaries import TreeAdversaryConfig, random_trace, tree_adversary
-from .bench import run_paper_suite
 from .errors import CapacityError, ConfigError, InvariantError, MinlaError
 from .harness import (
     ExperimentConfig,
@@ -159,6 +158,8 @@ def _cmd_duel(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import run_paper_suite  # the suite's imports serve this command only
+
     results = run_paper_suite(str(args.out))
     for res in results:
         sys.stdout.write(res.line() + "\n")

@@ -14,6 +14,9 @@ The algebraic checks take batches only.  H_S is exact up to S = 10^4 and a
 outside a certified margin of H_S and integers over an lcm inside it.  The
 choice-vector weights are built by doubling; ``tests/conftest.py`` keeps the
 literal oracles (heap Dijkstra, ``Fraction`` sums, row products).
+
+numpy is imported on first use, by ``exhaustive_opt`` and the algebraic
+checks, so ``dp_opt`` on a trace that ends in one component never loads it.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .algorithms import closest_feasible
 from .errors import CapacityError
@@ -110,6 +111,8 @@ def _perm_graph(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The n! permutations of range(n) as rows in lexicographic order, each
     row's adjacent-transposition neighbours by row index, and each row's node
     positions."""
+    import numpy as np
+
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     # Rows read as base-n numbers ascend, so a row's index is a binary search.
     place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -131,6 +134,8 @@ def exhaustive_opt(t: RevealTrace) -> OptResult:
     path cannot turn back, so it lies in path order or its reverse).  Ties
     go to the lexicographically smallest witness, the first row.
     """
+    import numpy as np
+
     if t.n > _EXHAUSTIVE_MAX_N:
         raise CapacityError(
             f"exhaustive search supports n <= {_EXHAUSTIVE_MAX_N}, got {t.n}"
@@ -223,6 +228,7 @@ def _harmonic_float(s: int) -> float:
 
 def _pair_sums(num: np.ndarray, p: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Row sums of num / (p (p - 1)) over the valid entries."""
+    import numpy as np
     return np.divide(num, p * (p - 1), out=np.zeros_like(num), where=valid).sum(axis=1)
 
 
@@ -246,11 +252,15 @@ def check_harmonic_bounds(batch: Sequence[Sequence[int]]) -> tuple[np.ndarray, .
     one integer numerator over the lcm of its denominators, so every answer
     is exact.
     """
+    import numpy as np
+
     if len(batch) == 0 or np.ndim(batch[0]) == 0:
         raise ValueError("expected a nonempty batch: a list of series")
     lengths = np.array([len(row) for row in batch])
     values = np.array([s for row in batch for s in row])
-    if not lengths.all() or values.min() < 1:
+    # One string entry turns every entry into a string, which cannot be
+    # ordered against 1; operator.index below names it instead.
+    if not lengths.all() or (values.dtype.kind not in "SU" and values.min() < 1):
         raise ValueError("series must be nonempty positive integers")
     if values.dtype.kind != "i":
         # Bools, integers past int64 or non-integers: only integers pass, and
@@ -308,6 +318,7 @@ _IDENTITY_TOL = 1e-9
 
 @lru_cache(maxsize=_IDENTITY_MAX_N + 1)
 def _choice_matrix(n: int) -> np.ndarray:
+    import numpy as np
     rows = np.arange(1 << n, dtype=np.int64)
     return ((rows[:, None] >> np.arange(n)) & 1).astype(np.float64)
 
@@ -325,6 +336,8 @@ def check_identity_lemmas(a: Sequence, b: Sequence) -> tuple[np.ndarray, np.ndar
     m, each check within ``_IDENTITY_TOL``; every row's floats equal, bit
     for bit, those of the row-product reference in the tests.
     """
+    import numpy as np
+
     av, bv = (np.asarray(x, dtype=np.float64) for x in (a, b))
     if av.ndim != 2 or av.shape != bv.shape:
         raise ValueError("a and b must be (m, N) batches of equal shape")
@@ -338,6 +351,7 @@ def check_identity_lemmas(a: Sequence, b: Sequence) -> tuple[np.ndarray, np.ndar
 
 def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Each row of ``x`` dotted with its row of ``y``: a 1-D ``@`` per row."""
+    import numpy as np
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
@@ -347,6 +361,8 @@ def _identity_sides(av: np.ndarray, bv: np.ndarray) -> tuple[np.ndarray, ...]:
     bit j is t_j), multiplying each choice vector's factors in order; the
     choice sums take one matrix-vector product per row.  ``av @ choice.T``
     and ``einsum`` sum in another order and change the last bits."""
+    import numpy as np
+
     weights = np.ones((len(av), 1))
     for bj in bv.T[:, :, None]:
         weights = np.concatenate((weights * (1.0 - bj), weights * bj), axis=1)

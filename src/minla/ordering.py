@@ -13,6 +13,10 @@ O((m + s) * m^2) reconstruction.  One numpy table serves every size: it is
 filled a popcount layer at a time, in slices of bounded size.  A hard cap on
 the state count guards the exponential table.
 
+numpy is imported on first use, by the functions that fill the table, so a
+process whose block orders all have one block (every full trace) never
+loads it.
+
 :func:`solve_block_order` is the one entry point, for ``det`` and the clique
 oracle alike: it checks the cap, then builds the weights and applies the
 singleton rule.
@@ -23,8 +27,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from typing import Sequence
-
-import numpy as np
 
 from .errors import CapacityError
 
@@ -61,6 +63,8 @@ def _popcount_layers(m: int) -> tuple[np.ndarray, ...]:
     Cached for every block count: the entry at the largest m dominates, so
     keeping the smaller ones at most doubles the memory.
     """
+    import numpy as np
+
     full = 1 << m
     pc = np.zeros(full, dtype=np.uint8)
     for i in range(m):
@@ -75,6 +79,8 @@ def _costs(rows, tail, m: int, s: int) -> np.ndarray:
     """g[t * (s + 1) + k]: least cost of ordering the blocks in t and the
     last k singletons, the singletons in order.  Tabled by popcount layer:
     each (subset, first block) pair of a layer is one candidate row."""
+    import numpy as np
+
     full = 1 << m
     rarr = np.array([*rows[:m], [0] * m, *rows[m:]], dtype=np.int64)
     # Row m + k becomes the sum of the last k singletons' rows, so that

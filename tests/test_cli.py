@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -540,6 +541,28 @@ def _subprocess_cli(cwd, *argv, stub="", **env):
     return done.stdout
 
 
+def _fresh_commands(cwd, commands):
+    """Runs ``commands`` (argv lists) in turn through ``minla`` in one fresh
+    interpreter; returns per command its exit code, its stdout and which of
+    numpy and ``minla.bench`` were loaded once it returned."""
+    code = (
+        "import contextlib, io, json, sys\nfrom minla.cli import main\nruns = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        status = main(argv)\n"
+        "    loaded = [m for m in ('numpy', 'minla.bench') if m in sys.modules]\n"
+        "    runs.append((status, out.getvalue(), loaded))\n"
+        "print(json.dumps(runs))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=str(_SRC)), capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return [tuple(run) for run in json.loads(done.stdout)]
+
+
 class TestUtf8Files:
     """Every file the CLI reads or writes is UTF-8 whatever the locale."""
 
@@ -597,3 +620,74 @@ class TestUtf8Files:
         text = out["utf8"].decode("utf-8")
         rows = csv.DictReader(io.StringIO(text)) if fmt == "csv" else json.loads(text)["records"]
         assert {row["trace_id"] for row in rows} == {"café"}
+
+
+class TestColdStart:
+    """Commands that run no exact solver load neither numpy nor the paper
+    suite; the ones that do load numpy on first use, with unchanged output."""
+
+    def test_light_commands_load_neither(self, tmp_path, capsys):
+        light = [
+            ["gen", "--kind", "random", "--model", "lines", "--n", "8", "--seed", "4"],
+            ["gen", "--kind", "tree", "--model", "lines", "--n", "8", "--seed", "4"],
+        ]
+        for model in ("lines", "cliques"):
+            path = str(tmp_path / f"{model}.txt")
+            main(["gen", "--kind", "random", "--model", model, "--n", "7", "--seed", "4",
+                  "--out", path])
+            light += [
+                ["simulate", "--algo", "rand", "--trace", path, "--seed", "1",
+                 "--trials", "3", "--format", fmt]
+                for fmt in ("csv", "json")
+            ]
+            light.append(["opt", "--trace", path])  # one component at the end
+        light += [
+            ["verify", "--lemma", lemma, "--trials", "1000", "--seed", "1"]
+            for lemma in ("left-right", "orientation")
+        ]
+        heavy = [
+            ["simulate", "--algo", "det", "--trace", str(tmp_path / "lines.txt"),
+             "--seed", "1", "--trials", "1"],
+            ["opt", "--trace", str(tmp_path / "cliques.txt"), "--exhaustive"],
+            ["verify", "--lemma", "identities", "--trials", "1000", "--seed", "1"],
+        ]
+        runs = _fresh_commands(tmp_path, light + heavy)
+        for argv, (status, out, loaded) in zip(light + heavy, runs):
+            assert (status, out) == run_cli(capsys, *argv)[:2] and status == 0, argv
+            if argv in light:
+                assert loaded == [], argv
+        # The first exact solver loads numpy, and nothing loads the suite.
+        assert runs[len(light)][2] == ["numpy"]
+
+    def test_no_module_imports_numpy_or_the_suite_when_imported(self):
+        found = []
+        for path in sorted((_SRC / "minla").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in _import_time_nodes(tree):
+                for name in _imported_modules(node):
+                    if name.split(".")[0] == "numpy" or (
+                        name == "minla.bench" and path.stem != "bench"
+                    ):
+                        found.append(f"{path.name}:{node.lineno} imports {name}")
+        assert found == []
+
+
+def _import_time_nodes(tree):
+    """Every import statement that runs when the module is imported: all but
+    those inside a function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _imported_modules(node):
+    """The modules an import statement in the ``minla`` package may load."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    base = ".".join(filter(None, ["minla" if node.level else None, node.module]))
+    # ``from pkg import name`` loads pkg, and pkg.name when that is a module.
+    return [base] + [f"{base}.{alias.name}" for alias in node.names]

@@ -478,9 +478,10 @@ class TestHarmonicBounds:
         "entry", [2.0, 1.5, np.float64(3.0), Fraction(3), "2"], ids=repr
     )
     def test_rejects_non_integer_entries(self, entry):
-        # No entry is ever summed as a float, not even an integral one.
+        # No entry is ever summed as a float, not even an integral one, and a
+        # string is named as such, not reported by a numpy ufunc.
         for batch in ([[1, entry]], [[entry, 1]], [[3], [1, entry]]):
-            with pytest.raises(TypeError):
+            with pytest.raises(TypeError, match="object cannot be interpreted as an integer"):
                 check_harmonic_bounds(batch)
 
     def test_value_errors_come_before_type_errors(self):
