@@ -132,10 +132,11 @@ def closest_feasible(pi0: Permutation, parts: ComponentPartition) -> Permutation
     for root in parts.components():
         if parts.model is Model.CLIQUES:
             seq = sorted(parts.nodes_of(root), key=pos0.__getitem__)
+            sorted_pos.append([pos0[v] for v in seq])
         else:
             seq = _oriented_path(parts.path_of(root), pos0)
+            sorted_pos.append(sorted(pos0[v] for v in seq))
         seqs.append(seq)
-        sorted_pos.append(sorted(pos0[v] for v in seq))
     return Permutation(solve_block_order(seqs, sorted_pos)[1])
 
 

@@ -9,9 +9,10 @@ order, since swapping two inverted singletons strictly lowers the count and
 keeps every block contiguous.  The program therefore runs over (subset of the
 m multi-node blocks) x (number of trailing singletons): 2^m * (s + 1) states
 for s singletons, O(2^m * (m + 1) * (s + 1)) table work plus an
-O((m + s) * m^2) reconstruction.  One numpy table serves every size: it is
-filled a popcount layer at a time, in slices of bounded size.  A hard cap on
-the state count guards the exponential table.
+O((m + s) * m) rebuild that reads every head cost off the table's row sums
+and singleton tails.  One numpy table serves every size: it is filled a
+popcount layer at a time, in slices of bounded size.  A hard cap on the
+state count guards the exponential table.
 
 numpy is imported on first use, by the functions that fill the table, so a
 process whose block orders all have one block (every full trace) never
@@ -75,28 +76,31 @@ def _popcount_layers(m: int) -> tuple[np.ndarray, ...]:
     return tuple(order[bounds[c] : bounds[c + 1]] for c in range(m + 1))
 
 
-def _costs(rows, tail, m: int, s: int) -> np.ndarray:
-    """g[t * (s + 1) + k]: least cost of ordering the blocks in t and the
-    last k singletons, the singletons in order.  Tabled by popcount layer:
-    each (subset, first block) pair of a layer is one candidate row."""
+def _costs(rows, sizes: Sequence[int], s: int) -> tuple[np.ndarray, ...]:
+    """(g, sums, tail) for blocks of ``sizes`` nodes and s singletons, from
+    ``rows``, the blocks' weight rows then the singletons' in reference
+    order.  g[t, k] is the least cost of ordering the blocks in t and the
+    last k singletons, the singletons in order; sums[t, r] that of block r
+    (r < m), or the last r - m singletons, before t; tail[j, k] that of
+    block j before the last k singletons.  Tabled by popcount layer: each
+    (subset, first block) pair of a layer is one candidate row."""
     import numpy as np
 
+    m = len(sizes)
     full = 1 << m
     rarr = np.array([*rows[:m], [0] * m, *rows[m:]], dtype=np.int64)
-    # Row m + k becomes the sum of the last k singletons' rows, so that
-    # sums[t, m + k] below is the cost of placing them before t.
+    # Row m + k becomes the sum of the last k singletons' rows (block nodes
+    # left of them); the rest of block j's k * |B_j| pairs are its tail.
     rarr[m + 1 :] = np.cumsum(rarr[:m:-1], axis=0)
+    tail = (np.arange(s + 1)[:, None] * np.array(sizes, dtype=np.int64) - rarr[m:]).T
     # int32 keeps the table small near the cap; a row sum (accumulated rows
     # included) of 2^31 or more, reachable from about 93k nodes, needs int64.
     if rarr.sum(axis=1).max() < 1 << 31:
         rarr = rarr.astype(np.int32)
-    # sums[t, r] = sum of rarr[r][i] over the blocks i in t: the cost of
-    # placing block r (r < m), or the last r - m singletons, before t.
     sums = np.zeros((full, m + s + 1), dtype=rarr.dtype)
     for i in range(m):
         lo = 1 << i
         np.add(sums[:lo], rarr[:, i], out=sums[lo : 2 * lo])
-    tarr = np.asarray(tail, dtype=np.int64)
     g = np.zeros((full, s + 1), dtype=np.int64)
     bits = 1 << np.arange(m)
     layers = _popcount_layers(m)
@@ -108,7 +112,7 @@ def _costs(rows, tail, m: int, s: int) -> np.ndarray:
             row, j = np.nonzero(rs[:, None] & bits)
             t = rs[row]
             cand = g.take(t ^ bits[j], axis=0)
-            cand += tarr.take(j, axis=0)
+            cand += tail.take(j, axis=0)
             cand += sums[t, j][:, None]
             best = cand.reshape(rs.size, c, s + 1).min(axis=1)
             if s:
@@ -119,7 +123,7 @@ def _costs(rows, tail, m: int, s: int) -> np.ndarray:
                 np.minimum.accumulate(best, axis=1, out=best)
                 best += lead
             g[rs] = best
-    return g.ravel()
+    return g, sums, tail
 
 
 def solve_block_order(
@@ -158,31 +162,25 @@ def solve_block_order(
     # Block nodes left of each singleton: the cost of the singleton before
     # the block; the block's other nodes are the cost of the reverse.
     w_sb = [[bisect_left(pos, p) for pos in blocks] for p, _ in singles]
-    width = s + 1
-    # tail[i][k]: block i before the last k singletons.
-    tail = [[0] * width for _ in range(m)]
-    for i, pos in enumerate(blocks):
-        for k in range(1, width):
-            tail[i][k] = tail[i][k - 1] + len(pos) - w_sb[s - k][i]
-    g = _costs([*w, *w_sb], tail, m, s)
+    g, sums, tail = _costs([*w, *w_sb], [len(pos) for pos in blocks], s)
 
     # Rebuild front to back from (all blocks, all singletons); the candidates
     # are the remaining blocks and the first remaining singleton.
     node_at: list[int] = []
     t, k = (1 << m) - 1, s
     while t or k:
-        bits = [j for j in range(m) if t >> j & 1]
-        target = int(g[t * width + k])
+        target = g.item(t, k)
         best, best_key = -1, None
-        for j in bits:
-            head = tail[j][k] + sum(w[j][i] for i in bits)
-            if head + int(g[(t ^ 1 << j) * width + k]) == target:
-                key = seqs[multi[j]][0]
-                if best < 0 or key < best_key:
-                    best, best_key = j, key
+        for j in range(m):
+            if t >> j & 1:
+                head = tail.item(j, k) + sums.item(t, j)
+                if head + g.item(t ^ 1 << j, k) == target:
+                    key = seqs[multi[j]][0]
+                    if best < 0 or key < best_key:
+                        best, best_key = j, key
         if k:
-            head = sum(w_sb[s - k][i] for i in bits)
-            if head + int(g[t * width + k - 1]) == target:
+            head = sums.item(t, m + k) - sums.item(t, m + k - 1)
+            if head + g.item(t, k - 1) == target:
                 if best < 0 or singles[s - k][1] < best_key:
                     best = m
         if best < m:
@@ -191,4 +189,4 @@ def solve_block_order(
         else:
             node_at.append(singles[s - k][1])
             k -= 1
-    return int(g[-1]), node_at
+    return g.item(-1, s), node_at

@@ -273,27 +273,30 @@ def _subset_costs_np(w, m: int) -> np.ndarray:
     return g
 
 
-def _costs_py(rows, tail, m: int, s: int) -> list[int]:
-    """The table of ``ordering._costs`` as plain loops: g[t * (s + 1) + k] is
-    the least cost of ordering the blocks in t and the last k singletons,
-    the singletons in order."""
+def _costs_py(rows, sizes, s: int):
+    """The tables of ``ordering._costs`` as plain loops: g[t][k] is the least
+    cost of ordering the blocks in t and the last k singletons, the
+    singletons in order, and tail[j][k] that of block j before the last k
+    singletons; returns (g, tail)."""
+    m = len(sizes)
     width = s + 1
-    g = [0] * ((1 << m) * width)
+    # tail[i][k]: block i before the last k singletons.
+    tail = [[0] * width for _ in range(m)]
+    for i, size in enumerate(sizes):
+        for k in range(1, width):
+            tail[i][k] = tail[i][k - 1] + size - rows[m + s - k][i]
+    g = [[0] * width for _ in range(1 << m)]
     for t in range(1, 1 << m):
         bits = [j for j in range(m) if t >> j & 1]
-        moves = [
-            ((t ^ 1 << j) * width, sum(rows[j][i] for i in bits), tail[j])
-            for j in bits
-        ]
-        base = t * width
+        moves = [(g[t ^ 1 << j], sum(rows[j][i] for i in bits), tail[j]) for j in bits]
         for k in range(width):
-            best = min(g[prev + k] + head + tj[k] for prev, head, tj in moves)
+            best = min(prev[k] + head + tj[k] for prev, head, tj in moves)
             if k:
-                lead = g[base + k - 1] + sum(rows[m + s - k][i] for i in bits)
+                lead = g[t][k - 1] + sum(rows[m + s - k][i] for i in bits)
                 if lead < best:
                     best = lead
-            g[base + k] = best
-    return g
+            g[t][k] = best
+    return g, tail
 
 
 def reference_block_order(w, tie_keys):
@@ -362,9 +365,11 @@ def frequency_counts(trace, finals, kind: str) -> list[int]:
     return counts
 
 
-@functools.lru_cache(maxsize=3)
+@functools.lru_cache(maxsize=7)
 def _reference_perm_graph(n: int):
-    """All permutations of range(n) with adjacent-transposition neighbors."""
+    """All permutations of range(n) with adjacent-transposition neighbors,
+    kept for every n <= 7 (the n = 7 graph holds 5,040 permutations), since
+    traces of all those sizes interleave."""
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     neighbors = [

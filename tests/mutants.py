@@ -40,6 +40,7 @@ class Mutant:
 
 _ENGINE = "src/minla/algorithms.py"
 _REPLAY = "src/minla/trace.py"
+_ORDERING = "src/minla/ordering.py"
 _RAND_TESTS = (
     "tests/test_algorithms.py::TestWindowedKernel",
     "tests/test_harness.py::TestVerifyLemma::test_frequencies_match_reference_permutations",
@@ -251,6 +252,33 @@ MUTANTS: tuple[Mutant, ...] = (
         "clique-opt-child-tie", "src/minla/oracle.py",
         "seq_a[0] < seq_b[0]", "seq_a[0] > seq_b[0]",
         ("tests/test_oracle.py::TestDpOpt::test_clique_triangle_after_edge",),
+    ),
+    # The block-order solver: the rebuild's tie-break and the lead
+    # singleton's head cost, and the table's running minimum over the
+    # trailing singletons.
+    Mutant(
+        "block-tie-prefers-larger-node", _ORDERING,
+        "key < best_key", "key > best_key",
+        (
+            "tests/test_ordering.py::TestSolveBlockOrder::test_lexicographic_tie_break",
+            "tests/test_ordering.py::TestSolveBlockOrder::test_matches_brute_force",
+        ),
+    ),
+    Mutant(
+        "lead-head-keeps-the-last-singletons", _ORDERING,
+        "sums.item(t, m + k) - sums.item(t, m + k - 1)", "sums.item(t, m + k)",
+        (
+            "tests/test_ordering.py::TestSolveBlockOrder::test_singleton_and_block_tie",
+            "tests/test_ordering.py::TestSingletonAwareOrder::test_matches_reference_on_layouts",
+        ),
+    ),
+    Mutant(
+        "running-minimum-skipped", _ORDERING,
+        "np.minimum.accumulate(best, axis=1, out=best)", "pass",
+        (
+            "tests/test_ordering.py::TestSingletonAwareOrder::test_tables_agree",
+            "tests/test_ordering.py::TestSingletonAwareOrder::test_matches_reference_on_layouts",
+        ),
     ),
     # Output digits and trial seeds.
     Mutant(

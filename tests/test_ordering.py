@@ -91,6 +91,19 @@ class TestSolveBlockOrder:
         seqs, sorted_pos = identity_layout([[3, 0], [2, 1]])
         assert solve_block_order(seqs, sorted_pos) == (2, [2, 1, 3, 0])
 
+    @pytest.mark.parametrize("block,first", [
+        ([0, 2], [0, 2, 1]),  # the singleton's node 1 after the block's 0
+        ([2, 0], [1, 2, 0]),  # and before the block's 2
+    ])
+    def test_singleton_and_block_tie(self, block, first):
+        # The block at {0, 2} and the singleton at 1 cost 1 in either order
+        # and both begin an optimal rest, ahead of {3, 4} and 5: the
+        # leading nodes decide.
+        seqs, sorted_pos = [block, [1], [3, 4], [5]], [[0, 2], [1], [3, 4], [5]]
+        expected = (1, first + [3, 4, 5])
+        assert reference_layout(seqs, sorted_pos) == expected
+        assert solve_block_order(seqs, sorted_pos) == expected
+
     def test_python_and_vector_paths_agree(self):
         rng = random.Random(2)
         for m in range(1, 13):
@@ -146,12 +159,17 @@ def random_layout(rng, m, s, spare=4):
 
 
 def random_table_input(rng, m, s, hi=20):
-    """``_costs`` arguments: block rows up to ``hi``, singleton rows up to
-    ``hi // 4`` and nondecreasing tails."""
+    """``_costs`` arguments: block rows up to ``hi``, block sizes up to
+    ``hi // 4`` and singleton rows up to each block's size."""
     rows = [[0 if i == j else rng.randint(0, hi) for i in range(m)] for j in range(m)]
-    rows += [[rng.randint(0, hi // 4) for _ in range(m)] for _ in range(s)]
-    tail = [[0] + sorted(rng.randint(0, 30) for _ in range(s)) for _ in range(m)]
-    return rows, tail
+    sizes = [rng.randint(2, max(2, hi // 4)) for _ in range(m)]
+    rows += [[rng.randint(0, size) for size in sizes] for _ in range(s)]
+    return rows, sizes
+
+
+def assert_tables_agree(rows, sizes, s):
+    g, _, tail = _costs(rows, sizes, s)
+    assert (g.tolist(), tail.tolist()) == _costs_py(rows, sizes, s)
 
 
 class TestSingletonAwareOrder:
@@ -159,8 +177,7 @@ class TestSingletonAwareOrder:
         rng = random.Random(3)
         for m in range(0, 9):
             for s in range(0, 7):
-                rows, tail = random_table_input(rng, m, s)
-                assert _costs_py(rows, tail, m, s) == list(_costs(rows, tail, m, s))
+                assert_tables_agree(*random_table_input(rng, m, s), s)
 
     @pytest.mark.parametrize("hi", [20, 10**9])
     def test_tables_agree_across_slices(self, hi, monkeypatch):
@@ -172,9 +189,9 @@ class TestSingletonAwareOrder:
         rng = random.Random(hi)
         largest = 0
         for m, s in [(1, 0), (3, 2), (5, 0), (6, 1), (7, 3), (8, 9), (9, 2)]:
-            rows, tail = random_table_input(rng, m, s, hi)
+            rows, sizes = random_table_input(rng, m, s, hi)
             largest = max(largest, *map(sum, rows))
-            assert _costs_py(rows, tail, m, s) == list(_costs(rows, tail, m, s))
+            assert_tables_agree(rows, sizes, s)
         assert (largest >= 1 << 31) == (hi > 20)
 
     def test_singleton_totals_widen(self):
@@ -182,10 +199,10 @@ class TestSingletonAwareOrder:
         # together pass it, and the table holds those totals.
         rng = random.Random(6)
         m, s = 3, 9
-        rows, tail = random_table_input(rng, m, s)
+        rows, _ = random_table_input(rng, m, s)
         rows[m:] = [[1 << 28] * m for _ in range(s)]
         assert max(map(sum, rows)) < 1 << 31 <= sum(map(sum, rows[m:]))
-        assert _costs_py(rows, tail, m, s) == list(_costs(rows, tail, m, s))
+        assert_tables_agree(rows, [1 << 29] * m, s)
 
     @pytest.mark.parametrize("m,s", [
         (0, 1), (0, 9), (1, 0), (1, 1), (3, 0), (3, 1), (5, 3), (6, 2),
