@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvariantError
@@ -46,9 +47,9 @@ class AlgoState:
     elsewhere; ``left_end[root]`` (lines) is the path end laid out first,
     ``blocks[root]`` (cliques) the block's node sequence.  ``current`` lays
     the arrangement out on request.  ``det`` keeps its arrangement in
-    ``fixed`` (``None`` while at pi0).  The final states of
-    :func:`run_trials` share the trace's replayed final ``parts`` and only
-    read it; :func:`rand_step` merges the state's own ``parts``."""
+    ``fixed`` (``None`` while at pi0).  A state steps only on a partition of
+    its own, as from :func:`run`; :func:`run_trials` states share the
+    trace's read-only replay and cannot step."""
 
     pi0: Permutation
     parts: ComponentPartition
@@ -252,7 +253,7 @@ def run_trials(trace: RevealTrace, seeds: Iterable[int]) -> Iterator[AlgoState]:
     gauss cache, which no coin reads).  Each step checks its trial's state
     in O(1); every final arrangement is laid out and checked for contiguity
     before its state is yielded.  A failure raises :class:`InvariantError`.
-    The yielded states share the replay's final partition and only read it.
+    The yielded states share the replay's read-only partition and cannot step.
     """
     replay = trace.replay
     start = AlgoState.initial(trace.pi0, replay.final)
@@ -270,25 +271,22 @@ def run_trials(trace: RevealTrace, seeds: Iterable[int]) -> Iterator[AlgoState]:
 
 
 def run(algo: str, trace: RevealTrace, seed: int = 0) -> AlgoState:
-    """Replay every event of ``trace`` with the chosen algorithm and return
-    the final state.
+    """Replay every event of ``trace`` with the chosen algorithm, one
+    :func:`det_step` or :func:`rand_step` each, and return the final state,
+    which owns its partition and can step on.
 
-    Deterministic for a given (algo, trace, seed); ``det`` ignores the seed.
-    ``rand`` is :func:`run_trials` with one seed and ``det`` one
-    :func:`det_step` per event; both check their arrangements as
-    :func:`~minla.feasibility.is_minla` does.  A failure raises
-    :class:`InvariantError`.  The final state carries the move and
-    rearrangement costs; per-step costs are the change in them around each
-    step.
+    Deterministic for a given (algo, trace, seed); ``det`` ignores the seed
+    and ``rand`` draws from ``random.Random(seed)``, the stream that
+    :func:`run_trials` gives an int seed.  Arrangements are checked as
+    :func:`~minla.feasibility.is_minla` does (else :class:`InvariantError`).
+    The final state carries the move and rearrangement costs; per-step
+    costs are the change in them around each step.
     """
-    if algo == "rand":
-        # The caller may step the state on, so it gets its own partition.
-        state = next(run_trials(trace, (seed,)))
-        state.parts = state.parts.copy()
-        return state
-    if algo != "det":
+    if algo not in ("det", "rand"):
         raise ValueError(f"unknown algorithm {algo!r}")
+    step = det_step if algo == "det" else partial(rand_step, rng=random.Random(seed))
     state = AlgoState.initial(trace.pi0, ComponentPartition(trace.n, trace.model))
     for event in trace.events:
-        det_step(state, event)
+        step(state, event)
+    _check_full(state)
     return state

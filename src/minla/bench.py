@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, wraps
+from pathlib import Path
 from typing import Callable, Sequence
 
 from . import harness
@@ -257,7 +258,7 @@ def criterion_tree_sandwich() -> tuple[bool, str]:
         for i in range(samples):
             trace = tree_adversary(TreeAdversaryConfig(q=q, seed=109_000 + q * 10_000 + i))
             seed = derive_trial_seed(109, q * samples + i)
-            result = run("rand", trace, seed=seed)
+            result = next(run_trials(trace, (seed,)))
             cost_sum += result.total_cost
             opt_sum += dp_opt(trace).cost
         ratio = cost_sum / opt_sum
@@ -384,17 +385,16 @@ def criterion_coin_vectors() -> tuple[bool, str]:
 def run_paper_suite(out_dir: str | None = None) -> list[CriterionResult]:
     """Run every acceptance criterion; optionally write one report per
     criterion, a summary and the seconds each criterion took (kept out of
-    the summary, so that it stays byte-identical) into ``out_dir``."""
+    the summary, so that it stays byte-identical) into ``out_dir``, which
+    is made before the first criterion runs, so a bad path fails at once."""
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     results, seconds = [], []
     for fn in ALL_CRITERIA:
         start = time.perf_counter()
         results.append(fn())
         seconds.append(time.perf_counter() - start)
     if out_dir is not None:
-        import pathlib
-
-        path = pathlib.Path(out_dir)
-        path.mkdir(parents=True, exist_ok=True)
         files = {
             f"criterion-{res.index:02d}-{res.name}.txt": res.line() + "\n"
             for res in results
@@ -405,5 +405,5 @@ def run_paper_suite(out_dir: str | None = None) -> list[CriterionResult]:
             for res, secs in zip(results, seconds)
         ) + f"total: {sum(seconds):.2f} s\n"
         for name, text in files.items():
-            (path / name).write_text(text, encoding="utf-8")
+            (Path(out_dir) / name).write_text(text, encoding="utf-8")
     return results

@@ -103,7 +103,9 @@ def _cmd_gen(args) -> int:
             raise ConfigError("tree traces are line traces; use --model lines")
         q = args.n.bit_length() - 1
         if args.n < 2 or 1 << q != args.n:
-            raise ConfigError(f"tree traces need n to be a power of two, got {args.n}")
+            raise ConfigError(
+                f"tree traces need n to be a power of two of at least 2, got {args.n}"
+            )
         trace = tree_adversary(TreeAdversaryConfig(q=q, seed=args.seed))
     _write_or_print(emit_trace(trace), args.out)
     return EXIT_OK

@@ -5,9 +5,10 @@ closed forms behind the probabilistic and algebraic guarantees.
 move from the initial permutation to a permutation that stays feasible at
 every step.  For lines this is the true offline optimum (sub-paths of a
 contiguous path are contiguous); for cliques the always-feasible set is the
-laminar family of the merge forest, and ``exhaustive_opt`` certifies the
-equality on small instances by a shortest-path search over all schedules, a
-level-by-level numpy search over the cached permutation graph of n <= 7.
+laminar family of the merge forest.  No proof in the code shows that this is
+optimal over all update schedules: ``exhaustive_opt``, a level-by-level numpy
+search over the cached permutation graph of n <= 7, checks the equality only
+on criterion 7's 440 random traces and in the tests, all with n <= 7.
 
 The algebraic checks take batches only.  H_S is exact up to S = 10^4 and a
 ``CapacityError`` past it; below, the harmonic sums are float row sums

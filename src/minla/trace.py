@@ -46,7 +46,7 @@ class RevealTrace:
     """A valid trace: construction runs :func:`validate_trace`, so every
     instance replays without error and nothing downstream checks it again.
     ``replay`` is the :class:`Replay` that validation built; readers share
-    it and must not change it.  It takes no part in equality or hashing."""
+    it and cannot merge its partition.  It takes no part in equality or hashing."""
 
     model: Model
     n: int
@@ -76,18 +76,12 @@ class ComponentPartition:
         # Read on every merge and path lookup, where an enum compare costs
         # ten times a bool test.
         self._lines = model is Model.LINES
+        self._read_only = False
         self._parent = list(range(n))
         # Paths are tuples, rebuilt per merge; clique lists grow in place.
         self._nodes: dict[int, list[int] | tuple[int, ...]] = {
             v: (v,) if self._lines else [v] for v in range(n)
         }
-
-    def copy(self) -> "ComponentPartition":
-        """An independent partition with the same components and roots."""
-        twin = ComponentPartition(0, self.model)
-        twin.n, twin._parent = self.n, self._parent[:]
-        twin._nodes = {r: nodes[:] for r, nodes in self._nodes.items()}
-        return twin
 
     def find(self, v: int) -> int:
         parent = self._parent
@@ -152,8 +146,11 @@ class ComponentPartition:
         The only way a partition changes.  For lines, ``u`` and ``v`` must be
         endpoints of their paths; the merged path order runs through u's
         path (u last) into v's path (v first).  A rejected event raises
-        :class:`TraceValidationError` before anything is written.
+        :class:`TraceValidationError` before anything is written, and a
+        read-only partition raises :class:`ValueError`.
         """
+        if self._read_only:
+            raise ValueError("a trace's replay is read-only; step a state from run()")
         ru, rv = self.find(u), self.find(v)
         if ru == rv:
             raise TraceValidationError(
@@ -195,7 +192,7 @@ class Replay(NamedTuple):
     path and of the merged path, the orientation coin's bound C(xl + zl, 2)
     with its bit width, and the cost terms C(xl, 2), C(zl, 2) and xl * zl.
     ``final`` is the last partition, every node pointing at its root, so
-    finds on it only read.
+    finds on it only read; it is read-only, so merging it raises.
     """
 
     rows: tuple[tuple, ...]
@@ -228,6 +225,7 @@ def validate_trace(t: RevealTrace) -> Replay:
     for root, nodes in parts._nodes.items():
         for v in nodes:
             parts._parent[v] = root
+    parts._read_only = True
     return Replay(tuple(rows), parts)
 
 

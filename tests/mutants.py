@@ -111,6 +111,12 @@ MUTANTS: tuple[Mutant, ...] = (
             "test_rejected_merge_leaves_the_partition_unchanged",
         ),
     ),
+    # A trace's replayed partition refuses merges.
+    Mutant(
+        "read-only-replay-merges", _REPLAY,
+        "if self._read_only:", "if False:",
+        ("tests/test_algorithms.py::TestOneReplay::test_replay_refuses_merges",),
+    ),
     Mutant(
         "merged-ends-swapped", _REPLAY,
         "ends = merged[0], merged[-1]", "ends = merged[-1], merged[0]",

@@ -120,7 +120,8 @@ def test_tree_sandwich_lower_bound_bites(monkeypatch):
     # log2(n) / 16 = 0.25, 0.375, 0.5: the sandwich's lower side must fail.
     monkeypatch.setattr(bench, "tree_adversary", lambda config: config.q)
     monkeypatch.setattr(
-        bench, "run", lambda algo, q, seed: SimpleNamespace(total_cost=q // 2 - 1)
+        bench, "run_trials",
+        lambda q, seeds: iter([SimpleNamespace(total_cost=q // 2 - 1)]),
     )
     monkeypatch.setattr(bench, "dp_opt", lambda q: SimpleNamespace(cost=10))
     assert bench.criterion_tree_sandwich().line() == (

@@ -28,6 +28,7 @@ from minla import (
     is_minla,
     kendall_tau,
     derive_trial_seed,
+    dp_opt,
     rand_step,
     random_trace,
     run,
@@ -571,3 +572,45 @@ class TestOneReplay:
             assert trace.replay.rows is rows and trace.replay.final is final
             assert (rows, vars(final)) == before
             assert [_totals(state) for state in run_trials(trace, seeds)] == first
+
+    @pytest.mark.parametrize("misuse", ["rand_step", "det_step", "merge"])
+    def test_replay_refuses_merges(self, misuse):
+        # The last node of one final path joined to the first node of
+        # another: an event a partition of its own would accept.
+        trace = random_trace(Model.LINES, 8, seed=1, events=4)
+        final = trace.replay.final
+        paths = [final.path_of(r) for r in final.components() if final.size_of(r) > 1]
+        event = RevealEvent(paths[0][-1], paths[1][0])
+        before = copy.deepcopy((trace.replay.rows, vars(final)))
+        assert dp_opt(trace).cost == 3
+        with pytest.raises(ValueError, match="replay is read-only"):
+            if misuse == "rand_step":
+                rand_step(next(run_trials(trace, [1])), event, random.Random(1))
+            elif misuse == "det_step":
+                det_step(next(run_trials(trace, [1])), event)
+            else:
+                final.merge(event.u, event.v)
+        assert (trace.replay.rows, vars(final)) == before
+        assert dp_opt(trace).cost == 3
+
+    @pytest.mark.parametrize("full", [
+        random_trace(Model.CLIQUES, 12, seed=43),
+        random_trace(Model.LINES, 12, seed=43),
+        tree_adversary(TreeAdversaryConfig(q=4, seed=3)),
+    ], ids=["cliques", "lines", "tree"])
+    def test_run_matches_run_trials_and_steps_on(self, full):
+        # run steps a partition of its own, event by event, from the stream
+        # run_trials gives the same seed; the trace stops one event early,
+        # so the state can take the last one.
+        trace = dataclasses.replace(full, events=full.events[:-1])
+
+        def view(state):
+            return (_totals(state), state.rep, state.left_end, state.blocks,
+                    state.current)
+
+        for seed, trial in zip(self.SEEDS, run_trials(trace, self.SEEDS)):
+            state = run("rand", trace, seed)
+            assert view(state) == view(trial)
+            rand_step(state, full.events[-1], random.Random(seed))
+            assert state.parts.num_components == trace.replay.final.num_components - 1
+            assert is_minla(state.current, state.parts)

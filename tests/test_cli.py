@@ -53,6 +53,16 @@ class TestGen:
         assert code == 2
         assert "power of two" in err
 
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_tree_message_states_the_rule(self, capsys, n):
+        # 1 = 2^0 is a power of two too: the rule asks for at least 2.
+        code, out, err = run_cli(
+            capsys, "gen", "--kind", "tree", "--model", "lines", "--n", str(n),
+            "--seed", "4",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: tree traces need n to be a power of two of at least 2, got {n}\n"
+
     def test_tree_requires_lines(self, capsys):
         code, _, err = run_cli(
             capsys, "gen", "--kind", "tree", "--model", "cliques", "--n", "8",
@@ -469,6 +479,21 @@ class TestBench:
             capsys, "bench", "--suite", "paper", "--out", str(tmp_path / "r")
         )
         assert code == 0
+
+    def test_bad_out_fails_before_any_criterion(self, capsys, tmp_path, monkeypatch):
+        from minla import bench
+
+        calls = []
+        monkeypatch.setattr(
+            bench,
+            "ALL_CRITERIA",
+            (lambda: calls.append(1) or bench.CriterionResult(1, "alpha", True, "fine"),),
+        )
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        code, out, err = run_cli(capsys, "bench", "--suite", "paper", "--out", str(taken))
+        assert (code, out, calls) == (2, "", [])
+        assert "File exists" in err
 
 
 class TestDuel:
