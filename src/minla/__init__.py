@@ -56,6 +56,7 @@ from .adversaries import (
 )
 from .harness import (
     DuelReport,
+    Experiment,
     ExperimentConfig,
     TrialStats,
     VerifyReport,
@@ -108,6 +109,7 @@ __all__ = [
     "MiddleLineAdversary",
     "random_trace",
     "ExperimentConfig",
+    "Experiment",
     "TrialStats",
     "run_experiment",
     "VerifyReport",

@@ -14,6 +14,7 @@ below the denominator, so no floating point enters the randomness.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from functools import partial
@@ -248,11 +249,12 @@ def run_trials(trace: RevealTrace, seeds: Iterable[int]) -> Iterator[AlgoState]:
 
     Each trial steps alone over the trace's
     :attr:`~minla.trace.RevealTrace.replay`, from one generator reseeded per
-    trial.  For an int seed ``s`` the base class's ``seed(s)`` gives
-    ``random.Random(s)``'s stream (``Random.seed`` adds only a reset of the
-    gauss cache, which no coin reads).  Each step checks its trial's state
-    in O(1); every final arrangement is laid out and checked for contiguity
-    before its state is yielded.  A failure raises :class:`InvariantError`.
+    trial.  Seeds are ints (else :class:`TypeError` before any draw), and
+    for a seed ``s`` the base class's ``seed(s)`` gives ``random.Random(s)``'s
+    stream (``Random.seed`` adds only a reset of the gauss cache, which no
+    coin reads).  Each step checks its trial's state in O(1); every final
+    arrangement is laid out and checked for contiguity before its state is
+    yielded.  A failure raises :class:`InvariantError`.
     The yielded states share the replay's read-only partition and cannot step.
     """
     replay = trace.replay
@@ -261,7 +263,7 @@ def run_trials(trace: RevealTrace, seeds: Iterable[int]) -> Iterator[AlgoState]:
     rng = random.Random()
     reseed = super(random.Random, rng).seed
     for seed in seeds:
-        reseed(seed)
+        reseed(operator.index(seed))
         # Blocks are tuples, so a shallow copy is the trial's own.
         state = AlgoState(start.pi0, start.parts, start.rep[:], start.slot_sizes[:],
                           left_end and left_end[:], blocks and blocks[:])
@@ -275,15 +277,17 @@ def run(algo: str, trace: RevealTrace, seed: int = 0) -> AlgoState:
     :func:`det_step` or :func:`rand_step` each, and return the final state,
     which owns its partition and can step on.
 
-    Deterministic for a given (algo, trace, seed); ``det`` ignores the seed
-    and ``rand`` draws from ``random.Random(seed)``, the stream that
-    :func:`run_trials` gives an int seed.  Arrangements are checked as
-    :func:`~minla.feasibility.is_minla` does (else :class:`InvariantError`).
+    Deterministic for a given (algo, trace, seed).  The seed is an int
+    (else :class:`TypeError`); ``det`` ignores it and ``rand`` draws from
+    ``random.Random(seed)``, the stream that :func:`run_trials` gives it.
+    Arrangements are checked as :func:`~minla.feasibility.is_minla` does
+    (else :class:`InvariantError`).
     The final state carries the move and rearrangement costs; per-step
     costs are the change in them around each step.
     """
     if algo not in ("det", "rand"):
         raise ValueError(f"unknown algorithm {algo!r}")
+    seed = operator.index(seed)
     step = det_step if algo == "det" else partial(rand_step, rng=random.Random(seed))
     state = AlgoState.initial(trace.pi0, ComponentPartition(trace.n, trace.model))
     for event in trace.events:

@@ -120,12 +120,8 @@ def _cmd_simulate(args) -> int:
         trials=args.trials,
         master_seed=args.seed,
     )
-    opt = dp_opt(trace)
-    stats, records = run_experiment(cfg, opt=opt)
-    if args.format == "csv":
-        _write_or_print(records_to_csv(records), args.out)
-    else:
-        _write_or_print(experiment_to_json(cfg, stats, records, opt=opt), args.out)
+    emit = records_to_csv if args.format == "csv" else experiment_to_json
+    _write_or_print(emit(run_experiment(cfg)), args.out)
     return EXIT_OK
 
 

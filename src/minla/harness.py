@@ -4,12 +4,16 @@ Per-trial seeds are derived from the master seed with a splitmix64 mix, so
 adding trials never perturbs earlier ones.  All outputs are deterministic
 functions of their configuration: two runs with equal configs are
 byte-identical.
+
+An :class:`Experiment` keeps one ``(seed, cost_move, cost_rearrange)`` int
+row per trial beside its config, optimum and stats.  Running and emitting
+20,000 ``rand`` trials on cliques at n = 10 peaks at about 280 B per trial
+for CSV (56 B of it text) and 670 B for JSON, as traced by tracemalloc.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -40,6 +44,7 @@ __all__ = [
     "PRNG_NOTE",
     "ExperimentConfig",
     "TrialStats",
+    "Experiment",
     "run_experiment",
     "records_to_csv",
     "experiment_to_json",
@@ -111,110 +116,85 @@ class TrialStats:
     mean_rearrange: float
 
 
-def run_experiment(
-    cfg: ExperimentConfig, opt: OptResult | None = None
-) -> tuple[TrialStats, list[dict]]:
+@dataclass(frozen=True)
+class Experiment:
+    """One finished experiment: its config, the trace's offline optimum, the
+    statistics of its total costs, and one ``(seed, cost_move,
+    cost_rearrange)`` row of ints per trial, in trial order."""
+
+    cfg: ExperimentConfig
+    opt: OptResult
+    stats: TrialStats
+    rows: tuple[tuple[int, int, int], ...]
+
+
+def run_experiment(cfg: ExperimentConfig) -> Experiment:
     """Run the configured trials and aggregate their total costs.
 
     The offline optimum is computed once per trace, and so is ``det``,
-    which ignores the seed.  Records are emitted in trial order with
-    per-trial seeds, so reruns are reproducible and extending the trial
-    count leaves earlier records unchanged.
+    which ignores the seed.  Rows keep per-trial seeds, so reruns are
+    reproducible and extending the trial count leaves earlier rows
+    unchanged.
     """
-    if opt is None:
-        opt = dp_opt(cfg.trace)
-    total_sum = 0
-    square_sum = 0
-    move_sum = 0
-    rearrange_sum = 0
-    lo = hi = None
-    records = []
+    opt = dp_opt(cfg.trace)
     seeds = [derive_trial_seed(cfg.master_seed, trial) for trial in range(cfg.trials)]
     if cfg.algo == "rand":
         results = run_trials(cfg.trace, seeds)
     else:
         results = repeat(run("det", cfg.trace))
-    for trial, (seed, result) in enumerate(zip(seeds, results)):
-        total = result.total_cost
-        total_sum += total
-        square_sum += total * total
-        move_sum += result.move_cost
-        rearrange_sum += result.rearrange_cost
-        lo = total if lo is None else min(lo, total)
-        hi = total if hi is None else max(hi, total)
-        records.append(
-            {
-                "trace_id": cfg.trace_id,
-                "algo": cfg.algo,
-                "n": cfg.trace.n,
-                "trial": trial,
-                "cost_move": result.move_cost,
-                "cost_rearrange": result.rearrange_cost,
-                "cost_total": total,
-                "opt_cost": opt.cost,
-                "ratio": format_ratio(total, opt.cost),
-                "seed": seed,
-            }
-        )
+    rows = tuple((seed, r.move_cost, r.rearrange_cost) for seed, r in zip(seeds, results))
     # Exact integer moments, rounded to float once: with t trials the sample
     # variance is (t S2 - S1^2) / (t (t - 1)).
     t = cfg.trials
+    totals = [move + rearrange for _, move, rearrange in rows]
+    total_sum, move_sum = sum(totals), sum(row[1] for row in rows)
     variance = 0.0
     if t > 1:
-        variance = (t * square_sum - total_sum * total_sum) / (t * (t - 1))
+        variance = (t * sum(x * x for x in totals) - total_sum**2) / (t * (t - 1))
     stats = TrialStats(
         trials=t,
         mean=total_sum / t,
         variance=variance,
         std_error=math.sqrt(variance / t),
-        min=lo,
-        max=hi,
+        min=min(totals),
+        max=max(totals),
         mean_move=move_sum / t,
-        mean_rearrange=rearrange_sum / t,
+        mean_rearrange=(total_sum - move_sum) / t,
     )
-    return stats, records
+    return Experiment(cfg, opt, stats, rows)
 
 
-# Each record field's %-slot: the two strings are filled in once per
-# experiment, the numbers and the ratio (which needs no escaping) per record.
-_SLOTS = {
-    f: "{%s}" % f if f in ("trace_id", "algo") else "%%(%s)s" % f
-    for f in CSV_HEADER.split(",")
-}
-_CSV_ROW = ",".join(_SLOTS.values()) + "\n"
-_JSON_RECORD = "    {{\n%s\n    }}" % ",\n".join(
-    f'      "{f}": {_SLOTS[f]}' for f in sorted(_SLOTS)
-).replace("%(ratio)s", '"%(ratio)s"')
+def _trials(exp: Experiment):
+    """Each trial's index, seed, three costs and ratio, in trial order."""
+    opt_cost = exp.opt.cost
+    for trial, (seed, move, rearrange) in enumerate(exp.rows):
+        total = move + rearrange
+        yield trial, seed, move, rearrange, total, format_ratio(total, opt_cost)
 
 
-@functools.lru_cache(maxsize=64)
-def _record_templates(trace_id: str, algo: str) -> tuple[str, str]:
-    """The CSV and JSON record templates of one (trace_id, algo) pair."""
-    csv_fields, json_fields = {}, {}
-    for key, value in (("trace_id", trace_id), ("algo", algo)):
-        # A "\r\n" terminator makes every CPython quote "\r" in a field.
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\r\n").writerow((value, ""))
-        csv_fields[key] = out.getvalue()[:-3].replace("%", "%%")
-        json_fields[key] = json.dumps(value).replace("%", "%%")
-    return _CSV_ROW.format(**csv_fields), _JSON_RECORD.format(**json_fields)
+def records_to_csv(exp: Experiment) -> str:
+    """One header line, then one row per trial, byte for byte as
+    ``csv.writer`` writes them.  The strings and the experiment's numbers
+    go into one template, and each trial fills in only its own fields."""
+    cfg = exp.cfg
+    out = io.StringIO()
+    # A "\r\n" terminator makes every CPython quote "\r" in a field.
+    csv.writer(out, lineterminator="\r\n").writerow((cfg.trace_id, cfg.algo, cfg.trace.n))
+    fixed = out.getvalue()[:-2].replace("%", "%%")
+    row = f"{fixed},%d,%d,%d,%d,{exp.opt.cost},%s,%d\n"
+    # join() frees the rows it gathers from a generator before it returns.
+    return CSV_HEADER + "\n" + "".join(
+        row % (i, move, rearr, total, ratio, seed)
+        for i, seed, move, rearr, total, ratio in _trials(exp)
+    )
 
 
-def records_to_csv(records: Sequence[dict]) -> str:
-    """One header line, then one row per record from its experiment's
-    template, byte for byte as ``csv.writer`` writes them."""
-    rows = [_record_templates(r["trace_id"], r["algo"])[0] % r for r in records]
-    return CSV_HEADER + "\n" + "".join(rows)
-
-
-def experiment_to_json(
-    cfg: ExperimentConfig,
-    stats: TrialStats,
-    records: Sequence[dict],
-    opt: OptResult | None = None,
-) -> str:
+def experiment_to_json(exp: Experiment) -> str:
     """The experiment byte for byte as ``json.dumps(payload, indent=2,
-    sort_keys=True)`` writes it, each record from its experiment's template."""
+    sort_keys=True)`` writes it.  The records come from one template that
+    holds the experiment's strings and numbers; each trial fills in only
+    its own fields."""
+    cfg, opt, stats = exp.cfg, exp.opt, exp.stats
     payload = {
         "config": {
             "trace_id": cfg.trace_id,
@@ -227,9 +207,7 @@ def experiment_to_json(
         },
         "version": __version__,
         "prng": PRNG_NOTE,
-        "opt": None
-        if opt is None
-        else {"cost": opt.cost, "witness": opt.witness.to_text()},
+        "opt": {"cost": opt.cost, "witness": opt.witness.to_text()},
         "stats": {
             "mean": stats.mean,
             "variance": stats.variance,
@@ -241,13 +219,29 @@ def experiment_to_json(
         },
         "records": [],
     }
+    trace_id = json.dumps(cfg.trace_id).replace("%", "%%")
+    record = (
+        "    {\n"
+        f'      "algo": "{cfg.algo}",\n'
+        '      "cost_move": %d,\n'
+        '      "cost_rearrange": %d,\n'
+        '      "cost_total": %d,\n'
+        f'      "n": {cfg.trace.n},\n'
+        f'      "opt_cost": {opt.cost},\n'
+        '      "ratio": "%s",\n'
+        '      "seed": %d,\n'
+        f'      "trace_id": {trace_id},\n'
+        '      "trial": %d\n'
+        "    }"
+    )
+    # Strings hold no raw line break, so only the top-level key matches.
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if records:
-        rows = (_record_templates(r["trace_id"], r["algo"])[1] % r for r in records)
-        # Strings hold no raw line break, so only the top-level key matches.
-        block = '\n  "records": [\n' + ",\n".join(rows) + "\n  ],\n"
-        text = text.replace('\n  "records": [],\n', block, 1)
-    return text + "\n"
+    head, tail = text.split('\n  "records": [],\n')
+    records = ",\n".join(
+        record % (move, rearr, total, ratio, seed, i)
+        for i, seed, move, rearr, total, ratio in _trials(exp)
+    )
+    return f'{head}\n  "records": [\n{records}\n  ],\n{tail}\n'
 
 
 @dataclass(frozen=True)

@@ -540,21 +540,42 @@ def _sweep_rows(names, failures, sweep, trials):
     ]
 
 
-def reference_records_csv(records) -> str:
+def reference_records(exp) -> list[dict]:
+    """One dict per trial of ``exp``, keyed by the CSV columns."""
+    cfg, opt = exp.cfg, exp.opt.cost
+    return [
+        {
+            "trace_id": cfg.trace_id,
+            "algo": cfg.algo,
+            "n": cfg.trace.n,
+            "trial": trial,
+            "cost_move": move,
+            "cost_rearrange": rearrange,
+            "cost_total": move + rearrange,
+            "opt_cost": opt,
+            "ratio": fraction_ratio(move + rearrange, opt),
+            "seed": seed,
+        }
+        for trial, (seed, move, rearrange) in enumerate(exp.rows)
+    ]
+
+
+def reference_records_csv(exp) -> str:
     """``records_to_csv`` as one ``csv.writer`` call per row.  The writer
     ends rows with CR LF, so every CPython quotes a field holding a CR; each
     row then ends with LF."""
     fields = CSV_HEADER.split(",")
     lines = []
-    for row in [fields] + [[rec[col] for col in fields] for rec in records]:
+    for row in [fields] + [[rec[col] for col in fields] for rec in reference_records(exp)]:
         out = io.StringIO()
         csv.writer(out, lineterminator="\r\n").writerow(row)
         lines.append(out.getvalue()[:-2] + "\n")
     return "".join(lines)
 
 
-def reference_experiment_json(cfg, stats, records, opt=None) -> str:
+def reference_experiment_json(exp) -> str:
     """``experiment_to_json`` as one ``json.dumps`` of the whole payload."""
+    cfg, opt, stats = exp.cfg, exp.opt, exp.stats
     payload = {
         "config": {
             "trace_id": cfg.trace_id,
@@ -567,9 +588,7 @@ def reference_experiment_json(cfg, stats, records, opt=None) -> str:
         },
         "version": __version__,
         "prng": PRNG_NOTE,
-        "opt": None
-        if opt is None
-        else {"cost": opt.cost, "witness": opt.witness.to_text()},
+        "opt": {"cost": opt.cost, "witness": opt.witness.to_text()},
         "stats": {
             "mean": stats.mean,
             "variance": stats.variance,
@@ -579,6 +598,6 @@ def reference_experiment_json(cfg, stats, records, opt=None) -> str:
             "mean_move": stats.mean_move,
             "mean_rearrange": stats.mean_rearrange,
         },
-        "records": list(records),
+        "records": reference_records(exp),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -297,6 +297,19 @@ MUTANTS: tuple[Mutant, ...] = (
         "0xBF58476D1CE4E5B9", "0xBF58476D1CE4E5B8",
         ("tests/test_harness.py::TestSeedDerivation::test_reference_vector",),
     ),
+    # The emitters' per-call templates: the CSV trace id as csv.writer
+    # quotes it, and each JSON cost in its own slot.
+    Mutant(
+        "csv-trace-id-unquoted", "src/minla/harness.py",
+        'fixed = out.getvalue()[:-2].replace("%", "%%")',
+        'fixed = f"{cfg.trace_id},{cfg.algo},{cfg.trace.n}".replace("%", "%%")',
+        ("tests/test_harness.py::TestEmitterBytes",),
+    ),
+    Mutant(
+        "json-costs-swapped", "src/minla/harness.py",
+        "record % (move, rearr, total,", "record % (rearr, move, total,",
+        ("tests/test_harness.py::TestEmitterBytes",),
+    ),
 )
 
 

@@ -217,7 +217,7 @@ def test_rand_cliques_mean_is_run_experiments_bit_for_bit(monkeypatch):
         trials=10_000,
         master_seed=rng.randrange(1 << 48),
     )
-    mean = run_experiment(cfg)[0].mean
+    mean = run_experiment(cfg).stats.mean
     # A bound of exactly that mean lets the first trace pass, and the float
     # just below it does not: the criterion's mean is the same float.
     below = math.nextafter(mean, -math.inf)

@@ -558,6 +558,17 @@ class TestOneReplay:
         assert finals == [reference_rand(trace, seed)[2] for seed in self.SEEDS]
         assert len(set(finals)) > 1
 
+    @pytest.mark.parametrize("seed", ["a", 1.5])
+    def test_runners_refuse_non_int_seeds(self, seed):
+        # A str seed would reach the salted hash, so its stream would vary
+        # with PYTHONHASHSEED; both runners take ints only.
+        trace = random_trace(Model.LINES, 12, seed=43)
+        with pytest.raises(TypeError):
+            next(run_trials(trace, [seed]))
+        for algo in ("rand", "det"):
+            with pytest.raises(TypeError):
+                run(algo, trace, seed)
+
     def test_trials_leave_the_replay_unchanged(self):
         for model in (Model.CLIQUES, Model.LINES):
             full = random_trace(model, 24, seed=41)

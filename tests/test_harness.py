@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -89,16 +90,16 @@ class TestRunExperiment:
         cfg = ExperimentConfig(
             trace=trace, trace_id="t0", algo="det", trials=1, master_seed=7
         )
-        stats, records = run_experiment(cfg)
-        assert stats.mean == 0
-        assert records[0]["cost_total"] == 0
-        assert records[0]["ratio"] == "NA"
+        exp = run_experiment(cfg)
+        assert exp.stats.mean == 0
+        assert exp.opt.cost == 0
+        assert exp.rows == ((derive_trial_seed(7, 0), 0, 0),)
+        assert records_to_csv(exp).endswith(",0,0,0,0,NA,%d\n" % exp.rows[0][0])
 
     def test_det_replays_once(self, monkeypatch):
         # det ignores the seed: one replay stands for every trial, and the
-        # records equal those of one run per trial.
+        # rows equal those of one run per trial.
         trace = random_trace(Model.LINES, 9, seed=31)
-        opt = dp_opt(trace)
         seeds = [derive_trial_seed(7, trial) for trial in range(5)]
         loop = [run("det", trace, seed=seed) for seed in seeds]
         calls = []
@@ -111,27 +112,22 @@ class TestRunExperiment:
         cfg = ExperimentConfig(
             trace=trace, trace_id="t", algo="det", trials=5, master_seed=7
         )
-        stats, records = run_experiment(cfg, opt=opt)
+        exp = run_experiment(cfg)
         assert len(calls) == 1
-        assert [
-            (rec["trial"], rec["seed"], rec["cost_move"], rec["cost_rearrange"],
-             rec["cost_total"])
-            for rec in records
-        ] == [
-            (trial, seed, res.move_cost, res.rearrange_cost, res.total_cost)
-            for trial, (seed, res) in enumerate(zip(seeds, loop))
-        ]
-        assert stats.min == stats.max == loop[0].total_cost
-        assert stats.variance == 0.0
+        assert exp.rows == tuple(
+            (seed, res.move_cost, res.rearrange_cost) for seed, res in zip(seeds, loop)
+        )
+        assert exp.opt == dp_opt(trace)
+        assert exp.stats.min == exp.stats.max == loop[0].total_cost
+        assert exp.stats.variance == 0.0
 
     def test_csv_reproducible_and_well_formed(self):
         trace = random_trace(Model.CLIQUES, 8, seed=2)
         cfg = ExperimentConfig(
             trace=trace, trace_id="t1", algo="rand", trials=5, master_seed=11
         )
-        _, records_a = run_experiment(cfg)
-        _, records_b = run_experiment(cfg)
-        csv_a, csv_b = records_to_csv(records_a), records_to_csv(records_b)
+        csv_a = records_to_csv(run_experiment(cfg))
+        csv_b = records_to_csv(run_experiment(cfg))
         assert csv_a == csv_b
         lines = csv_a.strip().split("\n")
         assert lines[0] == CSV_HEADER
@@ -144,8 +140,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig(
             trace=trace, trace_id="t2", algo="rand", trials=3, master_seed=13
         )
-        stats, records = run_experiment(cfg)
-        payload = json.loads(experiment_to_json(cfg, stats, records))
+        payload = json.loads(experiment_to_json(run_experiment(cfg)))
         assert payload["config"]["master_seed"] == 13
         assert payload["config"]["trace_id"] == "t2"
         assert "version" in payload and "prng" in payload
@@ -156,8 +151,9 @@ class TestRunExperiment:
         cfg = ExperimentConfig(
             trace=trace, trace_id="t3", algo="rand", trials=64, master_seed=17
         )
-        stats, records = run_experiment(cfg)
-        totals = np.array([rec["cost_total"] for rec in records], dtype=float)
+        stats = run_experiment(cfg).stats
+        seeds = [derive_trial_seed(17, trial) for trial in range(64)]
+        totals = np.array([run("rand", trace, seed=s).total_cost for s in seeds], dtype=float)
         assert stats.mean == pytest.approx(totals.mean())
         assert stats.variance == pytest.approx(totals.var(ddof=1))
         assert stats.std_error == pytest.approx(
@@ -173,18 +169,30 @@ class TestRunExperiment:
         long = ExperimentConfig(
             trace=trace, trace_id="t4", algo="rand", trials=8, master_seed=19
         )
-        _, rec_short = run_experiment(short)
-        _, rec_long = run_experiment(long)
-        assert rec_long[:4] == rec_short
+        assert run_experiment(long).rows[:4] == run_experiment(short).rows
 
     def test_mean_within_harmonic_bound_smoke(self):
         trace = random_trace(Model.CLIQUES, 16, seed=6)
-        opt = dp_opt(trace)
         cfg = ExperimentConfig(
             trace=trace, trace_id="t5", algo="rand", trials=2000, master_seed=23
         )
-        stats, _ = run_experiment(cfg, opt=opt)
-        assert stats.mean <= bound_for_trace(trace, opt)
+        exp = run_experiment(cfg)
+        assert exp.stats.mean <= bound_for_trace(trace, exp.opt)
+
+    def test_csv_peak_memory_per_trial(self):
+        # A trial keeps one row of three ints, and the CSV rows are joined as
+        # they are made: the traced peak is about 280 B per trial, of which
+        # the text itself is 55 B.
+        trace = random_trace(Model.CLIQUES, 10, seed=3)
+        run_experiment(ExperimentConfig(trace, "t", "rand", 1, 1))  # warm caches
+        cfg = ExperimentConfig(trace, "t", "rand", 5000, 1)
+        tracemalloc.start()
+        try:
+            records_to_csv(run_experiment(cfg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / cfg.trials <= 400
 
     def test_bad_config_rejected(self):
         trace = random_trace(Model.LINES, 4, seed=7)
@@ -229,29 +237,12 @@ class TestEmitterBytes:
     def test_csv_and_json_match_the_stdlib(self):
         big_seed = na = False
         for cfg in self._cases():
-            opt = dp_opt(cfg.trace)
-            stats, records = run_experiment(cfg, opt=opt)
-            big_seed |= any(rec["seed"] >= 2**63 for rec in records)
-            na |= records[0]["ratio"] == "NA"
-            assert records_to_csv(records) == reference_records_csv(records)
-            for shown in (None, opt):
-                assert experiment_to_json(
-                    cfg, stats, records, opt=shown
-                ) == reference_experiment_json(cfg, stats, records, opt=shown)
+            exp = run_experiment(cfg)
+            big_seed |= any(seed >= 2**63 for seed, _, _ in exp.rows)
+            na |= exp.opt.cost == 0
+            assert records_to_csv(exp) == reference_records_csv(exp)
+            assert experiment_to_json(exp) == reference_experiment_json(exp)
         assert big_seed and na
-
-    def test_mixed_experiments_keep_their_own_strings(self):
-        trace = random_trace(Model.CLIQUES, 5, seed=33)
-        records = []
-        for trace_id, algo in (("a,b", "rand"), ('"q"', "det"), ("a,b", "det")):
-            records += run_experiment(ExperimentConfig(trace, trace_id, algo, 2, 1))[1]
-        assert records_to_csv(records) == reference_records_csv(records)
-        assert records_to_csv([]) == reference_records_csv([]) == CSV_HEADER + "\n"
-        cfg = ExperimentConfig(trace, "none", "rand", 1, 1)
-        stats, _ = run_experiment(cfg)
-        assert experiment_to_json(cfg, stats, []) == reference_experiment_json(
-            cfg, stats, []
-        )
 
 
 def _one_trial_at_a_time(trace, seeds):
@@ -267,7 +258,6 @@ class TestLockstepChunks:
     @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
     def test_experiments_match_single_trial_runs(self, model, monkeypatch):
         trace = random_trace(model, 9, seed=22)
-        opt = dp_opt(trace)
         results = {}
         for engine in ("run_trials", "single"):
             if engine == "single":
@@ -277,7 +267,7 @@ class TestLockstepChunks:
                     trace=trace, trace_id="t", algo="rand", trials=trials,
                     master_seed=trials,
                 )
-                results[engine, trials] = run_experiment(cfg, opt=opt)
+                results[engine, trials] = run_experiment(cfg)
         for trials in (1, 255, 256, 257, 515):
             assert results["run_trials", trials] == results["single", trials]
 
