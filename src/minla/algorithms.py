@@ -155,8 +155,9 @@ def _check_full(state: AlgoState) -> None:
 def det_step(state: AlgoState, event: RevealEvent) -> AlgoState:
     """Apply one event deterministically: move to the feasible permutation
     closest to the initial one, paying the distance from the current one.
-    The new arrangement is checked as :func:`~minla.feasibility.is_minla`
-    does (else :class:`InvariantError`)."""
+    ``merge`` rejects a bad event (out of range, self, joined, inner path
+    node) before the state changes; the new arrangement is checked as
+    :func:`~minla.feasibility.is_minla` does (else :class:`InvariantError`)."""
     before = state.pi0 if state.fixed is None else state.fixed
     state.parts.merge(event.u, event.v)
     target = closest_feasible(state.pi0, state.parts)
@@ -236,8 +237,9 @@ def _step_rows(
 
 def rand_step(state: AlgoState, event: RevealEvent, rng: random.Random) -> AlgoState:
     """Apply one ``rand`` event to one trial, of either model: merge the
-    trial's own partition and step the resulting one-row table with the
-    code :func:`run_trials` runs."""
+    trial's own partition, which rejects a bad event (out of range, self,
+    joined, inner path node) before the state changes, and step the
+    resulting one-row table with the code :func:`run_trials` runs."""
     index = state.events_done
     _step_rows(state, (state.parts.merge(event.u, event.v),), rng, index)
     return state

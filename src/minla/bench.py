@@ -382,28 +382,26 @@ def criterion_coin_vectors() -> tuple[bool, str]:
     )
 
 
-def run_paper_suite(out_dir: str | None = None) -> list[CriterionResult]:
-    """Run every acceptance criterion; optionally write one report per
-    criterion, a summary and the seconds each criterion took (kept out of
-    the summary, so that it stays byte-identical) into ``out_dir``, which
-    is made before the first criterion runs, so a bad path fails at once."""
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
+def run_paper_suite(out_dir: str) -> list[CriterionResult]:
+    """Run every acceptance criterion and write one report per criterion, a
+    summary and the seconds each criterion took (kept out of the summary,
+    so that it stays byte-identical) into ``out_dir``, which is made before
+    the first criterion runs, so a bad path fails at once."""
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     results, seconds = [], []
     for fn in ALL_CRITERIA:
         start = time.perf_counter()
         results.append(fn())
         seconds.append(time.perf_counter() - start)
-    if out_dir is not None:
-        files = {
-            f"criterion-{res.index:02d}-{res.name}.txt": res.line() + "\n"
-            for res in results
-        }
-        files["summary.txt"] = "".join(files.values())
-        files["timings.txt"] = "".join(
-            f"criterion {res.index} ({res.name}): {secs:.2f} s\n"
-            for res, secs in zip(results, seconds)
-        ) + f"total: {sum(seconds):.2f} s\n"
-        for name, text in files.items():
-            (Path(out_dir) / name).write_text(text, encoding="utf-8")
+    files = {
+        f"criterion-{res.index:02d}-{res.name}.txt": res.line() + "\n"
+        for res in results
+    }
+    files["summary.txt"] = "".join(files.values())
+    files["timings.txt"] = "".join(
+        f"criterion {res.index} ({res.name}): {secs:.2f} s\n"
+        for res, secs in zip(results, seconds)
+    ) + f"total: {sum(seconds):.2f} s\n"
+    for name, text in files.items():
+        (Path(out_dir) / name).write_text(text, encoding="utf-8")
     return results

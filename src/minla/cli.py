@@ -1,9 +1,9 @@
 """Command line interface.
 
-Exit codes: 0 ok, 2 invalid trace or configuration, 3 exact-search capacity
-exceeded (more than 2^22 exact-search states), 4 verification failure,
-5 internal invariant failure (an algorithm left an infeasible arrangement: a
-bug, not bad input).
+Exit codes: 0 ok, 2 invalid trace or configuration, 3 capacity exceeded
+(more than 2^22 block-order states, ``opt --exhaustive`` past n = 7, or a
+harmonic total past 10^4), 4 verification failure, 5 internal invariant
+failure (an algorithm left an infeasible arrangement: a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -75,8 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--trace", type=Path)
 
     du = sub.add_parser("duel", help="adaptive adversary against det")
-    du.add_argument("--algo", choices=("det",), default="det")
-    du.add_argument("--adversary", choices=("middle-line",), default="middle-line")
     du.add_argument("--n", type=int, required=True)
     du.add_argument("--dump-trace", type=Path)
 
@@ -148,7 +146,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_duel(args) -> int:
-    report = duel(args.n, algo=args.algo, adversary=args.adversary)
+    report = duel(args.n)
     sys.stdout.write(report.to_text())
     if args.dump_trace is not None:
         args.dump_trace.write_text(emit_trace(report.induced_trace), encoding="utf-8")

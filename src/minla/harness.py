@@ -18,7 +18,7 @@ import io
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import repeat
 from typing import Sequence
@@ -106,7 +106,6 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialStats:
-    trials: int
     mean: float
     variance: float
     std_error: float
@@ -152,7 +151,6 @@ def run_experiment(cfg: ExperimentConfig) -> Experiment:
     if t > 1:
         variance = (t * sum(x * x for x in totals) - total_sum**2) / (t * (t - 1))
     stats = TrialStats(
-        trials=t,
         mean=total_sum / t,
         variance=variance,
         std_error=math.sqrt(variance / t),
@@ -194,7 +192,7 @@ def experiment_to_json(exp: Experiment) -> str:
     sort_keys=True)`` writes it.  The records come from one template that
     holds the experiment's strings and numbers; each trial fills in only
     its own fields."""
-    cfg, opt, stats = exp.cfg, exp.opt, exp.stats
+    cfg, opt = exp.cfg, exp.opt
     payload = {
         "config": {
             "trace_id": cfg.trace_id,
@@ -208,15 +206,7 @@ def experiment_to_json(exp: Experiment) -> str:
         "version": __version__,
         "prng": PRNG_NOTE,
         "opt": {"cost": opt.cost, "witness": opt.witness.to_text()},
-        "stats": {
-            "mean": stats.mean,
-            "variance": stats.variance,
-            "std_error": stats.std_error,
-            "min": stats.min,
-            "max": stats.max,
-            "mean_move": stats.mean_move,
-            "mean_rearrange": stats.mean_rearrange,
-        },
+        "stats": asdict(exp.stats),
         "records": [],
     }
     trace_id = json.dumps(cfg.trace_id).replace("%", "%%")
@@ -474,14 +464,10 @@ class DuelReport:
         )
 
 
-def duel(n: int, algo: str = "det", adversary: str = "middle-line") -> DuelReport:
+def duel(n: int) -> DuelReport:
     """Adaptive duel: the adversary grows a path around the middle node while
     the deterministic algorithm serves each request; returns costs, the
     induced trace (replayable standalone), and the side-alternation count."""
-    if algo != "det":
-        raise ConfigError(f"duels are defined against 'det', got {algo!r}")
-    if adversary != "middle-line":
-        raise ConfigError(f"unknown adversary {adversary!r}")
     adv = MiddleLineAdversary(n)
     pi0 = Permutation.identity(n)
     state = AlgoState.initial(pi0, ComponentPartition(n, Model.LINES))

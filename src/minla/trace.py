@@ -143,14 +143,19 @@ class ComponentPartition:
         """Merge the components containing ``u`` and ``v``, keeping ``u``'s
         root, and return the event's :class:`Replay` row.
 
-        The only way a partition changes.  For lines, ``u`` and ``v`` must be
-        endpoints of their paths; the merged path order runs through u's
-        path (u last) into v's path (v first).  A rejected event raises
+        The only way a partition changes and the only event check: ``u`` and
+        ``v`` must be distinct nodes of ``range(n)`` in different components,
+        for lines path ends.  The merged path runs through u's path (u last)
+        into v's path (v first).  A rejected event raises
         :class:`TraceValidationError` before anything is written, and a
         read-only partition raises :class:`ValueError`.
         """
         if self._read_only:
             raise ValueError("a trace's replay is read-only; step a state from run()")
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise TraceValidationError(f"nodes ({u}, {v}) out of range")
+        if u == v:
+            raise TraceValidationError(f"self-event on node {u}")
         ru, rv = self.find(u), self.find(v)
         if ru == rv:
             raise TraceValidationError(
@@ -201,8 +206,9 @@ class Replay(NamedTuple):
 
 def validate_trace(t: RevealTrace) -> Replay:
     """Replay the trace and raise :class:`TraceValidationError` on the first
-    event that violates the model invariants; return the :class:`Replay`.
-    :class:`RevealTrace` runs it on construction and keeps the replay."""
+    event that :meth:`ComponentPartition.merge` rejects, naming its index;
+    return the :class:`Replay`.  :class:`RevealTrace` runs it on
+    construction and keeps the replay."""
     if t.n < 1:
         raise TraceValidationError(f"n must be positive, got {t.n}")
     if len(t.pi0) != t.n:
@@ -212,12 +218,6 @@ def validate_trace(t: RevealTrace) -> Replay:
     parts = ComponentPartition(t.n, t.model)
     rows = []
     for idx, ev in enumerate(t.events):
-        if not (0 <= ev.u < t.n and 0 <= ev.v < t.n):
-            raise TraceValidationError(
-                f"nodes ({ev.u}, {ev.v}) out of range", event_index=idx
-            )
-        if ev.u == ev.v:
-            raise TraceValidationError(f"self-event on node {ev.u}", event_index=idx)
         try:
             rows.append(parts.merge(ev.u, ev.v))
         except TraceValidationError as exc:

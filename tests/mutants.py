@@ -117,6 +117,16 @@ MUTANTS: tuple[Mutant, ...] = (
         "if self._read_only:", "if False:",
         ("tests/test_algorithms.py::TestOneReplay::test_replay_refuses_merges",),
     ),
+    # merge is the only event check: validation, det_step and rand_step
+    # reach node ids only through it.
+    Mutant(
+        "event-range-check-dropped", _REPLAY,
+        "if not (0 <= u < self.n and 0 <= v < self.n):", "if False:",
+        (
+            "tests/test_trace.py::TestPartition",
+            "tests/test_trace.py::TestValidateTrace::test_out_of_range_rejected",
+        ),
+    ),
     Mutant(
         "merged-ends-swapped", _REPLAY,
         "ends = merged[0], merged[-1]", "ends = merged[-1], merged[0]",

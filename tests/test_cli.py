@@ -500,8 +500,7 @@ class TestDuel:
     def test_report_and_dump(self, capsys, tmp_path):
         dump = tmp_path / "induced.txt"
         code, out, _ = run_cli(
-            capsys, "duel", "--algo", "det", "--adversary", "middle-line",
-            "--n", "9", "--dump-trace", str(dump),
+            capsys, "duel", "--n", "9", "--dump-trace", str(dump),
         )
         assert code == 0
         assert "duel n=9" in out

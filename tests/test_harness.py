@@ -483,9 +483,3 @@ class TestDuel:
     def test_opt_at_most_n(self):
         for n in (5, 9, 13):
             assert duel(n).opt_cost <= n
-
-    def test_rejects_unknown_opponents(self):
-        with pytest.raises(ConfigError):
-            duel(9, algo="rand")
-        with pytest.raises(ConfigError):
-            duel(9, adversary="edge-line")

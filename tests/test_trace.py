@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import itertools
 import random
+from functools import partial
 
 import pytest
 
@@ -14,9 +16,12 @@ from minla import (
     TraceFormatError,
     TreeAdversaryConfig,
     TraceValidationError,
+    det_step,
     emit_trace,
     parse_trace,
+    rand_step,
     random_trace,
+    run,
     tree_adversary,
     validate_trace,
 )
@@ -49,6 +54,12 @@ class TestValidateTrace:
     def test_self_event_rejected(self):
         with pytest.raises(TraceValidationError):
             make_trace(Model.CLIQUES, 3, [(1, 1)])
+
+    def test_out_of_range_rejected(self):
+        for u, v in [(-1, 0), (0, 3)]:
+            with pytest.raises(TraceValidationError) as err:
+                make_trace(Model.CLIQUES, 3, [(1, 2), (u, v)])
+            assert str(err.value) == f"event 1: nodes ({u}, {v}) out of range"
 
     def test_n_mismatch_rejected(self):
         with pytest.raises(TraceValidationError):
@@ -211,13 +222,38 @@ class TestPartition:
             paths = {r: parts.path_of(r) for r in nodes} if model is Model.LINES else {}
             return roots, nodes, paths
 
-        before = snapshot()
-        rejected = [(0, 2), (5, 3)]
+        before, fields = snapshot(), copy.deepcopy(vars(parts))
+        rejected = [
+            (0, 2, "already in the same component"),
+            (5, 3, "already in the same component"),
+            (-1, 0, r"nodes \(-1, 0\) out of range"),
+            (0, 6, r"nodes \(0, 6\) out of range"),
+            (2, 2, "self-event on node 2"),
+        ]
         if model is Model.LINES:
-            rejected += [(1, 3), (0, 4)]
-        for u, v in rejected:
-            with pytest.raises(TraceValidationError):
+            rejected += [(1, 3, "not an endpoint"), (0, 4, "not an endpoint")]
+        for u, v, message in rejected:
+            with pytest.raises(TraceValidationError, match=message):
                 parts.merge(u, v)
+            assert snapshot() == before
+            assert vars(parts) == fields
+
+    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
+    @pytest.mark.parametrize("algo", ["det", "rand"])
+    def test_steps_reject_bad_events_before_changing_the_state(self, model, algo):
+        # A state on its own partition: one merge done, nodes 0..4.
+        state = run(algo, make_trace(model, 5, [(1, 2)], Permutation([3, 1, 4, 0, 2])))
+        rng = random.Random(5)
+        step = det_step if algo == "det" else partial(rand_step, rng=rng)
+
+        def snapshot():
+            return (state.move_cost, state.rearrange_cost, state.current,
+                    copy.deepcopy(vars(state.parts)), rng.getstate())
+
+        before = snapshot()
+        for u, v in [(-1, 0), (0, 5), (3, 3)]:
+            with pytest.raises(TraceValidationError, match="out of range|self-event"):
+                step(state, RevealEvent(u, v))
             assert snapshot() == before
 
 
