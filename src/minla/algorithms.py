@@ -48,9 +48,11 @@ class AlgoState:
     elsewhere; ``left_end[root]`` (lines) is the path end laid out first,
     ``blocks[root]`` (cliques) the block's node sequence.  ``current`` lays
     the arrangement out on request.  ``det`` keeps its arrangement in
-    ``fixed`` (``None`` while at pi0).  A state steps only on a partition of
-    its own, as from :func:`run`; :func:`run_trials` states share the
-    trace's read-only replay and cannot step."""
+    ``fixed`` (``None`` while at pi0) and pays from ``current``, so it may
+    follow ``rand`` steps; ``rand`` refuses a state that ``det`` has stepped.
+    A state steps only on a partition of its own, as from :func:`run`;
+    :func:`run_trials` states share the trace's read-only replay and cannot
+    step."""
 
     pi0: Permutation
     parts: ComponentPartition
@@ -154,11 +156,13 @@ def _check_full(state: AlgoState) -> None:
 
 def det_step(state: AlgoState, event: RevealEvent) -> AlgoState:
     """Apply one event deterministically: move to the feasible permutation
-    closest to the initial one, paying the distance from the current one.
+    closest to the initial one, paying the distance from the state's
+    current arrangement, which ``rand`` steps may have laid out.
     ``merge`` rejects a bad event (out of range, self, joined, inner path
     node) before the state changes; the new arrangement is checked as
     :func:`~minla.feasibility.is_minla` does (else :class:`InvariantError`)."""
-    before = state.pi0 if state.fixed is None else state.fixed
+    # Every swap is charged, so a state that has paid nothing is at pi0.
+    before = state.current if state.total_cost else state.pi0
     state.parts.merge(event.u, event.v)
     target = closest_feasible(state.pi0, state.parts)
     state.move_cost += kendall_tau(before, target)
@@ -239,7 +243,11 @@ def rand_step(state: AlgoState, event: RevealEvent, rng: random.Random) -> AlgoS
     """Apply one ``rand`` event to one trial, of either model: merge the
     trial's own partition, which rejects a bad event (out of range, self,
     joined, inner path node) before the state changes, and step the
-    resulting one-row table with the code :func:`run_trials` runs."""
+    resulting one-row table with the code :func:`run_trials` runs.  A state
+    that ``det`` has stepped keeps its arrangement in ``fixed``, which
+    ``rand`` cannot step: it raises :class:`ValueError` first."""
+    if state.fixed is not None:
+        raise ValueError("rand_step cannot step a state that det_step has moved")
     index = state.events_done
     _step_rows(state, (state.parts.merge(event.u, event.v),), rng, index)
     return state

@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "MinlaError",
+    "InstanceMismatchError",
+    "TraceFormatError",
+    "TraceValidationError",
+    "CapacityError",
+    "InvariantError",
+    "ProtocolError",
+    "ConfigError",
+]
+
 
 class MinlaError(Exception):
     """Base class for all library errors."""

@@ -41,15 +41,10 @@ from .trace import ComponentPartition, Model, RevealTrace
 __all__ = [
     "splitmix64",
     "derive_trial_seed",
-    "PRNG_NOTE",
     "ExperimentConfig",
     "TrialStats",
     "Experiment",
     "run_experiment",
-    "records_to_csv",
-    "experiment_to_json",
-    "format_ratio",
-    "VerifyRow",
     "VerifyReport",
     "verify_lemma",
     "DuelReport",

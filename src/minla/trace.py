@@ -21,7 +21,6 @@ __all__ = [
     "RevealEvent",
     "RevealTrace",
     "ComponentPartition",
-    "Replay",
     "validate_trace",
     "parse_trace",
     "emit_trace",

@@ -269,6 +269,36 @@ MUTANTS: tuple[Mutant, ...] = (
         "seq_a[0] < seq_b[0]", "seq_a[0] > seq_b[0]",
         ("tests/test_oracle.py::TestDpOpt::test_clique_triangle_after_edge",),
     ),
+    # det's own rules: the closest arrangement's path orientation tie and
+    # the singletons' order by reference position.
+    Mutant(
+        "oriented-path-tie-flipped", _ENGINE,
+        "tuple(path) < tuple(path[::-1])", "tuple(path) > tuple(path[::-1])",
+        ("tests/test_algorithms.py::TestDetStep::test_closest_member_and_lex_order_vs_enumeration",),
+    ),
+    Mutant(
+        "singletons-by-node-id", _ORDERING,
+        "(sorted_pos[i][0], seq[0]) for i, seq", "(seq[0], seq[0]) for i, seq",
+        (
+            "tests/test_ordering.py::TestSolveBlockOrder::test_matches_brute_force",
+            "tests/test_algorithms.py::TestDetStep::test_closest_member_and_lex_order_vs_enumeration",
+            "tests/test_oracle.py::TestDpOpt::test_witness_realizes_cost_in_one_move",
+        ),
+    ),
+    # One state stepped by both algorithms: det pays from the arrangement
+    # the state holds, and rand refuses a state det has moved.
+    Mutant(
+        "det-pays-from-pi0", _ENGINE,
+        "before = state.current if state.total_cost else state.pi0",
+        "before = state.pi0 if state.fixed is None else state.fixed",
+        ("tests/test_algorithms.py::TestMixedSteps::"
+         "test_det_after_rand_pays_from_the_current_arrangement",),
+    ),
+    Mutant(
+        "rand-steps-a-det-state", _ENGINE,
+        "if state.fixed is not None:", "if False:",
+        ("tests/test_algorithms.py::TestMixedSteps::test_rand_refuses_a_state_det_has_moved",),
+    ),
     # The block-order solver: the rebuild's tie-break and the lead
     # singleton's head cost, and the table's running minimum over the
     # trailing singletons.

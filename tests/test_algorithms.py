@@ -320,6 +320,42 @@ class TestRun:
         assert is_minla(state.current, state.parts)
 
 
+class TestMixedSteps:
+    """One state stepped by both algorithms pays from the arrangement it
+    holds."""
+
+    def test_det_after_rand_pays_from_the_current_arrangement(self):
+        cases = [(random_trace(Model.CLIQUES, 8, seed=3), 4, 1)]
+        rng = random.Random(23)
+        for model in (Model.CLIQUES, Model.LINES):
+            for _ in range(20):
+                trace = random_trace(model, rng.randint(3, 12), seed=rng.random())
+                cases.append((trace, rng.randint(1, trace.k - 1), rng.random()))
+        paid_before_det = 0
+        for trace, split, seed in cases:
+            state = initial_state(trace.model, trace.pi0)
+            coins = random.Random(seed)
+            for event in trace.events[:split]:
+                rand_step(state, event, coins)
+            paid_before_det += state.total_cost > 0
+            for event in trace.events[split:]:
+                before, cost = state.current, state.total_cost
+                det_step(state, event)
+                assert state.total_cost - cost == kendall_tau(before, state.current)
+        assert paid_before_det >= len(cases) // 2
+
+    def test_rand_refuses_a_state_det_has_moved(self):
+        state = initial_state(Model.CLIQUES, Permutation.identity(6))
+        det_step(state, RevealEvent(0, 5))
+        costs, current = _totals(state), state.current
+        fields = copy.deepcopy(vars(state.parts))
+        with pytest.raises(ValueError, match="det_step has moved"):
+            rand_step(state, RevealEvent(1, 4), random.Random(0))
+        assert _totals(state) == costs
+        assert state.current == current
+        assert vars(state.parts) == fields
+
+
 def _kernel_traces():
     """Cliques and lines at n = 2..64, full and partial random traces, and
     tree-adversary traces at q = 4 and 6."""
