@@ -109,39 +109,44 @@ def _layout(state: AlgoState) -> list[int]:
     return node_at
 
 
-def _oriented_path(path: Sequence[int], pos0: Sequence[int]) -> list[int]:
+def _oriented_path(path: Sequence[int], pos0: Sequence[int]) -> tuple[list[int], int]:
     """Orientation of a path with the fewest pairs inverted against the
-    reference positions; ties go to the lexicographically smaller sequence."""
+    reference positions, and that count; ties go to the lexicographically
+    smaller sequence."""
     if len(path) == 1:
-        return list(path)
+        return list(path), 0
     fwd = count_inversions([pos0[v] for v in path])
     rev = len(path) * (len(path) - 1) // 2 - fwd
     if fwd < rev or (fwd == rev and tuple(path) < tuple(path[::-1])):
-        return list(path)
-    return list(path[::-1])
+        return list(path), fwd
+    return list(path[::-1]), rev
 
 
-def closest_feasible(pi0: Permutation, parts: ComponentPartition) -> Permutation:
+def closest_feasible(pi0: Permutation, parts: ComponentPartition) -> tuple[int, Permutation]:
     """The feasible permutation for ``parts`` closest to ``pi0``, under the
-    partition's own model.
+    partition's own model, with its distance from ``pi0``.
 
     Exact: component-internal layouts are fixed first (cliques take the
     pi0-induced node order, lines the cheaper orientation), then the block
-    order is optimized by :func:`solve_block_order`.  Ties resolve to the
-    lexicographically smallest node sequence.
+    order is optimized by :func:`solve_block_order`.  The distance is that
+    order's cross cost plus the pairs each path inverts.  Ties resolve to
+    the lexicographically smallest node sequence.
     """
     pos0 = pi0.pos_of
     seqs: list[list[int]] = []
     sorted_pos: list[list[int]] = []
+    inside = 0
     for root in parts.components():
         if parts.model is Model.CLIQUES:
             seq = sorted(parts.nodes_of(root), key=pos0.__getitem__)
             sorted_pos.append([pos0[v] for v in seq])
         else:
-            seq = _oriented_path(parts.path_of(root), pos0)
+            seq, inverted = _oriented_path(parts.path_of(root), pos0)
+            inside += inverted
             sorted_pos.append(sorted(pos0[v] for v in seq))
         seqs.append(seq)
-    return Permutation(solve_block_order(seqs, sorted_pos)[1])
+    cross, node_at = solve_block_order(seqs, sorted_pos)
+    return cross + inside, Permutation(node_at)
 
 
 def _check_full(state: AlgoState) -> None:
@@ -164,7 +169,7 @@ def det_step(state: AlgoState, event: RevealEvent) -> AlgoState:
     # Every swap is charged, so a state that has paid nothing is at pi0.
     before = state.current if state.total_cost else state.pi0
     state.parts.merge(event.u, event.v)
-    target = closest_feasible(state.pi0, state.parts)
+    _, target = closest_feasible(state.pi0, state.parts)
     state.move_cost += kendall_tau(before, target)
     state.fixed = target
     _check_full(state)

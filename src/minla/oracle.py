@@ -100,8 +100,8 @@ def dp_opt(t: RevealTrace) -> OptResult:
         return OptResult(cost=0, witness=t.pi0)
     if t.model is Model.CLIQUES:
         return _clique_opt(t)
-    witness = closest_feasible(t.pi0, t.replay.final)
-    return OptResult(cost=kendall_tau(t.pi0, witness), witness=witness)
+    cost, witness = closest_feasible(t.pi0, t.replay.final)
+    return OptResult(cost=cost, witness=witness)
 
 
 _EXHAUSTIVE_MAX_N = 7

@@ -45,7 +45,7 @@ class Permutation:
     @classmethod
     def from_text(cls, text: str) -> "Permutation":
         """Parse the space-separated node-id serialization."""
-        return cls(int(tok) for tok in text.split())
+        return cls(map(int, text.split()))
 
     def to_text(self) -> str:
         """Space-separated node ids in position order."""

@@ -5,13 +5,19 @@ node count, the initial permutation, and the ordered merge events.  Replaying
 the events yields the connected components after each step; for lines each
 component also carries its node order along the path.  Each trace replays
 its merges once, when it is validated, into :attr:`RevealTrace.replay`.
+
+:func:`parse_trace` reads the four header lines by index and the event lines
+as one block: one pattern checks their shape and one ``map(int, ...)``
+converts every id.  Each rejected input raises the error, message and line
+number that a line-by-line reading raises at its first bad line.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, NoReturn, Sequence
 
 from .errors import TraceFormatError, TraceValidationError
 from .perm import Permutation
@@ -32,12 +38,26 @@ class Model(str, enum.Enum):
     LINES = "lines"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RevealEvent:
-    """One revealed merge: the components containing u and v join."""
+    """One revealed merge: the components containing u and v join.  Built
+    by two slot writes, past the frozen ``__setattr__``."""
 
     u: int
     v: int
+
+    def __init__(self, u: int, v: int):
+        _set_u(self, u)
+        _set_v(self, v)
+
+    # The generated __eq__, spelled out for the mutation gate to break.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.u, self.v) == (other.u, other.v)
+        return NotImplemented
+
+
+_set_u, _set_v = RevealEvent.u.__set__, RevealEvent.v.__set__
 
 
 @dataclass(frozen=True)
@@ -126,8 +146,6 @@ class ComponentPartition:
                 root = self.find(v)
             nodes = members[root]
             end = i + len(nodes)
-            if end > hi:
-                return root
             if end - i > 1:
                 span = tuple(node_at[i:end])
                 if not lines:
@@ -155,20 +173,25 @@ class ComponentPartition:
             raise TraceValidationError(f"nodes ({u}, {v}) out of range")
         if u == v:
             raise TraceValidationError(f"self-event on node {u}")
-        ru, rv = self.find(u), self.find(v)
+        parent, nodes = self._parent, self._nodes
+        # A root or a root's child needs no find; deeper nodes compress.
+        ru, rv = parent[u], parent[v]
+        if parent[ru] != ru:
+            ru = self.find(u)
+        if parent[rv] != rv:
+            rv = self.find(v)
         if ru == rv:
             raise TraceValidationError(
                 f"nodes {u} and {v} are already in the same component"
             )
-        nodes = self._nodes
         x, z = nodes[ru], nodes[rv]
         xl, zl = len(x), len(z)  # before the merge: clique lists grow in place
         denom = xl + zl
-        row = u, v, ru, rv, xl, zl, denom, denom.bit_length()
+        k_move = denom.bit_length()
         if not self._lines:
-            self._parent[rv] = ru
+            parent[rv] = ru
             x.extend(nodes.pop(rv))
-            return row + (None,) * 8
+            return (u, v, ru, rv, xl, zl, denom, k_move) + (None,) * 8
         pu, pv = x, z
         if pu[-1] != u:
             if pu[0] != u:
@@ -178,13 +201,13 @@ class ComponentPartition:
             if pv[-1] != v:
                 raise TraceValidationError(f"node {v} is not an endpoint of its path")
             pv = pv[::-1]
-        self._parent[rv] = ru
+        parent[rv] = ru
         merged = nodes[ru] = pu + pv
         del nodes[rv]
-        ends = merged[0], merged[-1]
         pairs = denom * (denom - 1) // 2
-        return row + ((x[0], x[-1]), (z[0], z[-1]), ends, pairs, pairs.bit_length(),
-                      xl * (xl - 1) // 2, zl * (zl - 1) // 2, xl * zl)
+        return (u, v, ru, rv, xl, zl, denom, k_move, (x[0], x[-1]), (z[0], z[-1]),
+                (merged[0], merged[-1]), pairs, pairs.bit_length(),
+                xl * (xl - 1) // 2, zl * (zl - 1) // 2, xl * zl)
 
 
 class Replay(NamedTuple):
@@ -215,86 +238,96 @@ def validate_trace(t: RevealTrace) -> Replay:
             f"pi0 has {len(t.pi0)} entries, expected n={t.n}"
         )
     parts = ComponentPartition(t.n, t.model)
-    rows = []
-    for idx, ev in enumerate(t.events):
-        try:
-            rows.append(parts.merge(ev.u, ev.v))
-        except TraceValidationError as exc:
-            raise TraceValidationError(str(exc), event_index=idx) from None
+    merge, parent = parts.merge, parts._parent
+    try:
+        rows = [merge(ev.u, ev.v) for ev in t.events]
+    except TraceValidationError as exc:
+        # A rejected merge writes nothing, so the merges done index the event.
+        raise TraceValidationError(str(exc), event_index=t.n - parts.num_components) from None
     for root, nodes in parts._nodes.items():
         for v in nodes:
-            parts._parent[v] = root
+            parent[v] = root
     parts._read_only = True
     return Replay(tuple(rows), parts)
 
 
 _HEADER = "minla-trace v1"
+# The event lines, each behind a newline: "event:", then exactly two
+# whitespace-separated tokens.
+_EVENT_LINES = re.compile(r"(?:\nevent:[^\S\n]*\S+[^\S\n]+\S+)*")
 
 
 def parse_trace(text: str) -> RevealTrace:
     """Parse the line-based trace format; building the trace validates it.
 
     Raises :class:`TraceFormatError` with a 1-based line number on syntax
-    problems and :class:`TraceValidationError` on model violations.
+    problems and :class:`TraceValidationError` on model violations.  Only a
+    rejected event block is read line by line, to name its first bad line.
     """
-    lines: list[tuple[int, str]] = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((no, stripped))
+    raws = text.splitlines()
+    if "#" in text:
+        raws = [raw.split("#", 1)[0] for raw in raws]
+    lines = [*filter(None, map(str.strip, raws))]
 
-    def take() -> tuple[int, str]:
-        if not lines:
-            raise TraceFormatError("unexpected end of input", line=text.count("\n") + 1)
-        return lines.pop(0)
+    def fail(message: str, i: int) -> NoReturn:
+        no = [no for no, raw in enumerate(raws, 1) if raw.strip()][i]
+        raise TraceFormatError(message, line=no) from None
 
-    no, header = take()
-    if header != _HEADER:
-        raise TraceFormatError(f"expected header {_HEADER!r}", line=no)
+    def take(i: int) -> str:
+        if i < len(lines):
+            return lines[i]
+        raise TraceFormatError("unexpected end of input", line=text.count("\n") + 1)
 
-    def field(name: str) -> tuple[int, str]:
-        no, line = take()
+    if take(0) != _HEADER:
+        fail(f"expected header {_HEADER!r}", 0)
+
+    def field(i: int, name: str) -> str:
         prefix = name + ":"
-        if not line.startswith(prefix):
-            raise TraceFormatError(f"expected '{name}: ...'", line=no)
-        return no, line[len(prefix) :].strip()
+        if not take(i).startswith(prefix):
+            fail(f"expected '{name}: ...'", i)
+        return lines[i][len(prefix) :].strip()
 
-    no, model_text = field("model")
+    model_text = field(1, "model")
     try:
         model = Model(model_text)
     except ValueError:
-        raise TraceFormatError(
-            f"unknown model {model_text!r} (expected cliques or lines)", line=no
-        ) from None
+        fail(f"unknown model {model_text!r} (expected cliques or lines)", 1)
 
-    no, n_text = field("n")
+    n_text = field(2, "n")
     try:
         n = int(n_text)
     except ValueError:
-        raise TraceFormatError(f"n is not an integer: {n_text!r}", line=no) from None
+        fail(f"n is not an integer: {n_text!r}", 2)
 
-    no, pi0_text = field("pi0")
+    pi0_text = field(3, "pi0")
     try:
         pi0 = Permutation.from_text(pi0_text)
     except ValueError as exc:
-        raise TraceFormatError(f"bad pi0: {exc}", line=no) from None
+        fail(f"bad pi0: {exc}", 3)
     if len(pi0) != n:
-        raise TraceFormatError(f"pi0 lists {len(pi0)} nodes, expected {n}", line=no)
+        fail(f"pi0 lists {len(pi0)} nodes, expected {n}", 3)
 
-    events = []
-    for no, line in lines:
-        if not line.startswith("event:"):
-            raise TraceFormatError("expected 'event: u v'", line=no)
-        toks = line[len("event:") :].split()
-        if len(toks) != 2:
-            raise TraceFormatError("event needs exactly two node ids", line=no)
-        try:
-            u, v = int(toks[0]), int(toks[1])
-        except ValueError:
-            raise TraceFormatError(f"bad event ids: {toks}", line=no) from None
-        events.append(RevealEvent(u, v))
-
-    return RevealTrace(model=model, n=n, pi0=pi0, events=tuple(events))
+    block = "\n".join(["", *lines[4:]])
+    try:
+        if not _EVENT_LINES.fullmatch(block):
+            raise ValueError
+        # Only line starts hold "\nevent:", so two ids remain per line;
+        # one iterator read twice per event pairs them.
+        ids = map(int, block.replace("\nevent:", " ").split())
+        events = tuple(map(RevealEvent, ids, ids))
+    except ValueError:
+        for i in range(4, len(lines)):
+            if not lines[i].startswith("event:"):
+                fail("expected 'event: u v'", i)
+            toks = lines[i][len("event:") :].split()
+            if len(toks) != 2:
+                fail("event needs exactly two node ids", i)
+            try:
+                int(toks[0]), int(toks[1])
+            except ValueError:
+                fail(f"bad event ids: {toks}", i)
+        raise
+    return RevealTrace(model=model, n=n, pi0=pi0, events=events)
 
 
 def emit_trace(t: RevealTrace) -> str:

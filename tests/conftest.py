@@ -1,8 +1,9 @@
 """Shared brute-force oracles for the test suite.
 
 These stay deliberately naive and independent of the library's fast paths:
-the partition after a prefix of a trace's events, quadratic pair counting,
-full permutation enumeration, literal cost sums, closed forms, a literal
+the partition after a prefix of a trace's events, a line-by-line trace
+parser, quadratic pair counting, full permutation enumeration, literal
+cost sums, closed forms, a literal
 replay of the randomized strategy, the plain block-subset program that
 orders singletons like any other block, the singleton-aware block-order
 table as plain loops, and the literal exact oracles: a heap Dijkstra over
@@ -31,6 +32,9 @@ from minla import (
     __version__,
     OptResult,
     Permutation,
+    RevealEvent,
+    RevealTrace,
+    TraceFormatError,
     check_harmonic_bounds,
     harmonic_number,
     is_minla,
@@ -47,6 +51,72 @@ def replay_components(t, i: int) -> ComponentPartition:
     for ev in t.events[:i]:
         parts.merge(ev.u, ev.v)
     return parts
+
+
+def reference_parse_trace(text: str):
+    """The trace format parsed line by line, one check per line in order:
+    the header, the three fields, then each event line's prefix, token count
+    and ids; pi0 as a generator of ``int`` calls.  Building the trace
+    validates it."""
+    lines: list[tuple[int, str]] = []
+    for no, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if stripped:
+            lines.append((no, stripped))
+
+    def take() -> tuple[int, str]:
+        if not lines:
+            raise TraceFormatError("unexpected end of input", line=text.count("\n") + 1)
+        return lines.pop(0)
+
+    header = "minla-trace v1"
+    no, line = take()
+    if line != header:
+        raise TraceFormatError(f"expected header {header!r}", line=no)
+
+    def field(name: str) -> tuple[int, str]:
+        no, line = take()
+        prefix = name + ":"
+        if not line.startswith(prefix):
+            raise TraceFormatError(f"expected '{name}: ...'", line=no)
+        return no, line[len(prefix) :].strip()
+
+    no, model_text = field("model")
+    try:
+        model = Model(model_text)
+    except ValueError:
+        raise TraceFormatError(
+            f"unknown model {model_text!r} (expected cliques or lines)", line=no
+        ) from None
+
+    no, n_text = field("n")
+    try:
+        n = int(n_text)
+    except ValueError:
+        raise TraceFormatError(f"n is not an integer: {n_text!r}", line=no) from None
+
+    no, pi0_text = field("pi0")
+    try:
+        pi0 = Permutation(int(tok) for tok in pi0_text.split())
+    except ValueError as exc:
+        raise TraceFormatError(f"bad pi0: {exc}", line=no) from None
+    if len(pi0) != n:
+        raise TraceFormatError(f"pi0 lists {len(pi0)} nodes, expected {n}", line=no)
+
+    events = []
+    for no, line in lines:
+        if not line.startswith("event:"):
+            raise TraceFormatError("expected 'event: u v'", line=no)
+        toks = line[len("event:") :].split()
+        if len(toks) != 2:
+            raise TraceFormatError("event needs exactly two node ids", line=no)
+        try:
+            u, v = int(toks[0]), int(toks[1])
+        except ValueError:
+            raise TraceFormatError(f"bad event ids: {toks}", line=no) from None
+        events.append(RevealEvent(u, v))
+
+    return RevealTrace(model=model, n=n, pi0=pi0, events=tuple(events))
 
 
 def naive_kendall(p: Permutation, q: Permutation) -> int:

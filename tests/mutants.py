@@ -66,7 +66,7 @@ MUTANTS: tuple[Mutant, ...] = (
     # orientation cost terms.
     Mutant(
         "move-draw-one-bit-short", _REPLAY,
-        "denom, denom.bit_length()", "denom, (denom - 1).bit_length()",
+        "k_move = denom.bit_length()", "k_move = (denom - 1).bit_length()",
         _RAND_TESTS,
     ),
     Mutant(
@@ -94,9 +94,8 @@ MUTANTS: tuple[Mutant, ...] = (
     # inversion count.
     Mutant(
         "clique-sizes-after-merge", _REPLAY,
-        "x.extend(nodes.pop(rv))\n            return row + (None,) * 8",
-        "x.extend(nodes.pop(rv))\n"
-        "            return row[:4] + (len(x), len(z)) + row[6:] + (None,) * 8",
+        "x.extend(nodes.pop(rv))\n            return (u, v, ru, rv, xl, zl,",
+        "x.extend(nodes.pop(rv))\n            return (u, v, ru, rv, len(x), len(z),",
         (
             "tests/test_trace.py::TestCachedReplay::test_clique_sizes_are_read_before_the_merge",
         ),
@@ -129,7 +128,7 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "merged-ends-swapped", _REPLAY,
-        "ends = merged[0], merged[-1]", "ends = merged[-1], merged[0]",
+        "(merged[0], merged[-1])", "(merged[-1], merged[0])",
         ("tests/test_trace.py::TestCachedReplay::test_rows_match_replay_components",)
         + _RAND_TESTS,
     ),
@@ -149,6 +148,18 @@ MUTANTS: tuple[Mutant, ...] = (
         "roots = sorted(parts._nodes, key=lambda r: pos0[rep[r]])",
         "roots = sorted(parts._nodes)",
         ("tests/test_algorithms.py::TestWindowedKernel",),
+    ),
+    # Trace intake: the event lines are checked as one block, and events
+    # equal only events.
+    Mutant(
+        "event-shape-check-dropped", _REPLAY,
+        "if not _EVENT_LINES.fullmatch(block):", "if False:",
+        ("tests/test_trace.py::TestParseMatchesReference::test_corpus",),
+    ),
+    Mutant(
+        "event-eq-ignores-class", _REPLAY,
+        "if other.__class__ is self.__class__:", 'if hasattr(other, "u"):',
+        ("tests/test_trace.py::TestRevealEvent::test_equal_only_to_events",),
     ),
     Mutant(
         "inversions-bisect-left", "src/minla/perm.py",

@@ -143,6 +143,11 @@ class TestRandomTrace:
                 validate_trace(trace)
                 assert trace.k == k
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_non_positive_n(self, n):
+        with pytest.raises(ConfigError, match=f"n must be positive, got {n}"):
+            random_trace(Model.CLIQUES, n, seed=1)
+
     def test_rejects_bad_event_count(self):
         with pytest.raises(ConfigError):
             random_trace(Model.LINES, 4, seed=1, events=4)

@@ -24,6 +24,7 @@ from minla import (
     Permutation,
     RevealEvent,
     RevealTrace,
+    closest_feasible,
     det_step,
     is_minla,
     kendall_tau,
@@ -93,6 +94,21 @@ class TestDetStep:
                         if kendall_tau(trace.pi0, f) == best
                     )
                     assert state.current.node_at == lex_best
+
+    def test_closest_feasible_reports_its_distance(self):
+        # The block order's cross cost plus each path's inverted pairs is
+        # the target's distance from pi0, after every prefix of a trace.
+        rng = random.Random(13)
+        for model in (Model.CLIQUES, Model.LINES):
+            for _ in range(30):
+                n = rng.randint(1, 24)
+                trace = random_trace(model, n, seed=rng.random(), events=rng.randint(0, n - 1))
+                order = list(range(n))
+                rng.shuffle(order)
+                for pi0 in (trace.pi0, Permutation(order)):
+                    for k in range(trace.k + 1):
+                        distance, target = closest_feasible(pi0, replay_components(trace, k))
+                        assert distance == kendall_tau(pi0, target)
 
     def test_capacity_cap(self):
         # At the default budget of 2^22 states, 12 pairs and 1024 singletons

@@ -516,13 +516,13 @@ class TestDuel:
         closest_feasible = minla.algorithms.closest_feasible
 
         def swap_path_head(pi0, parts):
-            target = closest_feasible(pi0, parts)
+            distance, target = closest_feasible(pi0, parts)
             node_at = list(target.node_at)
             for root in parts.components():
                 if parts.size_of(root) == 3:
                     i, j = (target.pos_of[v] for v in parts.path_of(root)[:2])
                     node_at[i], node_at[j] = node_at[j], node_at[i]
-            return Permutation(node_at)
+            return distance, Permutation(node_at)
 
         monkeypatch.setattr(minla.algorithms, "closest_feasible", swap_path_head)
         with pytest.raises(InvariantError):

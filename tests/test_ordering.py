@@ -229,7 +229,7 @@ class TestSingletonAwareOrder:
                 seqs = [
                     sorted(parts.nodes_of(r), key=pos0.__getitem__)
                     if model is Model.CLIQUES
-                    else _oriented_path(parts.path_of(r), pos0)
+                    else _oriented_path(parts.path_of(r), pos0)[0]
                     for r in parts.components()
                 ]
                 sorted_pos = [sorted(pos0[v] for v in seq) for seq in seqs]

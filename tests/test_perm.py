@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,27 @@ class TestPermutation:
             Permutation([0, 0, 1])
         with pytest.raises(ValueError):
             Permutation([0, 2])
+
+    @pytest.mark.parametrize(
+        "node_at",
+        [(0, -1), (0, 2), (1, 1), (0, 1.0), (0, "1"), (0, np.int64(1))],
+        ids=["negative", "too-large", "duplicate", "float", "str", "numpy-int"],
+    )
+    def test_refusal_names_the_input(self, node_at):
+        with pytest.raises(ValueError) as err:
+            Permutation(node_at)
+        assert str(err.value) == f"not a permutation of 0..1: {node_at!r}"
+        with pytest.raises(ValueError) as err:
+            Permutation(iter(node_at))
+        assert str(err.value) == f"not a permutation of 0..1: {node_at!r}"
+
+    def test_from_text_refusals(self):
+        with pytest.raises(ValueError, match=r"^not a permutation of 0\.\.2: \(0, 2, 2\)$"):
+            Permutation.from_text("0 2 2")
+        with pytest.raises(ValueError, match=r"invalid literal for int\(\) with base 10: '1\.0'"):
+            Permutation.from_text("0 1.0")
+        assert Permutation.from_text(" +1\t0_0 ").node_at == (1, 0)
+        assert Permutation.from_text("") == Permutation([])
 
     def test_text_round_trip(self):
         p = Permutation([3, 1, 0, 2])

@@ -1,12 +1,14 @@
 import copy
 import dataclasses
 import itertools
+import pickle
 import random
+from collections import namedtuple
 from functools import partial
 
 import pytest
 
-from conftest import replay_components
+from conftest import reference_parse_trace, replay_components
 from minla import (
     ComponentPartition,
     Model,
@@ -64,6 +66,11 @@ class TestValidateTrace:
     def test_n_mismatch_rejected(self):
         with pytest.raises(TraceValidationError):
             RevealTrace(Model.LINES, 4, Permutation.identity(3), ())
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_non_positive_n_rejected(self, n):
+        with pytest.raises(TraceValidationError, match=f"n must be positive, got {n}"):
+            RevealTrace(Model.CLIQUES, n, Permutation([]), ())
 
     def test_clique_interior_attach_ok(self):
         # cliques have no endpoint restriction
@@ -207,7 +214,62 @@ class TestCachedReplay:
         assert dataclasses.replace(trace).replay is not replay
 
 
+class TestRevealEvent:
+    """The slotted event keeps a frozen dataclass's semantics."""
+
+    def test_equal_only_to_events(self):
+        event = RevealEvent(1, 2)
+        assert event == RevealEvent(1, 2)
+        assert event != RevealEvent(2, 1)
+        Pair = namedtuple("Pair", "u v")
+        for other in (Pair(1, 2), (1, 2), [1, 2], None):
+            assert event != other and other != event
+
+    def test_hash_and_repr(self):
+        event = RevealEvent(3, 0)
+        assert hash(event) == hash((3, 0))
+        assert len({event, RevealEvent(3, 0), RevealEvent(0, 3)}) == 2
+        assert repr(event) == "RevealEvent(u=3, v=0)"
+
+    def test_immutable(self):
+        event = RevealEvent(1, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field 'u'"):
+            event.u = 5
+        # A slotted frozen dataclass refuses a name that is not a field with
+        # TypeError, not FrozenInstanceError.
+        with pytest.raises((AttributeError, TypeError)):
+            event.w = 5
+        with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field 'v'"):
+            del event.v
+        assert (event.u, event.v) == (1, 2)
+        assert not hasattr(event, "__dict__")
+
+    def test_copies_are_equal_events(self):
+        event = RevealEvent(4, 7)
+        for twin in (copy.copy(event), copy.deepcopy(event), pickle.loads(pickle.dumps(event))):
+            assert type(twin) is RevealEvent and twin == event
+
+
 class TestPartition:
+    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
+    def test_misplaced_root_on_a_short_arrangement(self, model):
+        # Component {0, 1, 2} (for lines the path 0-1-2) and singleton 3: an
+        # arrangement cut inside the component names its root.
+        parts = ComponentPartition(4, model)
+        parts.merge(0, 1)
+        parts.merge(1, 2)
+        root = parts.find(0)
+        for node_at in ([3, 0, 1], [0, 1], [3, 2]):
+            assert parts.misplaced_root(node_at) == root
+        assert parts.misplaced_root([3, 0, 1, 2]) is None
+        assert parts.misplaced_root([3]) is None
+
+    def test_path_of_refused_on_cliques(self):
+        parts = ComponentPartition(3, Model.CLIQUES)
+        parts.merge(0, 1)
+        with pytest.raises(ValueError, match="only tracked for the lines model"):
+            parts.path_of(parts.find(0))
+
     @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
     def test_rejected_merge_leaves_the_partition_unchanged(self, model):
         # Components {0, 1, 2} and {3, 4, 5}: for lines the paths 0-1-2 and
@@ -313,3 +375,123 @@ class TestTraceIO:
             for _ in range(25):
                 trace = random_trace(model, rng.randint(1, 12), seed=rng.random())
                 assert parse_trace(emit_trace(trace)) == trace
+
+
+def _outcome(parse, text):
+    """The parsed trace with its canonical text, or the error's type,
+    message, line and event index."""
+    try:
+        trace = parse(text)
+    except (TraceFormatError, TraceValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "event_index", None)
+    assert all(type(ev.u) is int and type(ev.v) is int for ev in trace.events)
+    return trace, emit_trace(trace)
+
+
+_HEAD = "minla-trace v1\nmodel: lines\nn: 5\npi0: 0 1 2 3 4\n"
+
+# Inputs for every branch of the line-by-line parser, one error kind or odd
+# acceptance each, plus variants of the layout around them.
+PARSE_CORPUS = [
+    "",
+    "\n\n",
+    "# only a comment\n",
+    CANONICAL,
+    CANONICAL.replace("\n", "\r\n"),
+    CANONICAL.replace("\n", "\r"),
+    "minla-trace v1\x0bmodel: lines\x0cn: 2\x85pi0: 1 0\u2029event: 1 0\u2028",
+    "# a trace\n\n  minla-trace v1  # header\n\nmodel: lines\r\n  n:5\t\npi0:0 1 2 3 4#p\n"
+    "\n# events\nevent: 0 1   # first\n   \n\tevent:3 4\n\n# end\n",
+    "minla-trace v1\nmodel: cliques\nn: 4\npi0: 3 1 0 2\nevent: 0 1\nevent: 1 2\nevent: 3 0\n",
+    _HEAD + "event:0 1\nevent:3\t4\n",
+    _HEAD + "event: 0 1 event: 2 3\n",
+    _HEAD + "event: 0\n",
+    _HEAD + "event:\n",
+    _HEAD + "event: 0 1 2\n",
+    _HEAD + "event: 0 1 2\nevent: 3\n",
+    _HEAD + "event: 0\nevent: 1 2 3\n",
+    _HEAD + "event: 0 1\nevent: 2 x\nevent 3 4\n",
+    _HEAD + "event: 0 1\nevent 3 4\nevent: 2 x\n",
+    _HEAD + "event: 0 1\nEvent: 3 4\n",
+    _HEAD + "event: 0 1\n3 4\n",
+    _HEAD + "event: 0 1\nevents: 3 4\n",
+    _HEAD + "event:event: 0\n",
+    _HEAD + "event: 0 1event:\n",
+    _HEAD + "event: +0 1_0\n",
+    _HEAD + "event: +0 -1\n",
+    _HEAD + "event: 00 01\nevent: \uff13 \u0664\n",
+    _HEAD + "event: 0x1 2\n",
+    _HEAD + "event: 1.0 2\n",
+    _HEAD + "event: 1e0 2\n",
+    _HEAD + "event: 1__0 2\n",
+    _HEAD + "event: _1 2\n",
+    _HEAD + "event: 1 2_\n",
+    _HEAD + "event: 0\xa01\nevent:\u20033\u30004\n",
+    _HEAD + "event: 0\x1f1\n",
+    _HEAD + "event: 0\x1c1\n",
+    _HEAD + "event: 0\u20281\n",
+    _HEAD + "event: 0 1 # 2\nevent: 3 #4\n",
+    _HEAD + "event: 0 1\nevent: 1 2\nevent: 0 2\n",
+    _HEAD + "event: 0 1\nevent: 1 2\nevent: 1 3\n",
+    _HEAD + "event: 0 0\n",
+    _HEAD + "event: 0 5\n",
+    _HEAD + "event: 0 99999999999999999999\n",
+    "minla-trace v2\nmodel: lines\nn: 1\npi0: 0\n",
+    "\ufeffminla-trace v1\nmodel: lines\nn: 1\npi0: 0\n",
+    "minla-trace v1 extra\nmodel: lines\nn: 1\npi0: 0\n",
+    "minla-trace v1\nmodels: lines\nn: 1\npi0: 0\n",
+    "minla-trace v1\nmodel:lines\nn: 1\npi0: 0\n",
+    "minla-trace v1\nmodel: rings\nn: 1\npi0: 0\n",
+    "minla-trace v1\nmodel: Lines\nn: 1\npi0: 0\n",
+    "minla-trace v1\nmodel: lines\nn: +1\npi0: 0\n",
+    "minla-trace v1\nmodel: lines\nn: 1_0\npi0: 0 1 2 3 4 5 6 7 8 9\n",
+    "minla-trace v1\nmodel: lines\nn: one\npi0: 0\n",
+    "minla-trace v1\nmodel: lines\nn:\npi0: 0\n",
+    "minla-trace v1\nmodel: lines\nn: 0\npi0:\n",
+    "minla-trace v1\nmodel: lines\nn: -1\npi0:\n",
+    "minla-trace v1\nmodel: lines\nnodes: 1\npi0: 0\n",
+    "minla-trace v1\nmodel: lines\nn: 3\npi0: 0 x 2\n",
+    "minla-trace v1\nmodel: lines\nn: 3\npi0: 0 0 1\n",
+    "minla-trace v1\nmodel: lines\nn: 3\npi0: 0 1 3\n",
+    "minla-trace v1\nmodel: lines\nn: 3\npi0: 0 1.0 2\n",
+    "minla-trace v1\nmodel: lines\nn: 3\npi0: -0 +1 0_2\n",
+    "minla-trace v1\nmodel: lines\nn: 3\npi0: 0 1\n",
+    "minla-trace v1\nmodel: lines\nn: 3\nperm: 0 1 2\n",
+    "minla-trace v1\nmodel: lines\nn: 3\n",
+    "minla-trace v1\nmodel: lines\nn: 3\npi0: 0 1 2\nevent: 0 1\n\n\n",
+]
+
+
+class TestParseMatchesReference:
+    """parse_trace against the line-by-line parser in conftest: the same
+    trace, or the same error type, message, line and event index."""
+
+    @pytest.mark.parametrize("text", PARSE_CORPUS)
+    def test_corpus(self, text):
+        assert _outcome(parse_trace, text) == _outcome(reference_parse_trace, text)
+
+    def test_canonical_traces_cut_after_every_line_and_character(self):
+        rng = random.Random(6)
+        texts = [CANONICAL, PARSE_CORPUS[6]]
+        texts += [emit_trace(random_trace(model, 6, seed=rng.random(), events=4))
+                  for model in (Model.CLIQUES, Model.LINES)]
+        for text in texts:
+            lines = text.splitlines(keepends=True)
+            cuts = {"".join(lines[:i]) for i in range(len(lines) + 1)}
+            cuts |= {text[:i] for i in range(len(text) + 1)}
+            for cut in sorted(cuts):
+                assert _outcome(parse_trace, cut) == _outcome(reference_parse_trace, cut), cut
+
+    def test_random_edits(self):
+        # Insert, delete or replace one to three characters of a canonical
+        # trace, drawing from the characters the format gives meaning to.
+        rng = random.Random(12)
+        alphabet = "0123456789 \t\n\r#:-+_xev\xa0\x1c\x1f\uff13"
+        base = emit_trace(random_trace(Model.LINES, 8, seed=3))
+        for _ in range(3000):
+            text = base
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(text) + 1)
+                cut = rng.choice((0, 1))
+                text = text[:i] + rng.choice(("", rng.choice(alphabet))) + text[i + cut :]
+            assert _outcome(parse_trace, text) == _outcome(reference_parse_trace, text), text
