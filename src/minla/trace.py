@@ -84,9 +84,10 @@ class RevealTrace:
 class ComponentPartition:
     """Disjoint components of the revealed graph.
 
-    Union-find with one node sequence per component root: for lines the
-    path from one endpoint to the other, for cliques the merge order.  No
-    arrangement: each ``rand`` trial keeps its own per root.
+    Each node carries its component's root label, which a merge rewrites
+    for every node it absorbs; each root keeps one node sequence: for lines
+    the path from one endpoint to the other, for cliques the merge order.
+    No arrangement: each ``rand`` trial keeps its own per root.
     """
 
     def __init__(self, n: int, model: Model):
@@ -96,20 +97,14 @@ class ComponentPartition:
         # ten times a bool test.
         self._lines = model is Model.LINES
         self._read_only = False
-        self._parent = list(range(n))
+        self._root = list(range(n))
         # Paths are tuples, rebuilt per merge; clique lists grow in place.
         self._nodes: dict[int, list[int] | tuple[int, ...]] = {
             v: (v,) if self._lines else [v] for v in range(n)
         }
 
     def find(self, v: int) -> int:
-        parent = self._parent
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
+        return self._root[v]
 
     def components(self) -> list[int]:
         """Component roots, sorted for deterministic iteration."""
@@ -136,14 +131,11 @@ class ComponentPartition:
         nodes (in path order or its reverse, for lines); ``None`` when every
         one does: the contiguity characterization of an optimal arrangement.
         """
-        parent, members, lines = self._parent, self._nodes, self._lines
+        labels, members, lines = self._root, self._nodes, self._lines
         hi = len(node_at)
         i = 0
         while i < hi:
-            v = node_at[i]
-            root = parent[v]
-            if parent[root] != root:
-                root = self.find(v)
+            root = labels[node_at[i]]
             nodes = members[root]
             end = i + len(nodes)
             if end - i > 1:
@@ -173,13 +165,8 @@ class ComponentPartition:
             raise TraceValidationError(f"nodes ({u}, {v}) out of range")
         if u == v:
             raise TraceValidationError(f"self-event on node {u}")
-        parent, nodes = self._parent, self._nodes
-        # A root or a root's child needs no find; deeper nodes compress.
-        ru, rv = parent[u], parent[v]
-        if parent[ru] != ru:
-            ru = self.find(u)
-        if parent[rv] != rv:
-            rv = self.find(v)
+        labels, nodes = self._root, self._nodes
+        ru, rv = labels[u], labels[v]
         if ru == rv:
             raise TraceValidationError(
                 f"nodes {u} and {v} are already in the same component"
@@ -189,7 +176,8 @@ class ComponentPartition:
         denom = xl + zl
         k_move = denom.bit_length()
         if not self._lines:
-            parent[rv] = ru
+            for w in z:
+                labels[w] = ru
             x.extend(nodes.pop(rv))
             return (u, v, ru, rv, xl, zl, denom, k_move) + (None,) * 8
         pu, pv = x, z
@@ -201,7 +189,8 @@ class ComponentPartition:
             if pv[-1] != v:
                 raise TraceValidationError(f"node {v} is not an endpoint of its path")
             pv = pv[::-1]
-        parent[rv] = ru
+        for w in z:
+            labels[w] = ru
         merged = nodes[ru] = pu + pv
         del nodes[rv]
         pairs = denom * (denom - 1) // 2
@@ -218,8 +207,7 @@ class Replay(NamedTuple):
     For lines (``None`` for cliques) it goes on with the end pair of each
     path and of the merged path, the orientation coin's bound C(xl + zl, 2)
     with its bit width, and the cost terms C(xl, 2), C(zl, 2) and xl * zl.
-    ``final`` is the last partition, every node pointing at its root, so
-    finds on it only read; it is read-only, so merging it raises.
+    ``final`` is the last partition: finds only read its labels, and merging it raises.
     """
 
     rows: tuple[tuple, ...]
@@ -238,15 +226,12 @@ def validate_trace(t: RevealTrace) -> Replay:
             f"pi0 has {len(t.pi0)} entries, expected n={t.n}"
         )
     parts = ComponentPartition(t.n, t.model)
-    merge, parent = parts.merge, parts._parent
+    merge = parts.merge
     try:
         rows = [merge(ev.u, ev.v) for ev in t.events]
     except TraceValidationError as exc:
         # A rejected merge writes nothing, so the merges done index the event.
         raise TraceValidationError(str(exc), event_index=t.n - parts.num_components) from None
-    for root, nodes in parts._nodes.items():
-        for v in nodes:
-            parent[v] = root
     parts._read_only = True
     return Replay(tuple(rows), parts)
 

@@ -100,15 +100,28 @@ MUTANTS: tuple[Mutant, ...] = (
             "tests/test_trace.py::TestCachedReplay::test_clique_sizes_are_read_before_the_merge",
         ),
     ),
-    # A rejected merge raises before it writes anything.
+    # A rejected merge raises before it writes anything, and an accepted
+    # one relabels every node it absorbs.
     Mutant(
         "rejected-merge-changes-the-partition", _REPLAY,
         "        pu, pv = x, z\n",
-        "        self._parent[rv] = ru\n        pu, pv = x, z\n",
+        "        labels[v] = ru\n        pu, pv = x, z\n",
         (
             "tests/test_trace.py::TestPartition::"
             "test_rejected_merge_leaves_the_partition_unchanged",
         ),
+    ),
+    Mutant(
+        "clique-merge-skips-relabel", _REPLAY,
+        "            for w in z:\n                labels[w] = ru\n            x.extend",
+        "            for w in ():\n                labels[w] = ru\n            x.extend",
+        ("tests/test_trace.py::TestCachedReplay", "tests/test_trace.py::TestPartition"),
+    ),
+    Mutant(
+        "line-merge-skips-relabel", _REPLAY,
+        "        for w in z:\n            labels[w] = ru\n        merged",
+        "        for w in ():\n            labels[w] = ru\n        merged",
+        ("tests/test_trace.py::TestCachedReplay", "tests/test_trace.py::TestPartition"),
     ),
     # A trace's replayed partition refuses merges.
     Mutant(
@@ -160,6 +173,13 @@ MUTANTS: tuple[Mutant, ...] = (
         "event-eq-ignores-class", _REPLAY,
         "if other.__class__ is self.__class__:", 'if hasattr(other, "u"):',
         ("tests/test_trace.py::TestRevealEvent::test_equal_only_to_events",),
+    ),
+    # The middle-line adversary runs out of nodes on one side.
+    Mutant(
+        "left-exhaustion-unchecked", "src/minla/adversaries.py",
+        "if nxt < 0:", "if False:",
+        ("tests/test_adversaries.py::TestMiddleLineAdversary::"
+         "test_side_exhausted_before_the_duel_ends",),
     ),
     Mutant(
         "inversions-bisect-left", "src/minla/perm.py",

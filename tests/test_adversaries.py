@@ -51,6 +51,14 @@ class TestTreeAdversary:
                 rng.shuffle(leaves)
                 assert self.leaf_order(trace) == leaves
 
+    def test_level_one_spells_the_target_path(self):
+        # Each level's joins come in subtree order, so the first n/2 events,
+        # read as ordered pairs, list the final path's nodes in order.
+        for q in range(1, 7):
+            trace = tree_adversary(TreeAdversaryConfig(q=q, seed=q))
+            level_one = trace.events[: trace.n // 2]
+            assert [v for ev in level_one for v in (ev.u, ev.v)] == self.leaf_order(trace)
+
     def test_levels_merge_equal_sizes(self):
         q = 4
         trace = tree_adversary(TreeAdversaryConfig(q=q, seed=3))
@@ -102,6 +110,21 @@ class TestMiddleLineAdversary:
         # grown component {1, 3} is not contiguous in the identity
         with pytest.raises(ProtocolError):
             adv.next_event(Permutation.identity(5))
+
+    @pytest.mark.parametrize("arrangements, side", [
+        (("2 1 3 0 4", "2 0 1 3 4"), "left"),
+        (("0 1 3 2 4", "0 1 3 4 2"), "right"),
+    ])
+    def test_side_exhausted_before_the_duel_ends(self, arrangements, side):
+        # n = 5, x = 2: after the first event (1, 3), an arrangement that
+        # puts x on the same side twice runs that side out of nodes.
+        adv = MiddleLineAdversary(5)
+        adv.next_event(Permutation.identity(5))
+        first, second = map(Permutation.from_text, arrangements)
+        adv.next_event(first)
+        with pytest.raises(ProtocolError, match=f"{side} side exhausted before the duel ended"):
+            adv.next_event(second)
+        assert adv.sides == [side[0].upper()] * 2
 
     def test_duel_meets_alternation_floor(self):
         for n in (5, 9, 13):

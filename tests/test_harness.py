@@ -363,6 +363,25 @@ class TestVerifyLemma:
         with pytest.raises(ConfigError):
             verify_lemma("left-right", trials=2_000, seed=1, trace=trace)
 
+    @pytest.mark.parametrize("kind", ["left-right", "orientation"])
+    def test_frequency_checks_need_a_trace(self, kind):
+        with pytest.raises(ConfigError, match=f"verify {kind} needs a trace"):
+            verify_lemma(kind, trials=1_000, seed=1)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigError, match="unknown verification kind 'sideways'"):
+            verify_lemma("sideways", trials=1_000, seed=1)
+
+    def test_left_right_needs_two_components(self):
+        trace = random_trace(Model.CLIQUES, 5, seed=1)
+        with pytest.raises(ConfigError, match="trace merges to one component; no pairs to track"):
+            verify_lemma("left-right", trials=1_000, seed=1, trace=trace)
+
+    def test_orientation_needs_a_path(self):
+        trace = random_trace(Model.LINES, 5, seed=1, events=0)
+        with pytest.raises(ConfigError, match="trace has no multi-node component to orient"):
+            verify_lemma("orientation", trials=1_000, seed=1, trace=trace)
+
     @pytest.mark.parametrize("kind", ["harmonic", "identities"])
     def test_sweeps_reject_a_trace(self, kind):
         trace = random_trace(Model.LINES, 6, seed=13)

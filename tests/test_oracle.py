@@ -399,6 +399,10 @@ class TestLeftRightProbability:
         with pytest.raises(ValueError):
             left_right_probability({0, 1}, {1, 2}, Permutation.identity(3))
 
+    def test_empty_group_rejected(self):
+        with pytest.raises(ValueError, match="groups must be nonempty"):
+            left_right_probability([], [1], Permutation.identity(2))
+
 
 class TestOrientationProbability:
     def test_aligned_path(self):
