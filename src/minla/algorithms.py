@@ -17,11 +17,10 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvariantError
-from .ordering import solve_block_order
+from .ordering import solve_block_order, solve_block_orders
 from .perm import Permutation, count_inversions, kendall_tau
 from .trace import ComponentPartition, Model, RevealEvent, RevealTrace
 
@@ -122,16 +121,10 @@ def _oriented_path(path: Sequence[int], pos0: Sequence[int]) -> tuple[list[int],
     return list(path[::-1]), rev
 
 
-def closest_feasible(pi0: Permutation, parts: ComponentPartition) -> tuple[int, Permutation]:
-    """The feasible permutation for ``parts`` closest to ``pi0``, under the
-    partition's own model, with its distance from ``pi0``.
-
-    Exact: component-internal layouts are fixed first (cliques take the
-    pi0-induced node order, lines the cheaper orientation), then the block
-    order is optimized by :func:`solve_block_order`.  The distance is that
-    order's cross cost plus the pairs each path inverts.  Ties resolve to
-    the lexicographically smallest node sequence.
-    """
+def _block_problem(pi0: Permutation, parts: ComponentPartition) -> tuple[list, list, int]:
+    """The block-order problem of :func:`closest_feasible`: each component's
+    node sequence (cliques in pi0 order, lines in the cheaper orientation)
+    and its sorted pi0 positions, with the pairs the paths invert."""
     pos0 = pi0.pos_of
     seqs: list[list[int]] = []
     sorted_pos: list[list[int]] = []
@@ -145,6 +138,20 @@ def closest_feasible(pi0: Permutation, parts: ComponentPartition) -> tuple[int, 
             inside += inverted
             sorted_pos.append(sorted(pos0[v] for v in seq))
         seqs.append(seq)
+    return seqs, sorted_pos, inside
+
+
+def closest_feasible(pi0: Permutation, parts: ComponentPartition) -> tuple[int, Permutation]:
+    """The feasible permutation for ``parts`` closest to ``pi0``, under the
+    partition's own model, with its distance from ``pi0``.
+
+    Exact: component-internal layouts are fixed first (cliques take the
+    pi0-induced node order, lines the cheaper orientation), then the block
+    order is optimized by :func:`solve_block_order`, a batch of one.  The
+    distance is that order's cross cost plus the pairs each path inverts.
+    Ties resolve to the lexicographically smallest node sequence.
+    """
+    seqs, sorted_pos, inside = _block_problem(pi0, parts)
     cross, node_at = solve_block_order(seqs, sorted_pos)
     return cross + inside, Permutation(node_at)
 
@@ -162,14 +169,22 @@ def _check_full(state: AlgoState) -> None:
 def det_step(state: AlgoState, event: RevealEvent) -> AlgoState:
     """Apply one event deterministically: move to the feasible permutation
     closest to the initial one, paying the distance from the state's
-    current arrangement, which ``rand`` steps may have laid out.
+    current arrangement, which ``rand`` steps may have laid out.  The block
+    order is solved as a batch of one (:func:`run` batches a whole trace's).
     ``merge`` rejects a bad event (out of range, self, joined, inner path
     node) before the state changes; the new arrangement is checked as
     :func:`~minla.feasibility.is_minla` does (else :class:`InvariantError`)."""
+    return _det_move(state, event)
+
+
+def _det_move(state: AlgoState, event: RevealEvent,
+              target: Permutation | None = None) -> AlgoState:
+    """:func:`det_step`, given its ``target`` if it was solved ahead."""
     # Every swap is charged, so a state that has paid nothing is at pi0.
     before = state.current if state.total_cost else state.pi0
     state.parts.merge(event.u, event.v)
-    _, target = closest_feasible(state.pi0, state.parts)
+    if target is None:
+        _, target = closest_feasible(state.pi0, state.parts)
     state.move_cost += kendall_tau(before, target)
     state.fixed = target
     _check_full(state)
@@ -275,7 +290,8 @@ def run_trials(trace: RevealTrace, seeds: Iterable[int]) -> Iterator[AlgoState]:
     replay = trace.replay
     start = AlgoState.initial(trace.pi0, replay.final)
     left_end, blocks = start.left_end, start.blocks
-    rng = random.Random()
+    # Seeded, so that building it reads no OS entropy; each trial reseeds it.
+    rng = random.Random(0)
     reseed = super(random.Random, rng).seed
     for seed in seeds:
         reseed(operator.index(seed))
@@ -290,7 +306,10 @@ def run_trials(trace: RevealTrace, seeds: Iterable[int]) -> Iterator[AlgoState]:
 def run(algo: str, trace: RevealTrace, seed: int = 0) -> AlgoState:
     """Replay every event of ``trace`` with the chosen algorithm, one
     :func:`det_step` or :func:`rand_step` each, and return the final state,
-    which owns its partition and can step on.
+    which owns its partition and can step on.  ``det`` solves every step's
+    block order, stated on a second replay, in one
+    :func:`~minla.ordering.solve_block_orders` call, then pays and checks
+    each step on the state's own partition as :func:`det_step` does.
 
     Deterministic for a given (algo, trace, seed).  The seed is an int
     (else :class:`TypeError`); ``det`` ignores it and ``rand`` draws from
@@ -303,9 +322,23 @@ def run(algo: str, trace: RevealTrace, seed: int = 0) -> AlgoState:
     if algo not in ("det", "rand"):
         raise ValueError(f"unknown algorithm {algo!r}")
     seed = operator.index(seed)
-    step = det_step if algo == "det" else partial(rand_step, rng=random.Random(seed))
     state = AlgoState.initial(trace.pi0, ComponentPartition(trace.n, trace.model))
-    for event in trace.events:
-        step(state, event)
+    if algo == "det":
+        solved = solve_block_orders(_det_problems(trace))
+        for event, (_, node_at) in zip(trace.events, solved):
+            _det_move(state, event, Permutation(node_at))
+    else:
+        rng = random.Random(seed)
+        for event in trace.events:
+            rand_step(state, event, rng)
     _check_full(state)
     return state
+
+
+def _det_problems(trace: RevealTrace) -> Iterator[tuple[list, list]]:
+    """Each ``det`` step's block-order problem, from a replay of its own."""
+    parts = ComponentPartition(trace.n, trace.model)
+    for event in trace.events:
+        parts.merge(event.u, event.v)
+        seqs, sorted_pos, _ = _block_problem(trace.pi0, parts)
+        yield seqs, sorted_pos

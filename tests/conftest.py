@@ -40,7 +40,7 @@ from minla import (
     is_minla,
 )
 from minla.harness import CSV_HEADER, PRNG_NOTE, VerifyRow
-from minla.ordering import _popcount_layers, cross_weight
+from minla.ordering import cross_weight
 
 
 def replay_components(t, i: int) -> ComponentPartition:
@@ -330,9 +330,10 @@ def _subset_costs_np(w, m: int) -> np.ndarray:
         swf[lo : 2 * lo] = swf[:lo] + warr[:, i]
     g = np.full(full, _INF, dtype=np.int64)
     g[0] = 0
-    layers = _popcount_layers(m)
+    subsets = np.arange(full)
+    popcount = np.array([bin(t).count("1") for t in range(full)])
     for c in range(1, m + 1):
-        rs = layers[c]
+        rs = subsets[popcount == c]
         for j in range(m):
             bit = 1 << j
             sel = rs[(rs & bit) != 0]

@@ -343,7 +343,7 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "lead-head-keeps-the-last-singletons", _ORDERING,
-        "sums.item(t, m + k) - sums.item(t, m + k - 1)", "sums.item(t, m + k)",
+        "sums.item(t, lead + k) - sums.item(t, lead + k - 1)", "sums.item(t, lead + k)",
         (
             "tests/test_ordering.py::TestSolveBlockOrder::test_singleton_and_block_tie",
             "tests/test_ordering.py::TestSingletonAwareOrder::test_matches_reference_on_layouts",
@@ -355,6 +355,17 @@ MUTANTS: tuple[Mutant, ...] = (
         (
             "tests/test_ordering.py::TestSingletonAwareOrder::test_tables_agree",
             "tests/test_ordering.py::TestSingletonAwareOrder::test_matches_reference_on_layouts",
+        ),
+    ),
+    # The batched table: every problem's row sums double from its own rows
+    # (a batch of one starts both its rows and its blocks at 0).
+    Mutant(
+        "batch-row-sums-at-the-block-offset", _ORDERING,
+        "np.add(sums[at:lo], cols[first + i]",
+        "np.add(sums[first : first + (1 << i)], cols[first + i]",
+        (
+            "tests/test_ordering.py::TestBatchedSolve::test_random_batches_match_reference",
+            "tests/test_ordering.py::TestBatchedSolve::test_batched_tables_agree",
         ),
     ),
     # Output digits and trial seeds.

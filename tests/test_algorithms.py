@@ -138,19 +138,22 @@ class TestDetStep:
     @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
     def test_full_traces_past_the_old_cap(self, model, n, monkeypatch):
         # Every step of a full trace, checked by is_minla inside run; each
-        # step's target equals the plain subset program wherever it has at
-        # most 16 components.
+        # step's target, from run's one batched solve, equals the plain
+        # subset program wherever it has at most 16 components.
         compared = []
 
-        def checked(seqs, sorted_pos):
-            result = solve_block_order(seqs, sorted_pos)
-            if len(seqs) <= 16:
-                assert result == reference_layout(seqs, sorted_pos)
-                compared.append(len(seqs))
-            return result
+        def checked(problems):
+            problems = list(problems)
+            for (seqs, sorted_pos), result in zip(
+                problems, solve_block_orders(problems), strict=True
+            ):
+                if len(seqs) <= 16:
+                    assert result == reference_layout(seqs, sorted_pos)
+                    compared.append(len(seqs))
+                yield result
 
-        solve_block_order = minla.algorithms.solve_block_order
-        monkeypatch.setattr(minla.algorithms, "solve_block_order", checked)
+        solve_block_orders = minla.algorithms.solve_block_orders
+        monkeypatch.setattr(minla.algorithms, "solve_block_orders", checked)
         trace = random_trace(model, n, seed=n)
         result = run("det", trace)
         assert result.parts.num_components == 1
@@ -167,6 +170,59 @@ class TestDetStep:
                     det_step(state, ev)
                     farthest = max(farthest, kendall_tau(trace.pi0, state.current))
                 assert state.total_cost <= trace.k * 2 * farthest
+
+
+class TestDetRun:
+    """``run("det")`` solves every step's block order in one batched call,
+    then pays and checks each step: it must equal a ``det_step`` loop."""
+
+    @staticmethod
+    def loop(trace):
+        """A det_step loop over ``trace``: its state and target per step."""
+        state = initial_state(trace.model, trace.pi0)
+        targets = []
+        for ev in trace.events:
+            det_step(state, ev)
+            targets.append(state.current)
+        return state, targets
+
+    def test_matches_a_det_step_loop(self, monkeypatch):
+        solved = []
+        solve_block_orders = minla.algorithms.solve_block_orders
+
+        def recorded(problems):
+            for result in solve_block_orders(problems):
+                solved.append(Permutation(result[1]))
+                yield result
+
+        monkeypatch.setattr(minla.algorithms, "solve_block_orders", recorded)
+        rng = random.Random(14)
+        for model in (Model.CLIQUES, Model.LINES):
+            for _ in range(30):
+                n = rng.randint(1, 24)
+                events = rng.choice([None, rng.randint(0, n - 1)])
+                trace = random_trace(model, n, seed=rng.random(), events=events)
+                solved.clear()
+                state = run("det", trace)
+                expected, targets = self.loop(trace)
+                assert solved == targets
+                assert (state.move_cost, state.rearrange_cost) == (expected.move_cost, 0)
+                assert state.current == expected.current
+
+    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
+    def test_capacity_error_matches_the_loop(self, model, monkeypatch):
+        # At a cap of 2^6 states a full trace at n = 24 trips the cap
+        # part way; run raises what the loop raises at that event.
+        monkeypatch.setattr(minla.ordering, "CAP_BITS", 6)
+        trace = random_trace(model, 24, seed=5)
+        state = initial_state(model, trace.pi0)
+        with pytest.raises(CapacityError) as from_loop:
+            for ev in trace.events:
+                det_step(state, ev)
+        assert 0 < state.events_done < trace.k
+        with pytest.raises(CapacityError) as from_run:
+            run("det", trace)
+        assert str(from_run.value) == str(from_loop.value)
 
 
 def _step_costs(state, event, rng):

@@ -202,6 +202,33 @@ class TestSimulate:
         assert code == 3
         assert "cap" in err
 
+    def test_misplaced_det_target_exits_5(self, capsys, tmp_path, monkeypatch):
+        # A det target that swaps the first two nodes of a 3-path splits the
+        # path: run("det") checks each target of its one batched solve
+        # against its own step's partition, as the duel's det_step does.
+        path = tmp_path / "path.txt"
+        path.write_text("minla-trace v1\nmodel: lines\nn: 5\npi0: 0 1 2 3 4\n"
+                        "event: 0 1\nevent: 1 2\nevent: 3 4\n")
+        solve_block_orders = minla.algorithms.solve_block_orders
+
+        def swap_path_head(problems):
+            problems = list(problems)
+            for (seqs, _), (cost, node_at) in zip(problems, solve_block_orders(problems)):
+                for seq in seqs:
+                    if len(seq) == 3:
+                        i, j = node_at.index(seq[0]), node_at.index(seq[1])
+                        node_at[i], node_at[j] = node_at[j], node_at[i]
+                yield cost, node_at
+
+        monkeypatch.setattr(minla.algorithms, "solve_block_orders", swap_path_head)
+        code, out, err = run_cli(
+            capsys, "simulate", "--algo", "det", "--trace", str(path),
+            "--seed", "1", "--trials", "1",
+        )
+        assert (code, out) == (5, "")
+        assert err.startswith("internal error:")
+        assert "at event 1: component 0 (size 3)" in err
+
     def test_det_past_the_old_cap(self, capsys, tmp_path):
         path = tmp_path / "t32.txt"
         main(["gen", "--kind", "random", "--model", "lines", "--n", "32",

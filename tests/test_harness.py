@@ -499,6 +499,14 @@ class TestDuel:
         ratios = [duel(n).ratio for n in (9, 13, 17)]
         assert ratios[0] < ratios[1] < ratios[2]
 
+    def test_closed_form(self):
+        # For odd n = 2m + 1 the duel costs det m(2m - 1) against OPT = m, a
+        # ratio of n - 2.
+        for n in range(5, 102, 2):
+            m = n // 2
+            report = duel(n)
+            assert (report.algo_cost, report.opt_cost) == (m * (2 * m - 1), m), n
+
     def test_opt_at_most_n(self):
         for n in (5, 9, 13):
             assert duel(n).opt_cost <= n

@@ -1,5 +1,7 @@
 import itertools
 import random
+from itertools import accumulate
+from operator import add
 
 import pytest
 
@@ -13,7 +15,7 @@ from conftest import (
 )
 from minla import CapacityError, Model, random_trace
 from minla.algorithms import _oriented_path
-from minla.ordering import _costs, cross_weight, solve_block_order
+from minla.ordering import _costs, cross_weight, solve_block_order, solve_block_orders
 
 
 def brute_force_layout(seqs, sorted_pos):
@@ -167,9 +169,21 @@ def random_table_input(rng, m, s, hi=20):
     return rows, sizes
 
 
-def assert_tables_agree(rows, sizes, s):
-    g, _, tail = _costs(rows, sizes, s)
-    assert (g.tolist(), tail.tolist()) == _costs_py(rows, sizes, s)
+def table_cols(rows, m):
+    """``_costs``'s columns of weight rows ``rows``, m block rows first:
+    block j's column of the block rows, then the last k singleton rows'
+    entries summed, k = 0..s."""
+    trailing = [*accumulate(reversed(rows[m:]), lambda a, b: [*map(add, a, b)],
+                            initial=[0] * m)]
+    return [list(col) for col in zip(*rows[:m], *trailing)]
+
+
+def assert_tables_agree(*tables):
+    """Each (rows, sizes, s) of a batch gets the plain loops' tables; the
+    batch pads every table to its widest singleton axis."""
+    batch = [(table_cols(rows, len(sizes)), sizes, s) for rows, sizes, s in tables]
+    for (rows, sizes, s), (g, _, tail) in zip(tables, _costs(batch), strict=True):
+        assert (g[:, : s + 1].tolist(), tail[:, : s + 1].tolist()) == _costs_py(rows, sizes, s)
 
 
 class TestSingletonAwareOrder:
@@ -177,7 +191,7 @@ class TestSingletonAwareOrder:
         rng = random.Random(3)
         for m in range(0, 9):
             for s in range(0, 7):
-                assert_tables_agree(*random_table_input(rng, m, s), s)
+                assert_tables_agree((*random_table_input(rng, m, s), s))
 
     @pytest.mark.parametrize("hi", [20, 10**9])
     def test_tables_agree_across_slices(self, hi, monkeypatch):
@@ -191,7 +205,7 @@ class TestSingletonAwareOrder:
         for m, s in [(1, 0), (3, 2), (5, 0), (6, 1), (7, 3), (8, 9), (9, 2)]:
             rows, sizes = random_table_input(rng, m, s, hi)
             largest = max(largest, *map(sum, rows))
-            assert_tables_agree(rows, sizes, s)
+            assert_tables_agree((rows, sizes, s))
         assert (largest >= 1 << 31) == (hi > 20)
 
     def test_singleton_totals_widen(self):
@@ -202,7 +216,7 @@ class TestSingletonAwareOrder:
         rows, _ = random_table_input(rng, m, s)
         rows[m:] = [[1 << 28] * m for _ in range(s)]
         assert max(map(sum, rows)) < 1 << 31 <= sum(map(sum, rows[m:]))
-        assert_tables_agree(rows, [1 << 29] * m, s)
+        assert_tables_agree((rows, [1 << 29] * m, s))
 
     @pytest.mark.parametrize("m,s", [
         (0, 1), (0, 9), (1, 0), (1, 1), (3, 0), (3, 1), (5, 3), (6, 2),
@@ -257,3 +271,99 @@ class TestSingletonAwareOrder:
                 if cost == least:
                     singles = [sorted_pos[i][0] for i in order if len(seqs[i]) == 1]
                     assert singles == sorted(singles)
+
+
+def random_batch(rng, shapes):
+    """One random layout per (m, s) of ``shapes``, plus a single block and an
+    empty problem at random places: the problems of one batch."""
+    problems = [random_layout(rng, m, s) for m, s in shapes]
+    problems.insert(rng.randint(0, len(problems)), ([[5, 2, 7]], [[0, 1, 2]]))
+    problems.insert(rng.randint(0, len(problems)), ([], []))
+    return problems
+
+
+def record_batches(monkeypatch):
+    """Spy on ``_costs``: the rows, padded width, dtype and table count of
+    each batch."""
+    batches = []
+    costs = minla.ordering._costs
+
+    def recorded(tables):
+        views = costs(tables)
+        rows = sum(1 << len(sizes) for _, sizes, _ in tables)
+        width = max(s for _, _, s in tables) + 1
+        batches.append((rows, width, views[0][1].dtype.name, len(tables)))
+        return views
+
+    monkeypatch.setattr(minla.ordering, "_costs", recorded)
+    return batches
+
+
+class TestBatchedSolve:
+    """``solve_block_orders`` fills one table per batch; each problem's
+    result must equal the plain subset program on that problem alone."""
+
+    def test_random_batches_match_reference(self, monkeypatch):
+        # Batches that mix m = 0..9 multi-node blocks with s = 0..15
+        # singletons, the reference kept to at most 2^15 subsets.
+        rng = random.Random(7)
+        batches = record_batches(monkeypatch)
+        pairs = [(m, s) for m in range(10) for s in range(16) if m + s <= 15]
+        for _ in range(12):
+            problems = random_batch(rng, rng.sample(pairs, rng.randint(2, 8)))
+            expected = [reference_layout(*problem) for problem in problems]
+            assert list(solve_block_orders(problems)) == expected
+        assert len(batches) == 12
+        assert [solve_block_order(*p) for p in problems] == expected
+
+    @pytest.mark.parametrize("cap_bits", [4, 7])
+    def test_batches_close_at_the_state_budget(self, cap_bits, monkeypatch):
+        # A cap of 2^4 or 2^7 states splits the batches; a slice bound of 7
+        # candidate entries splits the layers.  Every batch fits the cap and
+        # closes only when the next problem would take it past.
+        monkeypatch.setattr(minla.ordering, "CAP_BITS", cap_bits)
+        monkeypatch.setattr(minla.ordering, "_SLICE", 7)
+        budget = 1 << cap_bits
+        rng = random.Random(cap_bits)
+        shapes = [(m, s) for m in range(cap_bits) for s in range(16) if (s + 1) << m <= budget]
+        problems = [random_layout(rng, *rng.choice(shapes)) for _ in range(40)]
+        batches = record_batches(monkeypatch)
+        solved = list(solve_block_orders(problems))
+        assert solved == [reference_layout(*problem) for problem in problems]
+        assert len(batches) > 4
+        assert all(rows * width <= budget for rows, width, _, _ in batches)
+        # The table rows and singletons of each problem that gets a table
+        # (not a single block), in order.
+        needs = [(1 << sum(len(q) > 1 for q in seqs), sum(len(q) == 1 for q in seqs))
+                 for seqs, _ in problems if len(seqs) != 1]
+        at = 0
+        for rows, width, _, count in batches[:-1]:
+            at += count
+            assert (rows + needs[at][0]) * (max(width - 1, needs[at][1]) + 1) > budget
+        assert at + batches[-1][3] == len(needs)
+
+    def test_row_sums_past_int32_widen_the_batch(self, monkeypatch):
+        # Two interleaved blocks of 70,000 nodes cost 2.45e9 either way, past
+        # 2^31, so the whole batch tables in int64; a batch of small
+        # problems stays int32.
+        half = 70_000
+        big = [list(range(0, 2 * half, 2)), list(range(1, 2 * half, 2)), [2 * half]]
+        big_pos = [list(range(0, 2 * half, 2)), list(range(1, 2 * half, 2)), [2 * half]]
+        assert cross_weight(big_pos[0], big_pos[1]) >= 1 << 31
+        rng = random.Random(8)
+        small = [random_layout(rng, m, s) for m, s in [(3, 2), (1, 5), (4, 0)]]
+        batches = record_batches(monkeypatch)
+        problems = [small[0], (big, big_pos), *small[1:]]
+        assert list(solve_block_orders(problems)) == [reference_layout(*p) for p in problems]
+        assert list(solve_block_orders(small)) == [reference_layout(*p) for p in small]
+        assert [dtype for _, _, dtype, _ in batches] == ["int64", "int32"]
+
+    @pytest.mark.parametrize("hi", [20, 10**9])
+    def test_batched_tables_agree(self, hi, monkeypatch):
+        # The tables of one batch, each against the plain loops, across
+        # slices of 7 entries; at hi = 10^9 the batch widens to int64.
+        monkeypatch.setattr(minla.ordering, "_SLICE", 7)
+        rng = random.Random(hi + 1)
+        shapes = [(0, 4), (1, 0), (3, 2), (5, 0), (6, 1), (7, 3), (2, 9), (9, 2)]
+        tables = [(*random_table_input(rng, m, s, hi), s) for m, s in shapes]
+        assert_tables_agree(*tables)
