@@ -103,7 +103,7 @@ def _layout(state: AlgoState) -> list[int]:
         return [v for root in roots for v in state.blocks[root]]
     node_at: list[int] = []
     for root in roots:
-        path = parts.path_of(root)
+        path = parts.nodes_of(root)
         node_at.extend(path if path[0] == state.left_end[root] else path[::-1])
     return node_at
 
@@ -134,7 +134,7 @@ def _block_problem(pi0: Permutation, parts: ComponentPartition) -> tuple[list, l
             seq = sorted(parts.nodes_of(root), key=pos0.__getitem__)
             sorted_pos.append([pos0[v] for v in seq])
         else:
-            seq, inverted = _oriented_path(parts.path_of(root), pos0)
+            seq, inverted = _oriented_path(parts.nodes_of(root), pos0)
             inside += inverted
             sorted_pos.append(sorted(pos0[v] for v in seq))
         seqs.append(seq)

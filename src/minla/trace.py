@@ -85,9 +85,11 @@ class ComponentPartition:
     """Disjoint components of the revealed graph.
 
     Each node carries its component's root label, which a merge rewrites
-    for every node it absorbs; each root keeps one node sequence: for lines
-    the path from one endpoint to the other, for cliques the merge order.
-    No arrangement: each ``rand`` trial keeps its own per root.
+    for every node it absorbs; each root keeps one node list: for lines the
+    path from one endpoint to the other, for cliques the merge order.  A
+    merge extends the kept root's list in place, for lines after turning
+    whichever side runs the wrong way.  No arrangement: each ``rand`` trial
+    keeps its own per root.
     """
 
     def __init__(self, n: int, model: Model):
@@ -98,10 +100,8 @@ class ComponentPartition:
         self._lines = model is Model.LINES
         self._read_only = False
         self._root = list(range(n))
-        # Paths are tuples, rebuilt per merge; clique lists grow in place.
-        self._nodes: dict[int, list[int] | tuple[int, ...]] = {
-            v: (v,) if self._lines else [v] for v in range(n)
-        }
+        # One list per root, extended in place by every merge.
+        self._nodes: dict[int, list[int]] = {v: [v] for v in range(n)}
 
     def find(self, v: int) -> int:
         return self._root[v]
@@ -114,7 +114,8 @@ class ComponentPartition:
     def num_components(self) -> int:
         return len(self._nodes)
 
-    def nodes_of(self, root: int) -> Sequence[int]:
+    def nodes_of(self, root: int) -> list[int]:
+        """The root's live node list: later merges may extend or turn it."""
         return self._nodes[root]
 
     def size_of(self, root: int) -> int:
@@ -123,7 +124,7 @@ class ComponentPartition:
     def path_of(self, root: int) -> tuple[int, ...]:
         if not self._lines:
             raise ValueError("path order is only tracked for the lines model")
-        return self._nodes[root]
+        return tuple(self._nodes[root])
 
     def misplaced_root(self, node_at: Sequence[int]) -> int | None:
         """Root of the first component, walking ``node_at`` left to right,
@@ -139,7 +140,7 @@ class ComponentPartition:
             nodes = members[root]
             end = i + len(nodes)
             if end - i > 1:
-                span = tuple(node_at[i:end])
+                span = list(node_at[i:end])
                 if not lines:
                     if set(span) != set(nodes):
                         return root
@@ -172,31 +173,29 @@ class ComponentPartition:
                 f"nodes {u} and {v} are already in the same component"
             )
         x, z = nodes[ru], nodes[rv]
-        xl, zl = len(x), len(z)  # before the merge: clique lists grow in place
+        xl, zl = len(x), len(z)  # before the merge: x grows in place
         denom = xl + zl
         k_move = denom.bit_length()
-        if not self._lines:
-            for w in z:
-                labels[w] = ru
-            x.extend(nodes.pop(rv))
-            return (u, v, ru, rv, xl, zl, denom, k_move) + (None,) * 8
-        pu, pv = x, z
-        if pu[-1] != u:
-            if pu[0] != u:
+        lines = self._lines
+        if lines:
+            x_ends, z_ends = (x[0], x[-1]), (z[0], z[-1])
+            if u not in x_ends:
                 raise TraceValidationError(f"node {u} is not an endpoint of its path")
-            pu = pu[::-1]
-        if pv[0] != v:
-            if pv[-1] != v:
+            if v not in z_ends:
                 raise TraceValidationError(f"node {v} is not an endpoint of its path")
-            pv = pv[::-1]
+            # Both checks passed: turn u to x's end and v to z's front.
+            if u != x[-1]:
+                x.reverse()
+            if v != z[0]:
+                z.reverse()
         for w in z:
             labels[w] = ru
-        merged = nodes[ru] = pu + pv
-        del nodes[rv]
+        x.extend(nodes.pop(rv))
+        if not lines:
+            return (u, v, ru, rv, xl, zl, denom, k_move) + (None,) * 8
         pairs = denom * (denom - 1) // 2
-        return (u, v, ru, rv, xl, zl, denom, k_move, (x[0], x[-1]), (z[0], z[-1]),
-                (merged[0], merged[-1]), pairs, pairs.bit_length(),
-                xl * (xl - 1) // 2, zl * (zl - 1) // 2, xl * zl)
+        return (u, v, ru, rv, xl, zl, denom, k_move, x_ends, z_ends, (x[0], x[-1]),
+                pairs, pairs.bit_length(), xl * (xl - 1) // 2, zl * (zl - 1) // 2, xl * zl)
 
 
 class Replay(NamedTuple):

@@ -1,9 +1,10 @@
 """Shared brute-force oracles for the test suite.
 
 These stay deliberately naive and independent of the library's fast paths:
-the partition after a prefix of a trace's events, a line-by-line trace
-parser, quadratic pair counting, full permutation enumeration, literal
-cost sums, closed forms, a literal
+the partition after a prefix of a trace's events, every step of a replay
+rebuilt as tuples, a hypothesis strategy for valid traces, a line-by-line
+trace parser, quadratic pair counting, full permutation enumeration,
+literal cost sums, closed forms, a literal
 replay of the randomized strategy, the plain block-subset program that
 orders singletons like any other block, the singleton-aware block-order
 table as plain loops, and the literal exact oracles: a heap Dijkstra over
@@ -25,6 +26,8 @@ import random
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from minla import (
     ComponentPartition,
@@ -51,6 +54,61 @@ def replay_components(t, i: int) -> ComponentPartition:
     for ev in t.events[:i]:
         parts.merge(ev.u, ev.v)
     return parts
+
+
+def _tuple_join(a: tuple, b: tuple, u: int, v: int, lines: bool) -> tuple:
+    """The merged node tuple: a clique's merge order, or for lines u's path
+    (u last) followed by v's path (v first)."""
+    if not lines:
+        return a + b
+    return (a if a[-1] == u else a[::-1]) + (b if b[0] == v else b[::-1])
+
+
+def reference_components(t) -> tuple[list[dict], list[tuple]]:
+    """Every step of the replay, rebuilt as tuples: ``(steps, ends)``.
+    ``steps[i]`` maps each root to its node tuple after the first ``i``
+    events (u's root kept); ``ends[i]`` is event i's ``(x_ends, z_ends,
+    ends)``: the end pairs of both paths before it and of the merged path,
+    or three ``None`` for cliques."""
+    lines = t.model is Model.LINES
+    comps = {v: (v,) for v in range(t.n)}
+    steps, ends = [dict(comps)], []
+    for ev in t.events:
+        ru = next(r for r, nodes in comps.items() if ev.u in nodes)
+        rv = next(r for r, nodes in comps.items() if ev.v in nodes)
+        a, b = comps[ru], comps.pop(rv)
+        merged = comps[ru] = _tuple_join(a, b, ev.u, ev.v, lines)
+        pairs = ((a[0], a[-1]), (b[0], b[-1]), (merged[0], merged[-1]))
+        ends.append(pairs if lines else (None,) * 3)
+        steps.append(dict(comps))
+    return steps, ends
+
+
+# Hypothesis runs for trace properties: the same examples on every run, and
+# no example database left behind.
+TRACE_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+@st.composite
+def valid_traces(draw, max_n: int = 12) -> RevealTrace:
+    """A valid trace: a model, n <= ``max_n``, pi0 and a merge sequence
+    whose every event joins two components (for lines at path ends), so
+    each draw is valid and shrinks toward fewer nodes and events."""
+    model = draw(st.sampled_from([Model.CLIQUES, Model.LINES]))
+    n = draw(st.integers(1, max_n))
+    pi0 = Permutation(draw(st.permutations(range(n))))
+    lines = model is Model.LINES
+    comps = [(v,) for v in range(n)]
+    events = []
+    for _ in range(draw(st.integers(0, n - 1))):
+        i, j = draw(st.lists(st.integers(0, len(comps) - 1), min_size=2, max_size=2, unique=True))
+        a, b = comps[i], comps[j]
+        u = draw(st.sampled_from(sorted({a[0], a[-1]}) if lines else a))
+        v = draw(st.sampled_from(sorted({b[0], b[-1]}) if lines else b))
+        comps[i] = _tuple_join(a, b, u, v, lines)
+        del comps[j]
+        events.append(RevealEvent(u, v))
+    return RevealTrace(model, n, pi0, tuple(events))
 
 
 def reference_parse_trace(text: str):

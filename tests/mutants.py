@@ -94,34 +94,53 @@ MUTANTS: tuple[Mutant, ...] = (
     # inversion count.
     Mutant(
         "clique-sizes-after-merge", _REPLAY,
-        "x.extend(nodes.pop(rv))\n            return (u, v, ru, rv, xl, zl,",
-        "x.extend(nodes.pop(rv))\n            return (u, v, ru, rv, len(x), len(z),",
+        "return (u, v, ru, rv, xl, zl, denom, k_move) + (None,) * 8",
+        "return (u, v, ru, rv, len(x), len(z), denom, k_move) + (None,) * 8",
         (
             "tests/test_trace.py::TestCachedReplay::test_clique_sizes_are_read_before_the_merge",
         ),
     ),
-    # A rejected merge raises before it writes anything, and an accepted
-    # one relabels every node it absorbs.
+    # A rejected merge raises before it writes anything (for lines it turns
+    # a path only after both end checks), and an accepted one relabels
+    # every node it absorbs and turns u's path to end at u.
     Mutant(
         "rejected-merge-changes-the-partition", _REPLAY,
-        "        pu, pv = x, z\n",
-        "        labels[v] = ru\n        pu, pv = x, z\n",
+        "        lines = self._lines\n",
+        "        labels[v] = ru\n        lines = self._lines\n",
         (
             "tests/test_trace.py::TestPartition::"
             "test_rejected_merge_leaves_the_partition_unchanged",
         ),
     ),
     Mutant(
-        "clique-merge-skips-relabel", _REPLAY,
-        "            for w in z:\n                labels[w] = ru\n            x.extend",
-        "            for w in ():\n                labels[w] = ru\n            x.extend",
-        ("tests/test_trace.py::TestCachedReplay", "tests/test_trace.py::TestPartition"),
+        "reversal-before-end-checks", _REPLAY,
+        "            if v not in z_ends:\n",
+        "            if u != x[-1]:\n                x.reverse()\n            if v not in z_ends:\n",
+        (
+            "tests/test_trace.py::TestPartition::"
+            "test_rejected_merge_leaves_the_partition_unchanged[lines]",
+        ),
     ),
     Mutant(
-        "line-merge-skips-relabel", _REPLAY,
-        "        for w in z:\n            labels[w] = ru\n        merged",
-        "        for w in ():\n            labels[w] = ru\n        merged",
-        ("tests/test_trace.py::TestCachedReplay", "tests/test_trace.py::TestPartition"),
+        "kept-path-not-reversed", _REPLAY,
+        "x.reverse()", "pass",
+        (
+            "tests/test_trace.py::TestCachedReplay::test_steps_match_reference_components",
+            "tests/test_trace.py::TestReplay::test_merged_path_restricted_to_parent",
+        ),
+    ),
+    # One relabel loop serves both models.
+    Mutant(
+        "merge-skips-relabel", _REPLAY,
+        "        for w in z:\n            labels[w] = ru\n",
+        "        for w in ():\n            labels[w] = ru\n",
+        (
+            "tests/test_trace.py::TestPartition::"
+            "test_misplaced_root_on_a_short_arrangement[cliques]",
+            "tests/test_trace.py::TestPartition::"
+            "test_misplaced_root_on_a_short_arrangement[lines]",
+            "tests/test_trace.py::TestCachedReplay::test_steps_match_reference_components",
+        ),
     ),
     # A trace's replayed partition refuses merges.
     Mutant(
@@ -141,9 +160,11 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "merged-ends-swapped", _REPLAY,
-        "(merged[0], merged[-1])", "(merged[-1], merged[0])",
-        ("tests/test_trace.py::TestCachedReplay::test_rows_match_replay_components",)
-        + _RAND_TESTS,
+        "z_ends, (x[0], x[-1])", "z_ends, (x[-1], x[0])",
+        (
+            "tests/test_trace.py::TestCachedReplay::test_rows_match_replay_components",
+            "tests/test_trace.py::TestCachedReplay::test_steps_match_reference_components",
+        ) + _RAND_TESTS,
     ),
     Mutant(
         "z-slot-check-dropped", _ENGINE,

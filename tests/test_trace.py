@@ -7,8 +7,15 @@ from collections import namedtuple
 from functools import partial
 
 import pytest
+from hypothesis import given
 
-from conftest import reference_parse_trace, replay_components
+from conftest import (
+    TRACE_SETTINGS,
+    reference_components,
+    reference_parse_trace,
+    replay_components,
+    valid_traces,
+)
 from minla import (
     ComponentPartition,
     Model,
@@ -151,6 +158,47 @@ def _replay_traces():
     return traces
 
 
+def _line_shape_traces(n=64):
+    """Line traces that grow one path node by node, plus one whose merges
+    turn u's path, v's path and both."""
+    end_grown = [(i, i + 1) for i in range(n - 1)]  # u last of the kept path
+    front_grown = [(i + 1, i) for i in range(n - 1)]  # v first of the absorbed path
+    # A fresh node joins the grown path's far end, so that path turns and
+    # is absorbed on every merge.
+    absorbing, path = [], [0]
+    for u in range(1, n):
+        absorbing.append((u, path[-1]))
+        path = [u, *reversed(path)]
+    turning = [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (6, 7), (8, 9), (7, 9),
+               (10, 11), (10, 8), (2, 6)]
+    shapes = [(n, end_grown), (n, front_grown), (n, absorbing), (12, turning)]
+    return [make_trace(Model.LINES, size, events) for size, events in shapes]
+
+
+def _check_against_reference(trace):
+    """Replay ``trace`` on a fresh partition: before every event and after
+    the last, each root's node list (and for lines its path) equals the
+    tuple replay of ``reference_components``; each row equals the trace's
+    replay row and carries the reference end pairs."""
+    steps, ends = reference_components(trace)
+    lines = trace.model is Model.LINES
+    parts = ComponentPartition(trace.n, trace.model)
+
+    def check(partition, expected):
+        nodes = {r: tuple(partition.nodes_of(r)) for r in partition.components()}
+        assert nodes == expected
+        if lines:
+            assert {r: partition.path_of(r) for r in expected} == expected
+
+    for i, ev in enumerate(trace.events):
+        check(parts, steps[i])
+        row = parts.merge(ev.u, ev.v)
+        assert row == trace.replay.rows[i]
+        assert row[8:11] == ends[i]
+    check(parts, steps[-1])
+    check(trace.replay.final, steps[-1])
+
+
 def _bit_width(bound):
     """The fewest bits whose words reach ``bound``: 2^k > bound."""
     return next(k for k in itertools.count() if bound < 1 << k)
@@ -189,6 +237,19 @@ class TestCachedReplay:
                 assert replay.final.nodes_of(root) == final.nodes_of(root)
                 assert all(replay.final.find(v) == root for v in final.nodes_of(root))
 
+    def test_steps_match_reference_components(self):
+        for trace in _replay_traces() + _line_shape_traces():
+            _check_against_reference(trace)
+        # Which sides turn, per merge: the absorbing shape turns v's path
+        # after its first merge, the last shape turns u's, v's and both.
+        *_, absorbing, turning = _line_shape_traces()
+        for trace, expected in [(absorbing, {(False, False), (False, True)}),
+                                (turning, {(False, False), (True, False), (False, True),
+                                           (True, True)})]:
+            _, ends = reference_components(trace)
+            turns = {(ev.u != x[1], ev.v != z[0]) for ev, (x, z, _) in zip(trace.events, ends)}
+            assert turns == expected
+
     def test_clique_sizes_are_read_before_the_merge(self):
         # A clique's node list grows in place: read after its merge, event
         # 0's sizes would be (2, 1) and event 1's (3, 1).
@@ -212,6 +273,20 @@ class TestCachedReplay:
         assert copy.replay.rows == replay.rows[:1]
         assert copy.replay.final.num_components == 2
         assert dataclasses.replace(trace).replay is not replay
+
+
+class TestTraceProperties:
+    """Properties over the hypothesis strategy for valid traces (n <= 12)."""
+
+    @TRACE_SETTINGS
+    @given(valid_traces())
+    def test_replay_matches_reference_components(self, trace):
+        _check_against_reference(trace)
+
+    @TRACE_SETTINGS
+    @given(valid_traces())
+    def test_emit_then_parse_round_trips(self, trace):
+        assert parse_trace(emit_trace(trace)) == trace
 
 
 class TestRevealEvent:
@@ -263,6 +338,21 @@ class TestPartition:
             assert parts.misplaced_root(node_at) == root
         assert parts.misplaced_root([3, 0, 1, 2]) is None
         assert parts.misplaced_root([3]) is None
+
+    def test_lines_merge_extends_the_kept_list(self):
+        # Growing the path at u's end keeps u's root and its list object,
+        # and the absorbed root is gone; a path taken earlier stays as it was.
+        parts = ComponentPartition(5, Model.LINES)
+        parts.merge(0, 1)
+        root = parts.find(0)
+        kept, early = parts.nodes_of(root), parts.path_of(root)
+        for u in (1, 2, 3):
+            absorbed = parts.find(u + 1)
+            parts.merge(u, u + 1)
+            assert parts.nodes_of(root) is kept
+            assert absorbed not in parts.components()
+        assert kept == [0, 1, 2, 3, 4]
+        assert early == (0, 1)
 
     def test_path_of_refused_on_cliques(self):
         parts = ComponentPartition(3, Model.CLIQUES)
