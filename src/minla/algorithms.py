@@ -112,8 +112,6 @@ def _oriented_path(path: Sequence[int], pos0: Sequence[int]) -> tuple[list[int],
     """Orientation of a path with the fewest pairs inverted against the
     reference positions, and that count; ties go to the lexicographically
     smaller sequence."""
-    if len(path) == 1:
-        return list(path), 0
     fwd = count_inversions([pos0[v] for v in path])
     rev = len(path) * (len(path) - 1) // 2 - fwd
     if fwd < rev or (fwd == rev and tuple(path) < tuple(path[::-1])):
@@ -121,24 +119,26 @@ def _oriented_path(path: Sequence[int], pos0: Sequence[int]) -> tuple[list[int],
     return list(path[::-1]), rev
 
 
+def _component_block(nodes: Sequence[int], pos0: Sequence[int],
+                     lines: bool) -> tuple[list[int], list[int], int]:
+    """A component's nodes as :func:`closest_feasible` lays them out (a
+    clique in pi0 order, a path in its cheaper orientation), their sorted
+    pi0 positions and the pairs the sequence inverts."""
+    if len(nodes) == 1:
+        return [nodes[0]], [pos0[nodes[0]]], 0
+    if lines:
+        seq, inverted = _oriented_path(nodes, pos0)
+    else:
+        seq, inverted = sorted(nodes, key=pos0.__getitem__), 0
+    return seq, sorted(map(pos0.__getitem__, seq)), inverted
+
+
 def _block_problem(pi0: Permutation, parts: ComponentPartition) -> tuple[list, list, int]:
     """The block-order problem of :func:`closest_feasible`: each component's
-    node sequence (cliques in pi0 order, lines in the cheaper orientation)
-    and its sorted pi0 positions, with the pairs the paths invert."""
-    pos0 = pi0.pos_of
-    seqs: list[list[int]] = []
-    sorted_pos: list[list[int]] = []
-    inside = 0
-    for root in parts.components():
-        if parts.model is Model.CLIQUES:
-            seq = sorted(parts.nodes_of(root), key=pos0.__getitem__)
-            sorted_pos.append([pos0[v] for v in seq])
-        else:
-            seq, inverted = _oriented_path(parts.nodes_of(root), pos0)
-            inside += inverted
-            sorted_pos.append(sorted(pos0[v] for v in seq))
-        seqs.append(seq)
-    return seqs, sorted_pos, inside
+    block, in root order, with the pairs the paths invert."""
+    pos0, lines = pi0.pos_of, parts.model is Model.LINES
+    blocks = [_component_block(parts.nodes_of(r), pos0, lines) for r in parts.components()]
+    return [b[0] for b in blocks], [b[1] for b in blocks], sum(b[2] for b in blocks)
 
 
 def closest_feasible(pi0: Permutation, parts: ComponentPartition) -> tuple[int, Permutation]:
@@ -336,9 +336,14 @@ def run(algo: str, trace: RevealTrace, seed: int = 0) -> AlgoState:
 
 
 def _det_problems(trace: RevealTrace) -> Iterator[tuple[list, list]]:
-    """Each ``det`` step's block-order problem, from a replay of its own."""
+    """Each ``det`` step's block-order problem, from a replay of its own
+    that keeps each component's block by root, in ascending order: a merge
+    drops the absorbed root's and rebuilds the merged root's in place."""
     parts = ComponentPartition(trace.n, trace.model)
+    pos0, lines = trace.pi0.pos_of, trace.model is Model.LINES
+    blocks = {v: ([v], [pos0[v]], 0) for v in range(trace.n)}
     for event in trace.events:
-        parts.merge(event.u, event.v)
-        seqs, sorted_pos, _ = _block_problem(trace.pi0, parts)
-        yield seqs, sorted_pos
+        ru, rv = parts.merge(event.u, event.v)[2:4]
+        del blocks[rv]
+        blocks[ru] = _component_block(parts.nodes_of(ru), pos0, lines)
+        yield [b[0] for b in blocks.values()], [b[1] for b in blocks.values()]

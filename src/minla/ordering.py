@@ -9,24 +9,26 @@ order, since swapping two inverted singletons strictly lowers the count and
 keeps every block contiguous.  The program therefore runs over (subset of the
 m multi-node blocks) x (number of trailing singletons): 2^m * (s + 1) states
 for s singletons, O(2^m * (m + 1) * (s + 1)) table work plus an
-O((m + s) * m) rebuild that reads every head cost off the table's row sums
-and singleton tails.  A hard cap on the state count guards the exponential
-table.
+O((m + s) * m) rebuild that reads every step cost off the table's row sums
+and ends once every block is placed.  A hard cap on the state count guards
+the exponential table.
 
 One numpy table serves a batch of problems, each at its own row offset, the
 singleton axis padded to the batch's widest: each numpy operation of the
 popcount-layer fill covers every problem's rows, in slices of bounded size,
-and a batch closes before its states would pass the cap.  numpy is imported
-on first use, so a process whose block orders all have one block (every
-full trace) never loads it.  :func:`solve_block_orders` is the one entry
-point (:func:`solve_block_order` is its batch of one): it checks each
-problem against the cap, then builds the weights and applies the singleton
-rule.
+and a batch closes before its states would pass the cap.  The weights come
+from an array per problem labelling each reference position with its block:
+the blocks' prefix counts give every cross weight in one batched matrix
+product, and each block's cost against the trailing singletons in one
+gather and running sum.  numpy is imported on first use, so a process whose
+block orders all have one block (every full trace) never loads it.
+:func:`solve_block_orders` is the one entry point (:func:`solve_block_order`
+is its batch of one): it checks each problem against the cap, then labels
+the positions and applies the singleton rule.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
@@ -38,8 +40,9 @@ __all__ = ["CAP_BITS", "cross_weight", "solve_block_order", "solve_block_orders"
 # An exact block-order search may use at most 2^CAP_BITS states.
 CAP_BITS = 22
 # A popcount layer is tabled in slices of at most this many candidate
-# entries (subset, first block, trailing singletons), or one subset's, which
-# keeps the temporaries of a slice under 1 MB each.
+# entries (subset, first block, trailing singletons), or one subset's, and
+# the label arrays are read in slices of about as many (position, block)
+# entries, or one problem's: the temporaries of a slice stay under 1 MB.
 _SLICE = 1 << 16
 
 
@@ -82,40 +85,60 @@ def _layer_rows(ms: tuple[int, ...]) -> tuple[np.ndarray, tuple]:
 _popcount_layers = lru_cache(maxsize=None)(lambda m: _layer_rows((m,)))
 
 
-def _costs(tables: Sequence[tuple]) -> list[tuple[np.ndarray, ...]]:
-    """(g, sums, tail) per (cols, sizes, s), views of one batch table, for
-    blocks of ``sizes`` nodes whose columns list the cost of each block, then
-    of the last k singletons, before them.  g[t, k] is the least cost of
-    ordering the blocks in t and the last k singletons, these in order;
-    sums[t, r] that of block r, or for r = M + k the last k singletons,
-    before t, M = sums.shape[1] - g.shape[1]; tail[j, k] that of block j
-    before the last k singletons.  Columns past k = s pad the batch."""
+def _costs(tables: Sequence[tuple]) -> list[tuple]:
+    """(g, sums, step) per (labels, singles), views of one batch table:
+    ``labels[x]`` is the multi-node block (0 to m - 1) at reference position
+    x, else -1, and ``singles`` the singleton positions, ascending.  sums[t,
+    r] is the cost of block r before the blocks in t.  g[t, k], the least
+    cost of ordering the blocks in t and the last k singletons, these in
+    order, less that of those singletons before those blocks, is a running
+    minimum over k; block j's step costs step[j, k] over its sums entry.
+    Columns past k = s pad the batch."""
     import numpy as np
 
-    ms = tuple(len(sizes) for _, sizes, _ in tables)
-    top, width = max(ms), max(s for _, _, s in tables) + 1
-    cols, all_sizes, int32 = [], [], True
-    for (table_cols, sizes, s), m in zip(tables, ms):
-        # int32 keeps the table small near the cap; a row sum (accumulated
-        # rows included) of 2^31 or more, from about 93k nodes, needs int64.
-        int32 &= max(map(sum, zip(*table_cols)), default=0) < 1 << 31
-        pad = [0] * (top - m)
-        cols += [[*c[:m], *pad, *c[m:], *[c[-1]] * (width - 1 - s)] for c in table_cols]
-        all_sizes += sizes
-    cols = np.array(cols, dtype=np.int32 if int32 else np.int64).reshape(-1, top + width)
-    tail = np.arange(width) * np.array(all_sizes, dtype=np.int64)[:, None] - cols[:, top:]
+    ms = [max(labels, default=-1) + 1 for labels, _ in tables]
+    top, width = max(ms), max([len(singles) for _, singles in tables]) + 1
+    span = max([len(labels) for labels, _ in tables]) + 1
+    cols = np.zeros((len(ms), top, top), dtype=np.int64)
+    step_cost = np.zeros((len(ms), top, width), dtype=np.int64)
+    chunk = max(1, _SLICE // (top * span + 1))
+    for at in range(0, len(ms), chunk):
+        part, part_cols = tables[at : at + chunk], cols[at : at + chunk]
+        # Per problem: a blank position, its labels and padding, then the
+        # positions of the singletons right to left; position 0 has no
+        # block node left of it and pads past the last singleton.
+        rows = np.array([[-1, *labels, *[-1] * (span - 1 - len(labels)), *singles[::-1],
+                          *[0] * (width - 1 - len(singles))] for labels, singles in part])
+        inside = rows[:, :span, None] == np.arange(top)
+        # below[q, x, i]: block i's nodes left of reference position x.
+        below = np.add.accumulate(inside, axis=1, dtype=np.int64)
+        if top > 1:
+            # Row j, entry i: block i before block j inverts each node of i
+            # with the nodes of j left of it, and block j before itself none.
+            np.matmul(below[:, :-1].transpose(0, 2, 1), inside[:, 1:].astype(np.int64),
+                      out=part_cols)
+            part_cols.reshape(len(part), -1)[:, :: top + 1] = 0
+        # A singleton before block j inverts the nodes of j left of it, and
+        # after it those right of it.
+        ahead = below[np.arange(len(part))[:, None], rows[:, span:]]
+        np.add.accumulate(below[:, -1:] - 2 * ahead, axis=1,
+                          out=step_cost[at : at + chunk, :, 1:].transpose(0, 2, 1))
+    cols, step_cost = cols.reshape(len(ms) * top, top), step_cost.reshape(-1, width)
+    if len(ms) > 1:
+        # Drop the block rows past each problem's m (a batch of one has none).
+        real = (np.arange(top) < np.array(ms)[:, None]).ravel()
+        cols, step_cost = cols[real], step_cost[real]
     offsets = [*accumulate((1 << m for m in ms), initial=0)]
     firsts = [*accumulate(ms, initial=0)]
-    sums = np.zeros((offsets[-1], top + width), dtype=cols.dtype)
+    # A sums entry counts pairs of nodes split by a block: at most span^2 / 4,
+    # so int32 holds it below about 93k positions and keeps the table small
+    # near the cap.
+    sums = np.zeros((offsets[-1], top), np.int32 if span * span < 1 << 33 else np.int64)
     for m, at, first in zip(ms, offsets, firsts):
         for i in range(m):
             lo = at + (1 << i)
             np.add(sums[at:lo], cols[first + i], out=sums[lo : lo + (1 << i)])
-    # g is filled less the lead costs sums[t, M + k]: a lead step then costs
-    # nothing, so g[t, k] is a running minimum over k, and a block's step
-    # costs its tail less its own lead costs.
     g = np.zeros((offsets[-1], width), dtype=np.int64)
-    step_cost = tail - cols[:, top:]
     bits, layers = _popcount_layers(top) if len(ms) == 1 else _layer_rows(ms)
     if layers:
         # Layer 1 lists every block, in block order, alone: it goes first.
@@ -134,49 +157,53 @@ def _costs(tables: Sequence[tuple]) -> list[tuple[np.ndarray, ...]]:
             if width > 1:
                 np.minimum.accumulate(best, axis=1, out=best)
             g[rs] = best
-    g += sums[:, top:]
-    return [(g[at : at + (1 << m)], sums[at : at + (1 << m)], tail[first : first + m])
+    return [(g[at : at + (1 << m)], sums[at : at + (1 << m)], step_cost[first : first + m])
             for m, at, first in zip(ms, offsets, firsts)]
 
 
 def _solve(batch: list) -> Iterator[tuple[int, list[int]]]:
     """A batch's results: each (multi-node block sequences, (position, node)
-    singles, cols, sizes) rebuilt from one table, each ready result as is.
-    A rebuild runs front to back from (all blocks, all singletons); the
-    candidates are the remaining blocks and the first remaining singleton."""
-    tables = [(p[2], p[3], len(p[1])) for p in batch if len(p) == 4]
+    singles, labels) rebuilt from one table, each ready result as is.  A
+    rebuild runs front to back from (all blocks, all singletons) over the
+    remaining blocks and the first remaining singleton, by leading node,
+    until every block is placed; the remaining singletons follow in order."""
+    tables = [(p[2], [x for x, _ in p[1]]) for p in batch if len(p) == 3]
     views = iter(_costs(tables) if tables else ())
     for entry in batch:
         if len(entry) == 2:
             yield entry
             continue
-        (multi, singles, _, _), (g, sums, tail) = entry, next(views)
+        (multi, singles, _), (g, sums, step) = entry, next(views)
         m, s = len(multi), len(singles)
-        lead = sums.shape[1] - g.shape[1]
+        g_at, sums_at, step_at = g.item, sums.item, step.item
         node_at: list[int] = []
         t, k = (1 << m) - 1, s
-        while t or k:
-            target = g.item(t, k)
-            best, best_key = -1, None
+        cost = target = g_at(t, k)
+        while t:
+            # The first optimal candidate by leading node: the next singleton
+            # is optimal where the running minimum holds.
+            best, single = m, singles[s - k][1] if k else None
             for j in range(m):
                 if t >> j & 1:
-                    head = tail.item(j, k) + sums.item(t, j)
-                    if head + g.item(t ^ 1 << j, k) == target:
-                        key = multi[j][0]
-                        if best < 0 or key < best_key:
-                            best, best_key = j, key
-            if k:
-                head = sums.item(t, lead + k) - sums.item(t, lead + k - 1)
-                if head + g.item(t, k - 1) == target:
-                    if best < 0 or singles[s - k][1] < best_key:
-                        best = m
+                    if single is not None and single < multi[j][0]:
+                        if g_at(t, k - 1) == target:
+                            break
+                        single = None
+                    rest = g_at(t ^ 1 << j, k)
+                    if step_at(j, k) + sums_at(t, j) + rest == target:
+                        best = j
+                        break
             if best < m:
                 node_at.extend(multi[best])
-                t ^= 1 << best
+                t, target = t ^ 1 << best, rest
             else:
                 node_at.append(singles[s - k][1])
                 k -= 1
-        yield g.item(-1, s), node_at
+        # Every block is placed: the last k singletons follow in order.
+        node_at.extend(v for _, v in singles[s - k :])
+        # g leaves out every singleton before every block: per block, half
+        # of s times its size less its step.
+        yield cost + sum(s * len(seq) - step_at(j, s) for j, seq in enumerate(multi)) // 2, node_at
 
 
 def solve_block_orders(
@@ -199,10 +226,10 @@ def solve_block_orders(
         if len(seqs) == 1:
             batch.append((0, list(seqs[0])))
             continue
-        multi = [i for i, seq in enumerate(seqs) if len(seq) > 1]
-        singles = sorted(
-            (sorted_pos[i][0], seq[0]) for i, seq in enumerate(seqs) if len(seq) == 1
-        )
+        # The multi-node blocks, numbered by leading node.
+        multi = [(seq, pos) for seq, pos in zip(seqs, sorted_pos) if len(seq) > 1]
+        multi.sort(key=lambda block: block[0][0])
+        singles = sorted([(pos[0], seq[0]) for seq, pos in zip(seqs, sorted_pos) if len(seq) == 1])
         m, s = len(multi), len(singles)
         if (s + 1) << m > 1 << CAP_BITS:
             raise CapacityError(
@@ -213,20 +240,12 @@ def solve_block_orders(
             yield from _solve(batch)
             batch, rows, width = [], 0, 0
         rows, width = rows + (1 << m), max(width, s)
-        blocks = [sorted_pos[i] for i in multi]
-        # w[i][j]: block i anywhere before block j.
-        w = [
-            [0 if i == j else cross_weight(a, b) for j, b in enumerate(blocks)]
-            for i, a in enumerate(blocks)
-        ]
-        # Below each block's column of w: the block nodes left of the last k
-        # singletons, the cost of those singletons before the block; the
-        # block's other nodes are the cost of the reverse.
-        cols = [
-            [*col, *accumulate((bisect_left(pos, p) for p, _ in reversed(singles)), initial=0)]
-            for col, pos in zip(zip(*w), blocks)
-        ]
-        batch.append(([seqs[i] for i in multi], singles, cols, [len(pos) for pos in blocks]))
+        # labels[x]: the multi-node block at reference position x, else -1.
+        labels = [-1] * (max((pos[-1] for pos in sorted_pos), default=-1) + 1)
+        for j, (_, pos) in enumerate(multi):
+            for x in pos:
+                labels[x] = j
+        batch.append(([seq for seq, _ in multi], singles, labels))
     yield from _solve(batch)
 
 

@@ -330,11 +330,30 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "singletons-by-node-id", _ORDERING,
-        "(sorted_pos[i][0], seq[0]) for i, seq", "(seq[0], seq[0]) for i, seq",
+        "(pos[0], seq[0]) for seq, pos", "(seq[0], seq[0]) for seq, pos",
         (
             "tests/test_ordering.py::TestSolveBlockOrder::test_matches_brute_force",
             "tests/test_algorithms.py::TestDetStep::test_closest_member_and_lex_order_vs_enumeration",
             "tests/test_oracle.py::TestDpOpt::test_witness_realizes_cost_in_one_move",
+        ),
+    ),
+    # det's carried blocks: a merge drops the absorbed root's block and
+    # rebuilds the merged root's.
+    Mutant(
+        "det-block-keeps-absorbed-root", _ENGINE,
+        "del blocks[rv]", "blocks[rv]",
+        (
+            "tests/test_algorithms.py::TestDetRun::test_carried_blocks_match_a_fresh_replay",
+            "tests/test_algorithms.py::TestDetRun::test_matches_a_det_step_loop",
+        ),
+    ),
+    Mutant(
+        "det-block-not-rebuilt", _ENGINE,
+        "blocks[ru] = _component_block(parts.nodes_of(ru), pos0, lines)",
+        "blocks[ru] = blocks[ru]",
+        (
+            "tests/test_algorithms.py::TestDetRun::test_carried_blocks_match_a_fresh_replay",
+            "tests/test_algorithms.py::TestDetRun::test_run_matches_the_loop_on_every_trace",
         ),
     ),
     # One state stepped by both algorithms: det pays from the arrangement
@@ -351,20 +370,20 @@ MUTANTS: tuple[Mutant, ...] = (
         "if state.fixed is not None:", "if False:",
         ("tests/test_algorithms.py::TestMixedSteps::test_rand_refuses_a_state_det_has_moved",),
     ),
-    # The block-order solver: the rebuild's tie-break and the lead
-    # singleton's head cost, and the table's running minimum over the
-    # trailing singletons.
+    # The block-order solver: the rebuild's tie-break (blocks numbered by
+    # leading node) and the lead singleton's check, and the table's running
+    # minimum over the trailing singletons.
     Mutant(
         "block-tie-prefers-larger-node", _ORDERING,
-        "key < best_key", "key > best_key",
+        "key=lambda block: block[0][0])", "key=lambda block: -block[0][0])",
         (
             "tests/test_ordering.py::TestSolveBlockOrder::test_lexicographic_tie_break",
             "tests/test_ordering.py::TestSolveBlockOrder::test_matches_brute_force",
         ),
     ),
     Mutant(
-        "lead-head-keeps-the-last-singletons", _ORDERING,
-        "sums.item(t, lead + k) - sums.item(t, lead + k - 1)", "sums.item(t, lead + k)",
+        "lead-singleton-unchecked", _ORDERING,
+        "if g_at(t, k - 1) == target:", "if True:",
         (
             "tests/test_ordering.py::TestSolveBlockOrder::test_singleton_and_block_tie",
             "tests/test_ordering.py::TestSingletonAwareOrder::test_matches_reference_on_layouts",
@@ -373,6 +392,26 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "running-minimum-skipped", _ORDERING,
         "np.minimum.accumulate(best, axis=1, out=best)", "pass",
+        (
+            "tests/test_ordering.py::TestSingletonAwareOrder::test_tables_agree",
+            "tests/test_ordering.py::TestSingletonAwareOrder::test_matches_reference_on_layouts",
+        ),
+    ),
+    # The weights from the label arrays: a block before itself costs
+    # nothing, and block j's step before the last k singletons sums k of
+    # them, not k + 1.
+    Mutant(
+        "weight-diagonal-kept", _ORDERING,
+        "part_cols.reshape(len(part), -1)[:, :: top + 1] = 0",
+        "part_cols.reshape(len(part), -1)[:, :: top + 1]",
+        (
+            "tests/test_ordering.py::TestSingletonAwareOrder::test_tables_agree",
+            "tests/test_ordering.py::TestSolveBlockOrder::test_matches_brute_force",
+        ),
+    ),
+    Mutant(
+        "singleton-column-off-by-one", _ORDERING,
+        "out=step_cost[at : at + chunk, :, 1:]", "out=step_cost[at : at + chunk, :, :-1]",
         (
             "tests/test_ordering.py::TestSingletonAwareOrder::test_tables_agree",
             "tests/test_ordering.py::TestSingletonAwareOrder::test_matches_reference_on_layouts",

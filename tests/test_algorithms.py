@@ -5,15 +5,18 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
 import minla.algorithms
 from conftest import (
+    TRACE_SETTINGS,
     ScriptedRandom,
     feasible_permutations,
     literal_minla,
     reference_layout,
     reference_rand,
     replay_components,
+    valid_traces,
 )
 from minla import (
     AlgoState,
@@ -37,7 +40,9 @@ from minla import (
     tree_adversary,
     TreeAdversaryConfig,
 )
+from minla.algorithms import _block_problem, _det_problems
 from minla.bench import _coin_law, _ForcedCoin as ForcedCoin
+from minla.ordering import solve_block_orders
 
 
 def initial_state(model, pi0):
@@ -125,12 +130,12 @@ class TestDetStep:
         # The weights must not be built for an over-cap input: 23 pairs and
         # 954 singletons, the last pair merged by the step itself.
         def no_weights(*args):
-            raise AssertionError("cross_weight called on an over-cap input")
+            raise AssertionError("weights built for an over-cap input")
 
         state = initial_state(Model.CLIQUES, Permutation.identity(1000))
         for i in range(0, 44, 2):
             state.parts.merge(i, i + 1)
-        monkeypatch.setattr(minla.ordering, "cross_weight", no_weights)
+        monkeypatch.setattr(minla.ordering, "_costs", no_weights)
         with pytest.raises(CapacityError):
             det_step(state, RevealEvent(44, 45))
 
@@ -208,6 +213,27 @@ class TestDetRun:
                 assert solved == targets
                 assert (state.move_cost, state.rearrange_cost) == (expected.move_cost, 0)
                 assert state.current == expected.current
+
+    @TRACE_SETTINGS
+    @given(valid_traces())
+    def test_carried_blocks_match_a_fresh_replay(self, trace):
+        # run's problems carry each component's block across steps; every
+        # step must state what a partition replayed to it states.
+        problems = list(_det_problems(trace))
+        assert len(problems) == trace.k
+        for i, problem in enumerate(problems, 1):
+            seqs, sorted_pos, _ = _block_problem(trace.pi0, replay_components(trace, i))
+            assert problem == (seqs, sorted_pos)
+
+    @TRACE_SETTINGS
+    @given(valid_traces())
+    def test_run_matches_the_loop_on_every_trace(self, trace):
+        state = run("det", trace)
+        expected, targets = self.loop(trace)
+        solved = solve_block_orders(_det_problems(trace))
+        assert [Permutation(node_at) for _, node_at in solved] == targets
+        assert (state.move_cost, state.rearrange_cost) == (expected.move_cost, 0)
+        assert state.current == expected.current
 
     @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
     def test_capacity_error_matches_the_loop(self, model, monkeypatch):

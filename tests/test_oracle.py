@@ -101,9 +101,9 @@ class TestDpOpt:
     @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
     def test_capacity_checked_before_weights(self, model, monkeypatch):
         def no_weights(*args):
-            raise AssertionError("cross_weight called on an over-cap input")
+            raise AssertionError("weights built for an over-cap input")
 
-        monkeypatch.setattr(minla.ordering, "cross_weight", no_weights)
+        monkeypatch.setattr(minla.ordering, "_costs", no_weights)
         with pytest.raises(CapacityError):
             dp_opt(make_trace(model, 1000, [(i, i + 1) for i in range(0, 46, 2)]))
 

@@ -1,7 +1,6 @@
 import itertools
 import random
-from itertools import accumulate
-from operator import add
+from bisect import bisect_left
 
 import pytest
 
@@ -160,30 +159,43 @@ def random_layout(rng, m, s, spare=4):
     return seqs, [sorted(pos[v] for v in seq) for seq in seqs]
 
 
-def random_table_input(rng, m, s, hi=20):
-    """``_costs`` arguments: block rows up to ``hi``, block sizes up to
-    ``hi // 4`` and singleton rows up to each block's size."""
-    rows = [[0 if i == j else rng.randint(0, hi) for i in range(m)] for j in range(m)]
-    sizes = [rng.randint(2, max(2, hi // 4)) for _ in range(m)]
-    rows += [[rng.randint(0, size) for size in sizes] for _ in range(s)]
-    return rows, sizes
+def table_input(sorted_pos):
+    """``_costs``'s (labels, singles) for blocks at reference positions
+    ``sorted_pos``, and the plain loops' (rows, sizes, s): each multi-node
+    block's row of cross weights, 0 before itself, then each singleton's,
+    by ascending position."""
+    blocks = [pos for pos in sorted_pos if len(pos) > 1]
+    singles = sorted(pos[0] for pos in sorted_pos if len(pos) == 1)
+    owner = {x: j for j, pos in enumerate(blocks) for x in pos}
+    labels = [owner.get(x, -1) for x in range(sum(map(len, sorted_pos)))]
+    rows = [[0 if a is b else cross_weight(a, b) for b in blocks] for a in blocks]
+    rows += [[bisect_left(b, p) for b in blocks] for p in singles]
+    return (labels, singles), (rows, [len(pos) for pos in blocks], len(singles))
 
 
-def table_cols(rows, m):
-    """``_costs``'s columns of weight rows ``rows``, m block rows first:
-    block j's column of the block rows, then the last k singleton rows'
-    entries summed, k = 0..s."""
-    trailing = [*accumulate(reversed(rows[m:]), lambda a, b: [*map(add, a, b)],
-                            initial=[0] * m)]
-    return [list(col) for col in zip(*rows[:m], *trailing)]
+def interleaved(half):
+    """Two blocks of ``half`` nodes at alternate positions and a singleton
+    after them: node sequences and sorted positions.  Either block before
+    the other inverts half * (half - 1) / 2 pairs or more."""
+    pos = [list(range(0, 2 * half, 2)), list(range(1, 2 * half, 2)), [2 * half]]
+    return pos, pos
 
 
-def assert_tables_agree(*tables):
-    """Each (rows, sizes, s) of a batch gets the plain loops' tables; the
-    batch pads every table to its widest singleton axis."""
-    batch = [(table_cols(rows, len(sizes)), sizes, s) for rows, sizes, s in tables]
-    for (rows, sizes, s), (g, _, tail) in zip(tables, _costs(batch), strict=True):
-        assert (g[:, : s + 1].tolist(), tail[:, : s + 1].tolist()) == _costs_py(rows, sizes, s)
+def assert_tables_agree(*layouts):
+    """Each layout's sorted positions in one batch get the plain loops'
+    tables; the batch pads every table to its widest singleton axis."""
+    inputs = [table_input(sorted_pos) for sorted_pos in layouts]
+    views = _costs([table for table, _ in inputs])
+    for (_, (rows, sizes, s)), (g, _, step) in zip(inputs, views, strict=True):
+        # ahead[j][k]: the cost of the last k singletons before block j, which
+        # g leaves out and step counts twice against the block's own.
+        ahead = [[(k * size - step.item(j, k)) // 2 for k in range(s + 1)]
+                 for j, size in enumerate(sizes)]
+        lead = [[sum(ahead[j][k] for j in range(len(sizes)) if t >> j & 1) for k in range(s + 1)]
+                for t in range(len(g))]
+        full = [[g.item(t, k) + lead[t][k] for k in range(s + 1)] for t in range(len(g))]
+        tail = [[k * size - ahead[j][k] for k in range(s + 1)] for j, size in enumerate(sizes)]
+        assert (full, tail) == _costs_py(rows, sizes, s)
 
 
 class TestSingletonAwareOrder:
@@ -191,32 +203,33 @@ class TestSingletonAwareOrder:
         rng = random.Random(3)
         for m in range(0, 9):
             for s in range(0, 7):
-                assert_tables_agree((*random_table_input(rng, m, s), s))
+                assert_tables_agree(random_layout(rng, m, s)[1])
 
-    @pytest.mark.parametrize("hi", [20, 10**9])
-    def test_tables_agree_across_slices(self, hi, monkeypatch):
-        # A slice bound of 7 candidate entries splits the layers into many
-        # slices, and a subset with more entries than that is a slice of
-        # its own.  At hi = 10^9 row sums pass 2^31, so the table must also
-        # widen to int64.
+    @pytest.mark.parametrize("big", [False, True])
+    def test_tables_agree_across_slices(self, big, monkeypatch):
+        # A slice bound of 7 entries reads each label array alone and splits
+        # the layers into many slices, and a subset with more entries than
+        # that is a slice of its own.  The big layout's row sums pass 2^31,
+        # so its table must also widen to int64.
         monkeypatch.setattr(minla.ordering, "_SLICE", 7)
-        rng = random.Random(hi)
-        largest = 0
+        rng = random.Random(big)
         for m, s in [(1, 0), (3, 2), (5, 0), (6, 1), (7, 3), (8, 9), (9, 2)]:
-            rows, sizes = random_table_input(rng, m, s, hi)
-            largest = max(largest, *map(sum, rows))
-            assert_tables_agree((rows, sizes, s))
-        assert (largest >= 1 << 31) == (hi > 20)
+            assert_tables_agree(random_layout(rng, m, s)[1])
+        if big:
+            assert_tables_agree(interleaved(70_000)[1])
 
     def test_singleton_totals_widen(self):
-        # Every row sums below 2^31, but the rows of the last k singletons
-        # together pass it, and the table holds those totals.
+        # Two blocks of 2^15 nodes and 2^15 singletons after them: every row
+        # sums below 2^31, but the rows of the last k singletons together
+        # reach it, and the table's singleton steps hold those totals.
         rng = random.Random(6)
-        m, s = 3, 9
-        rows, _ = random_table_input(rng, m, s)
-        rows[m:] = [[1 << 28] * m for _ in range(s)]
-        assert max(map(sum, rows)) < 1 << 31 <= sum(map(sum, rows[m:]))
-        assert_tables_agree((rows, [1 << 29] * m, s))
+        half = 1 << 15
+        blocks = rng.sample(range(2 * half), 2 * half)
+        layout = [sorted(blocks[:half]), sorted(blocks[half:])]
+        layout += [[p] for p in range(2 * half, 3 * half)]
+        _, (rows, _, _) = table_input(layout)
+        assert max(map(sum, rows)) < 1 << 31 <= sum(map(sum, rows[2:]))
+        assert_tables_agree(layout)
 
     @pytest.mark.parametrize("m,s", [
         (0, 1), (0, 9), (1, 0), (1, 1), (3, 0), (3, 1), (5, 3), (6, 2),
@@ -290,8 +303,8 @@ def record_batches(monkeypatch):
 
     def recorded(tables):
         views = costs(tables)
-        rows = sum(1 << len(sizes) for _, sizes, _ in tables)
-        width = max(s for _, _, s in tables) + 1
+        rows = sum(len(g) for g, _, _ in views)
+        width = max(len(singles) for _, singles in tables) + 1
         batches.append((rows, width, views[0][1].dtype.name, len(tables)))
         return views
 
@@ -345,25 +358,45 @@ class TestBatchedSolve:
     def test_row_sums_past_int32_widen_the_batch(self, monkeypatch):
         # Two interleaved blocks of 70,000 nodes cost 2.45e9 either way, past
         # 2^31, so the whole batch tables in int64; a batch of small
-        # problems stays int32.
-        half = 70_000
-        big = [list(range(0, 2 * half, 2)), list(range(1, 2 * half, 2)), [2 * half]]
-        big_pos = [list(range(0, 2 * half, 2)), list(range(1, 2 * half, 2)), [2 * half]]
+        # problems stays int32, and so do two blocks of 46,340 nodes side by
+        # side, the widest int32 table, whose reverse order costs just
+        # below 2^31.
+        big, big_pos = interleaved(70_000)
         assert cross_weight(big_pos[0], big_pos[1]) >= 1 << 31
+        half = 46_340
+        widest = identity_layout([range(half, 2 * half), range(half)])
+        assert cross_weight(*widest[1]) == half * half < 1 << 31
         rng = random.Random(8)
         small = [random_layout(rng, m, s) for m, s in [(3, 2), (1, 5), (4, 0)]]
         batches = record_batches(monkeypatch)
         problems = [small[0], (big, big_pos), *small[1:]]
         assert list(solve_block_orders(problems)) == [reference_layout(*p) for p in problems]
         assert list(solve_block_orders(small)) == [reference_layout(*p) for p in small]
-        assert [dtype for _, _, dtype, _ in batches] == ["int64", "int32"]
+        assert solve_block_order(*widest) == (0, [*range(half), *range(half, 2 * half)])
+        assert [dtype for _, _, dtype, _ in batches] == ["int64", "int32", "int32"]
 
-    @pytest.mark.parametrize("hi", [20, 10**9])
-    def test_batched_tables_agree(self, hi, monkeypatch):
+    @pytest.mark.parametrize("big", [False, True])
+    def test_batched_tables_agree(self, big, monkeypatch):
         # The tables of one batch, each against the plain loops, across
-        # slices of 7 entries; at hi = 10^9 the batch widens to int64.
+        # slices of 7 entries; the big layout widens the batch to int64.
         monkeypatch.setattr(minla.ordering, "_SLICE", 7)
-        rng = random.Random(hi + 1)
+        rng = random.Random(big + 1)
         shapes = [(0, 4), (1, 0), (3, 2), (5, 0), (6, 1), (7, 3), (2, 9), (9, 2)]
-        tables = [(*random_table_input(rng, m, s, hi), s) for m, s in shapes]
-        assert_tables_agree(*tables)
+        layouts = [random_layout(rng, m, s)[1] for m, s in shapes]
+        if big:
+            layouts.insert(3, interleaved(70_000)[1])
+        assert_tables_agree(*layouts)
+
+    def test_edge_problems_in_one_batch(self, monkeypatch):
+        # The empty problem, a problem of singletons only (no block row of
+        # its own) and one whose last singleton lies right of every block,
+        # in one batch with a wider problem: tables and results.
+        empty, singles = ([], []), identity_layout([[3], [0], [2], [1]])
+        right = ([[1, 0], [2, 4], [3], [5]], [[0, 1], [2, 4], [3], [5]])
+        rng = random.Random(9)
+        problems = [empty, singles, random_layout(rng, 4, 3), right]
+        assert_tables_agree(*(sorted_pos for _, sorted_pos in problems))
+        batches = record_batches(monkeypatch)
+        assert list(solve_block_orders(problems)) == [reference_layout(*p) for p in problems]
+        assert [count for *_, count in batches] == [4]
+        assert solve_block_order(*right) == (1, [1, 0, 2, 4, 3, 5])
