@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .errors import *
 from .perm import *
 from .trace import *
-from .feasibility import *
 from .algorithms import *
 from .oracle import *
 from .adversaries import *
@@ -22,7 +21,6 @@ __all__ = [
     *errors.__all__,
     *perm.__all__,
     *trace.__all__,
-    *feasibility.__all__,
     *algorithms.__all__,
     *oracle.__all__,
     *adversaries.__all__,

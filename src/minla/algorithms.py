@@ -149,7 +149,8 @@ def closest_feasible(pi0: Permutation, parts: ComponentPartition) -> tuple[int, 
     pi0-induced node order, lines the cheaper orientation), then the block
     order is optimized by :func:`solve_block_order`, a batch of one.  The
     distance is that order's cross cost plus the pairs each path inverts.
-    Ties resolve to the lexicographically smallest node sequence.
+    Ties resolve to the lexicographically smallest node sequence, so the
+    target, and ``det``'s cost, depend on node labels, not on pi0 alone.
     """
     seqs, sorted_pos, inside = _block_problem(pi0, parts)
     cross, node_at = solve_block_order(seqs, sorted_pos)
@@ -157,7 +158,7 @@ def closest_feasible(pi0: Permutation, parts: ComponentPartition) -> tuple[int, 
 
 
 def _check_full(state: AlgoState) -> None:
-    """The contiguity check of :func:`~minla.feasibility.is_minla` on the
+    """The contiguity check of :func:`~minla.oracle.is_minla` on the
     whole arrangement (a ``rand`` trial's laid out as a plain list), naming
     the first bad component."""
     node_at = _layout(state) if state.fixed is None else state.fixed.node_at
@@ -170,10 +171,11 @@ def det_step(state: AlgoState, event: RevealEvent) -> AlgoState:
     """Apply one event deterministically: move to the feasible permutation
     closest to the initial one, paying the distance from the state's
     current arrangement, which ``rand`` steps may have laid out.  The block
-    order is solved as a batch of one (:func:`run` batches a whole trace's).
+    order is solved as a batch of one (:func:`run` batches a whole trace's),
+    and ties go by node label, as :func:`closest_feasible` breaks them.
     ``merge`` rejects a bad event (out of range, self, joined, inner path
     node) before the state changes; the new arrangement is checked as
-    :func:`~minla.feasibility.is_minla` does (else :class:`InvariantError`)."""
+    :func:`~minla.oracle.is_minla` does (else :class:`InvariantError`)."""
     return _det_move(state, event)
 
 
@@ -314,10 +316,11 @@ def run(algo: str, trace: RevealTrace, seed: int = 0) -> AlgoState:
     Deterministic for a given (algo, trace, seed).  The seed is an int
     (else :class:`TypeError`); ``det`` ignores it and ``rand`` draws from
     ``random.Random(seed)``, the stream that :func:`run_trials` gives it.
-    Arrangements are checked as :func:`~minla.feasibility.is_minla` does
-    (else :class:`InvariantError`).
-    The final state carries the move and rearrangement costs; per-step
-    costs are the change in them around each step.
+    Arrangements are checked as :func:`~minla.oracle.is_minla` does (else
+    :class:`InvariantError`): every ``det`` step's, and ``rand``'s final one.
+    ``det``'s cost depends on node labels, by :func:`closest_feasible`'s
+    tie-break.  The final state carries the move and rearrangement costs;
+    per-step costs are the change in them around each step.
     """
     if algo not in ("det", "rand"):
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -331,7 +334,7 @@ def run(algo: str, trace: RevealTrace, seed: int = 0) -> AlgoState:
         rng = random.Random(seed)
         for event in trace.events:
             rand_step(state, event, rng)
-    _check_full(state)
+        _check_full(state)
     return state
 
 

@@ -23,11 +23,12 @@ from typing import Callable, Sequence
 from . import harness
 from .adversaries import TreeAdversaryConfig, random_trace, tree_adversary
 from .algorithms import rand_step, run, run_trials
-from .feasibility import arrangement_cost, is_minla
 from .harness import (
     _harmonic_rows, _identity_rows, derive_trial_seed, duel, verify_lemma,
 )
-from .oracle import bound_for_trace, dp_opt, exhaustive_opt, harmonic_number
+from .oracle import (
+    arrangement_cost, bound_for_trace, dp_opt, exhaustive_opt, harmonic_number, is_minla,
+)
 from .perm import Permutation
 from .trace import ComponentPartition, Model, RevealEvent, RevealTrace
 

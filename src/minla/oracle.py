@@ -1,4 +1,6 @@
-"""Ground truth: exact offline optimum, tiny-n exhaustive search, and the
+"""Ground truth: the optimality test (``is_minla``, the contiguity check of
+:meth:`~minla.trace.ComponentPartition.misplaced_root`) and the cost of one
+arrangement, the exact offline optimum, tiny-n exhaustive search, and the
 closed forms behind the probabilistic and algebraic guarantees.
 
 ``dp_opt`` is the comparison baseline used everywhere: the cheapest single
@@ -37,6 +39,8 @@ from .perm import Permutation, count_inversions, kendall_tau
 from .trace import ComponentPartition, Model, RevealTrace
 
 __all__ = [
+    "arrangement_cost",
+    "is_minla",
     "OptResult",
     "dp_opt",
     "exhaustive_opt",
@@ -55,6 +59,38 @@ class OptResult:
 
     cost: int
     witness: Permutation
+
+
+def arrangement_cost(p: Permutation, parts: ComponentPartition) -> int:
+    """Sum over edges of the position distance between the endpoints.
+
+    Per the partition's own model, cliques contribute all intra-component
+    pairs, lines only consecutive path neighbors.
+    """
+    pos = p.pos_of
+    total = 0
+    for root in parts.components():
+        if parts.model is Model.CLIQUES:
+            qs = sorted(pos[v] for v in parts.nodes_of(root))
+            s = len(qs)
+            total += sum(q * (2 * i - s + 1) for i, q in enumerate(qs))
+        else:
+            path = parts.path_of(root)
+            total += sum(
+                abs(pos[a] - pos[b]) for a, b in zip(path, path[1:])
+            )
+    return total
+
+
+def is_minla(p: Permutation, parts: ComponentPartition) -> bool:
+    """True iff ``p`` attains the minimum arrangement cost for the partition.
+
+    Checked via contiguity: every component must fill a contiguous span, and
+    for lines the span must read as the component's path order or its
+    reverse, per the partition's own model.  Size-1 components are vacuously
+    contiguous.
+    """
+    return parts.misplaced_root(p.node_at) is None
 
 
 def _clique_opt(t: RevealTrace) -> OptResult:

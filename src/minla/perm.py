@@ -48,8 +48,9 @@ class Permutation:
         return cls(map(int, text.split()))
 
     def to_text(self) -> str:
-        """Space-separated node ids in position order."""
-        return " ".join(str(v) for v in self.node_at)
+        """Space-separated node ids in position order, each written by
+        ``%d``, so that a ``bool`` id reads back as the int it equals."""
+        return " ".join(["%d"] * len(self.node_at)) % self.node_at
 
     def __len__(self) -> int:
         return len(self.node_at)

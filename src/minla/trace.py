@@ -130,7 +130,10 @@ class ComponentPartition:
         """Root of the first component, walking ``node_at`` left to right,
         that does not fill exactly as many consecutive positions as it has
         nodes (in path order or its reverse, for lines); ``None`` when every
-        one does: the contiguity characterization of an optimal arrangement.
+        one does.  An arrangement of cliques minimizes the total edge stretch
+        exactly when every component fills a contiguous span, and of lines
+        when every path does so in path order or its reverse: this O(n) test
+        stands for the quadratic :func:`~minla.oracle.arrangement_cost`.
         """
         labels, members, lines = self._root, self._nodes, self._lines
         hi = len(node_at)
@@ -315,12 +318,13 @@ def parse_trace(text: str) -> RevealTrace:
 
 
 def emit_trace(t: RevealTrace) -> str:
-    """Canonical text form; ``parse_trace`` round-trips it byte for byte."""
+    """Canonical text form; ``parse_trace`` round-trips it byte for byte.
+    Every id is written by ``%d``, as :meth:`Permutation.to_text` does."""
     out = [
         _HEADER,
         f"model: {t.model.value}",
         f"n: {t.n}",
         f"pi0: {t.pi0.to_text()}",
     ]
-    out.extend(f"event: {ev.u} {ev.v}" for ev in t.events)
+    out.extend("event: %d %d" % (ev.u, ev.v) for ev in t.events)
     return "\n".join(out) + "\n"

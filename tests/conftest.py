@@ -2,9 +2,9 @@
 
 These stay deliberately naive and independent of the library's fast paths:
 the partition after a prefix of a trace's events, every step of a replay
-rebuilt as tuples, a hypothesis strategy for valid traces, a line-by-line
-trace parser, quadratic pair counting, full permutation enumeration,
-literal cost sums, closed forms, a literal
+rebuilt as tuples, a hypothesis strategy for valid traces, a trace's
+nodes relabeled, a line-by-line trace parser, quadratic pair counting, full
+permutation enumeration, literal cost sums, closed forms, a literal
 replay of the randomized strategy, the plain block-subset program that
 orders singletons like any other block, the singleton-aware block-order
 table as plain loops, and the literal exact oracles: a heap Dijkstra over
@@ -109,6 +109,15 @@ def valid_traces(draw, max_n: int = 12) -> RevealTrace:
         del comps[j]
         events.append(RevealEvent(u, v))
     return RevealTrace(model, n, pi0, tuple(events))
+
+
+def relabel(t, phi) -> RevealTrace:
+    """``t`` with node v renamed ``phi[v]``: pi0 keeps every position and
+    each event joins the renamed nodes."""
+    return RevealTrace(
+        t.model, t.n, Permutation(phi[v] for v in t.pi0.node_at),
+        tuple(RevealEvent(phi[ev.u], phi[ev.v]) for ev in t.events),
+    )
 
 
 def reference_parse_trace(text: str):

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 import minla.algorithms
 from conftest import (
@@ -15,6 +15,7 @@ from conftest import (
     literal_minla,
     reference_layout,
     reference_rand,
+    relabel,
     replay_components,
     valid_traces,
 )
@@ -759,3 +760,31 @@ class TestOneReplay:
             rand_step(state, full.events[-1], random.Random(seed))
             assert state.parts.num_components == trace.replay.final.num_components - 1
             assert is_minla(state.current, state.parts)
+
+
+class TestRelabeling:
+    """Renaming the nodes, every position kept, moves neither ``dp_opt``
+    nor any ``rand`` trial under the same seed: the coins read sizes and
+    pi0 positions only, and each layout is the renamed original.  ``det``
+    is exempt: its ties go by node label."""
+
+    SEEDS = [0, 1, 2**64 - 1] + [derive_trial_seed(5, i) for i in range(5)]
+
+    def check(self, trace, phi):
+        renamed = relabel(trace, phi)
+        assert dp_opt(renamed).cost == dp_opt(trace).cost
+        pairs = zip(run_trials(trace, self.SEEDS), run_trials(renamed, self.SEEDS))
+        for state, twin in pairs:
+            assert _totals(twin) == _totals(state)
+            assert twin.current.node_at == tuple(phi[v] for v in state.current.node_at)
+
+    @TRACE_SETTINGS
+    @given(valid_traces(), st.data())
+    def test_relabeled_traces_cost_the_same(self, trace, data):
+        self.check(trace, data.draw(st.permutations(range(trace.n))))
+
+    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
+    def test_relabeled_trace_at_n_1024(self, model):
+        phi = list(range(1024))
+        random.Random(29).shuffle(phi)
+        self.check(random_trace(model, 1024, seed=31), phi)

@@ -61,7 +61,7 @@ PUBLIC = [
 ]
 
 REEXPORTED = (
-    "errors", "perm", "trace", "feasibility", "algorithms", "oracle",
+    "errors", "perm", "trace", "algorithms", "oracle",
     "adversaries", "harness",
 )
 

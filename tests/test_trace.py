@@ -7,7 +7,7 @@ from collections import namedtuple
 from functools import partial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from conftest import (
     TRACE_SETTINGS,
@@ -275,6 +275,14 @@ class TestCachedReplay:
         assert dataclasses.replace(trace).replay is not replay
 
 
+def _not_an_int(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return True
+    return False
+
+
 class TestTraceProperties:
     """Properties over the hypothesis strategy for valid traces (n <= 12)."""
 
@@ -287,6 +295,41 @@ class TestTraceProperties:
     @given(valid_traces())
     def test_emit_then_parse_round_trips(self, trace):
         assert parse_trace(emit_trace(trace)) == trace
+
+    @TRACE_SETTINGS
+    @given(valid_traces().filter(lambda t: t.k), st.data())
+    def test_a_corrupt_event_line_is_named(self, trace, data):
+        # The one-pass read rejects the event block (its pattern or an id),
+        # so the fallback reads it line by line; that must name the
+        # corrupted line, never end in its bare re-raise.
+        lines = emit_trace(trace).splitlines()
+        no = data.draw(st.integers(5, len(lines)), label="line")
+        toks = lines[no - 1].split()
+        junk = st.text(st.characters(blacklist_categories=("Z", "C"), blacklist_characters="#"),
+                       min_size=1)
+        kind = data.draw(st.sampled_from(["drop", "add", "garble", "prefix"]), label="kind")
+        if kind == "drop":
+            del toks[data.draw(st.integers(1, 2))]
+        elif kind == "add":
+            toks.insert(data.draw(st.integers(1, 3)), data.draw(junk))
+        elif kind == "garble":
+            toks[data.draw(st.integers(1, 2))] = data.draw(junk.filter(_not_an_int))
+        else:
+            cut = data.draw(st.integers(0, len("event:") - 1))
+            toks[0] = toks[0][:cut] + toks[0][cut + 1:]
+        lines[no - 1] = " ".join(toks)
+        with pytest.raises(TraceFormatError) as err:
+            parse_trace("\n".join(lines) + "\n")
+        assert err.value.line == no
+
+    def test_bool_ids_round_trip(self):
+        # bool is an int subclass, so a trace may hold True and False ids;
+        # they are written as the ints they equal.
+        trace = RevealTrace(Model.LINES, 3, Permutation([False, True, 2]),
+                            (RevealEvent(True, 0),))
+        text = emit_trace(trace)
+        assert text == "minla-trace v1\nmodel: lines\nn: 3\npi0: 0 1 2\nevent: 1 0\n"
+        assert parse_trace(text) == trace
 
 
 class TestRevealEvent:
