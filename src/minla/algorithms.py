@@ -46,10 +46,11 @@ class AlgoState:
     holds each component's size at its representative's pi0 position, 0
     elsewhere; ``left_end[root]`` (lines) is the path end laid out first,
     ``blocks[root]`` (cliques) the block's node sequence.  ``current`` lays
-    the arrangement out on request.  ``det`` keeps its arrangement in
-    ``fixed`` (``None`` while at pi0) and pays from ``current``, so it may
-    follow ``rand`` steps; ``rand`` refuses a state that ``det`` has stepped.
-    A state steps only on a partition of its own, as from :func:`run`;
+    the arrangement out on request; the final check reads only these fields
+    (:func:`_check_full`).  ``det`` keeps its arrangement in ``fixed``
+    (``None`` while at pi0) and pays from ``current``, so it may follow
+    ``rand`` steps; ``rand`` refuses a state that ``det`` has stepped.  A
+    state steps only on a partition of its own, as from :func:`run`;
     :func:`run_trials` states share the trace's read-only replay and cannot
     step."""
 
@@ -158,13 +159,22 @@ def closest_feasible(pi0: Permutation, parts: ComponentPartition) -> tuple[int, 
 
 
 def _check_full(state: AlgoState) -> None:
-    """The contiguity check of :func:`~minla.oracle.is_minla` on the
-    whole arrangement (a ``rand`` trial's laid out as a plain list), naming
-    the first bad component."""
-    node_at = _layout(state) if state.fixed is None else state.fixed.node_at
-    root = state.parts.misplaced_root(node_at)
+    """The final check, naming the first bad component.  ``det``'s
+    arrangement is walked by ``misplaced_root``; a ``rand`` state is read in
+    root order: each clique block must hold exactly its component's nodes
+    and each path's left end be a path end.  :func:`_layout` puts those
+    blocks and oriented paths side by side, so ``is_minla`` accepts it."""
+    parts, left_end, blocks = state.parts, state.left_end, state.blocks
+    if state.fixed is not None:
+        root = parts.misplaced_root(state.fixed.node_at)
+    elif left_end is not None:
+        root = next((r for r, path in parts._nodes.items()
+                     if left_end[r] != path[0] and left_end[r] != path[-1]), None)
+    else:
+        root = next((r for r, nodes in parts._nodes.items() if len(blocks[r]) != len(nodes)
+                     or not set(blocks[r]).issuperset(nodes)), None)
     if root is not None:
-        raise InvariantError(state.events_done - 1, root, state.parts.size_of(root))
+        raise InvariantError(state.events_done - 1, root, parts.size_of(root))
 
 
 def det_step(state: AlgoState, event: RevealEvent) -> AlgoState:
@@ -284,9 +294,9 @@ def run_trials(trace: RevealTrace, seeds: Iterable[int]) -> Iterator[AlgoState]:
     trial.  Seeds are ints (else :class:`TypeError` before any draw), and
     for a seed ``s`` the base class's ``seed(s)`` gives ``random.Random(s)``'s
     stream (``Random.seed`` adds only a reset of the gauss cache, which no
-    coin reads).  Each step checks its trial's state in O(1); every final
-    arrangement is laid out and checked for contiguity before its state is
-    yielded.  A failure raises :class:`InvariantError`.
+    coin reads).  Each step checks its trial's state in O(1), and each final
+    state is checked per component without a layout (:func:`_check_full`)
+    before it is yielded.  A failure raises :class:`InvariantError`.
     The yielded states share the replay's read-only partition and cannot step.
     """
     replay = trace.replay
@@ -316,8 +326,8 @@ def run(algo: str, trace: RevealTrace, seed: int = 0) -> AlgoState:
     Deterministic for a given (algo, trace, seed).  The seed is an int
     (else :class:`TypeError`); ``det`` ignores it and ``rand`` draws from
     ``random.Random(seed)``, the stream that :func:`run_trials` gives it.
-    Arrangements are checked as :func:`~minla.oracle.is_minla` does (else
-    :class:`InvariantError`): every ``det`` step's, and ``rand``'s final one.
+    ``det`` checks every step's arrangement, ``rand`` its final state, as
+    :func:`_check_full` does (else :class:`InvariantError`).
     ``det``'s cost depends on node labels, by :func:`closest_feasible`'s
     tie-break.  The final state carries the move and rearrangement costs;
     per-step costs are the change in them around each step.

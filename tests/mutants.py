@@ -172,10 +172,32 @@ MUTANTS: tuple[Mutant, ...] = (
         "if lines and z_left not in z_ends:",
         ("tests/test_algorithms.py::TestWindowedKernel::test_state_fault_caught_at_the_next_event",),
     ),
+    # The final check: det's arrangement is walked, a rand state read per
+    # component (every path's left end is a path end, every clique block
+    # holds its component's nodes).
     Mutant(
         "final-check-skips-root-0", _ENGINE,
         "if root is not None:", "if root:",
-        ("tests/test_algorithms.py::TestWindowedKernel::test_layout_fault_caught_exactly_when_infeasible",),
+        ("tests/test_cli.py::TestSimulate::test_misplaced_det_target_exits_5",),
+    ),
+    Mutant(
+        "final-check-accepts-inner-left-end", _ENGINE,
+        "if left_end[r] != path[0] and left_end[r] != path[-1]),",
+        "if left_end[r] not in path),",
+        (
+            "tests/test_algorithms.py::TestWindowedKernel::"
+            "test_final_state_fault_caught_exactly_when_inconsistent",
+            "tests/test_cli.py::TestSimulate::test_final_state_fault_exits_5[lines]",
+        ),
+    ),
+    Mutant(
+        "final-check-skips-clique-node-set", _ENGINE,
+        "or not set(blocks[r]).issuperset(nodes)),", "),",
+        (
+            "tests/test_algorithms.py::TestWindowedKernel::"
+            "test_final_state_fault_caught_exactly_when_inconsistent",
+            "tests/test_cli.py::TestSimulate::test_final_state_fault_exits_5[cliques]",
+        ),
     ),
     Mutant(
         "layout-in-root-order", _ENGINE,
@@ -367,7 +389,8 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "rand-steps-a-det-state", _ENGINE,
-        "if state.fixed is not None:", "if False:",
+        "if state.fixed is not None:\n        raise ValueError",
+        "if False:\n        raise ValueError",
         ("tests/test_algorithms.py::TestMixedSteps::test_rand_refuses_a_state_det_has_moved",),
     ),
     # The block-order solver: the rebuild's tie-break (blocks numbered by

@@ -41,7 +41,7 @@ from minla import (
     tree_adversary,
     TreeAdversaryConfig,
 )
-from minla.algorithms import _block_problem, _det_problems
+from minla.algorithms import _block_problem, _check_full, _det_problems
 from minla.bench import _coin_law, _ForcedCoin as ForcedCoin
 from minla.ordering import solve_block_orders
 
@@ -628,45 +628,94 @@ class TestWindowedKernel:
             assert caught.value.size == size
         assert kinds == {"slot", "rep", "left_end"}
 
-    def test_layout_fault_caught_exactly_when_infeasible(self, monkeypatch):
-        # Swap two nodes of the laid-out final permutation: the final check
-        # must raise exactly when the literal cost check rejects it.
-        layout = minla.algorithms._layout
+    def test_final_state_fault_caught_exactly_when_inconsistent(self, monkeypatch):
+        # Break each final trial state, from run or run_trials, right after
+        # its last step (see _break_final_state).  The final check must raise
+        # exactly when the state is inconsistent, naming the last event and
+        # the first broken root in root order with its size; a state that
+        # passes must lay out to an arrangement the literal cost check takes.
+        step_rows = minla.algorithms._step_rows
         rng = random.Random(21)
-        swapped = []
+        faults = []
 
-        def faulty_layout(state):
-            node_at = layout(state)
-            i, j = rng.sample(range(len(node_at)), 2)
-            node_at[i], node_at[j] = node_at[j], node_at[i]
-            swapped.append(Permutation(node_at))
-            return node_at
+        def faulty_rows(state, rows, step_rng, index):
+            step_rows(state, rows, step_rng, index)
+            if index + len(rows) == trace.k:
+                faults.append(_break_final_state(state, rng))
 
-        monkeypatch.setattr(minla.algorithms, "_layout", faulty_layout)
-        caught = passed = 0
-        for _ in range(300):
+        monkeypatch.setattr(minla.algorithms, "_step_rows", faulty_rows)
+        for i in range(400):
             model = rng.choice((Model.CLIQUES, Model.LINES))
-            trace = random_trace(model, rng.randint(2, 24), seed=rng.random())
-            swapped.clear()
+            n = rng.randint(2, 16)
+            trace = random_trace(model, n, seed=rng.random(), events=rng.randint(1, n - 1))
+            seed = rng.randrange(1000)
             try:
-                run("rand", trace, seed=rng.randrange(1000))
+                state = run("rand", trace, seed) if i % 2 else next(run_trials(trace, [seed]))
                 raised = None
             except InvariantError as exc:
                 raised = exc
-            parts = replay_components(trace, trace.k)
-            groups = [
-                parts.nodes_of(r) if model is Model.CLIQUES else parts.path_of(r)
-                for r in parts.components()
-            ]
-            feasible = literal_minla(swapped[0], groups, model)
-            assert (raised is None) == feasible
-            if raised is None:
-                passed += 1
+            kind, root = faults[-1]
+            parts = trace.replay.final
+            if root is None:
+                assert raised is None, kind
+                groups = [parts.nodes_of(r) for r in parts.components()]
+                assert literal_minla(state.current, groups, model), kind
             else:
-                assert raised.event_index == trace.k - 1
-                assert raised.size == parts.size_of(raised.root)
-                caught += 1
-        assert caught > 0 and passed > 0
+                assert raised is not None, kind
+                assert (raised.event_index, raised.root) == (trace.k - 1, root), kind
+                assert raised.size == parts.size_of(root)
+        assert len(faults) == 400
+        assert {kind for kind, _ in faults} == {
+            "swap", "foreign", "within", "inner", "other", "flip"}
+
+    @TRACE_SETTINGS
+    @given(valid_traces(), st.integers(0, 2**64 - 1))
+    def test_every_final_state_passes_and_lays_out_to_a_minla(self, trace, seed):
+        # The final check reads the state, not its layout: every state it
+        # lets through, from run_trials or run, lays out to a MinLA.
+        for state in (next(run_trials(trace, [seed])), run("rand", trace, seed)):
+            _check_full(state)
+            assert is_minla(state.current, trace.replay.final)
+
+
+def _break_final_state(state, rng):
+    """Apply one random fault to a final ``rand`` state and return its kind
+    with the root the final check must name, ``None`` for a fault that keeps
+    the state consistent.  Cliques: swap a node between two blocks, replace
+    a block's node by another component's, or swap two nodes of one block
+    (consistent).  Lines: move a left end to an inner node or to another
+    path's end, or to its own path's other end (consistent)."""
+    parts = state.parts
+    roots = parts.components()
+    r, s = rng.sample(roots, 2) if len(roots) > 1 else (roots[0], None)
+    if state.blocks is not None:
+        blocks = state.blocks
+        kinds = ["swap", "foreign"] * (s is not None)
+        kinds += ["within"] * (len(blocks[r]) > 1)
+        kind = rng.choice(kinds)
+        x, z = list(blocks[r]), list(blocks[s]) if s is not None else []
+        i, j = rng.randrange(len(x)), rng.randrange(len(z) or 1)
+        if kind == "swap":
+            x[i], z[j] = z[j], x[i]
+            blocks[s] = tuple(z)
+        elif kind == "foreign":
+            x[i] = z[j]
+        else:
+            j = rng.choice([k for k in range(len(x)) if k != i])
+            x[i], x[j] = x[j], x[i]
+        blocks[r] = tuple(x)
+        return kind, min(r, s) if kind == "swap" else r if kind == "foreign" else None
+    path = parts.path_of(r)
+    kinds = ["flip"] + ["inner"] * (len(path) > 2) + ["other"] * (s is not None)
+    kind = rng.choice(kinds)
+    if kind == "inner":
+        state.left_end[r] = rng.choice(path[1:-1])
+    elif kind == "other":
+        other = parts.path_of(s)
+        state.left_end[r] = rng.choice((other[0], other[-1]))
+    else:
+        state.left_end[r] = path[-1] if state.left_end[r] == path[0] else path[0]
+    return kind, None if kind == "flip" else r
 
 
 class TestOneReplay:

@@ -299,28 +299,34 @@ class TestSimulate:
         unstepped = [state.slot_sizes[1] * state.slot_sizes[4] for state in trials]
         assert unstepped[:300] == [0] * 300
 
-    def test_layout_fault_exits_5(self, capsys, tmp_path, monkeypatch):
-        # A layout that swaps its first and last nodes splits the merged
-        # pair: the final is_minla check names the last event and the pair.
-        layout = minla.algorithms._layout
+    @pytest.mark.parametrize("model", ["cliques", "lines"])
+    def test_final_state_fault_exits_5(self, capsys, tmp_path, monkeypatch, model):
+        # After the last step, swap a node between the two clique blocks, or
+        # move the path's left end to its middle node: the final check names
+        # the last event and the broken component.
+        step_rows = minla.algorithms._step_rows
 
-        def swap_ends(state):
-            node_at = layout(state)
-            node_at[0], node_at[-1] = node_at[-1], node_at[0]
-            return node_at
+        def breaking_rows(state, rows, rng, index):
+            step_rows(state, rows, rng, index)
+            if model == "cliques":
+                (a, *rest), (b,) = state.blocks[0], state.blocks[3]
+                state.blocks[0], state.blocks[3] = (b, *rest), (a,)
+            else:
+                state.left_end[0] = 1
 
-        monkeypatch.setattr(minla.algorithms, "_layout", swap_ends)
+        monkeypatch.setattr(minla.algorithms, "_step_rows", breaking_rows)
         path = tmp_path / "t.txt"
         path.write_text(
-            "minla-trace v1\nmodel: cliques\nn: 4\npi0: 0 1 2 3\nevent: 0 3\n"
+            f"minla-trace v1\nmodel: {model}\nn: 4\npi0: 0 1 2 3\n"
+            "event: 0 1\nevent: 1 2\n"
         )
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "simulate", "--algo", "rand", "--trace", str(path),
             "--seed", "1", "--trials", "1",
         )
-        assert code == 5
+        assert (code, out) == (5, "")
         assert err.startswith("internal error:")
-        assert "at event 0: component 0 (size 2)" in err
+        assert "at event 1: component 0 (size 3)" in err
 
 
 class TestOpt:
