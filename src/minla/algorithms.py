@@ -109,37 +109,19 @@ def _layout(state: AlgoState) -> list[int]:
     return node_at
 
 
-def _oriented_path(path: Sequence[int], pos0: Sequence[int]) -> tuple[list[int], int]:
-    """Orientation of a path with the fewest pairs inverted against the
-    reference positions, and that count; ties go to the lexicographically
-    smaller sequence."""
-    fwd = count_inversions([pos0[v] for v in path])
-    rev = len(path) * (len(path) - 1) // 2 - fwd
-    if fwd < rev or (fwd == rev and tuple(path) < tuple(path[::-1])):
-        return list(path), fwd
-    return list(path[::-1]), rev
-
-
 def _component_block(nodes: Sequence[int], pos0: Sequence[int],
-                     lines: bool) -> tuple[list[int], list[int], int]:
-    """A component's nodes as :func:`closest_feasible` lays them out (a
-    clique in pi0 order, a path in its cheaper orientation), their sorted
-    pi0 positions and the pairs the sequence inverts."""
-    if len(nodes) == 1:
-        return [nodes[0]], [pos0[nodes[0]]], 0
-    if lines:
-        seq, inverted = _oriented_path(nodes, pos0)
-    else:
-        seq, inverted = sorted(nodes, key=pos0.__getitem__), 0
-    return seq, sorted(map(pos0.__getitem__, seq)), inverted
-
-
-def _block_problem(pi0: Permutation, parts: ComponentPartition) -> tuple[list, list, int]:
-    """The block-order problem of :func:`closest_feasible`: each component's
-    block, in root order, with the pairs the paths invert."""
-    pos0, lines = pi0.pos_of, parts.model is Model.LINES
-    blocks = [_component_block(parts.nodes_of(r), pos0, lines) for r in parts.components()]
-    return [b[0] for b in blocks], [b[1] for b in blocks], sum(b[2] for b in blocks)
+                     lines: bool) -> tuple[list[int], int]:
+    """A component's nodes as :func:`closest_feasible` lays them out, and the
+    pairs the sequence inverts against the reference positions: a clique in
+    pi0 order, a path in the orientation that inverts fewer pairs, ties to
+    the lexicographically smaller sequence."""
+    if not lines:
+        return sorted(nodes, key=pos0.__getitem__), 0
+    fwd = count_inversions([pos0[v] for v in nodes])
+    rev = len(nodes) * (len(nodes) - 1) // 2 - fwd
+    if fwd < rev or (fwd == rev and tuple(nodes) < tuple(nodes[::-1])):
+        return list(nodes), fwd
+    return list(nodes[::-1]), rev
 
 
 def closest_feasible(pi0: Permutation, parts: ComponentPartition) -> tuple[int, Permutation]:
@@ -148,14 +130,16 @@ def closest_feasible(pi0: Permutation, parts: ComponentPartition) -> tuple[int, 
 
     Exact: component-internal layouts are fixed first (cliques take the
     pi0-induced node order, lines the cheaper orientation), then the block
-    order is optimized by :func:`solve_block_order`, a batch of one.  The
+    order is optimized by :func:`solve_block_order`, a batch of one, over
+    the components' blocks in root order and pi0's positions.  The
     distance is that order's cross cost plus the pairs each path inverts.
     Ties resolve to the lexicographically smallest node sequence, so the
     target, and ``det``'s cost, depend on node labels, not on pi0 alone.
     """
-    seqs, sorted_pos, inside = _block_problem(pi0, parts)
-    cross, node_at = solve_block_order(seqs, sorted_pos)
-    return cross + inside, Permutation(node_at)
+    pos0, lines = pi0.pos_of, parts.model is Model.LINES
+    blocks = [_component_block(parts.nodes_of(r), pos0, lines) for r in parts.components()]
+    cross, node_at = solve_block_order([seq for seq, _ in blocks], pos0)
+    return cross + sum(inverted for _, inverted in blocks), Permutation(node_at)
 
 
 def _check_full(state: AlgoState) -> None:
@@ -348,15 +332,16 @@ def run(algo: str, trace: RevealTrace, seed: int = 0) -> AlgoState:
     return state
 
 
-def _det_problems(trace: RevealTrace) -> Iterator[tuple[list, list]]:
-    """Each ``det`` step's block-order problem, from a replay of its own
-    that keeps each component's block by root, in ascending order: a merge
-    drops the absorbed root's and rebuilds the merged root's in place."""
+def _det_problems(trace: RevealTrace) -> Iterator[tuple[list, Sequence[int]]]:
+    """Each ``det`` step's block-order problem, its blocks and pi0's
+    positions, from a replay of its own that keeps one node list per root,
+    in ascending order: a merge drops the absorbed root's and rebuilds the
+    merged root's in place."""
     parts = ComponentPartition(trace.n, trace.model)
     pos0, lines = trace.pi0.pos_of, trace.model is Model.LINES
-    blocks = {v: ([v], [pos0[v]], 0) for v in range(trace.n)}
+    blocks = {v: [v] for v in range(trace.n)}
     for event in trace.events:
         ru, rv = parts.merge(event.u, event.v)[2:4]
         del blocks[rv]
-        blocks[ru] = _component_block(parts.nodes_of(ru), pos0, lines)
-        yield [b[0] for b in blocks.values()], [b[1] for b in blocks.values()]
+        blocks[ru] = _component_block(parts.nodes_of(ru), pos0, lines)[0]
+        yield list(blocks.values()), pos0

@@ -98,7 +98,7 @@ def _clique_opt(t: RevealTrace) -> OptResult:
 
     Each merge orders its two child blocks independently (the cross cost
     depends only on the node sets), then the forest roots are ordered by
-    :func:`solve_block_order`.
+    :func:`solve_block_order` over pi0's positions.
     """
     pos0 = t.pi0.pos_of
     # Per component: sorted reference positions, node sequence, internal cost.
@@ -119,9 +119,7 @@ def _clique_opt(t: RevealTrace) -> OptResult:
 
     roots = sorted(comp)
     internal = sum(comp[r][2] for r in roots)
-    cross, node_at = solve_block_order(
-        [comp[r][1] for r in roots], [comp[r][0] for r in roots]
-    )
+    cross, node_at = solve_block_order([comp[r][1] for r in roots], pos0)
     return OptResult(cost=internal + cross, witness=Permutation(node_at))
 
 

@@ -1,7 +1,7 @@
 """Exact minimum-inversion ordering of disjoint blocks.
 
-Given blocks of nodes and their reference positions, find the order of the
-blocks that minimizes the number of node pairs placed opposite to their
+Given blocks of nodes and each node's reference position, find the order of
+the blocks that minimizes the number of node pairs placed opposite to their
 reference order.  Pairwise preferences between multi-node blocks can be
 cyclic, so the minimum is found by dynamic programming.  Singletons (one-node
 blocks) need no search: in every optimal order they keep their reference
@@ -16,15 +16,16 @@ the exponential table.
 One numpy table serves a batch of problems, each at its own row offset, the
 singleton axis padded to the batch's widest: each numpy operation of the
 popcount-layer fill covers every problem's rows, in slices of bounded size,
-and a batch closes before its states would pass the cap.  The weights come
-from an array per problem labelling each reference position with its block:
-the blocks' prefix counts give every cross weight in one batched matrix
-product, and each block's cost against the trailing singletons in one
-gather and running sum.  numpy is imported on first use, so a process whose
-block orders all have one block (every full trace) never loads it.
-:func:`solve_block_orders` is the one entry point (:func:`solve_block_order`
-is its batch of one): it checks each problem against the cap, then labels
-the positions and applies the singleton rule.
+and a batch closes before its states would pass the cap.  A problem is its
+blocks plus the node-to-position lookup ``pos_of``; the weights come from
+an array that labels each reference position with its block: the blocks'
+prefix counts give every cross weight in one batched matrix product, and
+each block's cost against the trailing singletons in one gather and running
+sum.  numpy is imported on first use, so a process whose block orders all
+have one block (every full trace) never loads it.  :func:`solve_block_orders`
+is the one entry point (:func:`solve_block_order` is its batch of one): it
+checks each problem against the cap, then labels the positions and applies
+the singleton rule.
 """
 
 from __future__ import annotations
@@ -207,12 +208,12 @@ def _solve(batch: list) -> Iterator[tuple[int, list[int]]]:
 
 
 def solve_block_orders(
-    problems: Iterable[tuple[Sequence[Sequence[int]], Sequence[Sequence[int]]]],
+    problems: Iterable[tuple[Sequence[Sequence[int]], Sequence[int]]],
 ) -> Iterator[tuple[int, list[int]]]:
-    """For each problem ``(seqs, sorted_pos)``, read one batch ahead, yield
-    the fewest node pairs inverted against the reference positions by an
+    """For each problem ``(seqs, pos_of)``, read one batch ahead, yield the
+    fewest node pairs inverted against the reference positions ``pos_of``
+    (node to position, as :attr:`~minla.perm.Permutation.pos_of`) by an
     order of the blocks ``seqs``, and the concatenated node sequence.
-    ``sorted_pos[i]`` lists block i's reference positions in ascending order.
     Singletons keep their reference order, so only the multi-node blocks are
     searched.  Ties resolve to the lexicographically smallest node sequence:
     each place takes, among the items that begin an optimal rest, the one
@@ -222,14 +223,13 @@ def solve_block_orders(
     """
     batch: list = []
     rows = width = 0
-    for seqs, sorted_pos in problems:
+    for seqs, pos_of in problems:
         if len(seqs) == 1:
             batch.append((0, list(seqs[0])))
             continue
         # The multi-node blocks, numbered by leading node.
-        multi = [(seq, pos) for seq, pos in zip(seqs, sorted_pos) if len(seq) > 1]
-        multi.sort(key=lambda block: block[0][0])
-        singles = sorted([(pos[0], seq[0]) for seq, pos in zip(seqs, sorted_pos) if len(seq) == 1])
+        multi = sorted([seq for seq in seqs if len(seq) > 1], key=lambda seq: seq[0])
+        singles = sorted([(pos_of[seq[0]], seq[0]) for seq in seqs if len(seq) == 1])
         m, s = len(multi), len(singles)
         if (s + 1) << m > 1 << CAP_BITS:
             raise CapacityError(
@@ -241,17 +241,17 @@ def solve_block_orders(
             batch, rows, width = [], 0, 0
         rows, width = rows + (1 << m), max(width, s)
         # labels[x]: the multi-node block at reference position x, else -1.
-        labels = [-1] * (max((pos[-1] for pos in sorted_pos), default=-1) + 1)
-        for j, (_, pos) in enumerate(multi):
-            for x in pos:
-                labels[x] = j
-        batch.append(([seq for seq, _ in multi], singles, labels))
+        labels = [-1] * len(pos_of)
+        for j, seq in enumerate(multi):
+            for v in seq:
+                labels[pos_of[v]] = j
+        batch.append((multi, singles, labels))
     yield from _solve(batch)
 
 
 def solve_block_order(
-    seqs: Sequence[Sequence[int]], sorted_pos: Sequence[Sequence[int]]
+    seqs: Sequence[Sequence[int]], pos_of: Sequence[int]
 ) -> tuple[int, list[int]]:
-    """:func:`solve_block_orders` of the one problem ``(seqs, sorted_pos)``."""
-    (result,) = solve_block_orders([(seqs, sorted_pos)])
+    """:func:`solve_block_orders` of the one problem ``(seqs, pos_of)``."""
+    (result,) = solve_block_orders([(seqs, pos_of)])
     return result

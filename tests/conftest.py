@@ -3,11 +3,12 @@
 These stay deliberately naive and independent of the library's fast paths:
 the partition after a prefix of a trace's events, every step of a replay
 rebuilt as tuples, a hypothesis strategy for valid traces, a trace's
-nodes relabeled, a line-by-line trace parser, quadratic pair counting, full
-permutation enumeration, literal cost sums, closed forms, a literal
-replay of the randomized strategy, the plain block-subset program that
-orders singletons like any other block, the singleton-aware block-order
-table as plain loops, and the literal exact oracles: a heap Dijkstra over
+nodes relabeled or its pi0 mirrored, a line-by-line trace parser,
+quadratic pair counting, full permutation enumeration, literal cost sums,
+closed forms, a literal replay of the randomized strategy, the plain
+block-subset program that orders singletons like any other block (fed
+sorted positions), the singleton-aware block-order table as plain loops,
+and the literal exact oracles: a heap Dijkstra over
 all schedules, harmonic sums of ``Fraction`` terms and choice-vector
 weights as row products, the two algebraic sweeps as literal
 ``randint``/``uniform`` loops over one instance at a time, and the CSV and
@@ -118,6 +119,12 @@ def relabel(t, phi) -> RevealTrace:
         t.model, t.n, Permutation(phi[v] for v in t.pi0.node_at),
         tuple(RevealEvent(phi[ev.u], phi[ev.v]) for ev in t.events),
     )
+
+
+def mirror(t) -> RevealTrace:
+    """``t`` with pi0 reversed: the node at position i moves to n - 1 - i,
+    and the events stay."""
+    return RevealTrace(t.model, t.n, Permutation(t.pi0.node_at[::-1]), t.events)
 
 
 def reference_parse_trace(text: str):
@@ -459,6 +466,12 @@ def reference_block_order(w, tie_keys):
         order.append(best_j)
         remaining ^= 1 << best_j
     return int(g[(1 << m) - 1]), order
+
+
+def sorted_positions(seqs, pos_of):
+    """Each block's reference positions under the node-to-position lookup
+    ``pos_of``, ascending: what ``reference_layout`` takes."""
+    return [sorted(pos_of[v] for v in seq) for seq in seqs]
 
 
 def reference_layout(seqs, sorted_pos):

@@ -11,9 +11,12 @@ copy of the repository and runs only its named tests there:
     python tests/mutants.py --list     # names only
     python tests/mutants.py NAME ...   # the named mutants
 
-The named tests first run once on an unchanged copy and must pass.  A
-mutant is killed when its tests fail (pytest exit code 1).  The exit code
-is 0 when every mutant was killed, 1 otherwise.  Stdlib only.
+Everything runs on min(usable cores, mutants chosen) worker threads.  The
+named tests first run once on an unchanged copy, split across the workers,
+and must pass.  Then each mutant runs in its own copy and its own pytest
+process, and the verdicts print in list order.  A mutant is killed when its
+tests fail (pytest exit code 1).  The exit code is 0 when every mutant was
+killed, 1 otherwise.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -347,15 +351,27 @@ MUTANTS: tuple[Mutant, ...] = (
     # the singletons' order by reference position.
     Mutant(
         "oriented-path-tie-flipped", _ENGINE,
-        "tuple(path) < tuple(path[::-1])", "tuple(path) > tuple(path[::-1])",
+        "tuple(nodes) < tuple(nodes[::-1])", "tuple(nodes) > tuple(nodes[::-1])",
         ("tests/test_algorithms.py::TestDetStep::test_closest_member_and_lex_order_vs_enumeration",),
     ),
     Mutant(
         "singletons-by-node-id", _ORDERING,
-        "(pos[0], seq[0]) for seq, pos", "(seq[0], seq[0]) for seq, pos",
+        "(pos_of[seq[0]], seq[0]) for seq in seqs", "(seq[0], seq[0]) for seq in seqs",
         (
             "tests/test_ordering.py::TestSolveBlockOrder::test_matches_brute_force",
             "tests/test_algorithms.py::TestDetStep::test_closest_member_and_lex_order_vs_enumeration",
+            "tests/test_oracle.py::TestDpOpt::test_witness_realizes_cost_in_one_move",
+        ),
+    ),
+    # A problem's blocks are labelled at their nodes' reference positions,
+    # read off pi0's lookup, not at their node ids.
+    Mutant(
+        "labels-by-node-id", _ORDERING,
+        "labels[pos_of[v]] = j", "labels[v] = j",
+        (
+            "tests/test_ordering.py::TestSolveBlockOrder::test_matches_brute_force",
+            "tests/test_ordering.py::TestSingletonAwareOrder::test_matches_reference_on_drawn_layouts",
+            "tests/test_algorithms.py::TestDetStep::test_closest_feasible_matches_enumeration",
             "tests/test_oracle.py::TestDpOpt::test_witness_realizes_cost_in_one_move",
         ),
     ),
@@ -371,7 +387,7 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "det-block-not-rebuilt", _ENGINE,
-        "blocks[ru] = _component_block(parts.nodes_of(ru), pos0, lines)",
+        "blocks[ru] = _component_block(parts.nodes_of(ru), pos0, lines)[0]",
         "blocks[ru] = blocks[ru]",
         (
             "tests/test_algorithms.py::TestDetRun::test_carried_blocks_match_a_fresh_replay",
@@ -398,7 +414,7 @@ MUTANTS: tuple[Mutant, ...] = (
     # minimum over the trailing singletons.
     Mutant(
         "block-tie-prefers-larger-node", _ORDERING,
-        "key=lambda block: block[0][0])", "key=lambda block: -block[0][0])",
+        "key=lambda seq: seq[0])", "key=lambda seq: -seq[0])",
         (
             "tests/test_ordering.py::TestSolveBlockOrder::test_lexicographic_tie_break",
             "tests/test_ordering.py::TestSolveBlockOrder::test_matches_brute_force",
@@ -506,6 +522,16 @@ def _apply(copy: Path, mutant: Mutant) -> None:
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
+def _run(tmp: Path, mutant: Mutant) -> int:
+    """Apply ``mutant`` to a fresh copy in ``tmp`` and run its tests there."""
+    copy = tmp / mutant.name
+    _copy_repo(copy)
+    _apply(copy, mutant)
+    code = _pytest(copy, mutant.tests)
+    shutil.rmtree(copy)
+    return code
+
+
 def main(argv: list[str]) -> int:
     if argv == ["--list"]:
         print("\n".join(m.name for m in MUTANTS))
@@ -515,23 +541,21 @@ def main(argv: list[str]) -> int:
     if unknown:
         print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
-    with tempfile.TemporaryDirectory() as tmp:
+    workers = min(len(os.sched_getaffinity(0)), len(chosen))
+    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(workers) as pool:
         clean = Path(tmp) / "clean"
         _copy_repo(clean)
         tests = sorted({t for m in chosen for t in m.tests})
-        if _pytest(clean, tests) != 0:
+        parts = [tests[i::workers] for i in range(min(workers, len(tests)))]
+        if any(list(pool.map(lambda part: _pytest(clean, part), parts))):
             print("the named tests fail without a mutant", file=sys.stderr)
             return 1
         survivors = 0
-        for mutant in chosen:
-            copy = Path(tmp) / mutant.name
-            _copy_repo(copy)
-            _apply(copy, mutant)
-            code = _pytest(copy, mutant.tests)
+        codes = pool.map(lambda mutant: _run(Path(tmp), mutant), chosen)
+        for mutant, code in zip(chosen, codes):
             verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"error (exit {code})")
             survivors += code != 1
             print(f"{verdict:>16}  {mutant.name}", flush=True)
-            shutil.rmtree(copy)
     return 1 if survivors else 0
 
 

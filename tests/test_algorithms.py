@@ -13,10 +13,12 @@ from conftest import (
     ScriptedRandom,
     feasible_permutations,
     literal_minla,
+    mirror,
     reference_layout,
     reference_rand,
     relabel,
     replay_components,
+    sorted_positions,
     valid_traces,
 )
 from minla import (
@@ -34,6 +36,7 @@ from minla import (
     kendall_tau,
     derive_trial_seed,
     dp_opt,
+    exhaustive_opt,
     rand_step,
     random_trace,
     run,
@@ -41,7 +44,7 @@ from minla import (
     tree_adversary,
     TreeAdversaryConfig,
 )
-from minla.algorithms import _block_problem, _check_full, _det_problems
+from minla.algorithms import _check_full, _component_block, _det_problems
 from minla.bench import _coin_law, _ForcedCoin as ForcedCoin
 from minla.ordering import solve_block_orders
 
@@ -101,6 +104,20 @@ class TestDetStep:
                     )
                     assert state.current.node_at == lex_best
 
+    @TRACE_SETTINGS
+    @given(valid_traces(max_n=6))
+    def test_closest_feasible_matches_enumeration(self, trace):
+        # Against every permutation feasible for the final partition: the
+        # least distance from pi0, and the lexicographically smallest
+        # permutation at that distance.
+        parts = trace.replay.final
+        distance, target = closest_feasible(trace.pi0, parts)
+        feasible = {f.node_at: kendall_tau(trace.pi0, f)
+                    for f in feasible_permutations(parts, trace.model, trace.n)}
+        best = min(feasible.values())
+        assert distance == best
+        assert target.node_at == min(p for p, d in feasible.items() if d == best)
+
     def test_closest_feasible_reports_its_distance(self):
         # The block order's cross cost plus each path's inverted pairs is
         # the target's distance from pi0, after every prefix of a trace.
@@ -150,11 +167,11 @@ class TestDetStep:
 
         def checked(problems):
             problems = list(problems)
-            for (seqs, sorted_pos), result in zip(
+            for (seqs, pos_of), result in zip(
                 problems, solve_block_orders(problems), strict=True
             ):
                 if len(seqs) <= 16:
-                    assert result == reference_layout(seqs, sorted_pos)
+                    assert result == reference_layout(seqs, sorted_positions(seqs, pos_of))
                     compared.append(len(seqs))
                 yield result
 
@@ -219,12 +236,16 @@ class TestDetRun:
     @given(valid_traces())
     def test_carried_blocks_match_a_fresh_replay(self, trace):
         # run's problems carry each component's block across steps; every
-        # step must state what a partition replayed to it states.
+        # step must state, root by root, the blocks of a partition replayed
+        # to it, over pi0's positions.
         problems = list(_det_problems(trace))
         assert len(problems) == trace.k
-        for i, problem in enumerate(problems, 1):
-            seqs, sorted_pos, _ = _block_problem(trace.pi0, replay_components(trace, i))
-            assert problem == (seqs, sorted_pos)
+        pos0, lines = trace.pi0.pos_of, trace.model is Model.LINES
+        for i, (seqs, pos_of) in enumerate(problems, 1):
+            parts = replay_components(trace, i)
+            assert pos_of == pos0
+            assert seqs == [_component_block(parts.nodes_of(r), pos0, lines)[0]
+                            for r in parts.components()]
 
     @TRACE_SETTINGS
     @given(valid_traces())
@@ -809,6 +830,24 @@ class TestOneReplay:
             rand_step(state, full.events[-1], random.Random(seed))
             assert state.parts.num_components == trace.replay.final.num_components - 1
             assert is_minla(state.current, state.parts)
+
+
+class TestMirroring:
+    """Reversing pi0 (position i to n - 1 - i) moves neither ``dp_opt``'s
+    cost, nor ``closest_feasible``'s distance, nor ``exhaustive_opt``'s
+    cost: an arrangement is feasible exactly when its reverse is, and lies
+    as far from pi0 as its reverse from the mirrored pi0.  ``det`` and
+    ``rand`` are exempt: their ties and coins read positions."""
+
+    @TRACE_SETTINGS
+    @given(valid_traces())
+    def test_mirrored_traces_cost_the_same(self, trace):
+        twin = mirror(trace)
+        assert dp_opt(twin).cost == dp_opt(trace).cost
+        distance = closest_feasible(trace.pi0, trace.replay.final)[0]
+        assert closest_feasible(twin.pi0, twin.replay.final)[0] == distance
+        if trace.n <= 6:
+            assert exhaustive_opt(twin).cost == exhaustive_opt(trace).cost
 
 
 class TestRelabeling:

@@ -3,23 +3,32 @@ import random
 from bisect import bisect_left
 
 import pytest
+from hypothesis import given, strategies as st
 
 import minla.ordering
 from conftest import (
+    TRACE_SETTINGS,
     _costs_py,
     _subset_costs_np,
     _subset_costs_py,
     reference_layout,
     replay_components,
+    sorted_positions,
 )
 from minla import CapacityError, Model, random_trace
-from minla.algorithms import _oriented_path
+from minla.algorithms import _component_block
 from minla.ordering import _costs, cross_weight, solve_block_order, solve_block_orders
 
 
-def brute_force_layout(seqs, sorted_pos):
+def reference(seqs, pos_of):
+    """``reference_layout`` of the problem ``(seqs, pos_of)``."""
+    return reference_layout(seqs, sorted_positions(seqs, pos_of))
+
+
+def brute_force_layout(seqs, pos_of):
     """Least cross cost over every order of the blocks, singletons included,
     and the lexicographically smallest node sequence attaining it."""
+    sorted_pos = sorted_positions(seqs, pos_of)
     return min(
         (
             sum(
@@ -38,8 +47,10 @@ def random_weights(rng, m, hi=9):
 
 
 def identity_layout(blocks):
-    """Blocks of nodes at the reference positions equal to their ids."""
-    return [list(b) for b in blocks], [sorted(b) for b in blocks]
+    """Blocks of the nodes 0..N-1 at the reference positions equal to their
+    ids: the node sequences and the node-to-position lookup."""
+    seqs = [list(b) for b in blocks]
+    return seqs, tuple(range(sum(map(len, seqs))))
 
 
 class TestCrossWeight:
@@ -57,10 +68,10 @@ class TestCrossWeight:
 
 class TestSolveBlockOrder:
     def test_trivial_sizes(self):
-        assert solve_block_order([], []) == (0, [])
-        assert solve_block_order([[7]], [[3]]) == (0, [7])
+        assert solve_block_order([], ()) == (0, [])
+        assert solve_block_order([[7]], tuple(range(8))) == (0, [7])
         # A single block keeps its internal order.
-        assert solve_block_order([[4, 1, 2]], [[0, 1, 2]]) == (0, [4, 1, 2])
+        assert solve_block_order([[4, 1, 2]], (3, 4, 1, 0, 2)) == (0, [4, 1, 2])
 
     def test_matches_brute_force(self):
         # Every order of up to 7 blocks and singletons: the least cost, and
@@ -69,28 +80,24 @@ class TestSolveBlockOrder:
         for _ in range(120):
             total = rng.randint(2, 7)
             m = rng.randint(0, total)
-            seqs, sorted_pos = random_layout(rng, m, total - m, spare=2)
-            assert solve_block_order(seqs, sorted_pos) == brute_force_layout(
-                seqs, sorted_pos
-            )
+            seqs, pos_of = random_layout(rng, m, total - m, spare=2)
+            assert solve_block_order(seqs, pos_of) == brute_force_layout(seqs, pos_of)
 
     def test_cyclic_preferences_still_exact(self):
         # pairwise majorities can cycle; the subset program must not rely on
         # a total sort. blocks {0,5,7}, {1,3,8}, {2,4,6} prefer a<b<c<a.
-        seqs, sorted_pos = identity_layout([[0, 5, 7], [1, 3, 8], [2, 4, 6]])
-        w = [[cross_weight(a, b) for b in sorted_pos] for a in sorted_pos]
+        seqs, pos_of = identity_layout([[0, 5, 7], [1, 3, 8], [2, 4, 6]])
+        w = [[cross_weight(a, b) for b in seqs] for a in seqs]
         assert w[0][1] < w[1][0] and w[1][2] < w[2][1] and w[2][0] < w[0][2]
-        assert solve_block_order(seqs, sorted_pos) == brute_force_layout(
-            seqs, sorted_pos
-        )
+        assert solve_block_order(seqs, pos_of) == brute_force_layout(seqs, pos_of)
 
     def test_lexicographic_tie_break(self):
         # {0,3} and {1,2} cost 2 in either order: the leading nodes decide.
-        seqs, sorted_pos = identity_layout([[0, 3], [1, 2]])
-        assert cross_weight(*sorted_pos) == cross_weight(*sorted_pos[::-1]) == 2
-        assert solve_block_order(seqs, sorted_pos) == (2, [0, 3, 1, 2])
-        seqs, sorted_pos = identity_layout([[3, 0], [2, 1]])
-        assert solve_block_order(seqs, sorted_pos) == (2, [2, 1, 3, 0])
+        seqs, pos_of = identity_layout([[0, 3], [1, 2]])
+        assert cross_weight(*seqs) == cross_weight(*seqs[::-1]) == 2
+        assert solve_block_order(seqs, pos_of) == (2, [0, 3, 1, 2])
+        seqs, pos_of = identity_layout([[3, 0], [2, 1]])
+        assert solve_block_order(seqs, pos_of) == (2, [2, 1, 3, 0])
 
     @pytest.mark.parametrize("block,first", [
         ([0, 2], [0, 2, 1]),  # the singleton's node 1 after the block's 0
@@ -100,10 +107,10 @@ class TestSolveBlockOrder:
         # The block at {0, 2} and the singleton at 1 cost 1 in either order
         # and both begin an optimal rest, ahead of {3, 4} and 5: the
         # leading nodes decide.
-        seqs, sorted_pos = [block, [1], [3, 4], [5]], [[0, 2], [1], [3, 4], [5]]
+        seqs, pos_of = identity_layout([block, [1], [3, 4], [5]])
         expected = (1, first + [3, 4, 5])
-        assert reference_layout(seqs, sorted_pos) == expected
-        assert solve_block_order(seqs, sorted_pos) == expected
+        assert reference(seqs, pos_of) == expected
+        assert solve_block_order(seqs, pos_of) == expected
 
     def test_python_and_vector_paths_agree(self):
         rng = random.Random(2)
@@ -122,31 +129,30 @@ class TestSolveBlockOrder:
         assert list(_subset_costs_np(w, m)) == _subset_costs_py(w, m)
 
     def test_capacity_error(self):
-        seqs, sorted_pos = identity_layout([[i, i + 1] for i in range(0, 46, 2)])
+        seqs, pos_of = identity_layout([[i, i + 1] for i in range(0, 46, 2)])
         with pytest.raises(
             CapacityError,
             match=r"23 multi-node components and 0 singletons exceed the "
             r"exact-search cap of 2\^22 states",
         ):
-            solve_block_order(seqs, sorted_pos)
+            solve_block_order(seqs, pos_of)
 
     def test_capacity_counts_singletons(self, monkeypatch):
         # 2 blocks and 7 singletons fill 2^5 states exactly; one more
         # singleton trips the cap although the block count stays at 2.
         monkeypatch.setattr(minla.ordering, "CAP_BITS", 5)
         blocks = [[0, 3], [1, 2]] + [[v] for v in range(4, 12)]
-        seqs, sorted_pos = identity_layout(blocks[:9])
-        assert solve_block_order(seqs, sorted_pos) == reference_layout(
-            seqs, sorted_pos
-        )
-        seqs, sorted_pos = identity_layout(blocks)
+        seqs, pos_of = identity_layout(blocks[:9])
+        assert solve_block_order(seqs, pos_of) == reference(seqs, pos_of)
+        seqs, pos_of = identity_layout(blocks)
         with pytest.raises(CapacityError, match="2 multi-node components and 8 singletons"):
-            solve_block_order(seqs, sorted_pos)
+            solve_block_order(seqs, pos_of)
 
 
 def random_layout(rng, m, s, spare=4):
     """m blocks of 2..2+spare nodes and s singletons, shuffled, at random
-    reference positions: the node sequences and their sorted positions."""
+    reference positions: the node sequences and the node-to-position
+    lookup."""
     sizes = [rng.randint(2, 2 + spare) for _ in range(m)] + [1] * s
     rng.shuffle(sizes)
     n = sum(sizes)
@@ -156,7 +162,23 @@ def random_layout(rng, m, s, spare=4):
     for size in sizes:
         seqs.append(nodes[at : at + size])
         at += size
-    return seqs, [sorted(pos[v] for v in seq) for seq in seqs]
+    return seqs, pos
+
+
+@st.composite
+def drawn_layouts(draw):
+    """Up to 6 blocks of 2..4 nodes and up to 8 singletons, in a drawn
+    order, with drawn node ids and reference positions: small blocks make
+    tied orders common."""
+    sizes = draw(st.lists(st.integers(2, 4), max_size=6))
+    sizes = draw(st.permutations(sizes + [1] * draw(st.integers(0, 8))))
+    n = sum(sizes)
+    nodes = draw(st.permutations(range(n)))
+    seqs, at = [], 0
+    for size in sizes:
+        seqs.append(nodes[at : at + size])
+        at += size
+    return seqs, tuple(draw(st.permutations(range(n))))
 
 
 def table_input(sorted_pos):
@@ -175,10 +197,9 @@ def table_input(sorted_pos):
 
 def interleaved(half):
     """Two blocks of ``half`` nodes at alternate positions and a singleton
-    after them: node sequences and sorted positions.  Either block before
-    the other inverts half * (half - 1) / 2 pairs or more."""
-    pos = [list(range(0, 2 * half, 2)), list(range(1, 2 * half, 2)), [2 * half]]
-    return pos, pos
+    after them, each node at the position equal to its id.  Either block
+    before the other inverts half * (half - 1) / 2 pairs or more."""
+    return identity_layout([range(0, 2 * half, 2), range(1, 2 * half, 2), [2 * half]])
 
 
 def assert_tables_agree(*layouts):
@@ -203,7 +224,7 @@ class TestSingletonAwareOrder:
         rng = random.Random(3)
         for m in range(0, 9):
             for s in range(0, 7):
-                assert_tables_agree(random_layout(rng, m, s)[1])
+                assert_tables_agree(sorted_positions(*random_layout(rng, m, s)))
 
     @pytest.mark.parametrize("big", [False, True])
     def test_tables_agree_across_slices(self, big, monkeypatch):
@@ -214,9 +235,9 @@ class TestSingletonAwareOrder:
         monkeypatch.setattr(minla.ordering, "_SLICE", 7)
         rng = random.Random(big)
         for m, s in [(1, 0), (3, 2), (5, 0), (6, 1), (7, 3), (8, 9), (9, 2)]:
-            assert_tables_agree(random_layout(rng, m, s)[1])
+            assert_tables_agree(sorted_positions(*random_layout(rng, m, s)))
         if big:
-            assert_tables_agree(interleaved(70_000)[1])
+            assert_tables_agree(interleaved(70_000)[0])
 
     def test_singleton_totals_widen(self):
         # Two blocks of 2^15 nodes and 2^15 singletons after them: every row
@@ -240,10 +261,8 @@ class TestSingletonAwareOrder:
         # singletons.
         rng = random.Random(m * 100 + s)
         for _ in range(6 if m + s < 12 else 2):
-            seqs, sorted_pos = random_layout(rng, m, s)
-            assert solve_block_order(seqs, sorted_pos) == reference_layout(
-                seqs, sorted_pos
-            )
+            seqs, pos_of = random_layout(rng, m, s)
+            assert solve_block_order(seqs, pos_of) == reference(seqs, pos_of)
 
     def test_matches_reference_on_traces(self):
         rng = random.Random(4)
@@ -252,16 +271,15 @@ class TestSingletonAwareOrder:
                 n = rng.randint(2, 14)
                 trace = random_trace(model, n, seed=rng.random())
                 parts = replay_components(trace, rng.randint(0, trace.k))
-                pos0 = trace.pi0.pos_of
-                seqs = [
-                    sorted(parts.nodes_of(r), key=pos0.__getitem__)
-                    if model is Model.CLIQUES
-                    else _oriented_path(parts.path_of(r), pos0)[0]
-                    for r in parts.components()
-                ]
-                sorted_pos = [sorted(pos0[v] for v in seq) for seq in seqs]
-                expected = reference_layout(seqs, sorted_pos)
-                assert solve_block_order(seqs, sorted_pos) == expected
+                pos0, lines = trace.pi0.pos_of, model is Model.LINES
+                seqs = [_component_block(parts.nodes_of(r), pos0, lines)[0]
+                        for r in parts.components()]
+                assert solve_block_order(seqs, pos0) == reference(seqs, pos0)
+
+    @TRACE_SETTINGS
+    @given(drawn_layouts())
+    def test_matches_reference_on_drawn_layouts(self, problem):
+        assert solve_block_order(*problem) == reference(*problem)
 
     def test_optimal_orders_keep_singletons_in_order(self):
         # Brute force over every order of up to 7 items: each minimum-cost
@@ -270,7 +288,8 @@ class TestSingletonAwareOrder:
         for _ in range(150):
             total = rng.randint(2, 7)
             m = rng.randint(0, total)
-            seqs, sorted_pos = random_layout(rng, m, total - m, spare=2)
+            seqs, pos_of = random_layout(rng, m, total - m, spare=2)
+            sorted_pos = sorted_positions(seqs, pos_of)
             costs = {
                 order: sum(
                     cross_weight(sorted_pos[a], sorted_pos[b])
@@ -290,8 +309,8 @@ def random_batch(rng, shapes):
     """One random layout per (m, s) of ``shapes``, plus a single block and an
     empty problem at random places: the problems of one batch."""
     problems = [random_layout(rng, m, s) for m, s in shapes]
-    problems.insert(rng.randint(0, len(problems)), ([[5, 2, 7]], [[0, 1, 2]]))
-    problems.insert(rng.randint(0, len(problems)), ([], []))
+    problems.insert(rng.randint(0, len(problems)), ([[5, 2, 7]], tuple(range(8))))
+    problems.insert(rng.randint(0, len(problems)), ([], ()))
     return problems
 
 
@@ -324,7 +343,7 @@ class TestBatchedSolve:
         pairs = [(m, s) for m in range(10) for s in range(16) if m + s <= 15]
         for _ in range(12):
             problems = random_batch(rng, rng.sample(pairs, rng.randint(2, 8)))
-            expected = [reference_layout(*problem) for problem in problems]
+            expected = [reference(*problem) for problem in problems]
             assert list(solve_block_orders(problems)) == expected
         assert len(batches) == 12
         assert [solve_block_order(*p) for p in problems] == expected
@@ -342,7 +361,7 @@ class TestBatchedSolve:
         problems = [random_layout(rng, *rng.choice(shapes)) for _ in range(40)]
         batches = record_batches(monkeypatch)
         solved = list(solve_block_orders(problems))
-        assert solved == [reference_layout(*problem) for problem in problems]
+        assert solved == [reference(*problem) for problem in problems]
         assert len(batches) > 4
         assert all(rows * width <= budget for rows, width, _, _ in batches)
         # The table rows and singletons of each problem that gets a table
@@ -361,17 +380,17 @@ class TestBatchedSolve:
         # problems stays int32, and so do two blocks of 46,340 nodes side by
         # side, the widest int32 table, whose reverse order costs just
         # below 2^31.
-        big, big_pos = interleaved(70_000)
-        assert cross_weight(big_pos[0], big_pos[1]) >= 1 << 31
+        big = interleaved(70_000)
+        assert cross_weight(*big[0][:2]) >= 1 << 31
         half = 46_340
         widest = identity_layout([range(half, 2 * half), range(half)])
-        assert cross_weight(*widest[1]) == half * half < 1 << 31
+        assert cross_weight(*widest[0]) == half * half < 1 << 31
         rng = random.Random(8)
         small = [random_layout(rng, m, s) for m, s in [(3, 2), (1, 5), (4, 0)]]
         batches = record_batches(monkeypatch)
-        problems = [small[0], (big, big_pos), *small[1:]]
-        assert list(solve_block_orders(problems)) == [reference_layout(*p) for p in problems]
-        assert list(solve_block_orders(small)) == [reference_layout(*p) for p in small]
+        problems = [small[0], big, *small[1:]]
+        assert list(solve_block_orders(problems)) == [reference(*p) for p in problems]
+        assert list(solve_block_orders(small)) == [reference(*p) for p in small]
         assert solve_block_order(*widest) == (0, [*range(half), *range(half, 2 * half)])
         assert [dtype for _, _, dtype, _ in batches] == ["int64", "int32", "int32"]
 
@@ -382,21 +401,21 @@ class TestBatchedSolve:
         monkeypatch.setattr(minla.ordering, "_SLICE", 7)
         rng = random.Random(big + 1)
         shapes = [(0, 4), (1, 0), (3, 2), (5, 0), (6, 1), (7, 3), (2, 9), (9, 2)]
-        layouts = [random_layout(rng, m, s)[1] for m, s in shapes]
+        layouts = [sorted_positions(*random_layout(rng, m, s)) for m, s in shapes]
         if big:
-            layouts.insert(3, interleaved(70_000)[1])
+            layouts.insert(3, interleaved(70_000)[0])
         assert_tables_agree(*layouts)
 
     def test_edge_problems_in_one_batch(self, monkeypatch):
         # The empty problem, a problem of singletons only (no block row of
         # its own) and one whose last singleton lies right of every block,
         # in one batch with a wider problem: tables and results.
-        empty, singles = ([], []), identity_layout([[3], [0], [2], [1]])
-        right = ([[1, 0], [2, 4], [3], [5]], [[0, 1], [2, 4], [3], [5]])
+        empty, singles = ([], ()), identity_layout([[3], [0], [2], [1]])
+        right = identity_layout([[1, 0], [2, 4], [3], [5]])
         rng = random.Random(9)
         problems = [empty, singles, random_layout(rng, 4, 3), right]
-        assert_tables_agree(*(sorted_pos for _, sorted_pos in problems))
+        assert_tables_agree(*(sorted_positions(*p) for p in problems))
         batches = record_batches(monkeypatch)
-        assert list(solve_block_orders(problems)) == [reference_layout(*p) for p in problems]
+        assert list(solve_block_orders(problems)) == [reference(*p) for p in problems]
         assert [count for *_, count in batches] == [4]
         assert solve_block_order(*right) == (1, [1, 0, 2, 4, 3, 5])
