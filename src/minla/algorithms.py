@@ -38,25 +38,24 @@ __all__ = [
 class AlgoState:
     """Mutable per-trial state: components, costs and the arrangement.
 
-    A ``rand`` trial keeps no permutation.  Each component root has a
-    representative ``rep[root]``: a singleton represents itself and a merge
-    keeps the staying block's.  The staying block keeps its slot, the mover
-    lands beside it and no other pair of blocks changes order, so the
-    blocks stand in the pi0 order of their representatives.  ``slot_sizes``
-    holds each component's size at its representative's pi0 position, 0
-    elsewhere; ``left_end[root]`` (lines) is the path end laid out first,
-    ``blocks[root]`` (cliques) the block's node sequence.  ``current`` lays
-    the arrangement out on request; the final check reads only these fields
-    (:func:`_check_full`).  ``det`` keeps its arrangement in ``fixed``
-    (``None`` while at pi0) and pays from ``current``, so it may follow
-    ``rand`` steps; ``rand`` refuses a state that ``det`` has stepped.  A
-    state steps only on a partition of its own, as from :func:`run`;
-    :func:`run_trials` states share the trace's read-only replay and cannot
-    step."""
+    A ``rand`` trial keeps no permutation and reads pi0 only to start.
+    Each component root has a pi0 position ``slot[root]``: a singleton's
+    own, and a merge keeps the staying block's.  The mover lands beside
+    the staying block and no other pair of blocks changes order, so the
+    blocks stand in the order of their slots.  ``slot_sizes`` holds each
+    component's size at its slot, 0 elsewhere; ``left_end[root]`` (lines)
+    is the path end laid out first, ``blocks[root]`` (cliques) the block's
+    node sequence.  ``current`` lays the arrangement out on request; the
+    final check reads only these fields (:func:`_check_full`).  ``det``
+    keeps its arrangement in ``fixed`` (``None`` while at pi0) and pays
+    from ``current``, so it may follow ``rand`` steps; ``rand`` refuses a
+    state that ``det`` has stepped.  A state steps only on a partition of
+    its own, as from :func:`run`; :func:`run_trials` states share the
+    trace's read-only replay and cannot step."""
 
     pi0: Permutation
     parts: ComponentPartition
-    rep: list[int]
+    slot: list[int]
     slot_sizes: list[int]
     left_end: list[int] | None
     blocks: list[tuple[int, ...] | None] | None
@@ -71,7 +70,7 @@ class AlgoState:
         return cls(
             pi0=pi0,
             parts=parts,
-            rep=list(range(n)),
+            slot=list(pi0.pos_of),
             slot_sizes=[1] * n,
             left_end=list(range(n)) if lines else None,
             blocks=None if lines else [(v,) for v in range(n)],
@@ -94,12 +93,12 @@ class AlgoState:
 
 
 def _layout(state: AlgoState) -> list[int]:
-    """A ``rand`` trial's arrangement: the blocks in the pi0 order of their
-    representatives, each path from its left end, each clique as its
-    recorded sequence."""
-    parts, rep, pos0 = state.parts, state.rep, state.pi0.pos_of
-    # Representatives are distinct nodes, so the key alone fixes the order.
-    roots = sorted(parts._nodes, key=lambda r: pos0[rep[r]])
+    """A ``rand`` trial's arrangement: the blocks in the order of their
+    slots, each path from its left end, each clique as its recorded
+    sequence."""
+    parts = state.parts
+    # Slots are distinct positions, so the key alone fixes the order.
+    roots = sorted(parts._nodes, key=state.slot.__getitem__)
     if state.left_end is None:
         return [v for root in roots for v in state.blocks[root]]
     node_at: list[int] = []
@@ -194,25 +193,25 @@ def _step_rows(
     ``index``, to one ``rand`` trial.
 
     The rows fix the merging components, their sizes, path ends and coin
-    constants.  Each step checks in O(1) that both representatives' slots
-    hold their components' sizes and, for lines, that both left ends are
-    path ends (else :class:`InvariantError`).  It then draws its coins: x's block
-    moves with probability ``zl / (xl + zl)``, even when adjacent, and a
-    merged path is laid forward or reversed with probability proportional
-    to the swap cost of the other filling.  Per :class:`AlgoState`, x's
-    block is left of z's exactly when x's representative comes first in
-    pi0, and the mover jumps the components represented between the two.
-    A coin with bound b draws ``getrandbits(b.bit_length())`` (the row holds
-    both) until the word is below b, as ``random.Random.randrange(b)`` does.
+    constants.  Each step checks in O(1) that both components' slots hold
+    their sizes and, for lines, that both left ends are path ends (else
+    :class:`InvariantError`).  It then draws its coins: x's block moves
+    with probability ``zl / (xl + zl)``, even when adjacent, and a merged
+    path is laid forward or reversed with probability proportional to the
+    swap cost of the other filling.  Per :class:`AlgoState`, x's block is
+    left of z's exactly when x's slot comes first, and the mover jumps the
+    components whose slots lie between the two.  A coin with bound b draws
+    ``getrandbits(b.bit_length())`` (the row holds both) until the word is
+    below b, as ``random.Random.randrange(b)`` does.
     """
-    pos0, rep, sizes = state.pi0.pos_of, state.rep, state.slot_sizes
+    slot, sizes = state.slot, state.slot_sizes
     left_end, blocks = state.left_end, state.blocks
     lines = left_end is not None
     bits = rng.getrandbits
     move_cost = rearrange_cost = 0
     for index, (u, v, ru, rv, xl, zl, denom, k_move, x_ends, z_ends, ends, total_pairs,
                 k_orient, x_pairs, z_pairs, cross) in enumerate(rows, index):
-        a, b = pos0[rep[ru]], pos0[rep[rv]]
+        a, b = slot[ru], slot[rv]
         if lines:
             x_left, z_left = left_end[ru], left_end[rv]
         if sizes[a] != xl or lines and x_left not in x_ends:
@@ -227,7 +226,7 @@ def _step_rows(
         if x_moved:
             move_cost += xl * between
             sizes[a], sizes[b] = 0, denom
-            rep[ru] = rep[rv]
+            slot[ru] = b
         else:
             move_cost += zl * between
             sizes[a], sizes[b] = denom, 0
@@ -292,7 +291,7 @@ def run_trials(trace: RevealTrace, seeds: Iterable[int]) -> Iterator[AlgoState]:
     for seed in seeds:
         reseed(operator.index(seed))
         # Blocks are tuples, so a shallow copy is the trial's own.
-        state = AlgoState(start.pi0, start.parts, start.rep[:], start.slot_sizes[:],
+        state = AlgoState(start.pi0, start.parts, start.slot[:], start.slot_sizes[:],
                           left_end and left_end[:], blocks and blocks[:])
         _step_rows(state, replay.rows, rng, 0)
         _check_full(state)

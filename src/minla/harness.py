@@ -291,16 +291,15 @@ def _frequency_rows(
         heads = {r: p[0] for r, p in paths.items()}
     tracked = list(expected)
 
-    # Read each trial's state: blocks stand in the pi0 order of their
-    # representatives, and a path is forward when its first node leads.
+    # Read each trial's state: blocks stand in the order of their slots,
+    # and a path is forward when its first node leads.
     counts = {key: 0 for key in tracked}
-    pos0 = pi0.pos_of
     seeds = (derive_trial_seed(seed, trial) for trial in range(trials))
     for result in run_trials(trace, seeds):
         if kind == "left-right":
-            rep = result.rep
+            slot = result.slot
             for ra, rb in tracked:
-                if pos0[rep[ra]] < pos0[rep[rb]]:
+                if slot[ra] < slot[rb]:
                     counts[(ra, rb)] += 1
         else:
             left_end = result.left_end

@@ -1,19 +1,20 @@
 """Shared brute-force oracles for the test suite.
 
 These stay deliberately naive and independent of the library's fast paths:
-the partition after a prefix of a trace's events, every step of a replay
-rebuilt as tuples, a hypothesis strategy for valid traces, a trace's
-nodes relabeled or its pi0 mirrored, a line-by-line trace parser,
-quadratic pair counting, full permutation enumeration, literal cost sums,
-closed forms, a literal replay of the randomized strategy, the plain
-block-subset program that orders singletons like any other block (fed
-sorted positions), the singleton-aware block-order table as plain loops,
-and the literal exact oracles: a heap Dijkstra over
-all schedules, harmonic sums of ``Fraction`` terms and choice-vector
-weights as row products, the two algebraic sweeps as literal
-``randint``/``uniform`` loops over one instance at a time, and the CSV and
-JSON emitters as row-by-row ``csv.writer`` and whole-payload
-``json.dumps`` calls.
+a trace built from node pairs, the partition after a prefix of a trace's
+events, every step of a replay rebuilt as tuples, a hypothesis strategy
+for valid traces, a trace's nodes relabeled or its pi0 mirrored, a
+line-by-line trace parser, quadratic pair counting, full permutation
+enumeration, literal cost sums, closed forms, a literal replay of the
+randomized strategy, the plain block-subset program that orders
+singletons like any other block (fed sorted positions), the
+singleton-aware block-order table as plain loops, and the literal exact
+oracles: a heap Dijkstra over all schedules, every step's tied closest
+targets with the cheapest and dearest ``det`` over them, harmonic sums of
+``Fraction`` terms and choice-vector weights as row products, the two
+algebraic sweeps as literal ``randint``/``uniform`` loops over one instance
+at a time, and the CSV and JSON emitters as row-by-row ``csv.writer`` and
+whole-payload ``json.dumps`` calls.
 """
 
 import bisect
@@ -45,6 +46,16 @@ from minla import (
 )
 from minla.harness import CSV_HEADER, PRNG_NOTE, VerifyRow
 from minla.ordering import cross_weight
+
+
+def make_trace(model, n, events, pi0=None) -> RevealTrace:
+    """A trace from ``(u, v)`` pairs, over the identity unless ``pi0`` is given."""
+    return RevealTrace(
+        model=model,
+        n=n,
+        pi0=pi0 or Permutation.identity(n),
+        events=tuple(RevealEvent(u, v) for u, v in events),
+    )
 
 
 def replay_components(t, i: int) -> ComponentPartition:
@@ -602,6 +613,44 @@ def reference_exhaustive_opt(t) -> OptResult:
         frontier = {i: dist[i] for i, p in enumerate(perms) if ok(p)}
     best_idx = min(frontier, key=lambda i: (frontier[i], perms[i]))
     return OptResult(cost=frontier[best_idx], witness=Permutation(perms[best_idx]))
+
+
+def _tuple_distance(p: tuple, q: tuple) -> int:
+    """Pairs of nodes that the node tuples ``p`` and ``q`` order differently."""
+    rank = {v: i for i, v in enumerate(q)}
+    return insertion_inversions(rank[v] for v in p)
+
+
+def closest_targets(t) -> list[tuple[int, list[tuple]]]:
+    """Per event (n <= 7), by enumeration: the least distance from pi0 of a
+    permutation feasible after it, and every feasible permutation at that
+    distance, as node tuples in ascending order."""
+    perms = _reference_perm_graph(t.n)[0]
+    home = {p: _tuple_distance(p, t.pi0.node_at) for p in perms}
+    parts = replay_components(t, 0)
+    steps = []
+    for ev in t.events:
+        parts.merge(ev.u, ev.v)
+        ok = _reference_feasible_filter(parts, t.model, t.n)
+        feasible = [p for p in perms if ok(p)]
+        best = min(home[p] for p in feasible)
+        steps.append((best, [p for p in feasible if home[p] == best]))
+    return steps
+
+
+def det_spread(t) -> tuple[int, int]:
+    """The cheapest and the dearest total cost of ``det`` over every
+    sequence of tied closest targets (n <= 7): each step moves to one of
+    :func:`closest_targets`' permutations and pays its distance from the
+    last, starting from pi0."""
+    layer = {t.pi0.node_at: (0, 0)}
+    for _, tied in closest_targets(t):
+        layer = {
+            q: (min(lo + _tuple_distance(p, q) for p, (lo, _) in layer.items()),
+                max(hi + _tuple_distance(p, q) for p, (_, hi) in layer.items()))
+            for q in tied
+        }
+    return min(lo for lo, _ in layer.values()), max(hi for _, hi in layer.values())
 
 
 def reference_harmonic_bounds(series) -> tuple[bool, bool, bool]:

@@ -94,6 +94,12 @@ MUTANTS: tuple[Mutant, ...] = (
             "tests/test_acceptance.py::test_criterion_11_coin_vectors",
         ) + _RAND_TESTS,
     ),
+    # The merged block stands at the staying block's slot.
+    Mutant(
+        "mover-keeps-its-slot", _ENGINE,
+        "slot[ru] = b", "slot[ru] = a",
+        ("tests/test_algorithms.py::TestRandCliqueStep",) + _RAND_TESTS,
+    ),
     # The replay, the per-trial engine's checks, the final layout and the
     # inversion count.
     Mutant(
@@ -205,7 +211,7 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "layout-in-root-order", _ENGINE,
-        "roots = sorted(parts._nodes, key=lambda r: pos0[rep[r]])",
+        "roots = sorted(parts._nodes, key=state.slot.__getitem__)",
         "roots = sorted(parts._nodes)",
         ("tests/test_algorithms.py::TestWindowedKernel",),
     ),

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -11,8 +12,11 @@ import minla.algorithms
 from conftest import (
     TRACE_SETTINGS,
     ScriptedRandom,
+    closest_targets,
+    det_spread,
     feasible_permutations,
     literal_minla,
+    make_trace,
     mirror,
     reference_layout,
     reference_rand,
@@ -29,7 +33,6 @@ from minla import (
     Model,
     Permutation,
     RevealEvent,
-    RevealTrace,
     closest_feasible,
     det_step,
     is_minla,
@@ -45,21 +48,12 @@ from minla import (
     TreeAdversaryConfig,
 )
 from minla.algorithms import _check_full, _component_block, _det_problems
-from minla.bench import _coin_law, _ForcedCoin as ForcedCoin
+from minla.bench import _FREQUENCY_TRACES, _coin_law, _ForcedCoin as ForcedCoin
 from minla.ordering import solve_block_orders
 
 
 def initial_state(model, pi0):
     return AlgoState.initial(pi0, ComponentPartition(len(pi0), model))
-
-
-def make_trace(model, n, events, pi0=None):
-    return RevealTrace(
-        model=model,
-        n=n,
-        pi0=pi0 or Permutation.identity(n),
-        events=tuple(RevealEvent(u, v) for u, v in events),
-    )
 
 
 class TestDetStep:
@@ -117,6 +111,18 @@ class TestDetStep:
         best = min(feasible.values())
         assert distance == best
         assert target.node_at == min(p for p, d in feasible.items() if d == best)
+
+    @TRACE_SETTINGS
+    @given(valid_traces(max_n=6))
+    def test_det_step_matches_enumeration_along_the_trace(self, trace):
+        # After every event of a whole trace: the least distance from pi0
+        # of any feasible permutation, and the lexicographically smallest
+        # permutation at that distance.
+        state = initial_state(trace.model, trace.pi0)
+        for ev, (best, tied) in zip(trace.events, closest_targets(trace)):
+            det_step(state, ev)
+            assert kendall_tau(trace.pi0, state.current) == best
+            assert state.current.node_at == tied[0]
 
     def test_closest_feasible_reports_its_distance(self):
         # The block order's cross cost plus each path's inverted pairs is
@@ -193,6 +199,21 @@ class TestDetStep:
                     det_step(state, ev)
                     farthest = max(farthest, kendall_tau(trace.pi0, state.current))
                 assert state.total_cost <= trace.k * 2 * farthest
+
+
+class TestDetSpread:
+    """``det`` may break its ties any way: over every sequence of tied
+    closest targets its cost spans ``det_spread``.  The library's
+    lexicographic rule lies inside, and even the dearest sequence stays
+    within 2(n - 1)·OPT, since a step pays at most D_{i-1} + D_i <= 2·OPT,
+    where D_i is pi0's distance to step i's closest feasible arrangement."""
+
+    @TRACE_SETTINGS
+    @given(valid_traces(max_n=6))
+    def test_det_lies_in_its_spread_within_the_bound(self, trace):
+        cheapest, dearest = det_spread(trace)
+        assert cheapest <= run("det", trace).total_cost <= dearest
+        assert dearest <= 2 * (trace.n - 1) * dp_opt(trace).cost
 
 
 class TestDetRun:
@@ -615,9 +636,9 @@ class TestWindowedKernel:
 
     def test_state_fault_caught_at_the_next_event(self):
         # Break one invariant of a merging component right before an event:
-        # its representative (moved to a node whose slot is empty), its
-        # representative's slot size, or (lines) its left end (moved off
-        # the path's ends).  The event must name that component.
+        # its slot (moved to an empty one), the size at its slot, or (lines)
+        # its left end (moved off the path's ends).  The event must name
+        # that component.
         rng = random.Random(20)
         kinds = set()
         for _ in range(300):
@@ -628,26 +649,26 @@ class TestWindowedKernel:
             at = rng.randrange(trace.k)
             for ev in trace.events[:at]:
                 rand_step(state, ev, step_rng)
-            parts, pos0 = state.parts, trace.pi0.pos_of
+            parts = state.parts
             ev = trace.events[at]
             root = parts.find(rng.choice((ev.u, ev.v)))
             size = parts.size_of(root)
-            empty = [w for w in range(trace.n) if state.slot_sizes[pos0[w]] == 0]
+            empty = [p for p, held in enumerate(state.slot_sizes) if held == 0]
             inner = parts.path_of(root)[1:-1] if model is Model.LINES else ()
-            choices = ["slot"] + ["rep"] * bool(empty) + ["left_end"] * bool(inner)
+            choices = ["size"] + ["slot"] * bool(empty) + ["left_end"] * bool(inner)
             kind = rng.choice(choices)
             kinds.add(kind)
-            if kind == "slot":
-                state.slot_sizes[pos0[state.rep[root]]] += rng.choice((-1, 1))
-            elif kind == "rep":
-                state.rep[root] = rng.choice(empty)
+            if kind == "size":
+                state.slot_sizes[state.slot[root]] += rng.choice((-1, 1))
+            elif kind == "slot":
+                state.slot[root] = rng.choice(empty)
             else:
                 state.left_end[root] = rng.choice(inner)
             with pytest.raises(InvariantError) as caught:
                 rand_step(state, ev, step_rng)
             assert (caught.value.event_index, caught.value.root) == (at, root)
             assert caught.value.size == size
-        assert kinds == {"slot", "rep", "left_end"}
+        assert kinds == {"size", "slot", "left_end"}
 
     def test_final_state_fault_caught_exactly_when_inconsistent(self, monkeypatch):
         # Break each final trial state, from run or run_trials, right after
@@ -697,6 +718,15 @@ class TestWindowedKernel:
         for state in (next(run_trials(trace, [seed])), run("rand", trace, seed)):
             _check_full(state)
             assert is_minla(state.current, trace.replay.final)
+
+    @TRACE_SETTINGS
+    @given(valid_traces(), st.integers(0, 2**64 - 1))
+    def test_every_step_lays_out_to_a_minla(self, trace, seed):
+        state = initial_state(trace.model, trace.pi0)
+        rng = random.Random(seed)
+        for ev in trace.events:
+            rand_step(state, ev, rng)
+            assert is_minla(state.current, state.parts)
 
 
 def _break_final_state(state, rng):
@@ -821,7 +851,7 @@ class TestOneReplay:
         trace = dataclasses.replace(full, events=full.events[:-1])
 
         def view(state):
-            return (_totals(state), state.rep, state.left_end, state.blocks,
+            return (_totals(state), state.slot, state.left_end, state.blocks,
                     state.current)
 
         for seed, trial in zip(self.SEEDS, run_trials(trace, self.SEEDS)):
@@ -836,8 +866,13 @@ class TestMirroring:
     """Reversing pi0 (position i to n - 1 - i) moves neither ``dp_opt``'s
     cost, nor ``closest_feasible``'s distance, nor ``exhaustive_opt``'s
     cost: an arrangement is feasible exactly when its reverse is, and lies
-    as far from pi0 as its reverse from the mirrored pi0.  ``det`` and
-    ``rand`` are exempt: their ties and coins read positions."""
+    as far from pi0 as its reverse from the mirrored pi0.  Nor does it move
+    ``rand``'s law: a clique trial under the same seed keeps its costs and
+    lays out reversed, and a line trial, whose orientation coin reads which
+    block is left, keeps its mean cost.  ``det`` is exempt: its ties read
+    positions."""
+
+    SEEDS = [0, 1, 2**64 - 1] + [derive_trial_seed(6, i) for i in range(5)]
 
     @TRACE_SETTINGS
     @given(valid_traces())
@@ -848,6 +883,31 @@ class TestMirroring:
         assert closest_feasible(twin.pi0, twin.replay.final)[0] == distance
         if trace.n <= 6:
             assert exhaustive_opt(twin).cost == exhaustive_opt(trace).cost
+
+    @TRACE_SETTINGS
+    @given(valid_traces().filter(lambda t: t.model is Model.CLIQUES))
+    def test_mirrored_clique_trials_reverse(self, trace):
+        # The move coin reads sizes only and the same blocks stand between
+        # the two slots, so each trial pays the same; every block, built
+        # in the mirrored order, is the reverse of the original's.
+        pairs = zip(run_trials(trace, self.SEEDS), run_trials(mirror(trace), self.SEEDS))
+        for state, twin in pairs:
+            assert _totals(twin) == _totals(state)
+            assert twin.current.node_at == state.current.node_at[::-1]
+
+    @pytest.mark.parametrize("index", [5, 6])
+    def test_mirrored_line_trials_keep_their_mean_cost(self, index):
+        # Paired over one seed list on criteria 5-6's shapes, each trace's
+        # cost difference must average zero within 4 sigma.
+        seeds = [derive_trial_seed(index, i) for i in range(5_000)]
+        for slot, (n, k) in enumerate(_FREQUENCY_TRACES):
+            trace = random_trace(Model.LINES, n, seed=500 + index * 10 + slot, events=k)
+            diffs = [state.total_cost - twin.total_cost for state, twin in
+                     zip(run_trials(trace, seeds), run_trials(mirror(trace), seeds))]
+            mean = sum(diffs) / len(diffs)
+            var = sum((d - mean) ** 2 for d in diffs) / (len(diffs) - 1)
+            z = mean / math.sqrt(var / len(diffs)) if var else (math.inf if mean else 0.0)
+            assert abs(z) <= 4.0, (n, k, z)
 
 
 class TestRelabeling:

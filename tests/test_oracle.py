@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 import minla.algorithms
 import minla.oracle
 from conftest import (
+    TRACE_SETTINGS,
     all_permutations,
+    make_trace,
     minla_optimum,
     ordered_pairs_diff,
     reference_exhaustive_opt,
@@ -17,13 +20,13 @@ from conftest import (
     reference_identity_floats,
     reference_identity_rows,
     replay_components,
+    valid_traces,
 )
 from minla import (
     CapacityError,
     ComponentPartition,
     Model,
     Permutation,
-    RevealEvent,
     RevealTrace,
     arrangement_cost,
     bound_for_trace,
@@ -40,15 +43,6 @@ from minla import (
     verify_lemma,
 )
 from minla.oracle import _identity_sides
-
-
-def make_trace(model, n, events, pi0=None):
-    return RevealTrace(
-        model=model,
-        n=n,
-        pi0=pi0 or Permutation.identity(n),
-        events=tuple(RevealEvent(u, v) for u, v in events),
-    )
 
 
 class TestDpOpt:
@@ -155,6 +149,11 @@ class TestExhaustiveOpt:
                     model, n, seed=rng.random(), events=rng.randint(0, n - 1)
                 )
                 assert exhaustive_opt(trace).cost == dp_opt(trace).cost
+
+    @TRACE_SETTINGS
+    @given(valid_traces(max_n=6))
+    def test_matches_dp_on_every_trace(self, trace):
+        assert exhaustive_opt(trace).cost == dp_opt(trace).cost
 
     def test_rejects_large_n(self):
         with pytest.raises(CapacityError):

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from conftest import (
     TRACE_SETTINGS,
+    make_trace,
     reference_components,
     reference_parse_trace,
     replay_components,
@@ -34,15 +35,6 @@ from minla import (
     tree_adversary,
     validate_trace,
 )
-
-
-def make_trace(model, n, events, pi0=None):
-    return RevealTrace(
-        model=model,
-        n=n,
-        pi0=pi0 or Permutation.identity(n),
-        events=tuple(RevealEvent(u, v) for u, v in events),
-    )
 
 
 class TestValidateTrace:
