@@ -149,15 +149,16 @@ def _check_full(state: AlgoState) -> None:
     blocks and oriented paths side by side, so ``is_minla`` accepts it."""
     parts, left_end, blocks = state.parts, state.left_end, state.blocks
     if state.fixed is not None:
-        root = parts.misplaced_root(state.fixed.node_at)
+        if (root := parts.misplaced_root(state.fixed.node_at)) is not None:
+            raise InvariantError(state.events_done - 1, root, parts.size_of(root))
     elif left_end is not None:
-        root = next((r for r, path in parts._nodes.items()
-                     if left_end[r] != path[0] and left_end[r] != path[-1]), None)
+        for root, path in parts._nodes.items():
+            if left_end[root] != path[0] and left_end[root] != path[-1]:
+                raise InvariantError(state.events_done - 1, root, len(path))
     else:
-        root = next((r for r, nodes in parts._nodes.items() if len(blocks[r]) != len(nodes)
-                     or not set(blocks[r]).issuperset(nodes)), None)
-    if root is not None:
-        raise InvariantError(state.events_done - 1, root, parts.size_of(root))
+        for root, nodes in parts._nodes.items():
+            if len(blocks[root]) != len(nodes) or not set(blocks[root]).issuperset(nodes):
+                raise InvariantError(state.events_done - 1, root, len(nodes))
 
 
 def det_step(state: AlgoState, event: RevealEvent) -> AlgoState:
@@ -282,18 +283,18 @@ def run_trials(trace: RevealTrace, seeds: Iterable[int]) -> Iterator[AlgoState]:
     before it is yielded.  A failure raises :class:`InvariantError`.
     The yielded states share the replay's read-only partition and cannot step.
     """
-    replay = trace.replay
-    start = AlgoState.initial(trace.pi0, replay.final)
-    left_end, blocks = start.left_end, start.blocks
+    pi0, (rows, parts) = trace.pi0, trace.replay
+    start = AlgoState.initial(pi0, parts)
+    slot, sizes, left_end, blocks = start.slot, start.slot_sizes, start.left_end, start.blocks
     # Seeded, so that building it reads no OS entropy; each trial reseeds it.
     rng = random.Random(0)
     reseed = super(random.Random, rng).seed
     for seed in seeds:
         reseed(operator.index(seed))
         # Blocks are tuples, so a shallow copy is the trial's own.
-        state = AlgoState(start.pi0, start.parts, start.slot[:], start.slot_sizes[:],
+        state = AlgoState(pi0, parts, slot[:], sizes[:],
                           left_end and left_end[:], blocks and blocks[:])
-        _step_rows(state, replay.rows, rng, 0)
+        _step_rows(state, rows, rng, 0)
         _check_full(state)
         yield state
 

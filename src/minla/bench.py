@@ -24,7 +24,7 @@ from . import harness
 from .adversaries import TreeAdversaryConfig, random_trace, tree_adversary
 from .algorithms import rand_step, run, run_trials
 from .harness import (
-    _harmonic_rows, _identity_rows, derive_trial_seed, duel, verify_lemma,
+    _harmonic_rows, _identity_rows, _trial_seeds, derive_trial_seed, duel, verify_lemma,
 )
 from .oracle import (
     arrangement_cost, bound_for_trace, dp_opt, exhaustive_opt, harmonic_number, is_minla,
@@ -118,9 +118,9 @@ def _mean_cost_check(model: Model, seed: int) -> tuple[bool, str]:
         trace = random_trace(model, n, seed=rng.randrange(1 << 48))
         bound = bound_for_trace(trace, dp_opt(trace))
         master = rng.randrange(1 << 48)
-        seeds = (derive_trial_seed(master, i) for i in range(trials))
+        states = run_trials(trace, _trial_seeds(master, trials))
         # An exact integer total, divided once, as TrialStats.mean is.
-        mean = sum(state.total_cost for state in run_trials(trace, seeds)) / trials
+        mean = sum(state.total_cost for state in states) / trials
         if mean > bound:
             return False, (
                 f"{model.value}-n{n}-r{rep}: mean={mean:.1f} exceeds bound={bound:.1f}"

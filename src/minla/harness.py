@@ -8,7 +8,7 @@ byte-identical.
 An :class:`Experiment` keeps one ``(seed, cost_move, cost_rearrange)`` int
 row per trial beside its config, optimum and stats.  Running and emitting
 20,000 ``rand`` trials on cliques at n = 10 peaks at about 280 B per trial
-for CSV (56 B of it text) and 670 B for JSON, as traced by tracemalloc.
+for CSV (56 B of it text) and 660 B for JSON, as traced by tracemalloc.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import __version__
 from .adversaries import MiddleLineAdversary
@@ -72,6 +72,16 @@ def splitmix64(state: int) -> int:
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     """64-bit per-trial seed; independent of how many trials follow."""
     return splitmix64((master_seed + trial_index * _GOLDEN) & _M64)
+
+
+def _trial_seeds(master_seed: int, count: int) -> Iterator[int]:
+    """``derive_trial_seed(master_seed, i)`` for i < ``count``, splitmix64 inline."""
+    state = master_seed & _M64
+    for _ in range(count):
+        state = (state + _GOLDEN) & _M64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        yield z ^ (z >> 31)
 
 
 def format_ratio(cost_total: int, opt_cost: int) -> str:
@@ -131,7 +141,7 @@ def run_experiment(cfg: ExperimentConfig) -> Experiment:
     unchanged.
     """
     opt = dp_opt(cfg.trace)
-    seeds = [derive_trial_seed(cfg.master_seed, trial) for trial in range(cfg.trials)]
+    seeds = list(_trial_seeds(cfg.master_seed, cfg.trials))
     if cfg.algo == "rand":
         results = run_trials(cfg.trace, seeds)
     else:
@@ -159,10 +169,11 @@ def run_experiment(cfg: ExperimentConfig) -> Experiment:
 
 def _trials(exp: Experiment):
     """Each trial's index, seed, three costs and ratio, in trial order."""
-    opt_cost = exp.opt.cost
+    totals = {move + rearrange for _, move, rearrange in exp.rows}
+    ratios = {total: format_ratio(total, exp.opt.cost) for total in totals}
     for trial, (seed, move, rearrange) in enumerate(exp.rows):
         total = move + rearrange
-        yield trial, seed, move, rearrange, total, format_ratio(total, opt_cost)
+        yield trial, seed, move, rearrange, total, ratios[total]
 
 
 def records_to_csv(exp: Experiment) -> str:
@@ -288,29 +299,30 @@ def _frequency_rows(
         expected = {r: orientation_probability(p, pi0) for r, p in paths.items()}
         labels = {r: "path (%s) kept forward" % ",".join(map(str, p))
                   for r, p in paths.items()}
-        heads = {r: p[0] for r, p in paths.items()}
+        heads = [(r, p[0]) for r, p in paths.items()]
     tracked = list(expected)
 
     # Read each trial's state: blocks stand in the order of their slots,
     # and a path is forward when its first node leads.
-    counts = {key: 0 for key in tracked}
-    seeds = (derive_trial_seed(seed, trial) for trial in range(trials))
-    for result in run_trials(trace, seeds):
-        if kind == "left-right":
+    hits = [0] * len(tracked)
+    results = run_trials(trace, _trial_seeds(seed, trials))
+    if kind == "left-right":
+        for result in results:
             slot = result.slot
-            for ra, rb in tracked:
+            for i, (ra, rb) in enumerate(tracked):
                 if slot[ra] < slot[rb]:
-                    counts[(ra, rb)] += 1
-        else:
+                    hits[i] += 1
+    else:
+        for result in results:
             left_end = result.left_end
-            for r in tracked:
-                if left_end[r] == heads[r]:
-                    counts[r] += 1
+            for i, (r, head) in enumerate(heads):
+                if left_end[r] == head:
+                    hits[i] += 1
 
     rows = []
-    for key in tracked:
+    for key, count in zip(tracked, hits):
         p = expected[key]
-        observed = counts[key] / trials
+        observed = count / trials
         sigma = math.sqrt(float(p) * (1.0 - float(p)) / trials)
         gap = abs(observed - float(p))
         if sigma == 0.0:

@@ -187,13 +187,14 @@ MUTANTS: tuple[Mutant, ...] = (
     # holds its component's nodes).
     Mutant(
         "final-check-skips-root-0", _ENGINE,
-        "if root is not None:", "if root:",
+        "if (root := parts.misplaced_root(state.fixed.node_at)) is not None:",
+        "if (root := parts.misplaced_root(state.fixed.node_at)):",
         ("tests/test_cli.py::TestSimulate::test_misplaced_det_target_exits_5",),
     ),
     Mutant(
         "final-check-accepts-inner-left-end", _ENGINE,
-        "if left_end[r] != path[0] and left_end[r] != path[-1]),",
-        "if left_end[r] not in path),",
+        "if left_end[root] != path[0] and left_end[root] != path[-1]:",
+        "if left_end[root] not in path:",
         (
             "tests/test_algorithms.py::TestWindowedKernel::"
             "test_final_state_fault_caught_exactly_when_inconsistent",
@@ -202,11 +203,20 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "final-check-skips-clique-node-set", _ENGINE,
-        "or not set(blocks[r]).issuperset(nodes)),", "),",
+        " or not set(blocks[root]).issuperset(nodes):", ":",
         (
             "tests/test_algorithms.py::TestWindowedKernel::"
             "test_final_state_fault_caught_exactly_when_inconsistent",
             "tests/test_cli.py::TestSimulate::test_final_state_fault_exits_5[cliques]",
+        ),
+    ),
+    Mutant(
+        "clique-check-stops-after-first-root", _ENGINE,
+        "for root, nodes in parts._nodes.items():",
+        "for root, nodes in list(parts._nodes.items())[:1]:",
+        (
+            "tests/test_algorithms.py::TestWindowedKernel::"
+            "test_final_state_fault_caught_exactly_when_inconsistent",
         ),
     ),
     Mutant(
@@ -240,6 +250,19 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_perm.py::test_count_inversions_matches_quadratic",),
     ),
     # Checks that once passed with their bound disabled.
+    # The frequency counts, one per tracked pair or path, in tracked order.
+    Mutant(
+        "left-right-count-one-slot-off", "src/minla/harness.py",
+        "if slot[ra] < slot[rb]:\n                    hits[i] += 1",
+        "if slot[ra] < slot[rb]:\n                    hits[i - 1] += 1",
+        ("tests/test_harness.py::TestVerifyLemma::test_frequencies_match_reference_permutations",),
+    ),
+    Mutant(
+        "orientation-count-one-slot-off", "src/minla/harness.py",
+        "if left_end[r] == head:\n                    hits[i] += 1",
+        "if left_end[r] == head:\n                    hits[i - 1] += 1",
+        ("tests/test_harness.py::TestVerifyLemma::test_frequencies_match_reference_permutations",),
+    ),
     Mutant(
         "sigma-limit-40", "src/minla/harness.py",
         "_SIGMA_LIMIT = 4.0", "_SIGMA_LIMIT = 40.0",
@@ -481,8 +504,28 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "splitmix-constant", "src/minla/harness.py",
-        "0xBF58476D1CE4E5B9", "0xBF58476D1CE4E5B8",
+        "z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9)", "z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B8)",
         ("tests/test_harness.py::TestSeedDerivation::test_reference_vector",),
+    ),
+    # The inline seed stream that every run of trials reads.
+    Mutant(
+        "seed-stream-shift-29", "src/minla/harness.py",
+        "(state ^ (state >> 30))", "(state ^ (state >> 29))",
+        ("tests/test_harness.py::TestSeedDerivation::test_seed_stream_matches_the_reference",),
+    ),
+    # Each distinct total's ratio is formatted once per experiment.
+    Mutant(
+        "ratio-cache-keyed-by-move", "src/minla/harness.py",
+        "    ratios = {total: format_ratio(total, exp.opt.cost) for total in totals}\n"
+        "    for trial, (seed, move, rearrange) in enumerate(exp.rows):\n"
+        "        total = move + rearrange\n"
+        "        yield trial, seed, move, rearrange, total, ratios[total]",
+        "    ratios = {}\n"
+        "    for trial, (seed, move, rearrange) in enumerate(exp.rows):\n"
+        "        total = move + rearrange\n"
+        "        ratio = ratios.setdefault(move, format_ratio(total, exp.opt.cost))\n"
+        "        yield trial, seed, move, rearrange, total, ratio",
+        ("tests/test_harness.py::TestEmitterBytes",),
     ),
     # The emitters' per-call templates: the CSV trace id as csv.writer
     # quotes it, and each JSON cost in its own slot.

@@ -51,6 +51,13 @@ class TestSeedDerivation:
         assert derive_trial_seed(0, 1) == 0x6E789E6AA1B965F4
         assert derive_trial_seed(0, 2) == 0x06C45D188009454F
 
+    @pytest.mark.parametrize("master", [0, 1, -1, 2**63, 2**64 - 1, 2**64 + 3])
+    @pytest.mark.parametrize("count", [0, 1, 2000])
+    def test_seed_stream_matches_the_reference(self, master, count):
+        # The inline stream yields derive_trial_seed(master, i), trial by trial.
+        stream = list(minla.harness._trial_seeds(master, count))
+        assert stream == [derive_trial_seed(master, i) for i in range(count)]
+
     def test_prefix_stable(self):
         first = [derive_trial_seed(99, i) for i in range(10)]
         assert [derive_trial_seed(99, i) for i in range(20)][:10] == first
