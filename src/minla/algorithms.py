@@ -142,16 +142,12 @@ def closest_feasible(pi0: Permutation, parts: ComponentPartition) -> tuple[int, 
 
 
 def _check_full(state: AlgoState) -> None:
-    """The final check, naming the first bad component.  ``det``'s
-    arrangement is walked by ``misplaced_root``; a ``rand`` state is read in
+    """A ``rand`` state's final check, naming the first bad component in
     root order: each clique block must hold exactly its component's nodes
     and each path's left end be a path end.  :func:`_layout` puts those
     blocks and oriented paths side by side, so ``is_minla`` accepts it."""
     parts, left_end, blocks = state.parts, state.left_end, state.blocks
-    if state.fixed is not None:
-        if (root := parts.misplaced_root(state.fixed.node_at)) is not None:
-            raise InvariantError(state.events_done - 1, root, parts.size_of(root))
-    elif left_end is not None:
+    if left_end is not None:
         for root, path in parts._nodes.items():
             if left_end[root] != path[0] and left_end[root] != path[-1]:
                 raise InvariantError(state.events_done - 1, root, len(path))
@@ -168,8 +164,8 @@ def det_step(state: AlgoState, event: RevealEvent) -> AlgoState:
     order is solved as a batch of one (:func:`run` batches a whole trace's),
     and ties go by node label, as :func:`closest_feasible` breaks them.
     ``merge`` rejects a bad event (out of range, self, joined, inner path
-    node) before the state changes; the new arrangement is checked as
-    :func:`~minla.oracle.is_minla` does (else :class:`InvariantError`)."""
+    node) before the state changes; the new arrangement is walked as
+    :func:`~minla.oracle.is_minla` walks it (else :class:`InvariantError`)."""
     return _det_move(state, event)
 
 
@@ -183,7 +179,8 @@ def _det_move(state: AlgoState, event: RevealEvent,
         _, target = closest_feasible(state.pi0, state.parts)
     state.move_cost += kendall_tau(before, target)
     state.fixed = target
-    _check_full(state)
+    if (root := state.parts.misplaced_root(target.node_at)) is not None:
+        raise InvariantError(state.events_done - 1, root, state.parts.size_of(root))
     return state
 
 
@@ -310,8 +307,8 @@ def run(algo: str, trace: RevealTrace, seed: int = 0) -> AlgoState:
     Deterministic for a given (algo, trace, seed).  The seed is an int
     (else :class:`TypeError`); ``det`` ignores it and ``rand`` draws from
     ``random.Random(seed)``, the stream that :func:`run_trials` gives it.
-    ``det`` checks every step's arrangement, ``rand`` its final state, as
-    :func:`_check_full` does (else :class:`InvariantError`).
+    ``det`` checks every step's arrangement, as :func:`det_step` does, and
+    ``rand`` its final state, by :func:`_check_full` (else :class:`InvariantError`).
     ``det``'s cost depends on node labels, by :func:`closest_feasible`'s
     tie-break.  The final state carries the move and rearrangement costs;
     per-step costs are the change in them around each step.

@@ -40,8 +40,8 @@ class Model(str, enum.Enum):
 
 @dataclass(frozen=True, slots=True, init=False)
 class RevealEvent:
-    """One revealed merge: the components containing u and v join.  Built
-    by two slot writes, past the frozen ``__setattr__``."""
+    """One revealed merge of the components holding u and v.  Built by two
+    slot writes past the frozen ``__setattr__``; ``==`` and hash are generated."""
 
     u: int
     v: int
@@ -49,12 +49,6 @@ class RevealEvent:
     def __init__(self, u: int, v: int):
         _set_u(self, u)
         _set_v(self, v)
-
-    # The generated __eq__, spelled out for the mutation gate to break.
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.u, self.v) == (other.u, other.v)
-        return NotImplemented
 
 
 _set_u, _set_v = RevealEvent.u.__set__, RevealEvent.v.__set__
@@ -249,7 +243,9 @@ def parse_trace(text: str) -> RevealTrace:
 
     Raises :class:`TraceFormatError` with a 1-based line number on syntax
     problems and :class:`TraceValidationError` on model violations.  Only a
-    rejected event block is read line by line, to name its first bad line.
+    rejected event block is read line by line, to name its first bad line:
+    the block pattern and the line checks test the same whitespace, so a
+    rejected block always holds one.
     """
     raws = text.splitlines()
     if "#" in text:
@@ -313,7 +309,6 @@ def parse_trace(text: str) -> RevealTrace:
                 int(toks[0]), int(toks[1])
             except ValueError:
                 fail(f"bad event ids: {toks}", i)
-        raise
     return RevealTrace(model=model, n=n, pi0=pi0, events=events)
 
 

@@ -100,6 +100,23 @@ MUTANTS: tuple[Mutant, ...] = (
         "slot[ru] = b", "slot[ru] = a",
         ("tests/test_algorithms.py::TestRandCliqueStep",) + _RAND_TESTS,
     ),
+    # A move pays for the blocks strictly between the two slots, never for
+    # the left one's own.  Every acceptance criterion passes with it in place.
+    Mutant(
+        "leftward-move-overcharge", _ENGINE,
+        "sum(sizes[b + 1 : a])", "sum(sizes[b : a])",
+        (
+            "tests/test_algorithms.py::TestRandCliqueStep::test_cost_equals_distance",
+            "tests/test_algorithms.py::TestRandLineStep::"
+            "test_candidate_costs_sum_to_span_pairs",
+            "tests/test_algorithms.py::TestWindowedKernel::test_matches_literal_reference",
+            "tests/test_algorithms.py::TestWindowedKernel::test_coin_laws_match_reference",
+            "tests/test_algorithms.py::TestWindowedKernel::"
+            "test_trials_over_one_replay_feasible_after_every_event",
+            "tests/test_algorithms.py::TestWindowedKernel::"
+            "test_large_final_states_match_reference",
+        ),
+    ),
     # The replay, the per-trial engine's checks, the final layout and the
     # inversion count.
     Mutant(
@@ -182,13 +199,13 @@ MUTANTS: tuple[Mutant, ...] = (
         "if lines and z_left not in z_ends:",
         ("tests/test_algorithms.py::TestWindowedKernel::test_state_fault_caught_at_the_next_event",),
     ),
-    # The final check: det's arrangement is walked, a rand state read per
-    # component (every path's left end is a path end, every clique block
-    # holds its component's nodes).
+    # The checks: each det step's arrangement is walked, a rand final state
+    # read per component (every path's left end is a path end, every clique
+    # block holds its component's nodes).
     Mutant(
         "final-check-skips-root-0", _ENGINE,
-        "if (root := parts.misplaced_root(state.fixed.node_at)) is not None:",
-        "if (root := parts.misplaced_root(state.fixed.node_at)):",
+        "if (root := state.parts.misplaced_root(target.node_at)) is not None:",
+        "if (root := state.parts.misplaced_root(target.node_at)):",
         ("tests/test_cli.py::TestSimulate::test_misplaced_det_target_exits_5",),
     ),
     Mutant(
@@ -225,17 +242,11 @@ MUTANTS: tuple[Mutant, ...] = (
         "roots = sorted(parts._nodes)",
         ("tests/test_algorithms.py::TestWindowedKernel",),
     ),
-    # Trace intake: the event lines are checked as one block, and events
-    # equal only events.
+    # Trace intake: the event lines are checked as one block.
     Mutant(
         "event-shape-check-dropped", _REPLAY,
         "if not _EVENT_LINES.fullmatch(block):", "if False:",
         ("tests/test_trace.py::TestParseMatchesReference::test_corpus",),
-    ),
-    Mutant(
-        "event-eq-ignores-class", _REPLAY,
-        "if other.__class__ is self.__class__:", 'if hasattr(other, "u"):',
-        ("tests/test_trace.py::TestRevealEvent::test_equal_only_to_events",),
     ),
     # The middle-line adversary runs out of nodes on one side.
     Mutant(

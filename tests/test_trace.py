@@ -7,7 +7,7 @@ from collections import namedtuple
 from functools import partial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     TRACE_SETTINGS,
@@ -293,7 +293,7 @@ class TestTraceProperties:
     def test_a_corrupt_event_line_is_named(self, trace, data):
         # The one-pass read rejects the event block (its pattern or an id),
         # so the fallback reads it line by line; that must name the
-        # corrupted line, never end in its bare re-raise.
+        # corrupted line.
         lines = emit_trace(trace).splitlines()
         no = data.draw(st.integers(5, len(lines)), label="line")
         toks = lines[no - 1].split()
@@ -586,6 +586,15 @@ PARSE_CORPUS = [
     "minla-trace v1\nmodel: lines\nn: 3\npi0: 0 1 2\nevent: 0 1\n\n\n",
 ]
 
+# What an edit of an event block puts in: nothing, every str.splitlines
+# separator, whitespace that str.split does and does not split on, comment
+# and sign marks, underscores, non-ASCII digits and the format's own text.
+_EDITS = (
+    "", "\r\n", *"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029",
+    *"\xa0\u3000\u200b\ufeff", *map(chr, range(0x2000, 0x200B)),
+    *"#+-_\uff13\u0664\u0966", *" \t0123456789:evnt",
+)
+
 
 class TestParseMatchesReference:
     """parse_trace against the line-by-line parser in conftest: the same
@@ -620,3 +629,19 @@ class TestParseMatchesReference:
                 cut = rng.choice((0, 1))
                 text = text[:i] + rng.choice(("", rng.choice(alphabet))) + text[i + cut :]
             assert _outcome(parse_trace, text) == _outcome(reference_parse_trace, text), text
+
+    @settings(TRACE_SETTINGS, max_examples=300)
+    @given(valid_traces().filter(lambda t: t.k), st.data())
+    def test_corrupt_event_blocks(self, trace, data):
+        # The block pattern and the line checks must read the same
+        # whitespace: were a block to fail the pattern while every line
+        # passes the line checks, parse_trace would raise neither error.
+        text = emit_trace(trace)
+        at = text.index("event:")
+        head, block = text[:at], text[at:]
+        for _ in range(data.draw(st.integers(1, 6), label="edits")):
+            i = data.draw(st.integers(0, len(block)), label="at")
+            cut = data.draw(st.integers(0, 2), label="cut")
+            block = block[:i] + data.draw(st.sampled_from(_EDITS), label="put") + block[i + cut :]
+        text = head + block
+        assert _outcome(parse_trace, text) == _outcome(reference_parse_trace, text)
