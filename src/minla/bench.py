@@ -24,7 +24,8 @@ from . import harness
 from .adversaries import TreeAdversaryConfig, random_trace, tree_adversary
 from .algorithms import rand_step, run, run_trials
 from .harness import (
-    _harmonic_rows, _identity_rows, _trial_seeds, derive_trial_seed, duel, verify_lemma,
+    ExperimentConfig, _harmonic_rows, _identity_rows, derive_trial_seed, duel,
+    run_experiment, verify_lemma,
 )
 from .oracle import (
     arrangement_cost, bound_for_trace, dp_opt, exhaustive_opt, harmonic_number, is_minla,
@@ -99,32 +100,30 @@ def criterion_det_lower_bound() -> tuple[bool, str]:
     cost_growth = reports[17].algo_cost / reports[9].algo_cost
     ratio_growth = reports[17].ratio / reports[9].ratio
     opt_ok = all(rep.opt_cost <= n for n, rep in reports.items())
-    return cost_growth >= 2.5 and ratio_growth >= 1.5 and opt_ok, (
+    min_cost, min_ratio = 2.5, 1.5
+    return cost_growth >= min_cost and ratio_growth >= min_ratio and opt_ok, (
         f"costs {', '.join(f'n={n}:{rep.algo_cost}' for n, rep in reports.items())}; "
-        f"cost(17)/cost(9)={cost_growth:.2f} (>=2.5), "
-        f"ratio(17)/ratio(9)={float(ratio_growth):.2f} (>=1.5), "
+        f"cost(17)/cost(9)={cost_growth:.2f} (>={min_cost}), "
+        f"ratio(17)/ratio(9)={float(ratio_growth):.2f} (>={min_ratio}), "
         f"opt<=n {'holds' if opt_ok else 'fails'}"
     )
 
 
 def _mean_cost_check(model: Model, seed: int) -> tuple[bool, str]:
-    """``rand``'s mean total cost over 10,000 trials stays under
-    :func:`~minla.oracle.bound_for_trace` on random traces."""
+    """``rand``'s mean total cost over 10,000 trials, from ``run_experiment``,
+    stays under :func:`~minla.oracle.bound_for_trace` on random traces."""
     trials = 10_000
     rng = random.Random(seed)
     traces = [(n, rep) for n in (8, 16, 32, 64) for rep in range(5)]
     slack = 0.0
     for n, rep in traces:
         trace = random_trace(model, n, seed=rng.randrange(1 << 48))
-        bound = bound_for_trace(trace, dp_opt(trace))
+        trace_id = f"{model.value}-n{n}-r{rep}"
         master = rng.randrange(1 << 48)
-        states = run_trials(trace, _trial_seeds(master, trials))
-        # An exact integer total, divided once, as TrialStats.mean is.
-        mean = sum(state.total_cost for state in states) / trials
+        exp = run_experiment(ExperimentConfig(trace, trace_id, "rand", trials, master))
+        mean, bound = exp.stats.mean, bound_for_trace(trace, exp.opt)
         if mean > bound:
-            return False, (
-                f"{model.value}-n{n}-r{rep}: mean={mean:.1f} exceeds bound={bound:.1f}"
-            )
+            return False, f"{trace_id}: mean={mean:.1f} exceeds bound={bound:.1f}"
         if bound > 0:
             slack = max(slack, mean / bound)
     return True, f"{len(traces)} traces x {trials} trials; worst mean/bound={slack:.3f}"
@@ -279,14 +278,15 @@ def criterion_tree_sandwich() -> tuple[bool, str]:
 def criterion_algebraic_bounds() -> tuple[bool, str]:
     """Harmonic prefix bounds and choice-vector identities on random sweeps."""
     rng = random.Random(110)
-    rows = _harmonic_rows(10_000, rng) + _identity_rows(10_000, rng)
+    trials = 10_000
+    rows = _harmonic_rows(trials, rng) + _identity_rows(trials, rng)
     failed = [row for row in rows if not row.ok]
     if failed:
         return False, "; ".join(
             f"{row.label}: {row.deviations:.0f} failures" for row in failed
         )
     return True, (
-        "10000 harmonic series and 10000 identity instances, all inequalities hold"
+        f"{trials} harmonic series and {trials} identity instances, all inequalities hold"
     )
 
 

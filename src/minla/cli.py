@@ -136,10 +136,6 @@ def _cmd_verify(args) -> int:
     trace = None
     if args.trace is not None:
         trace = parse_trace(args.trace.read_text(encoding="utf-8"))
-    elif args.lemma == "left-right":
-        trace = random_trace(Model.CLIQUES, 8, seed=11, events=4)
-    elif args.lemma == "orientation":
-        trace = random_trace(Model.LINES, 8, seed=12, events=4)
     report = verify_lemma(args.lemma, trials=args.trials, seed=args.seed, trace=trace)
     sys.stdout.write(report.to_text())
     return EXIT_OK if report.ok else EXIT_VERIFY

@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import operator
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -24,7 +25,7 @@ from itertools import repeat
 from typing import Iterator, Sequence
 
 from . import __version__
-from .adversaries import MiddleLineAdversary
+from .adversaries import MiddleLineAdversary, random_trace
 from .algorithms import AlgoState, det_step, run, run_trials
 from .errors import ConfigError
 from .oracle import (
@@ -103,6 +104,8 @@ class ExperimentConfig:
     master_seed: int
 
     def __post_init__(self):
+        for name in ("trials", "master_seed"):  # bools become ints, non-integers raise
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.algo not in ("det", "rand"):
@@ -350,20 +353,20 @@ def verify_lemma(
 ) -> VerifyReport:
     """Monte Carlo or sweep verification of the closed-form guarantees.
 
-    ``left-right`` and ``orientation`` replay a fixed trace ``trials`` times
-    and compare component-pair and orientation frequencies against the exact
-    formulas, flagging any deviation above four binomial standard errors.
-    ``harmonic`` and ``identities`` sweep ``trials`` random instances of the
-    algebraic checks and take no trace.
+    ``left-right`` and ``orientation`` replay a clique or line trace, by
+    default ``random_trace(model, 8, seed=11 or 12, events=4)``, ``trials``
+    times against the exact pair-order and orientation formulas, flagging any
+    deviation above four binomial standard errors.  ``harmonic`` and
+    ``identities`` take no trace: they sweep ``trials`` random instances.
     """
     if trials < _MIN_VERIFY_TRIALS:
         raise ConfigError(
             f"at least {_MIN_VERIFY_TRIALS} trials required, got {trials}"
         )
     if kind in ("left-right", "orientation"):
-        if trace is None:
-            raise ConfigError(f"verify {kind} needs a trace")
         want = Model.CLIQUES if kind == "left-right" else Model.LINES
+        if trace is None:
+            trace = random_trace(want, 8, seed=11 if want is Model.CLIQUES else 12, events=4)
         if trace.model is not want:
             raise ConfigError(f"verify {kind} expects a {want.value} trace")
         rows = _frequency_rows(trace, trials, seed, kind)

@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 from .algorithms import closest_feasible
 from .errors import CapacityError
 from .ordering import cross_weight, solve_block_order
-from .perm import Permutation, count_inversions, kendall_tau
+from .perm import Permutation, count_inversions
 from .trace import ComponentPartition, Model, RevealTrace
 
 __all__ = [
@@ -210,7 +210,7 @@ def left_right_probability(
 ) -> Fraction:
     """Probability that group A ends up entirely left of group B, as ruled by
     the initial permutation: the fraction of cross pairs already ordered
-    A-before-B there."""
+    A-before-B there, all pairs less ``cross_weight``'s B-before-A pairs."""
     a = set(group_a)
     b = set(group_b)
     if not a or not b:
@@ -218,8 +218,8 @@ def left_right_probability(
     if a & b:
         raise ValueError(f"groups overlap: {sorted(a & b)}")
     pos = pi0.pos_of
-    favorable = sum(1 for x in a for y in b if pos[x] < pos[y])
-    return Fraction(favorable, len(a) * len(b))
+    inverted = cross_weight(sorted(pos[x] for x in a), sorted(pos[y] for y in b))
+    return Fraction(len(a) * len(b) - inverted, len(a) * len(b))
 
 
 def orientation_probability(path_order: Sequence[int], pi0: Permutation) -> Fraction:
@@ -412,9 +412,7 @@ def _identity_sides(av: np.ndarray, bv: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def bound_for_trace(t: RevealTrace, opt: OptResult) -> float:
-    """The harmonic cost bound for the trace: the number of node pairs
-    ordered differently by the initial permutation and the optimal witness,
-    scaled by 4 H_n for cliques and 8 H_n for lines."""
-    diff = kendall_tau(t.pi0, opt.witness)
+    """The harmonic cost bound for the trace: 4·H_n·OPT for cliques and
+    8·H_n·OPT for lines, with OPT = ``opt.cost``."""
     factor = 4 if t.model is Model.CLIQUES else 8
-    return float(factor * harmonic_number(t.n) * diff)
+    return float(factor * harmonic_number(t.n) * opt.cost)

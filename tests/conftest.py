@@ -215,6 +215,14 @@ def naive_kendall(p: Permutation, q: Permutation) -> int:
     return count
 
 
+def reference_left_right_probability(group_a, group_b, pi0: Permutation) -> Fraction:
+    """The fraction of cross pairs (x, y), x in A and y in B, that ``pi0``
+    orders A-before-B, counted pair by pair."""
+    pos = pi0.pos_of
+    favorable = sum(1 for x in group_a for y in group_b if pos[x] < pos[y])
+    return Fraction(favorable, len(group_a) * len(group_b))
+
+
 def all_permutations(n: int) -> list[Permutation]:
     return [Permutation(p) for p in itertools.permutations(range(n))]
 

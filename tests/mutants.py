@@ -297,6 +297,22 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_acceptance.py::test_rand_cliques_mean_is_run_experiments_bit_for_bit",),
     ),
     Mutant(
+        "rand-bound-reads-the-move-mean", "src/minla/bench.py",
+        "mean, bound = exp.stats.mean,", "mean, bound = exp.stats.mean_move,",
+        ("tests/test_acceptance.py::test_rand_lines_bound_fails_on_the_first_trace_over_its_bound",),
+    ),
+    # The thresholds and counts each criterion states in its line.
+    Mutant(
+        "det-lower-bound-cost-growth-2", "src/minla/bench.py",
+        "min_cost, min_ratio = 2.5, 1.5", "min_cost, min_ratio = 2.0, 1.5",
+        ("tests/test_acceptance.py::test_criterion_02_det_lower_bound",),
+    ),
+    Mutant(
+        "algebraic-sweeps-1000", "src/minla/bench.py",
+        "trials = 10_000\n    rows", "trials = 1_000\n    rows",
+        ("tests/test_acceptance.py::test_criterion_10_algebraic_bounds",),
+    ),
+    Mutant(
         "feasibility-check-inverted", "src/minla/bench.py",
         "if is_minla(p, parts) != (cost == best):",
         "if is_minla(p, parts) == (cost == best):",
@@ -307,6 +323,25 @@ MUTANTS: tuple[Mutant, ...] = (
         "factor = 4 if t.model is Model.CLIQUES else 8",
         "factor = 8 if t.model is Model.CLIQUES else 4",
         ("tests/test_oracle.py::TestBoundForTrace",),
+    ),
+    Mutant(
+        "bound-opt-plus-one", "src/minla/oracle.py",
+        "harmonic_number(t.n) * opt.cost)", "harmonic_number(t.n) * (opt.cost + 1))",
+        ("tests/test_oracle.py::TestBoundForTrace::test_factor_times_h_n_times_opt",),
+    ),
+    # The closed forms the frequency checks compare against, and the trace
+    # a check runs on when none is given.
+    Mutant(
+        "left-right-cross-weight-swapped", "src/minla/oracle.py",
+        "cross_weight(sorted(pos[x] for x in a), sorted(pos[y] for y in b))",
+        "cross_weight(sorted(pos[y] for y in b), sorted(pos[x] for x in a))",
+        ("tests/test_oracle.py::TestLeftRightProbability::test_matches_literal_pair_count",),
+    ),
+    Mutant(
+        "default-trace-seeds-swapped", "src/minla/harness.py",
+        "seed=11 if want is Model.CLIQUES else 12", "seed=12 if want is Model.CLIQUES else 11",
+        ("tests/test_harness.py::TestVerifyLemma::"
+         "test_no_trace_runs_the_default_trace_as_the_cli_prints_it",),
     ),
     # The batched algebraic sweeps.
     Mutant(

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import minla.cli
 import minla.harness
 from conftest import (
     fraction_ratio,
@@ -211,6 +212,18 @@ class TestRunExperiment:
             ExperimentConfig(
                 trace=trace, trace_id="x", algo="fast", trials=1, master_seed=1
             )
+        for trials, master_seed in ((2.0, 1), (1, 1.0), (1, "1"), (None, 1)):
+            with pytest.raises(TypeError):
+                ExperimentConfig(trace, "x", "rand", trials, master_seed)
+
+    def test_integer_likes_become_ints(self):
+        trace = random_trace(Model.LINES, 4, seed=7)
+        cfg = ExperimentConfig(trace, "x", "rand", True, np.int64(5))
+        assert (type(cfg.trials), cfg.trials) == (int, 1)
+        assert (type(cfg.master_seed), cfg.master_seed) == (int, 5)
+        assert '"trials": 1\n' in experiment_to_json(run_experiment(cfg))
+        with pytest.raises(ConfigError, match="trials must be >= 1, got 0"):
+            ExperimentConfig(trace, "x", "rand", False, 1)
 
 
 # Trace ids a format must escape or quote: a quote, a backslash, a comma, a
@@ -370,10 +383,18 @@ class TestVerifyLemma:
         with pytest.raises(ConfigError):
             verify_lemma("left-right", trials=2_000, seed=1, trace=trace)
 
-    @pytest.mark.parametrize("kind", ["left-right", "orientation"])
-    def test_frequency_checks_need_a_trace(self, kind):
-        with pytest.raises(ConfigError, match=f"verify {kind} needs a trace"):
-            verify_lemma(kind, trials=1_000, seed=1)
+    @pytest.mark.parametrize("kind, model, trace_seed", [
+        ("left-right", Model.CLIQUES, 11),
+        ("orientation", Model.LINES, 12),
+    ])
+    def test_no_trace_runs_the_default_trace_as_the_cli_prints_it(
+        self, capsys, kind, model, trace_seed
+    ):
+        report = verify_lemma(kind, trials=1_000, seed=4)
+        trace = random_trace(model, 8, seed=trace_seed, events=4)
+        assert report == verify_lemma(kind, trials=1_000, seed=4, trace=trace)
+        code = minla.cli.main(["verify", "--lemma", kind, "--trials", "1000", "--seed", "4"])
+        assert (code, capsys.readouterr().out) == (0, report.to_text())
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError, match="unknown verification kind 'sideways'"):

@@ -19,6 +19,7 @@ from conftest import (
     reference_harmonic_bounds,
     reference_identity_floats,
     reference_identity_rows,
+    reference_left_right_probability,
     replay_components,
     valid_traces,
 )
@@ -398,6 +399,20 @@ class TestLeftRightProbability:
             assert 0 <= p <= 1
             assert p + q == 1
 
+    def test_matches_literal_pair_count(self):
+        rng = random.Random(26)
+        for _ in range(300):
+            n = rng.randint(2, 40)
+            order = list(range(n))
+            rng.shuffle(order)
+            nodes = list(range(n))
+            rng.shuffle(nodes)
+            size_a = rng.randint(1, n - 1)
+            a, b = nodes[:size_a], nodes[size_a : rng.randint(size_a + 1, n)]
+            pi0 = Permutation(order)
+            expected = reference_left_right_probability(a, b, pi0)
+            assert left_right_probability(a, b, pi0) == expected
+
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
             left_right_probability({0, 1}, {1, 2}, Permutation.identity(3))
@@ -574,11 +589,15 @@ class TestBoundForTrace:
         trace = make_trace(Model.CLIQUES, 4, [(0, 1)])
         assert bound_for_trace(trace, dp_opt(trace)) == 0.0
 
-    def test_clique_formula(self):
-        trace = random_trace(Model.CLIQUES, 10, seed=30)
-        opt = dp_opt(trace)
-        expected = float(4 * harmonic_number(10) * opt.cost)
-        assert bound_for_trace(trace, opt) == pytest.approx(expected)
+    @pytest.mark.parametrize("model, factor", [(Model.CLIQUES, 4), (Model.LINES, 8)])
+    def test_factor_times_h_n_times_opt(self, model, factor):
+        rng = random.Random(32)
+        for _ in range(40):
+            n = rng.randint(2, 24)
+            k = rng.randint(0, n - 1)
+            trace = random_trace(model, n, seed=rng.randrange(1 << 48), events=k)
+            opt = dp_opt(trace)
+            assert bound_for_trace(trace, opt) == float(factor * harmonic_number(n) * opt.cost)
 
     def test_lines_doubles_cliques(self):
         clique = random_trace(Model.CLIQUES, 9, seed=31)
