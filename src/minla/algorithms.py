@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InvariantError
+from .errors import InstanceMismatchError, InvariantError
 from .ordering import solve_block_order, solve_block_orders
 from .perm import Permutation, count_inversions, kendall_tau
 from .trace import ComponentPartition, Model, RevealEvent, RevealTrace
@@ -135,6 +135,8 @@ def closest_feasible(pi0: Permutation, parts: ComponentPartition) -> tuple[int, 
     Ties resolve to the lexicographically smallest node sequence, so the
     target, and ``det``'s cost, depend on node labels, not on pi0 alone.
     """
+    if len(pi0) != parts.n:
+        raise InstanceMismatchError(f"permutation of {len(pi0)} nodes, partition of {parts.n}")
     pos0, lines = pi0.pos_of, parts.model is Model.LINES
     blocks = [_component_block(parts.nodes_of(r), pos0, lines) for r in parts.components()]
     cross, node_at = solve_block_order([seq for seq, _ in blocks], pos0)
@@ -300,7 +302,7 @@ def run(algo: str, trace: RevealTrace, seed: int = 0) -> AlgoState:
     """Replay every event of ``trace`` with the chosen algorithm, one
     :func:`det_step` or :func:`rand_step` each, and return the final state,
     which owns its partition and can step on.  ``det`` solves every step's
-    block order, stated on a second replay, in one
+    block order, stated from the trace's replay rows, in one
     :func:`~minla.ordering.solve_block_orders` call, then pays and checks
     each step on the state's own partition as :func:`det_step` does.
 
@@ -331,14 +333,13 @@ def run(algo: str, trace: RevealTrace, seed: int = 0) -> AlgoState:
 
 def _det_problems(trace: RevealTrace) -> Iterator[tuple[list, Sequence[int]]]:
     """Each ``det`` step's block-order problem, its blocks and pi0's
-    positions, from a replay of its own that keeps one node list per root,
-    in ascending order: a merge drops the absorbed root's and rebuilds the
-    merged root's in place."""
-    parts = ComponentPartition(trace.n, trace.model)
+    positions, read off the trace's replay rows with one block per root, in
+    ascending order: a merge drops the absorbed root's block and re-lays x's
+    block, turned to end at u, followed by z's, turned to start at v."""
     pos0, lines = trace.pi0.pos_of, trace.model is Model.LINES
     blocks = {v: [v] for v in range(trace.n)}
-    for event in trace.events:
-        ru, rv = parts.merge(event.u, event.v)[2:4]
-        del blocks[rv]
-        blocks[ru] = _component_block(parts.nodes_of(ru), pos0, lines)[0]
+    for u, v, ru, rv, *_ in trace.replay.rows:
+        x, z = blocks[ru], blocks.pop(rv)
+        merged = (x if x[-1] == u else x[::-1]) + (z if z[0] == v else z[::-1])
+        blocks[ru] = _component_block(merged, pos0, lines)[0]
         yield list(blocks.values()), pos0

@@ -147,7 +147,7 @@ _FREQUENCY_TRACES = ((6, 3), (8, 4), (9, 5), (10, 6), (12, 7))
 def _frequency_check(index: int, kind: str) -> tuple[bool, str]:
     """``verify_lemma(kind)`` at 100,000 trials on each of
     :data:`_FREQUENCY_TRACES`, seeded from the criterion's ``index``."""
-    model = Model.CLIQUES if kind == "left-right" else Model.LINES
+    model = harness._FREQUENCY_LEMMAS[kind][0]
     trials = 100_000
     worst = 0.0
     tracked = 0

@@ -40,7 +40,6 @@ from .perm import Permutation
 from .trace import ComponentPartition, Model, RevealTrace
 
 __all__ = [
-    "splitmix64",
     "derive_trial_seed",
     "ExperimentConfig",
     "TrialStats",
@@ -62,21 +61,14 @@ CSV_HEADER = (
 )
 
 
-def splitmix64(state: int) -> int:
-    """One output of the splitmix64 avalanche finalizer."""
-    z = (state + _GOLDEN) & _M64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return z ^ (z >> 31)
-
-
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     """64-bit per-trial seed; independent of how many trials follow."""
-    return splitmix64((master_seed + trial_index * _GOLDEN) & _M64)
+    return next(_trial_seeds(master_seed + trial_index * _GOLDEN, 1))
 
 
 def _trial_seeds(master_seed: int, count: int) -> Iterator[int]:
-    """``derive_trial_seed(master_seed, i)`` for i < ``count``, splitmix64 inline."""
+    """``derive_trial_seed(master_seed, i)`` for i < ``count``: the
+    splitmix64 stream from ``master_seed``, the mix's only copy."""
     state = master_seed & _M64
     for _ in range(count):
         state = (state + _GOLDEN) & _M64
@@ -280,51 +272,11 @@ _MIN_VERIFY_TRIALS = 1_000
 _SIGMA_LIMIT = 4.0
 
 
-def _frequency_rows(
-    trace: RevealTrace, trials: int, seed: int, kind: str
-) -> list[VerifyRow]:
-    final, pi0 = trace.replay.final, trace.pi0
-    roots = final.components()
-    if kind == "left-right":
-        group = {r: "{%s}" % ",".join(map(str, sorted(final.nodes_of(r)))) for r in roots}
-        expected, labels = {}, {}
-        for i, ra in enumerate(roots):
-            for rb in roots[i + 1 :]:
-                nodes_a, nodes_b = final.nodes_of(ra), final.nodes_of(rb)
-                expected[ra, rb] = left_right_probability(nodes_a, nodes_b, pi0)
-                labels[ra, rb] = f"{group[ra]} left of {group[rb]}"
-        if not expected:
-            raise ConfigError("trace merges to one component; no pairs to track")
-    else:
-        paths = {r: final.path_of(r) for r in roots if final.size_of(r) >= 2}
-        if not paths:
-            raise ConfigError("trace has no multi-node component to orient")
-        expected = {r: orientation_probability(p, pi0) for r, p in paths.items()}
-        labels = {r: "path (%s) kept forward" % ",".join(map(str, p))
-                  for r, p in paths.items()}
-        heads = [(r, p[0]) for r, p in paths.items()]
-    tracked = list(expected)
-
-    # Read each trial's state: blocks stand in the order of their slots,
-    # and a path is forward when its first node leads.
-    hits = [0] * len(tracked)
-    results = run_trials(trace, _trial_seeds(seed, trials))
-    if kind == "left-right":
-        for result in results:
-            slot = result.slot
-            for i, (ra, rb) in enumerate(tracked):
-                if slot[ra] < slot[rb]:
-                    hits[i] += 1
-    else:
-        for result in results:
-            left_end = result.left_end
-            for i, (r, head) in enumerate(heads):
-                if left_end[r] == head:
-                    hits[i] += 1
-
+def _binomial_rows(labels, expected, hits, trials: int) -> list[VerifyRow]:
+    """Each tracked event's frequency in ``trials`` trials against its closed
+    form, flagged past :data:`_SIGMA_LIMIT` binomial standard errors."""
     rows = []
-    for key, count in zip(tracked, hits):
-        p = expected[key]
+    for label, p, count in zip(labels, expected, hits):
         observed = count / trials
         sigma = math.sqrt(float(p) * (1.0 - float(p)) / trials)
         gap = abs(observed - float(p))
@@ -332,16 +284,54 @@ def _frequency_rows(
             deviations = 0.0 if gap == 0.0 else math.inf
         else:
             deviations = gap / sigma
-        rows.append(
-            VerifyRow(
-                label=labels[key],
-                expected=p,
-                observed=observed,
-                deviations=deviations,
-                ok=deviations <= _SIGMA_LIMIT,
-            )
-        )
+        rows.append(VerifyRow(label, p, observed, deviations, deviations <= _SIGMA_LIMIT))
     return rows
+
+
+def _left_right_rows(trace: RevealTrace, trials: int, seed: int) -> list[VerifyRow]:
+    """How often each pair of final components, in root order, ends in that
+    order: blocks stand in the order of their slots."""
+    final = trace.replay.final
+    roots = final.components()
+    pairs = [(ra, rb) for i, ra in enumerate(roots) for rb in roots[i + 1 :]]
+    if not pairs:
+        raise ConfigError("trace merges to one component; no pairs to track")
+    group = {r: "{%s}" % ",".join(map(str, sorted(final.nodes_of(r)))) for r in roots}
+    labels = [f"{group[ra]} left of {group[rb]}" for ra, rb in pairs]
+    nodes = final.nodes_of
+    expected = [left_right_probability(nodes(ra), nodes(rb), trace.pi0) for ra, rb in pairs]
+    hits = [0] * len(pairs)
+    for result in run_trials(trace, _trial_seeds(seed, trials)):
+        slot = result.slot
+        for i, (ra, rb) in enumerate(pairs):
+            if slot[ra] < slot[rb]:
+                hits[i] += 1
+    return _binomial_rows(labels, expected, hits, trials)
+
+
+def _orientation_rows(trace: RevealTrace, trials: int, seed: int) -> list[VerifyRow]:
+    """How often each multi-node final path is laid forward: its first node leads."""
+    final = trace.replay.final
+    paths = {r: final.path_of(r) for r in final.components() if final.size_of(r) >= 2}
+    if not paths:
+        raise ConfigError("trace has no multi-node component to orient")
+    labels = ["path (%s) kept forward" % ",".join(map(str, p)) for p in paths.values()]
+    expected = [orientation_probability(p, trace.pi0) for p in paths.values()]
+    heads = [(r, p[0]) for r, p in paths.items()]
+    hits = [0] * len(heads)
+    for result in run_trials(trace, _trial_seeds(seed, trials)):
+        left_end = result.left_end
+        for i, (r, head) in enumerate(heads):
+            if left_end[r] == head:
+                hits[i] += 1
+    return _binomial_rows(labels, expected, hits, trials)
+
+
+# Each frequency lemma's model, the seed of its default trace and its rows.
+_FREQUENCY_LEMMAS = {
+    "left-right": (Model.CLIQUES, 11, _left_right_rows),
+    "orientation": (Model.LINES, 12, _orientation_rows),
+}
 
 
 def verify_lemma(
@@ -351,25 +341,28 @@ def verify_lemma(
     seed: int,
     trace: RevealTrace | None = None,
 ) -> VerifyReport:
-    """Monte Carlo or sweep verification of the closed-form guarantees.
+    """Monte Carlo or sweep verification of the closed-form guarantees, for
+    int ``trials`` >= 1,000 and ``seed`` (else :class:`TypeError` up front).
 
-    ``left-right`` and ``orientation`` replay a clique or line trace, by
-    default ``random_trace(model, 8, seed=11 or 12, events=4)``, ``trials``
-    times against the exact pair-order and orientation formulas, flagging any
-    deviation above four binomial standard errors.  ``harmonic`` and
-    ``identities`` take no trace: they sweep ``trials`` random instances.
+    ``left-right`` and ``orientation`` (:data:`_FREQUENCY_LEMMAS`) replay a
+    clique or line trace, by default ``random_trace(model, 8, seed=11 or 12,
+    events=4)``, ``trials`` times against the exact pair-order and
+    orientation formulas, flagging any deviation above four binomial
+    standard errors.  ``harmonic`` and ``identities`` take no trace: they
+    sweep ``trials`` random instances.
     """
+    trials, seed = operator.index(trials), operator.index(seed)
     if trials < _MIN_VERIFY_TRIALS:
         raise ConfigError(
             f"at least {_MIN_VERIFY_TRIALS} trials required, got {trials}"
         )
-    if kind in ("left-right", "orientation"):
-        want = Model.CLIQUES if kind == "left-right" else Model.LINES
+    if kind in _FREQUENCY_LEMMAS:
+        model, trace_seed, frequency_rows = _FREQUENCY_LEMMAS[kind]
         if trace is None:
-            trace = random_trace(want, 8, seed=11 if want is Model.CLIQUES else 12, events=4)
-        if trace.model is not want:
-            raise ConfigError(f"verify {kind} expects a {want.value} trace")
-        rows = _frequency_rows(trace, trials, seed, kind)
+            trace = random_trace(model, 8, seed=trace_seed, events=4)
+        if trace.model is not model:
+            raise ConfigError(f"verify {kind} expects a {model.value} trace")
+        rows = frequency_rows(trace, trials, seed)
     elif kind in ("harmonic", "identities"):
         if trace is not None:
             raise ConfigError(f"verify {kind} takes no trace")
@@ -377,13 +370,7 @@ def verify_lemma(
         rows = sweep(trials, random.Random(seed))
     else:
         raise ConfigError(f"unknown verification kind {kind!r}")
-    return VerifyReport(
-        kind=kind,
-        trials=trials,
-        seed=seed,
-        rows=tuple(rows),
-        ok=all(row.ok for row in rows),
-    )
+    return VerifyReport(kind, trials, seed, tuple(rows), all(row.ok for row in rows))
 
 
 # Instances drawn before one batched check per chunk.  Bounds what is held

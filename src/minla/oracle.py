@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .algorithms import closest_feasible
-from .errors import CapacityError
+from .errors import CapacityError, InstanceMismatchError
 from .ordering import cross_weight, solve_block_order
 from .perm import Permutation, count_inversions
 from .trace import ComponentPartition, Model, RevealTrace
@@ -67,6 +67,8 @@ def arrangement_cost(p: Permutation, parts: ComponentPartition) -> int:
     Per the partition's own model, cliques contribute all intra-component
     pairs, lines only consecutive path neighbors.
     """
+    if len(p) != parts.n:
+        raise InstanceMismatchError(f"permutation of {len(p)} nodes, partition of {parts.n}")
     pos = p.pos_of
     total = 0
     for root in parts.components():
@@ -90,6 +92,8 @@ def is_minla(p: Permutation, parts: ComponentPartition) -> bool:
     reverse, per the partition's own model.  Size-1 components are vacuously
     contiguous.
     """
+    if len(p) != parts.n:
+        raise InstanceMismatchError(f"permutation of {len(p)} nodes, partition of {parts.n}")
     return parts.misplaced_root(p.node_at) is None
 
 
@@ -217,6 +221,8 @@ def left_right_probability(
         raise ValueError("groups must be nonempty")
     if a & b:
         raise ValueError(f"groups overlap: {sorted(a & b)}")
+    if min(a | b) < 0 or max(a | b) >= len(pi0):
+        raise ValueError(f"node ids must lie in 0..{len(pi0) - 1}")
     pos = pi0.pos_of
     inverted = cross_weight(sorted(pos[x] for x in a), sorted(pos[y] for y in b))
     return Fraction(len(a) * len(b) - inverted, len(a) * len(b))
@@ -228,6 +234,8 @@ def orientation_probability(path_order: Sequence[int], pi0: Permutation) -> Frac
     s = len(path_order)
     if s < 2:
         raise ValueError("orientation is undefined for singleton components")
+    if min(path_order) < 0 or max(path_order) >= len(pi0):
+        raise ValueError(f"node ids must lie in 0..{len(pi0) - 1}")
     pos = pi0.pos_of
     fwd = s * (s - 1) // 2 - count_inversions([pos[v] for v in path_order])
     return Fraction(fwd, s * (s - 1) // 2)

@@ -5,16 +5,16 @@ a trace built from node pairs, the partition after a prefix of a trace's
 events, every step of a replay rebuilt as tuples, a hypothesis strategy
 for valid traces, a trace's nodes relabeled or its pi0 mirrored, a
 line-by-line trace parser, quadratic pair counting, full permutation
-enumeration, literal cost sums, closed forms, a literal replay of the
-randomized strategy, the plain block-subset program that orders
-singletons like any other block (fed sorted positions), the
-singleton-aware block-order table as plain loops, and the literal exact
-oracles: a heap Dijkstra over all schedules, every step's tied closest
-targets with the cheapest and dearest ``det`` over them, harmonic sums of
-``Fraction`` terms and choice-vector weights as row products, the two
-algebraic sweeps as literal ``randint``/``uniform`` loops over one instance
-at a time, and the CSV and JSON emitters as row-by-row ``csv.writer`` and
-whole-payload ``json.dumps`` calls.
+enumeration, literal cost sums, closed forms, the splitmix64 generator
+written out, a literal replay of the randomized strategy, the plain
+block-subset program that orders singletons like any other block (fed
+sorted positions), the singleton-aware block-order table as plain loops,
+and the literal exact oracles: a heap Dijkstra over all schedules, every
+step's tied closest targets with the cheapest and dearest ``det`` over
+them, harmonic sums of ``Fraction`` terms and choice-vector weights as row
+products, the two algebraic sweeps as literal ``randint``/``uniform`` loops
+over one instance at a time, and the CSV and JSON emitters as row-by-row
+``csv.writer`` and whole-payload ``json.dumps`` calls.
 """
 
 import bisect
@@ -202,6 +202,20 @@ def reference_parse_trace(text: str):
         events.append(RevealEvent(u, v))
 
     return RevealTrace(model=model, n=n, pi0=pi0, events=tuple(events))
+
+
+SPLITMIX64_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def splitmix64(state: int) -> int:
+    """One output of the published splitmix64 generator from ``state``: a
+    golden-ratio step, then the avalanche finalizer, on 64-bit words.  Trial
+    i of master seed m is seeded with ``splitmix64(m + i * golden)``."""
+    mask = (1 << 64) - 1
+    z = (state + SPLITMIX64_GOLDEN) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
 
 
 def naive_kendall(p: Permutation, q: Permutation) -> int:

@@ -49,6 +49,11 @@ _RAND_TESTS = (
     "tests/test_algorithms.py::TestWindowedKernel",
     "tests/test_harness.py::TestVerifyLemma::test_frequencies_match_reference_permutations",
 )
+# is_minla's and arrangement_cost's size check.
+_SIZE_CHECK = (
+    "if len(p) != parts.n:\n        raise InstanceMismatchError("
+    'f"permutation of {len(p)} nodes, partition of {parts.n}")\n'
+)
 _SWEEP_TESTS = (
     "tests/test_harness.py::TestAlgebraicSweeps",
 )
@@ -199,6 +204,23 @@ MUTANTS: tuple[Mutant, ...] = (
         "if lines and z_left not in z_ends:",
         ("tests/test_algorithms.py::TestWindowedKernel::test_state_fault_caught_at_the_next_event",),
     ),
+    # A permutation and a partition over different node counts are rejected.
+    Mutant(
+        "closest-feasible-any-size", _ENGINE,
+        "if len(pi0) != parts.n:", "if False:",
+        ("tests/test_algorithms.py::TestDetStep::"
+         "test_closest_feasible_rejects_a_pi0_of_another_size",),
+    ),
+    Mutant(
+        "is-minla-any-size", "src/minla/oracle.py",
+        _SIZE_CHECK + "    return parts.misplaced_root", "return parts.misplaced_root",
+        ("tests/test_oracle.py::TestSizeMismatch",),
+    ),
+    Mutant(
+        "arrangement-cost-any-size", "src/minla/oracle.py",
+        _SIZE_CHECK + "    pos = p.pos_of", "pos = p.pos_of",
+        ("tests/test_oracle.py::TestSizeMismatch",),
+    ),
     # The checks: each det step's arrangement is walked, a rand final state
     # read per component (every path's left end is a path end, every clique
     # block holds its component's nodes).
@@ -264,20 +286,33 @@ MUTANTS: tuple[Mutant, ...] = (
     # The frequency counts, one per tracked pair or path, in tracked order.
     Mutant(
         "left-right-count-one-slot-off", "src/minla/harness.py",
-        "if slot[ra] < slot[rb]:\n                    hits[i] += 1",
-        "if slot[ra] < slot[rb]:\n                    hits[i - 1] += 1",
+        "if slot[ra] < slot[rb]:\n                hits[i] += 1",
+        "if slot[ra] < slot[rb]:\n                hits[i - 1] += 1",
         ("tests/test_harness.py::TestVerifyLemma::test_frequencies_match_reference_permutations",),
     ),
     Mutant(
         "orientation-count-one-slot-off", "src/minla/harness.py",
-        "if left_end[r] == head:\n                    hits[i] += 1",
-        "if left_end[r] == head:\n                    hits[i - 1] += 1",
+        "if left_end[r] == head:\n                hits[i] += 1",
+        "if left_end[r] == head:\n                hits[i - 1] += 1",
         ("tests/test_harness.py::TestVerifyLemma::test_frequencies_match_reference_permutations",),
     ),
     Mutant(
         "sigma-limit-40", "src/minla/harness.py",
         "_SIGMA_LIMIT = 4.0", "_SIGMA_LIMIT = 40.0",
         ("tests/test_harness.py::TestVerifyLemma::test_sigma_limit",),
+    ),
+    # One binomial standard error serves both frequency lemmas.
+    Mutant(
+        "binomial-sigma-without-complement", "src/minla/harness.py",
+        "math.sqrt(float(p) * (1.0 - float(p)) / trials)", "math.sqrt(float(p) / trials)",
+        ("tests/test_harness.py::TestVerifyLemma::test_sigma_limit",),
+    ),
+    # verify takes int counts, as ExperimentConfig does.
+    Mutant(
+        "verify-takes-any-seed", "src/minla/harness.py",
+        "trials, seed = operator.index(trials), operator.index(seed)", "pass",
+        ("tests/test_harness.py::TestVerifyLemma::"
+         "test_rejects_non_integer_counts_before_any_work",),
     ),
     Mutant(
         "tree-sandwich-no-lower-bound", "src/minla/bench.py",
@@ -331,6 +366,17 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     # The closed forms the frequency checks compare against, and the trace
     # a check runs on when none is given.
+    # Node ids outside 0..n-1 would read another node's position.
+    Mutant(
+        "left-right-ids-unchecked", "src/minla/oracle.py",
+        "if min(a | b) < 0 or max(a | b) >= len(pi0):", "if False:",
+        ("tests/test_oracle.py::TestLeftRightProbability::test_out_of_range_ids_rejected",),
+    ),
+    Mutant(
+        "orientation-ids-unchecked", "src/minla/oracle.py",
+        "if min(path_order) < 0 or max(path_order) >= len(pi0):", "if False:",
+        ("tests/test_oracle.py::TestOrientationProbability::test_out_of_range_ids_rejected",),
+    ),
     Mutant(
         "left-right-cross-weight-swapped", "src/minla/oracle.py",
         "cross_weight(sorted(pos[x] for x in a), sorted(pos[y] for y in b))",
@@ -339,7 +385,8 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "default-trace-seeds-swapped", "src/minla/harness.py",
-        "seed=11 if want is Model.CLIQUES else 12", "seed=12 if want is Model.CLIQUES else 11",
+        "(Model.CLIQUES, 11, _left_right_rows),\n    \"orientation\": (Model.LINES, 12,",
+        "(Model.CLIQUES, 12, _left_right_rows),\n    \"orientation\": (Model.LINES, 11,",
         ("tests/test_harness.py::TestVerifyLemma::"
          "test_no_trace_runs_the_default_trace_as_the_cli_prints_it",),
     ),
@@ -454,7 +501,7 @@ MUTANTS: tuple[Mutant, ...] = (
     # rebuilds the merged root's.
     Mutant(
         "det-block-keeps-absorbed-root", _ENGINE,
-        "del blocks[rv]", "blocks[rv]",
+        "blocks.pop(rv)", "blocks[rv]",
         (
             "tests/test_algorithms.py::TestDetRun::test_carried_blocks_match_a_fresh_replay",
             "tests/test_algorithms.py::TestDetRun::test_matches_a_det_step_loop",
@@ -462,7 +509,7 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "det-block-not-rebuilt", _ENGINE,
-        "blocks[ru] = _component_block(parts.nodes_of(ru), pos0, lines)[0]",
+        "blocks[ru] = _component_block(merged, pos0, lines)[0]",
         "blocks[ru] = blocks[ru]",
         (
             "tests/test_algorithms.py::TestDetRun::test_carried_blocks_match_a_fresh_replay",
@@ -550,7 +597,7 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "splitmix-constant", "src/minla/harness.py",
-        "z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9)", "z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B8)",
+        "(state >> 30)) * 0xBF58476D1CE4E5B9)", "(state >> 30)) * 0xBF58476D1CE4E5B8)",
         ("tests/test_harness.py::TestSeedDerivation::test_reference_vector",),
     ),
     # The inline seed stream that every run of trials reads.

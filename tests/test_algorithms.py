@@ -29,6 +29,7 @@ from minla import (
     AlgoState,
     CapacityError,
     ComponentPartition,
+    InstanceMismatchError,
     InvariantError,
     Model,
     Permutation,
@@ -123,6 +124,15 @@ class TestDetStep:
             det_step(state, ev)
             assert kendall_tau(trace.pi0, state.current) == best
             assert state.current.node_at == tied[0]
+
+    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
+    @pytest.mark.parametrize("node_at", [[0, 1, 2], [5, 0, 1, 2, 3, 4]])
+    def test_closest_feasible_rejects_a_pi0_of_another_size(self, model, node_at):
+        # The 6-node pi0 once came back as (0, identity(5)).
+        parts = ComponentPartition(5, model)
+        parts.merge(3, 4)
+        with pytest.raises(InstanceMismatchError, match="permutation of"):
+            closest_feasible(Permutation(node_at), parts)
 
     def test_closest_feasible_reports_its_distance(self):
         # The block order's cross cost plus each path's inverted pairs is

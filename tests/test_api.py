@@ -54,7 +54,6 @@ PUBLIC = [
     "run",
     "run_experiment",
     "run_trials",
-    "splitmix64",
     "tree_adversary",
     "validate_trace",
     "verify_lemma",

@@ -10,6 +10,7 @@ import pytest
 import minla.cli
 import minla.harness
 from conftest import (
+    SPLITMIX64_GOLDEN,
     fraction_ratio,
     frequency_counts,
     reference_experiment_json,
@@ -17,6 +18,7 @@ from conftest import (
     reference_identity_rows,
     reference_rand,
     reference_records_csv,
+    splitmix64,
 )
 from minla import bench
 from minla import (
@@ -33,7 +35,6 @@ from minla import (
     random_trace,
     run,
     run_experiment,
-    splitmix64,
     verify_lemma,
 )
 from minla.harness import (
@@ -55,16 +56,24 @@ class TestSeedDerivation:
     @pytest.mark.parametrize("master", [0, 1, -1, 2**63, 2**64 - 1, 2**64 + 3])
     @pytest.mark.parametrize("count", [0, 1, 2000])
     def test_seed_stream_matches_the_reference(self, master, count):
-        # The inline stream yields derive_trial_seed(master, i), trial by trial.
-        stream = list(minla.harness._trial_seeds(master, count))
-        assert stream == [derive_trial_seed(master, i) for i in range(count)]
+        # The inline stream and derive_trial_seed both give trial i the
+        # literal splitmix64 output for master + i * golden.
+        expected = [splitmix64(master + i * SPLITMIX64_GOLDEN) for i in range(count)]
+        assert list(minla.harness._trial_seeds(master, count)) == expected
+        assert [derive_trial_seed(master, i) for i in range(count)] == expected
+
+    def test_trial_zero_is_the_splitmix64_value_of_the_master(self):
+        rng = random.Random(38)
+        masters = [rng.randrange(-(1 << 70), 1 << 70) for _ in range(2_000)]
+        for master in masters + [0, -1, (1 << 64) - 1, 1 << 64]:
+            assert derive_trial_seed(master, 0) == splitmix64(master)
 
     def test_prefix_stable(self):
         first = [derive_trial_seed(99, i) for i in range(10)]
         assert [derive_trial_seed(99, i) for i in range(20)][:10] == first
 
     def test_avalanche_spread(self):
-        outs = {splitmix64(s) for s in range(1000)}
+        outs = {derive_trial_seed(s, 0) for s in range(1000)}
         assert len(outs) == 1000
 
 
@@ -308,11 +317,13 @@ class TestLockstepChunks:
 
 
 class TestVerifyLemma:
-    @pytest.mark.parametrize("kind", ["left-right", "orientation"])
-    def test_frequencies_match_reference_permutations(self, kind):
+    @pytest.mark.parametrize("kind, model, rows_of", [
+        ("left-right", Model.CLIQUES, "_left_right_rows"),
+        ("orientation", Model.LINES, "_orientation_rows"),
+    ])
+    def test_frequencies_match_reference_permutations(self, kind, model, rows_of):
         # The counts read off 300 trial states, which share the trace's
         # replay, equal those read off the literal final permutations.
-        model = Model.CLIQUES if kind == "left-right" else Model.LINES
         trials = 300
         traces = [
             random_trace(model, 8, seed=41, events=4),
@@ -325,12 +336,36 @@ class TestVerifyLemma:
             seeds = [derive_trial_seed(5, trial) for trial in range(trials)]
             finals = [reference_rand(trace, seed)[3][-1] for seed in seeds]
             counts = frequency_counts(trace, finals, kind)
-            rows = minla.harness._frequency_rows(trace, trials, 5, kind)
+            rows = getattr(minla.harness, rows_of)(trace, trials, 5)
             assert [row.observed for row in rows] == [c / trials for c in counts]
 
     def test_rejects_insufficient_trials(self):
         with pytest.raises(ConfigError):
             verify_lemma("harmonic", trials=999, seed=1)
+
+    @pytest.mark.parametrize("kind", ["left-right", "orientation", "harmonic", "identities"])
+    @pytest.mark.parametrize("trials, seed", [
+        (1_000, 1.5), (1_000, "1"), (1_000, None), (1_000.0, 1), ("1000", 1),
+    ])
+    def test_rejects_non_integer_counts_before_any_work(
+        self, monkeypatch, kind, trials, seed
+    ):
+        # Nothing is drawn, replayed or swept before the type check.
+        def untouched(*args, **kwargs):
+            raise AssertionError("work started before the type check")
+
+        for name in ("random_trace", "run_trials", "_harmonic_rows", "_identity_rows",
+                     "left_right_probability", "orientation_probability"):
+            monkeypatch.setattr(minla.harness, name, untouched)
+        with pytest.raises(TypeError):
+            verify_lemma(kind, trials=trials, seed=seed)
+
+    @pytest.mark.parametrize("kind", ["left-right", "orientation", "harmonic", "identities"])
+    def test_bool_seed_counts_as_its_int(self, kind):
+        # As in ExperimentConfig, a bool is an int: True runs and prints seed 1.
+        report = verify_lemma(kind, trials=1_000, seed=True)
+        assert report == verify_lemma(kind, trials=1_000, seed=1)
+        assert report.to_text().startswith(f"verify {kind}: trials=1000 seed=1 ")
 
     def test_left_right_frequencies(self):
         trace = random_trace(Model.CLIQUES, 8, seed=11, events=4)

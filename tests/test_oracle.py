@@ -26,6 +26,7 @@ from conftest import (
 from minla import (
     CapacityError,
     ComponentPartition,
+    InstanceMismatchError,
     Model,
     Permutation,
     RevealTrace,
@@ -421,6 +422,15 @@ class TestLeftRightProbability:
         with pytest.raises(ValueError, match="groups must be nonempty"):
             left_right_probability([], [1], Permutation.identity(2))
 
+    @pytest.mark.parametrize("group_a, group_b", [
+        ([0], [-1]), ([0], [5]), ([-5], [1]), ([0, 7], [1, 2]),
+    ])
+    def test_out_of_range_ids_rejected(self, group_a, group_b):
+        # -1 would read node 4's position, and 5 none at all.
+        assert left_right_probability([0], [4], Permutation.identity(5)) == 1
+        with pytest.raises(ValueError, match=r"node ids must lie in 0\.\.4"):
+            left_right_probability(group_a, group_b, Permutation.identity(5))
+
 
 class TestOrientationProbability:
     def test_aligned_path(self):
@@ -451,6 +461,11 @@ class TestOrientationProbability:
     def test_singleton_rejected(self):
         with pytest.raises(ValueError):
             orientation_probability([0], Permutation.identity(1))
+
+    @pytest.mark.parametrize("path", [[0, -1], [4, 5], [-2, 0, 1], [3, 9, 4]])
+    def test_out_of_range_ids_rejected(self, path):
+        with pytest.raises(ValueError, match=r"node ids must lie in 0\.\.4"):
+            orientation_probability(path, Permutation.identity(5))
 
 
 class TestHarmonic:
@@ -699,6 +714,21 @@ class TestMinlaOptimum:
                     arrangement_cost(p, parts) for p in all_permutations(n)
                 )
                 assert minla_optimum(parts, model) == best
+
+
+class TestSizeMismatch:
+    """A permutation and a partition over different node counts are
+    rejected, as ``kendall_tau`` rejects two permutations."""
+
+    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
+    @pytest.mark.parametrize("node_at", [[0, 1, 2], [5, 0, 1, 2, 3, 4]])
+    def test_is_minla_and_cost_reject(self, model, node_at):
+        # [0, 1, 2] never reaches the pair {3, 4}: it read as feasible.
+        parts = partition(5, model, [[0], [1], [2], [3, 4]])
+        assert is_minla(Permutation([0, 1, 2, 3, 4]), parts)
+        for check in (is_minla, arrangement_cost):
+            with pytest.raises(InstanceMismatchError, match="permutation of"):
+                check(Permutation(node_at), parts)
 
 
 class TestIsMinla:
