@@ -373,9 +373,8 @@ def verify_lemma(
     return VerifyReport(kind, trials, seed, tuple(rows), all(row.ok for row in rows))
 
 
-# Instances drawn before one batched check per chunk.  Bounds what is held
-# at once: an N = 10 identity instance takes several 2^10-float rows (8 KB
-# each), a chunk of harmonic series a few (256, 50) float arrays.
+# Series drawn before one batched check in the harmonic sweep.  Bounds what
+# is held at once: a chunk of series is a few (256, 50) float arrays.
 _SWEEP_CHUNK = 256
 
 
@@ -395,22 +394,48 @@ def _harmonic_rows(trials: int, rng: random.Random) -> list[VerifyRow]:
     return _failure_rows(names, failures, f"{trials} series", trials)
 
 
+# Choice-vector entries (rows times 2^N) of one identity check: a batch of
+# one N is checked once it holds this many, so each of its (rows, 2^N)
+# float arrays stays at 256 KB.
+_IDENTITY_BATCH = 1 << 15
+
+
 def _identity_rows(trials: int, rng: random.Random) -> list[VerifyRow]:
-    """Instances are drawn in chunks of :data:`_SWEEP_CHUNK`, and each
-    chunk's instances of one N are checked as one batch.  ``uniform(lo, hi)``
-    is ``lo + (hi - lo) * random()``, so the inline draws are its own."""
+    """Each instance draws its N as ``randint(1, 10)`` does, then its 2N
+    floats, ``a`` (``uniform(0, 10)``, which is ``10.0 * random()``) before
+    ``b`` (``uniform(0, 1)``, which is ``random()``), as 4N MT19937 words
+    read by one ``getrandbits(128 * N)``.  Two CPython rules make these the
+    floats that 2N ``random()`` calls return: ``random()`` reads two words
+    w0, w1 and returns ``((w0 >> 5) * 2^26 + (w1 >> 6)) * 2^-53``, and
+    ``getrandbits(32 * k)`` returns k words, the first drawn least
+    significant; the tests hold the sweep to the literal loop on every
+    supported Python.  Instances of one N gather as little-endian bytes and
+    are checked as one batch once it holds :data:`_IDENTITY_BATCH`
+    choice-vector entries; the sweep ends by checking what is left of each
+    N."""
+    import numpy as np
+
     failures = [0, 0]
-    bits, unit = rng.getrandbits, rng.random
-    for start in range(0, trials, _SWEEP_CHUNK):
-        groups: dict[int, tuple[list, list]] = {}
-        for _ in range(min(_SWEEP_CHUNK, trials - start)):
-            n = _below(bits, 10) + 1
-            rows_a, rows_b = groups.setdefault(n, ([], []))
-            rows_a.append([10.0 * unit() for _ in range(n)])
-            rows_b.append([unit() for _ in range(n)])
-        for rows_a, rows_b in groups.values():
-            for slot, ok in enumerate(check_identity_lemmas(rows_a, rows_b)):
-                failures[slot] += len(ok) - int(ok.sum())
+    bits = rng.getrandbits
+    words = {n: bytearray() for n in range(1, 11)}
+    full = {n: (_IDENTITY_BATCH >> n) * 16 * n for n in words}  # bytes
+
+    def check(batch: bytearray, n: int) -> None:
+        w = np.frombuffer(batch, "<u4").reshape(-1, 2 * n, 2)
+        u = ((w[..., 0] >> 5) * 67108864.0 + (w[..., 1] >> 6)) * 2.0**-53
+        for slot, ok in enumerate(check_identity_lemmas(10.0 * u[:, :n], u[:, n:])):
+            failures[slot] += len(ok) - int(ok.sum())
+
+    for _ in range(trials):
+        n = _below(bits, 10) + 1
+        batch = words[n]
+        batch += bits(128 * n).to_bytes(16 * n, "little")
+        if len(batch) >= full[n]:
+            check(batch, n)
+            batch.clear()
+    for n, batch in words.items():
+        if batch:
+            check(batch, n)
     names = ("choice-weighted equality", "choice-weighted product bound")
     return _failure_rows(names, failures, f"{trials} instances", trials)
 

@@ -229,13 +229,17 @@ def left_right_probability(
 
 
 def orientation_probability(path_order: Sequence[int], pi0: Permutation) -> Fraction:
-    """Probability that a path component keeps the given orientation: the
-    fraction of its internal pairs already ordered that way initially."""
+    """Probability that a path component, given as its distinct nodes in
+    order, keeps that orientation: the fraction of its internal pairs
+    already ordered that way initially."""
     s = len(path_order)
     if s < 2:
         raise ValueError("orientation is undefined for singleton components")
     if min(path_order) < 0 or max(path_order) >= len(pi0):
         raise ValueError(f"node ids must lie in 0..{len(pi0) - 1}")
+    if len(set(path_order)) < s:
+        repeated = {v for i, v in enumerate(path_order) if v in path_order[:i]}
+        raise ValueError(f"path repeats nodes: {sorted(repeated)}")
     pos = pi0.pos_of
     fwd = s * (s - 1) // 2 - count_inversions([pos[v] for v in path_order])
     return Fraction(fwd, s * (s - 1) // 2)
@@ -375,9 +379,10 @@ def check_identity_lemmas(a: Sequence, b: Sequence) -> tuple[np.ndarray, np.ndar
     * inequality: E[ (sum_i t_i a_i) (A - sum_i t_i a_i) ]
                   <= sum_i b_i a_i (A - a_i), for nonnegative a
 
-    ``a`` and ``b`` are (m, N) batches.  Returns two bool arrays of length
-    m, each check within ``_IDENTITY_TOL``; every row's floats equal, bit
-    for bit, those of the row-product reference in the tests.
+    ``a`` and ``b`` are (m, N) batches, ``a`` finite and ``b`` in [0, 1]
+    (else :class:`ValueError`).  Returns two bool arrays of length m, each
+    check within ``_IDENTITY_TOL``; every row's floats equal, bit for bit,
+    those of the row-product reference in the tests.
     """
     import numpy as np
 
@@ -388,6 +393,8 @@ def check_identity_lemmas(a: Sequence, b: Sequence) -> tuple[np.ndarray, np.ndar
         raise ValueError(f"N must be in 1..{_IDENTITY_MAX_N}")
     if not ((bv >= 0.0) & (bv <= 1.0)).all():
         raise ValueError("b entries must lie in [0, 1]")
+    if not np.isfinite(av).all():
+        raise ValueError("a entries must be finite")
     lhs_eq, rhs_eq, lhs_le, rhs_le = _identity_sides(av, bv)
     return np.abs(lhs_eq - rhs_eq) <= _IDENTITY_TOL, lhs_le <= rhs_le + _IDENTITY_TOL
 

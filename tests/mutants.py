@@ -377,6 +377,12 @@ MUTANTS: tuple[Mutant, ...] = (
         "if min(path_order) < 0 or max(path_order) >= len(pi0):", "if False:",
         ("tests/test_oracle.py::TestOrientationProbability::test_out_of_range_ids_rejected",),
     ),
+    # A repeated node would count its pairs with itself as ordered.
+    Mutant(
+        "orientation-repeats-one-short", "src/minla/oracle.py",
+        "if len(set(path_order)) < s:", "if len(set(path_order)) < s - 1:",
+        ("tests/test_oracle.py::TestOrientationProbability::test_repeated_nodes_rejected",),
+    ),
     Mutant(
         "left-right-cross-weight-swapped", "src/minla/oracle.py",
         "cross_weight(sorted(pos[x] for x in a), sorted(pos[y] for y in b))",
@@ -392,6 +398,11 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     # The batched algebraic sweeps.
     Mutant(
+        "identity-a-finiteness-unchecked", "src/minla/oracle.py",
+        "if not np.isfinite(av).all():", "if False:",
+        ("tests/test_oracle.py::TestIdentityChecks::test_rejects_non_finite_a",),
+    ),
+    Mutant(
         "identity-tolerance-strict", "src/minla/oracle.py",
         "np.abs(lhs_eq - rhs_eq) <= _IDENTITY_TOL",
         "np.abs(lhs_eq - rhs_eq) < _IDENTITY_TOL",
@@ -402,11 +413,17 @@ MUTANTS: tuple[Mutant, ...] = (
         "while r >= bound:", "while r > bound:",
         _SWEEP_TESTS,
     ),
+    # The identity sweep checks each N once a batch is full, then what is
+    # left of each N.
     Mutant(
-        "identity-chunks-drop-the-last", "src/minla/harness.py",
-        "for start in range(0, trials, _SWEEP_CHUNK):\n        groups",
-        "for start in range(0, trials - _SWEEP_CHUNK + 1, _SWEEP_CHUNK):\n        groups",
-        _SWEEP_TESTS,
+        "identity-final-flush-skipped", "src/minla/harness.py",
+        "for n, batch in words.items():", "for n, batch in {}.items():",
+        ("tests/test_harness.py::TestAlgebraicSweeps::test_verify_matches_the_literal_loop",),
+    ),
+    Mutant(
+        "identity-batch-budget-doubled", "src/minla/harness.py",
+        "(_IDENTITY_BATCH >> n) * 16 * n", "(_IDENTITY_BATCH >> n) * 32 * n",
+        ("tests/test_harness.py::TestAlgebraicSweeps::test_verify_matches_the_literal_loop",),
     ),
     Mutant(
         "harmonic-chunks-drop-the-last", "src/minla/harness.py",

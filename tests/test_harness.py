@@ -465,8 +465,10 @@ def _record_sweeps(monkeypatch):
     """Record, while ``verify`` sweeps, the generator each sweep was given
     and every instance checked: harmonic series in draw order with the size
     of each batch, identity instances as (a, b) pairs in the order of their
-    batches."""
-    seen = SimpleNamespace(rngs=[], harmonic=[], harmonic_batches=[], identities=[])
+    batches with the (rows, N) shape of each batch."""
+    seen = SimpleNamespace(
+        rngs=[], harmonic=[], harmonic_batches=[], identities=[], identity_batches=[]
+    )
     for name in ("_harmonic_rows", "_identity_rows"):
         sweep = getattr(minla.harness, name)
 
@@ -485,6 +487,8 @@ def _record_sweeps(monkeypatch):
 
     def identities(a, b):
         seen.identities.extend((list(x), list(y)) for x, y in zip(a, b))
+        assert np.shape(a) == np.shape(b)
+        seen.identity_batches.append(np.shape(a))
         return check_i(a, b)
 
     monkeypatch.setattr(minla.harness, "check_harmonic_bounds", harmonic)
@@ -499,7 +503,8 @@ class TestAlgebraicSweeps:
     final state."""
 
     @pytest.mark.parametrize(
-        "seed,trials", [(1, 1_000), (2, 1_024), (3, 1_025), (4, 1_279), (5, 2_000)]
+        "seed,trials",
+        [(1, 1_000), (2, 1_024), (3, 1_025), (4, 1_279), (5, 2_000), (6, 5_000), (7, 10_000)],
     )
     @pytest.mark.parametrize("kind", ["harmonic", "identities"])
     def test_verify_matches_the_literal_loop(self, kind, seed, trials, monkeypatch):
@@ -520,36 +525,34 @@ class TestAlgebraicSweeps:
             assert seen.harmonic_batches == [256] * full + [rest] * (rest > 0)
         else:
             assert sorted(seen.identities) == sorted(drawn)
+            # One check per full batch of one N, 2^15 choice-vector entries
+            # (rows times 2^N), then one for what is left of each N.
+            entries = {}
+            for m, n in seen.identity_batches:
+                entries.setdefault(n, []).append(m << n)
+            for n, sizes in entries.items():
+                assert sizes[:-1] == [1 << 15] * (len(sizes) - 1), n
+                assert 0 < sizes[-1] <= 1 << 15, n
         (used,) = seen.rngs
         assert used.getstate() == rng.getstate()
 
     def test_criterion_10_shares_one_generator(self, monkeypatch):
         # Criterion 10 runs the harmonic sweep, then the identity sweep, on
         # one generator seeded 110: the second sweep's draws start where the
-        # first one's stopped.  Stubs stand in for both sweeps: each records
-        # its call and its generator's state, then draws a few words.
-        calls = []
-
-        def stub(name):
-            def sweep(trials, rng):
-                calls.append((name, trials, rng, rng.getstate()))
-                for _ in range(3):
-                    rng.getrandbits(32)
-                return []
-
-            return sweep
-
-        monkeypatch.setattr(bench, "_harmonic_rows", stub("harmonic"))
-        monkeypatch.setattr(bench, "_identity_rows", stub("identity"))
+        # first one's stopped.  Both sweeps' instances and the final state
+        # match the literal loops run in turn on one generator.
+        seen = _record_sweeps(monkeypatch)
+        for name in ("_harmonic_rows", "_identity_rows"):
+            monkeypatch.setattr(bench, name, getattr(minla.harness, name))
         assert bench.criterion_algebraic_bounds().line().startswith("PASS criterion 10 ")
-        (first, trials_h, rng_h, state_h), (second, trials_i, rng_i, state_i) = calls
-        assert (first, trials_h, second, trials_i) == ("harmonic", 10_000, "identity", 10_000)
-        assert rng_h is rng_i
-        expected = random.Random(110)
-        assert state_h == expected.getstate()
-        for _ in range(3):
-            expected.getrandbits(32)
-        assert state_i == expected.getstate()
+        rng = random.Random(110)
+        _, series = reference_harmonic_rows(10_000, rng)
+        _, instances = reference_identity_rows(10_000, rng)
+        assert seen.harmonic == series
+        assert sorted(seen.identities) == sorted(instances)
+        used, again = seen.rngs
+        assert used is again
+        assert used.getstate() == rng.getstate()
 
 
 class TestDuel:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -467,6 +468,14 @@ class TestOrientationProbability:
         with pytest.raises(ValueError, match=r"node ids must lie in 0\.\.4"):
             orientation_probability(path, Permutation.identity(5))
 
+    @pytest.mark.parametrize("path, repeated", [
+        ([0, 0], r"\[0\]"), ([0, 1, 0], r"\[0\]"), ([2, 1, 2, 1, 3], r"\[1, 2\]"),
+    ])
+    def test_repeated_nodes_rejected(self, path, repeated):
+        # Unchecked, [0, 0] read 1 and [0, 1, 0] read 2/3.
+        with pytest.raises(ValueError, match="path repeats nodes: " + repeated):
+            orientation_probability(path, Permutation.identity(5))
+
 
 class TestHarmonic:
     def test_small_values(self):
@@ -597,6 +606,16 @@ class TestIdentityChecks:
             check_identity_lemmas([[1.0, 2.0]], [[0.5]])
         with pytest.raises(ValueError):
             check_identity_lemmas([[]], [[]])
+
+    @pytest.mark.parametrize("a", [
+        [[math.nan]], [[math.inf, 1.0]], [[1.0, -math.inf]], [[1.0], [math.nan]],
+    ])
+    def test_rejects_non_finite_a(self, a):
+        # Unchecked, these read as failed lemmas, with numpy RuntimeWarnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="a entries must be finite"):
+                check_identity_lemmas(a, [[0.5] * len(a[0])] * len(a))
 
 
 class TestBoundForTrace:
