@@ -13,16 +13,16 @@ import itertools
 import math
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, wraps
 from pathlib import Path
-from typing import Callable, Sequence
+from types import SimpleNamespace
+from typing import Callable, Iterable
 
 from . import harness
 from .adversaries import TreeAdversaryConfig, random_trace, tree_adversary
-from .algorithms import rand_step, run, run_trials
+from .algorithms import AlgoState, _layout, _step_rows, run, run_trials
 from .harness import (
     ExperimentConfig, _harmonic_rows, _identity_rows, derive_trial_seed, duel,
     run_experiment, verify_lemma,
@@ -290,91 +290,89 @@ def criterion_algebraic_bounds() -> tuple[bool, str]:
     )
 
 
-class _ScriptEnd(Exception):
-    """A draw past the end of a :class:`_ForcedCoin`'s script."""
+def _words(script: Iterable[int]) -> SimpleNamespace:
+    """A word source: ``getrandbits(k)`` appends ``k`` to its ``widths`` and
+    returns the next word of ``script``, raising StopIteration past its end."""
+    script, widths = iter(script), []
+
+    def getrandbits(k: int) -> int:
+        widths.append(k)
+        return next(script)
+
+    return SimpleNamespace(getrandbits=getrandbits, widths=widths)
 
 
-class _ForcedCoin:
-    """Stand-in word source: ``getrandbits(k)`` returns the next scripted
-    word and records ``k``; a draw past the script raises :class:`_ScriptEnd`."""
+def _step_law(state: AlgoState, row: tuple, index: int) -> list[tuple[AlgoState, Fraction]]:
+    """Every outcome of one ``_step_rows`` step of ``row`` (event ``index``)
+    from ``state``, which stays as it is, each with its probability.
 
-    def __init__(self, words: Sequence[int]):
-        self._words = list(words)
-        self.widths: list[int] = []
+    All-zero words, which every draw accepts, give each draw's width from
+    the engine's ``getrandbits`` calls.  Each tuple of one word per draw
+    steps a copy; one the step reads past holds a rejected word and is
+    dropped.  No draw's bound reads another's word, so every accepted tuple
+    weighs one over their number."""
 
-    def getrandbits(self, k: int) -> int:
-        if len(self.widths) == len(self._words):
-            raise _ScriptEnd
-        self.widths.append(k)
-        return self._words[len(self.widths) - 1]
+    def step(source: SimpleNamespace) -> AlgoState:
+        after = AlgoState(state.pi0, state.parts, state.slot[:], state.slot_sizes[:],
+                          state.left_end and state.left_end[:], state.blocks and state.blocks[:],
+                          None, state.move_cost, state.rearrange_cost)
+        _step_rows(after, (row,), source, index)
+        return after
+
+    zeros = _words(itertools.repeat(0))
+    step(zeros)
+    outcomes = []
+    for script in itertools.product(*(range(1 << k) for k in zeros.widths)):
+        try:
+            outcomes.append(step(_words(script)))
+        except StopIteration:  # the step rejected a word
+            pass
+    return [(after, Fraction(1, len(outcomes))) for after in outcomes]
 
 
-def _coin_law(
-    prefix: RevealTrace, seed: int, event: RevealEvent, draws: Sequence[int], coin: int
-) -> tuple[list[int], dict[tuple[tuple[int, ...], int], Fraction]]:
-    """The exact law of one ``rand`` step over one of its coins.
-
-    The step applies ``event`` after ``prefix`` (replayed with ``seed``),
-    reading the scripted words ``draws``.  Each draw in turn takes every
-    word of its width, the others keeping theirs; a word the step rejects
-    makes it read past the script.  A draw's bound is the number of words it
-    accepts.  Returns the bounds and the law of the outcome (permutation and
-    step cost) over draw ``coin``: its words per outcome over its bound.
-    """
-
-    def step(words: Sequence[int]):
-        state = run("rand", prefix, seed=seed)
-        before = state.total_cost
-        source = _ForcedCoin(words)
-        rand_step(state, event, source)
-        return (state.current.node_at, state.total_cost - before), source.widths
-
-    bounds, law = [], {}
-    for i, width in enumerate(step(draws)[1]):
-        outcomes = []
-        for word in range(1 << width):
-            try:
-                outcomes.append(step([*draws[:i], word, *draws[i + 1 :]])[0])
-            except _ScriptEnd:  # the step rejected the word
-                pass
-        bounds.append(len(outcomes))
-        if i == coin:
-            law = {o: Fraction(c, len(outcomes)) for o, c in Counter(outcomes).items()}
-    return bounds, law
+def _trace_law(trace: RevealTrace) -> dict[tuple[tuple[int, ...], int], Fraction]:
+    """The exact law of ``rand``'s final (layout, total cost) on ``trace``:
+    :func:`_step_law` folded over the replay rows from the initial state,
+    equal states (slots, slot sizes, left ends or blocks, costs) merged
+    after every step."""
+    law = {None: [AlgoState.initial(trace.pi0, trace.replay.final), Fraction(1)]}
+    for index, row in enumerate(trace.replay.rows):
+        stepped: dict = {}
+        for state, p in law.values():
+            for after, q in _step_law(state, row, index):
+                key = (tuple(after.slot), tuple(after.slot_sizes),
+                       tuple(after.left_end or after.blocks),
+                       after.move_cost, after.rearrange_cost)
+                stepped.setdefault(key, [after, 0])[1] += p * q
+        law = stepped
+    final: dict[tuple[tuple[int, ...], int], Fraction] = {}
+    for state, p in law.values():
+        key = (tuple(_layout(state)), state.total_cost)
+        final[key] = final.get(key, 0) + p
+    return final
 
 
 @_criterion(11, "coin-test-vectors")
 def criterion_coin_vectors() -> tuple[bool, str]:
     """The published example coin weights are reproduced exactly, read off
-    the outcome of every draw of each coin."""
+    the exact law of each example trace, whose earlier merges cost nothing."""
     # Clique merge of a singleton into a pair across a two-node gap:
     # moving coin must weigh 2/3 against 1/3.
-    clique_prefix = RevealTrace(
-        model=Model.CLIQUES,
-        n=5,
-        pi0=Permutation.identity(5),
-        events=(RevealEvent(3, 4),),
-    )
-    clique_law = ([3], {
+    clique = RevealTrace(Model.CLIQUES, 5, Permutation.identity(5),
+                         (RevealEvent(3, 4), RevealEvent(0, 3)))
+    clique_law = {
         ((1, 2, 0, 3, 4), 2): Fraction(2, 3),
         ((0, 3, 4, 1, 2), 4): Fraction(1, 3),
-    })
+    }
     # Line merge of a 2-path into a 3-path already adjacent: the orientation
     # coin must weigh 9/10 against 1/10.
-    line_prefix = RevealTrace(
-        model=Model.LINES,
-        n=5,
-        pi0=Permutation.identity(5),
-        events=(RevealEvent(0, 1), RevealEvent(2, 3), RevealEvent(3, 4)),
-    )
-    line_law = ([5, 10], {
+    line = RevealTrace(Model.LINES, 5, Permutation.identity(5), tuple(
+        RevealEvent(u, v) for u, v in ((0, 1), (2, 3), (3, 4), (0, 2))))
+    line_law = {
         ((1, 0, 2, 3, 4), 1): Fraction(9, 10),
         ((4, 3, 2, 0, 1), 9): Fraction(1, 10),
-    })
-    checks = [
-        _coin_law(clique_prefix, 0, RevealEvent(0, 3), [0], 0) == clique_law,
-        _coin_law(line_prefix, 0, RevealEvent(0, 2), [0, 0], 1) == line_law,
-    ]
+    }
+    checks = [_trace_law(clique) == clique_law, _trace_law(line) == line_law]
     passed = all(checks)
     return passed, (
         "moving coin 2/3-1/3 and orientation coin 9/10-1/10 reproduced exactly"

@@ -63,6 +63,8 @@ CSV_HEADER = (
 
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     """64-bit per-trial seed; independent of how many trials follow."""
+    if trial_index < 0:
+        raise ValueError(f"trial_index must be >= 0, got {trial_index}")
     return next(_trial_seeds(master_seed + trial_index * _GOLDEN, 1))
 
 

@@ -379,10 +379,10 @@ def check_identity_lemmas(a: Sequence, b: Sequence) -> tuple[np.ndarray, np.ndar
     * inequality: E[ (sum_i t_i a_i) (A - sum_i t_i a_i) ]
                   <= sum_i b_i a_i (A - a_i), for nonnegative a
 
-    ``a`` and ``b`` are (m, N) batches, ``a`` finite and ``b`` in [0, 1]
-    (else :class:`ValueError`).  Returns two bool arrays of length m, each
-    check within ``_IDENTITY_TOL``; every row's floats equal, bit for bit,
-    those of the row-product reference in the tests.
+    ``a`` and ``b`` are (m, N) batches, ``a`` in [0, 1e150 / N] (row sums
+    at most 1e150) and ``b`` in [0, 1], else :class:`ValueError`.  Returns
+    two bool arrays of length m, each check within ``_IDENTITY_TOL``; every
+    row's floats equal, bit for bit, those of the row-product reference.
     """
     import numpy as np
 
@@ -393,8 +393,8 @@ def check_identity_lemmas(a: Sequence, b: Sequence) -> tuple[np.ndarray, np.ndar
         raise ValueError(f"N must be in 1..{_IDENTITY_MAX_N}")
     if not ((bv >= 0.0) & (bv <= 1.0)).all():
         raise ValueError("b entries must lie in [0, 1]")
-    if not np.isfinite(av).all():
-        raise ValueError("a entries must be finite")
+    if not ((av >= 0.0) & (av <= 1e150 / av.shape[1])).all():
+        raise ValueError("a entries must be finite and lie in [0, 1e150 / N]")
     lhs_eq, rhs_eq, lhs_le, rhs_le = _identity_sides(av, bv)
     return np.abs(lhs_eq - rhs_eq) <= _IDENTITY_TOL, lhs_le <= rhs_le + _IDENTITY_TOL
 

@@ -49,6 +49,10 @@ _RAND_TESTS = (
     "tests/test_algorithms.py::TestWindowedKernel",
     "tests/test_harness.py::TestVerifyLemma::test_frequencies_match_reference_permutations",
 )
+# Criteria 5-6's tracked frequencies, read exactly off the walker's law.
+_EXACT_FREQUENCIES = (
+    "tests/test_acceptance.py::test_frequency_traces_hold_their_closed_forms_exactly",
+)
 # is_minla's and arrangement_cost's size check.
 _SIZE_CHECK = (
     "if len(p) != parts.n:\n        raise InstanceMismatchError("
@@ -64,12 +68,12 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "move-draw-accepts-bound", _ENGINE,
         "while r >= denom:", "while r > denom:",
-        ("tests/test_algorithms.py::TestRandCliqueStep",) + _RAND_TESTS,
+        ("tests/test_algorithms.py::TestRandCliqueStep",) + _RAND_TESTS + _EXACT_FREQUENCIES,
     ),
     Mutant(
         "orient-draw-accepts-bound", _ENGINE,
         "while r >= total_pairs:", "while r > total_pairs:",
-        ("tests/test_algorithms.py::TestRandLineStep",) + _RAND_TESTS,
+        ("tests/test_algorithms.py::TestRandLineStep",) + _RAND_TESTS + _EXACT_FREQUENCIES,
     ),
     # The replay rows hold each coin's bound, its bit width and the
     # orientation cost terms.
@@ -97,7 +101,7 @@ MUTANTS: tuple[Mutant, ...] = (
         (
             "tests/test_algorithms.py::TestRandCliqueStep",
             "tests/test_acceptance.py::test_criterion_11_coin_vectors",
-        ) + _RAND_TESTS,
+        ) + _RAND_TESTS + _EXACT_FREQUENCIES,
     ),
     # The merged block stands at the staying block's slot.
     Mutant(
@@ -120,6 +124,7 @@ MUTANTS: tuple[Mutant, ...] = (
             "test_trials_over_one_replay_feasible_after_every_event",
             "tests/test_algorithms.py::TestWindowedKernel::"
             "test_large_final_states_match_reference",
+            "tests/test_algorithms.py::TestMirroring::test_mirrored_laws_reverse",
         ),
     ),
     # The replay, the per-trial engine's checks, the final layout and the
@@ -314,6 +319,19 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_harness.py::TestVerifyLemma::"
          "test_rejects_non_integer_counts_before_any_work",),
     ),
+    # The coin walker weighs each accepted word tuple by one over their
+    # number, not by the words of the drawn widths.
+    Mutant(
+        "walker-weighs-by-word-width", "src/minla/bench.py",
+        "Fraction(1, len(outcomes))", "Fraction(1, 1 << sum(zeros.widths))",
+        ("tests/test_acceptance.py::test_criterion_11_coin_vectors",),
+    ),
+    # Trial indices count from 0.
+    Mutant(
+        "trial-index-sign-unchecked", "src/minla/harness.py",
+        "if trial_index < 0:", "if trial_index < -1:",
+        ("tests/test_harness.py::TestSeedDerivation::test_negative_trial_index_rejected",),
+    ),
     Mutant(
         "tree-sandwich-no-lower-bound", "src/minla/bench.py",
         "lo = math.log2(n) / 16", "lo = 0.0",
@@ -397,10 +415,22 @@ MUTANTS: tuple[Mutant, ...] = (
          "test_no_trace_runs_the_default_trace_as_the_cli_prints_it",),
     ),
     # The batched algebraic sweeps.
+    # One range check on a: finite, nonnegative, and each row summing to at
+    # most 1e150, so that no product overflows.
     Mutant(
         "identity-a-finiteness-unchecked", "src/minla/oracle.py",
-        "if not np.isfinite(av).all():", "if False:",
+        "if not ((av >= 0.0) & (av <= 1e150 / av.shape[1])).all():", "if False:",
         ("tests/test_oracle.py::TestIdentityChecks::test_rejects_non_finite_a",),
+    ),
+    Mutant(
+        "identity-a-sign-unchecked", "src/minla/oracle.py",
+        "(av >= 0.0)", "(av >= -1.0)",
+        ("tests/test_oracle.py::TestIdentityChecks::test_rejects_negative_a",),
+    ),
+    Mutant(
+        "identity-a-row-sum-bound-per-entry", "src/minla/oracle.py",
+        "av <= 1e150 / av.shape[1]", "av <= 1e150",
+        ("tests/test_oracle.py::TestIdentityChecks::test_rejects_row_sums_past_1e150",),
     ),
     Mutant(
         "identity-tolerance-strict", "src/minla/oracle.py",

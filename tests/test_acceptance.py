@@ -15,6 +15,7 @@ from types import SimpleNamespace
 from minla import bench, harness
 from minla.adversaries import random_trace
 from minla.harness import ExperimentConfig, VerifyRow, run_experiment
+from minla.oracle import left_right_probability, orientation_probability
 from minla.trace import Model
 
 
@@ -267,6 +268,41 @@ def test_orientation_frequencies_fail_past_the_sigma_limit(monkeypatch):
     )
 
 
+def test_frequency_traces_hold_their_closed_forms_exactly():
+    # Criteria 5-6's traces, from their own seeds: every tracked frequency
+    # read off rand's exact law (a block is left of another, a path is laid
+    # from its first node) equals its closed form as a Fraction.
+    tracked = 0
+    for index, kind in ((5, "left-right"), (6, "orientation")):
+        for slot, (n, k) in enumerate(bench._FREQUENCY_TRACES):
+            model = harness._FREQUENCY_LEMMAS[kind][0]
+            trace = random_trace(model, n, seed=500 + index * 10 + slot, events=k)
+            law = bench._trace_law(trace)
+            final, pi0 = trace.replay.final, trace.pi0
+            roots = final.components()
+
+            def frequency(before):
+                # The probability that node pair ``before`` is laid in order.
+                u, v = before
+                return sum(p for (node_at, _), p in law.items()
+                           if node_at.index(u) < node_at.index(v))
+
+            if kind == "left-right":
+                for i, ra in enumerate(roots):
+                    for rb in roots[i + 1 :]:
+                        tracked += 1
+                        assert frequency((ra, rb)) == left_right_probability(
+                            final.nodes_of(ra), final.nodes_of(rb), pi0
+                        ), (n, k, ra, rb)
+            else:
+                for path in (final.path_of(r) for r in roots if final.size_of(r) >= 2):
+                    tracked += 1
+                    assert frequency((path[0], path[-1])) == orientation_probability(
+                        path, pi0
+                    ), (n, k, path)
+    assert tracked == 44
+
+
 def test_oracle_equivalence_fails_on_a_gap(monkeypatch):
     real = bench.exhaustive_opt
     monkeypatch.setattr(
@@ -303,7 +339,7 @@ def test_algebraic_bounds_fail_on_failed_rows(monkeypatch):
 
 
 def test_coin_vectors_fail_on_a_wrong_law(monkeypatch):
-    monkeypatch.setattr(bench, "_coin_law", lambda *args: ([], {}))
+    monkeypatch.setattr(bench, "_trace_law", lambda trace: {})
     assert bench.criterion_coin_vectors().line() == (
         "FAIL criterion 11 (coin-test-vectors): 2 of 2 checks failed"
     )

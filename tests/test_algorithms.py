@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import math
 import random
 from collections import Counter
@@ -49,7 +50,7 @@ from minla import (
     TreeAdversaryConfig,
 )
 from minla.algorithms import _check_full, _component_block, _det_problems
-from minla.bench import _FREQUENCY_TRACES, _coin_law, _ForcedCoin as ForcedCoin
+from minla.bench import _FREQUENCY_TRACES, _step_law, _trace_law, _words
 from minla.ordering import solve_block_orders
 
 
@@ -317,27 +318,31 @@ class TestRandCliqueStep:
     def _paired_state(self):
         return run("rand", self._PREFIX, seed=0)
 
+    def _law(self, event):
+        return _trace_law(make_trace(Model.CLIQUES, 5, [(3, 4), event]))
+
     def test_singleton_moves_to_pair(self):
         state = self._paired_state()
-        assert _step_costs(state, RevealEvent(0, 3), ForcedCoin([0])) == (2, 0)
+        assert _step_costs(state, RevealEvent(0, 3), _words([0])) == (2, 0)
         assert state.current == Permutation([1, 2, 0, 3, 4])
-        bounds, law = _coin_law(self._PREFIX, 0, RevealEvent(0, 3), [0], 0)
-        assert bounds == [3]
-        assert law[(1, 2, 0, 3, 4), 2] == Fraction(2, 3)
+        assert self._law((0, 3))[(1, 2, 0, 3, 4), 2] == Fraction(2, 3)
 
     def test_pair_moves_to_singleton(self):
         state = self._paired_state()
-        assert _step_costs(state, RevealEvent(0, 3), ForcedCoin([2])) == (4, 0)
+        assert _step_costs(state, RevealEvent(0, 3), _words([2])) == (4, 0)
         assert state.current == Permutation([0, 3, 4, 1, 2])
-        bounds, law = _coin_law(self._PREFIX, 0, RevealEvent(0, 3), [0], 0)
-        assert bounds == [3]
-        assert law[(0, 3, 4, 1, 2), 4] == Fraction(1, 3)
+        assert self._law((0, 3))[(0, 3, 4, 1, 2), 4] == Fraction(1, 3)
 
     def test_adjacent_blocks_cost_nothing(self):
         # Either block may move; both draws land on pi0 at no cost.
-        bounds, law = _coin_law(self._PREFIX, 0, RevealEvent(2, 3), [0], 0)
-        assert bounds == [3]
-        assert law == {((0, 1, 2, 3, 4), 0): 1}
+        assert self._law((2, 3)) == {((0, 1, 2, 3, 4), 0): 1}
+
+    def test_a_rejected_word_draws_again(self):
+        # The move coin's bound is 3 in a 2-bit word: word 3 is drawn again.
+        state = self._paired_state()
+        assert _step_costs(state, RevealEvent(0, 3), _words([3, 2])) == (4, 0)
+        with pytest.raises(StopIteration):
+            rand_step(self._paired_state(), RevealEvent(0, 3), _words([3]))
 
     def test_cost_equals_distance(self):
         rng = random.Random(13)
@@ -383,18 +388,17 @@ class TestRandLineStep:
 
     def test_orientation_weights_reproduced(self):
         state = self._figure_state()
-        assert _step_costs(state, RevealEvent(0, 2), ForcedCoin([0, 0])) == (0, 1)
+        assert _step_costs(state, RevealEvent(0, 2), _words([0, 0])) == (0, 1)
         assert state.current == Permutation([1, 0, 2, 3, 4])
-        bounds, law = _coin_law(self._PREFIX, 0, RevealEvent(0, 2), [0, 0], 1)
-        assert bounds == [5, 10]
-        assert law == {
+        trace = make_trace(Model.LINES, 5, [(0, 1), (2, 3), (3, 4), (0, 2)])
+        assert _trace_law(trace) == {
             ((1, 0, 2, 3, 4), 1): Fraction(9, 10),
             ((4, 3, 2, 0, 1), 9): Fraction(1, 10),
         }
 
     def test_orientation_reversed_branch(self):
         state = self._figure_state()
-        assert _step_costs(state, RevealEvent(0, 2), ForcedCoin([0, 9])) == (0, 9)
+        assert _step_costs(state, RevealEvent(0, 2), _words([0, 9])) == (0, 9)
         assert state.current == Permutation([4, 3, 2, 0, 1])
 
     def test_adjacent_singletons_keep_zero_cost_side(self):
@@ -403,32 +407,35 @@ class TestRandLineStep:
             result = run("rand", trace, seed=seed)
             assert result.total_cost == 0
             assert result.current == trace.pi0
-        empty = make_trace(Model.LINES, 2, [])
-        bounds, law = _coin_law(empty, 0, RevealEvent(0, 1), [0, 0], 1)
-        assert bounds == [2, 1]
-        assert law == {((0, 1), 0): 1}
+        assert _trace_law(trace) == {((0, 1), 0): 1}
 
     def test_candidate_costs_sum_to_span_pairs(self):
-        # With x moving (draw 0), the orientation coin weighs each filling
-        # by the other's cost: a filling that rearranges r of the span's
-        # node pairs has probability (pairs - r) / pairs.  The law sums to 1,
-        # so the two fillings' costs sum to the pairs.
+        # Given the move, the orientation coin weighs each filling by the
+        # other's cost: a filling that rearranges r of the span's node pairs
+        # has probability (pairs - r) / pairs, so the two fillings' costs
+        # sum to the pairs.  Every outcome pays its distance.
         rng = random.Random(15)
+        step_rows = minla.algorithms._step_rows
         for _ in range(40):
             trace = random_trace(Model.LINES, 8, seed=rng.random())
-            seed = rng.randrange(1000)
+            state = initial_state(Model.LINES, trace.pi0)
+            coins = random.Random(rng.randrange(1000))
             for k, ev in enumerate(trace.events):
-                prefix = dataclasses.replace(trace, events=trace.events[:k])
-                state = run("rand", prefix, seed=seed)
                 before = state.current
-                move, _ = _step_costs(state, ev, ForcedCoin([0, 0]))
-                merged = state.parts.size_of(state.parts.find(ev.u))
+                row = state.parts.merge(ev.u, ev.v)
+                root, merged = row[2], row[4] + row[5]
                 pairs = merged * (merged - 1) // 2
-                bounds, law = _coin_law(prefix, seed, ev, [0, 0], 1)
-                assert bounds[1] == pairs
-                for (node_at, cost), prob in law.items():
-                    assert prob == Fraction(pairs - (cost - move), pairs)
-                    assert cost == kendall_tau(before, Permutation(node_at))
+                law, moves = Counter(), Counter()
+                for after, p in _step_law(state, row, k):
+                    rearrange = after.rearrange_cost - state.rearrange_cost
+                    assert after.total_cost - state.total_cost == kendall_tau(
+                        before, after.current
+                    )
+                    law[after.slot[root], after.left_end[root], rearrange] += p
+                    moves[after.slot[root]] += p
+                for (slot, _, rearrange), p in law.items():
+                    assert p == moves[slot] * Fraction(pairs - rearrange, pairs)
+                step_rows(state, (row,), coins, k)
 
 
 class TestRun:
@@ -563,31 +570,32 @@ class TestWindowedKernel:
             assert (_totals(result), result.current) == (totals, perms[-1])
 
     def test_coin_laws_match_reference(self):
-        # Every coin of every step, the step's other coin drawing 0: the law
-        # read off the engine's outcome for each draw equals the reference's
-        # coin triple, weighing the reference's outcome of each choice.
+        # Every step's joint law of (permutation, step cost), stepped from
+        # the seeded trial's state, equals the reference's: one scripted
+        # run per choice of each coin (the draw 0 for its first outcome,
+        # the bound less one for its second), weighted by its coin triples.
+        step_rows = minla.algorithms._step_rows
         for i, trace in enumerate(_small_traces()):
             seed = 3000 + i
             _, coins, _, _ = reference_rand(trace, seed)
-            draws = 2 if trace.model is Model.LINES else 1
+            state = initial_state(trace.model, trace.pi0)
+            rng = random.Random(seed)
             for k, (ev, step_coins) in enumerate(zip(trace.events, coins)):
-                prefix = dataclasses.replace(trace, events=trace.events[:k])
                 triples = [t for t in step_coins if t is not None]
-                for coin, (first, second, bound) in enumerate(triples):
-                    scripted = [0] * draws
-                    expected = Counter()
-                    for value, weight in ((0, first), (bound - 1, second)):
-                        scripted[coin] = value
-                        forced = {k * draws + j: d for j, d in enumerate(scripted)}
-                        costs, _, _, perms = reference_rand(
-                            trace, ScriptedRandom(seed, forced)
-                        )
-                        expected[perms[k + 1].node_at, sum(costs[k])] += Fraction(
-                            weight, bound
-                        )
-                    bounds, law = _coin_law(prefix, seed, ev, [0] * draws, coin)
-                    assert bounds == [t[2] for t in triples]
-                    assert law == {out: p for out, p in expected.items() if p}
+                expected = Counter()
+                for choice in itertools.product((0, 1), repeat=len(triples)):
+                    forced = {k * len(triples) + j: c * (t[2] - 1)
+                              for j, (c, t) in enumerate(zip(choice, triples))}
+                    costs, _, _, perms = reference_rand(trace, ScriptedRandom(seed, forced))
+                    weight = math.prod(Fraction(t[c], t[2]) for c, t in zip(choice, triples))
+                    if weight:
+                        expected[perms[k + 1].node_at, sum(costs[k])] += weight
+                row = state.parts.merge(ev.u, ev.v)
+                law = Counter()
+                for after, p in _step_law(state, row, k):
+                    law[after.current.node_at, after.total_cost - state.total_cost] += p
+                assert law == expected
+                step_rows(state, (row,), rng, k)
 
     def test_feasible_after_every_step(self):
         for i, trace in enumerate(_kernel_traces()[::3]):
@@ -878,9 +886,9 @@ class TestMirroring:
     cost: an arrangement is feasible exactly when its reverse is, and lies
     as far from pi0 as its reverse from the mirrored pi0.  Nor does it move
     ``rand``'s law: a clique trial under the same seed keeps its costs and
-    lays out reversed, and a line trial, whose orientation coin reads which
-    block is left, keeps its mean cost.  ``det`` is exempt: its ties read
-    positions."""
+    lays out reversed, and the exact law of the layout and cost, of either
+    model, is reversed too, though a line's orientation coin reads which
+    block is left.  ``det`` is exempt: its ties read positions."""
 
     SEEDS = [0, 1, 2**64 - 1] + [derive_trial_seed(6, i) for i in range(5)]
 
@@ -905,19 +913,18 @@ class TestMirroring:
             assert _totals(twin) == _totals(state)
             assert twin.current.node_at == state.current.node_at[::-1]
 
-    @pytest.mark.parametrize("index", [5, 6])
-    def test_mirrored_line_trials_keep_their_mean_cost(self, index):
-        # Paired over one seed list on criteria 5-6's shapes, each trace's
-        # cost difference must average zero within 4 sigma.
-        seeds = [derive_trial_seed(index, i) for i in range(5_000)]
-        for slot, (n, k) in enumerate(_FREQUENCY_TRACES):
-            trace = random_trace(Model.LINES, n, seed=500 + index * 10 + slot, events=k)
-            diffs = [state.total_cost - twin.total_cost for state, twin in
-                     zip(run_trials(trace, seeds), run_trials(mirror(trace), seeds))]
-            mean = sum(diffs) / len(diffs)
-            var = sum((d - mean) ** 2 for d in diffs) / (len(diffs) - 1)
-            z = mean / math.sqrt(var / len(diffs)) if var else (math.inf if mean else 0.0)
-            assert abs(z) <= 4.0, (n, k, z)
+    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
+    def test_mirrored_laws_reverse(self, model):
+        # Criteria 5-6's ten trace shapes: rand's exact law of (layout,
+        # total cost) on the mirrored trace is the original's, each layout
+        # reversed.
+        for index, slot in itertools.product((5, 6), range(len(_FREQUENCY_TRACES))):
+            n, k = _FREQUENCY_TRACES[slot]
+            trace = random_trace(model, n, seed=500 + index * 10 + slot, events=k)
+            twin = _trace_law(mirror(trace))
+            assert {(node_at[::-1], cost): p for (node_at, cost), p in twin.items()} == (
+                _trace_law(trace)
+            )
 
 
 class TestRelabeling:

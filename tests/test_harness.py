@@ -76,6 +76,11 @@ class TestSeedDerivation:
         outs = {derive_trial_seed(s, 0) for s in range(1000)}
         assert len(outs) == 1000
 
+    @pytest.mark.parametrize("trial", [-1, -(2**64)])
+    def test_negative_trial_index_rejected(self, trial):
+        with pytest.raises(ValueError, match="trial_index must be >= 0, got -"):
+            derive_trial_seed(1, trial)
+
 
 class TestRatioFormatting:
     def test_na_for_zero_opt(self):

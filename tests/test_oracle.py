@@ -618,6 +618,30 @@ class TestIdentityChecks:
                 check_identity_lemmas(a, [[0.5] * len(a[0])] * len(a))
 
 
+    @pytest.mark.parametrize("a", [[[-1.0, 5.0]], [[0.0, -1e-300]], [[1.0], [-2.0]]])
+    def test_rejects_negative_a(self, a):
+        # The inequality is stated for nonnegative a only: [-1, 5] read as
+        # an equality that holds and a product bound that fails.
+        with pytest.raises(ValueError, match=r"a entries must be finite and lie in \[0, "):
+            check_identity_lemmas(a, [[0.5] * len(a[0])] * len(a))
+
+    @pytest.mark.parametrize("a", [[[1e300, 1e300]], [[1e150, 1e150]], [[2e149] * 6]])
+    def test_rejects_row_sums_past_1e150(self, a):
+        # Past it the products overflow: [1e300, 1e300] read as holding,
+        # with numpy overflow warnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"lie in \[0, 1e150 / N\]"):
+                check_identity_lemmas(a, [[0.5] * len(a[0])] * len(a))
+
+    def test_row_sums_up_to_1e150_are_checked_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _identity([1e150], [0.25]) == (True, True)
+            assert _identity([5e149, 5e149], [0.5, 0.5]) == (True, True)
+            check_identity_lemmas([[1e150 / 12] * 12], [[0.5] * 12])
+
+
 class TestBoundForTrace:
     def test_zero_opt(self):
         trace = make_trace(Model.CLIQUES, 4, [(0, 1)])
