@@ -80,24 +80,23 @@ class MiddleLineAdversary:
     n: int
     x: int = field(init=False)
     sides: list[str] = field(init=False, default_factory=list)
-    _emitted: int = field(init=False, default=0)
-    _left_end: int = field(init=False, default=0)
-    _right_end: int = field(init=False, default=0)
+    _left_end: int = field(init=False)
+    _right_end: int = field(init=False)
 
     def __post_init__(self):
         if self.n < 5 or self.n % 2 == 0:
             raise ConfigError(f"need an odd n >= 5, got {self.n}")
-        self.x = self.n // 2
+        self.x = self._left_end = self._right_end = self.n // 2
 
     def next_event(self, current: Permutation) -> RevealEvent | None:
         """The next request given the opposing algorithm's permutation, or
-        None once only the middle node remains unconnected."""
-        if self._emitted == self.n - 2:
+        None once only the middle node remains unconnected.  The grown
+        component's two ends start at x and end n - 1 apart."""
+        if self._right_end - self._left_end == self.n - 1:
             return None
-        if self._emitted == 0:
+        if self._left_end == self._right_end:
             ev = RevealEvent(self.x - 1, self.x + 1)
-            self._left_end = self.x - 1
-            self._right_end = self.x + 1
+            self._left_end, self._right_end = self.x - 1, self.x + 1
         else:
             side = self._observe_side(current)
             self.sides.append(side)
@@ -113,7 +112,6 @@ class MiddleLineAdversary:
                     raise ProtocolError("right side exhausted before the duel ended")
                 ev = RevealEvent(nxt, self._right_end)
                 self._right_end = nxt
-        self._emitted += 1
         return ev
 
     def _observe_side(self, current: Permutation) -> str:

@@ -14,9 +14,12 @@ below the denominator, so no floating point enters the randomness.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InstanceMismatchError, InvariantError
@@ -296,6 +299,68 @@ def run_trials(trace: RevealTrace, seeds: Iterable[int]) -> Iterator[AlgoState]:
         _step_rows(state, rows, rng, 0)
         _check_full(state)
         yield state
+
+
+def _words(script: Iterable[int]) -> SimpleNamespace:
+    """A word source: ``getrandbits(k)`` appends ``k`` to its ``widths`` and
+    returns the next word of ``script``, raising StopIteration past its end."""
+    script, widths = iter(script), []
+
+    def getrandbits(k: int) -> int:
+        widths.append(k)
+        return next(script)
+
+    return SimpleNamespace(getrandbits=getrandbits, widths=widths)
+
+
+def _step_law(state: AlgoState, row: tuple, index: int) -> list[tuple[AlgoState, Fraction]]:
+    """Every outcome of one ``_step_rows`` step of ``row`` (event ``index``)
+    from ``state``, which stays as it is, each with its probability.
+
+    All-zero words, which every draw accepts, give each draw's width from
+    the engine's ``getrandbits`` calls.  Each tuple of one word per draw
+    steps a copy; one the step reads past holds a rejected word and is
+    dropped.  No draw's bound reads another's word, so every accepted tuple
+    weighs one over their number."""
+
+    def step(source: SimpleNamespace) -> AlgoState:
+        after = replace(state, slot=state.slot[:], slot_sizes=state.slot_sizes[:],
+                        left_end=state.left_end and state.left_end[:],
+                        blocks=state.blocks and state.blocks[:])
+        _step_rows(after, (row,), source, index)
+        return after
+
+    zeros = _words(itertools.repeat(0))
+    step(zeros)
+    outcomes = []
+    for script in itertools.product(*(range(1 << k) for k in zeros.widths)):
+        try:
+            outcomes.append(step(_words(script)))
+        except StopIteration:  # the step rejected a word
+            pass
+    return [(after, Fraction(1, len(outcomes))) for after in outcomes]
+
+
+def _trace_law(trace: RevealTrace) -> dict[tuple[tuple[int, ...], int], Fraction]:
+    """The exact law of ``rand``'s final (layout, total cost) on ``trace``:
+    :func:`_step_law` folded over the replay rows from the initial state,
+    equal states (slots, slot sizes, left ends or blocks, costs) merged
+    after every step."""
+    law = {None: [AlgoState.initial(trace.pi0, trace.replay.final), Fraction(1)]}
+    for index, row in enumerate(trace.replay.rows):
+        stepped: dict = {}
+        for state, p in law.values():
+            for after, q in _step_law(state, row, index):
+                key = (tuple(after.slot), tuple(after.slot_sizes),
+                       tuple(after.left_end or after.blocks),
+                       after.move_cost, after.rearrange_cost)
+                stepped.setdefault(key, [after, 0])[1] += p * q
+        law = stepped
+    final: dict[tuple[tuple[int, ...], int], Fraction] = {}
+    for state, p in law.values():
+        key = (tuple(_layout(state)), state.total_cost)
+        final[key] = final.get(key, 0) + p
+    return final
 
 
 def run(algo: str, trace: RevealTrace, seed: int = 0) -> AlgoState:

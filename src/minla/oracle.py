@@ -359,7 +359,7 @@ def check_harmonic_bounds(batch: Sequence[Sequence[int]]) -> tuple[np.ndarray, .
 
 
 _IDENTITY_MAX_N = 12
-# Both checks hold within this absolute tolerance; read at every call.
+# Both checks hold within this tolerance times max(1, rhs); read at every call.
 _IDENTITY_TOL = 1e-9
 
 
@@ -381,8 +381,9 @@ def check_identity_lemmas(a: Sequence, b: Sequence) -> tuple[np.ndarray, np.ndar
 
     ``a`` and ``b`` are (m, N) batches, ``a`` in [0, 1e150 / N] (row sums
     at most 1e150) and ``b`` in [0, 1], else :class:`ValueError`.  Returns
-    two bool arrays of length m, each check within ``_IDENTITY_TOL``; every
-    row's floats equal, bit for bit, those of the row-product reference.
+    two bool arrays of length m, each check within ``_IDENTITY_TOL`` times
+    max(1, rhs), its nonnegative right side; every row's floats equal, bit
+    for bit, those of the row-product reference.
     """
     import numpy as np
 
@@ -396,7 +397,8 @@ def check_identity_lemmas(a: Sequence, b: Sequence) -> tuple[np.ndarray, np.ndar
     if not ((av >= 0.0) & (av <= 1e150 / av.shape[1])).all():
         raise ValueError("a entries must be finite and lie in [0, 1e150 / N]")
     lhs_eq, rhs_eq, lhs_le, rhs_le = _identity_sides(av, bv)
-    return np.abs(lhs_eq - rhs_eq) <= _IDENTITY_TOL, lhs_le <= rhs_le + _IDENTITY_TOL
+    return (np.abs(lhs_eq - rhs_eq) <= _IDENTITY_TOL * np.maximum(1.0, rhs_eq),
+            lhs_le <= rhs_le + _IDENTITY_TOL * np.maximum(1.0, rhs_le))
 
 
 def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -428,6 +430,9 @@ def _identity_sides(av: np.ndarray, bv: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def bound_for_trace(t: RevealTrace, opt: OptResult) -> float:
     """The harmonic cost bound for the trace: 4·H_n·OPT for cliques and
-    8·H_n·OPT for lines, with OPT = ``opt.cost``."""
+    8·H_n·OPT for lines, with OPT = ``opt.cost``, ``t``'s own (else
+    :class:`InstanceMismatchError`)."""
+    if len(opt.witness) != t.n:
+        raise InstanceMismatchError(f"optimum of {len(opt.witness)} nodes, trace of {t.n}")
     factor = 4 if t.model is Model.CLIQUES else 8
     return float(factor * harmonic_number(t.n) * opt.cost)

@@ -32,7 +32,7 @@ class Permutation:
         n = len(node_at)
         pos = [-1] * n
         for i, v in enumerate(node_at):
-            if not isinstance(v, int) or not 0 <= v < n or pos[v] != -1:
+            if type(v) is not int or not 0 <= v < n or pos[v] != -1:
                 raise ValueError(f"not a permutation of 0..{n - 1}: {node_at!r}")
             pos[v] = i
         self.node_at = node_at
@@ -48,8 +48,8 @@ class Permutation:
         return cls(map(int, text.split()))
 
     def to_text(self) -> str:
-        """Space-separated node ids in position order, each written by
-        ``%d``, so that a ``bool`` id reads back as the int it equals."""
+        """Space-separated node ids in position order, written by one ``%``
+        format, which is faster than ``map(str, ...)``."""
         return " ".join(["%d"] * len(self.node_at)) % self.node_at
 
     def __len__(self) -> int:

@@ -733,8 +733,8 @@ def reference_harmonic_rows(trials, rng):
 def reference_identity_rows(trials, rng):
     """The ``verify identities`` sweep as literal ``randint`` and ``uniform``
     draws, one :func:`reference_identity_floats` per instance, compared with
-    the library's tolerance of 1e-9.  Returns the report rows and the drawn
-    (a, b) instances."""
+    the library's tolerance of 1e-9 times max(1, rhs).  Returns the report
+    rows and the drawn (a, b) instances."""
     failures = [0, 0]
     drawn = []
     for _ in range(trials):
@@ -743,8 +743,8 @@ def reference_identity_rows(trials, rng):
         b = [rng.uniform(0.0, 1.0) for _ in range(n)]
         drawn.append((a, b))
         lhs_eq, rhs_eq, lhs_le, rhs_le = reference_identity_floats(a, b)
-        failures[0] += not abs(lhs_eq - rhs_eq) <= 1e-9
-        failures[1] += not lhs_le <= rhs_le + 1e-9
+        failures[0] += not abs(lhs_eq - rhs_eq) <= 1e-9 * max(1.0, rhs_eq)
+        failures[1] += not lhs_le <= rhs_le + 1e-9 * max(1.0, rhs_le)
     names = ("choice-weighted equality", "choice-weighted product bound")
     return _sweep_rows(names, failures, f"{trials} instances", trials), drawn
 

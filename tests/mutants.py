@@ -287,6 +287,12 @@ MUTANTS: tuple[Mutant, ...] = (
         "j = bisect_right(seen, x)", "j = __import__('bisect').bisect_left(seen, x)",
         ("tests/test_perm.py::test_count_inversions_matches_quadratic",),
     ),
+    # Entries are plain ints: bools and numpy ints are refused.
+    Mutant(
+        "permutation-takes-int-subclasses", "src/minla/perm.py",
+        "type(v) is not int", "not isinstance(v, int)",
+        ("tests/test_perm.py::TestPermutation::test_refusal_names_the_input[bool]",),
+    ),
     # Checks that once passed with their bound disabled.
     # The frequency counts, one per tracked pair or path, in tracked order.
     Mutant(
@@ -322,7 +328,7 @@ MUTANTS: tuple[Mutant, ...] = (
     # The coin walker weighs each accepted word tuple by one over their
     # number, not by the words of the drawn widths.
     Mutant(
-        "walker-weighs-by-word-width", "src/minla/bench.py",
+        "walker-weighs-by-word-width", _ENGINE,
         "Fraction(1, len(outcomes))", "Fraction(1, 1 << sum(zeros.widths))",
         ("tests/test_acceptance.py::test_criterion_11_coin_vectors",),
     ),
@@ -382,6 +388,12 @@ MUTANTS: tuple[Mutant, ...] = (
         "harmonic_number(t.n) * opt.cost)", "harmonic_number(t.n) * (opt.cost + 1))",
         ("tests/test_oracle.py::TestBoundForTrace::test_factor_times_h_n_times_opt",),
     ),
+    # The bound reads only the trace's own optimum.
+    Mutant(
+        "bound-takes-any-optimum", "src/minla/oracle.py",
+        "if len(opt.witness) != t.n:", "if False:",
+        ("tests/test_oracle.py::TestBoundForTrace::test_refuses_another_traces_optimum",),
+    ),
     # The closed forms the frequency checks compare against, and the trace
     # a check runs on when none is given.
     # Node ids outside 0..n-1 would read another node's position.
@@ -437,6 +449,12 @@ MUTANTS: tuple[Mutant, ...] = (
         "np.abs(lhs_eq - rhs_eq) <= _IDENTITY_TOL",
         "np.abs(lhs_eq - rhs_eq) < _IDENTITY_TOL",
         ("tests/test_oracle.py::TestIdentityChecks::test_exact_instances_hold_at_zero_tolerance",),
+    ),
+    # The tolerance scales with the right side, as rounding grows with it.
+    Mutant(
+        "identity-tolerance-unscaled", "src/minla/oracle.py",
+        "_IDENTITY_TOL * np.maximum(1.0, rhs_eq)", "_IDENTITY_TOL",
+        ("tests/test_oracle.py::TestIdentityChecks::test_tolerance_scales_with_the_sides",),
     ),
     Mutant(
         "sweep-draw-accepts-bound", "src/minla/harness.py",

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 from minla import bench, harness
 from minla.adversaries import random_trace
+from minla.algorithms import _trace_law
 from minla.harness import ExperimentConfig, VerifyRow, run_experiment
 from minla.oracle import left_right_probability, orientation_probability
 from minla.trace import Model
@@ -277,7 +278,7 @@ def test_frequency_traces_hold_their_closed_forms_exactly():
         for slot, (n, k) in enumerate(bench._FREQUENCY_TRACES):
             model = harness._FREQUENCY_LEMMAS[kind][0]
             trace = random_trace(model, n, seed=500 + index * 10 + slot, events=k)
-            law = bench._trace_law(trace)
+            law = _trace_law(trace)
             final, pi0 = trace.replay.final, trace.pi0
             roots = final.components()
 

@@ -49,8 +49,10 @@ from minla import (
     tree_adversary,
     TreeAdversaryConfig,
 )
-from minla.algorithms import _check_full, _component_block, _det_problems
-from minla.bench import _FREQUENCY_TRACES, _step_law, _trace_law, _words
+from minla.algorithms import (
+    _check_full, _component_block, _det_problems, _step_law, _trace_law, _words,
+)
+from minla.bench import _FREQUENCY_TRACES
 from minla.ordering import solve_block_orders
 
 

@@ -641,6 +641,21 @@ class TestIdentityChecks:
             assert _identity([5e149, 5e149], [0.5, 0.5]) == (True, True)
             check_identity_lemmas([[1e150 / 12] * 12], [[0.5] * 12])
 
+    def test_tolerance_scales_with_the_sides(self):
+        # The sides' rounding grows with a: at an absolute 1e-9, 9 of these
+        # rows fail the equality with a in [0, 1e6) and 132 with a in
+        # [0, 1e7), though both sides are equal in exact arithmetic.
+        rng = np.random.default_rng(0)
+        b = rng.random((200, 12))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for top, absolute_fails in ((1e6, 9), (1e7, 132)):
+                a = rng.uniform(0.0, top, (200, 12))
+                lhs_eq, rhs_eq, _, _ = _identity_sides(a, b)
+                assert int((np.abs(lhs_eq - rhs_eq) > 1e-9).sum()) == absolute_fails
+                assert all(ok.all() for ok in check_identity_lemmas(a, b))
+            assert _identity([1e150 / 12] * 12, [0.5] * 12) == (True, True)
+
 
 class TestBoundForTrace:
     def test_zero_opt(self):
@@ -677,6 +692,13 @@ class TestBoundForTrace:
             cost=1, witness=Permutation([1, 0] + list(range(2, 12)))
         )
         assert bound_for_trace(wide, near_wide) > bound_for_trace(trace, near)
+
+    def test_refuses_another_traces_optimum(self):
+        # Unchecked, a 6-node line trace read a 9-node optimum as 294.0.
+        small = make_trace(Model.LINES, 6, [(0, 1)])
+        opt = dp_opt(random_trace(Model.LINES, 9, seed=2))
+        with pytest.raises(InstanceMismatchError, match="^optimum of 9 nodes, trace of 6$"):
+            bound_for_trace(small, opt)
 
 
 def partition(n, model, groups):

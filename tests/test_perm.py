@@ -29,8 +29,8 @@ class TestPermutation:
 
     @pytest.mark.parametrize(
         "node_at",
-        [(0, -1), (0, 2), (1, 1), (0, 1.0), (0, "1"), (0, np.int64(1))],
-        ids=["negative", "too-large", "duplicate", "float", "str", "numpy-int"],
+        [(0, -1), (0, 2), (1, 1), (0, 1.0), (0, "1"), (0, np.int64(1)), (True, False)],
+        ids=["negative", "too-large", "duplicate", "float", "str", "numpy-int", "bool"],
     )
     def test_refusal_names_the_input(self, node_at):
         with pytest.raises(ValueError) as err:

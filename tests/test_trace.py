@@ -315,9 +315,12 @@ class TestTraceProperties:
         assert err.value.line == no
 
     def test_bool_ids_round_trip(self):
-        # bool is an int subclass, so a trace may hold True and False ids;
-        # they are written as the ints they equal.
-        trace = RevealTrace(Model.LINES, 3, Permutation([False, True, 2]),
+        # bool is an int subclass, so an event may hold True and False ids;
+        # they are written as the ints they equal.  A permutation refuses
+        # them, as it refuses every entry that is not a plain int.
+        with pytest.raises(ValueError, match=r"^not a permutation of 0\.\.2: \(False, True, 2\)$"):
+            Permutation([False, True, 2])
+        trace = RevealTrace(Model.LINES, 3, Permutation([0, 1, 2]),
                             (RevealEvent(True, 0),))
         text = emit_trace(trace)
         assert text == "minla-trace v1\nmodel: lines\nn: 3\npi0: 0 1 2\nevent: 1 0\n"
