@@ -30,6 +30,10 @@ __all__ = [
     "random_trace",
 ]
 
+# The most nodes a generator builds, checked before it allocates anything:
+# a tree trace at this size takes seconds and about 200 MB.
+NODE_BOUND = 1 << 18
+
 
 @dataclass(frozen=True)
 class TreeAdversaryConfig:
@@ -50,6 +54,8 @@ def tree_adversary(cfg: TreeAdversaryConfig) -> RevealTrace:
     """
     if cfg.q < 1:
         raise ConfigError(f"tree depth must be at least 1, got {cfg.q}")
+    if cfg.q >= NODE_BOUND.bit_length():  # before 1 << q is built
+        raise ConfigError(f"n = 2^q must be at most {NODE_BOUND}, got q = {cfg.q}")
     n = 1 << cfg.q
     rng = random.Random(cfg.seed)
     leaves = list(range(n))
@@ -86,6 +92,8 @@ class MiddleLineAdversary:
     def __post_init__(self):
         if self.n < 5 or self.n % 2 == 0:
             raise ConfigError(f"need an odd n >= 5, got {self.n}")
+        if self.n > NODE_BOUND:
+            raise ConfigError(f"n must be at most {NODE_BOUND}, got {self.n}")
         self.x = self._left_end = self._right_end = self.n // 2
 
     def next_event(self, current: Permutation) -> RevealEvent | None:
@@ -138,6 +146,8 @@ def random_trace(
     """
     if n < 1:
         raise ConfigError(f"n must be positive, got {n}")
+    if n > NODE_BOUND:
+        raise ConfigError(f"n must be at most {NODE_BOUND}, got {n}")
     k = n - 1 if events is None else events
     if not 0 <= k <= n - 1:
         raise ConfigError(f"events must be in 0..{n - 1}, got {k}")

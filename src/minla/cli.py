@@ -36,23 +36,30 @@ EXIT_INTERNAL = 5
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # Built once per process: parsing leaves no state on the parser.
+def _build_parser():
+    # The full parser and each command's own parser by name, which carries the
+    # command's handler.  Built once per process: parsing leaves no state.
     parser = argparse.ArgumentParser(
         prog="minla",
         description="Online minimum linear arrangement: simulate, verify, bound.",
     )
     parser.add_argument("--version", action="version", version=f"minla {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    gen = sub.add_parser("gen", help="generate a trace")
+    def command(name, handler, help):
+        commands[name] = cmd = sub.add_parser(name, help=help)
+        cmd.set_defaults(handler=handler)
+        return cmd
+
+    gen = command("gen", _cmd_gen, "generate a trace")
     gen.add_argument("--kind", choices=("random", "tree"), required=True)
     gen.add_argument("--model", choices=("lines", "cliques"), required=True)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", type=Path)
 
-    sim = sub.add_parser("simulate", help="run an algorithm over a trace")
+    sim = command("simulate", _cmd_simulate, "run an algorithm over a trace")
     sim.add_argument("--algo", choices=("det", "rand"), required=True)
     sim.add_argument("--trace", type=Path, required=True)
     sim.add_argument("--seed", type=int, required=True)
@@ -60,11 +67,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--format", choices=("csv", "json"), default="csv")
     sim.add_argument("--out", type=Path)
 
-    opt = sub.add_parser("opt", help="exact offline optimum of a trace")
+    opt = command("opt", _cmd_opt, "exact offline optimum of a trace")
     opt.add_argument("--trace", type=Path, required=True)
     opt.add_argument("--exhaustive", action="store_true")
 
-    ver = sub.add_parser("verify", help="check a closed-form guarantee")
+    ver = command("verify", _cmd_verify, "check a closed-form guarantee")
     ver.add_argument(
         "--lemma",
         choices=("left-right", "orientation", "harmonic", "identities"),
@@ -74,15 +81,15 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, required=True)
     ver.add_argument("--trace", type=Path)
 
-    du = sub.add_parser("duel", help="adaptive adversary against det")
+    du = command("duel", _cmd_duel, "adaptive adversary against det")
     du.add_argument("--n", type=int, required=True)
     du.add_argument("--dump-trace", type=Path)
 
-    be = sub.add_parser("bench", help="run the acceptance experiment suite")
+    be = command("bench", _cmd_bench, "run the acceptance experiment suite")
     be.add_argument("--suite", choices=("paper",), required=True)
     be.add_argument("--out", type=Path, required=True)
 
-    return parser
+    return parser, commands
 
 
 def _write_or_print(text: str, out: Path | None) -> None:
@@ -158,20 +165,19 @@ def _cmd_bench(args) -> int:
     return EXIT_OK if all(res.passed for res in results) else EXIT_VERIFY
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "simulate": _cmd_simulate,
-    "opt": _cmd_opt,
-    "verify": _cmd_verify,
-    "duel": _cmd_duel,
-    "bench": _cmd_bench,
-}
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # A command named first is parsed by its own parser alone; anything else,
+    # or arguments that parser leaves over, takes the full parse, whose help,
+    # usage and errors are the CLI's.
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+    if command is None or rest:
+        args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

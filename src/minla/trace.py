@@ -40,13 +40,16 @@ class Model(str, enum.Enum):
 
 @dataclass(frozen=True, slots=True, init=False)
 class RevealEvent:
-    """One revealed merge of the components holding u and v.  Built by two
-    slot writes past the frozen ``__setattr__``; ``==`` and hash are generated."""
+    """One revealed merge of the components holding u and v, two plain ints.
+    Built by two slot writes past the frozen ``__setattr__``; ``==`` and hash
+    are generated."""
 
     u: int
     v: int
 
     def __init__(self, u: int, v: int):
+        if type(u) is not int or type(v) is not int:
+            raise TypeError(f"event ids must be ints, got {u!r} and {v!r}")
         _set_u(self, u)
         _set_v(self, v)
 

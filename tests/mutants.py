@@ -293,6 +293,42 @@ MUTANTS: tuple[Mutant, ...] = (
         "type(v) is not int", "not isinstance(v, int)",
         ("tests/test_perm.py::TestPermutation::test_refusal_names_the_input[bool]",),
     ),
+    # So are event ids.
+    Mutant(
+        "event-ids-take-int-subclasses", _REPLAY,
+        "if type(u) is not int or type(v) is not int:",
+        "if not isinstance(u, int) or not isinstance(v, int):",
+        (
+            "tests/test_trace.py::TestRevealEvent::test_ids_must_be_plain_ints",
+            "tests/test_trace.py::TestTraceProperties::test_bool_ids_are_refused",
+        ),
+    ),
+    # Each generator checks the node bound before it builds anything.
+    Mutant(
+        "random-trace-past-node-bound", "src/minla/adversaries.py",
+        "if n > NODE_BOUND:", "if n > 2 * NODE_BOUND:",
+        ("tests/test_adversaries.py::TestNodeBound::test_refused_before_allocation",),
+    ),
+    Mutant(
+        "tree-depth-past-node-bound", "src/minla/adversaries.py",
+        "cfg.q >= NODE_BOUND.bit_length()", "cfg.q > NODE_BOUND.bit_length()",
+        ("tests/test_adversaries.py::TestNodeBound::test_refused_before_allocation",),
+    ),
+    Mutant(
+        "middle-line-past-node-bound", "src/minla/adversaries.py",
+        "if self.n > NODE_BOUND:", "if self.n > 2 * NODE_BOUND:",
+        ("tests/test_adversaries.py::TestNodeBound::test_refused_before_allocation",),
+    ),
+    # main falls back to the full parse when the command's parser leaves
+    # arguments over, so they are refused as before.
+    Mutant(
+        "cli-ignores-leftover-arguments", "src/minla/cli.py",
+        "if command is None or rest:", "if command is None:",
+        (
+            "tests/test_cli.py::TestDispatch::test_matches_the_full_parse",
+            "tests/test_cli.py::TestDispatch::test_a_well_formed_command_is_parsed_once",
+        ),
+    ),
     # Checks that once passed with their bound disabled.
     # The frequency counts, one per tracked pair or path, in tracked order.
     Mutant(

@@ -1,7 +1,10 @@
 import random
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
+import minla.adversaries
 from conftest import replay_components
 from minla import (
     ConfigError,
@@ -18,6 +21,7 @@ from minla import (
     tree_adversary,
     validate_trace,
 )
+from minla.adversaries import NODE_BOUND
 
 
 class TestTreeAdversary:
@@ -174,3 +178,41 @@ class TestRandomTrace:
     def test_rejects_bad_event_count(self):
         with pytest.raises(ConfigError):
             random_trace(Model.LINES, 4, seed=1, events=4)
+
+
+class TestNodeBound:
+    """Each generator checks its size against ``NODE_BOUND`` before it builds
+    anything: past the bound it raises at once, at the bound it starts."""
+
+    @pytest.fixture(autouse=True)
+    def no_building(self, monkeypatch):
+        # The random generators' first step is their seeded draw.
+        def built(seed):
+            raise AssertionError("the generator started building")
+
+        monkeypatch.setattr(minla.adversaries, "random", SimpleNamespace(Random=built))
+
+    @pytest.mark.parametrize("past", [NODE_BOUND + 1, 1 << 62], ids=["bound+1", "2^62"])
+    @pytest.mark.parametrize("build", [
+        lambda n: random_trace(Model.LINES, n, seed=0),
+        lambda n: tree_adversary(TreeAdversaryConfig(q=(n - 1).bit_length(), seed=0)),
+        lambda n: MiddleLineAdversary(n | 1),
+    ], ids=["random", "tree", "middle-line"])
+    def test_refused_before_allocation(self, build, past):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"must be at most {NODE_BOUND}, got"):
+                build(past)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_the_bound_itself_is_accepted(self):
+        for start in (
+            lambda: random_trace(Model.CLIQUES, NODE_BOUND, seed=0),
+            lambda: tree_adversary(TreeAdversaryConfig(q=NODE_BOUND.bit_length() - 1, seed=0)),
+        ):
+            with pytest.raises(AssertionError, match="started building"):
+                start()
+        assert MiddleLineAdversary(NODE_BOUND - 1).x == NODE_BOUND // 2 - 1

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import io
@@ -62,6 +63,17 @@ class TestGen:
         )
         assert (code, out) == (2, "")
         assert err == f"error: tree traces need n to be a power of two of at least 2, got {n}\n"
+
+    @pytest.mark.parametrize("kind, message", [
+        ("random", "n must be at most 262144, got 1099511627776"),
+        ("tree", "n = 2^q must be at most 262144, got q = 40"),
+    ])
+    def test_past_the_node_bound_exits_2_at_once(self, capsys, kind, message):
+        code, out, err = run_cli(
+            capsys, "gen", "--kind", kind, "--model", "lines", "--n", str(1 << 40),
+            "--seed", "4",
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_tree_requires_lines(self, capsys):
         code, _, err = run_cli(
@@ -368,6 +380,85 @@ class TestParserBuiltOnce:
             assert (code, out, err, out_file.read_text()) == want, argv
 
 
+_SIM = ("simulate", "--algo", "rand", "--trace", "{trace}", "--seed", "3", "--trials", "4")
+_HARMONIC = ("verify", "--lemma", "harmonic", "--trials", "1000", "--seed", "2")
+# Argument lines on which main's per-command parse must match the full parse.
+_DISPATCH = {
+    "help": ("--help",),
+    "version": ("--version",),
+    "empty": (),
+    "unknown-command": ("frobnicate", "--n", "5"),
+    "abbreviated-command": ("sim",) + _SIM[1:],
+    "separator-first": ("--",) + _SIM,
+    **{f"{cmd}-help": (cmd, "--help") for cmd in ("gen", "simulate", "opt", "verify", "duel", "bench")},
+    "gen": ("gen", "--kind", "tree", "--model", "lines", "--n", "8", "--seed", "4"),
+    "gen-random": ("gen", "--kind", "random", "--model", "cliques", "--n", "9", "--seed", "1"),
+    "simulate": _SIM,
+    "simulate-json": _SIM + ("--format", "json"),
+    "opt": ("opt", "--trace", "{trace}"),
+    "opt-exhaustive": ("opt", "--trace", "{trace}", "--exhaustive"),
+    "verify": _HARMONIC,
+    "verify-too-few-trials": ("verify", "--lemma", "harmonic", "--trials", "100", "--seed", "2"),
+    "duel": ("duel", "--n", "7"),
+    "duel-even-n": ("duel", "--n", "8"),
+    "unknown-option": _SIM + ("--bogus",),
+    "unknown-option-value": ("duel", "--n", "7", "--bogus=1"),
+    "extra-positional": _HARMONIC + ("extra",),
+    "version-after-command": ("duel", "--n", "7", "--version"),
+    "abbreviated-version-after-command": _SIM + ("--vers",),
+    "separator-after-command": ("duel", "--n", "7", "--", "x"),
+    "missing-required": ("simulate", "--algo", "rand"),
+    "bad-choice": ("simulate", "--algo", "greedy") + _SIM[3:],
+    "non-int": ("duel", "--n", "seven"),
+    "equals-values": ("simulate", "--algo=rand", "--trace={trace}", "--seed=3", "--trials=4"),
+    "abbreviated-options": ("simulate", "--al", "rand", "--tr", "{trace}", "--se", "3", "--tri", "4"),
+    "repeated-option": ("duel", "--n", "5", "--n", "7"),
+    "help-after-error": ("duel", "--n", "seven", "-h"),
+}
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestDispatch:
+    """``main`` parses a command named first with that command's parser alone
+    and hands anything else, or anything left over, to the full parse."""
+
+    @pytest.mark.parametrize("argv", _DISPATCH.values(), ids=_DISPATCH.keys())
+    def test_matches_the_full_parse(self, capsys, monkeypatch, trace_file, argv):
+        argv = [arg.replace("{trace}", str(trace_file)) for arg in argv]
+        got = _outcome(capsys, argv)
+        full = minla.cli._build_parser()[0]
+        monkeypatch.setattr(minla.cli, "_build_parser", lambda: (full, {}))
+        assert got == _outcome(capsys, argv)
+
+    def test_an_empty_option_name_is_refused_by_the_commands_parser(self, capsys):
+        # "--=x" abbreviates every long option, so each parser that reads it
+        # refuses it; with the command named first, that is the command's.
+        code, out, err = _outcome(capsys, ("duel", "--n", "5", "--=x"))
+        assert (code, out) == (2, "")
+        assert err.endswith("minla duel: error: ambiguous option: --=x could match "
+                            "--help, --n, --dump-trace\n")
+
+    def test_a_well_formed_command_is_parsed_once(self, capsys, monkeypatch, trace_file):
+        calls = []
+        parse = argparse.ArgumentParser.parse_known_args
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            lambda self, *a: calls.append(self.prog) or parse(self, *a))
+        assert run_cli(capsys, *_HARMONIC)[0] == 0
+        assert calls == ["minla verify"]
+        calls.clear()
+        # A leftover argument: the command's parse, then the full one.
+        assert _outcome(capsys, _HARMONIC + ("extra",))[0] == 2
+        assert calls == ["minla verify", "minla", "minla verify"]
+
+
 class TestVerify:
     def test_harmonic_passes(self, capsys):
         code, out, _ = run_cli(
@@ -569,6 +660,10 @@ class TestDuel:
         code, out, _ = run_cli(capsys, "duel", "--n", "33")
         assert code == 0
         assert "duel n=33" in out
+
+    def test_past_the_node_bound_exits_2_at_once(self, capsys):
+        code, out, err = run_cli(capsys, "duel", "--n", str((1 << 40) + 1))
+        assert (code, out, err) == (2, "", "error: n must be at most 262144, got 1099511627777\n")
 
     def test_even_n_rejected(self, capsys):
         code, _, err = run_cli(capsys, "duel", "--n", "8")

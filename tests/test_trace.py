@@ -3,9 +3,11 @@ import dataclasses
 import itertools
 import pickle
 import random
+import re
 from collections import namedtuple
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -314,17 +316,13 @@ class TestTraceProperties:
             parse_trace("\n".join(lines) + "\n")
         assert err.value.line == no
 
-    def test_bool_ids_round_trip(self):
-        # bool is an int subclass, so an event may hold True and False ids;
-        # they are written as the ints they equal.  A permutation refuses
-        # them, as it refuses every entry that is not a plain int.
+    def test_bool_ids_are_refused(self):
+        # bool is an int subclass, but a permutation and an event refuse it,
+        # as they refuse every id that is not a plain int.
         with pytest.raises(ValueError, match=r"^not a permutation of 0\.\.2: \(False, True, 2\)$"):
             Permutation([False, True, 2])
-        trace = RevealTrace(Model.LINES, 3, Permutation([0, 1, 2]),
-                            (RevealEvent(True, 0),))
-        text = emit_trace(trace)
-        assert text == "minla-trace v1\nmodel: lines\nn: 3\npi0: 0 1 2\nevent: 1 0\n"
-        assert parse_trace(text) == trace
+        with pytest.raises(TypeError, match=r"^event ids must be ints, got True and 0$"):
+            RevealEvent(True, 0)
 
 
 class TestRevealEvent:
@@ -356,6 +354,14 @@ class TestRevealEvent:
             del event.v
         assert (event.u, event.v) == (1, 2)
         assert not hasattr(event, "__dict__")
+
+    @pytest.mark.parametrize("bad", [1.0, "1", None, True, np.int64(1)],
+                             ids=["float", "str", "None", "bool", "numpy-int"])
+    @pytest.mark.parametrize("side", ["u", "v"])
+    def test_ids_must_be_plain_ints(self, bad, side):
+        u, v = (bad, 0) if side == "u" else (0, bad)
+        with pytest.raises(TypeError, match=re.escape(f"event ids must be ints, got {u!r} and {v!r}")):
+            RevealEvent(u, v)
 
     def test_copies_are_equal_events(self):
         event = RevealEvent(4, 7)
