@@ -86,46 +86,40 @@ class MiddleLineAdversary:
     n: int
     x: int = field(init=False)
     sides: list[str] = field(init=False, default_factory=list)
-    _left_end: int = field(init=False)
-    _right_end: int = field(init=False)
+    _ends: list[int] = field(init=False)
 
     def __post_init__(self):
         if self.n < 5 or self.n % 2 == 0:
             raise ConfigError(f"need an odd n >= 5, got {self.n}")
         if self.n > NODE_BOUND:
             raise ConfigError(f"n must be at most {NODE_BOUND}, got {self.n}")
-        self.x = self._left_end = self._right_end = self.n // 2
+        self.x = self.n // 2
+        self._ends = [self.x, self.x]
 
     def next_event(self, current: Permutation) -> RevealEvent | None:
         """The next request given the opposing algorithm's permutation, or
-        None once only the middle node remains unconnected.  The grown
-        component's two ends start at x and end n - 1 apart."""
-        if self._right_end - self._left_end == self.n - 1:
+        None once only the middle node remains unconnected.  The ends of the
+        grown component, ``_ends = [left, right]``, start at x and end n - 1 apart."""
+        ends = self._ends
+        if ends[1] - ends[0] == self.n - 1:
             return None
-        if self._left_end == self._right_end:
-            ev = RevealEvent(self.x - 1, self.x + 1)
-            self._left_end, self._right_end = self.x - 1, self.x + 1
-        else:
-            side = self._observe_side(current)
-            self.sides.append(side)
-            if side == "L":
-                nxt = self._left_end - 1
-                if nxt < 0:
-                    raise ProtocolError("left side exhausted before the duel ended")
-                ev = RevealEvent(nxt, self._left_end)
-                self._left_end = nxt
-            else:
-                nxt = self._right_end + 1
-                if nxt >= self.n:
-                    raise ProtocolError("right side exhausted before the duel ended")
-                ev = RevealEvent(nxt, self._right_end)
-                self._right_end = nxt
-        return ev
+        if ends[0] == ends[1]:
+            ends[:] = self.x - 1, self.x + 1
+            return RevealEvent(*ends)
+        side = self._observe_side(current)
+        self.sides.append(side)
+        i = side == "R"
+        end = ends[i]
+        nxt = end + 2 * i - 1
+        if not 0 <= nxt < self.n:
+            raise ProtocolError(f"{('left', 'right')[i]} side exhausted before the duel ended")
+        ends[i] = nxt
+        return RevealEvent(nxt, end)
 
     def _observe_side(self, current: Permutation) -> str:
         # The grown component: every node from end to end but x.
         pos = current.pos_of
-        grown = range(self._left_end, self._right_end + 1)
+        grown = range(self._ends[0], self._ends[1] + 1)
         block = [pos[v] for v in grown if v != self.x]
         lo, hi = min(block), max(block)
         if hi - lo + 1 != len(block):

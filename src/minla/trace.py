@@ -86,10 +86,12 @@ class ComponentPartition:
     path from one endpoint to the other, for cliques the merge order.  A
     merge extends the kept root's list in place, for lines after turning
     whichever side runs the wrong way.  No arrangement: each ``rand`` trial
-    keeps its own per root.
+    keeps its own per root.  It takes a :class:`Model` and a plain int n.
     """
 
     def __init__(self, n: int, model: Model):
+        if not isinstance(model, Model) or type(n) is not int:
+            raise TypeError(f"a partition takes a Model and an int n, got {model!r} and {n!r}")
         self.n = n
         self.model = model
         # Read on every merge and path lookup, where an enum compare costs

@@ -275,12 +275,18 @@ MUTANTS: tuple[Mutant, ...] = (
         "if not _EVENT_LINES.fullmatch(block):", "if False:",
         ("tests/test_trace.py::TestParseMatchesReference::test_corpus",),
     ),
-    # The middle-line adversary runs out of nodes on one side.
+    # The middle-line adversary runs out of nodes on one side: one range
+    # check guards both ends.
     Mutant(
-        "left-exhaustion-unchecked", "src/minla/adversaries.py",
-        "if nxt < 0:", "if False:",
-        ("tests/test_adversaries.py::TestMiddleLineAdversary::"
-         "test_side_exhausted_before_the_duel_ends",),
+        "end-exhaustion-unchecked", "src/minla/adversaries.py",
+        "if not 0 <= nxt < self.n:", "if False:",
+        (
+            "tests/test_adversaries.py::TestMiddleLineAdversary::"
+            "test_side_exhausted_before_the_duel_ends[arrangements0-left]",
+            "tests/test_adversaries.py::TestMiddleLineAdversary::"
+            "test_side_exhausted_before_the_duel_ends[arrangements1-right]",
+            "tests/test_adversaries.py::TestAgainstReference::test_every_side_sequence",
+        ),
     ),
     Mutant(
         "inversions-bisect-left", "src/minla/perm.py",
@@ -301,6 +307,16 @@ MUTANTS: tuple[Mutant, ...] = (
         (
             "tests/test_trace.py::TestRevealEvent::test_ids_must_be_plain_ints",
             "tests/test_trace.py::TestTraceProperties::test_bool_ids_are_refused",
+        ),
+    ),
+    # A partition, and so a trace, takes a Model and a plain int n.
+    Mutant(
+        "partition-takes-model-names-and-int-subclasses", _REPLAY,
+        "if not isinstance(model, Model) or type(n) is not int:",
+        "if not isinstance(model, str) or not isinstance(n, int):",
+        (
+            "tests/test_trace.py::TestPartition::test_takes_a_model_and_a_plain_int_n",
+            "tests/test_trace.py::TestPartition::test_a_model_name_is_refused_before_any_merge",
         ),
     ),
     # Each generator checks the node bound before it builds anything.

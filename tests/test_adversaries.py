@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from types import SimpleNamespace
@@ -7,12 +8,17 @@ import pytest
 import minla.adversaries
 from conftest import replay_components
 from minla import (
+    AlgoState,
+    ComponentPartition,
     ConfigError,
     MiddleLineAdversary,
     Model,
     Permutation,
     ProtocolError,
+    RevealEvent,
+    RevealTrace,
     TreeAdversaryConfig,
+    det_step,
     dp_opt,
     duel,
     kendall_tau,
@@ -148,6 +154,106 @@ class TestMiddleLineAdversary:
         parts = replay_components(report.induced_trace, report.induced_trace.k)
         sizes = sorted(parts.size_of(r) for r in parts.components())
         assert sizes == [1, 6]
+
+
+class ReferenceMiddleLineAdversary:
+    """The middle-line adversary written out with one field per end and a
+    mirrored branch per side, each with its own exhaustion check: a literal
+    oracle for :class:`MiddleLineAdversary`, which grows either end by one rule."""
+
+    def __init__(self, n):
+        self.n = n
+        self.sides = []
+        self.x = self._left_end = self._right_end = n // 2
+
+    def next_event(self, current):
+        if self._right_end - self._left_end == self.n - 1:
+            return None
+        if self._left_end == self._right_end:
+            ev = RevealEvent(self.x - 1, self.x + 1)
+            self._left_end, self._right_end = self.x - 1, self.x + 1
+        else:
+            side = self._observe_side(current)
+            self.sides.append(side)
+            if side == "L":
+                nxt = self._left_end - 1
+                if nxt < 0:
+                    raise ProtocolError("left side exhausted before the duel ended")
+                ev = RevealEvent(nxt, self._left_end)
+                self._left_end = nxt
+            else:
+                nxt = self._right_end + 1
+                if nxt >= self.n:
+                    raise ProtocolError("right side exhausted before the duel ended")
+                ev = RevealEvent(nxt, self._right_end)
+                self._right_end = nxt
+        return ev
+
+    def _observe_side(self, current):
+        pos = current.pos_of
+        grown = range(self._left_end, self._right_end + 1)
+        block = [pos[v] for v in grown if v != self.x]
+        lo, hi = min(block), max(block)
+        if hi - lo + 1 != len(block):
+            raise ProtocolError("opposing permutation does not keep the grown "
+                                "component contiguous")
+        return "L" if pos[self.x] < lo else "R"
+
+
+def _outcome(adv, current):
+    """The adversary's next event, or the type and text of what it raised."""
+    try:
+        return adv.next_event(current)
+    except ProtocolError as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("n", range(5, 14, 2))
+    def test_every_side_sequence(self, n):
+        # The grown block is tracked from the events alone.  Before each
+        # adaptive request the arrangement keeps it contiguous (turned on
+        # every other step) with x on the scripted side, the untouched nodes
+        # below it in front and those above it behind.  A script with more
+        # than n // 2 - 1 steps on one side runs that side out of nodes, so
+        # every script ends in None, after n - 2 events, or in an error.
+        x = n // 2
+        for script in itertools.product("LR", repeat=n - 3):
+            got, want = MiddleLineAdversary(n), ReferenceMiddleLineAdversary(n)
+            current = Permutation.identity(n)
+            lo = hi = x
+            # Neither the first request nor the closing None reads a side.
+            for step, side in enumerate([None, *script, None]):
+                if side is not None:
+                    block = [v for v in range(lo, hi + 1) if v != x]
+                    if step % 2:
+                        block.reverse()
+                    block = [x, *block] if side == "L" else [*block, x]
+                    current = Permutation([*range(lo), *block, *range(hi + 1, n)])
+                a, b = _outcome(got, current), _outcome(want, current)
+                assert a == b, (script, step)
+                assert got.sides == want.sides
+                if not isinstance(a, RevealEvent):
+                    assert (a is None) == (step == n - 2)
+                    break
+                lo, hi = min(lo, a.u, a.v), max(hi, a.u, a.v)
+            else:
+                pytest.fail(f"{script} did not end")
+
+    @pytest.mark.parametrize("n", range(5, 42, 2))
+    def test_det_duel(self, n):
+        adv = ReferenceMiddleLineAdversary(n)
+        pi0 = Permutation.identity(n)
+        state = AlgoState.initial(pi0, ComponentPartition(n, Model.LINES))
+        events = []
+        while (ev := adv.next_event(state.current)) is not None:
+            events.append(ev)
+            det_step(state, ev)
+        induced = RevealTrace(model=Model.LINES, n=n, pi0=pi0, events=tuple(events))
+        report = duel(n)
+        assert report.induced_trace == induced
+        assert report.sides == tuple(adv.sides)
+        assert (report.algo_cost, report.opt_cost) == (state.total_cost, dp_opt(induced).cost)
 
 
 class TestRandomTrace:

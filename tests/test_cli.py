@@ -363,7 +363,7 @@ class TestParserBuiltOnce:
             sim,
             ("opt", "--trace", str(trace_file), "--exhaustive"),
             ("opt", "--trace", str(trace_file)),
-            ("verify", "--lemma", "harmonic", "--trials", "100", "--seed", "2"),
+            ("verify", "--lemma", "harmonic", "--trials", "1000", "--seed", "2"),
             ("duel", "--n", "9"),
         ]
         assert minla.cli._build_parser() is minla.cli._build_parser()
@@ -373,6 +373,8 @@ class TestParserBuiltOnce:
             cached.append((code, out, err, out_file.read_text()))
         # No --out and no --exhaustive carried over from the call before.
         assert cached[1][1] and cached[3][1].startswith("method: dp\n")
+        # A full verify report, not a refused trial count.
+        assert cached[4][0] == 0 and cached[4][1].endswith("result: pass\n")
         monkeypatch.setattr(minla.cli, "_build_parser", minla.cli._build_parser.__wrapped__)
         out_file.unlink()
         for argv, want in zip(sequence, cached):

@@ -370,6 +370,26 @@ class TestRevealEvent:
 
 
 class TestPartition:
+    @pytest.mark.parametrize("model, n", [
+        ("lines", 3), ("cliques", 3), (None, 3),
+        (Model.LINES, True), (Model.CLIQUES, 3.0), (Model.LINES, np.int64(3)),
+    ], ids=["str-lines", "str-cliques", "None", "bool-n", "float-n", "numpy-n"])
+    @pytest.mark.parametrize("build", [
+        lambda model, n: ComponentPartition(n, model),
+        lambda model, n: RevealTrace(model, n, Permutation.identity(int(n)), ()),
+    ], ids=["partition", "trace"])
+    def test_takes_a_model_and_a_plain_int_n(self, build, model, n):
+        message = f"a partition takes a Model and an int n, got {model!r} and {n!r}"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            build(model, n)
+
+    def test_a_model_name_is_refused_before_any_merge(self):
+        # Unchecked, the model's name builds clique events on a partition
+        # that is neither model's, which dp_opt prices at 0 and emit_trace
+        # cannot write.
+        with pytest.raises(TypeError, match="got 'lines' and 8"):
+            random_trace("lines", 8, seed=1)
+
     @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
     def test_misplaced_root_on_a_short_arrangement(self, model):
         # Component {0, 1, 2} (for lines the path 0-1-2) and singleton 3: an
