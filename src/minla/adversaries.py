@@ -52,6 +52,8 @@ def tree_adversary(cfg: TreeAdversaryConfig) -> RevealTrace:
     right subtree.  The initial permutation is the identity: the
     distribution randomizes the target path, not the start.
     """
+    if type(cfg.q) is not int:
+        raise TypeError(f"tree depth q must be an int, got {cfg.q!r}")
     if cfg.q < 1:
         raise ConfigError(f"tree depth must be at least 1, got {cfg.q}")
     if cfg.q >= NODE_BOUND.bit_length():  # before 1 << q is built
@@ -89,6 +91,8 @@ class MiddleLineAdversary:
     _ends: list[int] = field(init=False)
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise TypeError(f"n must be an int, got {self.n!r}")
         if self.n < 5 or self.n % 2 == 0:
             raise ConfigError(f"need an odd n >= 5, got {self.n}")
         if self.n > NODE_BOUND:
@@ -138,11 +142,15 @@ def random_trace(
     For lines each merge joins uniformly chosen endpoints of the two chosen
     components.
     """
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ConfigError(f"n must be positive, got {n}")
     if n > NODE_BOUND:
         raise ConfigError(f"n must be at most {NODE_BOUND}, got {n}")
     k = n - 1 if events is None else events
+    if type(k) is not int:
+        raise TypeError(f"events must be an int, got {k!r}")
     if not 0 <= k <= n - 1:
         raise ConfigError(f"events must be in 0..{n - 1}, got {k}")
     rng = random.Random(seed)

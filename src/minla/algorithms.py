@@ -189,11 +189,20 @@ def _det_move(state: AlgoState, event: RevealEvent,
     return state
 
 
+def _coin_rows(rows: Iterable[tuple]) -> list[tuple]:
+    """Replay rows as :func:`_step_rows` reads them: each coin's bound and bit
+    width put in, and the orientation cost terms C(xl, 2), C(zl, 2), xl * zl."""
+    return [(u, v, ru, rv, xl, zl, xl + zl, (xl + zl).bit_length(), x_ends, z_ends, ends,
+             (pairs := (xl + zl) * (xl + zl - 1) // 2), pairs.bit_length(),
+             xl * (xl - 1) // 2, zl * (zl - 1) // 2, xl * zl)
+            for u, v, ru, rv, xl, zl, x_ends, z_ends, ends in rows]
+
+
 def _step_rows(
     state: AlgoState, rows: Sequence[tuple], rng: random.Random, index: int
 ) -> None:
-    """Apply :class:`~minla.trace.Replay` rows, the first being event
-    ``index``, to one ``rand`` trial.
+    """Apply :func:`_coin_rows` rows, the first being event ``index``, to
+    one ``rand`` trial.
 
     The rows fix the merging components, their sizes, path ends and coin
     constants.  Each step checks in O(1) that both components' slots hold
@@ -204,8 +213,8 @@ def _step_rows(
     swap cost of the other filling.  Per :class:`AlgoState`, x's block is
     left of z's exactly when x's slot comes first, and the mover jumps the
     components whose slots lie between the two.  A coin with bound b draws
-    ``getrandbits(b.bit_length())`` (the row holds both) until the word is
-    below b, as ``random.Random.randrange(b)`` does.
+    ``getrandbits(b.bit_length())`` (its coin row holds both) until the
+    word is below b, as ``random.Random.randrange(b)`` does.
     """
     slot, sizes = state.slot, state.slot_sizes
     left_end, blocks = state.left_end, state.blocks
@@ -267,7 +276,7 @@ def rand_step(state: AlgoState, event: RevealEvent, rng: random.Random) -> AlgoS
     if state.fixed is not None:
         raise ValueError("rand_step cannot step a state that det_step has moved")
     index = state.events_done
-    _step_rows(state, (state.parts.merge(event.u, event.v),), rng, index)
+    _step_rows(state, _coin_rows((state.parts.merge(event.u, event.v),)), rng, index)
     return state
 
 
@@ -285,7 +294,7 @@ def run_trials(trace: RevealTrace, seeds: Iterable[int]) -> Iterator[AlgoState]:
     before it is yielded.  A failure raises :class:`InvariantError`.
     The yielded states share the replay's read-only partition and cannot step.
     """
-    pi0, (rows, parts) = trace.pi0, trace.replay
+    pi0, parts, rows = trace.pi0, trace.replay.final, _coin_rows(trace.replay.rows)
     start = AlgoState.initial(pi0, parts)
     slot, sizes, left_end, blocks = start.slot, start.slot_sizes, start.left_end, start.blocks
     # Seeded, so that building it reads no OS entropy; each trial reseeds it.
@@ -314,8 +323,8 @@ def _words(script: Iterable[int]) -> SimpleNamespace:
 
 
 def _step_law(state: AlgoState, row: tuple, index: int) -> list[tuple[AlgoState, Fraction]]:
-    """Every outcome of one ``_step_rows`` step of ``row`` (event ``index``)
-    from ``state``, which stays as it is, each with its probability.
+    """Every outcome of one ``_step_rows`` step of coin row ``row`` (event
+    ``index``) from ``state``, which stays as it is, each with its probability.
 
     All-zero words, which every draw accepts, give each draw's width from
     the engine's ``getrandbits`` calls.  Each tuple of one word per draw
@@ -347,7 +356,7 @@ def _trace_law(trace: RevealTrace) -> dict[tuple[tuple[int, ...], int], Fraction
     equal states (slots, slot sizes, left ends or blocks, costs) merged
     after every step."""
     law = {None: [AlgoState.initial(trace.pi0, trace.replay.final), Fraction(1)]}
-    for index, row in enumerate(trace.replay.rows):
+    for index, row in enumerate(_coin_rows(trace.replay.rows)):
         stepped: dict = {}
         for state, p in law.values():
             for after, q in _step_law(state, row, index):

@@ -183,10 +183,10 @@ def exhaustive_opt(t: RevealTrace) -> OptResult:
     inf = 1 << 60
     dist = np.full(len(perms), inf, dtype=np.int64)
     dist[(perms == t.pi0.node_at).all(axis=1)] = 0
-    parts = ComponentPartition(t.n, t.model)
     feasible = np.ones(len(perms), dtype=bool)
+    members = {v: [v] for v in range(t.n)}  # cliques: each root's nodes
     contiguous: dict[int, np.ndarray] = {}  # cliques: per multi-node root
-    for ev in t.events:
+    for u, v, root, absorbed, *_ in t.replay.rows:
         level = int(dist.min())
         top = int(dist[dist < inf].max())
         while level <= top:
@@ -197,11 +197,11 @@ def exhaustive_opt(t: RevealTrace) -> OptResult:
                 top = max(top, level + 1)
             level += 1
         if t.model is Model.LINES:
-            feasible &= np.abs(pos[:, ev.u] - pos[:, ev.v]) == 1
+            feasible &= np.abs(pos[:, u] - pos[:, v]) == 1
         else:
-            root, absorbed = parts.merge(ev.u, ev.v)[2:4]
+            members[root] += members.pop(absorbed)
             contiguous.pop(absorbed, None)
-            cols = pos[:, parts.nodes_of(root)]
+            cols = pos[:, members[root]]
             contiguous[root] = cols.max(axis=1) - cols.min(axis=1) < cols.shape[1]
             feasible = np.logical_and.reduce(list(contiguous.values()))
         dist[~feasible] = inf

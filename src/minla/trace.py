@@ -176,10 +176,8 @@ class ComponentPartition:
             )
         x, z = nodes[ru], nodes[rv]
         xl, zl = len(x), len(z)  # before the merge: x grows in place
-        denom = xl + zl
-        k_move = denom.bit_length()
-        lines = self._lines
-        if lines:
+        x_ends = z_ends = ends = None
+        if self._lines:
             x_ends, z_ends = (x[0], x[-1]), (z[0], z[-1])
             if u not in x_ends:
                 raise TraceValidationError(f"node {u} is not an endpoint of its path")
@@ -190,26 +188,19 @@ class ComponentPartition:
                 x.reverse()
             if v != z[0]:
                 z.reverse()
+            ends = x[0], z[-1]
         for w in z:
             labels[w] = ru
         x.extend(nodes.pop(rv))
-        if not lines:
-            return (u, v, ru, rv, xl, zl, denom, k_move) + (None,) * 8
-        pairs = denom * (denom - 1) // 2
-        return (u, v, ru, rv, xl, zl, denom, k_move, x_ends, z_ends, (x[0], x[-1]),
-                pairs, pairs.bit_length(), xl * (xl - 1) // 2, zl * (zl - 1) // 2, xl * zl)
+        return (u, v, ru, rv, xl, zl, x_ends, z_ends, ends)
 
 
 class Replay(NamedTuple):
     """One replay of a trace's merges.  Row i is ``(u, v, ru, rv, xl, zl,
-    denom, k_move, x_ends, z_ends, ends, pairs, k_orient, x_pairs, z_pairs,
-    cross)``: event i's nodes, the roots and sizes of their components
-    before it, and the moving coin's bound ``xl + zl`` with its bit width.
-    For lines (``None`` for cliques) it goes on with the end pair of each
-    path and of the merged path, the orientation coin's bound C(xl + zl, 2)
-    with its bit width, and the cost terms C(xl, 2), C(zl, 2) and xl * zl.
-    ``final`` is the last partition: finds only read its labels, and merging it raises.
-    """
+    x_ends, z_ends, ends)``: event i's nodes, the roots and sizes of their
+    components before it and, for lines (``None`` for cliques), the end pair
+    of each path and of the merged path.  ``final`` is the last partition:
+    finds only read its labels, and merging it raises."""
 
     rows: tuple[tuple, ...]
     final: "ComponentPartition"

@@ -75,23 +75,23 @@ MUTANTS: tuple[Mutant, ...] = (
         "while r >= total_pairs:", "while r > total_pairs:",
         ("tests/test_algorithms.py::TestRandLineStep",) + _RAND_TESTS + _EXACT_FREQUENCIES,
     ),
-    # The replay rows hold each coin's bound, its bit width and the
-    # orientation cost terms.
+    # rand's coin rows hold each coin's bound, its bit width and the
+    # orientation cost terms, read off the replay rows beside the draws.
     Mutant(
-        "move-draw-one-bit-short", _REPLAY,
-        "k_move = denom.bit_length()", "k_move = (denom - 1).bit_length()",
+        "move-draw-one-bit-short", _ENGINE,
+        "(xl + zl).bit_length()", "(xl + zl - 1).bit_length()",
         _RAND_TESTS,
     ),
     Mutant(
-        "orient-draw-one-bit-short", _REPLAY,
-        "pairs, pairs.bit_length()", "pairs, (pairs - 1).bit_length()",
+        "orient-draw-one-bit-short", _ENGINE,
+        "pairs.bit_length()", "(pairs - 1).bit_length()",
         _RAND_TESTS,
     ),
     Mutant(
-        "cross-term-halved", _REPLAY,
+        "cross-term-halved", _ENGINE,
         "xl * zl)", "xl * zl // 2)",
         (
-            "tests/test_trace.py::TestCachedReplay::test_rows_match_replay_components",
+            "tests/test_trace.py::TestCachedReplay::test_coin_rows_match_their_definitions",
             "tests/test_algorithms.py::TestRandLineStep",
         ) + _RAND_TESTS,
     ),
@@ -131,8 +131,8 @@ MUTANTS: tuple[Mutant, ...] = (
     # inversion count.
     Mutant(
         "clique-sizes-after-merge", _REPLAY,
-        "return (u, v, ru, rv, xl, zl, denom, k_move) + (None,) * 8",
-        "return (u, v, ru, rv, len(x), len(z), denom, k_move) + (None,) * 8",
+        "return (u, v, ru, rv, xl, zl, x_ends, z_ends, ends)",
+        "return (u, v, ru, rv, len(x), len(z), x_ends, z_ends, ends)",
         (
             "tests/test_trace.py::TestCachedReplay::test_clique_sizes_are_read_before_the_merge",
         ),
@@ -142,8 +142,8 @@ MUTANTS: tuple[Mutant, ...] = (
     # every node it absorbs and turns u's path to end at u.
     Mutant(
         "rejected-merge-changes-the-partition", _REPLAY,
-        "        lines = self._lines\n",
-        "        labels[v] = ru\n        lines = self._lines\n",
+        "        x_ends = z_ends = ends = None\n",
+        "        labels[v] = ru\n        x_ends = z_ends = ends = None\n",
         (
             "tests/test_trace.py::TestPartition::"
             "test_rejected_merge_leaves_the_partition_unchanged",
@@ -197,7 +197,7 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "merged-ends-swapped", _REPLAY,
-        "z_ends, (x[0], x[-1])", "z_ends, (x[-1], x[0])",
+        "ends = x[0], z[-1]", "ends = z[-1], x[0]",
         (
             "tests/test_trace.py::TestCachedReplay::test_rows_match_replay_components",
             "tests/test_trace.py::TestCachedReplay::test_steps_match_reference_components",
@@ -334,6 +334,27 @@ MUTANTS: tuple[Mutant, ...] = (
         "middle-line-past-node-bound", "src/minla/adversaries.py",
         "if self.n > NODE_BOUND:", "if self.n > 2 * NODE_BOUND:",
         ("tests/test_adversaries.py::TestNodeBound::test_refused_before_allocation",),
+    ),
+    # Each generator's size is a plain int, checked before its range checks.
+    Mutant(
+        "middle-line-n-any-type", "src/minla/adversaries.py",
+        "if type(self.n) is not int:", "if False:",
+        ("tests/test_adversaries.py::TestSizesArePlainInts::test_middle_line_n",),
+    ),
+    Mutant(
+        "tree-depth-any-type", "src/minla/adversaries.py",
+        "if type(cfg.q) is not int:", "if False:",
+        ("tests/test_adversaries.py::TestSizesArePlainInts::test_tree_depth",),
+    ),
+    Mutant(
+        "random-trace-n-any-type", "src/minla/adversaries.py",
+        "if type(n) is not int:", "if False:",
+        ("tests/test_adversaries.py::TestSizesArePlainInts::test_random_trace_n",),
+    ),
+    Mutant(
+        "random-trace-events-any-type", "src/minla/adversaries.py",
+        "if type(k) is not int:", "if False:",
+        ("tests/test_adversaries.py::TestSizesArePlainInts::test_random_trace_events",),
     ),
     # main falls back to the full parse when the command's parser leaves
     # arguments over, so they are refused as before.
@@ -566,7 +587,7 @@ MUTANTS: tuple[Mutant, ...] = (
     # would be equivalent, since u != v) and _clique_opt's child order.
     Mutant(
         "exhaustive-path-stretch-2", "src/minla/oracle.py",
-        "np.abs(pos[:, ev.u] - pos[:, ev.v]) == 1", "np.abs(pos[:, ev.u] - pos[:, ev.v]) <= 2",
+        "np.abs(pos[:, u] - pos[:, v]) == 1", "np.abs(pos[:, u] - pos[:, v]) <= 2",
         (
             "tests/test_oracle.py::TestDpOpt::test_two_line_segments",
             "tests/test_oracle.py::TestExhaustiveOpt::test_matches_dp_smoke",
@@ -576,6 +597,16 @@ MUTANTS: tuple[Mutant, ...] = (
         "exhaustive-clique-span-loose", "src/minla/oracle.py",
         "cols.max(axis=1) - cols.min(axis=1) < cols.shape[1]",
         "cols.max(axis=1) - cols.min(axis=1) <= cols.shape[1]",
+        (
+            "tests/test_oracle.py::TestExhaustiveOpt::test_matches_dp_smoke",
+            "tests/test_cli.py::TestOpt::test_dp_and_exhaustive_agree",
+        ),
+    ),
+    # The exhaustive search reads each root's clique members off the replay
+    # rows: a merge adds the absorbed root's members to the kept root's.
+    Mutant(
+        "exhaustive-members-drop-the-kept-root", "src/minla/oracle.py",
+        "members[root] += members.pop(absorbed)", "members[root] = members.pop(absorbed)",
         (
             "tests/test_oracle.py::TestExhaustiveOpt::test_matches_dp_smoke",
             "tests/test_cli.py::TestOpt::test_dp_and_exhaustive_agree",

@@ -1,8 +1,10 @@
 import itertools
 import random
+import re
 import tracemalloc
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import minla.adversaries
@@ -322,3 +324,41 @@ class TestNodeBound:
             with pytest.raises(AssertionError, match="started building"):
                 start()
         assert MiddleLineAdversary(NODE_BOUND - 1).x == NODE_BOUND // 2 - 1
+
+
+_NOT_INTS = pytest.mark.parametrize(
+    "size", [7.0, True, np.int64(7), "7"], ids=["float", "bool", "numpy", "str"]
+)
+
+
+def _refused(name, size):
+    return pytest.raises(TypeError, match=rf"^{name} must be an int, got {re.escape(repr(size))}$")
+
+
+class TestSizesArePlainInts:
+    """Each generator refuses a size that is not a plain int before its range
+    checks, with a TypeError naming the argument, as a partition refuses
+    such an n."""
+
+    @_NOT_INTS
+    def test_middle_line_n(self, size):
+        for build in (MiddleLineAdversary, duel):
+            with _refused("n", size):
+                build(size)
+
+    @_NOT_INTS
+    def test_tree_depth(self, size):
+        with _refused("tree depth q", size):
+            tree_adversary(TreeAdversaryConfig(q=size, seed=1))
+
+    @_NOT_INTS
+    def test_random_trace_n(self, size):
+        for model in Model:
+            with _refused("n", size):
+                random_trace(model, size, seed=1)
+
+    @_NOT_INTS
+    def test_random_trace_events(self, size):
+        for model in Model:
+            with _refused("events", size):
+                random_trace(model, 8, seed=1, events=size)

@@ -50,7 +50,7 @@ from minla import (
     TreeAdversaryConfig,
 )
 from minla.algorithms import (
-    _check_full, _component_block, _det_problems, _step_law, _trace_law, _words,
+    _check_full, _coin_rows, _component_block, _det_problems, _step_law, _trace_law, _words,
 )
 from minla.bench import _FREQUENCY_TRACES
 from minla.ordering import solve_block_orders
@@ -424,7 +424,7 @@ class TestRandLineStep:
             coins = random.Random(rng.randrange(1000))
             for k, ev in enumerate(trace.events):
                 before = state.current
-                row = state.parts.merge(ev.u, ev.v)
+                row, = _coin_rows((state.parts.merge(ev.u, ev.v),))
                 root, merged = row[2], row[4] + row[5]
                 pairs = merged * (merged - 1) // 2
                 law, moves = Counter(), Counter()
@@ -592,7 +592,7 @@ class TestWindowedKernel:
                     weight = math.prod(Fraction(t[c], t[2]) for c, t in zip(choice, triples))
                     if weight:
                         expected[perms[k + 1].node_at, sum(costs[k])] += weight
-                row = state.parts.merge(ev.u, ev.v)
+                row, = _coin_rows((state.parts.merge(ev.u, ev.v),))
                 law = Counter()
                 for after, p in _step_law(state, row, k):
                     law[after.current.node_at, after.total_cost - state.total_cost] += p
@@ -621,7 +621,7 @@ class TestWindowedKernel:
                 rng.seed(seed)
                 parts = ComponentPartition(trace.n, trace.model)
                 state = AlgoState.initial(trace.pi0, parts)
-                for k, (ev, row) in enumerate(zip(trace.events, trace.replay.rows)):
+                for k, (ev, row) in enumerate(zip(trace.events, _coin_rows(trace.replay.rows))):
                     move, rearrange = state.move_cost, state.rearrange_cost
                     parts.merge(ev.u, ev.v)
                     step_rows(state, (row,), rng, k)
@@ -838,6 +838,24 @@ class TestOneReplay:
             assert trace.replay.rows is rows and trace.replay.final is final
             assert (rows, vars(final)) == before
             assert [_totals(state) for state in run_trials(trace, seeds)] == first
+
+    @pytest.mark.parametrize("trials", [0, 1, 40])
+    def test_coin_rows_built_once_per_call(self, monkeypatch, trials):
+        # The coin constants are read off the replay once per run_trials
+        # call, before the first trial, however many seeds follow.
+        calls = []
+        coin_rows = minla.algorithms._coin_rows
+
+        def counting(rows):
+            calls.append(rows)
+            return coin_rows(rows)
+
+        monkeypatch.setattr(minla.algorithms, "_coin_rows", counting)
+        for model in (Model.CLIQUES, Model.LINES):
+            trace = random_trace(model, 16, seed=44)
+            calls.clear()
+            assert len(list(run_trials(trace, range(trials)))) == trials
+            assert len(calls) == 1 and calls[0] is trace.replay.rows
 
     @pytest.mark.parametrize("misuse", ["rand_step", "det_step", "merge"])
     def test_replay_refuses_merges(self, misuse):

@@ -528,9 +528,16 @@ class TestValidateOnce:
         assert code == 0
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
-    def test_rand_op_merges_each_event_once(self, capsys, tmp_path, monkeypatch, model):
-        trace = random_trace(model, 9, seed=52, events=6)
+    @pytest.mark.parametrize("argv, model", [
+        pytest.param(argv, model, id=prefix + model.value)
+        for prefix, argv in [("", ("simulate", "--algo", "rand", "--trials", "50", "--seed", "1")),
+                             ("opt-", ("opt",)), ("exhaustive-", ("opt", "--exhaustive"))]
+        for model in (Model.CLIQUES, Model.LINES)
+    ])
+    def test_rand_op_merges_each_event_once(self, capsys, tmp_path, monkeypatch, argv, model):
+        # Building the trace merges each event once; rand's trials, dp_opt
+        # and the exhaustive search read its replay and merge nothing more.
+        trace = random_trace(model, 7, seed=52, events=6)
         path = tmp_path / "t.txt"
         path.write_text(emit_trace(trace))
         merges = []
@@ -541,8 +548,7 @@ class TestValidateOnce:
             return real(parts, *args)
 
         monkeypatch.setattr(minla.trace.ComponentPartition, "merge", counting)
-        code, _, _ = run_cli(capsys, "simulate", "--algo", "rand", "--trials", "50",
-                             "--trace", str(path), "--seed", "1")
+        code, _, _ = run_cli(capsys, *argv, "--trace", str(path))
         assert code == 0
         assert merges == [(ev.u, ev.v) for ev in trace.events]
 

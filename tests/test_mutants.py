@@ -3,6 +3,7 @@ its file, every named test still exists, and a pull request that touches a
 mutated file triggers the kill run.  The kill run itself is
 ``python tests/mutants.py``."""
 
+import fnmatch
 import itertools
 import re
 
@@ -31,9 +32,11 @@ def test_old_text_occurs_once_and_tests_exist(mutant):
 
 
 def test_workflow_runs_on_every_mutated_file():
-    # The pull_request paths filter of the kill run, read as plain text.
+    # The pull_request paths filter of the kill run, read as plain text: a
+    # glob's "**" matches every path below its directory.
     workflow = (ROOT / ".github/workflows/mutants.yml").read_text()
     lines = workflow.split("\n    paths:\n", 1)[1].splitlines()
     items = itertools.takewhile(lambda line: line.startswith("      - "), lines)
-    paths = {line.removeprefix("      - ") for line in items}
-    assert {m.path for m in MUTANTS} | {"tests/mutants.py"} <= paths
+    globs = [line.removeprefix("      - ") for line in items]
+    for path in {m.path for m in MUTANTS} | {"tests/mutants.py"}:
+        assert any(fnmatch.fnmatchcase(path, glob) for glob in globs), path

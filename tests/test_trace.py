@@ -37,6 +37,7 @@ from minla import (
     tree_adversary,
     validate_trace,
 )
+from minla.algorithms import _coin_rows
 
 
 class TestValidateTrace:
@@ -173,7 +174,7 @@ def _check_against_reference(trace):
     """Replay ``trace`` on a fresh partition: before every event and after
     the last, each root's node list (and for lines its path) equals the
     tuple replay of ``reference_components``; each row equals the trace's
-    replay row and carries the reference end pairs."""
+    replay row and the reference's nodes, roots, sizes and end pairs."""
     steps, ends = reference_components(trace)
     lines = trace.model is Model.LINES
     parts = ComponentPartition(trace.n, trace.model)
@@ -186,9 +187,10 @@ def _check_against_reference(trace):
 
     for i, ev in enumerate(trace.events):
         check(parts, steps[i])
+        ru, rv = (next(r for r, nodes in steps[i].items() if w in nodes) for w in (ev.u, ev.v))
         row = parts.merge(ev.u, ev.v)
         assert row == trace.replay.rows[i]
-        assert row[8:11] == ends[i]
+        assert row == (ev.u, ev.v, ru, rv, len(steps[i][ru]), len(steps[i][rv]), *ends[i])
     check(parts, steps[-1])
     check(trace.replay.final, steps[-1])
 
@@ -201,10 +203,8 @@ def _bit_width(bound):
 class TestCachedReplay:
     def test_rows_match_replay_components(self):
         # Each row against the partitions before and after its event: the
-        # two roots and sizes, the moving coin's bound (the merged size) and
-        # bit width; for lines both paths' ends, the merged path's ends, the
-        # orientation coin's bound (the merged path's node pairs) and bit
-        # width, and the cost terms: pairs inside x, inside z and across.
+        # event's nodes, the two roots and sizes and, for lines, both paths'
+        # ends and the merged path's ends.
         for trace in _replay_traces():
             replay = trace.replay
             assert len(replay.rows) == trace.k
@@ -214,22 +214,36 @@ class TestCachedReplay:
                 x, z = before.nodes_of(ru), before.nodes_of(rv)
                 merged = after.nodes_of(after.find(ev.u))
                 expected = (ev.u, ev.v, ru, rv, len(x), len(z))
-                expected += (len(merged), _bit_width(len(merged)))
                 if trace.model is Model.LINES:
-                    pairs = len(list(itertools.combinations(merged, 2)))
                     expected += ((x[0], x[-1]), (z[0], z[-1]), (merged[0], merged[-1]))
-                    expected += (pairs, _bit_width(pairs))
-                    expected += (len(list(itertools.combinations(x, 2))),
-                                 len(list(itertools.combinations(z, 2))),
-                                 len(list(itertools.product(x, z))))
                 else:
-                    expected += (None,) * 8
+                    expected += (None,) * 3
                 assert row == expected
             final = replay_components(trace, trace.k)
             assert replay.final.components() == final.components()
             for root in final.components():
                 assert replay.final.nodes_of(root) == final.nodes_of(root)
                 assert all(replay.final.find(v) == root for v in final.nodes_of(root))
+
+    def test_coin_rows_match_their_definitions(self):
+        # rand's coin row of each replay row, for both models: the row's
+        # fields, then the moving coin's bound (the merged size) and bit
+        # width after the sizes, and after the end pairs the orientation
+        # coin's bound (the merged component's node pairs) and bit width and
+        # the cost terms: pairs inside x, inside z and across.
+        for trace in _replay_traces():
+            coin_rows = _coin_rows(trace.replay.rows)
+            assert len(coin_rows) == trace.k
+            for i, (row, coins) in enumerate(zip(trace.replay.rows, coin_rows)):
+                before, after = replay_components(trace, i), replay_components(trace, i + 1)
+                x, z = before.nodes_of(row[2]), before.nodes_of(row[3])
+                merged = after.nodes_of(row[2])
+                pairs = len(list(itertools.combinations(merged, 2)))
+                assert coins == (
+                    *row[:6], len(merged), _bit_width(len(merged)), *row[6:],
+                    pairs, _bit_width(pairs), len(list(itertools.combinations(x, 2))),
+                    len(list(itertools.combinations(z, 2))), len(list(itertools.product(x, z))),
+                )
 
     def test_steps_match_reference_components(self):
         for trace in _replay_traces() + _line_shape_traces():
@@ -258,7 +272,8 @@ class TestCachedReplay:
         assert trace == twin and hash(trace) == hash(twin)
         assert replay is not twin.replay
         assert "replay" not in repr(trace)
-        assert replay.rows[1] == (
+        assert replay.rows[1] == (2, 1, 2, 0, 1, 2, (2, 2), (0, 1), (2, 0))
+        assert _coin_rows(replay.rows)[1] == (
             2, 1, 2, 0, 1, 2, 3, 2, (2, 2), (0, 1), (2, 0), 3, 2, 0, 1, 2
         )
         # A copy validates itself and gets its own replay of its own events.
