@@ -52,9 +52,9 @@ class AlgoState:
     final check reads only these fields (:func:`_check_full`).  ``det``
     keeps its arrangement in ``fixed`` (``None`` while at pi0) and pays
     from ``current``, so it may follow ``rand`` steps; ``rand`` refuses a
-    state that ``det`` has stepped.  A state steps only on a partition of
-    its own, as from :func:`run`; :func:`run_trials` states share the
-    trace's read-only replay and cannot step."""
+    state that ``det`` has stepped.  Only a state built by :meth:`initial`
+    on a partition of its own steps; :func:`run` and :func:`run_trials`
+    return finished states over the trace's read-only replay."""
 
     pi0: Permutation
     parts: ComponentPartition
@@ -267,12 +267,12 @@ def _step_rows(
 
 
 def rand_step(state: AlgoState, event: RevealEvent, rng: random.Random) -> AlgoState:
-    """Apply one ``rand`` event to one trial, of either model: merge the
-    trial's own partition, which rejects a bad event (out of range, self,
-    joined, inner path node) before the state changes, and step the
-    resulting one-row table with the code :func:`run_trials` runs.  A state
-    that ``det`` has stepped keeps its arrangement in ``fixed``, which
-    ``rand`` cannot step: it raises :class:`ValueError` first."""
+    """Apply one ``rand`` event to a state of either model built by
+    :meth:`AlgoState.initial`: merge its own partition, which rejects a bad
+    event (out of range, self, joined, inner path node) before the state
+    changes, and step the resulting one-row table with the code
+    :func:`run_trials` runs.  A finished state's read-only replay and a state
+    that ``det`` has moved (kept in ``fixed``) raise :class:`ValueError` first."""
     if state.fixed is not None:
         raise ValueError("rand_step cannot step a state that det_step has moved")
     index = state.events_done
@@ -373,35 +373,31 @@ def _trace_law(trace: RevealTrace) -> dict[tuple[tuple[int, ...], int], Fraction
 
 
 def run(algo: str, trace: RevealTrace, seed: int = 0) -> AlgoState:
-    """Replay every event of ``trace`` with the chosen algorithm, one
-    :func:`det_step` or :func:`rand_step` each, and return the final state,
-    which owns its partition and can step on.  ``det`` solves every step's
-    block order, stated from the trace's replay rows, in one
+    """Replay every event of ``trace`` with the chosen algorithm and return
+    the final state, which shares the trace's read-only replay and cannot
+    step.  ``rand`` returns :func:`run_trials`' trial for ``seed``.  ``det``
+    solves every step's block order, stated from the replay rows, in one
     :func:`~minla.ordering.solve_block_orders` call, then pays and checks
-    each step on the state's own partition as :func:`det_step` does.
+    each step on a private partition as :func:`det_step` does.  Merging each
+    event again there is deliberate: that partition, not the replay the
+    problems were read from, is what each target is checked against.
 
     Deterministic for a given (algo, trace, seed).  The seed is an int
-    (else :class:`TypeError`); ``det`` ignores it and ``rand`` draws from
-    ``random.Random(seed)``, the stream that :func:`run_trials` gives it.
-    ``det`` checks every step's arrangement, as :func:`det_step` does, and
-    ``rand`` its final state, by :func:`_check_full` (else :class:`InvariantError`).
-    ``det``'s cost depends on node labels, by :func:`closest_feasible`'s
-    tie-break.  The final state carries the move and rearrangement costs;
-    per-step costs are the change in them around each step.
+    (else :class:`TypeError`); ``det`` ignores it.  ``det`` checks every
+    step's arrangement and ``rand`` every step and its final state (else
+    :class:`InvariantError`).  ``det``'s cost depends on node labels, by
+    :func:`closest_feasible`'s tie-break.
     """
     if algo not in ("det", "rand"):
         raise ValueError(f"unknown algorithm {algo!r}")
     seed = operator.index(seed)
+    if algo == "rand":
+        return next(run_trials(trace, (seed,)))
     state = AlgoState.initial(trace.pi0, ComponentPartition(trace.n, trace.model))
-    if algo == "det":
-        solved = solve_block_orders(_det_problems(trace))
-        for event, (_, node_at) in zip(trace.events, solved):
-            _det_move(state, event, Permutation(node_at))
-    else:
-        rng = random.Random(seed)
-        for event in trace.events:
-            rand_step(state, event, rng)
-        _check_full(state)
+    solved = solve_block_orders(_det_problems(trace))
+    for event, (_, node_at) in zip(trace.events, solved):
+        _det_move(state, event, Permutation(node_at))
+    state.parts = trace.replay.final
     return state
 
 

@@ -215,6 +215,9 @@ def left_right_probability(
     """Probability that group A ends up entirely left of group B, as ruled by
     the initial permutation: the fraction of cross pairs already ordered
     A-before-B there, all pairs less ``cross_weight``'s B-before-A pairs."""
+    group_a, group_b = tuple(group_a), tuple(group_b)
+    if any(type(v) is not int for v in group_a + group_b):
+        raise TypeError(f"group_a and group_b ids must be ints: {group_a!r:.40}, {group_b!r:.40}")
     a = set(group_a)
     b = set(group_b)
     if not a or not b:
@@ -232,6 +235,8 @@ def orientation_probability(path_order: Sequence[int], pi0: Permutation) -> Frac
     """Probability that a path component, given as its distinct nodes in
     order, keeps that orientation: the fraction of its internal pairs
     already ordered that way initially."""
+    if any(type(v) is not int for v in path_order):
+        raise TypeError(f"path_order node ids must be ints, got {path_order!r:.80}")
     s = len(path_order)
     if s < 2:
         raise ValueError("orientation is undefined for singleton components")
@@ -250,7 +255,9 @@ _harmonic_cache: list[Fraction] = [Fraction(0)]
 
 
 def harmonic_number(s: int) -> Fraction:
-    """H_s = 1 + 1/2 + ... + 1/s exactly, for 1 <= s <= 10^4 (the cap)."""
+    """H_s = 1 + 1/2 + ... + 1/s exactly, for an int 1 <= s <= 10^4 (the cap)."""
+    if type(s) is not int:
+        raise TypeError(f"s must be an int, got {s!r}")
     if s < 1:
         raise ValueError(f"s must be positive, got {s}")
     if s > _EXACT_HARMONIC_MAX:

@@ -40,6 +40,8 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
+        if type(n) is not int:
+            raise TypeError(f"identity takes an int n, got {n!r}")
         return cls(range(n))
 
     @classmethod

@@ -163,7 +163,7 @@ class ComponentPartition:
         read-only partition raises :class:`ValueError`.
         """
         if self._read_only:
-            raise ValueError("a trace's replay is read-only; step a state from run()")
+            raise ValueError("a trace's replay is read-only; step a state from AlgoState.initial")
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise TraceValidationError(f"nodes ({u}, {v}) out of range")
         if u == v:
@@ -207,10 +207,15 @@ class Replay(NamedTuple):
 
 
 def validate_trace(t: RevealTrace) -> Replay:
-    """Replay the trace and raise :class:`TraceValidationError` on the first
-    event that :meth:`ComponentPartition.merge` rejects, naming its index;
-    return the :class:`Replay`.  :class:`RevealTrace` runs it on
-    construction and keeps the replay."""
+    """Check that ``pi0`` is a :class:`Permutation` and the events a tuple of
+    :class:`RevealEvent` (else :class:`TypeError`), replay the trace and raise
+    :class:`TraceValidationError` on the first event that
+    :meth:`ComponentPartition.merge` rejects, naming its index; return the
+    :class:`Replay`.  :class:`RevealTrace` runs it on construction and keeps it."""
+    if not isinstance(t.pi0, Permutation):
+        raise TypeError(f"pi0 must be a Permutation, got {t.pi0!r:.80}")
+    if not isinstance(t.events, tuple) or not all(isinstance(e, RevealEvent) for e in t.events):
+        raise TypeError(f"events must be a tuple of RevealEvent, got {t.events!r:.80}")
     if t.n < 1:
         raise TraceValidationError(f"n must be positive, got {t.n}")
     if len(t.pi0) != t.n:

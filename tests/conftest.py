@@ -1,9 +1,10 @@
 """Shared brute-force oracles for the test suite.
 
 These stay deliberately naive and independent of the library's fast paths:
-a trace built from node pairs, the partition after a prefix of a trace's
-events, every step of a replay rebuilt as tuples, a hypothesis strategy
-for valid traces, a trace's nodes relabeled or its pi0 mirrored, a
+a trace built from node pairs, a state stepped over a trace from
+``AlgoState.initial``, the partition after a prefix of a trace's events,
+every step of a replay rebuilt as tuples, a hypothesis strategy for valid
+traces, a trace's nodes relabeled or its pi0 mirrored, a
 line-by-line trace parser, quadratic pair counting, full permutation
 enumeration, literal cost sums, closed forms, the splitmix64 generator
 written out, a literal replay of the randomized strategy, the plain
@@ -32,6 +33,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from minla import (
+    AlgoState,
     ComponentPartition,
     Model,
     __version__,
@@ -41,8 +43,10 @@ from minla import (
     RevealTrace,
     TraceFormatError,
     check_harmonic_bounds,
+    det_step,
     harmonic_number,
     is_minla,
+    rand_step,
 )
 from minla.harness import CSV_HEADER, PRNG_NOTE, VerifyRow
 from minla.ordering import cross_weight
@@ -121,6 +125,21 @@ def valid_traces(draw, max_n: int = 12) -> RevealTrace:
         del comps[j]
         events.append(RevealEvent(u, v))
     return RevealTrace(model, n, pi0, tuple(events))
+
+
+def stepped_state(algo, trace, seed=0) -> AlgoState:
+    """The state ``run(algo, trace, seed)`` ends in, stepped event by event
+    by ``det_step`` or ``rand_step`` (one ``random.Random(seed)`` for every
+    draw) from ``AlgoState.initial`` on a partition of its own, so that it
+    can step on."""
+    state = AlgoState.initial(trace.pi0, ComponentPartition(trace.n, trace.model))
+    rng = random.Random(seed)
+    for ev in trace.events:
+        if algo == "det":
+            det_step(state, ev)
+        else:
+            rand_step(state, ev, rng)
+    return state
 
 
 def relabel(t, phi) -> RevealTrace:

@@ -185,6 +185,21 @@ MUTANTS: tuple[Mutant, ...] = (
         "if self._read_only:", "if False:",
         ("tests/test_algorithms.py::TestOneReplay::test_replay_refuses_merges",),
     ),
+    # run returns finished states over the replay: det's over its final
+    # partition, rand's as run_trials' trial for the same seed.
+    Mutant(
+        "det-run-keeps-its-own-partition", _ENGINE,
+        "state.parts = trace.replay.final", "pass",
+        (
+            "tests/test_algorithms.py::TestOneReplay::"
+            "test_run_returns_a_finished_state_over_the_replay",
+        ),
+    ),
+    Mutant(
+        "rand-run-reads-another-seed", _ENGINE,
+        "return next(run_trials(trace, (seed,)))", "return next(run_trials(trace, (seed + 1,)))",
+        ("tests/test_algorithms.py::TestOneReplay::test_run_matches_run_trials_and_steps_on",),
+    ),
     # merge is the only event check: validation, det_step and rand_step
     # reach node ids only through it.
     Mutant(
@@ -308,6 +323,53 @@ MUTANTS: tuple[Mutant, ...] = (
             "tests/test_trace.py::TestRevealEvent::test_ids_must_be_plain_ints",
             "tests/test_trace.py::TestTraceProperties::test_bool_ids_are_refused",
         ),
+    ),
+    # A trace takes a Permutation and a tuple of events.
+    Mutant(
+        "trace-takes-any-pi0", _REPLAY,
+        "if not isinstance(t.pi0, Permutation):", "if False:",
+        ("tests/test_trace.py::TestValidateTrace::test_pi0_must_be_a_permutation",),
+    ),
+    Mutant(
+        "trace-events-any-container", _REPLAY,
+        "if not isinstance(t.events, tuple) or not all(", "if not all(",
+        (
+            "tests/test_trace.py::TestValidateTrace::test_events_must_be_a_tuple_of_events[list]",
+            "tests/test_trace.py::TestValidateTrace::"
+            "test_events_must_be_a_tuple_of_events[generator]",
+        ),
+    ),
+    Mutant(
+        "trace-events-any-items", _REPLAY,
+        "isinstance(e, RevealEvent) for e in t.events", "True for e in t.events",
+        (
+            "tests/test_trace.py::TestValidateTrace::"
+            "test_events_must_be_a_tuple_of_events[tuple-pairs]",
+            "tests/test_trace.py::TestValidateTrace::"
+            "test_events_must_be_a_tuple_of_events[one-pair]",
+        ),
+    ),
+    # The identity's size, H_s's s and the lemma oracles' node ids are
+    # plain ints: bools and numpy ints are refused.
+    Mutant(
+        "identity-takes-any-n", "src/minla/perm.py",
+        "if type(n) is not int:", "if False:",
+        ("tests/test_perm.py::TestPermutation::test_identity_takes_a_plain_int",),
+    ),
+    Mutant(
+        "harmonic-takes-any-s", "src/minla/oracle.py",
+        "if type(s) is not int:", "if False:",
+        ("tests/test_oracle.py::TestHarmonic::test_rejects_non_ints",),
+    ),
+    Mutant(
+        "left-right-takes-any-ids", "src/minla/oracle.py",
+        "if any(type(v) is not int for v in group_a + group_b):", "if False:",
+        ("tests/test_oracle.py::TestLeftRightProbability::test_non_int_ids_rejected",),
+    ),
+    Mutant(
+        "orientation-takes-any-ids", "src/minla/oracle.py",
+        "if any(type(v) is not int for v in path_order):", "if False:",
+        ("tests/test_oracle.py::TestOrientationProbability::test_non_int_ids_rejected",),
     ),
     # A partition, and so a trace, takes a Model and a plain int n.
     Mutant(

@@ -5,6 +5,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,6 +25,7 @@ from conftest import (
     relabel,
     replay_components,
     sorted_positions,
+    stepped_state,
     valid_traces,
 )
 from minla import (
@@ -318,7 +320,7 @@ class TestRandCliqueStep:
     _PREFIX = make_trace(Model.CLIQUES, 5, [(3, 4)])
 
     def _paired_state(self):
-        return run("rand", self._PREFIX, seed=0)
+        return stepped_state("rand", self._PREFIX, seed=0)
 
     def _law(self, event):
         return _trace_law(make_trace(Model.CLIQUES, 5, [(3, 4), event]))
@@ -384,7 +386,7 @@ class TestRandLineStep:
     _PREFIX = make_trace(Model.LINES, 5, [(0, 1), (2, 3), (3, 4)])
 
     def _figure_state(self):
-        state = run("rand", self._PREFIX, seed=0)
+        state = stepped_state("rand", self._PREFIX, seed=0)
         assert state.current == Permutation([0, 1, 2, 3, 4])
         return state
 
@@ -832,7 +834,7 @@ class TestOneReplay:
             before = copy.deepcopy((rows, vars(final)))
             seeds = range(40)
             first = [_totals(state) for state in run_trials(trace, seeds)]
-            state = run("rand", trace, seed=5)
+            state = stepped_state("rand", trace, seed=5)
             rand_step(state, full.events[15], random.Random(5))
             assert state.parts is not final
             assert trace.replay.rows is rows and trace.replay.final is final
@@ -877,15 +879,59 @@ class TestOneReplay:
         assert (trace.replay.rows, vars(final)) == before
         assert dp_opt(trace).cost == 3
 
+    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
+    @pytest.mark.parametrize("algo", ["det", "rand"])
+    def test_run_returns_a_finished_state_over_the_replay(self, algo, model):
+        # The event joins two final components, which a partition of its
+        # own would accept; both steps refuse it before anything changes.
+        trace = random_trace(model, 8, seed=1, events=4)
+        final = trace.replay.final
+        state = run(algo, trace, seed=3)
+        assert state.parts is final
+        a, b = final.components()[:2]
+        event = RevealEvent(final.nodes_of(a)[-1], final.nodes_of(b)[0])
+        rng = random.Random(3)
+
+        def snapshot():
+            fields = [getattr(state, f.name) for f in dataclasses.fields(state)
+                      if f.name != "parts"]
+            return copy.deepcopy((fields, vars(final), trace.replay.rows, rng.getstate()))
+
+        before = snapshot()
+        for step in (det_step, partial(rand_step, rng=rng)):
+            with pytest.raises(ValueError):
+                step(state, event)
+            assert snapshot() == before and state.parts is final
+
+    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
+    def test_run_rand_merges_nothing_and_builds_coin_rows_once(self, monkeypatch, model):
+        trace = random_trace(model, 16, seed=44)
+        merges, calls = [], []
+        merge, coin_rows = ComponentPartition.merge, minla.algorithms._coin_rows
+
+        def counting_merge(parts, *args):
+            merges.append(args)
+            return merge(parts, *args)
+
+        def counting_rows(rows):
+            calls.append(rows)
+            return coin_rows(rows)
+
+        monkeypatch.setattr(ComponentPartition, "merge", counting_merge)
+        monkeypatch.setattr(minla.algorithms, "_coin_rows", counting_rows)
+        run("rand", trace, seed=5)
+        assert merges == [] and len(calls) == 1 and calls[0] is trace.replay.rows
+
     @pytest.mark.parametrize("full", [
         random_trace(Model.CLIQUES, 12, seed=43),
         random_trace(Model.LINES, 12, seed=43),
         tree_adversary(TreeAdversaryConfig(q=4, seed=3)),
     ], ids=["cliques", "lines", "tree"])
     def test_run_matches_run_trials_and_steps_on(self, full):
-        # run steps a partition of its own, event by event, from the stream
-        # run_trials gives the same seed; the trace stops one event early,
-        # so the state can take the last one.
+        # A rand_step loop from AlgoState.initial, on a partition of its own
+        # and from random.Random(seed), ends where run_trials' trial for the
+        # same seed and run do; the trace stops one event early, so the
+        # loop's state can take the last one.
         trace = dataclasses.replace(full, events=full.events[:-1])
 
         def view(state):
@@ -893,8 +939,8 @@ class TestOneReplay:
                     state.current)
 
         for seed, trial in zip(self.SEEDS, run_trials(trace, self.SEEDS)):
-            state = run("rand", trace, seed)
-            assert view(state) == view(trial)
+            state = stepped_state("rand", trace, seed)
+            assert view(state) == view(trial) == view(run("rand", trace, seed))
             rand_step(state, full.events[-1], random.Random(seed))
             assert state.parts.num_components == trace.replay.final.num_components - 1
             assert is_minla(state.current, state.parts)

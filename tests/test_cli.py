@@ -552,6 +552,27 @@ class TestValidateOnce:
         assert code == 0
         assert merges == [(ev.u, ev.v) for ev in trace.events]
 
+    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
+    def test_det_op_merges_each_event_twice(self, capsys, tmp_path, monkeypatch, model):
+        # Validation merges each event once; run("det") merges it again on
+        # a private partition, the only source apart from the replay for
+        # the check of each batched target, and then returns over the replay.
+        trace = random_trace(model, 7, seed=52, events=6)
+        path = tmp_path / "t.txt"
+        path.write_text(emit_trace(trace))
+        merges = []
+        real = minla.trace.ComponentPartition.merge
+
+        def counting(parts, *args):
+            merges.append(args)
+            return real(parts, *args)
+
+        monkeypatch.setattr(minla.trace.ComponentPartition, "merge", counting)
+        code, _, _ = run_cli(capsys, "simulate", "--algo", "det", "--trials", "3",
+                             "--seed", "1", "--trace", str(path))
+        assert code == 0
+        assert merges == [(ev.u, ev.v) for ev in trace.events] * 2
+
 
 class TestBench:
     def test_writes_reports_and_exit_code(self, capsys, tmp_path, monkeypatch):

@@ -424,6 +424,15 @@ class TestLeftRightProbability:
             left_right_probability([], [1], Permutation.identity(2))
 
     @pytest.mark.parametrize("group_a, group_b", [
+        ([True], [0]), ([0], [False]), ([1, True], [0]), ([0], [1.0]), ([np.int64(1)], [0]),
+    ])
+    def test_non_int_ids_rejected(self, group_a, group_b):
+        # Unchecked, ([True], [0]) reads node 1 and returns 0, and
+        # ([1, True], [0]) collapses to {1}.
+        with pytest.raises(TypeError, match=r"^group_a and group_b ids must be ints: "):
+            left_right_probability(group_a, group_b, Permutation.identity(3))
+
+    @pytest.mark.parametrize("group_a, group_b", [
         ([0], [-1]), ([0], [5]), ([-5], [1]), ([0, 7], [1, 2]),
     ])
     def test_out_of_range_ids_rejected(self, group_a, group_b):
@@ -463,6 +472,12 @@ class TestOrientationProbability:
         with pytest.raises(ValueError):
             orientation_probability([0], Permutation.identity(1))
 
+    @pytest.mark.parametrize("path", [[True, 0], [0, 1.0, 2], [np.int64(0), 1], [True]])
+    def test_non_int_ids_rejected(self, path):
+        # Unchecked, [True, 0] reads node 1 and returns 0.
+        with pytest.raises(TypeError, match=r"^path_order node ids must be ints, got "):
+            orientation_probability(path, Permutation.identity(3))
+
     @pytest.mark.parametrize("path", [[0, -1], [4, 5], [-2, 0, 1], [3, 9, 4]])
     def test_out_of_range_ids_rejected(self, path):
         with pytest.raises(ValueError, match=r"node ids must lie in 0\.\.4"):
@@ -494,6 +509,13 @@ class TestHarmonic:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             harmonic_number(0)
+
+    @pytest.mark.parametrize("s", [True, 2.0, np.int64(2), "2", Fraction(2)],
+                             ids=["bool", "float", "numpy-int", "str", "fraction"])
+    def test_rejects_non_ints(self, s):
+        # Unchecked, harmonic_number(True) returns H_1.
+        with pytest.raises(TypeError, match=r"^s must be an int, got "):
+            harmonic_number(s)
 
 
 class TestHarmonicBounds:

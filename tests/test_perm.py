@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,13 @@ class TestPermutation:
         with pytest.raises(ValueError) as err:
             Permutation(iter(node_at))
         assert str(err.value) == f"not a permutation of 0..1: {node_at!r}"
+
+    @pytest.mark.parametrize("n", [True, 3.0, np.int64(3), "3"],
+                             ids=["bool", "float", "numpy-int", "str"])
+    def test_identity_takes_a_plain_int(self, n):
+        # Unchecked, True builds Permutation([0]) and np.int64(3) an identity.
+        with pytest.raises(TypeError, match=re.escape(f"identity takes an int n, got {n!r}")):
+            Permutation.identity(n)
 
     def test_from_text_refusals(self):
         with pytest.raises(ValueError, match=r"^not a permutation of 0\.\.2: \(0, 2, 2\)$"):

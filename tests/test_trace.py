@@ -17,6 +17,7 @@ from conftest import (
     reference_components,
     reference_parse_trace,
     replay_components,
+    stepped_state,
     valid_traces,
 )
 from minla import (
@@ -33,7 +34,6 @@ from minla import (
     parse_trace,
     rand_step,
     random_trace,
-    run,
     tree_adversary,
     validate_trace,
 )
@@ -43,6 +43,23 @@ from minla.algorithms import _coin_rows
 class TestValidateTrace:
     def test_line_path_ok(self):
         validate_trace(make_trace(Model.LINES, 3, [(0, 1), (1, 2)]))
+
+    @pytest.mark.parametrize("pi0", [[0, 1, 2], (0, 1, 2), range(3), "012"],
+                             ids=["list", "tuple", "range", "str"])
+    def test_pi0_must_be_a_permutation(self, pi0):
+        # Unchecked, a list pi0 builds a trace that dp_opt, run, run_trials
+        # and emit_trace fail on with AttributeError.
+        with pytest.raises(TypeError, match=r"^pi0 must be a Permutation, got "):
+            RevealTrace(Model.LINES, 3, pi0, (RevealEvent(0, 1),))
+
+    @pytest.mark.parametrize("events", [
+        [RevealEvent(0, 1)], ((0, 1),), (RevealEvent(0, 1), [1, 2]), (e for e in ()), None,
+    ], ids=["list", "tuple-pairs", "one-pair", "generator", "none"])
+    def test_events_must_be_a_tuple_of_events(self, events):
+        # Unchecked, pairs fail in validation with AttributeError, and a
+        # list of events builds a trace that cannot be hashed.
+        with pytest.raises(TypeError, match=r"^events must be a tuple of RevealEvent, got "):
+            RevealTrace(Model.LINES, 3, Permutation.identity(3), events)
 
     def test_same_component_rejected(self):
         with pytest.raises(TraceValidationError) as err:
@@ -473,7 +490,7 @@ class TestPartition:
     @pytest.mark.parametrize("algo", ["det", "rand"])
     def test_steps_reject_bad_events_before_changing_the_state(self, model, algo):
         # A state on its own partition: one merge done, nodes 0..4.
-        state = run(algo, make_trace(model, 5, [(1, 2)], Permutation([3, 1, 4, 0, 2])))
+        state = stepped_state(algo, make_trace(model, 5, [(1, 2)], Permutation([3, 1, 4, 0, 2])))
         rng = random.Random(5)
         step = det_step if algo == "det" else partial(rand_step, rng=rng)
 
