@@ -86,7 +86,7 @@ class AlgoState:
     @property
     def events_done(self) -> int:
         """Events applied so far: each one merged two components."""
-        return self.parts.n - self.parts.num_components
+        return self.parts.n - len(self.parts.nodes)
 
     @property
     def current(self) -> Permutation:
@@ -99,14 +99,14 @@ def _layout(state: AlgoState) -> list[int]:
     """A ``rand`` trial's arrangement: the blocks in the order of their
     slots, each path from its left end, each clique as its recorded
     sequence."""
-    parts = state.parts
+    nodes = state.parts.nodes
     # Slots are distinct positions, so the key alone fixes the order.
-    roots = sorted(parts._nodes, key=state.slot.__getitem__)
+    roots = sorted(nodes, key=state.slot.__getitem__)
     if state.left_end is None:
         return [v for root in roots for v in state.blocks[root]]
     node_at: list[int] = []
     for root in roots:
-        path = parts.nodes_of(root)
+        path = nodes[root]
         node_at.extend(path if path[0] == state.left_end[root] else path[::-1])
     return node_at
 
@@ -141,7 +141,7 @@ def closest_feasible(pi0: Permutation, parts: ComponentPartition) -> tuple[int, 
     if len(pi0) != parts.n:
         raise InstanceMismatchError(f"permutation of {len(pi0)} nodes, partition of {parts.n}")
     pos0, lines = pi0.pos_of, parts.model is Model.LINES
-    blocks = [_component_block(parts.nodes_of(r), pos0, lines) for r in parts.components()]
+    blocks = [_component_block(nodes, pos0, lines) for nodes in parts.nodes.values()]
     cross, node_at = solve_block_order([seq for seq, _ in blocks], pos0)
     return cross + sum(inverted for _, inverted in blocks), Permutation(node_at)
 
@@ -153,11 +153,11 @@ def _check_full(state: AlgoState) -> None:
     blocks and oriented paths side by side, so ``is_minla`` accepts it."""
     parts, left_end, blocks = state.parts, state.left_end, state.blocks
     if left_end is not None:
-        for root, path in parts._nodes.items():
+        for root, path in parts.nodes.items():
             if left_end[root] != path[0] and left_end[root] != path[-1]:
                 raise InvariantError(state.events_done - 1, root, len(path))
     else:
-        for root, nodes in parts._nodes.items():
+        for root, nodes in parts.nodes.items():
             if len(blocks[root]) != len(nodes) or not set(blocks[root]).issuperset(nodes):
                 raise InvariantError(state.events_done - 1, root, len(nodes))
 
@@ -185,7 +185,7 @@ def _det_move(state: AlgoState, event: RevealEvent,
     state.move_cost += kendall_tau(before, target)
     state.fixed = target
     if (root := state.parts.misplaced_root(target.node_at)) is not None:
-        raise InvariantError(state.events_done - 1, root, state.parts.size_of(root))
+        raise InvariantError(state.events_done - 1, root, len(state.parts.nodes[root]))
     return state
 
 

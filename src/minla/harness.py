@@ -21,7 +21,7 @@ import operator
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import combinations, repeat
 from typing import Iterator, Sequence
 
 from . import __version__
@@ -62,7 +62,10 @@ CSV_HEADER = (
 
 
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:
-    """64-bit per-trial seed; independent of how many trials follow."""
+    """64-bit per-trial seed of two plain ints; independent of how many trials follow."""
+    for name, value in (("master_seed", master_seed), ("trial_index", trial_index)):
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {value!r}")
     if trial_index < 0:
         raise ValueError(f"trial_index must be >= 0, got {trial_index}")
     return next(_trial_seeds(master_seed + trial_index * _GOLDEN, 1))
@@ -293,15 +296,13 @@ def _binomial_rows(labels, expected, hits, trials: int) -> list[VerifyRow]:
 def _left_right_rows(trace: RevealTrace, trials: int, seed: int) -> list[VerifyRow]:
     """How often each pair of final components, in root order, ends in that
     order: blocks stand in the order of their slots."""
-    final = trace.replay.final
-    roots = final.components()
-    pairs = [(ra, rb) for i, ra in enumerate(roots) for rb in roots[i + 1 :]]
+    nodes = trace.replay.final.nodes
+    pairs = list(combinations(nodes, 2))
     if not pairs:
         raise ConfigError("trace merges to one component; no pairs to track")
-    group = {r: "{%s}" % ",".join(map(str, sorted(final.nodes_of(r)))) for r in roots}
+    group = {r: "{%s}" % ",".join(map(str, sorted(p))) for r, p in nodes.items()}
     labels = [f"{group[ra]} left of {group[rb]}" for ra, rb in pairs]
-    nodes = final.nodes_of
-    expected = [left_right_probability(nodes(ra), nodes(rb), trace.pi0) for ra, rb in pairs]
+    expected = [left_right_probability(nodes[ra], nodes[rb], trace.pi0) for ra, rb in pairs]
     hits = [0] * len(pairs)
     for result in run_trials(trace, _trial_seeds(seed, trials)):
         slot = result.slot
@@ -313,8 +314,7 @@ def _left_right_rows(trace: RevealTrace, trials: int, seed: int) -> list[VerifyR
 
 def _orientation_rows(trace: RevealTrace, trials: int, seed: int) -> list[VerifyRow]:
     """How often each multi-node final path is laid forward: its first node leads."""
-    final = trace.replay.final
-    paths = {r: final.path_of(r) for r in final.components() if final.size_of(r) >= 2}
+    paths = {r: p for r, p in trace.replay.final.nodes.items() if len(p) >= 2}
     if not paths:
         raise ConfigError("trace has no multi-node component to orient")
     labels = ["path (%s) kept forward" % ",".join(map(str, p)) for p in paths.values()]

@@ -71,13 +71,12 @@ def arrangement_cost(p: Permutation, parts: ComponentPartition) -> int:
         raise InstanceMismatchError(f"permutation of {len(p)} nodes, partition of {parts.n}")
     pos = p.pos_of
     total = 0
-    for root in parts.components():
+    for path in parts.nodes.values():
         if parts.model is Model.CLIQUES:
-            qs = sorted(pos[v] for v in parts.nodes_of(root))
+            qs = sorted(pos[v] for v in path)
             s = len(qs)
             total += sum(q * (2 * i - s + 1) for i, q in enumerate(qs))
         else:
-            path = parts.path_of(root)
             total += sum(
                 abs(pos[a] - pos[b]) for a, b in zip(path, path[1:])
             )
@@ -300,26 +299,31 @@ def check_harmonic_bounds(batch: Sequence[Sequence[int]]) -> tuple[np.ndarray, .
     denominators can vanish, so the sums start where they are well defined.
     The last two are halved: x / C(P, 2) <= 2 H_S is x / (P (P - 1)) <= H_S.
 
-    ``batch`` is a list of m series; returns three bool arrays of length m.
-    A total S past 10^4 raises :class:`CapacityError` before any sum is
-    taken.  Floats decide a sum only far enough from H_S; every other sum is
-    one integer numerator over the lcm of its denominators, so every answer
-    is exact.
+    ``batch`` is a list of m series of plain ints (else :class:`TypeError`);
+    returns three bool arrays of length m.  A total S past 10^4 raises
+    :class:`CapacityError` before any sum is taken.  Floats decide a sum only
+    far enough from H_S; every other sum is one integer numerator over the
+    lcm of its denominators, so every answer is exact.
     """
     import numpy as np
 
     if len(batch) == 0 or np.ndim(batch[0]) == 0:
         raise ValueError("expected a nonempty batch: a list of series")
     lengths = np.array([len(row) for row in batch])
-    values = np.array([s for row in batch for s in row])
+    flat = [s for row in batch for s in row]
+    values = np.array(flat)
     # One string entry turns every entry into a string, which cannot be
     # ordered against 1; operator.index below names it instead.
     if not lengths.all() or (values.dtype.kind not in "SU" and values.min() < 1):
         raise ValueError("series must be nonempty positive integers")
+    if {*map(type, flat)} != {int}:
+        # Non-integers fail operator.index; bools and numpy ints are refused.
+        bad = next(s for s in flat if type(s) is not int)
+        operator.index(bad)
+        raise TypeError(f"series entries must be ints, got {bad!r}")
     if values.dtype.kind != "i":
-        # Bools, integers past int64 or non-integers: only integers pass, and
-        # as Python ints, so no entry is ever summed as a float.
-        values = np.array([operator.index(s) for row in batch for s in row], dtype=object)
+        # Integers past int64, kept as Python ints so none is summed as a float.
+        values = np.array(flat, dtype=object)
     # Clipped entries sum past the cap exactly when the true ones do.
     clipped = np.minimum(values, _EXACT_HARMONIC_MAX + 1)
     totals = np.add.reduceat(clipped, lengths.cumsum() - lengths).tolist()

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple, NoReturn, Sequence
 
 from .errors import TraceFormatError, TraceValidationError
@@ -94,7 +95,7 @@ class ComponentPartition:
             raise TypeError(f"a partition takes a Model and an int n, got {model!r} and {n!r}")
         self.n = n
         self.model = model
-        # Read on every merge and path lookup, where an enum compare costs
+        # Read on every merge and contiguity check, where an enum compare costs
         # ten times a bool test.
         self._lines = model is Model.LINES
         self._read_only = False
@@ -105,25 +106,11 @@ class ComponentPartition:
     def find(self, v: int) -> int:
         return self._root[v]
 
-    def components(self) -> list[int]:
-        """Component roots, sorted for deterministic iteration."""
-        return sorted(self._nodes)
-
     @property
-    def num_components(self) -> int:
-        return len(self._nodes)
-
-    def nodes_of(self, root: int) -> list[int]:
-        """The root's live node list: later merges may extend or turn it."""
-        return self._nodes[root]
-
-    def size_of(self, root: int) -> int:
-        return len(self._nodes[root])
-
-    def path_of(self, root: int) -> tuple[int, ...]:
-        if not self._lines:
-            raise ValueError("path order is only tracked for the lines model")
-        return tuple(self._nodes[root])
+    def nodes(self) -> MappingProxyType[int, list[int]]:
+        """Each root, in ascending order (a merge only pops the absorbed
+        root), mapped to its live node list: a read-only view per read."""
+        return MappingProxyType(self._nodes)
 
     def misplaced_root(self, node_at: Sequence[int]) -> int | None:
         """Root of the first component, walking ``node_at`` left to right,
@@ -228,7 +215,7 @@ def validate_trace(t: RevealTrace) -> Replay:
         rows = [merge(ev.u, ev.v) for ev in t.events]
     except TraceValidationError as exc:
         # A rejected merge writes nothing, so the merges done index the event.
-        raise TraceValidationError(str(exc), event_index=t.n - parts.num_components) from None
+        raise TraceValidationError(str(exc), event_index=t.n - len(parts.nodes)) from None
     parts._read_only = True
     return Replay(tuple(rows), parts)
 

@@ -290,8 +290,7 @@ def minla_optimum(parts, model) -> int:
     """Closed-form minimum arrangement cost: a clique of size s costs
     (s^3 - s) / 6 when contiguous, a path of size s costs s - 1."""
     total = 0
-    for root in parts.components():
-        s = parts.size_of(root)
+    for s in map(len, parts.nodes.values()):
         total += (s * s * s - s) // 6 if model is Model.CLIQUES else s - 1
     return total
 
@@ -546,19 +545,19 @@ def frequency_counts(trace, finals, kind: str) -> list[int]:
     multi-node path when the span from its leftmost position reads the path
     forward."""
     parts = replay_components(trace, trace.k)
-    roots = parts.components()
+    roots = list(parts.nodes)
     counts = []
     if kind == "left-right":
         for i, ra in enumerate(roots):
             for rb in roots[i + 1 :]:
                 counts.append(sum(
-                    min(p.pos_of[v] for v in parts.nodes_of(ra))
-                    < min(p.pos_of[v] for v in parts.nodes_of(rb))
+                    min(p.pos_of[v] for v in parts.nodes[ra])
+                    < min(p.pos_of[v] for v in parts.nodes[rb])
                     for p in finals
                 ))
     else:
         for r in roots:
-            path = parts.path_of(r)
+            path = tuple(parts.nodes[r])
             if len(path) < 2:
                 continue
             counts.append(sum(
@@ -584,7 +583,7 @@ def _reference_perm_graph(n: int):
 
 def _reference_feasible_filter(parts, model, n: int):
     comp_of = [parts.find(v) for v in range(n)]
-    num = parts.num_components
+    num = len(parts.nodes)
     if model is Model.CLIQUES:
 
         def ok(p):
@@ -599,7 +598,7 @@ def _reference_feasible_filter(parts, model, n: int):
 
         return ok
 
-    paths = {root: tuple(parts.path_of(root)) for root in parts.components()}
+    paths = {root: tuple(nodes) for root, nodes in parts.nodes.items()}
 
     def ok_lines(p):
         start = 0

@@ -179,6 +179,17 @@ MUTANTS: tuple[Mutant, ...] = (
             "tests/test_trace.py::TestCachedReplay::test_steps_match_reference_components",
         ),
     ),
+    # A merge only pops the absorbed root, so ``nodes`` keeps ascending root
+    # order without a sort; re-inserting the kept root moves it last.
+    Mutant(
+        "merge-reinserts-kept-root", _REPLAY,
+        "x.extend(nodes.pop(rv))", "x.extend(nodes.pop(rv)); nodes[ru] = nodes.pop(ru)",
+        (
+            "tests/test_trace.py::TestTraceProperties::test_roots_stay_in_ascending_order",
+            "tests/test_algorithms.py::TestDetRun::test_carried_blocks_match_a_fresh_replay",
+            "tests/test_harness.py::TestVerifyLemma::test_sigma_limit[2-pass]",
+        ),
+    ),
     # A trace's replayed partition refuses merges.
     Mutant(
         "read-only-replay-merges", _REPLAY,
@@ -271,8 +282,8 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "clique-check-stops-after-first-root", _ENGINE,
-        "for root, nodes in parts._nodes.items():",
-        "for root, nodes in list(parts._nodes.items())[:1]:",
+        "for root, nodes in parts.nodes.items():",
+        "for root, nodes in list(parts.nodes.items())[:1]:",
         (
             "tests/test_algorithms.py::TestWindowedKernel::"
             "test_final_state_fault_caught_exactly_when_inconsistent",
@@ -280,8 +291,8 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "layout-in-root-order", _ENGINE,
-        "roots = sorted(parts._nodes, key=state.slot.__getitem__)",
-        "roots = sorted(parts._nodes)",
+        "roots = sorted(nodes, key=state.slot.__getitem__)",
+        "roots = sorted(nodes)",
         ("tests/test_algorithms.py::TestWindowedKernel",),
     ),
     # Trace intake: the event lines are checked as one block.
@@ -370,6 +381,20 @@ MUTANTS: tuple[Mutant, ...] = (
         "orientation-takes-any-ids", "src/minla/oracle.py",
         "if any(type(v) is not int for v in path_order):", "if False:",
         ("tests/test_oracle.py::TestOrientationProbability::test_non_int_ids_rejected",),
+    ),
+    Mutant(
+        "seed-takes-int-subclasses", "src/minla/harness.py",
+        "if type(value) is not int:", "if not isinstance(value, int):",
+        (
+            "tests/test_harness.py::TestSeedDerivation::test_non_int_arguments_refused[bool-master]",
+            "tests/test_harness.py::TestSeedDerivation::test_non_int_arguments_refused[bool-trial]",
+        ),
+    ),
+    Mutant(
+        "harmonic-takes-bools-and-numpy-ints", "src/minla/oracle.py",
+        "if {*map(type, flat)} != {int}:",
+        "if not all(isinstance(s, (int, np.integer)) for s in flat):",
+        ("tests/test_oracle.py::TestHarmonicBounds::test_bools_and_numpy_ints_refused",),
     ),
     # A partition, and so a trace, takes a Model and a plain int n.
     Mutant(

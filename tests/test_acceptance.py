@@ -280,7 +280,7 @@ def test_frequency_traces_hold_their_closed_forms_exactly():
             trace = random_trace(model, n, seed=500 + index * 10 + slot, events=k)
             law = _trace_law(trace)
             final, pi0 = trace.replay.final, trace.pi0
-            roots = final.components()
+            roots = list(final.nodes)
 
             def frequency(before):
                 # The probability that node pair ``before`` is laid in order.
@@ -293,10 +293,10 @@ def test_frequency_traces_hold_their_closed_forms_exactly():
                     for rb in roots[i + 1 :]:
                         tracked += 1
                         assert frequency((ra, rb)) == left_right_probability(
-                            final.nodes_of(ra), final.nodes_of(rb), pi0
+                            final.nodes[ra], final.nodes[rb], pi0
                         ), (n, k, ra, rb)
             else:
-                for path in (final.path_of(r) for r in roots if final.size_of(r) >= 2):
+                for path in (tuple(p) for p in final.nodes.values() if len(p) >= 2):
                     tracked += 1
                     assert frequency((path[0], path[-1])) == orientation_probability(
                         path, pi0

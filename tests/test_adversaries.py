@@ -35,7 +35,8 @@ from minla.adversaries import NODE_BOUND
 class TestTreeAdversary:
     def leaf_order(self, trace):
         parts = replay_components(trace, trace.k)
-        return list(parts.path_of(parts.components()[0]))
+        [path] = parts.nodes.values()
+        return list(path)
 
     def test_depth_one(self):
         trace = tree_adversary(TreeAdversaryConfig(q=1, seed=0))
@@ -80,8 +81,8 @@ class TestTreeAdversary:
             size = 1 << (level - 1)
             for _ in range(1 << (q - level)):
                 ev = trace.events[idx]
-                assert parts.size_of(parts.find(ev.u)) == size
-                assert parts.size_of(parts.find(ev.v)) == size
+                assert len(parts.nodes[parts.find(ev.u)]) == size
+                assert len(parts.nodes[parts.find(ev.v)]) == size
                 parts.merge(ev.u, ev.v)
                 idx += 1
 
@@ -154,7 +155,7 @@ class TestMiddleLineAdversary:
     def test_final_partition_shape(self):
         report = duel(7)
         parts = replay_components(report.induced_trace, report.induced_trace.k)
-        sizes = sorted(parts.size_of(r) for r in parts.components())
+        sizes = sorted(map(len, parts.nodes.values()))
         assert sizes == [1, 6]
 
 

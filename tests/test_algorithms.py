@@ -200,7 +200,7 @@ class TestDetStep:
         monkeypatch.setattr(minla.algorithms, "solve_block_orders", checked)
         trace = random_trace(model, n, seed=n)
         result = run("det", trace)
-        assert result.parts.num_components == 1
+        assert len(result.parts.nodes) == 1
         assert len(compared) == 16
 
     def test_triangle_bound_per_run(self):
@@ -280,8 +280,8 @@ class TestDetRun:
         for i, (seqs, pos_of) in enumerate(problems, 1):
             parts = replay_components(trace, i)
             assert pos_of == pos0
-            assert seqs == [_component_block(parts.nodes_of(r), pos0, lines)[0]
-                            for r in parts.components()]
+            assert seqs == [_component_block(nodes, pos0, lines)[0]
+                            for nodes in parts.nodes.values()]
 
     @TRACE_SETTINGS
     @given(valid_traces())
@@ -368,12 +368,12 @@ class TestRandCliqueStep:
             for ev in trace.events:
                 parts = state.parts
                 touched = {parts.find(ev.u), parts.find(ev.v)}
-                bystanders = [r for r in parts.components() if r not in touched]
+                bystanders = [r for r in parts.nodes if r not in touched]
                 before = sorted(
                     bystanders,
-                    key=lambda r: min(state.current.pos_of[v] for v in parts.nodes_of(r)),
+                    key=lambda r: min(state.current.pos_of[v] for v in parts.nodes[r]),
                 )
-                members = {r: list(parts.nodes_of(r)) for r in bystanders}
+                members = {r: list(parts.nodes[r]) for r in bystanders}
                 rand_step(state, ev, step_rng)
                 after = sorted(
                     bystanders,
@@ -478,7 +478,7 @@ class TestRun:
         state = AlgoState.initial(pi0, lines)
         assert (state.blocks, state.left_end) == (None, [0, 1, 2, 3])
         rand_step(state, RevealEvent(0, 1), random.Random(0))
-        assert state.parts.path_of(0) in ((0, 1), (1, 0))
+        assert tuple(state.parts.nodes[0]) in ((0, 1), (1, 0))
         assert is_minla(state.current, state.parts)
 
 
@@ -674,9 +674,9 @@ class TestWindowedKernel:
             parts = state.parts
             ev = trace.events[at]
             root = parts.find(rng.choice((ev.u, ev.v)))
-            size = parts.size_of(root)
+            size = len(parts.nodes[root])
             empty = [p for p, held in enumerate(state.slot_sizes) if held == 0]
-            inner = parts.path_of(root)[1:-1] if model is Model.LINES else ()
+            inner = parts.nodes[root][1:-1] if model is Model.LINES else ()
             choices = ["size"] + ["slot"] * bool(empty) + ["left_end"] * bool(inner)
             kind = rng.choice(choices)
             kinds.add(kind)
@@ -722,12 +722,12 @@ class TestWindowedKernel:
             parts = trace.replay.final
             if root is None:
                 assert raised is None, kind
-                groups = [parts.nodes_of(r) for r in parts.components()]
+                groups = list(parts.nodes.values())
                 assert literal_minla(state.current, groups, model), kind
             else:
                 assert raised is not None, kind
                 assert (raised.event_index, raised.root) == (trace.k - 1, root), kind
-                assert raised.size == parts.size_of(root)
+                assert raised.size == len(parts.nodes[root])
         assert len(faults) == 400
         assert {kind for kind, _ in faults} == {
             "swap", "foreign", "within", "inner", "other", "flip"}
@@ -759,7 +759,7 @@ def _break_final_state(state, rng):
     (consistent).  Lines: move a left end to an inner node or to another
     path's end, or to its own path's other end (consistent)."""
     parts = state.parts
-    roots = parts.components()
+    roots = list(parts.nodes)
     r, s = rng.sample(roots, 2) if len(roots) > 1 else (roots[0], None)
     if state.blocks is not None:
         blocks = state.blocks
@@ -778,13 +778,13 @@ def _break_final_state(state, rng):
             x[i], x[j] = x[j], x[i]
         blocks[r] = tuple(x)
         return kind, min(r, s) if kind == "swap" else r if kind == "foreign" else None
-    path = parts.path_of(r)
+    path = parts.nodes[r]
     kinds = ["flip"] + ["inner"] * (len(path) > 2) + ["other"] * (s is not None)
     kind = rng.choice(kinds)
     if kind == "inner":
         state.left_end[r] = rng.choice(path[1:-1])
     elif kind == "other":
-        other = parts.path_of(s)
+        other = parts.nodes[s]
         state.left_end[r] = rng.choice((other[0], other[-1]))
     else:
         state.left_end[r] = path[-1] if state.left_end[r] == path[0] else path[0]
@@ -865,7 +865,7 @@ class TestOneReplay:
         # another: an event a partition of its own would accept.
         trace = random_trace(Model.LINES, 8, seed=1, events=4)
         final = trace.replay.final
-        paths = [final.path_of(r) for r in final.components() if final.size_of(r) > 1]
+        paths = [p for p in final.nodes.values() if len(p) > 1]
         event = RevealEvent(paths[0][-1], paths[1][0])
         before = copy.deepcopy((trace.replay.rows, vars(final)))
         assert dp_opt(trace).cost == 3
@@ -888,8 +888,8 @@ class TestOneReplay:
         final = trace.replay.final
         state = run(algo, trace, seed=3)
         assert state.parts is final
-        a, b = final.components()[:2]
-        event = RevealEvent(final.nodes_of(a)[-1], final.nodes_of(b)[0])
+        a, b = list(final.nodes)[:2]
+        event = RevealEvent(final.nodes[a][-1], final.nodes[b][0])
         rng = random.Random(3)
 
         def snapshot():
@@ -942,7 +942,7 @@ class TestOneReplay:
             state = stepped_state("rand", trace, seed)
             assert view(state) == view(trial) == view(run("rand", trace, seed))
             rand_step(state, full.events[-1], random.Random(seed))
-            assert state.parts.num_components == trace.replay.final.num_components - 1
+            assert len(state.parts.nodes) == len(trace.replay.final.nodes) - 1
             assert is_minla(state.current, state.parts)
 
 

@@ -671,9 +671,9 @@ class TestDuel:
         def swap_path_head(pi0, parts):
             distance, target = closest_feasible(pi0, parts)
             node_at = list(target.node_at)
-            for root in parts.components():
-                if parts.size_of(root) == 3:
-                    i, j = (target.pos_of[v] for v in parts.path_of(root)[:2])
+            for path in parts.nodes.values():
+                if len(path) == 3:
+                    i, j = (target.pos_of[v] for v in path[:2])
                     node_at[i], node_at[j] = node_at[j], node_at[i]
             return distance, Permutation(node_at)
 

@@ -81,6 +81,15 @@ class TestSeedDerivation:
         with pytest.raises(ValueError, match="trial_index must be >= 0, got -"):
             derive_trial_seed(1, trial)
 
+    @pytest.mark.parametrize("args, name", [
+        ((True, 0), "master_seed"), ((0, True), "trial_index"),
+        ((np.int64(1), 0), "master_seed"), ((0, 1.0), "trial_index"),
+    ], ids=["bool-master", "bool-trial", "numpy-master", "float-trial"])
+    def test_non_int_arguments_refused(self, args, name):
+        # Unchecked, derive_trial_seed(True, 0) returns master 1's seed.
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got "):
+            derive_trial_seed(*args)
+
 
 class TestRatioFormatting:
     def test_na_for_zero_opt(self):

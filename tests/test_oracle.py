@@ -553,13 +553,17 @@ class TestHarmonicBounds:
                 check_harmonic_bounds(batch)
 
     def test_value_errors_come_before_type_errors(self):
-        for batch in ([[], [1.5]], [[0, 1.5]], [[2], [1.5, -1]]):
+        for batch in ([[], [1.5]], [[0, 1.5]], [[2], [1.5, -1]], [[True, 0]]):
             with pytest.raises(ValueError):
                 check_harmonic_bounds(batch)
 
-    def test_integer_like_entries_count_as_integers(self):
-        assert _alone([np.int64(2), True, 3]) == _alone([2, 1, 3])
-        assert _batch_bounds([[np.uint64(2), 1], [1, 1]]) == [HOLDS] * 2
+    @pytest.mark.parametrize("batch", [
+        [[True, 2]], [[np.int64(2), True, 3]], [[np.uint64(2), 1], [1, 1]], [[3], [1, np.int32(1)]],
+    ], ids=["bool", "numpy-int", "numpy-uint", "later-series"])
+    def test_bools_and_numpy_ints_refused(self, batch):
+        # Unchecked, [[True, 2]] is checked as the series (1, 2).
+        with pytest.raises(TypeError, match=r"^series entries must be ints, got "):
+            check_harmonic_bounds(batch)
 
 
 def _identity(a, b):
@@ -861,7 +865,7 @@ class TestIsMinla:
             n = rng.randint(2, 10)
             trace = random_trace(Model.LINES, n, seed=rng.random())
             final = replay_components(trace, trace.k)
-            blocks = [final.path_of(root) for root in final.components()]
+            blocks = list(final.nodes.values())
             for _ in range(20):
                 rng.shuffle(blocks)
                 layout = []

@@ -272,8 +272,8 @@ class TestSingletonAwareOrder:
                 trace = random_trace(model, n, seed=rng.random())
                 parts = replay_components(trace, rng.randint(0, trace.k))
                 pos0, lines = trace.pi0.pos_of, model is Model.LINES
-                seqs = [_component_block(parts.nodes_of(r), pos0, lines)[0]
-                        for r in parts.components()]
+                seqs = [_component_block(nodes, pos0, lines)[0]
+                        for nodes in parts.nodes.values()]
                 assert solve_block_order(seqs, pos0) == reference(seqs, pos0)
 
     @TRACE_SETTINGS

@@ -100,19 +100,18 @@ class TestReplay:
     def test_step_zero_is_singletons(self):
         trace = make_trace(Model.LINES, 4, [(0, 1)])
         parts = replay_components(trace, 0)
-        assert parts.num_components == 4
+        assert len(parts.nodes) == 4
 
     def test_line_merge_path_order(self):
         trace = make_trace(Model.LINES, 3, [(0, 1), (1, 2)])
         parts = replay_components(trace, 2)
-        assert parts.num_components == 1
-        assert parts.path_of(parts.components()[0]) == (0, 1, 2)
+        assert list(parts.nodes.values()) == [[0, 1, 2]]
 
     def test_clique_union(self):
         trace = make_trace(Model.CLIQUES, 3, [(0, 2), (1, 0)])
         parts = replay_components(trace, 2)
-        root = parts.components()[0]
-        assert sorted(parts.nodes_of(root)) == [0, 1, 2]
+        [nodes] = parts.nodes.values()
+        assert sorted(nodes) == [0, 1, 2]
 
     def test_index_out_of_range(self):
         trace = make_trace(Model.LINES, 3, [(0, 1)])
@@ -123,8 +122,8 @@ class TestReplay:
         trace = random_trace(Model.LINES, 9, seed=1)
         for i in range(trace.k):
             assert (
-                replay_components(trace, i).num_components
-                == replay_components(trace, i + 1).num_components + 1
+                len(replay_components(trace, i).nodes)
+                == len(replay_components(trace, i + 1).nodes) + 1
             )
 
     def test_refinement(self):
@@ -135,8 +134,7 @@ class TestReplay:
                 for i in range(trace.k):
                     early = replay_components(trace, i)
                     late = replay_components(trace, i + 1)
-                    for root in early.components():
-                        nodes = early.nodes_of(root)
+                    for nodes in early.nodes.values():
                         targets = {late.find(v) for v in nodes}
                         assert len(targets) == 1
 
@@ -148,9 +146,9 @@ class TestReplay:
                 before = replay_components(trace, i)
                 after = replay_components(trace, i + 1)
                 ev = trace.events[i]
-                merged_path = after.path_of(after.find(ev.u))
+                merged_path = tuple(after.nodes[after.find(ev.u)])
                 for root in (before.find(ev.u), before.find(ev.v)):
-                    parent = before.path_of(root)
+                    parent = tuple(before.nodes[root])
                     restricted = tuple(v for v in merged_path if v in set(parent))
                     assert restricted in (parent, parent[::-1])
 
@@ -189,18 +187,14 @@ def _line_shape_traces(n=64):
 
 def _check_against_reference(trace):
     """Replay ``trace`` on a fresh partition: before every event and after
-    the last, each root's node list (and for lines its path) equals the
-    tuple replay of ``reference_components``; each row equals the trace's
-    replay row and the reference's nodes, roots, sizes and end pairs."""
+    the last, each root's node list (for lines its path) equals the tuple
+    replay of ``reference_components``; each row equals the trace's replay
+    row and the reference's nodes, roots, sizes and end pairs."""
     steps, ends = reference_components(trace)
-    lines = trace.model is Model.LINES
     parts = ComponentPartition(trace.n, trace.model)
 
     def check(partition, expected):
-        nodes = {r: tuple(partition.nodes_of(r)) for r in partition.components()}
-        assert nodes == expected
-        if lines:
-            assert {r: partition.path_of(r) for r in expected} == expected
+        assert {r: tuple(nodes) for r, nodes in partition.nodes.items()} == expected
 
     for i, ev in enumerate(trace.events):
         check(parts, steps[i])
@@ -228,8 +222,8 @@ class TestCachedReplay:
             for i, (ev, row) in enumerate(zip(trace.events, replay.rows)):
                 before, after = replay_components(trace, i), replay_components(trace, i + 1)
                 ru, rv = before.find(ev.u), before.find(ev.v)
-                x, z = before.nodes_of(ru), before.nodes_of(rv)
-                merged = after.nodes_of(after.find(ev.u))
+                x, z = before.nodes[ru], before.nodes[rv]
+                merged = after.nodes[after.find(ev.u)]
                 expected = (ev.u, ev.v, ru, rv, len(x), len(z))
                 if trace.model is Model.LINES:
                     expected += ((x[0], x[-1]), (z[0], z[-1]), (merged[0], merged[-1]))
@@ -237,10 +231,9 @@ class TestCachedReplay:
                     expected += (None,) * 3
                 assert row == expected
             final = replay_components(trace, trace.k)
-            assert replay.final.components() == final.components()
-            for root in final.components():
-                assert replay.final.nodes_of(root) == final.nodes_of(root)
-                assert all(replay.final.find(v) == root for v in final.nodes_of(root))
+            assert list(replay.final.nodes.items()) == list(final.nodes.items())
+            for root, nodes in final.nodes.items():
+                assert all(replay.final.find(v) == root for v in nodes)
 
     def test_coin_rows_match_their_definitions(self):
         # rand's coin row of each replay row, for both models: the row's
@@ -253,8 +246,8 @@ class TestCachedReplay:
             assert len(coin_rows) == trace.k
             for i, (row, coins) in enumerate(zip(trace.replay.rows, coin_rows)):
                 before, after = replay_components(trace, i), replay_components(trace, i + 1)
-                x, z = before.nodes_of(row[2]), before.nodes_of(row[3])
-                merged = after.nodes_of(row[2])
+                x, z = before.nodes[row[2]], before.nodes[row[3]]
+                merged = after.nodes[row[2]]
                 pairs = len(list(itertools.combinations(merged, 2)))
                 assert coins == (
                     *row[:6], len(merged), _bit_width(len(merged)), *row[6:],
@@ -297,7 +290,7 @@ class TestCachedReplay:
         copy = dataclasses.replace(trace, events=trace.events[:1])
         assert copy.replay is not replay
         assert copy.replay.rows == replay.rows[:1]
-        assert copy.replay.final.num_components == 2
+        assert len(copy.replay.final.nodes) == 2
         assert dataclasses.replace(trace).replay is not replay
 
 
@@ -316,6 +309,16 @@ class TestTraceProperties:
     @given(valid_traces())
     def test_replay_matches_reference_components(self, trace):
         _check_against_reference(trace)
+
+    @TRACE_SETTINGS
+    @given(valid_traces())
+    def test_roots_stay_in_ascending_order(self, trace):
+        # ``nodes`` iterates in root order without a sort: a merge only pops
+        # the absorbed root and never inserts one.
+        parts = ComponentPartition(trace.n, trace.model)
+        for ev in trace.events:
+            parts.merge(ev.u, ev.v)
+            assert list(parts.nodes) == sorted(parts.nodes)
 
     @TRACE_SETTINGS
     @given(valid_traces())
@@ -441,20 +444,32 @@ class TestPartition:
         parts = ComponentPartition(5, Model.LINES)
         parts.merge(0, 1)
         root = parts.find(0)
-        kept, early = parts.nodes_of(root), parts.path_of(root)
+        kept, early = parts.nodes[root], tuple(parts.nodes[root])
         for u in (1, 2, 3):
             absorbed = parts.find(u + 1)
             parts.merge(u, u + 1)
-            assert parts.nodes_of(root) is kept
-            assert absorbed not in parts.components()
+            assert parts.nodes[root] is kept
+            assert absorbed not in parts.nodes
         assert kept == [0, 1, 2, 3, 4]
         assert early == (0, 1)
 
-    def test_path_of_refused_on_cliques(self):
-        parts = ComponentPartition(3, Model.CLIQUES)
+    def test_nodes_is_read_only(self):
+        parts = ComponentPartition(3, Model.LINES)
         parts.merge(0, 1)
-        with pytest.raises(ValueError, match="only tracked for the lines model"):
-            parts.path_of(parts.find(0))
+        with pytest.raises(TypeError):
+            parts.nodes[2] = [0]
+        with pytest.raises(TypeError):
+            del parts.nodes[2]
+        assert dict(parts.nodes) == {0: [0, 1], 2: [2]}
+
+    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
+    def test_a_trace_and_its_replay_pickle_and_copy(self, model):
+        # The view is made per read, so no mapping proxy is stored to refuse
+        # pickling.
+        trace = random_trace(model, 8, seed=1, events=4)
+        for twin in (copy.deepcopy(trace), pickle.loads(pickle.dumps(trace))):
+            assert twin == trace and twin.replay.rows == trace.replay.rows
+            assert list(twin.replay.final.nodes.items()) == list(trace.replay.final.nodes.items())
 
     @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
     def test_rejected_merge_leaves_the_partition_unchanged(self, model):
@@ -466,9 +481,7 @@ class TestPartition:
 
         def snapshot():
             roots = [parts.find(v) for v in range(6)]
-            nodes = {r: tuple(parts.nodes_of(r)) for r in parts.components()}
-            paths = {r: parts.path_of(r) for r in nodes} if model is Model.LINES else {}
-            return roots, nodes, paths
+            return roots, [(r, tuple(nodes)) for r, nodes in parts.nodes.items()]
 
         before, fields = snapshot(), copy.deepcopy(vars(parts))
         rejected = [
