@@ -69,9 +69,7 @@ def tree_adversary(cfg: TreeAdversaryConfig) -> RevealTrace:
         for base in range(0, n, span):
             events.append(RevealEvent(leaves[base + half - 1], leaves[base + half]))
         span *= 2
-    return RevealTrace(
-        model=Model.LINES, n=n, pi0=Permutation.identity(n), events=tuple(events)
-    )
+    return RevealTrace(model=Model.LINES, pi0=Permutation.identity(n), events=tuple(events))
 
 
 @dataclass
@@ -173,4 +171,4 @@ def random_trace(
         out.append(RevealEvent(u, v))
         comps[ia] = merged
         comps.pop(ib)
-    return RevealTrace(model=model, n=n, pi0=pi0, events=tuple(out))
+    return RevealTrace(model=model, pi0=pi0, events=tuple(out))

@@ -69,6 +69,8 @@ class AlgoState:
     @classmethod
     def initial(cls, pi0: Permutation, parts: ComponentPartition) -> "AlgoState":
         n = len(pi0)
+        if n != parts.n:
+            raise InstanceMismatchError(f"permutation of {n} nodes, partition of {parts.n}")
         lines = parts.model is Model.LINES
         return cls(
             pi0=pi0,

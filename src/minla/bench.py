@@ -295,7 +295,7 @@ def criterion_coin_vectors() -> tuple[bool, str]:
     the exact law of each example trace, whose earlier merges cost nothing."""
     # Clique merge of a singleton into a pair across a two-node gap:
     # moving coin must weigh 2/3 against 1/3.
-    clique = RevealTrace(Model.CLIQUES, 5, Permutation.identity(5),
+    clique = RevealTrace(Model.CLIQUES, Permutation.identity(5),
                          (RevealEvent(3, 4), RevealEvent(0, 3)))
     clique_law = {
         ((1, 2, 0, 3, 4), 2): Fraction(2, 3),
@@ -303,7 +303,7 @@ def criterion_coin_vectors() -> tuple[bool, str]:
     }
     # Line merge of a 2-path into a 3-path already adjacent: the orientation
     # coin must weigh 9/10 against 1/10.
-    line = RevealTrace(Model.LINES, 5, Permutation.identity(5), tuple(
+    line = RevealTrace(Model.LINES, Permutation.identity(5), tuple(
         RevealEvent(u, v) for u, v in ((0, 1), (2, 3), (3, 4), (0, 2))))
     line_law = {
         ((1, 0, 2, 3, 4), 1): Fraction(9, 10),

@@ -56,6 +56,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 PRNG_NOTE = "mt19937 via random.Random, trial seeds by splitmix64(master, index)"
 
+# The most trials one experiment runs, checked before it allocates anything:
+# every trial keeps its row until the output is written, about 2.8 GB of JSON.
+TRIAL_BOUND = 1 << 22
+
 CSV_HEADER = (
     "trace_id,algo,n,trial,cost_move,cost_rearrange,cost_total,opt_cost,ratio,seed"
 )
@@ -105,6 +109,8 @@ class ExperimentConfig:
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.trials > TRIAL_BOUND:
+            raise ConfigError(f"trials must be at most {TRIAL_BOUND}, got {self.trials}")
         if self.algo not in ("det", "rand"):
             raise ConfigError(f"unknown algorithm {self.algo!r}")
 
@@ -498,7 +504,7 @@ def duel(n: int) -> DuelReport:
     while (ev := adv.next_event(state.current)) is not None:
         events.append(ev)
         det_step(state, ev)
-    induced = RevealTrace(model=Model.LINES, n=n, pi0=pi0, events=tuple(events))
+    induced = RevealTrace(model=Model.LINES, pi0=pi0, events=tuple(events))
     opt = dp_opt(induced)
     alternations = sum(
         1 for a, b in zip(adv.sides, adv.sides[1:]) if a != b

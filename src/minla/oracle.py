@@ -120,9 +120,8 @@ def _clique_opt(t: RevealTrace) -> OptResult:
             seq, extra = seq_b + seq_a, w_ba
         comp[ru] = (sorted(pos_a + pos_b), seq, cost_a + cost_b + extra)
 
-    roots = sorted(comp)
-    internal = sum(comp[r][2] for r in roots)
-    cross, node_at = solve_block_order([comp[r][1] for r in roots], pos0)
+    internal = sum(cost for _, _, cost in comp.values())
+    cross, node_at = solve_block_order([seq for _, seq, _ in comp.values()], pos0)
     return OptResult(cost=internal + cross, witness=Permutation(node_at))
 
 
@@ -321,16 +320,11 @@ def check_harmonic_bounds(batch: Sequence[Sequence[int]]) -> tuple[np.ndarray, .
         bad = next(s for s in flat if type(s) is not int)
         operator.index(bad)
         raise TypeError(f"series entries must be ints, got {bad!r}")
-    if values.dtype.kind != "i":
-        # Integers past int64, kept as Python ints so none is summed as a float.
-        values = np.array(flat, dtype=object)
-    # Clipped entries sum past the cap exactly when the true ones do.
-    clipped = np.minimum(values, _EXACT_HARMONIC_MAX + 1)
-    totals = np.add.reduceat(clipped, lengths.cumsum() - lengths).tolist()
+    totals = [sum(row) for row in batch]
     for i, total in enumerate(totals):
         if total > _EXACT_HARMONIC_MAX:
             raise CapacityError(
-                f"series {i} sums to {sum(map(int, batch[i]))}; the harmonic "
+                f"series {i} sums to {total}; the harmonic "
                 f"check is exact up to a total of {_EXACT_HARMONIC_MAX}"
             )
     valid = np.arange(lengths.max()) < lengths[:, None]

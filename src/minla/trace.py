@@ -1,10 +1,10 @@
 """Reveal traces and component tracking.
 
-A trace fixes the model (collection of cliques or collection of lines), the
-node count, the initial permutation, and the ordered merge events.  Replaying
-the events yields the connected components after each step; for lines each
-component also carries its node order along the path.  Each trace replays
-its merges once, when it is validated, into :attr:`RevealTrace.replay`.
+A trace fixes the model (a collection of cliques or of lines), the initial
+permutation, whose length is the node count, and the ordered merge events.
+Replaying the events yields the connected components after each step; for
+lines each component also carries its node order along the path.  Each trace
+replays its merges once, when it is validated, into :attr:`RevealTrace.replay`.
 
 :func:`parse_trace` reads the four header lines by index and the event lines
 as one block: one pattern checks their shape and one ``map(int, ...)``
@@ -66,13 +66,16 @@ class RevealTrace:
     it and cannot merge its partition.  It takes no part in equality or hashing."""
 
     model: Model
-    n: int
     pi0: Permutation
     events: tuple[RevealEvent, ...]
     replay: "Replay" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "replay", validate_trace(self))
+
+    @property
+    def n(self) -> int:
+        return len(self.pi0)
 
     @property
     def k(self) -> int:
@@ -205,10 +208,6 @@ def validate_trace(t: RevealTrace) -> Replay:
         raise TypeError(f"events must be a tuple of RevealEvent, got {t.events!r:.80}")
     if t.n < 1:
         raise TraceValidationError(f"n must be positive, got {t.n}")
-    if len(t.pi0) != t.n:
-        raise TraceValidationError(
-            f"pi0 has {len(t.pi0)} entries, expected n={t.n}"
-        )
     parts = ComponentPartition(t.n, t.model)
     merge = parts.merge
     try:
@@ -297,7 +296,7 @@ def parse_trace(text: str) -> RevealTrace:
                 int(toks[0]), int(toks[1])
             except ValueError:
                 fail(f"bad event ids: {toks}", i)
-    return RevealTrace(model=model, n=n, pi0=pi0, events=events)
+    return RevealTrace(model=model, pi0=pi0, events=events)
 
 
 def emit_trace(t: RevealTrace) -> str:

@@ -56,7 +56,6 @@ def make_trace(model, n, events, pi0=None) -> RevealTrace:
     """A trace from ``(u, v)`` pairs, over the identity unless ``pi0`` is given."""
     return RevealTrace(
         model=model,
-        n=n,
         pi0=pi0 or Permutation.identity(n),
         events=tuple(RevealEvent(u, v) for u, v in events),
     )
@@ -124,7 +123,7 @@ def valid_traces(draw, max_n: int = 12) -> RevealTrace:
         comps[i] = _tuple_join(a, b, u, v, lines)
         del comps[j]
         events.append(RevealEvent(u, v))
-    return RevealTrace(model, n, pi0, tuple(events))
+    return RevealTrace(model, pi0, tuple(events))
 
 
 def stepped_state(algo, trace, seed=0) -> AlgoState:
@@ -146,7 +145,7 @@ def relabel(t, phi) -> RevealTrace:
     """``t`` with node v renamed ``phi[v]``: pi0 keeps every position and
     each event joins the renamed nodes."""
     return RevealTrace(
-        t.model, t.n, Permutation(phi[v] for v in t.pi0.node_at),
+        t.model, Permutation(phi[v] for v in t.pi0.node_at),
         tuple(RevealEvent(phi[ev.u], phi[ev.v]) for ev in t.events),
     )
 
@@ -154,7 +153,7 @@ def relabel(t, phi) -> RevealTrace:
 def mirror(t) -> RevealTrace:
     """``t`` with pi0 reversed: the node at position i moves to n - 1 - i,
     and the events stay."""
-    return RevealTrace(t.model, t.n, Permutation(t.pi0.node_at[::-1]), t.events)
+    return RevealTrace(t.model, Permutation(t.pi0.node_at[::-1]), t.events)
 
 
 def reference_parse_trace(text: str):
@@ -220,7 +219,7 @@ def reference_parse_trace(text: str):
             raise TraceFormatError(f"bad event ids: {toks}", line=no) from None
         events.append(RevealEvent(u, v))
 
-    return RevealTrace(model=model, n=n, pi0=pi0, events=tuple(events))
+    return RevealTrace(model=model, pi0=pi0, events=tuple(events))
 
 
 SPLITMIX64_GOLDEN = 0x9E3779B97F4A7C15

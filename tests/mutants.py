@@ -243,6 +243,12 @@ MUTANTS: tuple[Mutant, ...] = (
          "test_closest_feasible_rejects_a_pi0_of_another_size",),
     ),
     Mutant(
+        "initial-state-any-size", _ENGINE,
+        "if n != parts.n:", "if False:",
+        ("tests/test_algorithms.py::TestDetStep::"
+         "test_initial_state_rejects_a_pi0_of_another_size",),
+    ),
+    Mutant(
         "is-minla-any-size", "src/minla/oracle.py",
         _SIZE_CHECK + "    return parts.misplaced_root", "return parts.misplaced_root",
         ("tests/test_oracle.py::TestSizeMismatch",),
@@ -491,6 +497,12 @@ MUTANTS: tuple[Mutant, ...] = (
         "walker-weighs-by-word-width", _ENGINE,
         "Fraction(1, len(outcomes))", "Fraction(1, 1 << sum(zeros.widths))",
         ("tests/test_acceptance.py::test_criterion_11_coin_vectors",),
+    ),
+    # A config's trial count is bounded before any row is built.
+    Mutant(
+        "trial-bound-one-off", "src/minla/harness.py",
+        "if self.trials > TRIAL_BOUND:", "if self.trials > TRIAL_BOUND + 1:",
+        ("tests/test_harness.py::TestTrialBound::test_refused_before_allocation",),
     ),
     # Trial indices count from 0.
     Mutant(

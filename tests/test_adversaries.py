@@ -252,7 +252,7 @@ class TestAgainstReference:
         while (ev := adv.next_event(state.current)) is not None:
             events.append(ev)
             det_step(state, ev)
-        induced = RevealTrace(model=Model.LINES, n=n, pi0=pi0, events=tuple(events))
+        induced = RevealTrace(model=Model.LINES, pi0=pi0, events=tuple(events))
         report = duel(n)
         assert report.induced_trace == induced
         assert report.sides == tuple(adv.sides)

@@ -139,6 +139,20 @@ class TestDetStep:
         with pytest.raises(InstanceMismatchError, match="permutation of"):
             closest_feasible(Permutation(node_at), parts)
 
+    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
+    @pytest.mark.parametrize("size, nodes, event", [(5, 3, (0, 1)), (3, 5, (3, 4))],
+                             ids=["longer-pi0", "larger-partition"])
+    @pytest.mark.parametrize("step", [
+        det_step, lambda state, event: rand_step(state, event, random.Random(0)),
+    ], ids=["det", "rand"])
+    def test_initial_state_rejects_a_pi0_of_another_size(self, model, size, nodes, event, step):
+        # Unchecked, rand laid out the partition's 3 nodes or indexed past a
+        # 3-node pi0, and det failed only inside closest_feasible.
+        parts = ComponentPartition(nodes, model)
+        with pytest.raises(InstanceMismatchError,
+                           match=f"^permutation of {size} nodes, partition of {nodes}$"):
+            step(AlgoState.initial(Permutation.identity(size), parts), RevealEvent(*event))
+
     def test_closest_feasible_reports_its_distance(self):
         # The block order's cross cost plus each path's inverted pairs is
         # the target's distance from pi0, after every prefix of a trace.

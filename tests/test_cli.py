@@ -182,6 +182,18 @@ class TestSimulate:
         assert all(len(row) == 10 for row in rows)
         assert [row[0] for row in rows[1:]] == ["a,b"] * 3
 
+    def test_past_the_trial_bound_exits_2_at_once(self, capsys, trace_file, monkeypatch):
+        def started(cfg):
+            raise AssertionError("the experiment started")
+
+        monkeypatch.setattr(minla.cli, "run_experiment", started)
+        code, out, err = run_cli(
+            capsys, "simulate", "--algo", "rand", "--trace", str(trace_file),
+            "--seed", "1", "--trials", str(1 << 40),
+        )
+        message = "error: trials must be at most 4194304, got 1099511627776\n"
+        assert (code, out, err) == (2, "", message)
+
     def test_missing_trace_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "simulate", "--algo", "det", "--trace", str(tmp_path / "no.txt"),

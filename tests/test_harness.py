@@ -39,6 +39,7 @@ from minla import (
 )
 from minla.harness import (
     CSV_HEADER,
+    TRIAL_BOUND,
     VerifyReport,
     experiment_to_json,
     format_ratio,
@@ -249,6 +250,29 @@ class TestRunExperiment:
             ExperimentConfig(trace, "x", "rand", False, 1)
 
 
+class TestTrialBound:
+    """A config checks its trial count against ``TRIAL_BOUND`` before any
+    seed or row is built: past the bound it raises at once, at the bound it
+    is accepted."""
+
+    @pytest.mark.parametrize("past", [TRIAL_BOUND + 1, 1 << 62], ids=["bound+1", "2^62"])
+    def test_refused_before_allocation(self, past):
+        trace = random_trace(Model.LINES, 4, seed=7)
+        message = f"^trials must be at most {TRIAL_BOUND}, got {past}$"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=message):
+                ExperimentConfig(trace, "x", "rand", past, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_the_bound_itself_is_accepted(self):
+        trace = random_trace(Model.LINES, 4, seed=7)
+        assert ExperimentConfig(trace, "x", "rand", TRIAL_BOUND, 1).trials == TRIAL_BOUND
+
+
 # Trace ids a format must escape or quote: a quote, a backslash, a comma, a
 # line break, a carriage return, a tab, a non-ASCII letter, a control
 # character, the template characters % and {}, and the empty id.
@@ -266,7 +290,7 @@ class TestEmitterBytes:
         cliques = random_trace(Model.CLIQUES, 9, seed=32)
         # Merging two pi0 neighbours keeps pi0 feasible: opt 0, ratio NA.
         free = RevealTrace(
-            model=Model.LINES, n=3, pi0=Permutation.identity(3),
+            model=Model.LINES, pi0=Permutation.identity(3),
             events=(RevealEvent(0, 1),),
         )
         for i, trace_id in enumerate(_AWKWARD_IDS):
@@ -418,9 +442,7 @@ class TestVerifyLemma:
         # a two-node path against its reversed start: forward probability 0
         from minla import Permutation, RevealEvent, RevealTrace
 
-        trace = RevealTrace(
-            Model.LINES, 2, Permutation([1, 0]), (RevealEvent(0, 1),)
-        )
+        trace = RevealTrace(Model.LINES, Permutation([1, 0]), (RevealEvent(0, 1),))
         report = verify_lemma("orientation", trials=5_000, seed=3, trace=trace)
         assert report.ok
         (row,) = report.rows

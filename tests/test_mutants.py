@@ -1,7 +1,7 @@
 """The mutant list stays applicable: every old text occurs exactly once in
 its file, every named test still exists, and a pull request that touches a
-mutated file triggers the kill run.  The kill run itself is
-``python tests/mutants.py``."""
+mutated file or a test file a mutant names triggers the kill run.  The kill
+run itself is ``python tests/mutants.py``."""
 
 import fnmatch
 import itertools
@@ -38,5 +38,6 @@ def test_workflow_runs_on_every_mutated_file():
     lines = workflow.split("\n    paths:\n", 1)[1].splitlines()
     items = itertools.takewhile(lambda line: line.startswith("      - "), lines)
     globs = [line.removeprefix("      - ") for line in items]
-    for path in {m.path for m in MUTANTS} | {"tests/mutants.py"}:
+    tests = {test.split("::", 1)[0] for m in MUTANTS for test in m.tests}
+    for path in {m.path for m in MUTANTS} | tests | {"tests/mutants.py"}:
         assert any(fnmatch.fnmatchcase(path, glob) for glob in globs), path

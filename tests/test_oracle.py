@@ -301,8 +301,11 @@ class TestHarmonicBoundsMatchReference:
             ([[2**25]], 0, 2**25),
             ([[1, 2**70]], 0, 2**70 + 1),
             ([[1, 2], [3], [5_000, 5_001], [2**25]], 2, 10_001),
+            # numpy reads the first as float64, and the second's int64 sum wraps.
+            ([[2**63, 1]], 0, 2**63 + 1),
+            ([[2**62, 2**62]], 0, 2**63),
         ],
-        ids=["ones", "2^25", "2^70", "third"],
+        ids=["ones", "2^25", "2^70", "third", "2^63-float64", "2^62-int64-overflow"],
     )
     def test_totals_past_the_cap_raise(
         self, batch, index, total, monkeypatch, at_most_calls
@@ -700,7 +703,7 @@ class TestBoundForTrace:
 
     def test_lines_doubles_cliques(self):
         clique = random_trace(Model.CLIQUES, 9, seed=31)
-        line = RevealTrace(Model.LINES, 9, clique.pi0, ())
+        line = RevealTrace(Model.LINES, clique.pi0, ())
         opt = dp_opt(clique)
         assert bound_for_trace(line, opt) == pytest.approx(
             2 * bound_for_trace(clique, opt)

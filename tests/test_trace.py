@@ -50,7 +50,7 @@ class TestValidateTrace:
         # Unchecked, a list pi0 builds a trace that dp_opt, run, run_trials
         # and emit_trace fail on with AttributeError.
         with pytest.raises(TypeError, match=r"^pi0 must be a Permutation, got "):
-            RevealTrace(Model.LINES, 3, pi0, (RevealEvent(0, 1),))
+            RevealTrace(Model.LINES, pi0, (RevealEvent(0, 1),))
 
     @pytest.mark.parametrize("events", [
         [RevealEvent(0, 1)], ((0, 1),), (RevealEvent(0, 1), [1, 2]), (e for e in ()), None,
@@ -59,7 +59,7 @@ class TestValidateTrace:
         # Unchecked, pairs fail in validation with AttributeError, and a
         # list of events builds a trace that cannot be hashed.
         with pytest.raises(TypeError, match=r"^events must be a tuple of RevealEvent, got "):
-            RevealTrace(Model.LINES, 3, Permutation.identity(3), events)
+            RevealTrace(Model.LINES, Permutation.identity(3), events)
 
     def test_same_component_rejected(self):
         with pytest.raises(TraceValidationError) as err:
@@ -82,14 +82,9 @@ class TestValidateTrace:
                 make_trace(Model.CLIQUES, 3, [(1, 2), (u, v)])
             assert str(err.value) == f"event 1: nodes ({u}, {v}) out of range"
 
-    def test_n_mismatch_rejected(self):
-        with pytest.raises(TraceValidationError):
-            RevealTrace(Model.LINES, 4, Permutation.identity(3), ())
-
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_non_positive_n_rejected(self, n):
-        with pytest.raises(TraceValidationError, match=f"n must be positive, got {n}"):
-            RevealTrace(Model.CLIQUES, n, Permutation([]), ())
+    def test_non_positive_n_rejected(self):
+        with pytest.raises(TraceValidationError, match="n must be positive, got 0"):
+            RevealTrace(Model.CLIQUES, Permutation([]), ())
 
     def test_clique_interior_attach_ok(self):
         # cliques have no endpoint restriction
@@ -404,15 +399,26 @@ class TestRevealEvent:
             assert type(twin) is RevealEvent and twin == event
 
 
+def _partition(model, n):
+    return ComponentPartition(n, model)
+
+
+def _trace(model, n):
+    return RevealTrace(model, Permutation.identity(n), ())
+
+
 class TestPartition:
-    @pytest.mark.parametrize("model, n", [
-        ("lines", 3), ("cliques", 3), (None, 3),
-        (Model.LINES, True), (Model.CLIQUES, 3.0), (Model.LINES, np.int64(3)),
-    ], ids=["str-lines", "str-cliques", "None", "bool-n", "float-n", "numpy-n"])
-    @pytest.mark.parametrize("build", [
-        lambda model, n: ComponentPartition(n, model),
-        lambda model, n: RevealTrace(model, n, Permutation.identity(int(n)), ()),
-    ], ids=["partition", "trace"])
+    # A trace's n is len(pi0), so only its model can be refused.
+    @pytest.mark.parametrize("build, model, n", [
+        (_partition, "lines", 3), (_partition, "cliques", 3), (_partition, None, 3),
+        (_partition, Model.LINES, True), (_partition, Model.CLIQUES, 3.0),
+        (_partition, Model.LINES, np.int64(3)),
+        (_trace, "lines", 3), (_trace, "cliques", 3), (_trace, None, 3),
+    ], ids=[
+        "partition-str-lines", "partition-str-cliques", "partition-None", "partition-bool-n",
+        "partition-float-n", "partition-numpy-n", "trace-str-lines", "trace-str-cliques",
+        "trace-None",
+    ])
     def test_takes_a_model_and_a_plain_int_n(self, build, model, n):
         message = f"a partition takes a Model and an int n, got {model!r} and {n!r}"
         with pytest.raises(TypeError, match=re.escape(message)):
