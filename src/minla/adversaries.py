@@ -35,6 +35,14 @@ __all__ = [
 NODE_BOUND = 1 << 18
 
 
+def _rng(seed) -> random.Random:
+    """``random.Random(seed)``, which fixes its stream for an int, float, str
+    or bytes seed; ``None``, which would read OS entropy, raises TypeError."""
+    if seed is None:
+        raise TypeError("seed must not be None: random.Random(None) reads OS entropy")
+    return random.Random(seed)
+
+
 @dataclass(frozen=True)
 class TreeAdversaryConfig:
     """Depth q (the trace covers n = 2**q nodes) and the leaf-order seed."""
@@ -59,7 +67,7 @@ def tree_adversary(cfg: TreeAdversaryConfig) -> RevealTrace:
     if cfg.q >= NODE_BOUND.bit_length():  # before 1 << q is built
         raise ConfigError(f"n = 2^q must be at most {NODE_BOUND}, got q = {cfg.q}")
     n = 1 << cfg.q
-    rng = random.Random(cfg.seed)
+    rng = _rng(cfg.seed)
     leaves = list(range(n))
     rng.shuffle(leaves)
     events = []
@@ -151,7 +159,7 @@ def random_trace(
         raise TypeError(f"events must be an int, got {k!r}")
     if not 0 <= k <= n - 1:
         raise ConfigError(f"events must be in 0..{n - 1}, got {k}")
-    rng = random.Random(seed)
+    rng = _rng(seed)
     order = list(range(n))
     rng.shuffle(order)
     pi0 = Permutation(order)

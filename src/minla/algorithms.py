@@ -15,7 +15,6 @@ below the denominator, so no floating point enters the randomness.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -52,9 +51,9 @@ class AlgoState:
     final check reads only these fields (:func:`_check_full`).  ``det``
     keeps its arrangement in ``fixed`` (``None`` while at pi0) and pays
     from ``current``, so it may follow ``rand`` steps; ``rand`` refuses a
-    state that ``det`` has stepped.  Only a state built by :meth:`initial`
-    on a partition of its own steps; :func:`run` and :func:`run_trials`
-    return finished states over the trace's read-only replay."""
+    state that ``det`` has stepped.  :meth:`initial` starts at pi0 over a new
+    all-singleton partition; only such a state steps, and :func:`run` and
+    :func:`run_trials` return finished states over the trace's read-only replay."""
 
     pi0: Permutation
     parts: ComponentPartition
@@ -67,14 +66,11 @@ class AlgoState:
     rearrange_cost: int = 0
 
     @classmethod
-    def initial(cls, pi0: Permutation, parts: ComponentPartition) -> "AlgoState":
-        n = len(pi0)
-        if n != parts.n:
-            raise InstanceMismatchError(f"permutation of {n} nodes, partition of {parts.n}")
-        lines = parts.model is Model.LINES
+    def initial(cls, pi0: Permutation, model: Model) -> "AlgoState":
+        n, lines = len(pi0), model is Model.LINES
         return cls(
             pi0=pi0,
-            parts=parts,
+            parts=ComponentPartition(n, model),
             slot=list(pi0.pos_of),
             slot_sizes=[1] * n,
             left_end=list(range(n)) if lines else None,
@@ -288,7 +284,7 @@ def run_trials(trace: RevealTrace, seeds: Iterable[int]) -> Iterator[AlgoState]:
 
     Each trial steps alone over the trace's
     :attr:`~minla.trace.RevealTrace.replay`, from one generator reseeded per
-    trial.  Seeds are ints (else :class:`TypeError` before any draw), and
+    trial.  Seeds are exactly ints (else :class:`TypeError` before a draw), and
     for a seed ``s`` the base class's ``seed(s)`` gives ``random.Random(s)``'s
     stream (``Random.seed`` adds only a reset of the gauss cache, which no
     coin reads).  Each step checks its trial's state in O(1), and each final
@@ -297,13 +293,15 @@ def run_trials(trace: RevealTrace, seeds: Iterable[int]) -> Iterator[AlgoState]:
     The yielded states share the replay's read-only partition and cannot step.
     """
     pi0, parts, rows = trace.pi0, trace.replay.final, _coin_rows(trace.replay.rows)
-    start = AlgoState.initial(pi0, parts)
+    start = AlgoState.initial(pi0, trace.model)
     slot, sizes, left_end, blocks = start.slot, start.slot_sizes, start.left_end, start.blocks
     # Seeded, so that building it reads no OS entropy; each trial reseeds it.
     rng = random.Random(0)
     reseed = super(random.Random, rng).seed
     for seed in seeds:
-        reseed(operator.index(seed))
+        if type(seed) is not int:
+            raise TypeError(f"seed must be an int, got {seed!r}")
+        reseed(seed)
         # Blocks are tuples, so a shallow copy is the trial's own.
         state = AlgoState(pi0, parts, slot[:], sizes[:],
                           left_end and left_end[:], blocks and blocks[:])
@@ -357,7 +355,8 @@ def _trace_law(trace: RevealTrace) -> dict[tuple[tuple[int, ...], int], Fraction
     :func:`_step_law` folded over the replay rows from the initial state,
     equal states (slots, slot sizes, left ends or blocks, costs) merged
     after every step."""
-    law = {None: [AlgoState.initial(trace.pi0, trace.replay.final), Fraction(1)]}
+    start = replace(AlgoState.initial(trace.pi0, trace.model), parts=trace.replay.final)
+    law = {None: [start, Fraction(1)]}
     for index, row in enumerate(_coin_rows(trace.replay.rows)):
         stepped: dict = {}
         for state, p in law.values():
@@ -384,18 +383,19 @@ def run(algo: str, trace: RevealTrace, seed: int = 0) -> AlgoState:
     event again there is deliberate: that partition, not the replay the
     problems were read from, is what each target is checked against.
 
-    Deterministic for a given (algo, trace, seed).  The seed is an int
-    (else :class:`TypeError`); ``det`` ignores it.  ``det`` checks every
+    Deterministic for a given (algo, trace, seed).  The seed is exactly
+    an int (else :class:`TypeError`); ``det`` ignores it.  ``det`` checks every
     step's arrangement and ``rand`` every step and its final state (else
     :class:`InvariantError`).  ``det``'s cost depends on node labels, by
     :func:`closest_feasible`'s tie-break.
     """
     if algo not in ("det", "rand"):
         raise ValueError(f"unknown algorithm {algo!r}")
-    seed = operator.index(seed)
+    if type(seed) is not int:
+        raise TypeError(f"seed must be an int, got {seed!r}")
     if algo == "rand":
         return next(run_trials(trace, (seed,)))
-    state = AlgoState.initial(trace.pi0, ComponentPartition(trace.n, trace.model))
+    state = AlgoState.initial(trace.pi0, trace.model)
     solved = solve_block_orders(_det_problems(trace))
     for event, (_, node_at) in zip(trace.events, solved):
         _det_move(state, event, Permutation(node_at))

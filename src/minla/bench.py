@@ -120,7 +120,7 @@ def _mean_cost_check(model: Model, seed: int) -> tuple[bool, str]:
         trace_id = f"{model.value}-n{n}-r{rep}"
         master = rng.randrange(1 << 48)
         exp = run_experiment(ExperimentConfig(trace, trace_id, "rand", trials, master))
-        mean, bound = exp.stats.mean, bound_for_trace(trace, exp.opt)
+        mean, bound = exp.stats.mean, bound_for_trace(trace)
         if mean > bound:
             return False, f"{trace_id}: mean={mean:.1f} exceeds bound={bound:.1f}"
         if bound > 0:

@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import math
-import operator
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -37,7 +36,7 @@ from .oracle import (
     orientation_probability,
 )
 from .perm import Permutation
-from .trace import ComponentPartition, Model, RevealTrace
+from .trace import Model, RevealTrace
 
 __all__ = [
     "derive_trial_seed",
@@ -65,11 +64,17 @@ CSV_HEADER = (
 )
 
 
-def derive_trial_seed(master_seed: int, trial_index: int) -> int:
-    """64-bit per-trial seed of two plain ints; independent of how many trials follow."""
-    for name, value in (("master_seed", master_seed), ("trial_index", trial_index)):
+def _check_ints(**values) -> None:
+    """Raise :class:`TypeError` naming the first value that is not exactly an
+    int: bools and numpy ints are refused, not read as counts or seeds."""
+    for name, value in values.items():
         if type(value) is not int:
             raise TypeError(f"{name} must be an int, got {value!r}")
+
+
+def derive_trial_seed(master_seed: int, trial_index: int) -> int:
+    """64-bit per-trial seed of two plain ints; independent of how many trials follow."""
+    _check_ints(master_seed=master_seed, trial_index=trial_index)
     if trial_index < 0:
         raise ValueError(f"trial_index must be >= 0, got {trial_index}")
     return next(_trial_seeds(master_seed + trial_index * _GOLDEN, 1))
@@ -105,8 +110,9 @@ class ExperimentConfig:
     master_seed: int
 
     def __post_init__(self):
-        for name in ("trials", "master_seed"):  # bools become ints, non-integers raise
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        if type(self.trace_id) is not str:
+            raise TypeError(f"trace_id must be a str, got {self.trace_id!r}")
+        _check_ints(trials=self.trials, master_seed=self.master_seed)
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.trials > TRIAL_BOUND:
@@ -350,7 +356,7 @@ def verify_lemma(
     trace: RevealTrace | None = None,
 ) -> VerifyReport:
     """Monte Carlo or sweep verification of the closed-form guarantees, for
-    int ``trials`` >= 1,000 and ``seed`` (else :class:`TypeError` up front).
+    exact int ``trials`` >= 1,000 and ``seed`` (else :class:`TypeError` up front).
 
     ``left-right`` and ``orientation`` (:data:`_FREQUENCY_LEMMAS`) replay a
     clique or line trace, by default ``random_trace(model, 8, seed=11 or 12,
@@ -359,7 +365,7 @@ def verify_lemma(
     standard errors.  ``harmonic`` and ``identities`` take no trace: they
     sweep ``trials`` random instances.
     """
-    trials, seed = operator.index(trials), operator.index(seed)
+    _check_ints(trials=trials, seed=seed)
     if trials < _MIN_VERIFY_TRIALS:
         raise ConfigError(
             f"at least {_MIN_VERIFY_TRIALS} trials required, got {trials}"
@@ -499,7 +505,7 @@ def duel(n: int) -> DuelReport:
     induced trace (replayable standalone), and the side-alternation count."""
     adv = MiddleLineAdversary(n)
     pi0 = Permutation.identity(n)
-    state = AlgoState.initial(pi0, ComponentPartition(n, Model.LINES))
+    state = AlgoState.initial(pi0, Model.LINES)
     events = []
     while (ev := adv.next_event(state.current)) is not None:
         events.append(ev)

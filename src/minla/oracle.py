@@ -433,11 +433,8 @@ def _identity_sides(av: np.ndarray, bv: np.ndarray) -> tuple[np.ndarray, ...]:
     )
 
 
-def bound_for_trace(t: RevealTrace, opt: OptResult) -> float:
+def bound_for_trace(t: RevealTrace) -> float:
     """The harmonic cost bound for the trace: 4·H_n·OPT for cliques and
-    8·H_n·OPT for lines, with OPT = ``opt.cost``, ``t``'s own (else
-    :class:`InstanceMismatchError`)."""
-    if len(opt.witness) != t.n:
-        raise InstanceMismatchError(f"optimum of {len(opt.witness)} nodes, trace of {t.n}")
+    8·H_n·OPT for lines, with OPT = ``dp_opt(t).cost``, taken after H_n's cap."""
     factor = 4 if t.model is Model.CLIQUES else 8
-    return float(factor * harmonic_number(t.n) * opt.cost)
+    return float(factor * harmonic_number(t.n) * dp_opt(t).cost)

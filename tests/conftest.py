@@ -129,9 +129,9 @@ def valid_traces(draw, max_n: int = 12) -> RevealTrace:
 def stepped_state(algo, trace, seed=0) -> AlgoState:
     """The state ``run(algo, trace, seed)`` ends in, stepped event by event
     by ``det_step`` or ``rand_step`` (one ``random.Random(seed)`` for every
-    draw) from ``AlgoState.initial`` on a partition of its own, so that it
+    draw) from ``AlgoState.initial``, whose partition is its own, so that it
     can step on."""
-    state = AlgoState.initial(trace.pi0, ComponentPartition(trace.n, trace.model))
+    state = AlgoState.initial(trace.pi0, trace.model)
     rng = random.Random(seed)
     for ev in trace.events:
         if algo == "det":

@@ -243,12 +243,6 @@ MUTANTS: tuple[Mutant, ...] = (
          "test_closest_feasible_rejects_a_pi0_of_another_size",),
     ),
     Mutant(
-        "initial-state-any-size", _ENGINE,
-        "if n != parts.n:", "if False:",
-        ("tests/test_algorithms.py::TestDetStep::"
-         "test_initial_state_rejects_a_pi0_of_another_size",),
-    ),
-    Mutant(
         "is-minla-any-size", "src/minla/oracle.py",
         _SIZE_CHECK + "    return parts.misplaced_root", "return parts.misplaced_root",
         ("tests/test_oracle.py::TestSizeMismatch",),
@@ -449,6 +443,12 @@ MUTANTS: tuple[Mutant, ...] = (
         "if type(k) is not int:", "if False:",
         ("tests/test_adversaries.py::TestSizesArePlainInts::test_random_trace_events",),
     ),
+    # A generator's seed fixes its trace: None would read OS entropy.
+    Mutant(
+        "generator-takes-none-seed", "src/minla/adversaries.py",
+        "if seed is None:", "if False:",
+        ("tests/test_adversaries.py::TestSeedsFixTheTrace::test_none_refused",),
+    ),
     # main falls back to the full parse when the command's parser leaves
     # arguments over, so they are refused as before.
     Mutant(
@@ -484,12 +484,39 @@ MUTANTS: tuple[Mutant, ...] = (
         "math.sqrt(float(p) * (1.0 - float(p)) / trials)", "math.sqrt(float(p) / trials)",
         ("tests/test_harness.py::TestVerifyLemma::test_sigma_limit",),
     ),
-    # verify takes int counts, as ExperimentConfig does.
+    # verify, a config and both runners take exact int counts and seeds; a
+    # bool or a numpy int is refused, not read as the int it equals.
     Mutant(
         "verify-takes-any-seed", "src/minla/harness.py",
-        "trials, seed = operator.index(trials), operator.index(seed)", "pass",
-        ("tests/test_harness.py::TestVerifyLemma::"
-         "test_rejects_non_integer_counts_before_any_work",),
+        "_check_ints(trials=trials, seed=seed)", "pass",
+        (
+            "tests/test_harness.py::TestVerifyLemma::"
+            "test_rejects_non_integer_counts_before_any_work",
+            "tests/test_harness.py::TestVerifyLemma::test_integer_likes_refused",
+        ),
+    ),
+    Mutant(
+        "config-takes-int-likes", "src/minla/harness.py",
+        "_check_ints(trials=self.trials, master_seed=self.master_seed)", "pass",
+        ("tests/test_harness.py::TestRunExperiment::test_integer_likes_refused",),
+    ),
+    Mutant(
+        "config-takes-any-trace-id", "src/minla/harness.py",
+        "if type(self.trace_id) is not str:", "if False:",
+        ("tests/test_harness.py::TestRunExperiment::test_trace_id_must_be_a_str",),
+    ),
+    Mutant(
+        "trials-take-int-subclasses", _ENGINE,
+        "    for seed in seeds:\n        if type(seed) is not int:",
+        "    for seed in seeds:\n        if not isinstance(seed, int):",
+        ("tests/test_algorithms.py::TestOneReplay::test_runners_refuse_non_int_seeds",),
+    ),
+    Mutant(
+        "det-run-takes-any-seed", _ENGINE,
+        'if type(seed) is not int:\n        raise TypeError(f"seed must be an int, got {seed!r}")\n'
+        '    if algo == "rand":',
+        'if algo == "rand":',
+        ("tests/test_algorithms.py::TestOneReplay::test_runners_refuse_non_int_seeds",),
     ),
     # The coin walker weighs each accepted word tuple by one over their
     # number, not by the words of the drawn widths.
@@ -557,14 +584,8 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "bound-opt-plus-one", "src/minla/oracle.py",
-        "harmonic_number(t.n) * opt.cost)", "harmonic_number(t.n) * (opt.cost + 1))",
+        "harmonic_number(t.n) * dp_opt(t).cost)", "harmonic_number(t.n) * (dp_opt(t).cost + 1))",
         ("tests/test_oracle.py::TestBoundForTrace::test_factor_times_h_n_times_opt",),
-    ),
-    # The bound reads only the trace's own optimum.
-    Mutant(
-        "bound-takes-any-optimum", "src/minla/oracle.py",
-        "if len(opt.witness) != t.n:", "if False:",
-        ("tests/test_oracle.py::TestBoundForTrace::test_refuses_another_traces_optimum",),
     ),
     # The closed forms the frequency checks compare against, and the trace
     # a check runs on when none is given.

@@ -192,7 +192,7 @@ def test_det_lower_bound_fails_on_linear_costs(monkeypatch):
 
 
 def test_rand_cliques_bound_fails_on_the_first_trace_over_its_bound(monkeypatch):
-    monkeypatch.setattr(bench, "bound_for_trace", lambda trace, opt: 0.0)
+    monkeypatch.setattr(bench, "bound_for_trace", lambda trace: 0.0)
     assert bench.criterion_rand_cliques_bound().line() == (
         "FAIL criterion 3 (rand-cliques-bound): cliques-n8-r0: mean=12.7 "
         "exceeds bound=0.0"
@@ -200,7 +200,7 @@ def test_rand_cliques_bound_fails_on_the_first_trace_over_its_bound(monkeypatch)
 
 
 def test_rand_lines_bound_fails_on_the_first_trace_over_its_bound(monkeypatch):
-    monkeypatch.setattr(bench, "bound_for_trace", lambda trace, opt: 0.0)
+    monkeypatch.setattr(bench, "bound_for_trace", lambda trace: 0.0)
     assert bench.criterion_rand_lines_bound().line() == (
         "FAIL criterion 4 (rand-lines-bound): lines-n8-r0: mean=25.2 "
         "exceeds bound=0.0"
@@ -225,7 +225,7 @@ def test_rand_cliques_mean_is_run_experiments_bit_for_bit(monkeypatch):
     below = math.nextafter(mean, -math.inf)
     for first, failing in ((mean, "cliques-n8-r1"), (below, "cliques-n8-r0")):
         bounds = iter([first])
-        monkeypatch.setattr(bench, "bound_for_trace", lambda t, o: next(bounds, 0.0))
+        monkeypatch.setattr(bench, "bound_for_trace", lambda t: next(bounds, 0.0))
         line = bench.criterion_rand_cliques_bound().line()
         assert line.startswith(f"FAIL criterion 3 (rand-cliques-bound): {failing}: ")
 

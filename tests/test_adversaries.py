@@ -11,7 +11,6 @@ import minla.adversaries
 from conftest import replay_components
 from minla import (
     AlgoState,
-    ComponentPartition,
     ConfigError,
     MiddleLineAdversary,
     Model,
@@ -247,7 +246,7 @@ class TestAgainstReference:
     def test_det_duel(self, n):
         adv = ReferenceMiddleLineAdversary(n)
         pi0 = Permutation.identity(n)
-        state = AlgoState.initial(pi0, ComponentPartition(n, Model.LINES))
+        state = AlgoState.initial(pi0, Model.LINES)
         events = []
         while (ev := adv.next_event(state.current)) is not None:
             events.append(ev)
@@ -287,6 +286,34 @@ class TestRandomTrace:
     def test_rejects_bad_event_count(self):
         with pytest.raises(ConfigError):
             random_trace(Model.LINES, 4, seed=1, events=4)
+
+
+_SEEDED = pytest.mark.parametrize("build", [
+    lambda seed: random_trace(Model.LINES, 8, seed=seed),
+    lambda seed: random_trace(Model.CLIQUES, 8, seed=seed),
+    lambda seed: tree_adversary(TreeAdversaryConfig(q=3, seed=seed)),
+], ids=["random-lines", "random-cliques", "tree"])
+
+
+class TestSeedsFixTheTrace:
+    """A generator's seed fixes its trace.  ``None``, from which
+    ``random.Random`` reads OS entropy, so that two calls gave two traces, is
+    refused before anything is built; int, float, str and bytes seeds each
+    give one trace."""
+
+    @_SEEDED
+    def test_none_refused(self, monkeypatch, build):
+        def built(seed):
+            raise AssertionError("the generator started building")
+
+        monkeypatch.setattr(minla.adversaries, "random", SimpleNamespace(Random=built))
+        with pytest.raises(TypeError, match="^seed must not be None"):
+            build(None)
+
+    @_SEEDED
+    @pytest.mark.parametrize("seed", [7, 1.5, "a", b"a"], ids=["int", "float", "str", "bytes"])
+    def test_other_seeds_repeat(self, build, seed):
+        assert build(seed) == build(seed)
 
 
 class TestNodeBound:

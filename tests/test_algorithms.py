@@ -7,6 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -58,10 +59,6 @@ from minla.bench import _FREQUENCY_TRACES
 from minla.ordering import solve_block_orders
 
 
-def initial_state(model, pi0):
-    return AlgoState.initial(pi0, ComponentPartition(len(pi0), model))
-
-
 class TestDetStep:
     def test_already_feasible_costs_nothing(self):
         trace = make_trace(Model.CLIQUES, 4, [(0, 1)])
@@ -91,7 +88,7 @@ class TestDetStep:
             for _ in range(25):
                 n = rng.randint(2, 7)
                 trace = random_trace(model, n, seed=rng.random())
-                state = initial_state(model, trace.pi0)
+                state = AlgoState.initial(trace.pi0, model)
                 for ev in trace.events:
                     det_step(state, ev)
                     feasible = feasible_permutations(state.parts, model, n)
@@ -124,7 +121,7 @@ class TestDetStep:
         # After every event of a whole trace: the least distance from pi0
         # of any feasible permutation, and the lexicographically smallest
         # permutation at that distance.
-        state = initial_state(trace.model, trace.pi0)
+        state = AlgoState.initial(trace.pi0, trace.model)
         for ev, (best, tied) in zip(trace.events, closest_targets(trace)):
             det_step(state, ev)
             assert kendall_tau(trace.pi0, state.current) == best
@@ -138,20 +135,6 @@ class TestDetStep:
         parts.merge(3, 4)
         with pytest.raises(InstanceMismatchError, match="permutation of"):
             closest_feasible(Permutation(node_at), parts)
-
-    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
-    @pytest.mark.parametrize("size, nodes, event", [(5, 3, (0, 1)), (3, 5, (3, 4))],
-                             ids=["longer-pi0", "larger-partition"])
-    @pytest.mark.parametrize("step", [
-        det_step, lambda state, event: rand_step(state, event, random.Random(0)),
-    ], ids=["det", "rand"])
-    def test_initial_state_rejects_a_pi0_of_another_size(self, model, size, nodes, event, step):
-        # Unchecked, rand laid out the partition's 3 nodes or indexed past a
-        # 3-node pi0, and det failed only inside closest_feasible.
-        parts = ComponentPartition(nodes, model)
-        with pytest.raises(InstanceMismatchError,
-                           match=f"^permutation of {size} nodes, partition of {nodes}$"):
-            step(AlgoState.initial(Permutation.identity(size), parts), RevealEvent(*event))
 
     def test_closest_feasible_reports_its_distance(self):
         # The block order's cross cost plus each path's inverted pairs is
@@ -171,7 +154,7 @@ class TestDetStep:
     def test_capacity_cap(self):
         # At the default budget of 2^22 states, 12 pairs and 1024 singletons
         # trip the cap; the 12th pair is merged by the step itself.
-        state = initial_state(Model.CLIQUES, Permutation.identity(1048))
+        state = AlgoState.initial(Permutation.identity(1048), Model.CLIQUES)
         for i in range(0, 22, 2):
             state.parts.merge(i, i + 1)
         with pytest.raises(
@@ -185,7 +168,7 @@ class TestDetStep:
         def no_weights(*args):
             raise AssertionError("weights built for an over-cap input")
 
-        state = initial_state(Model.CLIQUES, Permutation.identity(1000))
+        state = AlgoState.initial(Permutation.identity(1000), Model.CLIQUES)
         for i in range(0, 44, 2):
             state.parts.merge(i, i + 1)
         monkeypatch.setattr(minla.ordering, "_costs", no_weights)
@@ -222,7 +205,7 @@ class TestDetStep:
         for model in (Model.CLIQUES, Model.LINES):
             for _ in range(10):
                 trace = random_trace(model, rng.randint(2, 10), seed=rng.random())
-                state = initial_state(model, trace.pi0)
+                state = AlgoState.initial(trace.pi0, model)
                 farthest = 0
                 for ev in trace.events:
                     det_step(state, ev)
@@ -252,7 +235,7 @@ class TestDetRun:
     @staticmethod
     def loop(trace):
         """A det_step loop over ``trace``: its state and target per step."""
-        state = initial_state(trace.model, trace.pi0)
+        state = AlgoState.initial(trace.pi0, trace.model)
         targets = []
         for ev in trace.events:
             det_step(state, ev)
@@ -313,7 +296,7 @@ class TestDetRun:
         # part way; run raises what the loop raises at that event.
         monkeypatch.setattr(minla.ordering, "CAP_BITS", 6)
         trace = random_trace(model, 24, seed=5)
-        state = initial_state(model, trace.pi0)
+        state = AlgoState.initial(trace.pi0, model)
         with pytest.raises(CapacityError) as from_loop:
             for ev in trace.events:
                 det_step(state, ev)
@@ -366,7 +349,7 @@ class TestRandCliqueStep:
         rng = random.Random(13)
         for _ in range(40):
             trace = random_trace(Model.CLIQUES, 6, seed=rng.random())
-            state = initial_state(Model.CLIQUES, trace.pi0)
+            state = AlgoState.initial(trace.pi0, Model.CLIQUES)
             step_rng = random.Random(rng.random())
             for ev in trace.events:
                 before = state.current
@@ -377,7 +360,7 @@ class TestRandCliqueStep:
         rng = random.Random(14)
         for _ in range(30):
             trace = random_trace(Model.CLIQUES, rng.randint(4, 10), seed=rng.random())
-            state = initial_state(Model.CLIQUES, trace.pi0)
+            state = AlgoState.initial(trace.pi0, Model.CLIQUES)
             step_rng = random.Random(rng.random())
             for ev in trace.events:
                 parts = state.parts
@@ -436,7 +419,7 @@ class TestRandLineStep:
         step_rows = minla.algorithms._step_rows
         for _ in range(40):
             trace = random_trace(Model.LINES, 8, seed=rng.random())
-            state = initial_state(Model.LINES, trace.pi0)
+            state = AlgoState.initial(trace.pi0, Model.LINES)
             coins = random.Random(rng.randrange(1000))
             for k, ev in enumerate(trace.events):
                 before = state.current
@@ -482,19 +465,42 @@ class TestRun:
         with pytest.raises(ValueError):
             run("greedy", make_trace(Model.LINES, 2, []))
 
-    def test_state_takes_its_model_from_the_partition(self):
-        # No model can be passed beside the partition, so none can contradict
-        # it: a state over a lines partition steps as lines.
+    def test_state_takes_its_model_from_initial(self):
+        # The model is initial's argument and the partition is built from
+        # it, so a partition in its place raises: a lines state steps as lines.
         pi0 = Permutation.identity(4)
-        lines = ComponentPartition(4, Model.LINES)
-        with pytest.raises(TypeError):
-            AlgoState.initial(Model.CLIQUES, pi0, lines)
-        state = AlgoState.initial(pi0, lines)
+        with pytest.raises(TypeError, match="^a partition takes a Model and an int n"):
+            AlgoState.initial(pi0, ComponentPartition(4, Model.LINES))
+        state = AlgoState.initial(pi0, Model.LINES)
+        assert state.parts.model is Model.LINES
         assert (state.blocks, state.left_end) == (None, [0, 1, 2, 3])
         rand_step(state, RevealEvent(0, 1), random.Random(0))
         assert tuple(state.parts.nodes[0]) in ((0, 1), (1, 0))
         assert is_minla(state.current, state.parts)
 
+
+    @pytest.mark.parametrize("model", [Model.CLIQUES, Model.LINES])
+    def test_initial_state_has_nothing_revealed(self, model):
+        # A state at pi0 over a partition with (0, 1) and (1, 2) merged was
+        # once built: for lines its current read 3 0 1 2 4 at cost 0 and
+        # rand_step on (2, 3) raised InvariantError, for cliques current
+        # raised a bare ValueError.  Each state now starts a partition of
+        # its own, all singletons, so that state cannot be built.
+        pi0 = Permutation([3, 0, 4, 1, 2])
+        merged = ComponentPartition(5, model)
+        merged.merge(0, 1)
+        merged.merge(1, 2)
+        with pytest.raises(TypeError):
+            AlgoState.initial(pi0, merged)
+        state = AlgoState.initial(pi0, model)
+        assert state.parts is not AlgoState.initial(pi0, model).parts
+        assert {root: list(nodes) for root, nodes in state.parts.nodes.items()} == {
+            v: [v] for v in range(5)
+        }
+        assert (state.current, state.total_cost, state.events_done) == (pi0, 0, 0)
+        for event in (RevealEvent(0, 1), RevealEvent(1, 2), RevealEvent(2, 3)):
+            rand_step(state, event, random.Random(0))
+            assert is_minla(state.current, state.parts)
 
 class TestMixedSteps:
     """One state stepped by both algorithms pays from the arrangement it
@@ -509,7 +515,7 @@ class TestMixedSteps:
                 cases.append((trace, rng.randint(1, trace.k - 1), rng.random()))
         paid_before_det = 0
         for trace, split, seed in cases:
-            state = initial_state(trace.model, trace.pi0)
+            state = AlgoState.initial(trace.pi0, trace.model)
             coins = random.Random(seed)
             for event in trace.events[:split]:
                 rand_step(state, event, coins)
@@ -521,7 +527,7 @@ class TestMixedSteps:
         assert paid_before_det >= len(cases) // 2
 
     def test_rand_refuses_a_state_det_has_moved(self):
-        state = initial_state(Model.CLIQUES, Permutation.identity(6))
+        state = AlgoState.initial(Permutation.identity(6), Model.CLIQUES)
         det_step(state, RevealEvent(0, 5))
         costs, current = _totals(state), state.current
         fields = copy.deepcopy(vars(state.parts))
@@ -577,7 +583,7 @@ class TestWindowedKernel:
         for i, trace in enumerate(_kernel_traces()):
             seed = 1000 + i
             costs, _, totals, perms = reference_rand(trace, seed)
-            state = initial_state(trace.model, trace.pi0)
+            state = AlgoState.initial(trace.pi0, trace.model)
             rng = random.Random(seed)
             assert state.current == perms[0]
             for ev, expected, step in zip(trace.events, perms[1:], costs):
@@ -596,7 +602,7 @@ class TestWindowedKernel:
         for i, trace in enumerate(_small_traces()):
             seed = 3000 + i
             _, coins, _, _ = reference_rand(trace, seed)
-            state = initial_state(trace.model, trace.pi0)
+            state = AlgoState.initial(trace.pi0, trace.model)
             rng = random.Random(seed)
             for k, (ev, step_coins) in enumerate(zip(trace.events, coins)):
                 triples = [t for t in step_coins if t is not None]
@@ -617,7 +623,7 @@ class TestWindowedKernel:
 
     def test_feasible_after_every_step(self):
         for i, trace in enumerate(_kernel_traces()[::3]):
-            state = initial_state(trace.model, trace.pi0)
+            state = AlgoState.initial(trace.pi0, trace.model)
             rng = random.Random(i)
             for ev in trace.events:
                 rand_step(state, ev, rng)
@@ -635,8 +641,8 @@ class TestWindowedKernel:
             refs = [reference_rand(trace, seed) for seed in seeds]
             for seed, (costs, _, totals, perms) in zip(seeds, refs):
                 rng.seed(seed)
-                parts = ComponentPartition(trace.n, trace.model)
-                state = AlgoState.initial(trace.pi0, parts)
+                state = AlgoState.initial(trace.pi0, trace.model)
+                parts = state.parts
                 for k, (ev, row) in enumerate(zip(trace.events, _coin_rows(trace.replay.rows))):
                     move, rearrange = state.move_cost, state.rearrange_cost
                     parts.merge(ev.u, ev.v)
@@ -661,7 +667,7 @@ class TestWindowedKernel:
     def test_snapshot_is_not_changed_by_later_steps(self):
         for model in (Model.CLIQUES, Model.LINES):
             trace = random_trace(model, 20, seed=19)
-            state = initial_state(model, trace.pi0)
+            state = AlgoState.initial(trace.pi0, model)
             rng = random.Random(19)
             for ev in trace.events:
                 before = state.current
@@ -680,7 +686,7 @@ class TestWindowedKernel:
         for _ in range(300):
             model = rng.choice((Model.CLIQUES, Model.LINES))
             trace = random_trace(model, rng.randint(4, 24), seed=rng.random())
-            state = initial_state(model, trace.pi0)
+            state = AlgoState.initial(trace.pi0, model)
             step_rng = random.Random(rng.random())
             at = rng.randrange(trace.k)
             for ev in trace.events[:at]:
@@ -758,7 +764,7 @@ class TestWindowedKernel:
     @TRACE_SETTINGS
     @given(valid_traces(), st.integers(0, 2**64 - 1))
     def test_every_step_lays_out_to_a_minla(self, trace, seed):
-        state = initial_state(trace.model, trace.pi0)
+        state = AlgoState.initial(trace.pi0, trace.model)
         rng = random.Random(seed)
         for ev in trace.events:
             rand_step(state, ev, rng)
@@ -829,15 +835,18 @@ class TestOneReplay:
         assert finals == [reference_rand(trace, seed)[2] for seed in self.SEEDS]
         assert len(set(finals)) > 1
 
-    @pytest.mark.parametrize("seed", ["a", 1.5])
+    @pytest.mark.parametrize("seed", ["a", 1.5, True, np.int64(1)])
     def test_runners_refuse_non_int_seeds(self, seed):
         # A str seed would reach the salted hash, so its stream would vary
-        # with PYTHONHASHSEED; both runners take ints only.
+        # with PYTHONHASHSEED, and True once ran seed 1; both runners take
+        # exact ints only.
         trace = random_trace(Model.LINES, 12, seed=43)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="^seed must be an int"):
             next(run_trials(trace, [seed]))
+        with pytest.raises(TypeError, match="^seed must be an int"):
+            list(run_trials(trace, [1, seed]))
         for algo in ("rand", "det"):
-            with pytest.raises(TypeError):
+            with pytest.raises(TypeError, match="^seed must be an int"):
                 run(algo, trace, seed)
 
     def test_trials_leave_the_replay_unchanged(self):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -209,7 +210,7 @@ class TestRunExperiment:
             trace=trace, trace_id="t5", algo="rand", trials=2000, master_seed=23
         )
         exp = run_experiment(cfg)
-        assert exp.stats.mean <= bound_for_trace(trace, exp.opt)
+        assert exp.stats.mean <= bound_for_trace(trace)
 
     def test_csv_peak_memory_per_trial(self):
         # A trial keeps one row of three ints, and the CSV rows are joined as
@@ -240,14 +241,23 @@ class TestRunExperiment:
             with pytest.raises(TypeError):
                 ExperimentConfig(trace, "x", "rand", trials, master_seed)
 
-    def test_integer_likes_become_ints(self):
+    @pytest.mark.parametrize("value", [True, False, np.int64(5)], ids=repr)
+    @pytest.mark.parametrize("name", ["trials", "master_seed"])
+    def test_integer_likes_refused(self, name, value):
+        # True once ran 1 trial and False failed only the range check, both
+        # as if they were the ints 1 and 0.
         trace = random_trace(Model.LINES, 4, seed=7)
-        cfg = ExperimentConfig(trace, "x", "rand", True, np.int64(5))
-        assert (type(cfg.trials), cfg.trials) == (int, 1)
-        assert (type(cfg.master_seed), cfg.master_seed) == (int, 5)
-        assert '"trials": 1\n' in experiment_to_json(run_experiment(cfg))
-        with pytest.raises(ConfigError, match="trials must be >= 1, got 0"):
-            ExperimentConfig(trace, "x", "rand", False, 1)
+        args = {"trials": 1, "master_seed": 1, name: value}
+        message = re.escape(f"{name} must be an int, got {value!r}")
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            ExperimentConfig(trace, "x", "rand", **args)
+
+    @pytest.mark.parametrize("trace_id", [7, None, b"x"], ids=repr)
+    def test_trace_id_must_be_a_str(self, trace_id):
+        # 7 was written to the JSON as the number 7, and None as null.
+        trace = random_trace(Model.LINES, 4, seed=7)
+        with pytest.raises(TypeError, match=f"^trace_id must be a str, got {trace_id!r}$"):
+            ExperimentConfig(trace, trace_id, "rand", 1, 1)
 
 
 class TestTrialBound:
@@ -399,11 +409,16 @@ class TestVerifyLemma:
             verify_lemma(kind, trials=trials, seed=seed)
 
     @pytest.mark.parametrize("kind", ["left-right", "orientation", "harmonic", "identities"])
-    def test_bool_seed_counts_as_its_int(self, kind):
-        # As in ExperimentConfig, a bool is an int: True runs and prints seed 1.
-        report = verify_lemma(kind, trials=1_000, seed=True)
-        assert report == verify_lemma(kind, trials=1_000, seed=1)
-        assert report.to_text().startswith(f"verify {kind}: trials=1000 seed=1 ")
+    @pytest.mark.parametrize("name, value", [
+        ("seed", True), ("seed", np.int64(1)), ("trials", np.int64(1_000)),
+    ], ids=["bool-seed", "numpy-seed", "numpy-trials"])
+    def test_integer_likes_refused(self, kind, name, value):
+        # As in ExperimentConfig, a bool is no int: True once ran and printed
+        # seed 1.
+        args = {"trials": 1_000, "seed": 1, name: value}
+        message = re.escape(f"{name} must be an int, got {value!r}")
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            verify_lemma(kind, **args)
 
     def test_left_right_frequencies(self):
         trace = random_trace(Model.CLIQUES, 8, seed=11, events=4)

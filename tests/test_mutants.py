@@ -33,11 +33,13 @@ def test_old_text_occurs_once_and_tests_exist(mutant):
 
 def test_workflow_runs_on_every_mutated_file():
     # The pull_request paths filter of the kill run, read as plain text: a
-    # glob's "**" matches every path below its directory.
+    # glob's "**" matches every path below its directory.  The workflow lists
+    # itself, so that a change to the gate's own run runs the gate.
     workflow = (ROOT / ".github/workflows/mutants.yml").read_text()
     lines = workflow.split("\n    paths:\n", 1)[1].splitlines()
     items = itertools.takewhile(lambda line: line.startswith("      - "), lines)
     globs = [line.removeprefix("      - ") for line in items]
     tests = {test.split("::", 1)[0] for m in MUTANTS for test in m.tests}
-    for path in {m.path for m in MUTANTS} | tests | {"tests/mutants.py"}:
+    required = {"tests/mutants.py", ".github/workflows/mutants.yml"}
+    for path in {m.path for m in MUTANTS} | tests | required:
         assert any(fnmatch.fnmatchcase(path, glob) for glob in globs), path

@@ -689,7 +689,7 @@ class TestIdentityChecks:
 class TestBoundForTrace:
     def test_zero_opt(self):
         trace = make_trace(Model.CLIQUES, 4, [(0, 1)])
-        assert bound_for_trace(trace, dp_opt(trace)) == 0.0
+        assert bound_for_trace(trace) == 0.0
 
     @pytest.mark.parametrize("model, factor", [(Model.CLIQUES, 4), (Model.LINES, 8)])
     def test_factor_times_h_n_times_opt(self, model, factor):
@@ -698,36 +698,46 @@ class TestBoundForTrace:
             n = rng.randint(2, 24)
             k = rng.randint(0, n - 1)
             trace = random_trace(model, n, seed=rng.randrange(1 << 48), events=k)
-            opt = dp_opt(trace)
-            assert bound_for_trace(trace, opt) == float(factor * harmonic_number(n) * opt.cost)
+            expected = factor * harmonic_number(n) * dp_opt(trace).cost
+            assert bound_for_trace(trace) == float(expected)
 
     def test_lines_doubles_cliques(self):
-        clique = random_trace(Model.CLIQUES, 9, seed=31)
-        line = RevealTrace(Model.LINES, clique.pi0, ())
-        opt = dp_opt(clique)
-        assert bound_for_trace(line, opt) == pytest.approx(
-            2 * bound_for_trace(clique, opt)
-        )
+        # Disjoint pairs are both 2-cliques and 2-paths, so the two models
+        # share the optimum and only the factor differs.
+        pairs = [(0, 1), (2, 3), (4, 5), (6, 7)]
+        pi0 = random_trace(Model.CLIQUES, 9, seed=31).pi0
+        clique = make_trace(Model.CLIQUES, 9, pairs, pi0)
+        line = make_trace(Model.LINES, 9, pairs, pi0)
+        assert dp_opt(line).cost == dp_opt(clique).cost > 0
+        assert bound_for_trace(line) == pytest.approx(2 * bound_for_trace(clique))
 
     def test_monotone_in_opt_and_n(self):
-        from minla import OptResult
+        # Joining 0 and 1 costs the nodes between them: one here, three far
+        # apart, and one again on twice as many nodes.
+        near = make_trace(Model.CLIQUES, 6, [(0, 1)], Permutation([0, 2, 1, 3, 4, 5]))
+        far = make_trace(Model.CLIQUES, 6, [(0, 1)], Permutation([0, 2, 3, 4, 1, 5]))
+        wide = make_trace(Model.CLIQUES, 12, [(0, 1)],
+                          Permutation([0, 2, 1] + list(range(3, 12))))
+        assert [dp_opt(t).cost for t in (near, far, wide)] == [1, 3, 1]
+        assert bound_for_trace(far) > bound_for_trace(near) > 0
+        assert bound_for_trace(wide) > bound_for_trace(near)
 
-        trace = make_trace(Model.CLIQUES, 6, [])
-        near = OptResult(cost=1, witness=Permutation([1, 0, 2, 3, 4, 5]))
-        far = OptResult(cost=3, witness=Permutation([1, 2, 3, 0, 4, 5]))
-        assert bound_for_trace(trace, far) > bound_for_trace(trace, near) > 0
-        wide = make_trace(Model.CLIQUES, 12, [])
-        near_wide = OptResult(
-            cost=1, witness=Permutation([1, 0] + list(range(2, 12)))
-        )
-        assert bound_for_trace(wide, near_wide) > bound_for_trace(trace, near)
+    def test_reads_the_traces_own_optimum(self):
+        # Given seed 2's optimum, this trace's bound once read 282.66; the
+        # bound now takes the trace alone and prices its own optimum.
+        trace = random_trace(Model.LINES, 8, seed=1)
+        assert bound_for_trace(trace) == pytest.approx(239.171428, abs=1e-6)
+        with pytest.raises(TypeError):
+            bound_for_trace(trace, dp_opt(random_trace(Model.LINES, 8, seed=2)))
 
-    def test_refuses_another_traces_optimum(self):
-        # Unchecked, a 6-node line trace read a 9-node optimum as 294.0.
-        small = make_trace(Model.LINES, 6, [(0, 1)])
-        opt = dp_opt(random_trace(Model.LINES, 9, seed=2))
-        with pytest.raises(InstanceMismatchError, match="^optimum of 9 nodes, trace of 6$"):
-            bound_for_trace(small, opt)
+    def test_harmonic_cap_raises_before_the_optimum(self, monkeypatch):
+        def untouched(t):
+            raise AssertionError("dp_opt ran before the harmonic cap")
+
+        monkeypatch.setattr(minla.oracle, "dp_opt", untouched)
+        trace = make_trace(Model.LINES, 10_001, [(0, 1)])
+        with pytest.raises(CapacityError, match="10000"):
+            bound_for_trace(trace)
 
 
 def partition(n, model, groups):
